@@ -1,7 +1,7 @@
 //! Phase-2 evaluation-engine head-to-head: each souping strategy with the
-//! full engine (propagation cache, fused blends, parallel candidate
-//! evaluation, subgraph memoisation) versus the same strategy with every
-//! optimisation switched off, on the medium Reddit synthetic.
+//! full engine (propagation cache, fused blends, subgraph memoisation)
+//! versus the same strategy with every optimisation switched off, on the
+//! medium Reddit synthetic.
 //!
 //! Both arms run the same code with the engine flags toggled, the same seed
 //! and the same ingredient pool, so accuracies must match **bitwise** — the
@@ -137,7 +137,6 @@ fn gis_comparison(
 ) -> StrategyComparison {
     let baseline = best_outcome(reps, || {
         GisSouping::new(granularity)
-            .with_parallel(false)
             .with_cache(false)
             .soup(ingredients, dataset, cfg, seed)
     });
@@ -190,7 +189,7 @@ fn pls_comparison(
     // accelerates.
     let ctx = SoupCtx::new(ingredients, dataset, cfg, seed).with_partitioning(partitioning);
     let soup = |pls: PartitionLearnedSouping| {
-        SoupStrategy::try_soup(&pls, &ctx)
+        pls.try_soup(&ctx)
             .expect("bench souping is not persisted")
             .expect("bench souping never stops early")
     };

@@ -24,11 +24,6 @@ pub struct GisSouping {
     /// Number of interpolation ratios searched per ingredient
     /// (`linspace(0, 1, granularity)`, endpoints included).
     pub granularity: usize,
-    /// Evaluate the α-grid candidates of each ingredient concurrently
-    /// under rayon. The accept decision reduces over the grid in
-    /// deterministic order, so the selected (α, accuracy) is identical to
-    /// the sequential search.
-    pub parallel: bool,
     /// Reuse the weight-independent first-hop aggregation (`op·X`) across
     /// all candidate evaluations via a [`PropCache`] — bit-identical
     /// accuracies, one SpMM cheaper per forward (no-op for GAT).
@@ -39,7 +34,6 @@ impl Default for GisSouping {
     fn default() -> Self {
         Self {
             granularity: 20,
-            parallel: true,
             cache: true,
         }
     }
@@ -55,12 +49,6 @@ impl GisSouping {
             granularity,
             ..Self::default()
         }
-    }
-
-    /// Toggle parallel candidate evaluation.
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
-        self
     }
 
     /// Toggle the aggregation cache.
@@ -135,22 +123,17 @@ impl SoupStrategy for GisSouping {
                     ParamSet::blend_into(scratch, &[1.0 - alpha, alpha], &[&soup, ingredient]);
                     eval(scratch)
                 };
-                let accs: Vec<f64> = if self.parallel && grid.len() > 1 {
-                    grid.par_iter()
-                        .map_init(
-                            || soup.clone(),
-                            |scratch, &alpha| evaluate_candidate(scratch, alpha),
-                        )
-                        .collect()
-                } else {
-                    let mut scratch = soup.clone();
-                    grid.iter()
-                        .map(|&alpha| evaluate_candidate(&mut scratch, alpha))
-                        .collect()
-                };
+                let accs: Vec<f64> = grid
+                    .par_iter()
+                    .map_init(
+                        || soup.clone(),
+                        |scratch, &alpha| evaluate_candidate(scratch, alpha),
+                    )
+                    .collect();
                 // First-improvement semantics: reduce over the grid in its
-                // original order (`>=` keeps the latest tied ratio), exactly
-                // as the sequential loop decided.
+                // original order (`>=` keeps the latest tied ratio), so the
+                // selected (α, accuracy) does not depend on which worker
+                // finished first.
                 let mut best: (f32, f64) = (0.0, soup_acc);
                 for (&alpha, &acc) in grid.iter().zip(&accs) {
                     if acc >= best.1 {
@@ -258,11 +241,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_cached_match_sequential_uncached() {
+    fn cached_matches_uncached() {
         let (d, cfg, ingredients) = trained_ingredients(3);
         let fast = GisSouping::new(6).soup(&ingredients, &d, &cfg, 0);
         let slow = GisSouping::new(6)
-            .with_parallel(false)
             .with_cache(false)
             .soup(&ingredients, &d, &cfg, 0);
         // Same accept decisions -> bitwise identical soup and accuracy.

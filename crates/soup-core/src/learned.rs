@@ -10,19 +10,27 @@
 //!
 //! Cost: `O(e · (F_v + B_v))` — e epochs of one forward + one (α-only)
 //! backward each, versus GIS's `N·g` forwards (§III-E).
+//!
+//! The epoch loop lives here once, for LS and PLS both (`alpha_loop`):
+//! Alg. 4 is Alg. 3 plus one `partitionSelection` line, so an
+//! `EpochSource` says what to step on this epoch — the full validation
+//! graph, or a partition draw ([`crate::pls`]) — and the loop owns the
+//! rest. RNG order is the resume/retry contract: stream tag → Xavier α
+//! init → per epoch: watchdog snapshot, the source's draw, any cache lookup.
 
 use crate::ingredient::{validate_ingredients, Ingredient};
-use crate::resume::{Phase2Persist, Phase2Session, RunShape};
+use crate::resume::{Phase2Session, RunShape};
 use crate::strategy::{measure_soup_try, MixReport, SoupCtx, SoupOutcome, SoupStrategy};
 use soup_error::SoupError;
 use soup_gnn::cache::PropCache;
 use soup_gnn::model::PropOps;
 use soup_gnn::params::{LayerParams, ParamVars};
 use soup_gnn::{ModelConfig, ParamSet};
-use soup_graph::Dataset;
+use soup_obs::{to_value, Value};
 use soup_tensor::optim::{CosineAnnealing, Sgd};
 use soup_tensor::tape::{Tape, Var};
 use soup_tensor::{SplitMix64, Tensor};
+use std::borrow::Cow;
 
 /// Hyperparameters shared by LS and PLS.
 #[derive(Debug, Clone, Copy)]
@@ -217,38 +225,363 @@ pub(crate) fn mean_ratios(alphas: &AlphaState) -> Vec<f32> {
     mean
 }
 
+/// One epoch's inputs — everything [`learned_step`] needs: a graph prepared
+/// for eval-mode forwards and the nodes the loss is taken over. LS prepares
+/// the full validation graph once; PLS prepares (and memoises) one per
+/// partition draw.
+#[derive(Debug)]
+pub(crate) struct EpochData<'a> {
+    /// Propagation operator prepared on the (sub)graph.
+    pub ops: PropOps,
+    /// First-hop aggregation cache over `features` — `None` when the run
+    /// has `prop_cache` disabled, so the baseline never pays a build SpMM
+    /// it won't consume.
+    pub prop: Option<PropCache>,
+    /// Node features (gathered into local order for a subgraph).
+    pub features: Tensor,
+    pub labels: Cow<'a, [u32]>,
+    /// Fit nodes, as ids local to `features`.
+    pub mask: Vec<usize>,
+}
+
 /// One α-optimisation step on prepared epoch data. Returns the loss.
 ///
-/// When `cache` is provided it must have been built from `features` — the
-/// forward consumes the cached first-hop aggregation (the soup evaluation
-/// runs in eval mode, where that hop is weight-independent; α gradients
-/// flow through the downstream transform only, so caching does not touch
-/// the backward pass).
-#[allow(clippy::too_many_arguments)]
+/// The forward consumes `data.prop`'s cached first-hop aggregation (the
+/// soup evaluation runs in eval mode, where that hop is weight-independent;
+/// α gradients flow through the downstream transform only, so caching does
+/// not touch the backward pass).
 pub(crate) fn learned_step(
     ingredients: &[Ingredient],
     alphas: &mut AlphaState,
     cfg: &ModelConfig,
-    ops: &PropOps,
-    cache: Option<&PropCache>,
-    features: &Tensor,
-    labels: &[u32],
-    mask: &[usize],
+    data: &EpochData<'_>,
     opt: &mut Sgd,
 ) -> f32 {
     let tape = Tape::new();
     let (soup_vars, raw_vars) = build_soup_on_tape(&tape, ingredients, alphas);
-    let x = tape.constant(features.clone());
+    let x = tape.constant(data.features.clone());
     // Eval-mode forward: the soup evaluation of Alg. 3 has no dropout.
     let mut no_rng = SplitMix64::new(0);
+    let (ops, prop) = (&data.ops, data.prop.as_ref());
     let logits =
-        soup_gnn::model::forward_cached(&tape, cfg, ops, cache, x, &soup_vars, false, &mut no_rng);
-    let loss = tape.cross_entropy_masked(logits, labels, mask);
+        soup_gnn::model::forward_cached(&tape, cfg, ops, prop, x, &soup_vars, false, &mut no_rng);
+    let loss = tape.cross_entropy_masked(logits, &data.labels, &data.mask);
     let loss_val = tape.value(loss).item();
     let grads = tape.backward(loss);
     let grad_list: Vec<Option<Tensor>> = raw_vars.iter().map(|&v| grads.get(v).cloned()).collect();
     opt.step(&mut alphas.raw, &grad_list);
     loss_val
+}
+
+/// Where an epoch's data comes from — the only thing Alg. 4 changes about
+/// Alg. 3. LS hands back the full validation graph every epoch; PLS
+/// ([`crate::pls`]) draws `R` of `K` partitions (`partitionSelection`).
+pub(crate) trait EpochSource {
+    /// `"ls"` / `"pls"`: names the state file, the `soup.<strategy>.*`
+    /// metrics and trace event, and (upper-cased) the watchdog's messages.
+    const STRATEGY: &'static str;
+    /// Whether a watchdog-retried attempt's forward is charged to
+    /// `forwards` (LS) or the count stays one per stepped epoch (PLS, whose
+    /// state files say `forwards == epochs_run`).
+    const RETRY_COUNTS_AS_FORWARD: bool;
+
+    /// PLS `(K, R)` — part of the resume identity.
+    fn partition_budget(&self) -> (usize, usize) {
+        (0, 0)
+    }
+
+    /// Consume this epoch's randomness from `rng`, *then* prepare the data
+    /// to step on. The loop calls this right after its watchdog snapshot,
+    /// so a retried epoch replays the same draw. `None` means the draw
+    /// left nothing to fit on: the epoch index advances (and checkpoints)
+    /// without a step.
+    fn next_epoch(&mut self, rng: &mut SplitMix64) -> Option<&EpochData<'_>>;
+
+    /// Fields the per-epoch trace event carries about the last draw.
+    fn trace_fields(&self) -> Vec<(String, Value)> {
+        Vec::new()
+    }
+
+    /// Early stopping: `(patience, accuracy of the current soup on the
+    /// monitored split)` for a source that monitors one — one extra
+    /// forward per epoch.
+    fn monitor(&self, _ingredients: &[Ingredient], _alphas: &AlphaState) -> Option<(usize, f64)> {
+        None
+    }
+
+    /// SpMMs the source's caches avoided, net of their build cost.
+    fn spmm_saved(&self) -> usize;
+}
+
+/// Everything the α-loop mutates. Cloned for the watchdog snapshot and
+/// converted to/from the on-disk [`crate::resume::Phase2State`] for resume.
+#[derive(Debug, Clone)]
+pub(crate) struct LoopState {
+    /// First epoch index that has not run yet (counts empty PLS draws).
+    pub epoch: usize,
+    /// Epochs that actually stepped.
+    pub epochs_run: usize,
+    pub forwards: usize,
+    pub rng: SplitMix64,
+    pub alphas: AlphaState,
+    /// SGD momentum buffers between steps.
+    pub velocity: Vec<Option<Tensor>>,
+    /// Best monitored accuracy so far and the α's that reached it.
+    pub best: Option<(f64, AlphaState)>,
+    pub since_best: usize,
+    /// Cumulative learning-rate multiplier applied by the watchdog.
+    pub lr_scale: f32,
+    pub nan_retries: u64,
+}
+
+/// The α-optimisation loop of Alg. 3 and Alg. 4: SGD with momentum under
+/// cosine annealing on Xavier-initialised α's, one [`learned_step`] per
+/// epoch on whatever `source` hands back, with the numeric watchdog,
+/// half-way pruning, early stopping and durable checkpoints around it.
+/// `rng` is the souping seed's stream under the strategy's tag. `Ok(None)`
+/// reports a deliberate `Phase2Persist::stop_after` kill.
+pub(crate) fn alpha_loop<S: EpochSource>(
+    h: &LearnedHyper,
+    ctx: &SoupCtx<'_>,
+    mut rng: SplitMix64,
+    source: &mut S,
+) -> crate::Result<Option<LoopState>> {
+    let (ingredients, strategy) = (ctx.ingredients, S::STRATEGY);
+    let (partitions, budget) = source.partition_budget();
+    let shape = RunShape {
+        strategy,
+        seed: ctx.seed,
+        total_epochs: h.epochs,
+        num_ingredients: ingredients.len(),
+        partitions,
+        budget,
+    };
+    let (session, resumed) = Phase2Session::begin(ctx.persist, shape)?;
+    // Looked up per run: the `counter!`/`gauge!` macros cache their handle
+    // per call site, which would pin these to the first strategy to run.
+    let epochs_counter = soup_obs::registry::counter(&format!("soup.{strategy}.epochs"));
+    let epoch_gauge = soup_obs::registry::gauge(&format!("soup.{strategy}.epoch"));
+    let alphas = AlphaState::init(
+        ingredients.len(),
+        ingredients[0].params.num_layers(),
+        &mut rng,
+    );
+    let mut st = match resumed {
+        Some(state) => state.into_loop_state(),
+        None => LoopState {
+            epoch: 0,
+            epochs_run: 0,
+            forwards: 0,
+            rng,
+            alphas,
+            velocity: Vec::new(),
+            best: None,
+            since_best: 0,
+            lr_scale: 1.0,
+            nan_retries: 0,
+        },
+    };
+    let sched = CosineAnnealing::new(h.base_lr, h.eta_min, h.epochs);
+    let mut attempts = 0u32;
+    while st.epoch < h.epochs {
+        // Watchdog snapshot: taken before the epoch consumes any
+        // randomness, so a retry replays the epoch deterministically.
+        let snap = st.clone();
+        let Some(data) = source.next_epoch(&mut st.rng) else {
+            attempts = 0;
+            st.epoch += 1;
+            if session.after_epoch(&st)? {
+                return Ok(None);
+            }
+            continue;
+        };
+        let lr = (sched.lr(st.epoch) * st.lr_scale).max(1e-6);
+        let mut opt = Sgd::new(lr, h.momentum, h.weight_decay);
+        opt.set_velocity(std::mem::take(&mut st.velocity));
+        let mut loss = learned_step(ingredients, &mut st.alphas, ctx.cfg, data, &mut opt);
+        st.velocity = opt.velocity().to_vec();
+        st.forwards += 1;
+        if let Some((e, times)) = h.nan_inject {
+            if st.epoch == e && attempts < times {
+                // Poison both the loss and the α state, as a genuinely
+                // diverged step would.
+                loss = f32::NAN;
+                st.alphas.raw[0].make_mut()[0] = f32::NAN;
+            }
+        }
+        if !loss.is_finite() {
+            let (name, epoch) = (strategy.to_uppercase(), st.epoch);
+            if attempts >= h.nan_retry_budget {
+                return Err(SoupError::numeric(format!(
+                    "{name} epoch {epoch}: non-finite loss persisted after {attempts} \
+                     watchdog retries (lr_scale {})",
+                    st.lr_scale
+                )));
+            }
+            attempts += 1;
+            st = LoopState {
+                forwards: snap.forwards + usize::from(S::RETRY_COUNTS_AS_FORWARD),
+                lr_scale: st.lr_scale * 0.5,
+                nan_retries: st.nan_retries + 1,
+                ..snap
+            };
+            soup_obs::counter!("soup.watchdog.retries").inc();
+            soup_obs::warn!(
+                "{name} epoch {epoch}: non-finite loss; restored last good α, \
+                 retrying with lr_scale {} (attempt {attempts}/{})",
+                st.lr_scale,
+                h.nan_retry_budget
+            );
+            continue;
+        }
+        attempts = 0;
+        st.epochs_run += 1;
+        epochs_counter.inc();
+        epoch_gauge.set(st.epochs_run as f64);
+        if soup_obs::trace::active() {
+            let mut fields = vec![
+                ("epoch".to_string(), to_value(&(st.epoch as u64))),
+                ("loss".to_string(), to_value(&loss)),
+                ("lr".to_string(), to_value(&lr)),
+            ];
+            fields.extend(source.trace_fields());
+            fields.push((
+                "mean_ratios".to_string(),
+                to_value(&mean_ratios(&st.alphas)),
+            ));
+            soup_obs::trace::emit_event(&format!("soup.{strategy}.epoch"), fields);
+        }
+        // §VIII ingredient drop-out at the half-way point.
+        if let Some(threshold) = h.prune_threshold {
+            if st.epoch + 1 == h.epochs / 2 {
+                prune_weak_ingredients(&mut st.alphas, threshold);
+            }
+        }
+        st.epoch += 1;
+        // §VI-A early stopping on the monitored split.
+        if let Some((patience, acc)) = source.monitor(ingredients, &st.alphas) {
+            st.forwards += 1;
+            match &st.best {
+                Some((b, _)) if acc <= *b => {
+                    st.since_best += 1;
+                    if st.since_best >= patience {
+                        // Jump to the schedule end: the checkpoint below
+                        // marks the run complete, so a later resume
+                        // reproduces the restored-best soup without
+                        // replaying the patience window.
+                        st.epoch = h.epochs;
+                    }
+                }
+                _ => {
+                    st.best = Some((acc, st.alphas.clone()));
+                    st.since_best = 0;
+                }
+            }
+        }
+        if session.after_epoch(&st)? {
+            return Ok(None);
+        }
+    }
+    if let Some((_, best)) = st.best.take() {
+        st.alphas = best;
+    }
+    Ok(Some(st))
+}
+
+/// Run [`alpha_loop`] and materialise the soup it learned.
+pub(crate) fn learn_soup(
+    h: &LearnedHyper,
+    ctx: &SoupCtx<'_>,
+    rng: SplitMix64,
+    source: &mut impl EpochSource,
+) -> crate::Result<Option<MixReport>> {
+    Ok(alpha_loop(h, ctx, rng, source)?.map(|st| MixReport {
+        params: materialize_soup(ctx.ingredients, &st.alphas),
+        forward_passes: st.forwards,
+        epochs: st.epochs_run,
+        spmm_saved: source.spmm_saved(),
+    }))
+}
+
+/// LS's epoch source: the full validation graph, prepared once.
+pub(crate) struct FullGraphSource<'a> {
+    cfg: &'a ModelConfig,
+    data: EpochData<'a>,
+    /// §VI-A minibatched validation: `(batch size, fit nodes)` when each
+    /// epoch fits on a fresh subsample of the fit nodes.
+    val_batch: Option<(usize, Vec<usize>)>,
+    /// `(patience, monitored split)` when early stopping is on.
+    monitor: Option<(usize, Vec<usize>)>,
+}
+
+/// The validation nodes α is fitted on and the ones early stopping
+/// monitors: `holdout_ratio`'s random split of the validation set (§IV-C),
+/// or all of it for both.
+pub(crate) fn fit_and_monitor_masks(
+    h: &LearnedHyper,
+    ctx: &SoupCtx<'_>,
+) -> (Vec<usize>, Vec<usize>) {
+    let splits = &ctx.dataset.splits;
+    if h.holdout_ratio > 0.0 {
+        splits.split_val(h.holdout_ratio, ctx.seed)
+    } else {
+        (splits.val.clone(), splits.val.clone())
+    }
+}
+
+impl<'a> FullGraphSource<'a> {
+    pub(crate) fn new(h: &LearnedHyper, ctx: &SoupCtx<'a>) -> Self {
+        let dataset = ctx.dataset;
+        let (fit_mask, monitor_mask) = fit_and_monitor_masks(h, ctx);
+        let ops = PropOps::prepare(ctx.cfg.arch, &dataset.graph);
+        let prop = h
+            .prop_cache
+            .then(|| PropCache::new(&ops, &dataset.features));
+        let val_batch = h.val_batch.filter(|&b| b < fit_mask.len());
+        Self {
+            cfg: ctx.cfg,
+            val_batch: val_batch.map(|b| (b, fit_mask.clone())),
+            monitor: h.early_stop_patience.map(|p| (p, monitor_mask)),
+            data: EpochData {
+                ops,
+                prop,
+                features: dataset.features.clone(),
+                labels: Cow::Borrowed(&dataset.labels),
+                mask: fit_mask,
+            },
+        }
+    }
+}
+
+impl EpochSource for FullGraphSource<'_> {
+    const STRATEGY: &'static str = "ls";
+    const RETRY_COUNTS_AS_FORWARD: bool = true;
+
+    fn next_epoch(&mut self, rng: &mut SplitMix64) -> Option<&EpochData<'_>> {
+        if let Some((b, fit)) = &self.val_batch {
+            let batch = rng.sample_indices(fit.len(), *b);
+            self.data.mask = batch.into_iter().map(|k| fit[k]).collect();
+        }
+        Some(&self.data)
+    }
+
+    fn monitor(&self, ingredients: &[Ingredient], alphas: &AlphaState) -> Option<(usize, f64)> {
+        let (patience, mask) = self.monitor.as_ref()?;
+        let soup = materialize_soup(ingredients, alphas);
+        let (cfg, d) = (self.cfg, &self.data);
+        let acc = match &d.prop {
+            Some(c) => soup_gnn::evaluate_accuracy_cached(cfg, &d.ops, c, &soup, &d.labels, mask),
+            None => soup_gnn::evaluate_accuracy(cfg, &d.ops, &soup, &d.features, &d.labels, mask),
+        };
+        Some((*patience, acc))
+    }
+
+    fn spmm_saved(&self) -> usize {
+        // Every cache-consuming forward skipped one SpMM, minus the one
+        // spent building the cache.
+        let hits = self.data.prop.as_ref().map_or(0, PropCache::hits);
+        hits.saturating_sub(1)
+    }
 }
 
 /// Learned Souping (Algorithm 3).
@@ -261,232 +594,6 @@ impl LearnedSouping {
     pub fn new(hyper: LearnedHyper) -> Self {
         Self { hyper }
     }
-
-    /// Positional shim for the pre-[`SoupCtx`] entry point; equivalent to
-    /// `SoupStrategy::try_soup` with `with_persist_opt(persist)`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use SoupStrategy::try_soup with a SoupCtx (with_persist for durability)"
-    )]
-    pub fn try_soup(
-        &self,
-        ingredients: &[Ingredient],
-        dataset: &Dataset,
-        cfg: &ModelConfig,
-        seed: u64,
-        persist: Option<&Phase2Persist>,
-    ) -> crate::Result<Option<SoupOutcome>> {
-        SoupStrategy::try_soup(
-            self,
-            &SoupCtx::new(ingredients, dataset, cfg, seed).with_persist_opt(persist),
-        )
-    }
-
-    /// The Alg. 3 epoch loop (full validation graph every epoch).
-    fn mix_loop(
-        &self,
-        ingredients: &[Ingredient],
-        dataset: &Dataset,
-        cfg: &ModelConfig,
-        seed: u64,
-        persist: Option<&Phase2Persist>,
-    ) -> crate::Result<Option<MixReport>> {
-        let h = self.hyper;
-        let _ls_span = soup_obs::span!("soup.ls");
-        let shape = RunShape {
-            strategy: "ls",
-            seed,
-            total_epochs: h.epochs,
-            num_ingredients: ingredients.len(),
-            partitions: 0,
-            budget: 0,
-        };
-        let mut session = Phase2Session::begin(persist, shape)?;
-        let mut rng = SplitMix64::new(seed).derive(0x15);
-        let mut alphas = AlphaState::init(
-            ingredients.len(),
-            ingredients[0].params.num_layers(),
-            &mut rng,
-        );
-        let (fit_mask, monitor_mask): (Vec<usize>, Vec<usize>) = if h.holdout_ratio > 0.0 {
-            let (fit, holdout) = dataset.splits.split_val(h.holdout_ratio, seed);
-            (fit, holdout)
-        } else {
-            (dataset.splits.val.clone(), dataset.splits.val.clone())
-        };
-        let ops = PropOps::prepare(cfg.arch, &dataset.graph);
-        let cache = h
-            .prop_cache
-            .then(|| PropCache::new(&ops, &dataset.features));
-        let sched = CosineAnnealing::new(h.base_lr, h.eta_min, h.epochs);
-        let mut opt = Sgd::new(sched.lr(0).max(h.eta_min), h.momentum, h.weight_decay);
-        let mut best: Option<(f64, AlphaState)> = None;
-        let mut since_best = 0usize;
-        let mut forwards = 0usize;
-        let mut epochs_run = 0usize;
-        let mut lr_scale = 1.0f32;
-        let mut nan_retries = 0u64;
-        let mut epoch = 0usize;
-        if let Some(state) = session.take_resumed() {
-            epoch = state.next_epoch as usize;
-            epochs_run = state.epochs_run as usize;
-            forwards = state.forwards as usize;
-            rng = SplitMix64::from_snapshot(state.rng_state, state.rng_gauss_spare);
-            alphas = AlphaState { raw: state.alphas };
-            opt.set_velocity(state.velocity);
-            best = match (state.best_acc, state.best_alphas) {
-                (Some(acc), Some(raw)) => Some((acc, AlphaState { raw })),
-                _ => None,
-            };
-            since_best = state.since_best as usize;
-            lr_scale = state.lr_scale;
-            nan_retries = state.nan_retries;
-        }
-        let mut attempts = 0u32;
-        let mut stopped_early = false;
-        while epoch < h.epochs {
-            // Watchdog snapshot: taken before the epoch consumes any
-            // randomness, so a retry replays the epoch deterministically.
-            let snap_alphas = alphas.clone();
-            let snap_velocity = opt.velocity().to_vec();
-            let (snap_rng, snap_spare) = rng.snapshot();
-            // §VI-A minibatched validation: subsample the fit nodes.
-            let epoch_fit: Vec<usize> = match h.val_batch {
-                Some(b) if b < fit_mask.len() => rng
-                    .sample_indices(fit_mask.len(), b)
-                    .into_iter()
-                    .map(|k| fit_mask[k])
-                    .collect(),
-                _ => fit_mask.clone(),
-            };
-            opt.lr = (sched.lr(epoch) * lr_scale).max(1e-6);
-            let mut loss = learned_step(
-                ingredients,
-                &mut alphas,
-                cfg,
-                &ops,
-                cache.as_ref(),
-                &dataset.features,
-                &dataset.labels,
-                &epoch_fit,
-                &mut opt,
-            );
-            forwards += 1;
-            if let Some((e, times)) = h.nan_inject {
-                if epoch == e && attempts < times {
-                    // Poison both the loss and the α state, as a genuinely
-                    // diverged step would.
-                    loss = f32::NAN;
-                    alphas.raw[0].make_mut()[0] = f32::NAN;
-                }
-            }
-            if !loss.is_finite() {
-                if attempts >= h.nan_retry_budget {
-                    return Err(SoupError::numeric(format!(
-                        "LS epoch {epoch}: non-finite loss persisted after {attempts} \
-                         watchdog retries (lr_scale {lr_scale})"
-                    )));
-                }
-                attempts += 1;
-                nan_retries += 1;
-                alphas = snap_alphas;
-                opt.set_velocity(snap_velocity);
-                rng = SplitMix64::from_snapshot(snap_rng, snap_spare);
-                lr_scale *= 0.5;
-                soup_obs::counter!("soup.watchdog.retries").inc();
-                soup_obs::warn!(
-                    "LS epoch {epoch}: non-finite loss; restored last good α, \
-                     retrying with lr_scale {lr_scale} (attempt {attempts}/{})",
-                    h.nan_retry_budget
-                );
-                continue;
-            }
-            attempts = 0;
-            epochs_run += 1;
-            soup_obs::counter!("soup.ls.epochs").inc();
-            soup_obs::gauge!("soup.ls.epoch").set(epochs_run as f64);
-            soup_obs::trace_event!("soup.ls.epoch",
-                "epoch" => epoch as u64,
-                "loss" => loss,
-                "lr" => opt.lr,
-                "mean_ratios" => mean_ratios(&alphas));
-            // §VIII ingredient drop-out at the half-way point.
-            if let Some(threshold) = h.prune_threshold {
-                if epoch + 1 == h.epochs / 2 {
-                    prune_weak_ingredients(&mut alphas, threshold);
-                }
-            }
-            // §VI-A early stopping on the monitored split.
-            if let Some(patience) = h.early_stop_patience {
-                let soup = materialize_soup(ingredients, &alphas);
-                forwards += 1;
-                let acc = match &cache {
-                    Some(c) => soup_gnn::evaluate_accuracy_cached(
-                        cfg,
-                        &ops,
-                        c,
-                        &soup,
-                        &dataset.labels,
-                        &monitor_mask,
-                    ),
-                    None => soup_gnn::evaluate_accuracy(
-                        cfg,
-                        &ops,
-                        &soup,
-                        &dataset.features,
-                        &dataset.labels,
-                        &monitor_mask,
-                    ),
-                };
-                match &best {
-                    Some((b, _)) if acc <= *b => {
-                        since_best += 1;
-                        if since_best >= patience {
-                            stopped_early = true;
-                        }
-                    }
-                    _ => {
-                        best = Some((acc, alphas.clone()));
-                        since_best = 0;
-                    }
-                }
-            }
-            epoch += 1;
-            let capture = |next_epoch: usize| {
-                shape.capture(
-                    next_epoch,
-                    epochs_run,
-                    forwards,
-                    &rng,
-                    &alphas.raw,
-                    opt.velocity(),
-                    best.as_ref().map(|(a, s)| (*a, s.raw.as_slice())),
-                    since_best,
-                    lr_scale,
-                    nan_retries,
-                )
-            };
-            if stopped_early {
-                // Mark the run complete so a later resume reproduces the
-                // restored-best soup without replaying the patience window.
-                session.save(h.epochs, capture(h.epochs))?;
-                break;
-            }
-            if session.after_epoch(epoch, || capture(epoch))? {
-                return Ok(None);
-            }
-        }
-        if let Some((_, a)) = best {
-            alphas = a;
-        }
-        let spmm_saved = cache.as_ref().map_or(0, |c| c.hits().saturating_sub(1));
-        Ok(Some(MixReport {
-            params: materialize_soup(ingredients, &alphas),
-            forward_passes: forwards,
-            epochs: epochs_run,
-            spmm_saved,
-        }))
-    }
 }
 
 impl SoupStrategy for LearnedSouping {
@@ -497,18 +604,21 @@ impl SoupStrategy for LearnedSouping {
     /// Fallible, resumable LS entry point. With `ctx.persist` set the loop
     /// checkpoints its optimizer state through the crash-safe store and can
     /// continue bit-identically from the last durable epoch
-    /// (`Ok(None)` reports a deliberate [`Phase2Persist::stop_after`]
+    /// (`Ok(None)` reports a deliberate
+    /// [`crate::resume::Phase2Persist::stop_after`]
     /// kill). Numeric-watchdog exhaustion surfaces as
     /// [`SoupError::Numeric`] instead of panicking. A precomputed
     /// `ctx.partitioning` is PLS preprocessing and ignored here.
     fn try_soup(&self, ctx: &SoupCtx<'_>) -> crate::Result<Option<SoupOutcome>> {
-        let (ingredients, dataset, cfg) = (ctx.ingredients, ctx.dataset, ctx.cfg);
-        validate_ingredients(ingredients);
+        validate_ingredients(ctx.ingredients);
         assert!(self.hyper.epochs > 0, "LS needs at least one epoch");
         // A partial pool needs no special handling: the softmax over the
         // R' surviving ingredients renormalises the ratios by construction.
-        measure_soup_try(ingredients, dataset, cfg, || {
-            self.mix_loop(ingredients, dataset, cfg, ctx.seed, ctx.persist)
+        measure_soup_try(ctx.ingredients, ctx.dataset, ctx.cfg, || {
+            let _ls_span = soup_obs::span!("soup.ls");
+            let rng = SplitMix64::new(ctx.seed).derive(0x15);
+            let mut source = FullGraphSource::new(&self.hyper, ctx);
+            learn_soup(&self.hyper, ctx, rng, &mut source)
         })
     }
 }
@@ -518,7 +628,7 @@ mod tests {
     use super::*;
     use soup_gnn::model::init_params;
     use soup_gnn::{train_single, TrainConfig};
-    use soup_graph::DatasetKind;
+    use soup_graph::{Dataset, DatasetKind};
 
     fn trained_ingredients(n: usize, seed: u64) -> (Dataset, ModelConfig, Vec<Ingredient>) {
         let d = DatasetKind::Flickr.generate_scaled(seed, 0.15);
@@ -610,44 +720,37 @@ mod tests {
         let mut rng = SplitMix64::new(5);
         let mut alphas = AlphaState::init(4, ingredients[0].params.num_layers(), &mut rng);
         let mut opt = Sgd::new(0.5, 0.9, 0.0);
-        let cache = PropCache::new(&ops, &d.features);
-        let first = learned_step(
-            &ingredients,
-            &mut alphas,
-            &cfg,
-            &ops,
-            Some(&cache),
-            &d.features,
-            &d.labels,
-            &d.splits.val,
-            &mut opt,
-        );
+        let data = EpochData {
+            prop: Some(PropCache::new(&ops, &d.features)),
+            ops,
+            features: d.features.clone(),
+            labels: Cow::Borrowed(&d.labels),
+            mask: d.splits.val.clone(),
+        };
+        let first = learned_step(&ingredients, &mut alphas, &cfg, &data, &mut opt);
         let mut last = first;
         for _ in 0..20 {
-            last = learned_step(
-                &ingredients,
-                &mut alphas,
-                &cfg,
-                &ops,
-                Some(&cache),
-                &d.features,
-                &d.labels,
-                &d.splits.val,
-                &mut opt,
-            );
+            last = learned_step(&ingredients, &mut alphas, &cfg, &data, &mut opt);
         }
         assert!(last < first, "loss did not decrease: {first} -> {last}");
-        assert_eq!(cache.hits(), 21, "every step should consume the cache");
+        let hits = data.prop.as_ref().unwrap().hits();
+        assert_eq!(hits, 21, "every step should consume the cache");
     }
 
     #[test]
     fn cached_step_matches_uncached_bitwise() {
         let (d, cfg, ingredients) = trained_ingredients(3, 16);
-        let ops = PropOps::prepare(cfg.arch, &d.graph);
-        let cache = PropCache::new(&ops, &d.features);
         let mut rng = SplitMix64::new(6);
         let init = AlphaState::init(3, ingredients[0].params.num_layers(), &mut rng);
-        let run = |cache: Option<&PropCache>| {
+        let run = |cached: bool| {
+            let ops = PropOps::prepare(cfg.arch, &d.graph);
+            let data = EpochData {
+                prop: cached.then(|| PropCache::new(&ops, &d.features)),
+                ops,
+                features: d.features.clone(),
+                labels: Cow::Borrowed(&d.labels),
+                mask: d.splits.val.clone(),
+            };
             let mut alphas = init.clone();
             let mut opt = Sgd::new(0.5, 0.9, 0.0);
             let mut losses = Vec::new();
@@ -656,18 +759,14 @@ mod tests {
                     &ingredients,
                     &mut alphas,
                     &cfg,
-                    &ops,
-                    cache,
-                    &d.features,
-                    &d.labels,
-                    &d.splits.val,
+                    &data,
                     &mut opt,
                 ));
             }
             (losses, alphas)
         };
-        let (la, aa) = run(Some(&cache));
-        let (lb, ab) = run(None);
+        let (la, aa) = run(true);
+        let (lb, ab) = run(false);
         for (x, y) in la.iter().zip(&lb) {
             assert_eq!(x.to_bits(), y.to_bits(), "losses diverge");
         }
@@ -817,12 +916,10 @@ mod tests {
             nan_inject: Some((3, 2)),
             ..clean_h
         };
-        let chaotic = SoupStrategy::try_soup(
-            &LearnedSouping::new(chaotic_h),
-            &SoupCtx::new(&ingredients, &d, &cfg, 6),
-        )
-        .unwrap()
-        .unwrap();
+        let chaotic = LearnedSouping::new(chaotic_h)
+            .try_soup(&SoupCtx::new(&ingredients, &d, &cfg, 6))
+            .unwrap()
+            .unwrap();
         assert!((0.0..=1.0).contains(&chaotic.val_accuracy));
         // Retries cost extra forwards but epochs_run matches the schedule.
         assert_eq!(chaotic.stats.epochs, clean.stats.epochs);
@@ -838,12 +935,11 @@ mod tests {
             nan_inject: Some((1, u32::MAX)), // never stops firing
             ..Default::default()
         };
-        let err = SoupStrategy::try_soup(
-            &LearnedSouping::new(h),
-            &SoupCtx::new(&ingredients, &d, &cfg, 4),
-        )
-        .unwrap_err();
+        let err = LearnedSouping::new(h)
+            .try_soup(&SoupCtx::new(&ingredients, &d, &cfg, 4))
+            .unwrap_err();
         assert_eq!(err.kind(), "numeric");
+        assert!(err.to_string().contains("LS epoch 1"), "{err}");
     }
 
     #[test]
@@ -854,12 +950,10 @@ mod tests {
             nan_inject: Some((2, 1)),
             ..Default::default()
         };
-        let outcome = SoupStrategy::try_soup(
-            &crate::pls::PartitionLearnedSouping::new(h, 8, 3),
-            &SoupCtx::new(&ingredients, &d, &cfg, 7),
-        )
-        .unwrap()
-        .unwrap();
+        let outcome = crate::pls::PartitionLearnedSouping::new(h, 8, 3)
+            .try_soup(&SoupCtx::new(&ingredients, &d, &cfg, 7))
+            .unwrap()
+            .unwrap();
         assert!((0.0..=1.0).contains(&outcome.val_accuracy));
         let clean = crate::pls::PartitionLearnedSouping::new(
             LearnedHyper {
@@ -873,5 +967,7 @@ mod tests {
         // The retry replays the same draw with a scaled LR; apart from the
         // watchdog detour the schedule is unchanged.
         assert_eq!(outcome.stats.epochs, clean.stats.epochs);
+        // PLS reports one forward per stepped epoch, retries excluded.
+        assert_eq!(outcome.stats.forward_passes, outcome.stats.epochs);
     }
 }

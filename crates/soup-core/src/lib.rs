@@ -28,7 +28,7 @@ pub mod pls;
 pub mod pool;
 pub mod resume;
 pub mod strategy;
-pub mod subcache;
+mod subcache;
 pub mod uniform;
 
 /// The workspace-wide typed error enum, re-exported so downstream users can
@@ -46,12 +46,9 @@ pub use ingredient::Ingredient;
 pub use learned::{LearnedHyper, LearnedSouping};
 pub use pls::{PartitionLearnedSouping, PartitionerKind};
 pub use pool::{load_manifest, write_manifest, Manifest, ManifestEntry};
-pub use resume::{
-    load_state, Phase2Persist, Phase2Session, Phase2State, RunShape, PHASE2_STATE_VERSION,
-};
+pub use resume::{load_state, Phase2Persist, Phase2State, PHASE2_STATE_VERSION};
 pub use strategy::{
     measure_soup, measure_soup_try, missing_ordinals, MixReport, SoupCtx, SoupOutcome, SoupStats,
     SoupStrategy, StrategySpec,
 };
-pub use subcache::SubgraphCache;
 pub use uniform::UniformSouping;

@@ -13,25 +13,25 @@
 //! §VI-B analyses the `R/K` ratio: with `binom(K, R)` possible subgraphs,
 //! `R=8, K=32` gives >10M combinations, while `R=1` never exercises cut
 //! edges and costs 2-3% accuracy.
+//!
+//! This module holds only what Alg. 4 adds to Alg. 3 — `K`/`R`, the
+//! partitioner choice and the partition-drawing epoch source; the
+//! α-optimisation loop itself is LS's, in [`crate::learned`].
 
-use crate::ingredient::{validate_ingredients, Ingredient};
-use crate::learned::{
-    learned_step, materialize_soup, prune_weak_ingredients, AlphaState, LearnedHyper,
-};
-use crate::resume::{Phase2Persist, Phase2Session, RunShape};
-use crate::strategy::{measure_soup_try, MixReport, SoupCtx, SoupOutcome, SoupStrategy};
+use crate::ingredient::validate_ingredients;
+use crate::learned::{fit_and_monitor_masks, learn_soup, EpochData, EpochSource, LearnedHyper};
+use crate::strategy::{measure_soup_try, SoupCtx, SoupOutcome, SoupStrategy};
 use crate::subcache::{SubgraphCache, SubgraphEntry};
-use soup_error::SoupError;
 use soup_gnn::cache::PropCache;
 use soup_gnn::model::PropOps;
 use soup_gnn::{Arch, ModelConfig};
 use soup_graph::subgraph::InducedSubgraph;
 use soup_graph::Dataset;
+use soup_obs::{to_value, Value};
 use soup_partition::{
     bfs_partition, partition_graph, partition_val_balanced, random_partition, PartitionConfig,
     Partitioning,
 };
-use soup_tensor::optim::{CosineAnnealing, Sgd};
 use soup_tensor::SplitMix64;
 
 /// Which partitioner prepares PLS's partition pool. The paper prescribes
@@ -162,334 +162,137 @@ impl SoupStrategy for PartitionLearnedSouping {
 
     /// Fallible, resumable PLS entry point. With `ctx.persist` set, the
     /// loop checkpoints through the crash-safe store and `Ok(None)` reports
-    /// a deliberate [`Phase2Persist::stop_after`] kill. When
+    /// a deliberate [`crate::resume::Phase2Persist::stop_after`] kill. When
     /// `ctx.partitioning` is provided the K-way preprocessing (Fig. 2
     /// step 1) is taken as given — partitioning is "a preprocessing step",
     /// so repeated soups from one dataset amortise it — and the measured
     /// souping time covers only the α-optimisation epochs; otherwise the
     /// configured partitioner runs inside the measured region.
     fn try_soup(&self, ctx: &SoupCtx<'_>) -> crate::Result<Option<SoupOutcome>> {
-        let (ingredients, dataset, cfg) = (ctx.ingredients, ctx.dataset, ctx.cfg);
-        validate_ingredients(ingredients);
+        validate_ingredients(ctx.ingredients);
         assert!(self.hyper.epochs > 0, "PLS needs at least one epoch");
         if let Some(partitioning) = ctx.partitioning {
             assert_eq!(
                 partitioning.assignment.len(),
-                dataset.num_nodes(),
+                ctx.dataset.num_nodes(),
                 "partitioning does not match dataset"
             );
             assert_eq!(
                 partitioning.k, self.num_partitions,
                 "partitioning k != configured K"
             );
-            measure_soup_try(ingredients, dataset, cfg, || {
-                self.mix_loop(
-                    ingredients,
-                    dataset,
-                    cfg,
-                    ctx.seed,
-                    partitioning,
-                    ctx.persist,
-                )
-            })
-        } else {
-            measure_soup_try(ingredients, dataset, cfg, || {
-                let partitioning = self.run_partitioner(dataset, ctx.seed);
-                self.mix_loop(
-                    ingredients,
-                    dataset,
-                    cfg,
-                    ctx.seed,
-                    &partitioning,
-                    ctx.persist,
-                )
-            })
+        }
+        measure_soup_try(ctx.ingredients, ctx.dataset, ctx.cfg, || {
+            let computed;
+            let partitioning = match ctx.partitioning {
+                Some(p) => p,
+                None => {
+                    computed = self.run_partitioner(ctx.dataset, ctx.seed);
+                    &computed
+                }
+            };
+            let _pls_span = soup_obs::span!("soup.pls");
+            let rng = SplitMix64::new(ctx.seed).derive(0x915);
+            let mut source = PartitionSource::new(self, ctx, &partitioning.assignment);
+            learn_soup(&self.hyper, ctx, rng, &mut source)
+        })
+    }
+}
+
+/// PLS's epoch source — Alg. 4's `partitionSelection`: every epoch draws
+/// `R` of the `K` partitions and hands back their induced subgraph.
+pub(crate) struct PartitionSource<'a> {
+    pls: &'a PartitionLearnedSouping,
+    dataset: &'a Dataset,
+    cfg: &'a ModelConfig,
+    assignment: &'a [u32],
+    /// Per node: is it one of the validation nodes α is fitted on?
+    fit_is_val: Vec<bool>,
+    subcache: SubgraphCache,
+    /// The last draw, and the node count of its subgraph (telemetry).
+    selected: Vec<u32>,
+    sub_nodes: usize,
+}
+
+impl<'a> PartitionSource<'a> {
+    pub(crate) fn new(
+        pls: &'a PartitionLearnedSouping,
+        ctx: &SoupCtx<'a>,
+        assignment: &'a [u32],
+    ) -> Self {
+        let mut fit_is_val = vec![false; ctx.dataset.num_nodes()];
+        for i in fit_and_monitor_masks(&pls.hyper, ctx).0 {
+            fit_is_val[i] = true;
+        }
+        Self {
+            pls,
+            dataset: ctx.dataset,
+            cfg: ctx.cfg,
+            assignment,
+            fit_is_val,
+            subcache: SubgraphCache::new(pls.effective_subgraph_cache()),
+            selected: Vec::new(),
+            sub_nodes: 0,
         }
     }
 }
 
-impl PartitionLearnedSouping {
-    /// Positional shim for the pre-[`SoupCtx`] entry point; equivalent to
-    /// `SoupStrategy::try_soup` with `with_persist_opt(persist)`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use SoupStrategy::try_soup with a SoupCtx (with_persist for durability)"
-    )]
-    pub fn try_soup(
-        &self,
-        ingredients: &[Ingredient],
-        dataset: &Dataset,
-        cfg: &ModelConfig,
-        seed: u64,
-        persist: Option<&Phase2Persist>,
-    ) -> crate::Result<Option<SoupOutcome>> {
-        SoupStrategy::try_soup(
-            self,
-            &SoupCtx::new(ingredients, dataset, cfg, seed).with_persist_opt(persist),
-        )
+impl EpochSource for PartitionSource<'_> {
+    const STRATEGY: &'static str = "pls";
+    const RETRY_COUNTS_AS_FORWARD: bool = false;
+
+    fn partition_budget(&self) -> (usize, usize) {
+        (self.pls.num_partitions, self.pls.budget)
     }
 
-    /// Positional shim for souping against a precomputed partitioning;
-    /// equivalent to `SoupStrategy::try_soup` with `with_partitioning`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use SoupStrategy::try_soup with SoupCtx::with_partitioning"
-    )]
-    pub fn soup_prepartitioned(
-        &self,
-        ingredients: &[Ingredient],
-        dataset: &Dataset,
-        cfg: &ModelConfig,
-        seed: u64,
-        partitioning: &Partitioning,
-    ) -> SoupOutcome {
-        SoupStrategy::try_soup(
-            self,
-            &SoupCtx::new(ingredients, dataset, cfg, seed).with_partitioning(partitioning),
-        )
-        .expect("PLS without persistence cannot hit storage errors")
-        .expect("PLS without persistence never stops early")
-    }
-
-    /// Positional shim for the fallible prepartitioned entry point;
-    /// equivalent to `SoupStrategy::try_soup` with `with_partitioning` +
-    /// `with_persist_opt`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use SoupStrategy::try_soup with SoupCtx::with_partitioning"
-    )]
-    pub fn try_soup_prepartitioned(
-        &self,
-        ingredients: &[Ingredient],
-        dataset: &Dataset,
-        cfg: &ModelConfig,
-        seed: u64,
-        partitioning: &Partitioning,
-        persist: Option<&Phase2Persist>,
-    ) -> crate::Result<Option<SoupOutcome>> {
-        SoupStrategy::try_soup(
-            self,
-            &SoupCtx::new(ingredients, dataset, cfg, seed)
-                .with_partitioning(partitioning)
-                .with_persist_opt(persist),
-        )
-    }
-
-    /// The Alg. 4 epoch loop over a fixed partition pool.
-    fn mix_loop(
-        &self,
-        ingredients: &[Ingredient],
-        dataset: &Dataset,
-        cfg: &ModelConfig,
-        seed: u64,
-        partitioning: &Partitioning,
-        persist: Option<&Phase2Persist>,
-    ) -> crate::Result<Option<MixReport>> {
-        let h = self.hyper;
-        let _pls_span = soup_obs::span!("soup.pls");
-        let shape = RunShape {
-            strategy: "pls",
-            seed,
-            total_epochs: h.epochs,
-            num_ingredients: ingredients.len(),
-            partitions: self.num_partitions,
-            budget: self.budget,
-        };
-        let mut session = Phase2Session::begin(persist, shape)?;
-        let mut rng = SplitMix64::new(seed).derive(0x915);
-        let mut alphas = AlphaState::init(
-            ingredients.len(),
-            ingredients[0].params.num_layers(),
-            &mut rng,
-        );
-        let fit_mask: Vec<usize> = if h.holdout_ratio > 0.0 {
-            dataset.splits.split_val(h.holdout_ratio, seed).0
-        } else {
-            dataset.splits.val.clone()
-        };
-        let fit_is_val: Vec<bool> = {
-            let mut v = vec![false; dataset.num_nodes()];
-            for &i in &fit_mask {
-                v[i] = true;
-            }
-            v
-        };
-        let sched = CosineAnnealing::new(h.base_lr, h.eta_min, h.epochs);
-        let mut opt = Sgd::new(sched.lr(0).max(h.eta_min), h.momentum, h.weight_decay);
-        let mut subcache = SubgraphCache::new(self.effective_subgraph_cache());
-        let mut epochs_run = 0usize;
-        let mut lr_scale = 1.0f32;
-        let mut nan_retries = 0u64;
-        let mut epoch = 0usize;
-        if let Some(state) = session.take_resumed() {
-            epoch = state.next_epoch as usize;
-            epochs_run = state.epochs_run as usize;
-            rng = SplitMix64::from_snapshot(state.rng_state, state.rng_gauss_spare);
-            alphas = AlphaState { raw: state.alphas };
-            opt.set_velocity(state.velocity);
-            lr_scale = state.lr_scale;
-            nan_retries = state.nan_retries;
-        }
-        let mut attempts = 0u32;
-        while epoch < h.epochs {
-            // Watchdog snapshot: taken before the partition draw consumes
-            // randomness, so a retry replays the epoch deterministically.
-            let snap_alphas = alphas.clone();
-            let snap_velocity = opt.velocity().to_vec();
-            let (snap_rng, snap_spare) = rng.snapshot();
-            // Select R random partitions (Alg. 4: partitionSelection).
-            // The draw happens before any cache lookup, so the rng
-            // stream — and hence the α trajectory — is byte-for-byte
-            // the same with and without memoisation.
-            let selected: Vec<u32> = rng
-                .sample_indices(self.num_partitions, self.budget)
-                .into_iter()
-                .map(|p| p as u32)
-                .collect();
-            let build = || {
-                build_epoch(
-                    dataset,
-                    cfg,
-                    &partitioning.assignment,
-                    &selected,
-                    &fit_is_val,
-                    h.prop_cache,
-                )
-            };
-            let owned;
-            let entry: &SubgraphEntry =
-                match subcache.get_or_insert_with(soup_graph::subset_key(&selected), build) {
-                    Some(e) => e,
-                    None => {
-                        owned = build_epoch(
-                            dataset,
-                            cfg,
-                            &partitioning.assignment,
-                            &selected,
-                            &fit_is_val,
-                            h.prop_cache,
-                        );
-                        &owned
-                    }
-                };
-            if entry.local_mask.is_empty() {
-                // Degenerate draw: the selected partitions hold no fit
-                // nodes (possible at tiny scales or under aggressive
-                // holdout). Drop the empty epoch rather than stepping
-                // on a lossless subgraph. The epoch index still advances
-                // (and checkpoints) so a resumed run replays the same draw
-                // sequence.
-                soup_obs::counter!("soup.pls.empty_partition_draws").inc();
-                attempts = 0;
-                epoch += 1;
-                if session.after_epoch(epoch, || {
-                    shape.capture(
-                        epoch,
-                        epochs_run,
-                        epochs_run,
-                        &rng,
-                        &alphas.raw,
-                        opt.velocity(),
-                        None,
-                        0,
-                        lr_scale,
-                        nan_retries,
+    fn next_epoch(&mut self, rng: &mut SplitMix64) -> Option<&EpochData<'_>> {
+        // The draw happens before any cache lookup, so the rng stream —
+        // and hence the α trajectory — is byte-for-byte the same with and
+        // without memoisation.
+        self.selected = rng
+            .sample_indices(self.pls.num_partitions, self.pls.budget)
+            .into_iter()
+            .map(|p| p as u32)
+            .collect();
+        let entry =
+            self.subcache
+                .get_or_insert_with(soup_graph::subset_key(&self.selected), || {
+                    build_epoch(
+                        self.dataset,
+                        self.cfg,
+                        self.assignment,
+                        &self.selected,
+                        &self.fit_is_val,
+                        self.pls.hyper.prop_cache,
                     )
-                })? {
-                    return Ok(None);
-                }
-                continue;
-            }
-            opt.lr = (sched.lr(epoch) * lr_scale).max(1e-6);
-            let mut loss = learned_step(
-                ingredients,
-                &mut alphas,
-                cfg,
-                &entry.ops,
-                entry.prop.as_ref(),
-                &entry.features,
-                &entry.labels,
-                &entry.local_mask,
-                &mut opt,
-            );
-            if let Some((e, times)) = h.nan_inject {
-                if epoch == e && attempts < times {
-                    // Poison both the loss and the α state, as a genuinely
-                    // diverged step would.
-                    loss = f32::NAN;
-                    alphas.raw[0].make_mut()[0] = f32::NAN;
-                }
-            }
-            if !loss.is_finite() {
-                if attempts >= h.nan_retry_budget {
-                    return Err(SoupError::numeric(format!(
-                        "PLS epoch {epoch}: non-finite loss persisted after {attempts} \
-                         watchdog retries (lr_scale {lr_scale})"
-                    )));
-                }
-                attempts += 1;
-                nan_retries += 1;
-                alphas = snap_alphas;
-                opt.set_velocity(snap_velocity);
-                rng = SplitMix64::from_snapshot(snap_rng, snap_spare);
-                lr_scale *= 0.5;
-                soup_obs::counter!("soup.watchdog.retries").inc();
-                soup_obs::warn!(
-                    "PLS epoch {epoch}: non-finite loss; restored last good α, \
-                     retrying with lr_scale {lr_scale} (attempt {attempts}/{})",
-                    h.nan_retry_budget
-                );
-                continue;
-            }
-            attempts = 0;
-            epochs_run += 1;
-            soup_obs::counter!("soup.pls.epochs").inc();
-            soup_obs::gauge!("soup.pls.epoch").set(epochs_run as f64);
-            soup_obs::trace_event!("soup.pls.epoch",
-                "epoch" => epoch as u64,
-                "loss" => loss,
-                "lr" => opt.lr,
-                "sub_nodes" => entry.sub.local_to_global.len() as u64,
-                "selected" => selected,
-                "mean_ratios" => crate::learned::mean_ratios(&alphas));
-            // §VIII ingredient drop-out at the half-way point.
-            if let Some(threshold) = h.prune_threshold {
-                if epoch + 1 == h.epochs / 2 {
-                    prune_weak_ingredients(&mut alphas, threshold);
-                }
-            }
-            epoch += 1;
-            if session.after_epoch(epoch, || {
-                shape.capture(
-                    epoch,
-                    epochs_run,
-                    epochs_run,
-                    &rng,
-                    &alphas.raw,
-                    opt.velocity(),
-                    None,
-                    0,
-                    lr_scale,
-                    nan_retries,
-                )
-            })? {
-                return Ok(None);
-            }
+                });
+        self.sub_nodes = entry.sub.local_to_global.len();
+        if entry.data.mask.is_empty() {
+            // Degenerate draw: the selected partitions hold no fit nodes
+            // (possible at tiny scales or under aggressive holdout). Drop
+            // the empty epoch rather than stepping on a lossless subgraph.
+            soup_obs::counter!("soup.pls.empty_partition_draws").inc();
+            return None;
         }
+        Some(&entry.data)
+    }
+
+    fn trace_fields(&self) -> Vec<(String, Value)> {
+        vec![
+            ("sub_nodes".to_string(), to_value(&(self.sub_nodes as u64))),
+            ("selected".to_string(), to_value(&self.selected)),
+        ]
+    }
+
+    fn spmm_saved(&self) -> usize {
         // Each subgraph-cache hit skipped rebuilding the entry's
         // PropCache — one SpMM — when the propagation cache is on (GAT
         // entries hold no aggregation, so hits save build work only).
-        let spmm_saved = if cfg.arch != Arch::Gat && h.prop_cache {
-            subcache.hits()
+        if self.cfg.arch != Arch::Gat && self.pls.hyper.prop_cache {
+            self.subcache.hits
         } else {
             0
-        };
-        Ok(Some(MixReport {
-            params: materialize_soup(ingredients, &alphas),
-            forward_passes: epochs_run,
-            epochs: epochs_run,
-            spmm_saved,
-        }))
+        }
     }
 }
 
@@ -504,7 +307,7 @@ fn build_epoch(
 ) -> SubgraphEntry {
     let sub = InducedSubgraph::from_partitions(&dataset.graph, assignment, selected);
     // Validation nodes of the subgraph (local ids).
-    let local_mask: Vec<usize> = sub
+    let mask: Vec<usize> = sub
         .local_to_global
         .iter()
         .enumerate()
@@ -513,22 +316,23 @@ fn build_epoch(
         .collect();
     let ops = PropOps::prepare(cfg.arch, &sub.graph);
     let features = sub.gather_features(&dataset.features);
-    let labels = sub.gather_labels(&dataset.labels);
+    let labels = sub.gather_labels(&dataset.labels).into();
     let prop = prop_cache.then(|| PropCache::new(&ops, &features));
-    SubgraphEntry {
-        sub,
+    let data = EpochData {
         ops,
+        prop,
         features,
         labels,
-        local_mask,
-        prop,
-    }
+        mask,
+    };
+    SubgraphEntry { sub, data }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::learned::LearnedSouping;
+    use crate::ingredient::Ingredient;
+    use crate::learned::{alpha_loop, materialize_soup, FullGraphSource, LearnedSouping};
     use soup_gnn::model::init_params;
     use soup_gnn::{train_single, TrainConfig};
     use soup_graph::DatasetKind;
@@ -643,12 +447,10 @@ mod tests {
         };
         let pls = PartitionLearnedSouping::new(hyper, 8, 3);
         let partitioning = pls.run_partitioner(&d, 6);
-        let pre = SoupStrategy::try_soup(
-            &pls,
-            &SoupCtx::new(&ingredients, &d, &cfg, 6).with_partitioning(&partitioning),
-        )
-        .unwrap()
-        .unwrap();
+        let pre = pls
+            .try_soup(&SoupCtx::new(&ingredients, &d, &cfg, 6).with_partitioning(&partitioning))
+            .unwrap()
+            .unwrap();
         let full = pls.soup(&ingredients, &d, &cfg, 6);
         // Same seed + same partitioning path => identical soup.
         assert_eq!(pre.val_accuracy, full.val_accuracy);
@@ -673,10 +475,8 @@ mod tests {
         let pls8 = PartitionLearnedSouping::new(hyper, 8, 2);
         let pls4 = PartitionLearnedSouping::new(hyper, 4, 2);
         let partitioning = pls4.run_partitioner(&d, 1);
-        let _ = SoupStrategy::try_soup(
-            &pls8,
-            &SoupCtx::new(&ingredients, &d, &cfg, 1).with_partitioning(&partitioning),
-        );
+        let _ = pls8
+            .try_soup(&SoupCtx::new(&ingredients, &d, &cfg, 1).with_partitioning(&partitioning));
     }
 
     #[test]
@@ -723,6 +523,41 @@ mod tests {
             "40 epochs over 10 subsets must hit the subgraph cache"
         );
         assert_eq!(uncached.stats.spmm_saved, 0);
+    }
+
+    #[test]
+    fn one_partition_pls_is_ls_bitwise() {
+        // Alg. 4 = Alg. 3 + partitionSelection: with K = R = 1 the draw is
+        // always the whole graph, so the shared loop must walk the same α
+        // trajectory from either source. The masked loss sums in mask
+        // order — split order for LS, node-id order for PLS — hence the
+        // sorted validation split.
+        let (mut d, cfg, ingredients) = trained_ingredients(3, 27, 0.2);
+        d.splits.val.sort_unstable();
+        let h = LearnedHyper {
+            epochs: 6,
+            ..Default::default()
+        };
+        let ctx = SoupCtx::new(&ingredients, &d, &cfg, 5);
+        let rng = SplitMix64::new(5).derive(0x15);
+        let ls = alpha_loop(&h, &ctx, rng.clone(), &mut FullGraphSource::new(&h, &ctx))
+            .unwrap()
+            .unwrap();
+        let assignment = vec![0u32; d.num_nodes()];
+        for capacity in [32, 0] {
+            let one = PartitionLearnedSouping::new(h, 1, 1).with_subgraph_cache(capacity);
+            let mut source = PartitionSource::new(&one, &ctx, &assignment);
+            let pls = alpha_loop(&h, &ctx, rng.clone(), &mut source)
+                .unwrap()
+                .unwrap();
+            assert_eq!(ls.alphas.raw, pls.alphas.raw, "α diverged");
+            let (a, b) = (
+                materialize_soup(&ingredients, &ls.alphas),
+                materialize_soup(&ingredients, &pls.alphas),
+            );
+            assert!(a.flat().zip(b.flat()).all(|(x, y)| x == y), "soup diverged");
+            assert_eq!((ls.epochs_run, ls.forwards), (pls.epochs_run, pls.forwards));
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! `tests/durability.rs` proves final α and accuracy equal the
 //! uninterrupted run from any durable epoch.
 //!
-//! Resume invariants (checked by [`Phase2State::validate_for`]):
+//! Resume invariants (checked by `Phase2State::validate_for`):
 //! - the state was written by the same strategy (`ls` vs `pls`), seed,
 //!   epoch schedule, ingredient count and (for PLS) `K`/`R` — anything
 //!   else is a foreign checkpoint and a hard [`SoupError::Checkpoint`];
@@ -30,7 +30,9 @@ use std::path::{Path, PathBuf};
 use serde::{Deserialize, Serialize};
 use soup_error::SoupError;
 use soup_store::{update_journal, Phase2Progress, StorageFaultPlan, Store};
-use soup_tensor::Tensor;
+use soup_tensor::{SplitMix64, Tensor};
+
+use crate::learned::{AlphaState, LoopState};
 
 type Result<T> = std::result::Result<T, SoupError>;
 
@@ -145,7 +147,7 @@ pub struct Phase2State {
 /// The immutable identity of one Phase-2 run: everything a state file must
 /// agree on before resuming from it is allowed.
 #[derive(Debug, Clone, Copy)]
-pub struct RunShape {
+pub(crate) struct RunShape {
     /// `"ls"` or `"pls"`.
     pub strategy: &'static str,
     pub seed: u64,
@@ -157,52 +159,57 @@ pub struct RunShape {
     pub budget: usize,
 }
 
-impl RunShape {
-    /// Stamp the current loop variables into a serializable [`Phase2State`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn capture(
-        &self,
-        next_epoch: usize,
-        epochs_run: usize,
-        forwards: usize,
-        rng: &soup_tensor::SplitMix64,
-        alphas: &[Tensor],
-        velocity: &[Option<Tensor>],
-        best: Option<(f64, &[Tensor])>,
-        since_best: usize,
-        lr_scale: f32,
-        nan_retries: u64,
-    ) -> Phase2State {
-        let (rng_state, rng_gauss_spare) = rng.snapshot();
-        Phase2State {
+impl Phase2State {
+    /// Stamp the loop state at the end of epoch `st.epoch - 1` into its
+    /// serializable form.
+    pub(crate) fn capture(shape: &RunShape, st: &LoopState) -> Self {
+        let (rng_state, rng_gauss_spare) = st.rng.snapshot();
+        Self {
             version: PHASE2_STATE_VERSION,
-            strategy: self.strategy.to_string(),
-            seed: self.seed,
-            total_epochs: self.total_epochs as u64,
-            num_ingredients: self.num_ingredients as u64,
-            partitions: self.partitions as u64,
-            budget: self.budget as u64,
-            next_epoch: next_epoch as u64,
-            epochs_run: epochs_run as u64,
-            forwards: forwards as u64,
+            strategy: shape.strategy.to_string(),
+            seed: shape.seed,
+            total_epochs: shape.total_epochs as u64,
+            num_ingredients: shape.num_ingredients as u64,
+            partitions: shape.partitions as u64,
+            budget: shape.budget as u64,
+            next_epoch: st.epoch as u64,
+            epochs_run: st.epochs_run as u64,
+            forwards: st.forwards as u64,
             rng_state,
             rng_gauss_spare,
-            alphas: alphas.to_vec(),
-            velocity: velocity.to_vec(),
-            best_acc: best.map(|(a, _)| a),
-            best_alphas: best.map(|(_, raw)| raw.to_vec()),
-            since_best: since_best as u64,
-            lr_scale,
-            nan_retries,
+            alphas: st.alphas.raw.clone(),
+            velocity: st.velocity.clone(),
+            best_acc: st.best.as_ref().map(|(acc, _)| *acc),
+            best_alphas: st.best.as_ref().map(|(_, a)| a.raw.clone()),
+            since_best: st.since_best as u64,
+            lr_scale: st.lr_scale,
+            nan_retries: st.nan_retries,
         }
     }
-}
 
-impl Phase2State {
+    /// The loop state to continue from — the inverse of [`Self::capture`].
+    pub(crate) fn into_loop_state(self) -> LoopState {
+        LoopState {
+            epoch: self.next_epoch as usize,
+            epochs_run: self.epochs_run as usize,
+            forwards: self.forwards as usize,
+            rng: SplitMix64::from_snapshot(self.rng_state, self.rng_gauss_spare),
+            alphas: AlphaState { raw: self.alphas },
+            velocity: self.velocity,
+            best: match (self.best_acc, self.best_alphas) {
+                (Some(acc), Some(raw)) => Some((acc, AlphaState { raw })),
+                _ => None,
+            },
+            since_best: self.since_best as usize,
+            lr_scale: self.lr_scale,
+            nan_retries: self.nan_retries,
+        }
+    }
+
     /// Reject a state written by a different run shape. Every mismatch is
     /// a [`SoupError::Checkpoint`]: continuing from it would silently
     /// break the bit-identical-resume guarantee.
-    pub fn validate_for(&self, shape: &RunShape) -> Result<()> {
+    pub(crate) fn validate_for(&self, shape: &RunShape) -> Result<()> {
         let RunShape {
             strategy,
             seed,
@@ -256,26 +263,23 @@ impl Phase2State {
 }
 
 /// Live persistence handle threaded through one LS/PLS invocation.
-/// `Phase2Session::begin(None, ..)` yields an inert session so the loops
-/// stay branch-light when persistence is off.
-pub struct Phase2Session {
-    inner: Option<SessionInner>,
+/// `Phase2Session::begin(None, ..)` yields an inert session so the loop
+/// stays branch-light when persistence is off.
+pub(crate) struct Phase2Session<'a> {
+    shape: RunShape,
+    /// The open store and its checkpoint policy; `None` = persistence off.
+    sink: Option<(Store, &'a Phase2Persist)>,
 }
 
-struct SessionInner {
-    store: Store,
-    strategy: &'static str,
-    every: usize,
-    stop_after: Option<usize>,
-    total_epochs: usize,
-    resumed: Option<Phase2State>,
-}
-
-impl Phase2Session {
-    /// Open the store and (on `resume`) load + validate any existing state.
-    pub fn begin(persist: Option<&Phase2Persist>, shape: RunShape) -> Result<Self> {
+impl<'a> Phase2Session<'a> {
+    /// Open the store and (on `resume`) load + validate any existing
+    /// state, handed back for restoring the loop.
+    pub fn begin(
+        persist: Option<&'a Phase2Persist>,
+        shape: RunShape,
+    ) -> Result<(Self, Option<Phase2State>)> {
         let Some(p) = persist else {
-            return Ok(Self { inner: None });
+            return Ok((Self { shape, sink: None }, None));
         };
         let store = Store::open(&p.dir)?.with_faults(p.faults);
         let name = Phase2Persist::state_name(shape.strategy);
@@ -305,68 +309,40 @@ impl Phase2Session {
         } else {
             None
         };
-        Ok(Self {
-            inner: Some(SessionInner {
-                store,
-                strategy: shape.strategy,
-                every: p.every.max(1),
-                stop_after: p.stop_after,
-                total_epochs: shape.total_epochs,
-                resumed,
-            }),
-        })
+        let sink = Some((store, p));
+        Ok((Self { shape, sink }, resumed))
     }
 
-    /// Take the validated state loaded at `begin` (if any) for restoring
-    /// loop variables.
-    pub fn take_resumed(&mut self) -> Option<Phase2State> {
-        self.inner.as_mut().and_then(|s| s.resumed.take())
-    }
-
-    /// Called after epoch `next_epoch - 1` finished its bookkeeping.
+    /// Called after epoch `st.epoch - 1` finished its bookkeeping.
     /// Persists the state at the configured cadence (and always at the
     /// schedule end or a simulated kill), then reports whether the loop
-    /// must stop. `make_state` is only invoked when a checkpoint is due.
-    pub fn after_epoch(
-        &self,
-        next_epoch: usize,
-        make_state: impl FnOnce() -> Phase2State,
-    ) -> Result<bool> {
-        let Some(s) = &self.inner else {
+    /// must stop.
+    pub fn after_epoch(&self, st: &LoopState) -> Result<bool> {
+        let Some((store, p)) = &self.sink else {
             return Ok(false);
         };
-        let stopping = s.stop_after == Some(next_epoch);
-        let finished = next_epoch >= s.total_epochs;
-        if stopping || finished || next_epoch.is_multiple_of(s.every) {
-            self.save(next_epoch, make_state())?;
+        let (strategy, total_epochs) = (self.shape.strategy, self.shape.total_epochs);
+        let stopping = p.stop_after == Some(st.epoch);
+        let finished = st.epoch >= total_epochs;
+        if stopping || finished || st.epoch.is_multiple_of(p.every.max(1)) {
+            let payload = encode_state(&Phase2State::capture(&self.shape, st))?;
+            store.write_envelope(&Phase2Persist::state_name(strategy), &payload)?;
+            soup_obs::counter!("soup.phase2.checkpoints").inc();
+            let phase = if finished {
+                "phase2-complete"
+            } else {
+                "phase2"
+            };
+            update_journal(store.root(), phase, |j| {
+                j.phase = phase.to_string();
+                j.phase2 = Some(Phase2Progress {
+                    strategy: strategy.to_string(),
+                    next_epoch: st.epoch as u64,
+                    total_epochs: total_epochs as u64,
+                });
+            })?;
         }
         Ok(stopping && !finished)
-    }
-
-    /// Persist an out-of-cadence state (early stopping marks the run
-    /// complete so a later resume reproduces the final soup instantly).
-    pub fn save(&self, next_epoch: usize, state: Phase2State) -> Result<()> {
-        let Some(s) = &self.inner else {
-            return Ok(());
-        };
-        let payload = encode_state(&state)?;
-        s.store
-            .write_envelope(&Phase2Persist::state_name(s.strategy), &payload)?;
-        soup_obs::counter!("soup.phase2.checkpoints").inc();
-        let phase = if next_epoch >= s.total_epochs {
-            "phase2-complete"
-        } else {
-            "phase2"
-        };
-        update_journal(s.store.root(), phase, |j| {
-            j.phase = phase.to_string();
-            j.phase2 = Some(Phase2Progress {
-                strategy: s.strategy.to_string(),
-                next_epoch: next_epoch as u64,
-                total_epochs: s.total_epochs as u64,
-            });
-        })?;
-        Ok(())
     }
 }
 
@@ -400,7 +376,6 @@ pub fn load_state(path: impl AsRef<Path>) -> Result<Option<Phase2State>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use soup_tensor::SplitMix64;
 
     fn state() -> Phase2State {
         let mut rng = SplitMix64::new(3);
@@ -503,31 +478,43 @@ mod tests {
         assert_eq!(s.validate_for(&shape()).unwrap_err().kind(), "corrupt");
     }
 
-    #[test]
-    fn capture_round_trips_through_validate() {
+    fn loop_state(epoch: usize) -> LoopState {
         let mut rng = SplitMix64::new(9);
         rng.normal();
-        let alphas = vec![Tensor::randn(4, 1, 0.5, &mut rng); 3];
-        let vel = vec![None, Some(Tensor::randn(4, 1, 0.1, &mut rng)), None];
-        let s = shape().capture(
-            12,
-            11,
-            24,
-            &rng,
-            &alphas,
-            &vel,
-            Some((0.5, &alphas)),
-            1,
-            0.5,
-            2,
-        );
+        let alphas = AlphaState {
+            raw: vec![Tensor::randn(4, 1, 0.5, &mut rng); 3],
+        };
+        LoopState {
+            epoch,
+            epochs_run: 11,
+            forwards: 24,
+            velocity: vec![None, Some(Tensor::randn(4, 1, 0.1, &mut rng)), None],
+            best: Some((0.5, alphas.clone())),
+            alphas,
+            rng,
+            since_best: 1,
+            lr_scale: 0.5,
+            nan_retries: 2,
+        }
+    }
+
+    #[test]
+    fn capture_round_trips_through_validate() {
+        let st = loop_state(12);
+        let s = Phase2State::capture(&shape(), &st);
         s.validate_for(&shape()).unwrap();
-        let back = decode_state(&encode_state(&s).unwrap()).unwrap();
-        assert_eq!(back.alphas, alphas);
-        assert_eq!(back.velocity, vel);
-        assert_eq!(back.next_epoch, 12);
-        let restored = SplitMix64::from_snapshot(back.rng_state, back.rng_gauss_spare);
-        assert_eq!(restored.snapshot(), rng.snapshot());
+        let back = decode_state(&encode_state(&s).unwrap())
+            .unwrap()
+            .into_loop_state();
+        assert_eq!(back.alphas.raw, st.alphas.raw);
+        assert_eq!(back.velocity, st.velocity);
+        assert_eq!(back.best.unwrap().1.raw, st.alphas.raw);
+        assert_eq!(back.rng.snapshot(), st.rng.snapshot());
+        assert_eq!(
+            (back.epoch, back.epochs_run, back.forwards, back.since_best),
+            (12, 11, 24, 1)
+        );
+        assert_eq!((back.lr_scale, back.nan_retries), (0.5, 2));
     }
 
     #[test]
@@ -535,30 +522,32 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("soup-p2-session-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let persist = Phase2Persist::new(&dir).every(3).stop_after(Some(5));
-        let session = Phase2Session::begin(Some(&persist), shape()).unwrap();
-        let mk = || {
-            let mut s = state();
-            s.next_epoch = 0; // overwritten per call below for clarity only
-            s
-        };
+        let (session, resumed) = Phase2Session::begin(Some(&persist), shape()).unwrap();
+        assert!(resumed.is_none());
         // Epochs 1,2: no checkpoint due. 3: cadence. 5: simulated kill.
-        assert!(!session.after_epoch(1, mk).unwrap());
+        assert!(!session.after_epoch(&loop_state(1)).unwrap());
         assert!(!Phase2Persist::state_path(&dir, "ls").exists());
-        assert!(!session.after_epoch(3, mk).unwrap());
+        assert!(!session.after_epoch(&loop_state(3)).unwrap());
         assert!(Phase2Persist::state_path(&dir, "ls").exists());
-        assert!(session.after_epoch(5, mk).unwrap(), "stop_after must stop");
+        assert!(
+            session.after_epoch(&loop_state(5)).unwrap(),
+            "stop_after must stop"
+        );
         // Journal records phase2 progress.
         let j = soup_store::load_journal(&dir).unwrap().unwrap();
         assert_eq!(j.phase, "phase2");
         assert!(j.phase2.is_some());
+        // The durable state is what a resuming session hands back.
+        let resuming = persist.clone().resume(true);
+        let (_, resumed) = Phase2Session::begin(Some(&resuming), shape()).unwrap();
+        assert_eq!(resumed.unwrap().next_epoch, 5);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn inert_session_never_stops_or_writes() {
-        let session = Phase2Session::begin(None, shape()).unwrap();
-        assert!(!session
-            .after_epoch(10, || unreachable!("inert session must not build state"))
-            .unwrap());
+        let (session, resumed) = Phase2Session::begin(None, shape()).unwrap();
+        assert!(resumed.is_none());
+        assert!(!session.after_epoch(&loop_state(10)).unwrap());
     }
 }

@@ -10,72 +10,64 @@
 //! global-id order regardless of the draw's permutation — any two draws of
 //! the same subset produce bit-identical subgraphs.
 //!
-//! Each entry also carries a per-subgraph [`PropCache`], so a cache hit
+//! Each entry also carries a per-subgraph `PropCache`, so a cache hit
 //! saves the subgraph construction, operator preparation, gathers *and* the
 //! first-hop SpMM of that epoch's forward. The build of a fresh entry costs
 //! exactly the SpMM the epoch's forward then consumes, so a miss is
 //! net-neutral and `spmm_saved` counts hits only.
 
-use soup_gnn::cache::PropCache;
-use soup_gnn::model::PropOps;
+use crate::learned::EpochData;
 use soup_graph::InducedSubgraph;
-use soup_tensor::Tensor;
 
-/// One fully prepared PLS epoch: everything `learned_step` needs.
+/// One fully prepared PLS epoch.
 #[derive(Debug)]
-pub struct SubgraphEntry {
-    /// The induced partition-union subgraph.
+pub(crate) struct SubgraphEntry {
+    /// The induced partition-union subgraph the data was prepared from.
+    /// Lives as long as the entry: its buffers are tracked memory, so
+    /// releasing it earlier would move `peak_mem_bytes` (Fig. 4b).
     pub sub: InducedSubgraph,
-    /// Propagation operator prepared on the subgraph.
-    pub ops: PropOps,
-    /// Features gathered into subgraph-local order.
-    pub features: Tensor,
-    /// Labels gathered into subgraph-local order.
-    pub labels: Vec<u32>,
-    /// Fit-mask nodes in subgraph-local ids.
-    pub local_mask: Vec<usize>,
-    /// First-hop aggregation cache over `features` — `None` when the run
-    /// has `prop_cache` disabled, so the baseline never pays a build SpMM
-    /// it won't consume.
-    pub prop: Option<PropCache>,
+    /// What `learned_step` consumes, in subgraph-local order.
+    pub data: EpochData<'static>,
 }
 
 /// A bounded least-recently-used cache of [`SubgraphEntry`]s keyed by the
-/// canonical partition subset. Capacity 0 disables caching entirely.
+/// canonical partition subset. Capacity 0 disables memoisation: only the
+/// current epoch's entry is held.
 ///
 /// Lookups are O(capacity) linear scans — capacities are small (tens of
 /// entries; sizing guidance vs. `binom(K, R)` in DESIGN.md §9), and each
 /// entry holds megabytes, so pointer-chasing map structures buy nothing.
 #[derive(Debug, Default)]
-pub struct SubgraphCache {
+pub(crate) struct SubgraphCache {
     capacity: usize,
     /// Most-recently-used last.
     entries: Vec<(Vec<u32>, SubgraphEntry)>,
-    hits: usize,
-    misses: usize,
+    /// Lookups served from memory — each one skipped a subgraph build and
+    /// one SpMM.
+    pub hits: usize,
 }
 
 impl SubgraphCache {
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity,
-            entries: Vec::new(),
-            hits: 0,
-            misses: 0,
+            ..Self::default()
         }
     }
 
     /// Look up the entry for `key` (a [`soup_graph::subset_key`] output),
-    /// building and inserting it via `build` on a miss. Returns `None`
-    /// only when the cache is disabled (capacity 0) — the caller then
-    /// builds the epoch itself without retaining it.
+    /// building and inserting it via `build` on a miss. With memoisation
+    /// disabled every call builds, after freeing the previous epoch's
+    /// entry — peak memory stays at one subgraph.
     pub fn get_or_insert_with(
         &mut self,
         key: Vec<u32>,
         build: impl FnOnce() -> SubgraphEntry,
-    ) -> Option<&SubgraphEntry> {
+    ) -> &SubgraphEntry {
         if self.capacity == 0 {
-            return None;
+            self.entries.clear();
+            self.entries.push((key, build()));
+            return &self.entries[0].1;
         }
         if let Some(pos) = self.entries.iter().position(|(k, _)| *k == key) {
             self.hits += 1;
@@ -83,7 +75,6 @@ impl SubgraphCache {
             let entry = self.entries.remove(pos);
             self.entries.push(entry);
         } else {
-            self.misses += 1;
             soup_obs::counter!("soup.pls.subgraph_cache_misses").inc();
             if self.entries.len() >= self.capacity {
                 self.entries.remove(0);
@@ -92,49 +83,30 @@ impl SubgraphCache {
             self.entries.push((key, build()));
         }
         soup_obs::gauge!("soup.pls.subcache_occupancy").set(self.entries.len() as f64);
-        Some(&self.entries.last().expect("just pushed or promoted").1)
-    }
-
-    /// Cache hits so far — each one skipped a subgraph build and one SpMM.
-    pub fn hits(&self) -> usize {
-        self.hits
-    }
-
-    /// Cache misses so far (entries built).
-    pub fn misses(&self) -> usize {
-        self.misses
-    }
-
-    /// Entries currently held.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        &self.entries.last().expect("just pushed or promoted").1
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use soup_gnn::cache::PropCache;
+    use soup_gnn::model::PropOps;
     use soup_gnn::Arch;
     use soup_graph::CsrGraph;
-    use soup_tensor::SplitMix64;
+    use soup_tensor::{SplitMix64, Tensor};
 
     fn entry_for(sub: InducedSubgraph, features: &Tensor, labels: &[u32]) -> SubgraphEntry {
         let ops = PropOps::prepare(Arch::Gcn, &sub.graph);
         let sub_x = sub.gather_features(features);
-        let sub_labels = sub.gather_labels(labels);
-        let prop = Some(PropCache::new(&ops, &sub_x));
-        SubgraphEntry {
-            sub,
+        let data = EpochData {
+            prop: Some(PropCache::new(&ops, &sub_x)),
             ops,
             features: sub_x,
-            labels: sub_labels,
-            local_mask: vec![0],
-            prop,
-        }
+            labels: sub.gather_labels(labels).into(),
+            mask: vec![0],
+        };
+        SubgraphEntry { sub, data }
     }
 
     fn setup() -> (CsrGraph, Tensor, Vec<u32>, Vec<u32>) {
@@ -156,17 +128,17 @@ mod tests {
         };
         let first = cache
             .get_or_insert_with(soup_graph::subset_key(&[0, 1]), || build(&[0, 1]))
-            .unwrap()
+            .data
             .features
             .clone();
         let again = cache
             .get_or_insert_with(soup_graph::subset_key(&[1, 0]), || build(&[1, 0]))
-            .unwrap()
+            .data
             .features
             .clone();
         assert_eq!(first, again);
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 1);
+        assert_eq!(cache.hits, 1);
+        assert_eq!(cache.entries.len(), 1, "one miss, one build");
     }
 
     #[test]
@@ -180,20 +152,28 @@ mod tests {
             });
         }
         // [0] was refreshed before [2] arrived, so [1] got evicted.
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.entries.len(), 2);
         cache.get_or_insert_with(soup_graph::subset_key(&[0]), || {
             panic!("[0] should still be cached")
         });
-        assert_eq!(cache.hits(), 2);
+        assert_eq!(cache.hits, 2);
     }
 
     #[test]
-    fn zero_capacity_disables() {
+    fn zero_capacity_holds_only_the_current_epoch() {
+        let (g, x, labels, assignment) = setup();
         let mut cache = SubgraphCache::new(0);
-        assert!(cache
-            .get_or_insert_with(vec![0], || panic!("must not build"))
-            .is_none());
-        assert!(cache.is_empty());
-        assert_eq!(cache.hits(), 0);
+        let mut builds = 0;
+        for sel in [&[0u32][..], &[1u32][..], &[1u32][..]] {
+            let entry = cache.get_or_insert_with(soup_graph::subset_key(sel), || {
+                builds += 1;
+                let sub = InducedSubgraph::from_partitions(&g, &assignment, sel);
+                entry_for(sub, &x, &labels)
+            });
+            assert_eq!(entry.sub.local_to_global.len(), 2);
+            assert_eq!(cache.entries.len(), 1);
+        }
+        assert_eq!(builds, 3, "a disabled cache never serves a repeat draw");
+        assert_eq!(cache.hits, 0);
     }
 }

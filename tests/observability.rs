@@ -1,6 +1,6 @@
 //! Golden-file test of the observability layer: drive the full pipeline
-//! (Phase-1 distributed training, then PLS souping) with a trace sink open
-//! and a `soup-metrics/1` sampler running, then check the emitted JSONL
+//! (Phase-1 distributed training, then LS and PLS souping) with a trace sink
+//! open and a `soup-metrics/1` sampler running, then check the emitted JSONL
 //! against the documented schemas — record types, required fields, span
 //! paths, event names, per-span resource attribution, the time series, the
 //! folded-stack flamegraph export and the span diff.
@@ -27,6 +27,14 @@ fn end_to_end_trace_matches_documented_schema() {
         ..TrainConfig::quick()
     };
     let ingredients = train_ingredients(&dataset, &cfg, &tc, 3, 2, 7);
+    // LS first, then PLS, in one process: both run the same α-loop, whose
+    // per-strategy metric handles must not stick to whichever ran first.
+    let ls = LearnedSouping::new(LearnedHyper {
+        epochs: 3,
+        ..Default::default()
+    });
+    let ls_outcome = ls.soup(&ingredients, &dataset, &cfg, 3);
+    assert_eq!(ls_outcome.stats.epochs, 3);
     let pls = PartitionLearnedSouping::new(
         LearnedHyper {
             epochs: 5,
@@ -61,6 +69,7 @@ fn end_to_end_trace_matches_documented_schema() {
     // Phase 2 span tree: measured mixing with partitioner phases inside.
     for path in [
         "soup.mix",
+        "soup.mix/soup.ls",
         "soup.mix/soup.pls",
         "soup.mix/partition.coarsen",
         "soup.mix/partition.initial",
@@ -80,6 +89,7 @@ fn end_to_end_trace_matches_documented_schema() {
         "distrib.worker.done",
         "distrib.done",
         "partition.done",
+        "soup.ls.epoch",
         "soup.pls.epoch",
         "soup.measured",
     ] {
@@ -88,8 +98,12 @@ fn end_to_end_trace_matches_documented_schema() {
             "missing event {name}"
         );
     }
-    // 3 ingredients × 4 epochs of per-epoch telemetry, 5 PLS epochs.
-    assert!(stats.events >= 12 + 5, "too few events: {}", stats.events);
+    // 3 ingredients × 4 epochs of per-epoch telemetry, 3 LS + 5 PLS epochs.
+    assert!(
+        stats.events >= 12 + 3 + 5,
+        "too few events: {}",
+        stats.events
+    );
     assert!(stats.logs >= 1, "log line was not mirrored into the trace");
     assert!(stats.has_metrics, "final metrics record missing");
 
@@ -107,6 +121,7 @@ fn end_to_end_trace_matches_documented_schema() {
     assert!(counter("tensor.matmul.calls") > 0);
     assert!(counter("tensor.spmm.calls") > 0);
     assert_eq!(counter("distrib.tasks_completed"), 3);
+    assert_eq!(counter("soup.ls.epochs"), 3);
     assert_eq!(counter("soup.pls.epochs"), 5);
     assert!(
         metrics
