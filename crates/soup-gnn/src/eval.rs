@@ -54,22 +54,6 @@ pub fn predict_cached(
     tape.value(logits).argmax_rows()
 }
 
-/// Class predictions for a subset of nodes through the cached forward
-/// path: one full-graph forward (transductive models classify every node
-/// at once), then a gather of the requested ids. The serving layer's
-/// batcher relies on this shape — coalescing N requests still costs one
-/// forward.
-pub fn predict_nodes_cached(
-    cfg: &ModelConfig,
-    ops: &PropOps,
-    cache: &PropCache,
-    params: &ParamSet,
-    nodes: &[u32],
-) -> Vec<u32> {
-    let preds = predict_cached(cfg, ops, cache, params);
-    nodes.iter().map(|&n| preds[n as usize] as u32).collect()
-}
-
 /// [`evaluate_accuracy`] with a [`PropCache`] — bit-identical result, one
 /// SpMM cheaper per call for GCN/SAGE/GIN.
 pub fn evaluate_accuracy_cached(

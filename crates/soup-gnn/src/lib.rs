@@ -36,13 +36,12 @@ pub use checkpoint::{
 };
 pub use config::{Arch, ModelConfig};
 pub use eval::{
-    evaluate_accuracy, evaluate_accuracy_cached, predict, predict_cached, predict_nodes_cached,
-    validation_loss, validation_loss_cached,
+    evaluate_accuracy, evaluate_accuracy_cached, predict, predict_cached, validation_loss,
+    validation_loss_cached,
 };
 pub use model::{forward, forward_cached, init_params, PropOps};
 pub use params::{ParamSet, ParamVars};
 pub use quant::{
-    evaluate_accuracy_quant, forward_quant, predict_nodes_quant, predict_quant, QuantLayer,
-    QuantParamSet, QuantSlot,
+    evaluate_accuracy_quant, forward_quant, predict_quant, QuantLayer, QuantParamSet, QuantSlot,
 };
 pub use train::{train_single, TrainConfig, TrainedModel};

@@ -265,21 +265,6 @@ pub fn predict_quant(
     forward_quant(cfg, ops, cache, qparams, features).argmax_rows()
 }
 
-/// Class predictions for a subset of nodes through the quantized forward
-/// path — the quantized counterpart of
-/// [`crate::eval::predict_nodes_cached`].
-pub fn predict_nodes_quant(
-    cfg: &ModelConfig,
-    ops: &PropOps,
-    cache: Option<&PropCache>,
-    qparams: &QuantParamSet,
-    features: &Tensor,
-    nodes: &[u32],
-) -> Vec<u32> {
-    let preds = predict_quant(cfg, ops, cache, qparams, features);
-    nodes.iter().map(|&n| preds[n as usize] as u32).collect()
-}
-
 /// Accuracy of the quantized forward path over the nodes in `mask`.
 pub fn evaluate_accuracy_quant(
     cfg: &ModelConfig,

@@ -197,19 +197,27 @@ impl Histogram {
     /// Approximate quantile (`q` in `[0, 1]`); exact for values below 8,
     /// within one sub-bucket (≤ ~12.5% relative error) above.
     pub fn quantile(&self, q: f64) -> u64 {
-        let n = self.count();
-        if n == 0 {
-            return 0;
+        self.view().quantile(q)
+    }
+
+    /// Copy the buckets once and read `min`/`max` once. Writers may race
+    /// with the copy, so everything a digest reports is derived from this
+    /// one view rather than from re-reads that can disagree.
+    fn view(&self) -> View {
+        let mut buckets = [0u64; BUCKETS];
+        for (copy, bucket) in buckets.iter_mut().zip(&self.buckets) {
+            *copy = bucket.load(Relaxed);
         }
-        let rank = ((q.clamp(0.0, 1.0) * n as f64).ceil() as u64).clamp(1, n);
-        let mut seen = 0u64;
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            seen += bucket.load(Relaxed);
-            if seen >= rank {
-                return bucket_mid(i).clamp(self.min(), self.max());
-            }
+        // A first `record` caught between its `fetch_min` and `fetch_max`
+        // (or whose bucket is visible before either) leaves the raw pair
+        // unordered; the smaller of the two is always a valid lower end.
+        let max = self.max.load(Relaxed);
+        View {
+            count: buckets.iter().sum(),
+            min: self.min.load(Relaxed).min(max),
+            max,
+            buckets,
         }
-        self.max()
     }
 
     pub fn reset(&self) {
@@ -222,17 +230,54 @@ impl Histogram {
         self.max.store(0, Relaxed);
     }
 
+    /// Point-in-time digest. `min ≤ p50 ≤ p95 ≤ p99 ≤ max` and
+    /// `min ≤ mean ≤ max` hold even while other threads record: the
+    /// quantiles come from one copy of the buckets and are clamped into one
+    /// ordered `[min, max]` pair, as is the mean.
     pub fn summary(&self) -> HistogramSummary {
+        let view = self.view();
+        let sum = self.sum();
+        let mean = if view.count == 0 {
+            0.0
+        } else {
+            (sum as f64 / view.count as f64).clamp(view.min as f64, view.max as f64)
+        };
         HistogramSummary {
-            count: self.count(),
-            sum: self.sum(),
-            min: self.min(),
-            max: self.max(),
-            mean: self.mean(),
-            p50: self.quantile(0.50),
-            p95: self.quantile(0.95),
-            p99: self.quantile(0.99),
+            count: view.count,
+            sum,
+            min: view.min,
+            max: view.max,
+            mean,
+            p50: view.quantile(0.50),
+            p95: view.quantile(0.95),
+            p99: view.quantile(0.99),
         }
+    }
+}
+
+/// One racy-but-single read of a [`Histogram`]: `count` is the total of the
+/// copied buckets and `min ≤ max`.
+struct View {
+    buckets: [u64; BUCKETS],
+    count: u64,
+    min: u64,
+    max: u64,
+}
+
+impl View {
+    fn quantile(&self, q: f64) -> u64 {
+        if self.count == 0 {
+            return 0;
+        }
+        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let mut seen = 0u64;
+        for (i, n) in self.buckets.iter().enumerate() {
+            seen += n;
+            if seen >= rank {
+                return bucket_mid(i).clamp(self.min, self.max);
+            }
+        }
+        self.max
     }
 }
 
@@ -645,6 +690,22 @@ mod tests {
         assert_eq!(small.quantile(0.50), 3);
         assert_eq!(small.quantile(0.51), 4);
         assert_eq!(small.quantile(1.0), 4);
+    }
+
+    #[test]
+    fn digest_is_ordered_for_a_record_caught_midway() {
+        // The state a reader sees when a first `record(500)` has done its
+        // bucket, count, sum and `fetch_min` but not yet its `fetch_max`.
+        let h = Histogram::new();
+        h.buckets[bucket_index(500)].store(1, Relaxed);
+        h.count.store(1, Relaxed);
+        h.sum.store(500, Relaxed);
+        h.min.store(500, Relaxed);
+        let s = h.summary();
+        assert!(s.min <= s.p50 && s.p50 <= s.p95 && s.p95 <= s.p99 && s.p99 <= s.max);
+        assert!(s.min as f64 <= s.mean && s.mean <= s.max as f64);
+        assert_eq!(s.count, 1);
+        assert_eq!(h.quantile(0.5), s.p50);
     }
 
     #[test]

@@ -1,20 +1,27 @@
-//! Dynamic micro-batching: coalesce queued PREDICT requests into one
-//! fused full-graph forward.
+//! Dynamic micro-batching: coalesce queued PREDICT requests and answer
+//! them from the live version's prediction table.
 //!
-//! Transductive GNN inference classifies *every* node in one forward pass,
-//! so the marginal cost of answering ten queued requests together is the
-//! same one SpMM + GEMM chain as answering one. The batcher exploits that:
-//! a single thread drains the bounded admission queue, closing a batch
+//! A single thread drains the bounded admission queue, closing a batch
 //! when either `max_batch` node ids have accumulated or `max_delay` has
-//! elapsed since the batch's first request, then runs one forward and
-//! scatters the per-request answers back through each job's reply channel.
+//! elapsed since the batch's first request, then gathers each job's
+//! classes from the live `ServeModel`'s `table` and sends them back
+//! through the job's reply channel. No forward runs here: the table was
+//! filled once when its version was promoted, so the requests of a batch
+//! share one `Arc` clone and a lookup each. Coalescing amortises nothing —
+//! a batch has no fixed cost left to share — and costs a lone request up
+//! to `max_delay`; the thread, `max_batch` and `max_delay` are kept only
+//! because `ServeConfig` and the `serve.batches` / `serve.batch_size`
+//! metrics are a frozen surface. Answering inline on the connection thread
+//! is the follow-up.
 //!
 //! **Hot-swap ordering.** The live model `Arc` is read *after* the batch
 //! is fully collected. A promote acks only once the model lock's write
 //! guard is released, so any request enqueued after the ack lands in a
 //! batch whose model read happens-after the swap — the old model can never
-//! serve it. (A request already in flight when the promote lands may get
-//! either version; that is the documented semantics.)
+//! serve it, and since version and table sit in the one `Arc` no reply can
+//! pair a version with another version's classes. (A request already in
+//! flight when the promote lands may get either version; that is the
+//! documented semantics.)
 
 use crate::server::ServeShared;
 use std::sync::atomic::Ordering;
@@ -83,13 +90,8 @@ pub(crate) fn run(shared: Arc<ServeShared>, rx: Receiver<PredictJob>) {
         // Read the live model only now that the batch is closed — see the
         // module docs for why this ordering carries the swap guarantee.
         let model = shared.model.read().clone();
-        let preds = model.predict_all(&shared);
         for job in jobs {
-            let classes = job
-                .nodes
-                .iter()
-                .map(|&n| preds[n as usize] as u32)
-                .collect();
+            let classes = job.nodes.iter().map(|&n| model.table[n as usize]).collect();
             soup_obs::histogram!("serve.latency_us")
                 .record(job.enqueued.elapsed().as_micros() as u64);
             // A handler that gave up (connection died) just drops the

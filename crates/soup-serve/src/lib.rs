@@ -1,25 +1,32 @@
 //! # soup-serve — request serving over a souped model
 //!
 //! Online node-classification over the Phase-2 soup: a multi-threaded TCP
-//! server answering `PREDICT` queries through the same fused inference
+//! server whose every answer is the output of the same fused inference
 //! paths the offline pipeline uses (`predict_cached` for f32,
 //! `predict_quant` for int8/bf16), with the serving concerns layered on
 //! top:
 //!
-//! - **Micro-batching** ([`batcher`]) — queued requests coalesce into one
-//!   full-graph forward under a max-batch / max-delay policy; answers are
-//!   bit-identical to one-at-a-time evaluation because the forward is the
-//!   same full-graph pass either way.
+//! - **Prediction table** ([`server`]) — a soup deploys as one parameter
+//!   set and the graph is fixed, so every answer changes only when a
+//!   promotion acks. The full-graph forward runs once per promoted version
+//!   (startup, `SWAP`, `RESOUP`) and `PREDICT` is a gather from its result;
+//!   answers are bit-identical to offline evaluation because they *are*
+//!   its output.
+//! - **Micro-batching** ([`batcher`]) — queued requests coalesce under a
+//!   max-batch / max-delay policy and share one read of the live version.
+//!   With no forward on the read path this amortises nothing; it stays
+//!   while `ServeConfig` and `serve.batches` are a frozen surface.
 //! - **Admission control** ([`server`]) — a bounded queue; overflow gets
 //!   an explicit `OVERLOADED` response instead of unbounded queueing.
 //! - **Hot model swap** — `SWAP` (promote a checkpoint file) and `RESOUP`
 //!   (re-soup a pool through the [`soup_core::SoupStrategy`] registry and
-//!   promote the winner) replace the live `Arc<ServeModel>` under a write
-//!   lock without pausing traffic; requests sent after the promote ack are
+//!   promote the winner) build the next `Arc<ServeModel>` — parameters,
+//!   re-quantization and prediction table — off the lock and swap it in
+//!   without pausing traffic; requests sent after the promote ack are
 //!   guaranteed the new model.
-//! - **Observability** — `serve.*` counters, latency/batch-size
-//!   histograms, and a queue-depth gauge in the soup-obs registry,
-//!   surfaced by the `STATS` opcode.
+//! - **Observability** — `serve.*` counters, latency / batch-size /
+//!   table-build histograms, and a queue-depth gauge in the soup-obs
+//!   registry, surfaced by the `STATS` opcode.
 //!
 //! The wire format ([`proto`]) is deliberately tiny: length-prefixed
 //! binary frames over TCP, no external protocol dependencies. [`client`]

@@ -11,12 +11,16 @@
 //! whether to retry.
 //!
 //! The live model is an `Arc<ServeModel>` behind a `parking_lot::RwLock`.
-//! Promotion (SWAP / RESOUP) builds the new model — including its
-//! quantized form when serving quantized — *outside* the lock, takes the
-//! write lock only for the pointer swap, and acks the client after the
-//! guard drops. In-flight batches keep their old `Arc` (it stays alive
-//! until the last reference drops), so traffic is never paused and no
-//! request is dropped by a swap.
+//! On the transductive benchmarks every answer is a pure function of
+//! (graph, features, parameters), so a version carries its answers with
+//! it: promotion (startup / SWAP / RESOUP) builds the new model — its
+//! quantized form when serving quantized, then the argmax class of every
+//! node through the one full-graph forward that version will ever run —
+//! *outside* the lock, takes the write lock only for the pointer swap, and
+//! acks the client after the guard drops. PREDICT is a gather from that
+//! table. In-flight batches keep their old `Arc` (it stays alive until the
+//! last reference drops), so traffic is never paused, no request is
+//! dropped by a swap, and no reply pairs one version with another's table.
 
 use crate::batcher::{self, PredictJob, PredictReply};
 use crate::proto::{self, Request, Response};
@@ -36,7 +40,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Serving knobs, mirrored one-to-one by `soupctl serve` flags.
 #[derive(Debug, Clone)]
@@ -85,21 +89,36 @@ pub struct ServeModel {
     /// Quantized form, present iff the server was started with a quant
     /// kind.
     pub qparams: Option<QuantParamSet>,
+    /// Predicted class of every node under this version: the output of the
+    /// offline `predict_quant` (when `qparams` is set) or `predict_cached`,
+    /// computed once when the version is built. PREDICT gathers from it.
+    pub(crate) table: Vec<u32>,
 }
 
 impl ServeModel {
-    /// Full-graph class predictions through whichever forward path this
-    /// server is configured for.
-    pub(crate) fn predict_all(&self, shared: &ServeShared) -> Vec<usize> {
-        match &self.qparams {
-            Some(q) => predict_quant(
-                &shared.cfg,
-                &shared.ops,
-                Some(&shared.cache),
-                q,
-                &shared.dataset.features,
-            ),
-            None => predict_cached(&shared.cfg, &shared.ops, &shared.cache, &self.params),
+    /// Quantize `params` when `quant` is set, then run the version's one
+    /// full-graph forward. Called before any lock is taken. The result is
+    /// stamped version 1, the startup model; `promote` restamps it under
+    /// the write lock.
+    fn build(
+        quant: Option<QuantKind>,
+        cfg: &ModelConfig,
+        ops: &PropOps,
+        cache: &PropCache,
+        params: ParamSet,
+    ) -> ServeModel {
+        let qparams = quant.map(|kind| QuantParamSet::quantize(cfg, &params, kind));
+        let t0 = Instant::now();
+        let preds = match &qparams {
+            Some(q) => predict_quant(cfg, ops, Some(cache), q, cache.features()),
+            None => predict_cached(cfg, ops, cache, &params),
+        };
+        soup_obs::histogram!("serve.table_build_us").record(t0.elapsed().as_micros() as u64);
+        ServeModel {
+            version: 1,
+            params,
+            qparams,
+            table: preds.into_iter().map(|c| c as u32).collect(),
         }
     }
 }
@@ -126,24 +145,21 @@ pub(crate) struct ServeShared {
 
 impl ServeShared {
     /// Build (outside any lock) and promote a new model; returns the new
-    /// version. The write lock is held only for the pointer swap.
+    /// version. The shape check comes first so a checkpoint of another
+    /// architecture is an ERROR, not a panic inside the table's forward.
+    /// The write lock is held only for the pointer swap.
     pub(crate) fn promote(&self, params: ParamSet) -> soup_error::Result<u64> {
         if !params.same_shape(&self.model.read().params) {
             return Err(SoupError::shape(
                 "promoted parameters do not match the serving architecture",
             ));
         }
-        let qparams = self
-            .config
-            .quant
-            .map(|kind| QuantParamSet::quantize(&self.cfg, &params, kind));
+        let mut next =
+            ServeModel::build(self.config.quant, &self.cfg, &self.ops, &self.cache, params);
         let mut live = self.model.write();
         let version = live.version + 1;
-        *live = Arc::new(ServeModel {
-            version,
-            params,
-            qparams,
-        });
+        next.version = version;
+        *live = Arc::new(next);
         drop(live);
         self.swaps.fetch_add(1, Ordering::AcqRel);
         soup_obs::counter!("serve.swaps").inc();
@@ -164,6 +180,7 @@ struct StatsBody {
     queue_len: usize,
     latency_p50_us: u64,
     latency_p99_us: u64,
+    table_build_p50_us: u64,
 }
 
 /// A running server: bound address plus the thread handles needed to join
@@ -179,8 +196,9 @@ impl Server {
     /// Bind, spawn the batcher and the accept workers, and return.
     ///
     /// The initial model is promoted as version 1 (quantizing it first
-    /// when `config.quant` is set); the [`PropCache`] is built once here
-    /// and shared by every batch forward for the server's lifetime.
+    /// when `config.quant` is set, then filling its prediction table); the
+    /// [`PropCache`] is built once here and shared by every promotion's
+    /// forward for the server's lifetime.
     pub fn start(
         dataset: Dataset,
         cfg: ModelConfig,
@@ -199,9 +217,7 @@ impl Server {
 
         let ops = PropOps::prepare(cfg.arch, &dataset.graph);
         let cache = PropCache::new(&ops, &dataset.features);
-        let qparams = config
-            .quant
-            .map(|kind| QuantParamSet::quantize(&cfg, &params, kind));
+        let model = ServeModel::build(config.quant, &cfg, &ops, &cache, params);
         let (tx, rx) = sync_channel::<PredictJob>(config.queue_depth);
         let shared = Arc::new(ServeShared {
             config,
@@ -209,11 +225,7 @@ impl Server {
             ops,
             cache,
             dataset,
-            model: RwLock::new(Arc::new(ServeModel {
-                version: 1,
-                params,
-                qparams,
-            })),
+            model: RwLock::new(Arc::new(model)),
             queue: tx,
             queue_len: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
@@ -443,7 +455,7 @@ fn predict(shared: &Arc<ServeShared>, nodes: Vec<u32>) -> Response {
     let job = PredictJob {
         nodes,
         reply: reply_tx,
-        enqueued: std::time::Instant::now(),
+        enqueued: Instant::now(),
     };
     // Count the job *before* the send so the batcher's decrement (which
     // can race ahead of this thread) never underflows the gauge; roll the
@@ -468,7 +480,8 @@ fn predict(shared: &Arc<ServeShared>, nodes: Vec<u32>) -> Response {
 }
 
 fn stats(shared: &Arc<ServeShared>) -> soup_error::Result<String> {
-    let latency = soup_obs::histogram!("serve.latency_us");
+    // One digest, so p50 ≤ p99 holds even while the batcher records.
+    let latency = soup_obs::histogram!("serve.latency_us").summary();
     let body = StatsBody {
         version: shared.model.read().version,
         num_nodes: shared.dataset.num_nodes(),
@@ -478,8 +491,9 @@ fn stats(shared: &Arc<ServeShared>) -> soup_error::Result<String> {
         rejected: soup_obs::counter!("serve.rejected").get(),
         swaps: shared.swaps.load(Ordering::Acquire),
         queue_len: shared.queue_len.load(Ordering::Acquire),
-        latency_p50_us: latency.quantile(0.5),
-        latency_p99_us: latency.quantile(0.99),
+        latency_p50_us: latency.p50,
+        latency_p99_us: latency.p99,
+        table_build_p50_us: soup_obs::histogram!("serve.table_build_us").quantile(0.5),
     };
     serde_json::to_string(&body).map_err(|e| SoupError::parse(format!("stats encoding: {e}")))
 }

@@ -4,8 +4,7 @@
 
 use enhanced_soups::gnn::model::init_params;
 use enhanced_soups::gnn::{
-    predict_cached, predict_nodes_cached, save_checkpoint, Checkpoint, ModelConfig, PropCache,
-    PropOps,
+    predict_cached, save_checkpoint, Checkpoint, ModelConfig, PropCache, PropOps,
 };
 use enhanced_soups::prelude::*;
 use enhanced_soups::serve::{Client, PredictResult, ServeConfig, Server};
@@ -41,7 +40,7 @@ struct ParamsFixture {
 
 #[test]
 fn served_answers_are_bitwise_identical_to_unbatched_forwards() {
-    let (server, dataset, cfg, fixture) = start_server(ServeConfig {
+    let (server, dataset, _cfg, fixture) = start_server(ServeConfig {
         max_batch: 32,
         max_delay: Duration::from_millis(5),
         ..ServeConfig::default()
@@ -78,19 +77,6 @@ fn served_answers_are_bitwise_identical_to_unbatched_forwards() {
         h.join().unwrap();
     }
 
-    // And the helper the batcher is built on agrees with the wire answers.
-    let ops = PropOps::prepare(cfg.arch, &dataset.graph);
-    let cache = PropCache::new(&ops, &dataset.features);
-    let mut rng = SplitMix64::new(7);
-    let params = init_params(&cfg, &mut rng);
-    let sample = [0u32, 5, 17];
-    assert_eq!(
-        predict_nodes_cached(&cfg, &ops, &cache, &params, &sample),
-        sample
-            .iter()
-            .map(|&id| fixture.reference[id as usize] as u32)
-            .collect::<Vec<_>>()
-    );
     server.stop();
 }
 
