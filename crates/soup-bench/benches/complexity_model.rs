@@ -34,8 +34,9 @@ fn bench_passes(c: &mut Criterion) {
                         &tape,
                         &cfg,
                         &ops,
+                        None,
                         x,
-                        &vars,
+                        &vars.layers,
                         false,
                         &mut no_rng,
                     )))
@@ -51,7 +52,8 @@ fn bench_passes(c: &mut Criterion) {
                     let vars = ParamVars::register(&tape, &params, true);
                     let x = tape.constant(d.features.clone());
                     let mut no_rng = SplitMix64::new(0);
-                    let logits = forward(&tape, &cfg, &ops, x, &vars, false, &mut no_rng);
+                    let logits =
+                        forward(&tape, &cfg, &ops, None, x, &vars.layers, false, &mut no_rng);
                     let loss = tape.cross_entropy_masked(logits, &d.labels, &d.splits.val);
                     std::hint::black_box(tape.backward(loss))
                 });

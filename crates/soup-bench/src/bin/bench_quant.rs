@@ -18,8 +18,10 @@ use soup_bench::harness::{finish_observability, ExperimentPreset};
 use soup_core::strategy::SoupStrategy;
 use soup_core::UniformSouping;
 use soup_gnn::model::PropOps;
-use soup_gnn::quant::{evaluate_accuracy_quant, predict_quant, QuantParamSet};
-use soup_gnn::{evaluate_accuracy, predict, ModelConfig, TrainConfig};
+use soup_gnn::{
+    evaluate_accuracy, evaluate_accuracy_quant, predict, predict_quant, ModelConfig, QuantParamSet,
+    TrainConfig,
+};
 use soup_graph::DatasetKind;
 use soup_tensor::quant::{qmatmul, QuantKind, QuantMat};
 use soup_tensor::{pool, SplitMix64, Tensor};
@@ -170,7 +172,7 @@ struct QuantCounters {
 #[derive(Serialize)]
 struct QuantReport {
     /// Full-graph layer product: many nodes, narrow hidden dims — the
-    /// shape `forward_quant` runs per layer. Both kernels are FMA-bound
+    /// shape the quantized forward runs per layer. Both kernels are FMA-bound
     /// here, so the win is bounded by the packing overhead f32 pays.
     gemm_layer: QuantGemmComparison,
     /// Online micro-batch against large pre-packed weights — the regime

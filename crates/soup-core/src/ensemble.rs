@@ -34,7 +34,7 @@ pub fn ensemble_predict(
         let vars = ParamVars::register(&tape, &ing.params, false);
         let x = tape.constant(features.clone());
         let mut no_rng = SplitMix64::new(0);
-        let logits = forward(&tape, cfg, ops, x, &vars, false, &mut no_rng);
+        let logits = forward(&tape, cfg, ops, None, x, &vars.layers, false, &mut no_rng);
         let logp = tape.value(tape.log_softmax(logits));
         prob_sum = prob_sum.add(&logp.map(f32::exp));
     }

@@ -23,7 +23,7 @@ use crate::resume::{Phase2Session, RunShape};
 use crate::strategy::{measure_soup_try, MixReport, SoupCtx, SoupOutcome, SoupStrategy};
 use soup_error::SoupError;
 use soup_gnn::cache::PropCache;
-use soup_gnn::model::PropOps;
+use soup_gnn::model::{forward, PropOps};
 use soup_gnn::params::{LayerParams, ParamVars};
 use soup_gnn::{ModelConfig, ParamSet};
 use soup_obs::{to_value, Value};
@@ -262,9 +262,8 @@ pub(crate) fn learned_step(
     let x = tape.constant(data.features.clone());
     // Eval-mode forward: the soup evaluation of Alg. 3 has no dropout.
     let mut no_rng = SplitMix64::new(0);
-    let (ops, prop) = (&data.ops, data.prop.as_ref());
-    let logits =
-        soup_gnn::model::forward_cached(&tape, cfg, ops, prop, x, &soup_vars, false, &mut no_rng);
+    let (ops, prop, layers) = (&data.ops, data.prop.as_ref(), &soup_vars.layers);
+    let logits = forward(&tape, cfg, ops, prop, x, layers, false, &mut no_rng);
     let loss = tape.cross_entropy_masked(logits, &data.labels, &data.mask);
     let loss_val = tape.value(loss).item();
     let grads = tape.backward(loss);

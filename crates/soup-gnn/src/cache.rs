@@ -7,7 +7,7 @@
 //! the raw features (`Â·X`, `D⁻¹A·X`, `A·X` respectively), so that one
 //! large SpMM is identical across all candidates. [`PropCache`] computes it
 //! once per (operator, features) pair and feeds it to
-//! [`crate::model::forward_cached`] as a tape constant.
+//! [`crate::model::forward`] as a tape constant.
 //!
 //! Bit-identity: [`soup_tensor::tape::Tape::spmm`]'s forward *is*
 //! [`soup_tensor::ops::SparseMat::matvec_dense`], the very kernel the cache
@@ -24,7 +24,7 @@ use soup_tensor::Tensor;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Cached first-hop aggregation for one (propagation operator, features)
-/// pair. Shareable across rayon evaluation threads (`&PropCache` is Sync).
+/// pair. `Sync`: one cache may be read by any number of evaluating threads.
 #[derive(Debug)]
 pub struct PropCache {
     /// The features the aggregation was computed from; cached evaluation
@@ -40,13 +40,10 @@ pub struct PropCache {
 impl PropCache {
     /// Build the cache: one SpMM for GCN/SAGE/GIN, nothing for GAT.
     pub fn new(ops: &PropOps, features: &Tensor) -> Self {
-        let agg0 = match ops {
-            PropOps::Gcn(m) | PropOps::Sage(m) | PropOps::Gin(m) => {
-                soup_obs::counter!("soup.cache.prop_builds").inc();
-                Some(m.matvec_dense(features))
-            }
-            PropOps::Gat(_) => None,
-        };
+        let agg0 = ops.propagation().map(|m| {
+            soup_obs::counter!("soup.cache.prop_builds").inc();
+            m.matvec_dense(features)
+        });
         Self {
             features: features.clone(),
             agg0,

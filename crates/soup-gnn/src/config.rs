@@ -2,7 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 
-/// The three GNN architectures evaluated in the paper (§IV-A).
+/// The GNN architectures: the three evaluated in the paper (§IV-A), which
+/// [`Arch::ALL`] lists, plus GIN.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Arch {
     /// Graph Convolutional Network (Kipf & Welling 2017).

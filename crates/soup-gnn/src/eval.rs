@@ -1,13 +1,29 @@
-//! Model evaluation: predictions, accuracy, and the validation loss that
-//! souping algorithms optimise.
+//! Model evaluation: eval-mode predictions and accuracy, for f32 and
+//! quantized parameter sets, all through one logits helper over
+//! [`crate::model::forward`].
 
 use crate::cache::PropCache;
 use crate::config::ModelConfig;
-use crate::model::{forward, forward_cached, PropOps};
+use crate::model::{forward, LayerWeights, PropOps};
 use crate::params::{ParamSet, ParamVars};
+use crate::quant::QuantParamSet;
 use soup_graph::metrics::accuracy;
 use soup_tensor::tape::Tape;
 use soup_tensor::{SplitMix64, Tensor};
+
+/// Eval-mode (no dropout) logits of `layers` over `features` on `tape`.
+fn logits<W: LayerWeights>(
+    tape: &Tape,
+    cfg: &ModelConfig,
+    ops: &PropOps,
+    cache: Option<&PropCache>,
+    layers: &[W],
+    features: &Tensor,
+) -> Tensor {
+    let x = tape.constant(features.clone());
+    let mut rng = SplitMix64::new(0); // unused: eval mode skips dropout
+    tape.value(forward(tape, cfg, ops, cache, x, layers, false, &mut rng))
+}
 
 /// Argmax class predictions for every node (eval mode, no dropout).
 pub fn predict(
@@ -18,10 +34,7 @@ pub fn predict(
 ) -> Vec<usize> {
     let tape = Tape::new();
     let vars = ParamVars::register(&tape, params, false);
-    let x = tape.constant(features.clone());
-    let mut rng = SplitMix64::new(0); // unused: eval mode skips dropout
-    let logits = forward(&tape, cfg, ops, x, &vars, false, &mut rng);
-    tape.value(logits).argmax_rows()
+    logits(&tape, cfg, ops, None, &vars.layers, features).argmax_rows()
 }
 
 /// Accuracy over the nodes in `mask`.
@@ -33,8 +46,7 @@ pub fn evaluate_accuracy(
     labels: &[u32],
     mask: &[usize],
 ) -> f64 {
-    let preds = predict(cfg, ops, params, features);
-    accuracy(&preds, labels, mask)
+    accuracy(&predict(cfg, ops, params, features), labels, mask)
 }
 
 /// [`predict`] with the first-hop aggregation taken from a [`PropCache`].
@@ -48,10 +60,7 @@ pub fn predict_cached(
 ) -> Vec<usize> {
     let tape = Tape::new();
     let vars = ParamVars::register(&tape, params, false);
-    let x = tape.constant(cache.features().clone());
-    let mut rng = SplitMix64::new(0); // unused: eval mode skips dropout
-    let logits = forward_cached(&tape, cfg, ops, Some(cache), x, &vars, false, &mut rng);
-    tape.value(logits).argmax_rows()
+    logits(&tape, cfg, ops, Some(cache), &vars.layers, cache.features()).argmax_rows()
 }
 
 /// [`evaluate_accuracy`] with a [`PropCache`] — bit-identical result, one
@@ -64,44 +73,32 @@ pub fn evaluate_accuracy_cached(
     labels: &[u32],
     mask: &[usize],
 ) -> f64 {
-    let preds = predict_cached(cfg, ops, cache, params);
-    accuracy(&preds, labels, mask)
+    accuracy(&predict_cached(cfg, ops, cache, params), labels, mask)
 }
 
-/// [`validation_loss`] with a [`PropCache`].
-pub fn validation_loss_cached(
+/// Argmax class predictions with int8/bf16 weight matmuls.
+pub fn predict_quant(
     cfg: &ModelConfig,
     ops: &PropOps,
-    cache: &PropCache,
-    params: &ParamSet,
-    labels: &[u32],
-    mask: &[usize],
-) -> f32 {
-    let tape = Tape::new();
-    let vars = ParamVars::register(&tape, params, false);
-    let x = tape.constant(cache.features().clone());
-    let mut rng = SplitMix64::new(0);
-    let logits = forward_cached(&tape, cfg, ops, Some(cache), x, &vars, false, &mut rng);
-    let loss = tape.cross_entropy_masked(logits, labels, mask);
-    tape.value(loss).item()
+    cache: Option<&PropCache>,
+    qparams: &QuantParamSet,
+    features: &Tensor,
+) -> Vec<usize> {
+    logits(&Tape::new(), cfg, ops, cache, qparams.layers(), features).argmax_rows()
 }
 
-/// Cross-entropy loss over the nodes in `mask` (eval mode).
-pub fn validation_loss(
+/// Accuracy of the quantized forward over the nodes in `mask`.
+pub fn evaluate_accuracy_quant(
     cfg: &ModelConfig,
     ops: &PropOps,
-    params: &ParamSet,
+    cache: Option<&PropCache>,
+    qparams: &QuantParamSet,
     features: &Tensor,
     labels: &[u32],
     mask: &[usize],
-) -> f32 {
-    let tape = Tape::new();
-    let vars = ParamVars::register(&tape, params, false);
-    let x = tape.constant(features.clone());
-    let mut rng = SplitMix64::new(0);
-    let logits = forward(&tape, cfg, ops, x, &vars, false, &mut rng);
-    let loss = tape.cross_entropy_masked(logits, labels, mask);
-    tape.value(loss).item()
+) -> f64 {
+    let preds = predict_quant(cfg, ops, cache, qparams, features);
+    accuracy(&preds, labels, mask)
 }
 
 #[cfg(test)]
@@ -139,16 +136,6 @@ mod tests {
     }
 
     #[test]
-    fn loss_is_finite_and_near_uniform_at_init() {
-        let (g, cfg, params, features, labels) = setup();
-        let ops = PropOps::prepare(Arch::Gcn, &g);
-        let loss = validation_loss(&cfg, &ops, &params, &features, &labels, &[0, 1, 2]);
-        assert!(loss.is_finite());
-        // Untrained logits are near zero -> loss near ln(3).
-        assert!((loss - 3.0f32.ln()).abs() < 0.8, "loss={loss}");
-    }
-
-    #[test]
     fn cached_eval_matches_uncached_bitwise() {
         for arch in [Arch::Gcn, Arch::Sage, Arch::Gin, Arch::Gat] {
             let g = CsrGraph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
@@ -162,8 +149,6 @@ mod tests {
             let mut rng = SplitMix64::new(7);
             let params = init_params(&cfg, &mut rng);
             let features = Tensor::randn(6, 4, 1.0, &mut rng);
-            let labels = vec![0u32, 1, 2, 0, 1, 2];
-            let mask: Vec<usize> = (0..6).collect();
             let ops = PropOps::prepare(arch, &g);
             let cache = crate::cache::PropCache::new(&ops, &features);
             assert_eq!(
@@ -171,9 +156,16 @@ mod tests {
                 predict_cached(&cfg, &ops, &cache, &params),
                 "{arch:?} predictions diverge"
             );
-            let plain = validation_loss(&cfg, &ops, &params, &features, &labels, &mask);
-            let cached = validation_loss_cached(&cfg, &ops, &cache, &params, &labels, &mask);
-            assert_eq!(plain.to_bits(), cached.to_bits(), "{arch:?} loss diverges");
+            let f32_logits = |cache| {
+                let tape = Tape::new();
+                let vars = ParamVars::register(&tape, &params, false);
+                logits(&tape, &cfg, &ops, cache, &vars.layers, &features)
+            };
+            assert_eq!(
+                f32_logits(None),
+                f32_logits(Some(&cache)),
+                "{arch:?} logits"
+            );
             if arch == Arch::Gat {
                 assert_eq!(cache.hits(), 0, "GAT must not claim cache hits");
             } else {

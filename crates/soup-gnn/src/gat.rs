@@ -5,6 +5,7 @@
 //! the fused edge-softmax aggregation kernel.
 
 use crate::config::ModelConfig;
+use crate::model::LayerWeights;
 use crate::params::LayerParams;
 use soup_tensor::init::{xavier_normal, xavier_normal_shaped, zeros_bias};
 use soup_tensor::ops::EdgeIndex;
@@ -31,20 +32,19 @@ pub fn init_layer(cfg: &ModelConfig, l: usize, rng: &mut SplitMix64) -> LayerPar
 }
 
 /// One GAT layer forward over a prepared edge index.
-pub fn forward_layer(
+pub(crate) fn layer(
     tape: &Tape,
     idx: &EdgeIndex,
     h: Var,
-    params: &[Var],
+    w: &impl LayerWeights,
     heads: usize,
     negative_slope: f32,
 ) -> Var {
-    debug_assert_eq!(params.len(), 4, "GAT layer expects [W, a_l, a_r, b]");
-    let x = tape.matmul(h, params[0]);
-    let al = tape.block_rowsum(tape.mul_row(x, params[1]), heads);
-    let ar = tape.block_rowsum(tape.mul_row(x, params[2]), heads);
+    let x = w.matmul(tape, h, 0);
+    let al = tape.block_rowsum(tape.mul_row(x, w.full(tape, 1)), heads);
+    let ar = tape.block_rowsum(tape.mul_row(x, w.full(tape, 2)), heads);
     let agg = tape.gat_aggregate(idx, x, al, ar, heads, negative_slope);
-    tape.add_bias(agg, params[3])
+    tape.add_bias(agg, w.full(tape, 3))
 }
 
 #[cfg(test)]
@@ -76,7 +76,7 @@ mod tests {
     }
 
     #[test]
-    fn forward_shape() {
+    fn layer_output_shape() {
         let g = ring(6);
         let cfg = ModelConfig::gat(5, 4)
             .with_hidden(3)
@@ -91,7 +91,7 @@ mod tests {
         let vars = ParamVars::register(&tape, &params, true);
         let x = tape.constant(Tensor::randn(6, 5, 1.0, &mut rng));
         let idx = g.edge_index();
-        let y = forward_layer(&tape, &idx, x, &vars.layers[0], cfg.layer_heads(0), 0.2);
+        let y = layer(&tape, &idx, x, &vars.layers[0], cfg.layer_heads(0), 0.2);
         assert_eq!(tape.value(y).rows(), 6);
         assert_eq!(tape.value(y).cols(), 4);
     }
@@ -111,7 +111,7 @@ mod tests {
         let vars = ParamVars::register(&tape, &params, true);
         let x = tape.constant(Tensor::randn(5, 4, 1.0, &mut rng));
         let idx = g.edge_index();
-        let y = forward_layer(&tape, &idx, x, &vars.layers[0], 2, 0.2);
+        let y = layer(&tape, &idx, x, &vars.layers[0], 2, 0.2);
         let loss = tape.sum(tape.mul(y, y));
         let grads = tape.backward(loss);
         for (i, name) in ["W", "a_l", "a_r", "b"].iter().enumerate() {
@@ -138,7 +138,7 @@ mod tests {
         let vars = ParamVars::register(&tape, &params, false);
         let x = tape.constant(Tensor::full(8, 3, 0.7));
         let idx = g.edge_index();
-        let y = tape.value(forward_layer(&tape, &idx, x, &vars.layers[0], 2, 0.2));
+        let y = tape.value(layer(&tape, &idx, x, &vars.layers[0], 2, 0.2));
         for r in 1..8 {
             for c in 0..y.cols() {
                 assert!((y.get(r, c) - y.get(0, c)).abs() < 1e-4);

@@ -1,11 +1,10 @@
 //! Graph Convolutional Network layer (Kipf & Welling 2017).
 //!
 //! `H' = Â H W + b` with `Â = D̃^{-1/2}(A+I)D̃^{-1/2}` prepared once per
-//! graph by [`soup_graph::CsrGraph::gcn_norm`]. The dense transform runs
-//! first (`(HW)` is `n×out`, usually narrower than `H`), then the sparse
-//! propagation.
+//! graph by [`soup_graph::CsrGraph::gcn_norm`].
 
 use crate::config::ModelConfig;
+use crate::model::LayerWeights;
 use crate::params::LayerParams;
 use soup_tensor::init::{xavier_normal, zeros_bias};
 use soup_tensor::ops::SparseMat;
@@ -21,24 +20,24 @@ pub fn init_layer(cfg: &ModelConfig, l: usize, rng: &mut SplitMix64) -> LayerPar
     }
 }
 
-/// One GCN layer forward.
-pub fn forward_layer(tape: &Tape, adj: &SparseMat, h: Var, params: &[Var]) -> Var {
-    debug_assert_eq!(params.len(), 2, "GCN layer expects [W, b]");
-    let hw = tape.matmul(h, params[0]);
-    let agg = tape.spmm(adj, hw);
-    tape.add_bias(agg, params[1])
-}
-
-/// One GCN layer forward with the propagation already applied
-/// (`agg = Â·H`). Used by the eval-mode aggregate-first path, where the
-/// first hop is weight-independent and may come from a
-/// [`crate::cache::PropCache`]. `Â(HW) = (ÂH)W` exactly in linear
-/// algebra, but not bitwise in f32 — so cached and uncached eval both go
-/// through this aggregate-first ordering.
-pub fn forward_layer_preagg(tape: &Tape, agg: Var, params: &[Var]) -> Var {
-    debug_assert_eq!(params.len(), 2, "GCN layer expects [W, b]");
-    let out = tape.matmul(agg, params[0]);
-    tape.add_bias(out, params[1])
+/// One GCN layer forward. With `agg = None` the dense transform runs first
+/// (`Â(HW)`: `HW` is `n×out`, usually narrower than `H`); with the
+/// propagation already applied (`agg = Â·H`, the eval-mode first hop,
+/// possibly from a [`crate::cache::PropCache`]) it is `(ÂH)W`. The two are
+/// equal in linear algebra but not bitwise in f32, so cached and uncached
+/// eval both take the aggregate-first order.
+pub(crate) fn layer(
+    tape: &Tape,
+    adj: &SparseMat,
+    h: Var,
+    agg: Option<Var>,
+    w: &impl LayerWeights,
+) -> Var {
+    let out = match agg {
+        Some(agg) => w.matmul(tape, agg, 0),
+        None => tape.spmm(adj, w.matmul(tape, h, 0)),
+    };
+    tape.add_bias(out, w.full(tape, 1))
 }
 
 #[cfg(test)]
@@ -66,7 +65,7 @@ mod tests {
     }
 
     #[test]
-    fn forward_output_shape() {
+    fn layer_output_shape() {
         let (g, cfg) = setup();
         let mut rng = SplitMix64::new(2);
         let params = ParamSet {
@@ -76,7 +75,7 @@ mod tests {
         let vars = ParamVars::register(&tape, &params, true);
         let x = tape.constant(Tensor::randn(4, 3, 1.0, &mut rng));
         let adj = g.gcn_norm();
-        let y = forward_layer(&tape, &adj, x, &vars.layers[0]);
+        let y = layer(&tape, &adj, x, None, &vars.layers[0]);
         let yv = tape.value(y);
         assert_eq!(yv.rows(), 4);
         assert_eq!(yv.cols(), 2);
@@ -92,7 +91,7 @@ mod tests {
         let w = tape.param(Tensor::eye(2));
         let b = tape.param(Tensor::zeros(1, 2));
         let x = tape.constant(Tensor::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]));
-        let y = forward_layer(&tape, &g.gcn_norm(), x, &[w, b]);
+        let y = layer(&tape, &g.gcn_norm(), x, None, &vec![w, b]);
         let yv = tape.value(y);
         // Â for the single edge graph: all entries 1/2.
         assert!((yv.get(0, 0) - 0.5).abs() < 1e-5);
@@ -110,7 +109,7 @@ mod tests {
         let tape = Tape::new();
         let vars = ParamVars::register(&tape, &params, true);
         let x = tape.constant(Tensor::randn(4, 3, 1.0, &mut rng));
-        let y = forward_layer(&tape, &g.gcn_norm(), x, &vars.layers[0]);
+        let y = layer(&tape, &g.gcn_norm(), x, None, &vars.layers[0]);
         let loss = tape.sum(tape.mul(y, y));
         let grads = tape.backward(loss);
         assert!(grads.get(vars.layers[0][0]).is_some(), "no grad for W");

@@ -2,11 +2,12 @@
 //! architecture beyond the paper's three, included because Graph Ladling
 //! (the paper's baseline work) evaluates GIN and souping should transfer.
 //!
-//! `h' = MLP((1 + ε)·h_v + Σ_{u∈N(v)} h_u)` with a 2-layer ReLU MLP and a
-//! fixed ε from the model config (GIN-ε with non-learned ε; GIN-0 when
-//! ε = 0).
+//! `h' = MLP((1 + ε)·h_v + Σ_{u∈N(v)} h_u)` with a 2-layer ReLU MLP. The
+//! model runs GIN-0: ε is the fixed `EPSILON` = 0, not a config field and
+//! not learned.
 
 use crate::config::ModelConfig;
+use crate::model::LayerWeights;
 use crate::params::LayerParams;
 use soup_tensor::init::{xavier_normal, zeros_bias};
 use soup_tensor::ops::SparseMat;
@@ -27,20 +28,24 @@ pub fn init_layer(cfg: &ModelConfig, l: usize, rng: &mut SplitMix64) -> LayerPar
     }
 }
 
-/// One GIN layer forward. `sum` is the plain adjacency operator.
-pub fn forward_layer(tape: &Tape, sum: &SparseMat, h: Var, params: &[Var], epsilon: f32) -> Var {
-    let agg = tape.spmm(sum, h);
-    forward_layer_preagg(tape, h, agg, params, epsilon)
-}
+/// GIN-0's ε: fixed, not learned.
+pub(crate) const EPSILON: f32 = 0.0;
 
-/// One GIN layer forward with the neighbor sum `agg = A·H` already
-/// computed (possibly by a [`crate::cache::PropCache`]).
-pub fn forward_layer_preagg(tape: &Tape, h: Var, agg: Var, params: &[Var], epsilon: f32) -> Var {
-    debug_assert_eq!(params.len(), 4, "GIN layer expects [W1, b1, W2, b2]");
-    let self_term = tape.scale(h, 1.0 + epsilon);
-    let combined = tape.add(self_term, agg);
-    let hidden = tape.relu(tape.add_bias(tape.matmul(combined, params[0]), params[1]));
-    tape.add_bias(tape.matmul(hidden, params[2]), params[3])
+/// One GIN layer forward. `sum` is the plain adjacency operator; `agg`,
+/// when given, is the neighbor sum `A·H` already computed (possibly by a
+/// [`crate::cache::PropCache`]).
+pub(crate) fn layer(
+    tape: &Tape,
+    sum: &SparseMat,
+    h: Var,
+    agg: Option<Var>,
+    w: &impl LayerWeights,
+    epsilon: f32,
+) -> Var {
+    let agg = agg.unwrap_or_else(|| tape.spmm(sum, h));
+    let combined = tape.add(tape.scale(h, 1.0 + epsilon), agg);
+    let hidden = tape.relu(tape.add_bias(w.matmul(tape, combined, 0), w.full(tape, 1)));
+    tape.add_bias(w.matmul(tape, hidden, 2), w.full(tape, 3))
 }
 
 #[cfg(test)]
@@ -63,7 +68,7 @@ mod tests {
     }
 
     #[test]
-    fn forward_shape_and_grads() {
+    fn layer_shape_and_grads() {
         let g = CsrGraph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
         let cfg = ModelConfig::gin(4, 3).with_layers(1);
         let mut rng = SplitMix64::new(2);
@@ -73,7 +78,7 @@ mod tests {
         let tape = Tape::new();
         let vars = ParamVars::register(&tape, &params, true);
         let x = tape.constant(Tensor::randn(5, 4, 1.0, &mut rng));
-        let y = forward_layer(&tape, &g.sum_agg(), x, &vars.layers[0], 0.0);
+        let y = layer(&tape, &g.sum_agg(), x, None, &vars.layers[0], EPSILON);
         assert_eq!(tape.value(y).rows(), 5);
         assert_eq!(tape.value(y).cols(), 3);
         let loss = tape.sum(tape.mul(y, y));
@@ -93,9 +98,9 @@ mod tests {
         let w2 = tape.param(Tensor::eye(1));
         let b2 = tape.param(Tensor::zeros(1, 1));
         let x = tape.constant(Tensor::scalar(2.0));
-        let params = [w1, b1, w2, b2];
-        let y0 = tape.value(forward_layer(&tape, &g.sum_agg(), x, &params, 0.0));
-        let y1 = tape.value(forward_layer(&tape, &g.sum_agg(), x, &params, 0.5));
+        let params = vec![w1, b1, w2, b2];
+        let y0 = tape.value(layer(&tape, &g.sum_agg(), x, None, &params, EPSILON));
+        let y1 = tape.value(layer(&tape, &g.sum_agg(), x, None, &params, 0.5));
         assert!((y0.item() - 2.0).abs() < 1e-6);
         assert!((y1.item() - 3.0).abs() < 1e-6);
     }

@@ -1,19 +1,23 @@
 //! # soup-gnn
 //!
-//! The three GNN architectures the paper evaluates (§IV-A) — GCN (Kipf &
-//! Welling), GraphSAGE (Hamilton et al.) and GAT (Veličković et al.) —
-//! implemented on the `soup-tensor` autograd tape, plus the ingredient
-//! training loop of Phase 1 (full-batch and sampled-minibatch) and
-//! evaluation helpers.
+//! Four GNN architectures on the `soup-tensor` autograd tape: the three the
+//! paper evaluates (§IV-A) — GCN (Kipf & Welling), GraphSAGE (Hamilton et
+//! al.) and GAT (Veličković et al.) — plus GIN (Xu et al.), with the
+//! ingredient training loop of Phase 1 (full-batch and sampled-minibatch),
+//! evaluation helpers and post-soup int8/bf16 quantization.
 //!
 //! Architecture notes:
 //! - Parameters live in a [`params::ParamSet`]: a list of named layers,
 //!   each a list of tensors. The *layer* granularity is what Learned
 //!   Souping's per-layer interpolation parameters α_i^l attach to (Eq. 3).
-//! - Forward passes are architecture-dispatched through
-//!   [`model::forward`] over a prepared propagation operator
-//!   ([`model::PropOps`]), so the same code path serves full graphs,
-//!   PLS partition-union subgraphs and sampled minibatch subgraphs.
+//! - There is one forward, [`model::forward`]: it dispatches to one layer
+//!   function per architecture over a prepared propagation operator
+//!   ([`model::PropOps`]), so the same code serves full graphs, PLS
+//!   partition-union subgraphs and sampled minibatch subgraphs. It is
+//!   generic over [`model::LayerWeights`] — tape variables for training and
+//!   f32 evaluation, a [`quant::QuantParamSet`]'s layers for int8/bf16
+//!   inference — and takes an optional [`PropCache`] for the eval-mode
+//!   first hop.
 
 pub mod cache;
 pub mod checkpoint;
@@ -36,12 +40,10 @@ pub use checkpoint::{
 };
 pub use config::{Arch, ModelConfig};
 pub use eval::{
-    evaluate_accuracy, evaluate_accuracy_cached, predict, predict_cached, validation_loss,
-    validation_loss_cached,
+    evaluate_accuracy, evaluate_accuracy_cached, evaluate_accuracy_quant, predict, predict_cached,
+    predict_quant,
 };
-pub use model::{forward, forward_cached, init_params, PropOps};
+pub use model::{forward, init_params, PropOps};
 pub use params::{ParamSet, ParamVars};
-pub use quant::{
-    evaluate_accuracy_quant, forward_quant, predict_quant, QuantLayer, QuantParamSet, QuantSlot,
-};
+pub use quant::QuantParamSet;
 pub use train::{train_single, TrainConfig, TrainedModel};

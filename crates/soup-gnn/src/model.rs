@@ -1,9 +1,10 @@
 //! Architecture dispatch: parameter initialisation, propagation-operator
-//! preparation, and the full multi-layer forward pass.
+//! preparation, and the one multi-layer forward pass, generic over what a
+//! layer's weight slots are ([`LayerWeights`]).
 
 use crate::cache::PropCache;
 use crate::config::{Arch, ModelConfig};
-use crate::params::{ParamSet, ParamVars};
+use crate::params::ParamSet;
 use crate::{gat, gcn, gin, sage};
 use soup_graph::CsrGraph;
 use soup_tensor::ops::{EdgeIndex, SparseMat};
@@ -32,6 +33,15 @@ impl PropOps {
         }
     }
 
+    /// The weight-independent first-hop operator (`Â`, `D⁻¹A`, `A`), or
+    /// `None` for GAT, whose attention coefficients depend on the weights.
+    pub(crate) fn propagation(&self) -> Option<&SparseMat> {
+        match self {
+            PropOps::Gcn(m) | PropOps::Sage(m) | PropOps::Gin(m) => Some(m),
+            PropOps::Gat(_) => None,
+        }
+    }
+
     pub fn num_nodes(&self) -> usize {
         match self {
             PropOps::Gcn(m) | PropOps::Sage(m) | PropOps::Gin(m) => m.rows(),
@@ -53,75 +63,77 @@ pub fn init_params(cfg: &ModelConfig, rng: &mut SplitMix64) -> ParamSet {
     ParamSet { layers }
 }
 
-/// Full forward pass producing logits `(n, out_dim)`.
-///
-/// Dropout is applied to each layer's input when `training`; hidden
-/// activations are ReLU for GCN/GraphSAGE and ELU for GAT (the original
-/// papers' choices).
-pub fn forward(
-    tape: &Tape,
-    cfg: &ModelConfig,
-    ops: &PropOps,
-    x: Var,
-    params: &ParamVars,
-    training: bool,
-    rng: &mut SplitMix64,
-) -> Var {
-    forward_cached(tape, cfg, ops, None, x, params, training, rng)
+/// What one layer's parameter slots are: tape variables (training and f32
+/// evaluation) or a [`crate::quant::QuantParamSet`] layer (int8/bf16
+/// inference). The layer functions ask only for these two operations, so one
+/// forward serves every backend.
+pub trait LayerWeights {
+    /// `x · W`, with `W` the weight matrix in `slot`.
+    fn matmul(&self, tape: &Tape, x: Var, slot: usize) -> Var;
+    /// The f32 tensor in `slot` (bias, attention vector) as a tape variable.
+    fn full(&self, tape: &Tape, slot: usize) -> Var;
 }
 
-/// [`forward`] with an optional [`PropCache`] supplying the eval-mode
-/// first-hop aggregation.
+impl LayerWeights for Vec<Var> {
+    fn matmul(&self, tape: &Tape, x: Var, slot: usize) -> Var {
+        tape.matmul(x, self[slot])
+    }
+
+    fn full(&self, _tape: &Tape, slot: usize) -> Var {
+        self[slot]
+    }
+}
+
+/// Full forward pass producing logits `(n, out_dim)` — the one forward that
+/// training, cached evaluation and quantized inference all run.
+///
+/// Dropout is applied to each layer's input when `training`; hidden
+/// activations are ReLU for GCN/GraphSAGE/GIN and ELU for GAT (the original
+/// papers' choices).
 ///
 /// In eval mode (no dropout, so the layer-0 input *is* the raw feature
 /// tensor) GCN/SAGE/GIN run layer 0 aggregate-first: the weight-independent
-/// `op·X` is taken from the cache when one is provided, or computed by the
+/// `op·X` is taken from `cache` when one is provided, or computed by the
 /// same `spmm` op otherwise — the two are bit-identical because
 /// [`PropCache::new`] calls the exact kernel `spmm`'s forward uses. GAT's
 /// first hop is weight-dependent and always recomputes. In training mode
 /// the cache is ignored entirely (dropout perturbs the layer-0 input).
 #[allow(clippy::too_many_arguments)]
-pub fn forward_cached(
+pub fn forward<W: LayerWeights>(
     tape: &Tape,
     cfg: &ModelConfig,
     ops: &PropOps,
     cache: Option<&PropCache>,
     x: Var,
-    params: &ParamVars,
+    layers: &[W],
     training: bool,
     rng: &mut SplitMix64,
 ) -> Var {
-    assert_eq!(
-        params.layers.len(),
-        cfg.layers,
-        "param layer count mismatch"
-    );
+    assert_eq!(layers.len(), cfg.layers, "param layer count mismatch");
     let mut h = x;
-    for l in 0..cfg.layers {
+    for (l, w) in layers.iter().enumerate() {
         h = tape.dropout(h, cfg.dropout, training, rng);
-        h = if l == 0 && !training && cfg.arch != Arch::Gat {
-            eval_first_hop(tape, cfg, ops, cache, h, &params.layers[0])
-        } else {
-            match (ops, cfg.arch) {
-                (PropOps::Gcn(adj), Arch::Gcn) => {
-                    gcn::forward_layer(tape, adj, h, &params.layers[l])
+        let agg = match ops.propagation() {
+            Some(m) if l == 0 && !training => Some(match cache {
+                Some(c) => {
+                    let a = c
+                        .cached_agg()
+                        .expect("PropCache built for a cacheable architecture");
+                    c.record_hit();
+                    tape.constant(a.clone())
                 }
-                (PropOps::Sage(mean), Arch::Sage) => {
-                    sage::forward_layer(tape, mean, h, &params.layers[l])
-                }
-                (PropOps::Gat(idx), Arch::Gat) => gat::forward_layer(
-                    tape,
-                    idx,
-                    h,
-                    &params.layers[l],
-                    cfg.layer_heads(l),
-                    cfg.negative_slope,
-                ),
-                (PropOps::Gin(sum), Arch::Gin) => {
-                    gin::forward_layer(tape, sum, h, &params.layers[l], 0.0)
-                }
-                _ => panic!("PropOps does not match architecture {:?}", cfg.arch),
+                None => tape.spmm(m, h),
+            }),
+            _ => None,
+        };
+        h = match (ops, cfg.arch) {
+            (PropOps::Gcn(adj), Arch::Gcn) => gcn::layer(tape, adj, h, agg, w),
+            (PropOps::Sage(mean), Arch::Sage) => sage::layer(tape, mean, h, agg, w),
+            (PropOps::Gat(idx), Arch::Gat) => {
+                gat::layer(tape, idx, h, w, cfg.layer_heads(l), cfg.negative_slope)
             }
+            (PropOps::Gin(sum), Arch::Gin) => gin::layer(tape, sum, h, agg, w, gin::EPSILON),
+            _ => panic!("PropOps does not match architecture {:?}", cfg.arch),
         };
         if l + 1 < cfg.layers {
             h = match cfg.arch {
@@ -139,42 +151,10 @@ pub fn forward_cached(
     h
 }
 
-/// Eval-mode layer 0 for the cacheable architectures, aggregate-first.
-fn eval_first_hop(
-    tape: &Tape,
-    cfg: &ModelConfig,
-    ops: &PropOps,
-    cache: Option<&PropCache>,
-    h: Var,
-    layer: &[Var],
-) -> Var {
-    let m = match (ops, cfg.arch) {
-        (PropOps::Gcn(m), Arch::Gcn)
-        | (PropOps::Sage(m), Arch::Sage)
-        | (PropOps::Gin(m), Arch::Gin) => m,
-        _ => panic!("PropOps does not match architecture {:?}", cfg.arch),
-    };
-    let agg = match cache {
-        Some(c) => {
-            let a = c
-                .cached_agg()
-                .expect("PropCache built for a cacheable architecture");
-            c.record_hit();
-            tape.constant(a.clone())
-        }
-        None => tape.spmm(m, h),
-    };
-    match cfg.arch {
-        Arch::Gcn => gcn::forward_layer_preagg(tape, agg, layer),
-        Arch::Sage => sage::forward_layer_preagg(tape, h, agg, layer),
-        Arch::Gin => gin::forward_layer_preagg(tape, h, agg, layer, 0.0),
-        Arch::Gat => unreachable!("GAT never takes the cached first-hop path"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::ParamVars;
     use soup_tensor::Tensor;
 
     fn toy_graph() -> CsrGraph {
@@ -190,7 +170,7 @@ mod tests {
         let vars = ParamVars::register(&tape, &params, true);
         let x = tape.constant(Tensor::randn(6, cfg.in_dim, 1.0, &mut rng));
         let mut drng = SplitMix64::new(seed).derive(99);
-        let y = forward(&tape, cfg, &ops, x, &vars, training, &mut drng);
+        let y = forward(&tape, cfg, &ops, None, x, &vars.layers, training, &mut drng);
         tape.value(y)
     }
 
@@ -260,6 +240,6 @@ mod tests {
         let tape = Tape::new();
         let vars = ParamVars::register(&tape, &params, true);
         let x = tape.constant(Tensor::randn(6, 4, 1.0, &mut rng));
-        forward(&tape, &cfg, &ops, x, &vars, false, &mut rng);
+        forward(&tape, &cfg, &ops, None, x, &vars.layers, false, &mut rng);
     }
 }

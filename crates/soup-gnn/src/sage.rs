@@ -5,6 +5,7 @@
 //! transform, so isolated nodes degrade gracefully to a self-transform.
 
 use crate::config::ModelConfig;
+use crate::model::LayerWeights;
 use crate::params::LayerParams;
 use soup_tensor::init::{xavier_normal, zeros_bias};
 use soup_tensor::ops::SparseMat;
@@ -20,19 +21,19 @@ pub fn init_layer(cfg: &ModelConfig, l: usize, rng: &mut SplitMix64) -> LayerPar
     }
 }
 
-/// One GraphSAGE layer forward. `mean` is the `D^{-1}A` operator.
-pub fn forward_layer(tape: &Tape, mean: &SparseMat, h: Var, params: &[Var]) -> Var {
-    let agg = tape.spmm(mean, h);
-    forward_layer_preagg(tape, h, agg, params)
-}
-
-/// One GraphSAGE layer forward with the neighbor mean `agg = D^{-1}A·H`
-/// already computed (possibly by a [`crate::cache::PropCache`]).
-pub fn forward_layer_preagg(tape: &Tape, h: Var, agg: Var, params: &[Var]) -> Var {
-    debug_assert_eq!(params.len(), 2, "SAGE layer expects [W, b]");
+/// One GraphSAGE layer forward. `mean` is the `D^{-1}A` operator; `agg`,
+/// when given, is the neighbor mean `D^{-1}A·H` already computed (possibly
+/// by a [`crate::cache::PropCache`]).
+pub(crate) fn layer(
+    tape: &Tape,
+    mean: &SparseMat,
+    h: Var,
+    agg: Option<Var>,
+    w: &impl LayerWeights,
+) -> Var {
+    let agg = agg.unwrap_or_else(|| tape.spmm(mean, h));
     let cat = tape.concat_cols(h, agg);
-    let out = tape.matmul(cat, params[0]);
-    tape.add_bias(out, params[1])
+    tape.add_bias(w.matmul(tape, cat, 0), w.full(tape, 1))
 }
 
 #[cfg(test)]
@@ -52,7 +53,7 @@ mod tests {
     }
 
     #[test]
-    fn forward_shape_and_grads() {
+    fn layer_shape_and_grads() {
         let g = CsrGraph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
         let cfg = ModelConfig::sage(4, 3).with_layers(1);
         let mut rng = SplitMix64::new(2);
@@ -62,7 +63,7 @@ mod tests {
         let tape = Tape::new();
         let vars = ParamVars::register(&tape, &params, true);
         let x = tape.constant(Tensor::randn(5, 4, 1.0, &mut rng));
-        let y = forward_layer(&tape, &g.mean_agg(), x, &vars.layers[0]);
+        let y = layer(&tape, &g.mean_agg(), x, None, &vars.layers[0]);
         assert_eq!(tape.value(y).rows(), 5);
         assert_eq!(tape.value(y).cols(), 3);
         let loss = tape.sum(tape.mul(y, y));
@@ -85,7 +86,7 @@ mod tests {
         let w = tape.param(Tensor::from_vec(4, 2, wdata));
         let b = tape.param(Tensor::zeros(1, 2));
         let x = tape.constant(Tensor::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]));
-        let y = tape.value(forward_layer(&tape, &g.mean_agg(), x, &[w, b]));
+        let y = tape.value(layer(&tape, &g.mean_agg(), x, None, &vec![w, b]));
         // Node 0: self (1,2) + neighbor 1 (3,4) -> (4,6).
         assert_eq!(y.row(0), &[4.0, 6.0]);
         // Node 2: self only.

@@ -172,7 +172,8 @@ pub fn train_single(
                 let set = rebuild(&params);
                 let vars = ParamVars::register(&tape, &set, true);
                 let x = tape.constant(dataset.features.clone());
-                let logits = forward(&tape, cfg, &full_ops, x, &vars, true, &mut drop_rng);
+                let layers = &vars.layers;
+                let logits = forward(&tape, cfg, &full_ops, None, x, layers, true, &mut drop_rng);
                 let loss =
                     tape.cross_entropy_masked(logits, &dataset.labels, &dataset.splits.train);
                 epoch_loss = tape.value(loss).data()[0] as f64;
@@ -196,7 +197,9 @@ pub fn train_single(
                     let set = rebuild(&params);
                     let vars = ParamVars::register(&tape, &set, true);
                     let x = tape.constant(sub_x);
-                    let logits = forward(&tape, cfg, &sub_ops, x, &vars, true, &mut drop_rng);
+                    let layers = &vars.layers;
+                    let logits =
+                        forward(&tape, cfg, &sub_ops, None, x, layers, true, &mut drop_rng);
                     let loss = tape.cross_entropy_masked(logits, &sub_labels, &sampled.seeds_local);
                     epoch_loss += tape.value(loss).data()[0] as f64;
                     batches += 1;

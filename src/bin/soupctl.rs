@@ -762,7 +762,7 @@ fn quant_check(
     params: &ParamSet,
     f32_acc: f64,
 ) -> Result<()> {
-    use enhanced_soups::gnn::quant::{evaluate_accuracy_quant, QuantParamSet};
+    use enhanced_soups::gnn::{evaluate_accuracy_quant, QuantParamSet};
     let ops = PropOps::prepare(cfg.arch, &dataset.graph);
     for kind in [QuantKind::Int8, QuantKind::Bf16] {
         let qp = QuantParamSet::quantize(cfg, params, kind);

@@ -2,13 +2,15 @@
 //! bit-identity across architectures, PLS subgraph memoisation equivalence
 //! through the public facade, and the Phase-1→Phase-2 pool-trim ledger.
 
+use enhanced_soups::gnn::model::LayerWeights;
 use enhanced_soups::gnn::{
-    evaluate_accuracy, evaluate_accuracy_cached, init_params, predict, predict_cached,
-    validation_loss, validation_loss_cached, PropCache, PropOps,
+    evaluate_accuracy, evaluate_accuracy_cached, forward, init_params, predict, predict_cached,
+    predict_quant, ParamVars, PropCache, PropOps, QuantParamSet,
 };
 use enhanced_soups::prelude::*;
 use enhanced_soups::soup::LearnedHyper;
-use enhanced_soups::tensor::{pool, DEVICE_MEMORY};
+use enhanced_soups::tensor::quant::QuantKind;
+use enhanced_soups::tensor::{pool, Tape, DEVICE_MEMORY};
 use std::sync::Mutex;
 
 /// The workspace pool, the device-memory meter and the obs counters are all
@@ -20,10 +22,26 @@ fn counter(name: &str) -> u64 {
     enhanced_soups::obs::registry::counter(name).get()
 }
 
+/// Eval-mode logits through the one public forward, as raw bit patterns.
+fn logit_bits<W: LayerWeights>(
+    tape: &Tape,
+    cfg: &ModelConfig,
+    ops: &PropOps,
+    cache: Option<&PropCache>,
+    layers: &[W],
+    features: &Tensor,
+) -> Vec<u32> {
+    let x = tape.constant(features.clone());
+    let mut no_rng = SplitMix64::new(0);
+    let y = forward(tape, cfg, ops, cache, x, layers, false, &mut no_rng);
+    tape.value(y).data().iter().map(|v| v.to_bits()).collect()
+}
+
 /// Cached evaluation must replay the exact bytes of the uncached forward on
-/// every architecture with a weight-independent first hop, and degrade to a
-/// transparent no-op on GAT (whose attention coefficients depend on the
-/// parameters, so there is nothing weight-independent to cache).
+/// every architecture with a weight-independent first hop — for f32, int8
+/// and bf16 weights alike — and degrade to a transparent no-op on GAT (whose
+/// attention coefficients depend on the parameters, so there is nothing
+/// weight-independent to cache).
 #[test]
 fn cached_evaluation_is_bit_identical_across_architectures() {
     let _serial = SERIAL.lock().unwrap();
@@ -35,35 +53,54 @@ fn cached_evaluation_is_bit_identical_across_architectures() {
         ModelConfig::gin(dataset.num_features(), dataset.num_classes()).with_hidden(12),
         ModelConfig::gat(dataset.num_features(), dataset.num_classes()).with_hidden(12),
     ];
+    let features = &dataset.features;
     for cfg in &configs {
-        let ops = PropOps::prepare(cfg.arch, &dataset.graph);
-        let cache = PropCache::new(&ops, &dataset.features);
-        if matches!(cfg.arch, Arch::Gat) {
+        let arch = cfg.arch;
+        let ops = PropOps::prepare(arch, &dataset.graph);
+        let cache = PropCache::new(&ops, features);
+        if matches!(arch, Arch::Gat) {
             assert!(cache.cached_agg().is_none(), "GAT must not cache a hop");
         } else {
-            assert!(cache.cached_agg().is_some(), "{:?} must cache", cfg.arch);
+            assert!(cache.cached_agg().is_some(), "{arch:?} must cache");
         }
         // Several candidate parameter sets, as a souping loop would probe.
         for seed in [1u64, 2, 3] {
             let mut rng = SplitMix64::new(seed);
             let params = init_params(cfg, &mut rng);
-            let preds = predict(cfg, &ops, &params, &dataset.features);
+            let preds = predict(cfg, &ops, &params, features);
             let preds_cached = predict_cached(cfg, &ops, &cache, &params);
-            assert_eq!(preds, preds_cached, "{:?} predictions diverge", cfg.arch);
-            let acc =
-                evaluate_accuracy(cfg, &ops, &params, &dataset.features, &dataset.labels, val);
+            assert_eq!(preds, preds_cached, "{arch:?} predictions diverge");
+            let acc = evaluate_accuracy(cfg, &ops, &params, features, &dataset.labels, val);
             let acc_cached =
                 evaluate_accuracy_cached(cfg, &ops, &cache, &params, &dataset.labels, val);
-            assert_eq!(acc, acc_cached, "{:?} accuracy diverges", cfg.arch);
-            // Loss goes through the full logits, so float equality here is
-            // the strictest bitwise check the public API exposes.
-            let loss = validation_loss(cfg, &ops, &params, &dataset.features, &dataset.labels, val);
-            let loss_cached =
-                validation_loss_cached(cfg, &ops, &cache, &params, &dataset.labels, val);
-            assert_eq!(loss.to_bits(), loss_cached.to_bits(), "{:?} loss", cfg.arch);
+            assert_eq!(acc, acc_cached, "{arch:?} accuracy diverges");
+            // The logits bytes themselves: the strictest check there is.
+            let f32_bits = |cache| {
+                let tape = Tape::new();
+                let vars = ParamVars::register(&tape, &params, false);
+                logit_bits(&tape, cfg, &ops, cache, &vars.layers, features)
+            };
+            assert_eq!(
+                f32_bits(None),
+                f32_bits(Some(&cache)),
+                "{arch:?} f32 logits"
+            );
+            for kind in [QuantKind::Int8, QuantKind::Bf16] {
+                let q = QuantParamSet::quantize(cfg, &params, kind);
+                assert_eq!(
+                    predict_quant(cfg, &ops, None, &q, features),
+                    predict_quant(cfg, &ops, Some(&cache), &q, features),
+                    "{arch:?} {kind} predictions diverge"
+                );
+                let q_bits =
+                    |cache| logit_bits(&Tape::new(), cfg, &ops, cache, q.layers(), features);
+                assert_eq!(q_bits(None), q_bits(Some(&cache)), "{arch:?} {kind} logits");
+            }
         }
-        if !matches!(cfg.arch, Arch::Gat) {
-            assert!(cache.hits() > 0, "{:?} cache never consumed", cfg.arch);
+        if matches!(arch, Arch::Gat) {
+            assert_eq!(cache.hits(), 0, "GAT must not claim cache hits");
+        } else {
+            assert!(cache.hits() > 0, "{arch:?} cache never consumed");
         }
     }
 }

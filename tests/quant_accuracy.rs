@@ -4,8 +4,7 @@
 //! acceptance bound for serving a soup through the int8/bf16 kernels.
 
 use enhanced_soups::gnn::model::PropOps;
-use enhanced_soups::gnn::quant::{evaluate_accuracy_quant, QuantParamSet};
-use enhanced_soups::gnn::{evaluate_accuracy, Arch};
+use enhanced_soups::gnn::{evaluate_accuracy, evaluate_accuracy_quant, Arch, QuantParamSet};
 use enhanced_soups::prelude::*;
 use enhanced_soups::tensor::quant::QuantKind;
 
