@@ -3,9 +3,10 @@
 //! Sharded Phase-1 gives every worker process exclusive ownership of one
 //! contiguous node range of the shard-ordered mmap dataset. Training a
 //! GNN on a shard still needs the *features* of the 1-hop out-of-shard
-//! neighbors ("halo" nodes); this module moves them with the same
-//! length-prefixed frame discipline as `soup-serve::proto` (u32-LE length,
-//! one opcode byte, fixed little-endian payload layout, total decoding):
+//! neighbors ("halo" nodes); this module moves them with the same framing
+//! code as `soup-serve::proto`, `soup_store::frame` (u32-LE length), and
+//! keeps only its opcode table on top (one opcode byte, fixed
+//! little-endian payload layout, total decoding):
 //!
 //! ```text
 //! frame     := len:u32-LE  op:u8  payload[len-1]
@@ -41,12 +42,12 @@
 //! The determinism test in `tests/shard_pipeline.rs` holds the two paths
 //! bit-identical.
 
-use std::io::{Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 
 use soup_error::SoupError;
 use soup_graph::mmap::MmapDataset;
+use soup_store::frame::{write_frame, FrameBuf, Next};
 
 type Result<T> = std::result::Result<T, SoupError>;
 
@@ -68,65 +69,27 @@ pub const OP_RESULT: u8 = 14;
 pub const OP_ACK: u8 = 15;
 pub const OP_HEARTBEAT: u8 = 16;
 
-/// Write one `op + payload` frame.
-pub fn write_frame(w: &mut impl Write, op: u8, payload: &[u8]) -> Result<()> {
-    let len = payload.len() + 1;
-    if len > MAX_FRAME {
-        return Err(SoupError::usage(format!(
-            "halo frame of {len} bytes exceeds MAX_FRAME {MAX_FRAME}"
-        )));
-    }
-    let mut head = [0u8; 5];
-    head[0..4].copy_from_slice(&(len as u32).to_le_bytes());
-    head[4] = op;
-    w.write_all(&head).map_err(SoupError::from)?;
-    w.write_all(payload).map_err(SoupError::from)?;
-    w.flush().map_err(SoupError::from)
+/// Write one frame, the concatenation of `parts`, to a blocking stream.
+pub fn send(w: &mut impl std::io::Write, parts: &[&[u8]]) -> Result<()> {
+    write_frame(w, MAX_FRAME, parts, None)
 }
 
-/// Read one frame; `Ok(None)` on clean EOF at a frame boundary.
-pub fn read_frame(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>> {
-    let mut lenb = [0u8; 4];
-    match r.read_exact(&mut lenb) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(SoupError::from(e)),
-    }
-    let len = u32::from_le_bytes(lenb) as usize;
-    if len == 0 || len > MAX_FRAME {
-        return Err(SoupError::corrupt(format!(
-            "halo frame length {len} outside 1..={MAX_FRAME}"
-        )));
-    }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf).map_err(SoupError::from)?;
-    let op = buf[0];
-    buf.remove(0);
-    Ok(Some((op, buf)))
+/// Split a frame payload into its opcode and body.
+pub fn split_op(payload: &[u8]) -> Result<(u8, &[u8])> {
+    payload
+        .split_first()
+        .map(|(&op, body)| (op, body))
+        .ok_or_else(|| SoupError::corrupt("halo protocol: a frame with no opcode"))
 }
 
-/// A frame that must be present and carry the expected opcode.
-pub fn expect_frame(r: &mut impl Read, want: u8) -> Result<Vec<u8>> {
-    match read_frame(r)? {
-        Some((op, payload)) if op == want => Ok(payload),
-        Some((op, _)) => Err(SoupError::corrupt(format!(
+/// The body of a frame that must carry opcode `want`.
+pub fn expect_op(payload: &[u8], want: u8) -> Result<&[u8]> {
+    match split_op(payload)? {
+        (op, body) if op == want => Ok(body),
+        (op, _) => Err(SoupError::corrupt(format!(
             "halo protocol: expected opcode {want}, got {op}"
         ))),
-        None => Err(SoupError::corrupt(format!(
-            "halo protocol: peer closed while waiting for opcode {want}"
-        ))),
     }
-}
-
-/// `u32` frame payload helper (READY/FETCHED carry the shard ordinal).
-pub fn u32_payload(payload: &[u8]) -> Result<u32> {
-    if payload.len() != 4 {
-        return Err(SoupError::corrupt(format!(
-            "halo protocol: expected 4-byte payload, got {}",
-            payload.len()
-        )));
-    }
-    Ok(u32::from_le_bytes(payload.try_into().unwrap()))
 }
 
 /// Encode the `shard:u32 epoch:u32` prefix carried by every
@@ -138,66 +101,76 @@ pub fn shard_epoch_payload(shard: u32, epoch: u32) -> [u8; 8] {
     p
 }
 
-/// Decode a `shard:u32 epoch:u32` prefix, returning the rest of the
-/// payload (RESULT carries its JSON there; the others carry nothing).
-pub fn parse_shard_epoch(payload: &[u8]) -> Result<(u32, u32, &[u8])> {
-    if payload.len() < 8 {
+/// Decode a worker→coordinator control frame into `(op, shard, epoch,
+/// rest)`; RESULT carries its JSON in `rest`, the others carry nothing.
+pub fn decode_control(payload: &[u8]) -> Result<(u8, u32, u32, &[u8])> {
+    let (op, body) = split_op(payload)?;
+    if body.len() < 8 {
         return Err(SoupError::corrupt(format!(
             "halo protocol: shard+epoch prefix needs 8 bytes, got {}",
-            payload.len()
+            body.len()
         )));
     }
-    let shard = u32::from_le_bytes(payload[0..4].try_into().unwrap());
-    let epoch = u32::from_le_bytes(payload[4..8].try_into().unwrap());
-    Ok((shard, epoch, &payload[8..]))
+    Ok((op, le_u32(body, 0), le_u32(body, 4), &body[8..]))
 }
 
-/// Incremental frame accumulator for nonblocking readers: feed raw bytes
-/// as they arrive off the wire, pop complete frames as they materialise.
-/// The supervisor drives all K control connections off one poll loop with
-/// one of these per connection, so a worker that writes half a frame and
-/// stalls never blocks the loop.
-#[derive(Default)]
-pub struct FrameBuf {
-    buf: Vec<u8>,
+/// FETCH payload: the fetcher's truncated session epoch and global ids.
+pub fn encode_fetch(epoch: u8, ids: &[u32]) -> Vec<u8> {
+    let mut p = Vec::with_capacity(6 + ids.len() * 4);
+    p.extend_from_slice(&[OP_FETCH, epoch]);
+    p.extend_from_slice(&(ids.len() as u32).to_le_bytes());
+    p.extend(ids.iter().flat_map(|id| id.to_le_bytes()));
+    p
 }
 
-impl FrameBuf {
-    pub fn new() -> Self {
-        Self::default()
+/// Decode a FETCH payload into `(epoch, ids)`.
+pub fn decode_fetch(payload: &[u8]) -> Result<(u8, Vec<u32>)> {
+    let body = expect_op(payload, OP_FETCH)?;
+    if body.len() < 5 {
+        return Err(SoupError::corrupt("halo FETCH shorter than its header"));
     }
+    let count = le_u32(body, 1) as usize;
+    if body.len() - 5 != count * 4 {
+        return Err(SoupError::corrupt(format!(
+            "halo FETCH declares {count} ids but carries {} bytes",
+            body.len() - 5
+        )));
+    }
+    let ids = (0..count).map(|i| le_u32(body, 5 + 4 * i)).collect();
+    Ok((body[0], ids))
+}
 
-    /// Append bytes read off the wire.
-    pub fn extend(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
+/// ROWS payload: the echoed epoch, `count × dim`, then the rows' f32s.
+pub fn encode_rows(epoch: u8, dim: usize, rows: &[&[f32]]) -> Vec<u8> {
+    let mut p = Vec::with_capacity(10 + rows.len() * dim * 4);
+    p.extend_from_slice(&[OP_ROWS, epoch]);
+    p.extend_from_slice(&(rows.len() as u32).to_le_bytes());
+    p.extend_from_slice(&(dim as u32).to_le_bytes());
+    rows.iter()
+        .for_each(|r| r.iter().for_each(|x| p.extend_from_slice(&x.to_le_bytes())));
+    p
+}
 
-    /// Bytes buffered but not yet assembled into a frame.
-    pub fn pending(&self) -> usize {
-        self.buf.len()
+/// Decode a ROWS payload into `(epoch, count, dim, row-major values)`.
+pub fn decode_rows(payload: &[u8]) -> Result<(u8, usize, usize, Vec<f32>)> {
+    let body = expect_op(payload, OP_ROWS)?;
+    if body.len() < 9 {
+        return Err(SoupError::corrupt("halo ROWS shorter than its header"));
     }
+    let (count, dim) = (le_u32(body, 1) as usize, le_u32(body, 5) as usize);
+    if Some(body.len() - 9) != count.checked_mul(dim).and_then(|n| n.checked_mul(4)) {
+        return Err(SoupError::corrupt("halo ROWS payload size mismatch"));
+    }
+    let values = body[9..]
+        .chunks_exact(4)
+        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+        .collect();
+    Ok((body[0], count, dim, values))
+}
 
-    /// Pop the next complete frame, `Ok(None)` if more bytes are needed.
-    /// A length outside `1..=MAX_FRAME` poisons the stream permanently —
-    /// there is no way to resynchronise a corrupt length prefix.
-    pub fn pop(&mut self) -> Result<Option<(u8, Vec<u8>)>> {
-        if self.buf.len() < 4 {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes(self.buf[0..4].try_into().unwrap()) as usize;
-        if len == 0 || len > MAX_FRAME {
-            return Err(SoupError::corrupt(format!(
-                "halo frame length {len} outside 1..={MAX_FRAME}"
-            )));
-        }
-        if self.buf.len() < 4 + len {
-            return Ok(None);
-        }
-        let op = self.buf[4];
-        let payload = self.buf[5..4 + len].to_vec();
-        self.buf.drain(0..4 + len);
-        Ok(Some((op, payload)))
-    }
+/// Little-endian `u32` at `at`; callers have checked the length.
+fn le_u32(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]])
 }
 
 /// Socket path of shard `i`'s halo server inside the run directory.
@@ -235,51 +208,28 @@ pub fn serve_halo(
 }
 
 fn serve_halo_conn(
-    stream: UnixStream,
+    mut stream: UnixStream,
     dataset: &MmapDataset,
     owned: std::ops::Range<usize>,
 ) -> Result<()> {
-    let mut reader = std::io::BufReader::new(stream.try_clone().map_err(SoupError::from)?);
-    let mut writer = std::io::BufWriter::new(stream);
+    let mut buf = FrameBuf::new(MAX_FRAME);
     let dim = dataset.feature_dim();
-    while let Some((op, payload)) = read_frame(&mut reader)? {
-        match op {
-            OP_FETCH => {
-                if payload.len() < 5 {
-                    return Err(SoupError::corrupt("halo FETCH shorter than its header"));
-                }
-                let epoch = payload[0];
-                let count = u32::from_le_bytes(payload[1..5].try_into().unwrap()) as usize;
-                if payload.len() != 5 + count * 4 {
-                    return Err(SoupError::corrupt(format!(
-                        "halo FETCH declares {count} ids but carries {} bytes",
-                        payload.len() - 5
-                    )));
-                }
-                let mut resp = Vec::with_capacity(9 + count * dim * 4);
-                resp.push(epoch); // echo the fetcher's session epoch
-                resp.extend_from_slice(&(count as u32).to_le_bytes());
-                resp.extend_from_slice(&(dim as u32).to_le_bytes());
-                for c in payload[5..].chunks_exact(4) {
-                    let id = u32::from_le_bytes(c.try_into().unwrap()) as usize;
-                    if !owned.contains(&id) {
-                        return Err(SoupError::usage(format!(
-                            "halo FETCH for node {id} outside owned range {owned:?}"
-                        )));
-                    }
-                    for &x in dataset.feature_row(id) {
-                        resp.extend_from_slice(&x.to_le_bytes());
-                    }
-                }
-                write_frame(&mut writer, OP_ROWS, &resp)?;
-            }
-            OP_BYE => return Ok(()),
-            other => {
-                return Err(SoupError::corrupt(format!(
-                    "halo server: unexpected opcode {other}"
-                )))
-            }
+    while let Next::Frame(payload) = buf.read_frame(&mut stream, None)? {
+        if split_op(payload)?.0 == OP_BYE {
+            return Ok(());
         }
+        let (epoch, ids) = decode_fetch(payload)?;
+        let mut rows = Vec::with_capacity(ids.len());
+        for id in ids {
+            if !owned.contains(&(id as usize)) {
+                return Err(SoupError::usage(format!(
+                    "halo FETCH for node {id} outside owned range {owned:?}"
+                )));
+            }
+            rows.push(dataset.feature_row(id as usize));
+        }
+        // Echo the fetcher's session epoch.
+        send(&mut stream, &[&encode_rows(epoch, dim, &rows)])?;
     }
     Ok(())
 }
@@ -313,22 +263,15 @@ impl Default for FetchOpts {
 }
 
 struct FetchConn {
-    reader: std::io::BufReader<UnixStream>,
-    writer: std::io::BufWriter<UnixStream>,
+    stream: UnixStream,
+    buf: FrameBuf,
 }
 
 fn connect_fetch(sock: &Path, opts: &FetchOpts) -> Result<FetchConn> {
     let stream = UnixStream::connect(sock).map_err(|e| SoupError::io_at(sock, e))?;
-    stream
-        .set_read_timeout(Some(opts.io_timeout))
-        .map_err(SoupError::from)?;
-    stream
-        .set_write_timeout(Some(opts.io_timeout))
-        .map_err(SoupError::from)?;
-    Ok(FetchConn {
-        reader: std::io::BufReader::new(stream.try_clone().map_err(SoupError::from)?),
-        writer: std::io::BufWriter::new(stream),
-    })
+    stream.set_write_timeout(Some(opts.io_timeout))?;
+    let buf = FrameBuf::new(MAX_FRAME);
+    Ok(FetchConn { stream, buf })
 }
 
 /// One FETCH→ROWS exchange. Rows are stored only after the whole reply
@@ -337,67 +280,42 @@ fn fetch_chunk(
     conn: &mut FetchConn,
     chunk: &[u32],
     dim: usize,
-    epoch: u32,
+    opts: &FetchOpts,
     store_row: &mut impl FnMut(usize, &[f32]),
 ) -> Result<()> {
-    let mut req = Vec::with_capacity(5 + chunk.len() * 4);
-    req.push((epoch & 0xff) as u8);
-    req.extend_from_slice(&(chunk.len() as u32).to_le_bytes());
-    for &id in chunk {
-        req.extend_from_slice(&id.to_le_bytes());
-    }
-    write_frame(&mut conn.writer, OP_FETCH, &req)?;
-    let payload = expect_frame(&mut conn.reader, OP_ROWS)?;
-    if payload.len() < 9 {
-        return Err(SoupError::corrupt("halo ROWS shorter than its header"));
-    }
-    if payload[0] != (epoch & 0xff) as u8 {
+    let epoch = (opts.epoch & 0xff) as u8;
+    let FetchConn { stream, buf } = conn;
+    send(stream, &[&encode_fetch(epoch, chunk)])?;
+    let reply = buf.read_frame(stream, Some(opts.io_timeout))?;
+    let Next::Frame(payload) = reply else {
         return Err(SoupError::corrupt(format!(
-            "halo ROWS from stale session epoch {} (want {})",
-            payload[0],
-            epoch & 0xff
+            "halo: no ROWS reply ({reply:?})"
+        )));
+    };
+    let (got_epoch, count, got_dim, values) = decode_rows(payload)?;
+    if got_epoch != epoch {
+        return Err(SoupError::corrupt(format!(
+            "halo ROWS from stale session epoch {got_epoch} (want {epoch})"
         )));
     }
-    let count = u32::from_le_bytes(payload[1..5].try_into().unwrap()) as usize;
-    let got_dim = u32::from_le_bytes(payload[5..9].try_into().unwrap()) as usize;
     if count != chunk.len() || got_dim != dim {
         return Err(SoupError::corrupt(format!(
             "halo ROWS shape {count}×{got_dim}, expected {}×{dim}",
             chunk.len()
         )));
     }
-    if payload.len() != 9 + count * dim * 4 {
-        return Err(SoupError::corrupt("halo ROWS payload size mismatch"));
-    }
-    let mut row = vec![0f32; dim];
     for (i, &id) in chunk.iter().enumerate() {
-        let base = 9 + i * dim * 4;
-        for (j, x) in row.iter_mut().enumerate() {
-            let off = base + j * 4;
-            *x = f32::from_le_bytes(payload[off..off + 4].try_into().unwrap());
-        }
-        store_row(id as usize, &row);
+        store_row(id as usize, &values[i * dim..(i + 1) * dim]);
     }
     Ok(())
 }
 
 /// Fetch feature rows for `ids` (global, sorted or not) over the socket of
-/// their owning shard, in [`FETCH_CHUNK`]-sized frames with the default
-/// [`FetchOpts`]. Rows are handed to `store_row(id, row)` — the caller
-/// picks the destination layout.
-pub fn fetch_rows_from(
-    sock: &Path,
-    ids: &[u32],
-    dim: usize,
-    store_row: impl FnMut(usize, &[f32]),
-) -> Result<()> {
-    fetch_rows_with(sock, ids, dim, &FetchOpts::default(), store_row)
-}
-
-/// [`fetch_rows_from`] with explicit timeout/retry policy. Each chunk is
-/// retried up to `opts.attempts` times over a fresh connection with
-/// exponential backoff; only `Usage` errors (a fetch outside the owned
-/// range — a deterministic bug) fail fast.
+/// their owning shard, in [`FETCH_CHUNK`]-sized frames. Rows are handed to
+/// `store_row(id, row)` — the caller picks the destination layout. Each
+/// chunk is retried up to `opts.attempts` times over a fresh connection
+/// with exponential backoff; only `Usage` errors (a fetch outside the
+/// owned range — a deterministic bug) fail fast.
 pub fn fetch_rows_with(
     sock: &Path,
     ids: &[u32],
@@ -410,11 +328,11 @@ pub fn fetch_rows_with(
         let mut attempt = 0u32;
         loop {
             let result = match &mut conn {
-                Some(c) => fetch_chunk(c, chunk, dim, opts.epoch, &mut store_row),
+                Some(c) => fetch_chunk(c, chunk, dim, opts, &mut store_row),
                 None => match connect_fetch(sock, opts) {
                     Ok(c) => {
                         let c = conn.insert(c);
-                        fetch_chunk(c, chunk, dim, opts.epoch, &mut store_row)
+                        fetch_chunk(c, chunk, dim, opts, &mut store_row)
                     }
                     Err(e) => Err(e),
                 },
@@ -437,7 +355,7 @@ pub fn fetch_rows_with(
     }
     if let Some(mut c) = conn {
         // Best-effort goodbye; the data already landed.
-        let _ = write_frame(&mut c.writer, OP_BYE, &[]);
+        let _ = send(&mut c.stream, &[&[OP_BYE]]);
     }
     Ok(())
 }
@@ -472,26 +390,29 @@ mod tests {
     }
 
     #[test]
-    fn frames_roundtrip() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, OP_READY, &7u32.to_le_bytes()).unwrap();
-        write_frame(&mut buf, OP_GO, &[]).unwrap();
-        let mut r = &buf[..];
-        let (op, p) = read_frame(&mut r).unwrap().unwrap();
-        assert_eq!((op, u32_payload(&p).unwrap()), (OP_READY, 7));
-        let (op, p) = read_frame(&mut r).unwrap().unwrap();
-        assert_eq!((op, p.len()), (OP_GO, 0));
-        assert!(read_frame(&mut r).unwrap().is_none());
+    fn opcode_table_roundtrips() {
+        let ids = [3u32, 9, 4096];
+        assert_eq!(
+            decode_fetch(&encode_fetch(7, &ids)).unwrap(),
+            (7, ids.to_vec())
+        );
+        let rows: [&[f32]; 2] = [&[1.0, -2.5], &[0.0, f32::MAX]];
+        assert_eq!(
+            decode_rows(&encode_rows(7, 2, &rows)).unwrap(),
+            (7, 2, 2, vec![1.0, -2.5, 0.0, f32::MAX])
+        );
+        let mut wire = Vec::new();
+        send(&mut wire, &[&[OP_GO]]).unwrap();
+        assert_eq!(wire, [1, 0, 0, 0, OP_GO]);
     }
 
     #[test]
-    fn oversized_and_zero_frames_are_corrupt() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&0u32.to_le_bytes());
-        assert_eq!(read_frame(&mut &buf[..]).unwrap_err().kind(), "corrupt");
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&(MAX_FRAME as u32 + 1).to_le_bytes());
-        assert_eq!(read_frame(&mut &buf[..]).unwrap_err().kind(), "corrupt");
+    fn frames_without_an_opcode_or_of_the_wrong_opcode_are_corrupt() {
+        assert_eq!(split_op(&[]).unwrap_err().kind(), "corrupt");
+        assert_eq!(decode_control(&[]).unwrap_err().kind(), "corrupt");
+        let rows = encode_rows(0, 0, &[]);
+        assert_eq!(decode_fetch(&rows).unwrap_err().kind(), "corrupt");
+        assert_eq!(expect_op(&rows, OP_ROWS).unwrap(), &rows[1..]);
     }
 
     #[test]
@@ -509,7 +430,7 @@ mod tests {
 
         let ids: Vec<u32> = (0..n as u32).step_by(7).collect();
         let mut got: std::collections::HashMap<usize, Vec<f32>> = Default::default();
-        fetch_rows_from(&sock, &ids, dim, |id, row| {
+        fetch_rows_with(&sock, &ids, dim, &FetchOpts::default(), |id, row| {
             got.insert(id, row.to_vec());
         })
         .unwrap();
@@ -521,43 +442,17 @@ mod tests {
     }
 
     #[test]
-    fn frame_buf_reassembles_split_frames() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, OP_READY, &shard_epoch_payload(3, 1)).unwrap();
-        write_frame(&mut wire, OP_HEARTBEAT, &shard_epoch_payload(3, 1)).unwrap();
-        // Feed one byte at a time — worst-case fragmentation.
-        let mut fb = FrameBuf::new();
-        let mut got = Vec::new();
-        for &b in &wire {
-            fb.extend(&[b]);
-            while let Some((op, p)) = fb.pop().unwrap() {
-                got.push((op, p));
-            }
-        }
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].0, OP_READY);
-        assert_eq!(got[1].0, OP_HEARTBEAT);
-        let (shard, epoch, rest) = parse_shard_epoch(&got[0].1).unwrap();
-        assert_eq!((shard, epoch), (3, 1));
-        assert!(rest.is_empty());
-        assert_eq!(fb.pending(), 0);
-    }
-
-    #[test]
-    fn frame_buf_rejects_corrupt_length() {
-        let mut fb = FrameBuf::new();
-        fb.extend(&0u32.to_le_bytes());
-        assert_eq!(fb.pop().unwrap_err().kind(), "corrupt");
-    }
-
-    #[test]
-    fn shard_epoch_prefix_roundtrips_with_tail() {
-        let mut p = shard_epoch_payload(7, 42).to_vec();
+    fn control_prefix_roundtrips_with_tail() {
+        let mut p = vec![OP_RESULT];
+        p.extend_from_slice(&shard_epoch_payload(7, 42));
         p.extend_from_slice(b"{\"x\":1}");
-        let (shard, epoch, rest) = parse_shard_epoch(&p).unwrap();
-        assert_eq!((shard, epoch), (7, 42));
+        let (op, shard, epoch, rest) = decode_control(&p).unwrap();
+        assert_eq!((op, shard, epoch), (OP_RESULT, 7, 42));
         assert_eq!(rest, b"{\"x\":1}");
-        assert_eq!(parse_shard_epoch(&[0; 7]).unwrap_err().kind(), "corrupt");
+        assert_eq!(
+            decode_control(&[OP_READY; 8]).unwrap_err().kind(),
+            "corrupt"
+        );
     }
 
     #[test]
@@ -616,7 +511,7 @@ mod tests {
         // Server owns only the first half.
         let _server = serve_halo(listener, std::sync::Arc::clone(&m), 0..m.num_nodes() / 2);
         let bad = vec![(m.num_nodes() - 1) as u32];
-        let err = fetch_rows_from(&sock, &bad, dim, |_, _| {}).unwrap_err();
+        let err = fetch_rows_with(&sock, &bad, dim, &FetchOpts::default(), |_, _| {}).unwrap_err();
         // The server drops the connection; the client sees a protocol error.
         assert!(matches!(err.kind(), "corrupt" | "io"), "{err}");
     }

@@ -22,7 +22,6 @@
 //! journal in `out_dir/shard-<i>/` — so `--resume` works per shard, and a
 //! killed run restarts only the unfinished shards' missing ingredients.
 
-use std::io::{BufReader, BufWriter};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -34,10 +33,11 @@ use soup_error::SoupError;
 use soup_graph::mmap::{write_mmap_dataset, MmapDataset, MmapMeta};
 use soup_partition::quality::{edge_cut_on, halo_counts};
 use soup_partition::streaming::{ldg_partition_restream, DEFAULT_PASSES, DEFAULT_SLACK};
+use soup_store::frame::{is_stall, FrameBuf, Next};
 
 use crate::halo::{
-    control_socket_path, expect_frame, shard_epoch_payload, write_frame, OP_ACK, OP_FETCHED, OP_GO,
-    OP_HEARTBEAT, OP_PROCEED, OP_READY, OP_RESULT,
+    control_socket_path, expect_op, send, shard_epoch_payload, MAX_FRAME, OP_ACK, OP_FETCHED,
+    OP_GO, OP_HEARTBEAT, OP_PROCEED, OP_READY, OP_RESULT,
 };
 
 type Result<T> = std::result::Result<T, SoupError>;
@@ -432,7 +432,8 @@ pub fn run_sharded(plan: &ShardPlan, launch: &WorkerLaunch) -> Result<ShardRunRe
 /// the deadline through the shared writer for as long as the handle
 /// lives, keeping the supervisor convinced through long training phases.
 pub struct WorkerControl {
-    reader: BufReader<UnixStream>,
+    stream: UnixStream,
+    buf: FrameBuf,
     writer: Arc<Mutex<ChaosWriter>>,
     shard: usize,
     patience: Duration,
@@ -444,8 +445,7 @@ pub struct WorkerControl {
 /// the heartbeat thread and the protocol steps interleave whole frames,
 /// and so the chaos plan can strike outbound frames deterministically.
 struct ChaosWriter {
-    writer: BufWriter<UnixStream>,
-    raw: UnixStream,
+    stream: UnixStream,
     chaos: Option<crate::ChaosPlan>,
     shard: usize,
     epoch: u32,
@@ -478,20 +478,15 @@ impl ChaosWriter {
                     "chaos: truncating control frame op={op} (shard {})",
                     self.shard
                 );
-                use std::io::Write;
-                let mut frame = Vec::with_capacity(5 + payload.len());
-                frame.extend_from_slice(&(payload.len() as u32 + 1).to_le_bytes());
-                frame.push(op);
-                frame.extend_from_slice(payload);
-                let half = &frame[..frame.len() / 2];
-                let _ = self.writer.write_all(half);
-                let _ = self.writer.flush();
+                let mut frame = Vec::new();
+                send(&mut frame, &[&[op], payload])?;
+                let _ = std::io::Write::write_all(&mut self.stream, &frame[..frame.len() / 2]);
                 // FIN mid-frame: the supervisor must reject the stream.
-                let _ = self.raw.shutdown(std::net::Shutdown::Write);
+                let _ = self.stream.shutdown(std::net::Shutdown::Write);
                 return Ok(());
             }
         }
-        write_frame(&mut self.writer, op, payload)
+        send(&mut self.stream, &[&[op], payload])
     }
 }
 
@@ -502,25 +497,19 @@ impl WorkerControl {
         let out_dir = plan.out_dir_path();
         let path = control_socket_path(&out_dir);
         let stream = crate::halo::connect_retry(&path, Duration::from_secs(30))?;
-        let patience = plan.worker_patience();
-        stream
-            .set_read_timeout(Some(patience))
-            .map_err(SoupError::from)?;
-        let reader = BufReader::new(stream.try_clone().map_err(SoupError::from)?);
-        let raw = stream.try_clone().map_err(SoupError::from)?;
         let writer = Arc::new(Mutex::new(ChaosWriter {
-            writer: BufWriter::new(stream),
-            raw,
+            stream: stream.try_clone()?,
             chaos: plan.chaos.clone(),
             shard,
             epoch,
             seq: 0,
         }));
         let mut this = Self {
-            reader,
+            stream,
+            buf: FrameBuf::new(MAX_FRAME),
             writer,
             shard,
-            patience,
+            patience: plan.worker_patience(),
             hb_stop: Arc::new(AtomicBool::new(false)),
             hb_thread: None,
         };
@@ -562,31 +551,28 @@ impl WorkerControl {
         }));
     }
 
-    /// A bounded read of the next control frame, mapping timeout to a
-    /// typed [`SoupError::WorkerLost`].
-    fn wait(&mut self, want: u8) -> Result<Vec<u8>> {
-        match expect_frame(&mut self.reader, want) {
-            Ok(p) => Ok(p),
-            Err(SoupError::Io { source, .. })
-                if matches!(
-                    source.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                Err(SoupError::worker_lost(
-                    self.shard,
-                    format!(
-                        "coordinator silent for {:.1}s waiting for opcode {want}",
-                        self.patience.as_secs_f64()
-                    ),
-                ))
-            }
-            Err(e) => Err(e),
+    /// A bounded read of the next control frame, which must carry opcode
+    /// `want`, mapping silence to a typed [`SoupError::WorkerLost`].
+    fn wait(&mut self, want: u8) -> Result<()> {
+        match self.buf.read_frame(&mut self.stream, Some(self.patience)) {
+            Ok(Next::Frame(payload)) => expect_op(payload, want).map(|_| ()),
+            Ok(Next::Closed) => Err(SoupError::corrupt(format!(
+                "halo protocol: peer closed while waiting for opcode {want}"
+            ))),
+            Err(e) if !is_stall(&e) => Err(e),
+            // Silent before or inside a frame for a whole patience budget.
+            _ => Err(SoupError::worker_lost(
+                self.shard,
+                format!(
+                    "coordinator silent for {:.1}s waiting for opcode {want}",
+                    self.patience.as_secs_f64()
+                ),
+            )),
         }
     }
 
     pub fn wait_go(&mut self) -> Result<()> {
-        self.wait(OP_GO).map(|_| ())
+        self.wait(OP_GO)
     }
 
     pub fn send_fetched(&mut self, shard: usize, epoch: u32) -> Result<()> {
@@ -594,18 +580,16 @@ impl WorkerControl {
     }
 
     pub fn wait_proceed(&mut self) -> Result<()> {
-        self.wait(OP_PROCEED).map(|_| ())
+        self.wait(OP_PROCEED)
     }
 
     /// Send the final RESULT and wait for the coordinator's ACK.
     pub fn send_result(&mut self, result: &ShardResult, epoch: u32) -> Result<()> {
         let json = serde_json::to_string(result)
             .map_err(|e| SoupError::usage(format!("shard result serialise: {e}")))?;
-        let mut payload = Vec::with_capacity(8 + json.len());
-        payload.extend_from_slice(&shard_epoch_payload(result.shard as u32, epoch));
-        payload.extend_from_slice(json.as_bytes());
-        self.send(OP_RESULT, &payload)?;
-        self.wait(OP_ACK).map(|_| ())
+        let prefix = shard_epoch_payload(result.shard as u32, epoch);
+        self.send(OP_RESULT, &[&prefix[..], json.as_bytes()].concat())?;
+        self.wait(OP_ACK)
     }
 }
 

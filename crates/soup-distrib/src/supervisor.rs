@@ -36,17 +36,17 @@
 //! gauge, and the per-worker `distrib.worker.<shard>.heartbeat_s` gauges
 //! republished from worker heartbeats.
 
-use std::io::Read;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::process::Child;
 use std::time::{Duration, Instant};
 
 use soup_error::SoupError;
+use soup_store::frame::{write_frame, FrameBuf};
 
 use crate::halo::{
-    control_socket_path, FrameBuf, OP_ACK, OP_FETCHED, OP_GO, OP_HEARTBEAT, OP_PROCEED, OP_READY,
-    OP_RESULT,
+    control_socket_path, decode_control, MAX_FRAME, OP_ACK, OP_FETCHED, OP_GO, OP_HEARTBEAT,
+    OP_PROCEED, OP_READY, OP_RESULT,
 };
 use crate::shard::{ShardPlan, ShardResult, ShardRunReport, WorkerLaunch};
 
@@ -95,92 +95,20 @@ impl Slot {
     }
 }
 
-/// An attached control connection, owned by exactly one (shard, epoch).
+/// A control connection: attached to exactly one (shard, epoch) once its
+/// READY frame identified it.
 struct Conn {
     stream: UnixStream,
     buf: FrameBuf,
 }
 
-/// An accepted connection that has not yet identified itself with READY.
-struct PendingConn {
-    stream: UnixStream,
-    buf: FrameBuf,
-    since: Instant,
-}
-
-/// What `pump` found on a connection this tick.
-enum Pumped {
-    Idle,
-    Progress,
-    Eof,
-}
-
-/// Read whatever is available on a nonblocking stream into `buf`.
-fn pump(stream: &mut UnixStream, buf: &mut FrameBuf) -> Result<Pumped> {
-    let mut chunk = [0u8; 4096];
-    let mut progressed = false;
-    loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => return Ok(Pumped::Eof),
-            Ok(n) => {
-                buf.extend(&chunk[..n]);
-                progressed = true;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                return Ok(if progressed {
-                    Pumped::Progress
-                } else {
-                    Pumped::Idle
-                });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(SoupError::from(e)),
-        }
-    }
-}
-
-/// Write a (small) control frame to a nonblocking stream, retrying
-/// `WouldBlock` with byte-level progress tracking — a blind re-send of
-/// the whole frame after a partial write would desync the stream.
-/// Control frames are ≤ a few bytes, so a worker that cannot absorb one
-/// within the deadline is as good as dead.
-fn write_frame_deadline(
-    stream: &mut UnixStream,
-    op: u8,
-    payload: &[u8],
-    deadline: Duration,
-) -> Result<()> {
-    use std::io::Write;
-    let mut frame = Vec::with_capacity(5 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32 + 1).to_le_bytes());
-    frame.push(op);
-    frame.extend_from_slice(payload);
-    let start = Instant::now();
-    let mut off = 0;
-    while off < frame.len() {
-        match (&*stream).write(&frame[off..]) {
-            Ok(0) => {
-                return Err(SoupError::worker_lost(
-                    usize::MAX,
-                    "control socket rejected write",
-                ))
-            }
-            Ok(n) => off += n,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if start.elapsed() >= deadline {
-                    return Err(SoupError::worker_lost(
-                        usize::MAX,
-                        format!("control write stalled for {:.1}s", deadline.as_secs_f64()),
-                    ));
-                }
-                soup_obs::counter!("supervisor.frame_retries").inc();
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(SoupError::from(e)),
-        }
-    }
-    Ok(())
+/// Write a (small) control frame to a nonblocking stream. Control frames
+/// are a few bytes, so a worker that cannot absorb one within `timeout`
+/// is as good as dead.
+fn send_control(stream: &mut UnixStream, op: u8, timeout: Duration) -> Result<()> {
+    let retries = soup_obs::counter!("supervisor.frame_retries");
+    let until = Instant::now() + timeout;
+    write_frame(stream, MAX_FRAME, &[&[op]], Some((until, retries)))
 }
 
 fn unix_now_s() -> f64 {
@@ -200,7 +128,9 @@ struct Supervisor<'a> {
     plan_path: PathBuf,
     listener: UnixListener,
     slots: Vec<Slot>,
-    pending: Vec<PendingConn>,
+    /// Accepted connections that have not yet sent READY, with their
+    /// accept time.
+    pending: Vec<(Conn, Instant)>,
     go_barrier: bool,
     proceed_barrier: bool,
     restarts: u32,
@@ -282,7 +212,6 @@ impl<'a> Supervisor<'a> {
     /// Kill + reap slot `i`'s worker and either respawn it into the next
     /// session epoch or, with the budget spent, degrade the run.
     fn lose_slot(&mut self, i: usize, reason: &str, hang: bool) -> Result<()> {
-        let timeout = self.timeout();
         let slot = &mut self.slots[i];
         soup_obs::counter!("supervisor.reaps").inc();
         if hang {
@@ -325,7 +254,6 @@ impl<'a> Supervisor<'a> {
         slot.go_sent = false;
         slot.proceed_sent = false;
         slot.last_seen = Instant::now();
-        let _ = timeout;
         Ok(())
     }
 
@@ -337,11 +265,8 @@ impl<'a> Supervisor<'a> {
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
-                    self.pending.push(PendingConn {
-                        stream,
-                        buf: FrameBuf::new(),
-                        since: Instant::now(),
-                    });
+                    let buf = FrameBuf::new(MAX_FRAME);
+                    self.pending.push((Conn { stream, buf }, Instant::now()));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
                 Err(_) => return,
@@ -355,27 +280,19 @@ impl<'a> Supervisor<'a> {
     /// trusted.
     fn pump_pending(&mut self) {
         let timeout = self.timeout();
-        let mut keep: Vec<PendingConn> = Vec::new();
-        for mut p in std::mem::take(&mut self.pending) {
-            match pump(&mut p.stream, &mut p.buf) {
-                Ok(Pumped::Eof) | Err(_) => continue, // dropped before READY
-                Ok(_) => {}
+        let mut keep = Vec::new();
+        for (mut c, since) in std::mem::take(&mut self.pending) {
+            if !matches!(c.buf.fill(&mut c.stream), Ok(true)) {
+                continue; // dropped before READY
             }
-            match p.buf.pop() {
+            match c.buf.pop().map(|f| f.map(decode_control)) {
                 Ok(None) => {
-                    if p.since.elapsed() < timeout {
-                        keep.push(p);
+                    if since.elapsed() < timeout {
+                        keep.push((c, since));
                     }
                     // else: silently drop a mute connection
                 }
-                Ok(Some((op, payload))) if op == OP_READY => {
-                    match crate::halo::parse_shard_epoch(&payload) {
-                        Ok((shard, epoch, _)) => self.attach(p, shard as usize, epoch),
-                        Err(_) => {
-                            soup_obs::counter!("supervisor.stale_frames").inc();
-                        }
-                    }
-                }
+                Ok(Some(Ok((OP_READY, shard, epoch, _)))) => self.attach(c, shard as usize, epoch),
                 Ok(Some(_)) | Err(_) => {
                     // First frame must be READY; anything else is a stray
                     // stream from a dead incarnation or a corrupt peer.
@@ -388,7 +305,7 @@ impl<'a> Supervisor<'a> {
 
     /// Bind an identified connection to its slot, carrying over any bytes
     /// (heartbeats) already buffered behind the READY frame.
-    fn attach(&mut self, p: PendingConn, shard: usize, epoch: u32) {
+    fn attach(&mut self, conn: Conn, shard: usize, epoch: u32) {
         let Some(slot) = self.slots.get_mut(shard) else {
             soup_obs::counter!("supervisor.stale_frames").inc();
             return;
@@ -401,10 +318,7 @@ impl<'a> Supervisor<'a> {
         }
         slot.state = SlotState::Ready;
         slot.last_seen = Instant::now();
-        slot.conn = Some(Conn {
-            stream: p.stream,
-            buf: p.buf,
-        });
+        slot.conn = Some(conn);
     }
 
     /// Drain frames from every attached connection. Returns the slots
@@ -413,93 +327,10 @@ impl<'a> Supervisor<'a> {
     fn pump_slots(&mut self) -> Vec<(usize, String)> {
         let deadline = self.timeout();
         let mut lost: Vec<(usize, String)> = Vec::new();
-        for i in 0..self.slots.len() {
-            let slot = &mut self.slots[i];
-            let Some(conn) = slot.conn.as_mut() else {
-                continue;
-            };
-            let pumped = match pump(&mut conn.stream, &mut conn.buf) {
-                Ok(p) => p,
-                Err(e) => {
-                    lost.push((i, format!("control read failed: {e}")));
-                    continue;
-                }
-            };
-            let mut closed = matches!(pumped, Pumped::Eof);
-            loop {
-                let frame = match slot.conn.as_mut().unwrap().buf.pop() {
-                    Ok(Some(f)) => f,
-                    Ok(None) => break,
-                    Err(e) => {
-                        lost.push((i, format!("control stream corrupt: {e}")));
-                        closed = false; // already being handled as lost
-                        slot.conn = None;
-                        break;
-                    }
-                };
-                let (op, payload) = frame;
-                let (shard, epoch, rest) = match crate::halo::parse_shard_epoch(&payload) {
-                    Ok(t) => t,
-                    Err(_) => {
-                        lost.push((i, format!("unparsable control frame op={op}")));
-                        slot.conn = None;
-                        closed = false;
-                        break;
-                    }
-                };
-                if shard as usize != slot.shard || epoch != slot.epoch {
-                    soup_obs::counter!("supervisor.stale_frames").inc();
-                    continue;
-                }
-                slot.last_seen = Instant::now();
-                match op {
-                    OP_HEARTBEAT => {
-                        soup_obs::registry::gauge(&format!(
-                            "distrib.worker.{}.heartbeat_s",
-                            slot.shard
-                        ))
-                        .set(unix_now_s());
-                    }
-                    OP_FETCHED if slot.state == SlotState::Ready => {
-                        slot.state = SlotState::Fetched;
-                    }
-                    OP_RESULT => match parse_result(rest, slot.shard) {
-                        Ok(result) => {
-                            let conn = slot.conn.as_mut().unwrap();
-                            if let Err(e) =
-                                write_frame_deadline(&mut conn.stream, OP_ACK, &[], deadline)
-                            {
-                                soup_obs::warn!(
-                                    "shard {}: ACK not delivered ({e}); result kept",
-                                    slot.shard
-                                );
-                            }
-                            slot.result = Some(result);
-                            slot.state = SlotState::Done;
-                            slot.done_at = Some(Instant::now());
-                            slot.conn = None;
-                            closed = false;
-                            break;
-                        }
-                        Err(e) => {
-                            lost.push((i, format!("RESULT rejected: {e}")));
-                            slot.conn = None;
-                            closed = false;
-                            break;
-                        }
-                    },
-                    other => {
-                        lost.push((i, format!("unexpected control opcode {other}")));
-                        slot.conn = None;
-                        closed = false;
-                        break;
-                    }
-                }
-            }
-            let slot = &mut self.slots[i];
-            if closed && slot.state != SlotState::Done && slot.live() {
-                lost.push((i, "control connection closed".to_string()));
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            if let Err(reason) = drain_conn(slot, deadline) {
                 slot.conn = None;
+                lost.push((i, reason));
             }
         }
         lost
@@ -576,7 +407,7 @@ impl<'a> Supervisor<'a> {
             for (i, slot) in self.slots.iter_mut().enumerate() {
                 if slot.state == SlotState::Ready && !slot.go_sent {
                     if let Some(conn) = slot.conn.as_mut() {
-                        match write_frame_deadline(&mut conn.stream, OP_GO, &[], deadline) {
+                        match send_control(&mut conn.stream, OP_GO, deadline) {
                             Ok(()) => slot.go_sent = true,
                             Err(e) => lost.push((i, format!("GO not delivered: {e}"))),
                         }
@@ -599,7 +430,7 @@ impl<'a> Supervisor<'a> {
             for (i, slot) in self.slots.iter_mut().enumerate() {
                 if slot.state == SlotState::Fetched && !slot.proceed_sent {
                     if let Some(conn) = slot.conn.as_mut() {
-                        match write_frame_deadline(&mut conn.stream, OP_PROCEED, &[], deadline) {
+                        match send_control(&mut conn.stream, OP_PROCEED, deadline) {
                             Ok(()) => slot.proceed_sent = true,
                             Err(e) => lost.push((i, format!("PROCEED not delivered: {e}"))),
                         }
@@ -654,6 +485,53 @@ impl<'a> Supervisor<'a> {
             }
         }
         Ok(())
+    }
+}
+
+/// Read and act on every frame waiting on `slot`'s connection, if it has
+/// one. `Err` says why the slot must be declared lost.
+fn drain_conn(slot: &mut Slot, deadline: Duration) -> std::result::Result<(), String> {
+    let Some(conn) = slot.conn.as_mut() else {
+        return Ok(());
+    };
+    let open = conn
+        .buf
+        .fill(&mut conn.stream)
+        .map_err(|e| format!("control read: {e}"))?;
+    while let Some(frame) = conn.buf.pop().map_err(|e| format!("control stream: {e}"))? {
+        let (op, shard, epoch, rest) =
+            decode_control(frame).map_err(|e| format!("unparsable control frame: {e}"))?;
+        if shard as usize != slot.shard || epoch != slot.epoch {
+            soup_obs::counter!("supervisor.stale_frames").inc();
+            continue;
+        }
+        slot.last_seen = Instant::now();
+        match op {
+            OP_HEARTBEAT => {
+                soup_obs::registry::gauge(&format!("distrib.worker.{}.heartbeat_s", slot.shard))
+                    .set(unix_now_s());
+            }
+            OP_FETCHED if slot.state == SlotState::Ready => slot.state = SlotState::Fetched,
+            OP_RESULT => {
+                let result =
+                    parse_result(rest, slot.shard).map_err(|e| format!("RESULT rejected: {e}"))?;
+                if let Err(e) = send_control(&mut conn.stream, OP_ACK, deadline) {
+                    let shard = slot.shard;
+                    soup_obs::warn!("shard {shard}: ACK not delivered ({e}); result kept");
+                }
+                slot.result = Some(result);
+                slot.state = SlotState::Done;
+                slot.done_at = Some(Instant::now());
+                slot.conn = None;
+                return Ok(());
+            }
+            other => return Err(format!("unexpected control opcode {other}")),
+        }
+    }
+    if open {
+        Ok(())
+    } else {
+        Err("control connection closed".to_string())
     }
 }
 
@@ -783,34 +661,41 @@ pub fn run_supervised(plan: &ShardPlan, launch: &WorkerLaunch) -> Result<ShardRu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::halo::write_frame;
 
     #[test]
-    fn pump_handles_fragmented_frames_over_a_socketpair() {
-        let (mut a, b) = UnixStream::pair().unwrap();
+    fn fill_handles_fragmented_frames_over_a_socketpair() {
+        let (mut a, mut b) = UnixStream::pair().unwrap();
         b.set_nonblocking(true).unwrap();
-        let mut b = b;
         let mut wire = Vec::new();
-        write_frame(&mut wire, OP_READY, &crate::halo::shard_epoch_payload(1, 0)).unwrap();
+        crate::halo::send(
+            &mut wire,
+            &[&[OP_READY], &crate::halo::shard_epoch_payload(1, 0)],
+        )
+        .unwrap();
         // First half now, second half later.
         use std::io::Write;
         a.write_all(&wire[..wire.len() / 2]).unwrap();
-        a.flush().unwrap();
-        let mut buf = FrameBuf::new();
-        assert!(matches!(pump(&mut b, &mut buf).unwrap(), Pumped::Progress));
+        let mut buf = FrameBuf::new(MAX_FRAME);
+        assert!(buf.fill(&mut b).unwrap());
         assert!(buf.pop().unwrap().is_none(), "half a frame is no frame");
         a.write_all(&wire[wire.len() / 2..]).unwrap();
-        a.flush().unwrap();
-        assert!(matches!(pump(&mut b, &mut buf).unwrap(), Pumped::Progress));
-        let (op, payload) = buf.pop().unwrap().unwrap();
-        assert_eq!(op, OP_READY);
-        assert_eq!(
-            crate::halo::parse_shard_epoch(&payload).unwrap(),
-            (1, 0, &[][..])
-        );
-        // Peer hangs up: pump reports EOF.
+        assert!(buf.fill(&mut b).unwrap());
+        let payload = buf.pop().unwrap().unwrap();
+        assert_eq!(decode_control(payload).unwrap(), (OP_READY, 1, 0, &[][..]));
+        // Peer hangs up: fill reports the close.
         drop(a);
-        assert!(matches!(pump(&mut b, &mut buf).unwrap(), Pumped::Eof));
+        assert!(!buf.fill(&mut b).unwrap());
+    }
+
+    #[test]
+    fn control_writes_reach_a_nonblocking_peer_whole() {
+        let (mut a, mut b) = UnixStream::pair().unwrap();
+        a.set_nonblocking(true).unwrap();
+        b.set_nonblocking(true).unwrap();
+        send_control(&mut a, OP_GO, Duration::from_secs(1)).unwrap();
+        let mut buf = FrameBuf::new(MAX_FRAME);
+        buf.fill(&mut b).unwrap();
+        assert_eq!(buf.pop().unwrap(), Some(&[OP_GO][..]));
     }
 
     #[test]

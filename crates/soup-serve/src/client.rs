@@ -1,8 +1,9 @@
 //! Blocking client for the serve protocol, used by `soupctl query`, the
 //! load generator, and the integration tests.
 
-use crate::proto::{self, Request, Response};
+use crate::proto::{self, Request, Response, MAX_FRAME};
 use soup_error::SoupError;
+use soup_store::frame::{write_frame, FrameBuf, Next};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -21,33 +22,28 @@ pub enum PredictResult {
 /// frame, block for the response frame.
 pub struct Client {
     stream: TcpStream,
+    buf: FrameBuf,
 }
 
 impl Client {
     /// Connect with a bounded timeout (local serving; seconds mean a dead
     /// server, not a slow one).
     pub fn connect(addr: SocketAddr) -> soup_error::Result<Client> {
-        let stream = TcpStream::connect_timeout(&addr, Duration::from_secs(5)).map_err(|e| {
-            SoupError::Io {
-                path: None,
-                source: e,
-            }
-        })?;
-        stream.set_nodelay(true).map_err(|e| SoupError::Io {
-            path: None,
-            source: e,
-        })?;
-        Ok(Client { stream })
+        let stream = TcpStream::connect_timeout(&addr, Duration::from_secs(5))?;
+        stream.set_nodelay(true)?;
+        Ok(Client {
+            stream,
+            buf: FrameBuf::new(MAX_FRAME),
+        })
     }
 
     fn call(&mut self, req: &Request) -> soup_error::Result<Response> {
-        proto::write_frame(&mut self.stream, &proto::encode_request(req)).map_err(|e| {
-            SoupError::Io {
-                path: None,
-                source: e,
-            }
-        })?;
-        proto::decode_response(&proto::read_frame(&mut self.stream)?)
+        let request = proto::encode_request(req);
+        write_frame(&mut self.stream, MAX_FRAME, &[&request], None)?;
+        match self.buf.read_frame(&mut self.stream, None)? {
+            Next::Frame(payload) => proto::decode_response(payload),
+            _ => Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into()),
+        }
     }
 
     fn call_version(&mut self, req: &Request, what: &str) -> soup_error::Result<u64> {

@@ -28,10 +28,12 @@
 //!   table-build histograms, and a queue-depth gauge in the soup-obs
 //!   registry, surfaced by the `STATS` opcode.
 //!
-//! The wire format ([`proto`]) is deliberately tiny: length-prefixed
-//! binary frames over TCP, no external protocol dependencies. [`client`]
-//! is the matching blocking client and [`load`] a deterministic
-//! Zipf-skewed closed-loop generator used by `bench_serve` and CI.
+//! The wire format ([`proto`]) is deliberately tiny: an opcode table over
+//! the workspace's one length-prefixed frame codec, `soup_store::frame`
+//! (shared with the shard control plane and halo transport), no external
+//! protocol dependencies. [`client`] is the matching blocking client and
+//! [`load`] a deterministic Zipf-skewed closed-loop generator used by
+//! `bench_serve` and CI.
 
 pub mod batcher;
 pub mod client;

@@ -1,12 +1,11 @@
-//! Wire protocol: length-prefixed binary frames over TCP.
+//! Wire protocol: the serve opcode table over `soup_store::frame`.
 //!
-//! Every message — request or response — is one *frame*: a little-endian
-//! `u32` payload length followed by that many bytes. Frames above
-//! [`MAX_FRAME`] are rejected before allocation, so a hostile or corrupt
-//! length prefix cannot OOM the server. A request payload starts with an
-//! opcode byte, a response payload with a status byte; everything after is
-//! opcode-specific and fixed-layout (no self-describing encoding on the
-//! hot path).
+//! Every message — request or response — is one frame of the shared
+//! length-prefixed codec, capped at [`MAX_FRAME`] before allocation, so a
+//! hostile or corrupt length prefix cannot OOM the server. A request
+//! payload starts with an opcode byte, a response payload with a status
+//! byte; everything after is opcode-specific and fixed-layout (no
+//! self-describing encoding on the hot path).
 //!
 //! | opcode | body | OK body |
 //! |---|---|---|
@@ -24,12 +23,13 @@
 //! answers [`Status::Error`] with a message body.
 
 use soup_error::SoupError;
-use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::time::{Duration, Instant};
 
 /// Hard cap on frame payload size (1 MiB ≈ 260k node ids per request).
 pub const MAX_FRAME: usize = 1 << 20;
+
+/// Most node ids one PREDICT may carry: its OK reply (status, version,
+/// count, one class per id — `13 + 4n` bytes) must fit in a frame too.
+pub const MAX_PREDICT: usize = (MAX_FRAME - 13) / 4;
 
 /// Request opcodes (first payload byte of a request frame).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,125 +84,6 @@ pub enum Response {
     Overloaded,
 }
 
-/// Write one frame: `u32` little-endian length, then the payload.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    debug_assert!(payload.len() <= MAX_FRAME);
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
-    w.flush()
-}
-
-/// Read one frame's payload. Truncated streams surface as an I/O error
-/// (`UnexpectedEof`), oversized length prefixes as a parse error — both
-/// before any payload allocation happens.
-pub fn read_frame(r: &mut impl Read) -> soup_error::Result<Vec<u8>> {
-    let mut len = [0u8; 4];
-    r.read_exact(&mut len).map_err(io_err)?;
-    let len = u32::from_le_bytes(len) as usize;
-    if len > MAX_FRAME {
-        return Err(SoupError::parse(format!(
-            "frame length {len} exceeds cap {MAX_FRAME}"
-        )));
-    }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload).map_err(io_err)?;
-    Ok(payload)
-}
-
-fn io_err(source: std::io::Error) -> SoupError {
-    SoupError::Io { path: None, source }
-}
-
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
-}
-
-/// Read one frame with an idle/stall budget, distinguishing the two ways
-/// a client can go quiet:
-///
-/// - **idle** — nothing arrives before the first byte of the length
-///   prefix within `idle`: the connection is just parked between
-///   requests. Returns `Ok(None)` so the server can reap it cleanly.
-/// - **stalled** — a frame *started* but did not complete within one
-///   further `idle` budget: a crashed or malicious (slow-loris) client.
-///   Returns a typed `TimedOut` I/O error; total time a drip-feeding
-///   client can hold a handler is bounded at ~2× `idle`.
-///
-/// EOF surfaces exactly like [`read_frame`]'s (`UnexpectedEof`), so the
-/// caller's hangup handling is unchanged.
-pub fn read_frame_deadline(
-    stream: &mut TcpStream,
-    idle: Duration,
-) -> soup_error::Result<Option<Vec<u8>>> {
-    stream.set_read_timeout(Some(idle)).map_err(io_err)?;
-    let mut len = [0u8; 4];
-    let first = loop {
-        match stream.read(&mut len) {
-            Ok(0) => {
-                return Err(io_err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed",
-                )))
-            }
-            Ok(n) => break n,
-            Err(e) if is_timeout(&e) => return Ok(None),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(io_err(e)),
-        }
-    };
-    // A frame has begun: everything else must land before one overall
-    // deadline, however many partial reads it takes.
-    let deadline = Instant::now() + idle;
-    read_exact_deadline(stream, &mut len[first..], deadline, "length prefix")?;
-    let len = u32::from_le_bytes(len) as usize;
-    if len > MAX_FRAME {
-        return Err(SoupError::parse(format!(
-            "frame length {len} exceeds cap {MAX_FRAME}"
-        )));
-    }
-    let mut payload = vec![0u8; len];
-    read_exact_deadline(stream, &mut payload, deadline, "payload")?;
-    Ok(Some(payload))
-}
-
-fn read_exact_deadline(
-    stream: &mut TcpStream,
-    mut buf: &mut [u8],
-    deadline: Instant,
-    what: &str,
-) -> soup_error::Result<()> {
-    while !buf.is_empty() {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            return Err(stall(what));
-        }
-        stream.set_read_timeout(Some(remaining)).map_err(io_err)?;
-        match stream.read(buf) {
-            Ok(0) => {
-                return Err(io_err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-frame",
-                )))
-            }
-            Ok(n) => buf = &mut std::mem::take(&mut buf)[n..],
-            Err(e) if is_timeout(&e) => return Err(stall(what)),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(io_err(e)),
-        }
-    }
-    Ok(())
-}
-
-fn stall(what: &str) -> SoupError {
-    io_err(std::io::Error::new(
-        std::io::ErrorKind::TimedOut,
-        format!("client stalled mid-frame ({what})"),
-    ))
-}
-
 /// Encode a request into a frame payload.
 pub fn encode_request(req: &Request) -> Vec<u8> {
     match req {
@@ -251,6 +132,11 @@ pub fn decode_request(payload: &[u8]) -> soup_error::Result<Request> {
                 return Err(SoupError::parse("predict body shorter than its count"));
             }
             let count = u32::from_le_bytes(body[..4].try_into().unwrap()) as usize;
+            if count > MAX_PREDICT {
+                return Err(SoupError::parse(format!(
+                    "predict of {count} ids exceeds {MAX_PREDICT}: the reply would not fit a frame"
+                )));
+            }
             let ids = &body[4..];
             if ids.len() != 4 * count {
                 return Err(SoupError::parse(format!(
@@ -395,24 +281,6 @@ mod tests {
     fn predictions_round_trip() {
         let body = encode_predictions(17, &[0, 5, 5, 2]);
         assert_eq!(decode_predictions(&body).unwrap(), (17, vec![0, 5, 5, 2]));
-    }
-
-    #[test]
-    fn oversized_frame_is_rejected_before_allocation() {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&(MAX_FRAME as u32 + 1).to_le_bytes());
-        let err = read_frame(&mut bytes.as_slice()).unwrap_err();
-        assert_eq!(err.kind(), "parse");
-    }
-
-    #[test]
-    fn truncated_frame_is_a_clean_io_error() {
-        // Declares 100 bytes, carries 3.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&100u32.to_le_bytes());
-        bytes.extend_from_slice(b"abc");
-        let err = read_frame(&mut bytes.as_slice()).unwrap_err();
-        assert_eq!(err.kind(), "io");
     }
 
     #[test]

@@ -33,6 +33,7 @@ use soup_gnn::{
     QuantParamSet,
 };
 use soup_graph::Dataset;
+use soup_store::frame::{is_stall, write_frame, FrameBuf, Next};
 use soup_tensor::quant::QuantKind;
 use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -205,15 +206,8 @@ impl Server {
         params: ParamSet,
         config: ServeConfig,
     ) -> soup_error::Result<Server> {
-        let listener =
-            TcpListener::bind(("127.0.0.1", config.port)).map_err(|e| SoupError::Io {
-                path: None,
-                source: e,
-            })?;
-        let addr = listener.local_addr().map_err(|e| SoupError::Io {
-            path: None,
-            source: e,
-        })?;
+        let listener = TcpListener::bind(("127.0.0.1", config.port))?;
+        let addr = listener.local_addr()?;
 
         let ops = PropOps::prepare(cfg.arch, &dataset.graph);
         let cache = PropCache::new(&ops, &dataset.features);
@@ -238,11 +232,7 @@ impl Server {
             let shared = shared.clone();
             std::thread::Builder::new()
                 .name("soup-serve-batcher".into())
-                .spawn(move || batcher::run(shared, rx))
-                .map_err(|e| SoupError::Io {
-                    path: None,
-                    source: e,
-                })?
+                .spawn(move || batcher::run(shared, rx))?
         };
         let listener = Arc::new(listener);
         let workers = (0..shared.config.workers.max(1))
@@ -252,10 +242,7 @@ impl Server {
                 std::thread::Builder::new()
                     .name(format!("soup-serve-worker-{i}"))
                     .spawn(move || accept_loop(shared, listener))
-                    .map_err(|e| SoupError::Io {
-                        path: None,
-                        source: e,
-                    })
+                    .map_err(SoupError::from)
             })
             .collect::<soup_error::Result<Vec<_>>>()?;
 
@@ -346,66 +333,42 @@ fn accept_loop(shared: Arc<ServeShared>, listener: Arc<TcpListener>) {
 }
 
 /// Serve one connection until EOF, idle expiry, a fatal I/O error, or
-/// shutdown. Reads run under [`proto::read_frame_deadline`] so a parked
-/// client is reaped after `idle_timeout` and a mid-frame staller after at
-/// most twice that; writes carry the same timeout, so a client that stops
-/// draining its socket cannot pin a worker thread either.
+/// shutdown. Reads run under `FrameBuf::read_frame`'s idle budget, so a
+/// parked client is reaped after `idle_timeout` and a mid-frame staller
+/// after at most twice that; writes carry the same timeout, so a client
+/// that stops draining its socket cannot pin a worker thread either.
 fn handle_conn(shared: &Arc<ServeShared>, mut stream: TcpStream) -> soup_error::Result<()> {
-    let io_err = |e: std::io::Error| SoupError::Io {
-        path: None,
-        source: e,
-    };
-    stream.set_nodelay(true).map_err(io_err)?;
-    stream
-        .set_write_timeout(Some(shared.config.idle_timeout))
-        .map_err(io_err)?;
+    let idle = Some(shared.config.idle_timeout);
+    stream.set_nodelay(true)?;
+    stream.set_write_timeout(idle)?;
+    let mut buf = FrameBuf::new(proto::MAX_FRAME);
     loop {
-        let payload = match proto::read_frame_deadline(&mut stream, shared.config.idle_timeout) {
-            Ok(Some(p)) => p,
+        let (resp, stop_after) = match buf.read_frame(&mut stream, idle) {
+            Ok(Next::Frame(payload)) => match proto::decode_request(payload) {
+                Ok(req) => dispatch(shared, req),
+                // Malformed frame: answer with the decode error, keep
+                // serving — the framing layer is still synchronized.
+                Err(err) => (Response::Error(err.to_string()), false),
+            },
             // Idle past the deadline between requests: reap quietly.
-            Ok(None) => {
+            Ok(Next::Idle) => {
                 soup_obs::counter!("serve.idle_reaped").inc();
                 soup_obs::debug!("reaped idle connection");
                 return Ok(());
             }
             // EOF between frames is the normal way a client hangs up.
+            Ok(Next::Closed) => return Ok(()),
             Err(err) => {
-                return match &err {
-                    SoupError::Io { source, .. }
-                        if source.kind() == std::io::ErrorKind::UnexpectedEof =>
-                    {
-                        Ok(())
-                    }
-                    SoupError::Io { source, .. }
-                        if source.kind() == std::io::ErrorKind::TimedOut =>
-                    {
-                        soup_obs::counter!("serve.stalled").inc();
-                        Err(err)
-                    }
-                    _ => Err(err),
+                if is_stall(&err) {
+                    soup_obs::counter!("serve.stalled").inc();
                 }
+                return Err(err);
             }
         };
-        let (resp, stop_after) = match proto::decode_request(&payload) {
-            Ok(req) => dispatch(shared, req),
-            // Malformed frame: answer with the decode error, keep serving —
-            // the framing layer is still synchronized.
-            Err(err) => (Response::Error(err.to_string()), false),
-        };
-        proto::write_frame(&mut stream, &proto::encode_response(&resp)).map_err(|e| {
-            SoupError::Io {
-                path: None,
-                source: e,
-            }
-        })?;
+        let payload = proto::encode_response(&resp);
+        write_frame(&mut stream, proto::MAX_FRAME, &[&payload], None)?;
         if stop_after {
-            request_stop(
-                shared,
-                stream.local_addr().map_err(|e| SoupError::Io {
-                    path: None,
-                    source: e,
-                })?,
-            );
+            request_stop(shared, stream.local_addr()?);
             return Ok(());
         }
     }

@@ -104,30 +104,52 @@ fn max_delay_bounds_a_lone_request() {
 
 #[test]
 fn garbage_frames_get_clean_errors_and_the_connection_survives() {
-    use enhanced_soups::serve::proto::{read_frame, write_frame};
-    use enhanced_soups::serve::{Response, Status};
+    use enhanced_soups::serve::proto::{self, decode_predictions, MAX_PREDICT};
+    use enhanced_soups::serve::{Opcode, Request, Response, MAX_FRAME};
+    use enhanced_soups::store::frame::{write_frame, FrameBuf, Next};
 
     let (server, _dataset, _cfg, _fixture) = start_server(ServeConfig::default());
     let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    let mut buf = FrameBuf::new(MAX_FRAME);
+    let mut call = |payload: &[u8]| {
+        write_frame(&mut stream, MAX_FRAME, &[payload], None).unwrap();
+        match buf.read_frame(&mut stream, None).unwrap() {
+            Next::Frame(reply) => proto::decode_response(reply).unwrap(),
+            other => panic!("no reply: {other:?}"),
+        }
+    };
 
-    // Unknown opcode, empty payload, and a truncated PREDICT body must all
-    // come back as ERROR frames — and the same connection keeps working.
-    for garbage in [vec![99u8], vec![], vec![1u8, 10, 0, 0, 0, 7]] {
-        write_frame(&mut stream, &garbage).unwrap();
-        let reply = read_frame(&mut stream).unwrap();
-        assert_eq!(reply[0], Status::Error as u8, "payload {garbage:?}");
+    // Unknown opcode, empty payload, a truncated PREDICT body, and the
+    // largest PREDICT the frame cap admits (whose reply would not fit a
+    // frame) must all come back as ERROR frames — and the same
+    // connection keeps working.
+    let mut too_many = vec![Opcode::Predict as u8];
+    too_many.extend_from_slice(&(MAX_PREDICT as u32 + 1).to_le_bytes());
+    too_many.resize(too_many.len() + 4 * (MAX_PREDICT + 1), 0);
+    for garbage in [vec![99u8], vec![], vec![1u8, 10, 0, 0, 0, 7], too_many] {
+        let reply = call(&garbage);
+        assert!(
+            matches!(reply, Response::Error(_)),
+            "payload of {} bytes got {reply:?}",
+            garbage.len()
+        );
     }
-    write_frame(
-        &mut stream,
-        &enhanced_soups::serve::proto::encode_request(&enhanced_soups::serve::Request::Ping),
-    )
-    .unwrap();
-    let reply =
-        enhanced_soups::serve::proto::decode_response(&read_frame(&mut stream).unwrap()).unwrap();
     assert!(
-        matches!(reply, Response::Ok(_)),
+        matches!(
+            call(&proto::encode_request(&Request::Ping)),
+            Response::Ok(_)
+        ),
         "connection died after garbage"
     );
+    // Exactly MAX_PREDICT ids get a readable OK reply.
+    let reply = call(&proto::encode_request(&Request::Predict(vec![
+        0;
+        MAX_PREDICT
+    ])));
+    let Response::Ok(body) = reply else {
+        panic!("largest legal PREDICT got {reply:?}")
+    };
+    assert_eq!(decode_predictions(&body).unwrap().1.len(), MAX_PREDICT);
     server.stop();
 }
 

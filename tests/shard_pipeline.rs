@@ -272,46 +272,59 @@ fn chaos_killed_runs_recover_bit_identically_at_every_phase() {
         .collect();
     let clean_results = [shard_result(&clean, 0), shard_result(&clean, 1)];
 
-    for phase in ["spawn", "fetch", "train", "soup", "report"] {
-        let run = dir.join(format!("kill-{phase}"));
-        let stdout = shard_run_with(
-            &ds,
-            &run,
-            &[
-                "--chaos-kill",
-                &format!("0:{phase}"),
-                "--worker-timeout",
-                "10",
-            ],
-            &[],
-        );
+    // A kill at every phase, plus control-frame faults (drop, delay, and
+    // a frame torn in half then FIN) on every epoch-0 control frame.
+    let mut runs: Vec<(String, Vec<String>)> = ["spawn", "fetch", "train", "soup", "report"]
+        .iter()
+        .map(|phase| {
+            let kill = format!("0:{phase}");
+            let args = ["--chaos-kill", &kill, "--worker-timeout", "10"];
+            (format!("kill at {phase}"), args.map(String::from).to_vec())
+        })
+        .collect();
+    let frame_faults = [
+        "--chaos-frame-rate",
+        "1.0",
+        "--chaos-seed",
+        "7",
+        "--worker-timeout",
+        "2",
+    ];
+    runs.push((
+        "frame faults".into(),
+        frame_faults.map(String::from).to_vec(),
+    ));
+    for (i, (what, args)) in runs.iter().enumerate() {
+        let run = dir.join(format!("chaos-{i}"));
+        let args: Vec<&str> = args.iter().map(String::as_str).collect();
+        let stdout = shard_run_with(&ds, &run, &args, &[]);
         assert!(
             !stdout.contains("DEGRADED"),
-            "kill at {phase} degraded the run:\n{stdout}"
+            "{what} degraded the run:\n{stdout}"
         );
         let prov = run_provenance(&run);
         assert_eq!(
             prov.get("degraded"),
             Some(&serde_json::JsonValue::Bool(false)),
-            "kill at {phase}"
+            "{what}"
         );
         assert!(
             prov.get("restarts").and_then(|v| v.as_u64()).unwrap() >= 1,
-            "kill at {phase} recorded no respawn"
+            "{what} recorded no respawn"
         );
         for shard in 0..2 {
             let bits = checkpoint_bits(&run.join(format!("shard-{shard}")));
             assert_eq!(
                 bits, clean_bits[shard],
-                "kill at {phase}: shard {shard} ingredients diverged from the clean run"
+                "{what}: shard {shard} ingredients diverged from the clean run"
             );
             let r = shard_result(&run, shard);
             let c = &clean_results[shard];
-            assert_eq!(r.correct, c.correct, "kill at {phase}, shard {shard}");
+            assert_eq!(r.correct, c.correct, "{what}, shard {shard}");
             assert_eq!(
                 r.val_accuracy.to_bits(),
                 c.val_accuracy.to_bits(),
-                "kill at {phase}, shard {shard}"
+                "{what}, shard {shard}"
             );
         }
     }
