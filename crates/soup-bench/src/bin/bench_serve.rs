@@ -1,8 +1,7 @@
 //! Serving-layer bench: closed-loop Zipf-skewed load against a live
-//! `soup-serve` server, sweeping client concurrency for the f32 and the
-//! int8-quantized forward path.
+//! `soup-serve` server, sweeping client concurrency.
 //!
-//! Each arm starts a real TCP server (micro-batching, admission control)
+//! The bench starts a real TCP server (micro-batching, admission control)
 //! and drives it with `run_closed_loop`: every client hammers
 //! back-to-back requests whose node ids follow a Zipf(1.0) popularity
 //! curve, so batches actually coalesce hot nodes the way production
@@ -22,7 +21,6 @@ use soup_gnn::ModelConfig;
 use soup_gnn::TrainConfig;
 use soup_graph::{Dataset, DatasetKind};
 use soup_serve::{run_closed_loop, LoadConfig, ServeConfig, Server};
-use soup_tensor::quant::QuantKind;
 use std::time::Duration;
 
 /// Concurrency sweep — fixed across presets so the sidecar's leaf paths
@@ -41,8 +39,8 @@ struct ServePoint {
     mean_us: f64,
 }
 
-/// One forward-path arm across the concurrency sweep. Named fields (not an
-/// array) so regress paths read `f32.c4.p99_us` and stay index-free.
+/// The concurrency sweep. Named fields (not an array) so regress paths
+/// read `f32.c4.p99_us` and stay index-free.
 #[derive(Serialize)]
 struct ArmReport {
     c1: ServePoint,
@@ -63,8 +61,7 @@ struct ServeReport {
     max_batch: usize,
     max_delay_us: u64,
     f32: ArmReport,
-    int8: ArmReport,
-    /// Registry totals across both arms; requests/batches is the achieved
+    /// Registry totals across the sweep; requests/batches is the achieved
     /// coalescing factor (informational).
     counters: ServeCounters,
 }
@@ -73,7 +70,6 @@ fn run_arm(
     dataset: &Dataset,
     cfg: &ModelConfig,
     params: &soup_gnn::ParamSet,
-    quant: Option<QuantKind>,
     requests_per_client: usize,
 ) -> ArmReport {
     let config = ServeConfig {
@@ -83,7 +79,6 @@ fn run_arm(
         queue_depth: 256,
         // Connections are persistent, so workers bounds live clients.
         workers: LEVELS[LEVELS.len() - 1] + 2,
-        quant,
         ..ServeConfig::default()
     };
     let server = Server::start(dataset.clone(), cfg.clone(), params.clone(), config)
@@ -143,21 +138,13 @@ fn main() {
     let ingredients = soup_distrib::train_ingredients(&dataset, &cfg, &tc, 2, 2, 42);
     let outcome = UniformSouping.soup(&ingredients, &dataset, &cfg, 42);
 
-    let f32_arm = run_arm(&dataset, &cfg, &outcome.params, None, requests_per_client);
-    let int8_arm = run_arm(
-        &dataset,
-        &cfg,
-        &outcome.params,
-        Some(QuantKind::Int8),
-        requests_per_client,
-    );
+    let f32_arm = run_arm(&dataset, &cfg, &outcome.params, requests_per_client);
 
     let report = ServeReport {
         nodes: dataset.num_nodes(),
         max_batch: 64,
         max_delay_us: 200,
         f32: f32_arm,
-        int8: int8_arm,
         counters: ServeCounters {
             requests: counter("serve.requests"),
             batches: counter("serve.batches"),
@@ -172,14 +159,13 @@ fn main() {
     )
     .expect("write sidecar");
     println!("wrote {sidecar}:");
-    for (name, arm) in [("f32", &report.f32), ("int8", &report.int8)] {
-        for p in [&arm.c1, &arm.c4, &arm.c8] {
-            println!(
-                "  {name:<5} c={:<2} {:>9.0} req/s  p50 {:>7} us  p99 {:>7} us  \
-                 ({} served, {} overloaded)",
-                p.clients, p.throughput_rps, p.p50_us, p.p99_us, p.served, p.overloaded,
-            );
-        }
+    let arm = &report.f32;
+    for p in [&arm.c1, &arm.c4, &arm.c8] {
+        println!(
+            "  f32 c={:<2} {:>9.0} req/s  p50 {:>7} us  p99 {:>7} us  \
+             ({} served, {} overloaded)",
+            p.clients, p.throughput_rps, p.p50_us, p.p99_us, p.served, p.overloaded,
+        );
     }
     let c = &report.counters;
     println!(

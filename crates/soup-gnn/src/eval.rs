@@ -1,23 +1,21 @@
-//! Model evaluation: eval-mode predictions and accuracy, for f32 and
-//! quantized parameter sets, all through one logits helper over
-//! [`crate::model::forward`].
+//! Model evaluation: eval-mode predictions and accuracy, all through one
+//! logits helper over [`crate::model::forward`].
 
 use crate::cache::PropCache;
 use crate::config::ModelConfig;
-use crate::model::{forward, LayerWeights, PropOps};
+use crate::model::{forward, PropOps};
 use crate::params::{ParamSet, ParamVars};
-use crate::quant::QuantParamSet;
 use soup_graph::metrics::accuracy;
-use soup_tensor::tape::Tape;
+use soup_tensor::tape::{Tape, Var};
 use soup_tensor::{SplitMix64, Tensor};
 
 /// Eval-mode (no dropout) logits of `layers` over `features` on `tape`.
-fn logits<W: LayerWeights>(
+fn logits(
     tape: &Tape,
     cfg: &ModelConfig,
     ops: &PropOps,
     cache: Option<&PropCache>,
-    layers: &[W],
+    layers: &[Vec<Var>],
     features: &Tensor,
 ) -> Tensor {
     let x = tape.constant(features.clone());
@@ -74,31 +72,6 @@ pub fn evaluate_accuracy_cached(
     mask: &[usize],
 ) -> f64 {
     accuracy(&predict_cached(cfg, ops, cache, params), labels, mask)
-}
-
-/// Argmax class predictions with int8/bf16 weight matmuls.
-pub fn predict_quant(
-    cfg: &ModelConfig,
-    ops: &PropOps,
-    cache: Option<&PropCache>,
-    qparams: &QuantParamSet,
-    features: &Tensor,
-) -> Vec<usize> {
-    logits(&Tape::new(), cfg, ops, cache, qparams.layers(), features).argmax_rows()
-}
-
-/// Accuracy of the quantized forward over the nodes in `mask`.
-pub fn evaluate_accuracy_quant(
-    cfg: &ModelConfig,
-    ops: &PropOps,
-    cache: Option<&PropCache>,
-    qparams: &QuantParamSet,
-    features: &Tensor,
-    labels: &[u32],
-    mask: &[usize],
-) -> f64 {
-    let preds = predict_quant(cfg, ops, cache, qparams, features);
-    accuracy(&preds, labels, mask)
 }
 
 #[cfg(test)]

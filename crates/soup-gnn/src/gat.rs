@@ -5,7 +5,6 @@
 //! the fused edge-softmax aggregation kernel.
 
 use crate::config::ModelConfig;
-use crate::model::LayerWeights;
 use crate::params::LayerParams;
 use soup_tensor::init::{xavier_normal, xavier_normal_shaped, zeros_bias};
 use soup_tensor::ops::EdgeIndex;
@@ -36,15 +35,15 @@ pub(crate) fn layer(
     tape: &Tape,
     idx: &EdgeIndex,
     h: Var,
-    w: &impl LayerWeights,
+    w: &[Var],
     heads: usize,
     negative_slope: f32,
 ) -> Var {
-    let x = w.matmul(tape, h, 0);
-    let al = tape.block_rowsum(tape.mul_row(x, w.full(tape, 1)), heads);
-    let ar = tape.block_rowsum(tape.mul_row(x, w.full(tape, 2)), heads);
+    let x = tape.matmul(h, w[0]);
+    let al = tape.block_rowsum(tape.mul_row(x, w[1]), heads);
+    let ar = tape.block_rowsum(tape.mul_row(x, w[2]), heads);
     let agg = tape.gat_aggregate(idx, x, al, ar, heads, negative_slope);
-    tape.add_bias(agg, w.full(tape, 3))
+    tape.add_bias(agg, w[3])
 }
 
 #[cfg(test)]

@@ -4,7 +4,6 @@
 //! graph by [`soup_graph::CsrGraph::gcn_norm`].
 
 use crate::config::ModelConfig;
-use crate::model::LayerWeights;
 use crate::params::LayerParams;
 use soup_tensor::init::{xavier_normal, zeros_bias};
 use soup_tensor::ops::SparseMat;
@@ -26,18 +25,12 @@ pub fn init_layer(cfg: &ModelConfig, l: usize, rng: &mut SplitMix64) -> LayerPar
 /// possibly from a [`crate::cache::PropCache`]) it is `(ÂH)W`. The two are
 /// equal in linear algebra but not bitwise in f32, so cached and uncached
 /// eval both take the aggregate-first order.
-pub(crate) fn layer(
-    tape: &Tape,
-    adj: &SparseMat,
-    h: Var,
-    agg: Option<Var>,
-    w: &impl LayerWeights,
-) -> Var {
+pub(crate) fn layer(tape: &Tape, adj: &SparseMat, h: Var, agg: Option<Var>, w: &[Var]) -> Var {
     let out = match agg {
-        Some(agg) => w.matmul(tape, agg, 0),
-        None => tape.spmm(adj, w.matmul(tape, h, 0)),
+        Some(agg) => tape.matmul(agg, w[0]),
+        None => tape.spmm(adj, tape.matmul(h, w[0])),
     };
-    tape.add_bias(out, w.full(tape, 1))
+    tape.add_bias(out, w[1])
 }
 
 #[cfg(test)]
@@ -91,7 +84,7 @@ mod tests {
         let w = tape.param(Tensor::eye(2));
         let b = tape.param(Tensor::zeros(1, 2));
         let x = tape.constant(Tensor::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]));
-        let y = layer(&tape, &g.gcn_norm(), x, None, &vec![w, b]);
+        let y = layer(&tape, &g.gcn_norm(), x, None, &[w, b]);
         let yv = tape.value(y);
         // Â for the single edge graph: all entries 1/2.
         assert!((yv.get(0, 0) - 0.5).abs() < 1e-5);

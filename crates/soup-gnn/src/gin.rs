@@ -7,7 +7,6 @@
 //! not learned.
 
 use crate::config::ModelConfig;
-use crate::model::LayerWeights;
 use crate::params::LayerParams;
 use soup_tensor::init::{xavier_normal, zeros_bias};
 use soup_tensor::ops::SparseMat;
@@ -39,13 +38,13 @@ pub(crate) fn layer(
     sum: &SparseMat,
     h: Var,
     agg: Option<Var>,
-    w: &impl LayerWeights,
+    w: &[Var],
     epsilon: f32,
 ) -> Var {
     let agg = agg.unwrap_or_else(|| tape.spmm(sum, h));
     let combined = tape.add(tape.scale(h, 1.0 + epsilon), agg);
-    let hidden = tape.relu(tape.add_bias(w.matmul(tape, combined, 0), w.full(tape, 1)));
-    tape.add_bias(w.matmul(tape, hidden, 2), w.full(tape, 3))
+    let hidden = tape.relu(tape.add_bias(tape.matmul(combined, w[0]), w[1]));
+    tape.add_bias(tape.matmul(hidden, w[2]), w[3])
 }
 
 #[cfg(test)]

@@ -3,8 +3,8 @@
 //! Four GNN architectures on the `soup-tensor` autograd tape: the three the
 //! paper evaluates (§IV-A) — GCN (Kipf & Welling), GraphSAGE (Hamilton et
 //! al.) and GAT (Veličković et al.) — plus GIN (Xu et al.), with the
-//! ingredient training loop of Phase 1 (full-batch and sampled-minibatch),
-//! evaluation helpers and post-soup int8/bf16 quantization.
+//! ingredient training loop of Phase 1 (full-batch and sampled-minibatch)
+//! and evaluation helpers.
 //!
 //! Architecture notes:
 //! - Parameters live in a [`params::ParamSet`]: a list of named layers,
@@ -13,11 +13,9 @@
 //! - There is one forward, [`model::forward`]: it dispatches to one layer
 //!   function per architecture over a prepared propagation operator
 //!   ([`model::PropOps`]), so the same code serves full graphs, PLS
-//!   partition-union subgraphs and sampled minibatch subgraphs. It is
-//!   generic over [`model::LayerWeights`] — tape variables for training and
-//!   f32 evaluation, a [`quant::QuantParamSet`]'s layers for int8/bf16
-//!   inference — and takes an optional [`PropCache`] for the eval-mode
-//!   first hop.
+//!   partition-union subgraphs and sampled minibatch subgraphs. Its weights
+//!   are plain tape variables, and it takes an optional [`PropCache`] for
+//!   the eval-mode first hop.
 
 pub mod cache;
 pub mod checkpoint;
@@ -28,7 +26,6 @@ pub mod gcn;
 pub mod gin;
 pub mod model;
 pub mod params;
-pub mod quant;
 pub mod sage;
 pub mod train;
 
@@ -39,11 +36,7 @@ pub use checkpoint::{
     validate_checkpoint, Checkpoint,
 };
 pub use config::{Arch, ModelConfig};
-pub use eval::{
-    evaluate_accuracy, evaluate_accuracy_cached, evaluate_accuracy_quant, predict, predict_cached,
-    predict_quant,
-};
-pub use model::{forward, init_params, PropOps};
+pub use eval::{evaluate_accuracy, evaluate_accuracy_cached, predict, predict_cached};
+pub use model::{check_params, forward, init_params, PropOps};
 pub use params::{ParamSet, ParamVars};
-pub use quant::QuantParamSet;
 pub use train::{train_single, TrainConfig, TrainedModel};

@@ -1,11 +1,11 @@
 //! Architecture dispatch: parameter initialisation, propagation-operator
-//! preparation, and the one multi-layer forward pass, generic over what a
-//! layer's weight slots are ([`LayerWeights`]).
+//! preparation, and the one multi-layer forward pass.
 
 use crate::cache::PropCache;
 use crate::config::{Arch, ModelConfig};
 use crate::params::ParamSet;
 use crate::{gat, gcn, gin, sage};
+use soup_error::{Result, SoupError};
 use soup_graph::CsrGraph;
 use soup_tensor::ops::{EdgeIndex, SparseMat};
 use soup_tensor::tape::{Tape, Var};
@@ -63,29 +63,25 @@ pub fn init_params(cfg: &ModelConfig, rng: &mut SplitMix64) -> ParamSet {
     ParamSet { layers }
 }
 
-/// What one layer's parameter slots are: tape variables (training and f32
-/// evaluation) or a [`crate::quant::QuantParamSet`] layer (int8/bf16
-/// inference). The layer functions ask only for these two operations, so one
-/// forward serves every backend.
-pub trait LayerWeights {
-    /// `x · W`, with `W` the weight matrix in `slot`.
-    fn matmul(&self, tape: &Tape, x: Var, slot: usize) -> Var;
-    /// The f32 tensor in `slot` (bias, attention vector) as a tape variable.
-    fn full(&self, tape: &Tape, slot: usize) -> Var;
-}
-
-impl LayerWeights for Vec<Var> {
-    fn matmul(&self, tape: &Tape, x: Var, slot: usize) -> Var {
-        tape.matmul(x, self[slot])
+/// Refuse `params` whose layer and tensor shapes are not the ones `cfg`
+/// describes (another architecture, width or depth), before any forward
+/// runs on them.
+pub fn check_params(cfg: &ModelConfig, params: &ParamSet) -> Result<()> {
+    if params.same_shape(&init_params(cfg, &mut SplitMix64::new(0))) {
+        return Ok(());
     }
-
-    fn full(&self, _tape: &Tape, slot: usize) -> Var {
-        self[slot]
-    }
+    Err(SoupError::shape(format!(
+        "parameters do not fit the configured {} architecture (hidden {}, {} layers)",
+        cfg.arch.name(),
+        cfg.hidden,
+        cfg.layers
+    )))
 }
 
 /// Full forward pass producing logits `(n, out_dim)` — the one forward that
-/// training, cached evaluation and quantized inference all run.
+/// training and (cached) evaluation both run. `layers` holds each layer's
+/// parameter slots as tape variables, in [`crate::params::LayerParams`]
+/// order.
 ///
 /// Dropout is applied to each layer's input when `training`; hidden
 /// activations are ReLU for GCN/GraphSAGE/GIN and ELU for GAT (the original
@@ -99,13 +95,13 @@ impl LayerWeights for Vec<Var> {
 /// first hop is weight-dependent and always recomputes. In training mode
 /// the cache is ignored entirely (dropout perturbs the layer-0 input).
 #[allow(clippy::too_many_arguments)]
-pub fn forward<W: LayerWeights>(
+pub fn forward(
     tape: &Tape,
     cfg: &ModelConfig,
     ops: &PropOps,
     cache: Option<&PropCache>,
     x: Var,
-    layers: &[W],
+    layers: &[Vec<Var>],
     training: bool,
     rng: &mut SplitMix64,
 ) -> Var {

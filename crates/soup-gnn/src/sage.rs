@@ -5,7 +5,6 @@
 //! transform, so isolated nodes degrade gracefully to a self-transform.
 
 use crate::config::ModelConfig;
-use crate::model::LayerWeights;
 use crate::params::LayerParams;
 use soup_tensor::init::{xavier_normal, zeros_bias};
 use soup_tensor::ops::SparseMat;
@@ -24,16 +23,10 @@ pub fn init_layer(cfg: &ModelConfig, l: usize, rng: &mut SplitMix64) -> LayerPar
 /// One GraphSAGE layer forward. `mean` is the `D^{-1}A` operator; `agg`,
 /// when given, is the neighbor mean `D^{-1}A·H` already computed (possibly
 /// by a [`crate::cache::PropCache`]).
-pub(crate) fn layer(
-    tape: &Tape,
-    mean: &SparseMat,
-    h: Var,
-    agg: Option<Var>,
-    w: &impl LayerWeights,
-) -> Var {
+pub(crate) fn layer(tape: &Tape, mean: &SparseMat, h: Var, agg: Option<Var>, w: &[Var]) -> Var {
     let agg = agg.unwrap_or_else(|| tape.spmm(mean, h));
     let cat = tape.concat_cols(h, agg);
-    tape.add_bias(w.matmul(tape, cat, 0), w.full(tape, 1))
+    tape.add_bias(tape.matmul(cat, w[0]), w[1])
 }
 
 #[cfg(test)]
@@ -86,7 +79,7 @@ mod tests {
         let w = tape.param(Tensor::from_vec(4, 2, wdata));
         let b = tape.param(Tensor::zeros(1, 2));
         let x = tape.constant(Tensor::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]));
-        let y = tape.value(layer(&tape, &g.mean_agg(), x, None, &vec![w, b]));
+        let y = tape.value(layer(&tape, &g.mean_agg(), x, None, &[w, b]));
         // Node 0: self (1,2) + neighbor 1 (3,4) -> (4,6).
         assert_eq!(y.row(0), &[4.0, 6.0]);
         // Node 2: self only.

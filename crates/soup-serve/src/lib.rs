@@ -1,10 +1,9 @@
 //! # soup-serve — request serving over a souped model
 //!
 //! Online node-classification over the Phase-2 soup: a multi-threaded TCP
-//! server whose every answer is the output of the same fused inference
-//! paths the offline pipeline uses (`predict_cached` for f32,
-//! `predict_quant` for int8/bf16), with the serving concerns layered on
-//! top:
+//! server whose every answer is the output of the same cached inference
+//! path the offline pipeline uses (`predict_cached`), with the serving
+//! concerns layered on top:
 //!
 //! - **Prediction table** ([`server`]) — a soup deploys as one parameter
 //!   set and the graph is fixed, so every answer changes only when a
@@ -20,8 +19,8 @@
 //!   an explicit `OVERLOADED` response instead of unbounded queueing.
 //! - **Hot model swap** — `SWAP` (promote a checkpoint file) and `RESOUP`
 //!   (re-soup a pool through the [`soup_core::SoupStrategy`] registry and
-//!   promote the winner) build the next `Arc<ServeModel>` — parameters,
-//!   re-quantization and prediction table — off the lock and swap it in
+//!   promote the winner) build the next `Arc<ServeModel>` — parameters
+//!   and prediction table — off the lock and swap it in
 //!   without pausing traffic; requests sent after the promote ack are
 //!   guaranteed the new model.
 //! - **Observability** — `serve.*` counters, latency / batch-size /

@@ -13,12 +13,11 @@
 //! The live model is an `Arc<ServeModel>` behind a `parking_lot::RwLock`.
 //! On the transductive benchmarks every answer is a pure function of
 //! (graph, features, parameters), so a version carries its answers with
-//! it: promotion (startup / SWAP / RESOUP) builds the new model — its
-//! quantized form when serving quantized, then the argmax class of every
-//! node through the one full-graph forward that version will ever run —
-//! *outside* the lock, takes the write lock only for the pointer swap, and
-//! acks the client after the guard drops. PREDICT is a gather from that
-//! table. In-flight batches keep their old `Arc` (it stays alive until the
+//! it: promotion (startup / SWAP / RESOUP) builds the new model — the
+//! argmax class of every node through the one full-graph forward that
+//! version will ever run — *outside* the lock, takes the write lock only
+//! for the pointer swap, and acks the client after the guard drops.
+//! PREDICT is a gather from that table. In-flight batches keep their old `Arc` (it stays alive until the
 //! last reference drops), so traffic is never paused, no request is
 //! dropped by a swap, and no reply pairs one version with another's table.
 
@@ -29,12 +28,10 @@ use serde::Serialize;
 use soup_core::{load_manifest, SoupCtx, StrategySpec};
 use soup_error::SoupError;
 use soup_gnn::{
-    load_checkpoint, predict_cached, predict_quant, ModelConfig, ParamSet, PropCache, PropOps,
-    QuantParamSet,
+    check_params, load_checkpoint, predict_cached, ModelConfig, ParamSet, PropCache, PropOps,
 };
 use soup_graph::Dataset;
 use soup_store::frame::{is_stall, write_frame, FrameBuf, Next};
-use soup_tensor::quant::QuantKind;
 use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -57,8 +54,6 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Accept-loop worker threads (= max concurrently served connections).
     pub workers: usize,
-    /// Serve through the quantized forward path instead of f32.
-    pub quant: Option<QuantKind>,
     /// Reap a connection idle this long between requests; a connection
     /// that *stalls mid-frame* is cut after at most twice this. Also the
     /// per-connection write timeout.
@@ -73,7 +68,6 @@ impl Default for ServeConfig {
             max_delay: Duration::from_micros(500),
             queue_depth: 128,
             workers: 4,
-            quant: None,
             idle_timeout: Duration::from_secs(60),
         }
     }
@@ -84,41 +78,25 @@ pub struct ServeModel {
     /// Monotonic promotion counter; version 1 is the model served at
     /// startup.
     pub version: u64,
-    /// f32 parameters (kept even when serving quantized, for re-promotion
-    /// diagnostics and STATS).
+    /// The promoted parameters; a later promotion must match their shape.
     pub params: ParamSet,
-    /// Quantized form, present iff the server was started with a quant
-    /// kind.
-    pub qparams: Option<QuantParamSet>,
     /// Predicted class of every node under this version: the output of the
-    /// offline `predict_quant` (when `qparams` is set) or `predict_cached`,
-    /// computed once when the version is built. PREDICT gathers from it.
+    /// offline `predict_cached`, computed once when the version is built.
+    /// PREDICT gathers from it.
     pub(crate) table: Vec<u32>,
 }
 
 impl ServeModel {
-    /// Quantize `params` when `quant` is set, then run the version's one
-    /// full-graph forward. Called before any lock is taken. The result is
-    /// stamped version 1, the startup model; `promote` restamps it under
-    /// the write lock.
-    fn build(
-        quant: Option<QuantKind>,
-        cfg: &ModelConfig,
-        ops: &PropOps,
-        cache: &PropCache,
-        params: ParamSet,
-    ) -> ServeModel {
-        let qparams = quant.map(|kind| QuantParamSet::quantize(cfg, &params, kind));
+    /// Run the version's one full-graph forward. Called before any lock is
+    /// taken. The result is stamped version 1, the startup model; `promote`
+    /// restamps it under the write lock.
+    fn build(cfg: &ModelConfig, ops: &PropOps, cache: &PropCache, params: ParamSet) -> ServeModel {
         let t0 = Instant::now();
-        let preds = match &qparams {
-            Some(q) => predict_quant(cfg, ops, Some(cache), q, cache.features()),
-            None => predict_cached(cfg, ops, cache, &params),
-        };
+        let preds = predict_cached(cfg, ops, cache, &params);
         soup_obs::histogram!("serve.table_build_us").record(t0.elapsed().as_micros() as u64);
         ServeModel {
             version: 1,
             params,
-            qparams,
             table: preds.into_iter().map(|c| c as u32).collect(),
         }
     }
@@ -155,8 +133,7 @@ impl ServeShared {
                 "promoted parameters do not match the serving architecture",
             ));
         }
-        let mut next =
-            ServeModel::build(self.config.quant, &self.cfg, &self.ops, &self.cache, params);
+        let mut next = ServeModel::build(&self.cfg, &self.ops, &self.cache, params);
         let mut live = self.model.write();
         let version = live.version + 1;
         next.version = version;
@@ -173,7 +150,6 @@ impl ServeShared {
 struct StatsBody {
     version: u64,
     num_nodes: usize,
-    quant: Option<String>,
     requests: u64,
     batches: u64,
     rejected: u64,
@@ -196,22 +172,24 @@ pub struct Server {
 impl Server {
     /// Bind, spawn the batcher and the accept workers, and return.
     ///
-    /// The initial model is promoted as version 1 (quantizing it first
-    /// when `config.quant` is set, then filling its prediction table); the
-    /// [`PropCache`] is built once here and shared by every promotion's
-    /// forward for the server's lifetime.
+    /// `params` must fit `cfg` ([`check_params`]): a soup of another
+    /// architecture or width is a `shape` error before anything binds or
+    /// runs. The initial model is promoted as version 1 (filling its
+    /// prediction table); the [`PropCache`] is built once here and shared
+    /// by every promotion's forward for the server's lifetime.
     pub fn start(
         dataset: Dataset,
         cfg: ModelConfig,
         params: ParamSet,
         config: ServeConfig,
     ) -> soup_error::Result<Server> {
+        check_params(&cfg, &params)?;
         let listener = TcpListener::bind(("127.0.0.1", config.port))?;
         let addr = listener.local_addr()?;
 
         let ops = PropOps::prepare(cfg.arch, &dataset.graph);
         let cache = PropCache::new(&ops, &dataset.features);
-        let model = ServeModel::build(config.quant, &cfg, &ops, &cache, params);
+        let model = ServeModel::build(&cfg, &ops, &cache, params);
         let (tx, rx) = sync_channel::<PredictJob>(config.queue_depth);
         let shared = Arc::new(ServeShared {
             config,
@@ -448,7 +426,6 @@ fn stats(shared: &Arc<ServeShared>) -> soup_error::Result<String> {
     let body = StatsBody {
         version: shared.model.read().version,
         num_nodes: shared.dataset.num_nodes(),
-        quant: shared.config.quant.map(|k| k.to_string()),
         requests: soup_obs::counter!("serve.requests").get(),
         batches: soup_obs::counter!("serve.batches").get(),
         rejected: soup_obs::counter!("serve.rejected").get(),

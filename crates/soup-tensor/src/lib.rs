@@ -40,7 +40,6 @@ pub mod ops;
 pub mod optim;
 pub mod parallel;
 pub mod pool;
-pub mod quant;
 pub mod rng;
 pub mod shape;
 pub mod storage;
@@ -50,7 +49,6 @@ pub mod view;
 
 pub use memory::{MemoryScope, DEVICE_MEMORY};
 pub use parallel::par_threshold;
-pub use quant::QuantMat;
 pub use rng::SplitMix64;
 pub use shape::Shape;
 pub use tape::{Grads, Tape, Var};

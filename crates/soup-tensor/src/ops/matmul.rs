@@ -1,6 +1,5 @@
 //! Dense matrix product with autograd.
 
-use crate::quant::QuantMat;
 use crate::tape::{Tape, Var};
 
 impl Tape {
@@ -25,17 +24,6 @@ impl Tape {
             }),
         )
     }
-
-    /// `a (m,k) × w (k,n)` against a quantized weight matrix.
-    ///
-    /// **Inference-only**: the product enters the tape as a constant, so no
-    /// gradient flows through it (there is no meaningful gradient w.r.t.
-    /// int8 weights anyway — quantization happens once, post-soup). The
-    /// activations stay f32; accumulation is f32 throughout.
-    pub fn matmul_quant(&self, a: Var, w: &QuantMat) -> Var {
-        let out = crate::quant::qmatmul(&self.value(a), w);
-        self.constant(out)
-    }
 }
 
 #[cfg(test)]
@@ -54,21 +42,6 @@ mod tests {
         let vb = tape.constant(b.clone());
         let y = tape.matmul(va, vb);
         assert!(tape.value(y).allclose(&a.matmul(&b), 1e-6));
-    }
-
-    #[test]
-    fn matmul_quant_is_constant_and_close_to_f32() {
-        use crate::quant::{QuantKind, QuantMat};
-        let mut rng = SplitMix64::new(11);
-        let a = Tensor::randn(6, 9, 0.7, &mut rng);
-        let w = Tensor::randn(9, 5, 0.7, &mut rng);
-        let q = QuantMat::quantize(&w, QuantKind::Int8);
-        let tape = Tape::new();
-        let va = tape.constant(a.clone());
-        let y = tape.matmul_quant(va, &q);
-        // Forward agrees with the dequantized product; backward sees a leaf.
-        assert!(tape.value(y).allclose(&a.matmul(&q.dequantize()), 1e-4));
-        assert!(!tape.requires_grad(y));
     }
 
     #[test]

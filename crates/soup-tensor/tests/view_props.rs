@@ -1,4 +1,4 @@
-//! Property tests for the strided-view GEMM path and the quantization ops.
+//! Property tests for the strided-view GEMM path.
 //!
 //! The view layer's contract is *bitwise* equivalence: a `MatRef` with
 //! arbitrary (row, col) strides describing the same logical matrix as an
@@ -7,12 +7,8 @@
 //! the contiguous ones and the microkernel never changes. Out-of-view
 //! buffer slots are filled with NaN so any stray read poisons the result
 //! instead of passing silently.
-//!
-//! Quantization is checked against its analytic error bounds: int8 within
-//! half a per-channel scale step, bf16 within 2⁻⁸ relative.
 
 use proptest::prelude::*;
-use soup_tensor::quant::{self, QuantKind, QuantMat, BF16_REL_BOUND};
 use soup_tensor::view::MatRef;
 use soup_tensor::{SplitMix64, Tensor};
 
@@ -116,75 +112,6 @@ proptest! {
         prop_assert_eq!(got.data(), want.data());
     }
 
-    /// int8 quantize→dequantize lands within half a scale step per channel.
-    #[test]
-    fn int8_roundtrip_within_per_channel_bound(
-        rows in 1usize..50,
-        cols in 1usize..50,
-        scale in 0.01f32..10.0,
-        seed in 0u64..1_000_000,
-    ) {
-        let mut rng = SplitMix64::new(seed);
-        let w = Tensor::randn(rows, cols, scale, &mut rng);
-        let q = QuantMat::quantize(&w, QuantKind::Int8);
-        let d = q.dequantize();
-        for c in 0..cols {
-            let bound = q.roundtrip_abs_bound(c).unwrap();
-            for r in 0..rows {
-                let err = (d.get(r, c) - w.get(r, c)).abs();
-                prop_assert!(
-                    err <= bound * (1.0 + 1e-5),
-                    "({r},{c}): err {err} > bound {bound}"
-                );
-            }
-        }
-    }
-
-    /// bf16 quantize→dequantize is within 2⁻⁸ relative of the source.
-    #[test]
-    fn bf16_roundtrip_within_relative_bound(
-        rows in 1usize..50,
-        cols in 1usize..50,
-        scale in 0.01f32..10.0,
-        seed in 0u64..1_000_000,
-    ) {
-        let mut rng = SplitMix64::new(seed);
-        let w = Tensor::randn(rows, cols, scale, &mut rng);
-        let q = QuantMat::quantize(&w, QuantKind::Bf16);
-        let d = q.dequantize();
-        for r in 0..rows {
-            for c in 0..cols {
-                let (x, y) = (w.get(r, c), d.get(r, c));
-                prop_assert!(
-                    (x - y).abs() <= BF16_REL_BOUND * x.abs(),
-                    "({r},{c}): {x} -> {y}"
-                );
-            }
-        }
-    }
-
-    /// The int8 kernel tracks the f32 product of the dequantized weights —
-    /// isolating kernel error (accumulation order only) from rounding error.
-    #[test]
-    fn qmatmul_tracks_dequantized_product(
-        m in 1usize..48,
-        n in 1usize..48,
-        k in 1usize..80,
-        seed in 0u64..1_000_000,
-    ) {
-        let mut rng = SplitMix64::new(seed);
-        let a = Tensor::randn(m, k, 1.0, &mut rng);
-        let w = Tensor::randn(k, n, 1.0, &mut rng);
-        let q = QuantMat::quantize(&w, QuantKind::Int8);
-        let got = quant::qmatmul(&a, &q);
-        let want = a.matmul(&q.dequantize());
-        for (idx, (&g, &e)) in got.data().iter().zip(want.data()).enumerate() {
-            prop_assert!(
-                (g - e).abs() <= 1e-3 * (1.0 + e.abs()),
-                "idx {idx}: got {g}, want {e}"
-            );
-        }
-    }
 }
 
 /// Hot-path sweep (satellite of the view refactor): `matmul_nt`/`matmul_tn`

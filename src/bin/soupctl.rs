@@ -46,7 +46,9 @@ use enhanced_soups::distrib::{
     run_sharded, ShardPlan, WorkerLaunch,
 };
 use enhanced_soups::gnn::model::PropOps;
-use enhanced_soups::gnn::{checkpoint_name, evaluate_accuracy, load_checkpoint, ParamSet};
+use enhanced_soups::gnn::{
+    check_params, checkpoint_name, evaluate_accuracy, load_checkpoint, ParamSet,
+};
 use enhanced_soups::gnn::{ModelConfig, TrainConfig};
 use enhanced_soups::graph::io::{load_dataset, save_dataset};
 use enhanced_soups::graph::mmap::{save_mmap_dataset, MmapDataset};
@@ -57,7 +59,6 @@ use enhanced_soups::soup::strategy::test_accuracy;
 use enhanced_soups::soup::{
     diversity_report, load_manifest, write_manifest, Manifest, ManifestEntry, SoupCtx, StrategySpec,
 };
-use enhanced_soups::tensor::quant::QuantKind;
 use std::path::{Path, PathBuf};
 use std::process::exit;
 use std::time::Duration;
@@ -261,7 +262,6 @@ const SOUP: CommandSpec = CommandSpec {
         )
         .default("0.0"),
         FlagDef::u64("fault-seed", "storage-fault seed (default: --seed)"),
-        FlagDef::switch("quant-check", "gate int8/bf16 quantized accuracy at 0.5 pp"),
     ],
 };
 
@@ -314,11 +314,6 @@ const SERVE: CommandSpec = CommandSpec {
         )
         .default("128"),
         FlagDef::u64("workers", "accept-loop threads = max live connections").default("4"),
-        FlagDef::str(
-            "quant",
-            "KIND",
-            "serve the quantized forward path: int8 | bf16",
-        ),
         FlagDef::u64(
             "idle-timeout-ms",
             "reap a connection idle this long (stalled mid-frame: 2x)",
@@ -742,53 +737,9 @@ fn cmd_soup(flags: &Flags) -> Result<()> {
         enhanced_soups::tensor::memory::format_bytes(outcome.stats.peak_mem_bytes),
         outcome.stats.spmm_saved,
     );
-    if flags.switch("quant-check") {
-        quant_check(&cfg, &dataset, &outcome.params, test)?;
-    }
     if let Some(out) = flags.str("out") {
         outcome.params.save_json(out)?;
         soup_obs::info!("wrote {out}");
-    }
-    Ok(())
-}
-
-/// `--quant-check`: quantize the souped weights (int8 and bf16) and gate
-/// the test-accuracy delta of the quantized forward path at 0.5 pp — the
-/// acceptance bound for post-soup quantized inference. Non-zero exit on
-/// breach, which is what the CI smoke keys off.
-fn quant_check(
-    cfg: &ModelConfig,
-    dataset: &enhanced_soups::graph::Dataset,
-    params: &ParamSet,
-    f32_acc: f64,
-) -> Result<()> {
-    use enhanced_soups::gnn::{evaluate_accuracy_quant, QuantParamSet};
-    let ops = PropOps::prepare(cfg.arch, &dataset.graph);
-    for kind in [QuantKind::Int8, QuantKind::Bf16] {
-        let qp = QuantParamSet::quantize(cfg, params, kind);
-        let acc = evaluate_accuracy_quant(
-            cfg,
-            &ops,
-            None,
-            &qp,
-            &dataset.features,
-            &dataset.labels,
-            &dataset.splits.test,
-        );
-        let delta_pp = (f32_acc - acc) * 100.0;
-        soup_obs::info!(
-            "quant-check {kind}: test {:.2}% vs f32 {:.2}% (Δ {:+.3} pp), weights {} -> {}",
-            acc * 100.0,
-            f32_acc * 100.0,
-            delta_pp,
-            enhanced_soups::tensor::memory::format_bytes(qp.f32_bytes()),
-            enhanced_soups::tensor::memory::format_bytes(qp.memory_bytes()),
-        );
-        if delta_pp.abs() > 0.5 {
-            return Err(SoupError::usage(format!(
-                "quant-check failed: {kind} accuracy delta {delta_pp:+.3} pp exceeds 0.5 pp"
-            )));
-        }
     }
     Ok(())
 }
@@ -798,6 +749,7 @@ fn cmd_eval(flags: &Flags) -> Result<()> {
     let dir = PathBuf::from(flags.req_str("ckpt-dir"));
     let (cfg, _) = load_manifest(&dir)?;
     let params = ParamSet::load_json(flags.req_str("params"))?;
+    check_params(&cfg, &params)?;
     let split = flags.req_str("split");
     let mask = match split {
         "train" => &dataset.splits.train,
@@ -843,16 +795,6 @@ fn cmd_serve(flags: &Flags) -> Result<()> {
                 .params
         }
     };
-    let quant = match flags.str("quant") {
-        None => None,
-        Some("int8") => Some(QuantKind::Int8),
-        Some("bf16") => Some(QuantKind::Bf16),
-        Some(other) => {
-            return Err(SoupError::usage(format!(
-                "--quant: unknown kind '{other}' (int8 | bf16)"
-            )))
-        }
-    };
     let port = flags.req_u64("port");
     if port > u16::MAX as u64 {
         return Err(SoupError::usage(format!("--port {port} exceeds 65535")));
@@ -863,7 +805,6 @@ fn cmd_serve(flags: &Flags) -> Result<()> {
         max_delay: Duration::from_micros(flags.req_u64("max-delay-us")),
         queue_depth: flags.req_usize("queue-depth"),
         workers: flags.req_usize("workers"),
-        quant,
         idle_timeout: Duration::from_millis(flags.req_u64("idle-timeout-ms").max(1)),
     };
     if config.max_batch == 0 || config.queue_depth == 0 {

@@ -1,7 +1,7 @@
 //! The serving read path is a table lookup: the full-graph forward runs once
-//! per promoted version (startup, SWAP, RESOUP, f32 or quantized) and never
-//! per request, and a promotion of the wrong architecture is refused before
-//! any forward is attempted.
+//! per promoted version (startup, SWAP, RESOUP) and never per request, and
+//! parameters of the wrong architecture are refused before any forward is
+//! attempted, at start-up and on promotion.
 //!
 //! One `#[test]` on purpose: part (a) counts forwards through the
 //! process-global `soup.cache.prop_hits` counter, which any other test in
@@ -9,13 +9,11 @@
 
 use enhanced_soups::gnn::model::init_params;
 use enhanced_soups::gnn::{
-    predict_cached, predict_quant, save_checkpoint, Checkpoint, ModelConfig, ParamSet, PropCache,
-    PropOps, QuantParamSet,
+    predict_cached, save_checkpoint, Checkpoint, ModelConfig, ParamSet, PropCache, PropOps,
 };
 use enhanced_soups::prelude::*;
 use enhanced_soups::serve::{Client, PredictResult, ServeConfig, Server};
 use enhanced_soups::soup::{write_manifest, Manifest, ManifestEntry};
-use enhanced_soups::tensor::quant::QuantKind;
 use std::path::Path;
 
 fn save(path: &Path, id: usize, params: &ParamSet) -> String {
@@ -49,8 +47,7 @@ fn predictions_come_from_one_forward_per_promoted_version() {
     let dataset = DatasetKind::Flickr.generate_scaled(11, 0.12);
     let n = dataset.num_nodes();
     let cfg = ModelConfig::gcn(dataset.num_features(), dataset.num_classes()).with_hidden(8);
-    // Seeds 5 and 6 are ones whose int8 and f32 predictions differ on this
-    // graph (checked below), so an f32 table under a quantized server shows.
+    // Three distinct parameter sets: start-up, SWAP and the RESOUP pool.
     let params: Vec<ParamSet> = (0..3)
         .map(|i| init_params(&cfg, &mut SplitMix64::new(5 + i)))
         .collect();
@@ -72,17 +69,6 @@ fn predictions_come_from_one_forward_per_promoted_version() {
         .collect();
     let us_params = UniformSouping.soup(&pool, &dataset, &cfg, 3).params;
     let us_reference = predict_cached(&cfg, &ops, &cache, &us_params);
-    let int8_reference: Vec<Vec<usize>> = params[..2]
-        .iter()
-        .map(|p| {
-            let q = QuantParamSet::quantize(&cfg, p, QuantKind::Int8);
-            predict_quant(&cfg, &ops, Some(&cache), &q, &dataset.features)
-        })
-        .collect();
-    assert!(
-        int8_reference[0] != reference[0] && int8_reference[1] != reference[1],
-        "fixture cannot tell an int8 table from an f32 one"
-    );
     // The RESOUP pool is parameter sets 1 and 2; SWAP promotes the first.
     let swap_path = save(&dir.join("ingredient-0.ck"), 0, &params[1]);
     save(&dir.join("ingredient-1.ck"), 1, &params[2]);
@@ -153,10 +139,19 @@ fn predictions_come_from_one_forward_per_promoted_version() {
     assert_serves(&mut client, 2, &reference[1], "after SWAP");
 
     // (c) Reject before forward: another hidden width is an ERROR, the live
-    // version and its answers are untouched, the connection survives.
+    // version and its answers are untouched, the connection survives. A
+    // server started on such parameters is a `shape` error, not a panic.
     let err = client.swap(&wide_path).unwrap_err().to_string();
     assert!(err.contains("architecture"), "unexpected error: {err}");
-    assert_eq!(forwards.get(), before + 1, "a refused SWAP ran a forward");
+    let err = Server::start(dataset, cfg, wide, ServeConfig::default())
+        .err()
+        .expect("a server started on parameters that do not fit its config");
+    assert_eq!(err.kind(), "shape", "unexpected error: {err}");
+    assert_eq!(
+        forwards.get(),
+        before + 1,
+        "a refused SWAP or start-up ran a forward"
+    );
     assert_eq!(server.version(), 2);
     assert_serves(&mut client, 2, &reference[1], "after refused SWAP");
 
@@ -173,24 +168,6 @@ fn predictions_come_from_one_forward_per_promoted_version() {
         field("latency_p50_us") <= field("latency_p99_us"),
         "{stats}"
     );
-    server.stop();
-
-    // (b) A quantized server's table is the quantized forward's output, not
-    // an f32 one — at start-up and after a promotion.
-    let server = Server::start(
-        dataset,
-        cfg,
-        params[0].clone(),
-        ServeConfig {
-            quant: Some(QuantKind::Int8),
-            ..ServeConfig::default()
-        },
-    )
-    .unwrap();
-    let mut client = Client::connect(server.addr()).unwrap();
-    assert_serves(&mut client, 1, &int8_reference[0], "int8 startup");
-    assert_eq!(client.swap(&swap_path).unwrap(), 2);
-    assert_serves(&mut client, 2, &int8_reference[1], "int8 after SWAP");
     server.stop();
     std::fs::remove_dir_all(&dir).ok();
 }
