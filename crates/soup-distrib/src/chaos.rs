@@ -28,13 +28,13 @@ use soup_tensor::SplitMix64;
 /// [`Train`]: ChaosPhase::Train
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ChaosPhase {
-    /// Immediately on entry, before the halo server binds.
+    /// Immediately on entry, before the dataset is mapped.
     Spawn,
-    /// After GO, before halo features are fetched.
+    /// After READY, before the halo rows are copied from the map.
     Fetch,
     /// Mid-Phase-1, after ≥1 ingredient checkpoint is durable.
     Train,
-    /// After PROCEED barrier, before souping begins.
+    /// After training, before souping begins.
     Soup,
     /// After souping, before RESULT is sent.
     Report,
@@ -153,7 +153,7 @@ impl ChaosPlan {
     /// `op` sent by worker `shard` at epoch 0. Heartbeats are exempt —
     /// they are redundant by design, so mangling them proves nothing.
     pub fn frame_fault(&self, shard: usize, op: u8, seq: u64, epoch: u32) -> Option<FrameFault> {
-        if epoch != 0 || self.frame_rate <= 0.0 || op == crate::halo::OP_HEARTBEAT {
+        if epoch != 0 || self.frame_rate <= 0.0 || op == crate::control::OP_HEARTBEAT {
             return None;
         }
         let mut rng = self.keyed(0xf7a3, shard as u64, (op as u64) << 32 | seq);
@@ -265,15 +265,19 @@ mod tests {
             frame_delay_ms: 10,
             ..Default::default()
         };
-        assert!(plan.frame_fault(0, crate::halo::OP_READY, 0, 0).is_some());
         assert!(plan
-            .frame_fault(0, crate::halo::OP_HEARTBEAT, 0, 0)
+            .frame_fault(0, crate::control::OP_READY, 0, 0)
+            .is_some());
+        assert!(plan
+            .frame_fault(0, crate::control::OP_HEARTBEAT, 0, 0)
             .is_none());
-        assert!(plan.frame_fault(0, crate::halo::OP_READY, 0, 1).is_none());
+        assert!(plan
+            .frame_fault(0, crate::control::OP_READY, 0, 1)
+            .is_none());
         // Deterministic per (shard, op, seq).
         assert_eq!(
-            plan.frame_fault(3, crate::halo::OP_RESULT, 2, 0),
-            plan.frame_fault(3, crate::halo::OP_RESULT, 2, 0)
+            plan.frame_fault(3, crate::control::OP_RESULT, 2, 0),
+            plan.frame_fault(3, crate::control::OP_RESULT, 2, 0)
         );
     }
 

@@ -18,8 +18,8 @@
 //! onto the souping device.
 
 pub mod chaos;
+pub mod control;
 pub mod gather;
-pub mod halo;
 pub mod queue;
 pub mod schedule;
 pub mod shard;

@@ -12,10 +12,11 @@
 //!    "shard `i`'s pages" are the same thing (the DGL playbook);
 //! 2. [`run_sharded`] forks one worker process per shard (any executable
 //!    that calls [`crate::shard_worker::run_shard_worker`] — `soupctl
-//!    shard-worker` or `bench_shard` re-executing itself), sequences them
-//!    through the READY → GO → FETCHED → PROCEED → RESULT control protocol
-//!    over a Unix socket ([`crate::halo`]), and aggregates their
-//!    shard-local test counts into one global accuracy.
+//!    shard-worker` or `bench_shard` re-executing itself), supervises
+//!    each over one Unix control connection (READY → HEARTBEAT* → RESULT
+//!    → ACK, [`crate::control`]), and aggregates their shard-local test
+//!    counts into one global accuracy. Workers never talk to each other:
+//!    each copies its halo rows from the shared map.
 //!
 //! Each worker trains its ingredients and soups them entirely inside its
 //! shard (Phase-1 + PLS), checkpointing through the usual `soup-store`
@@ -35,9 +36,9 @@ use soup_partition::quality::{edge_cut_on, halo_counts};
 use soup_partition::streaming::{ldg_partition_restream, DEFAULT_PASSES, DEFAULT_SLACK};
 use soup_store::frame::{is_stall, FrameBuf, Next};
 
-use crate::halo::{
-    control_socket_path, expect_op, send, shard_epoch_payload, MAX_FRAME, OP_ACK, OP_FETCHED,
-    OP_GO, OP_HEARTBEAT, OP_PROCEED, OP_READY, OP_RESULT,
+use crate::control::{
+    control_socket_path, expect_op, send, shard_epoch_payload, MAX_FRAME, OP_ACK, OP_HEARTBEAT,
+    OP_READY, OP_RESULT,
 };
 
 type Result<T> = std::result::Result<T, SoupError>;
@@ -71,9 +72,10 @@ pub struct ShardPlan {
     pub soup_epochs: usize,
     pub pls_k: usize,
     pub pls_r: usize,
-    /// Run directory: control/halo sockets, `plan.json`, `shard-<i>/` state.
+    /// Run directory: control socket, `plan.json`, `shard-<i>/` state.
     pub out_dir: String,
-    /// Force the UDS halo path even where the shared map is available.
+    /// Must be `false`: halo rows always come from the shared map, and
+    /// [`run_sharded`] refuses a plan that sets it.
     pub no_shm: bool,
     /// Reuse valid per-shard checkpoints instead of retraining.
     pub resume: bool,
@@ -117,28 +119,46 @@ impl ShardPlan {
         s as usize..e as usize
     }
 
-    /// The shard that owns (relabeled) node `v`.
-    pub fn owner_of(&self, v: usize) -> usize {
-        self.ranges.partition_point(|&(_, end)| (end as usize) <= v)
-    }
-
     /// Heartbeat deadline for crash/hang detection.
     pub fn worker_timeout(&self) -> Duration {
         Duration::from_millis(self.worker_timeout_ms.max(100))
     }
 
-    /// How long a *worker* waits on a control read before giving up: long
-    /// enough to ride out every peer's full respawn chain, so one shard's
-    /// recovery never cascades into its neighbours timing out.
-    pub fn worker_patience(&self) -> Duration {
-        self.worker_timeout() * (self.restart_budget + 2)
+    /// Check that the ranges tile `[0, end)` contiguously in shard order;
+    /// returns `end`.
+    fn tiled_end(&self) -> Result<u64> {
+        let mut end = 0;
+        for &(s, e) in &self.ranges {
+            if s != end || e < s {
+                return Err(SoupError::corrupt(format!(
+                    "shard plan: ranges {:?} do not tile from node 0",
+                    self.ranges
+                )));
+            }
+            end = e;
+        }
+        Ok(end)
+    }
+
+    /// Check that the ranges tile exactly the `n` nodes of the dataset.
+    pub(crate) fn check_nodes(&self, n: usize) -> Result<()> {
+        match self.tiled_end()? {
+            end if end == n as u64 => Ok(()),
+            end => Err(SoupError::corrupt(format!(
+                "shard plan: ranges end at node {end}, but {} has {n} nodes",
+                self.dataset
+            ))),
+        }
     }
 
     pub fn load(path: impl AsRef<Path>) -> Result<Self> {
         let path = path.as_ref();
-        let text = std::fs::read_to_string(path).map_err(|e| SoupError::io_at(path, e))?;
-        let mut value: serde_json::JsonValue = serde_json::from_str(&text)
-            .map_err(|e| SoupError::corrupt(format!("shard plan {}: {e}", path.display())))?;
+        let bad = |e: &dyn std::fmt::Display| {
+            SoupError::corrupt(format!("shard plan {}: {e}", path.display()))
+        };
+        let bytes = std::fs::read(path).map_err(|e| SoupError::io_at(path, e))?;
+        let text = std::str::from_utf8(&bytes).map_err(|e| bad(&e))?;
+        let mut value: serde_json::JsonValue = serde_json::from_str(text).map_err(|e| bad(&e))?;
         // Plans written before the supervision fields existed deserialize
         // with the defaults patched in, so `--resume` over an old run dir
         // keeps working.
@@ -158,8 +178,7 @@ impl ShardPlan {
             );
             fill("chaos", serde_json::JsonValue::Null);
         }
-        let plan: ShardPlan = serde_json::from_value(value)
-            .map_err(|e| SoupError::corrupt(format!("shard plan {}: {e}", path.display())))?;
+        let plan: ShardPlan = serde_json::from_value(value).map_err(|e| bad(&e))?;
         if plan.version != 1 {
             return Err(SoupError::corrupt(format!(
                 "shard plan version {} unsupported",
@@ -173,6 +192,7 @@ impl ShardPlan {
                 plan.k
             )));
         }
+        plan.tiled_end()?;
         Ok(plan)
     }
 
@@ -359,9 +379,9 @@ pub struct ShardResult {
     pub ingredients: usize,
     /// Ingredients satisfied from checkpoints (`--resume`).
     pub resumed: usize,
-    /// Distinct remote feature rows this shard fetched.
+    /// Distinct out-of-shard feature rows this shard copied from the map.
     pub halo_nodes: usize,
-    /// Whether the shared-map fast path served the halo (vs UDS frames).
+    /// Always `true`: the shared map is the only halo source.
     pub used_shm: bool,
 }
 
@@ -417,26 +437,33 @@ impl WorkerLaunch {
 /// graceful degradation when a shard's budget runs out. The full fault
 /// model lives in [`crate::supervisor`].
 ///
-/// The coordinator itself never maps the dataset: its resident set stays
-/// at process baseline, which keeps the bench's memory accounting honest.
+/// The plan is checked before anything is bound or forked: `no_shm` is a
+/// `usage` error, and ranges that do not tile the dataset's nodes are
+/// `corrupt`. For that the coordinator reads only the dataset's header,
+/// so its resident set stays at process baseline, which keeps the
+/// bench's memory accounting honest.
 pub fn run_sharded(plan: &ShardPlan, launch: &WorkerLaunch) -> Result<ShardRunReport> {
+    if plan.no_shm {
+        return Err(SoupError::usage(
+            "shard plan: no_shm is not supported; halo rows always come from the shared map",
+        ));
+    }
+    plan.check_nodes(MmapDataset::open(plan.dataset_path())?.num_nodes())?;
     crate::supervisor::run_supervised(plan, launch)
 }
 
-/// Worker-side control handle: connect, heartbeat, step the barriers.
+/// Worker-side control handle: connect, heartbeat, report the result.
 ///
-/// Every read is bounded by the plan's *patience* (the heartbeat deadline
-/// scaled by the restart budget, so a peer's full respawn chain fits) and
-/// surfaces expiry as a typed [`SoupError::WorkerLost`] instead of the
-/// PR-9 hour-long hang. A background thread heartbeats at a quarter of
-/// the deadline through the shared writer for as long as the handle
-/// lives, keeping the supervisor convinced through long training phases.
+/// A background thread heartbeats at a quarter of the deadline through
+/// the shared writer for as long as the handle lives, keeping the
+/// supervisor convinced through long training phases. The worker's one
+/// read, the ACK, is bounded by the deadline too.
 pub struct WorkerControl {
     stream: UnixStream,
     buf: FrameBuf,
     writer: Arc<Mutex<ChaosWriter>>,
     shard: usize,
-    patience: Duration,
+    timeout: Duration,
     hb_stop: Arc<AtomicBool>,
     hb_thread: Option<std::thread::JoinHandle<()>>,
 }
@@ -496,7 +523,7 @@ impl WorkerControl {
     pub fn connect(plan: &ShardPlan, shard: usize, epoch: u32) -> Result<Self> {
         let out_dir = plan.out_dir_path();
         let path = control_socket_path(&out_dir);
-        let stream = crate::halo::connect_retry(&path, Duration::from_secs(30))?;
+        let stream = crate::control::connect_retry(&path, Duration::from_secs(30))?;
         let writer = Arc::new(Mutex::new(ChaosWriter {
             stream: stream.try_clone()?,
             chaos: plan.chaos.clone(),
@@ -509,7 +536,7 @@ impl WorkerControl {
             buf: FrameBuf::new(MAX_FRAME),
             writer,
             shard,
-            patience: plan.worker_patience(),
+            timeout: plan.worker_timeout(),
             hb_stop: Arc::new(AtomicBool::new(false)),
             hb_thread: None,
         };
@@ -551,45 +578,30 @@ impl WorkerControl {
         }));
     }
 
-    /// A bounded read of the next control frame, which must carry opcode
-    /// `want`, mapping silence to a typed [`SoupError::WorkerLost`].
-    fn wait(&mut self, want: u8) -> Result<()> {
-        match self.buf.read_frame(&mut self.stream, Some(self.patience)) {
-            Ok(Next::Frame(payload)) => expect_op(payload, want).map(|_| ()),
-            Ok(Next::Closed) => Err(SoupError::corrupt(format!(
-                "halo protocol: peer closed while waiting for opcode {want}"
-            ))),
-            Err(e) if !is_stall(&e) => Err(e),
-            // Silent before or inside a frame for a whole patience budget.
-            _ => Err(SoupError::worker_lost(
-                self.shard,
-                format!(
-                    "coordinator silent for {:.1}s waiting for opcode {want}",
-                    self.patience.as_secs_f64()
-                ),
-            )),
-        }
-    }
-
-    pub fn wait_go(&mut self) -> Result<()> {
-        self.wait(OP_GO)
-    }
-
-    pub fn send_fetched(&mut self, shard: usize, epoch: u32) -> Result<()> {
-        self.send(OP_FETCHED, &shard_epoch_payload(shard as u32, epoch))
-    }
-
-    pub fn wait_proceed(&mut self) -> Result<()> {
-        self.wait(OP_PROCEED)
-    }
-
-    /// Send the final RESULT and wait for the coordinator's ACK.
+    /// Send the final RESULT and wait for the coordinator's ACK. A worker
+    /// whose RESULT was lost gets no ACK: it fails with a typed
+    /// [`SoupError::WorkerLost`] after one deadline and exits, and the
+    /// supervisor respawns it like any crash.
     pub fn send_result(&mut self, result: &ShardResult, epoch: u32) -> Result<()> {
         let json = serde_json::to_string(result)
             .map_err(|e| SoupError::usage(format!("shard result serialise: {e}")))?;
         let prefix = shard_epoch_payload(result.shard as u32, epoch);
         self.send(OP_RESULT, &[&prefix[..], json.as_bytes()].concat())?;
-        self.wait(OP_ACK)
+        match self.buf.read_frame(&mut self.stream, Some(self.timeout)) {
+            Ok(Next::Frame(payload)) => expect_op(payload, OP_ACK).map(|_| ()),
+            Ok(Next::Closed) => Err(SoupError::corrupt(
+                "control protocol: coordinator closed before ACK",
+            )),
+            Err(e) if !is_stall(&e) => Err(e),
+            // Silent before or inside a frame for a whole deadline.
+            _ => Err(SoupError::worker_lost(
+                self.shard,
+                format!(
+                    "no ACK from the coordinator within {:.1}s",
+                    self.timeout.as_secs_f64()
+                ),
+            )),
+        }
     }
 }
 
@@ -687,7 +699,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_roundtrips_and_owner_lookup_works() {
+    fn plan_roundtrips_through_save_and_load() {
         let dir = tmpdir("plan");
         let plan = ShardPlan {
             version: 1,
@@ -717,13 +729,8 @@ mod tests {
         let back = ShardPlan::load(&path).unwrap();
         assert_eq!(back.ranges, plan.ranges);
         assert_eq!(back.seed, 42);
-        assert_eq!(back.owner_of(0), 0);
-        assert_eq!(back.owner_of(9), 0);
-        assert_eq!(back.owner_of(10), 1);
-        assert_eq!(back.owner_of(29), 2);
         assert_eq!(back.range(1), 10..25);
         assert_eq!(back.worker_timeout(), Duration::from_secs(5));
-        assert_eq!(back.worker_patience(), Duration::from_secs(15));
     }
 
     #[test]

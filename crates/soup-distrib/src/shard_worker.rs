@@ -4,30 +4,27 @@
 //! <plan.json> --shard <i>` (hidden `soupctl shard-worker` subcommand, or
 //! `bench_shard` re-executing itself). The worker:
 //!
-//! 1. maps the shard-ordered dataset and serves its owned feature rows on
-//!    `halo-<i>.sock`;
+//! 1. maps the shard-ordered dataset `MAP_SHARED` and announces itself
+//!    READY on the control socket ([`crate::control`]);
 //! 2. builds the local training graph: owned nodes plus their 1-hop
 //!    out-of-shard neighbors (halo). Halo nodes contribute *features
 //!    only* — halo↔halo edges are dropped because reading a halo node's
 //!    adjacency row would touch another shard's pages (the standard
-//!    1-hop-halo approximation of distributed GNN training);
-//! 3. obtains halo features bit-identically via either transport
-//!    ([`crate::halo`]): dereferencing the shared map, or UDS frames when
-//!    `no_shm` / `SOUP_SHARD_NO_SHM=1`;
-//! 4. trains its `rounds` ingredients with the ordinary thread trainer
+//!    1-hop-halo approximation of distributed GNN training). Halo feature
+//!    rows are copied from their owners' pages of the same map; then the
+//!    map is dropped, so training holds no mapped pages beside the copy;
+//! 3. trains its `rounds` ingredients with the ordinary thread trainer
 //!    ([`crate::train_ingredients_opts`]) — checkpoints and the journal
 //!    land in `out_dir/shard-<i>/`, so `--resume` revalidates per shard;
-//! 5. soups shard-locally (PLS by default) and reports owned-test-node
+//! 4. soups shard-locally (PLS by default) and reports owned-test-node
 //!    counts, wall time and its own `VmHWM` peak RSS.
 //!
+//! Workers share nothing but the read-only map, so none waits for another.
 //! Determinism: shard `i` derives its seed from the plan seed and `i`
-//! alone, the trainer keys every ingredient by ordinal, and both halo
-//! transports deliver identical bytes — so reruns are bit-identical
-//! (asserted by `tests/shard_pipeline.rs`).
+//! alone, and the trainer keys every ingredient by ordinal — so reruns
+//! are bit-identical (asserted by `tests/shard_pipeline.rs`).
 
-use std::os::unix::net::UnixListener;
 use std::path::Path;
-use std::sync::Arc;
 use std::time::Instant;
 
 use soup_error::SoupError;
@@ -37,33 +34,21 @@ use soup_graph::{CsrGraph, Dataset, Splits};
 use soup_tensor::{SplitMix64, Tensor};
 
 use crate::chaos::{ChaosPhase, CHAOS_KILL_EXIT};
-use crate::halo::{fetch_rows_with, halo_socket_path, serve_halo, FetchOpts};
 use crate::shard::{ShardPlan, ShardResult, WorkerControl};
 use crate::trainer::TrainOpts;
 
 type Result<T> = std::result::Result<T, SoupError>;
 
-/// Environment override forcing the UDS halo path (testing the transports
-/// against each other).
-pub const NO_SHM_ENV: &str = "SOUP_SHARD_NO_SHM";
-
 /// The shard-local view assembled from the mmap dataset.
 struct LocalView {
     dataset: Dataset,
     halo: Vec<u32>,
-    used_shm: bool,
 }
 
 /// Build the local graph/features/splits for `shard`. Touches only the
-/// owned range's adjacency+feature pages (plus halo feature rows via the
-/// chosen transport, and the small label/split sections).
-fn build_local_view(
-    mmap: &MmapDataset,
-    plan: &ShardPlan,
-    shard: usize,
-    no_shm: bool,
-    epoch: u32,
-) -> Result<LocalView> {
+/// owned range's adjacency+feature pages, the halo nodes' feature rows,
+/// and the small label/split sections.
+fn build_local_view(mmap: &MmapDataset, plan: &ShardPlan, shard: usize) -> LocalView {
     let owned = plan.range(shard);
     let m = owned.len();
     let dim = mmap.feature_dim();
@@ -101,57 +86,12 @@ fn build_local_view(
     let graph = CsrGraph::from_edges(n_local, &edges);
     drop(edges);
 
-    // Features: owned rows from our own pages; halo rows via the shared
-    // map (fast path) or UDS frames from their owners.
+    // Features: owned rows from our own pages, then halo rows from their
+    // owners' pages of the same shared map.
     let mut data = vec![0f32; n_local * dim];
-    for v in owned.clone() {
-        let l = v - owned.start;
-        data[l * dim..(l + 1) * dim].copy_from_slice(mmap.feature_row(v));
-    }
-    if no_shm {
-        // Group halo ids by owning shard; fetch each group over that
-        // shard's socket.
-        let out_dir = plan.out_dir_path();
-        let mut by_owner: Vec<Vec<u32>> = vec![Vec::new(); plan.k];
-        for &g in &halo {
-            by_owner[plan.owner_of(g as usize)].push(g);
-        }
-        let opts = FetchOpts {
-            epoch,
-            io_timeout: plan.worker_timeout(),
-            ..FetchOpts::default()
-        };
-        for (owner, ids) in by_owner.iter().enumerate() {
-            if ids.is_empty() {
-                continue;
-            }
-            assert_ne!(owner, shard, "own nodes cannot be halo");
-            let sock = halo_socket_path(&out_dir, owner);
-            let fetched = fetch_rows_with(&sock, ids, dim, &opts, |g, row| {
-                let l = local_of(g);
-                data[l * dim..(l + 1) * dim].copy_from_slice(row);
-            });
-            if let Err(e) = fetched {
-                // The owner may be dead (degraded shard). Both transports
-                // are bit-identical, so falling back to the shared map
-                // keeps the run correct — at the cost of the halo pages
-                // joining our RSS for this group.
-                soup_obs::warn!(
-                    "shard {shard}: halo fetch from shard {owner} failed ({e}); \
-                     falling back to the shared map"
-                );
-                soup_obs::counter!("halo.shm_fallbacks").inc();
-                for &g in ids {
-                    let l = local_of(g as usize);
-                    data[l * dim..(l + 1) * dim].copy_from_slice(mmap.feature_row(g as usize));
-                }
-            }
-        }
-    } else {
-        for &g in &halo {
-            let l = local_of(g as usize);
-            data[l * dim..(l + 1) * dim].copy_from_slice(mmap.feature_row(g as usize));
-        }
+    let rows = owned.clone().chain(halo.iter().map(|&g| g as usize));
+    for (row, v) in data.chunks_exact_mut(dim.max(1)).zip(rows) {
+        row.copy_from_slice(mmap.feature_row(v));
     }
     let features = Tensor::from_vec(n_local, dim, data);
 
@@ -176,11 +116,7 @@ fn build_local_view(
     };
 
     let dataset = Dataset::from_parts(graph, features, labels, splits, mmap.num_classes());
-    Ok(LocalView {
-        dataset,
-        halo,
-        used_shm: !no_shm,
-    })
+    LocalView { dataset, halo }
 }
 
 /// Derive shard `i`'s private seed from the plan seed.
@@ -250,30 +186,19 @@ pub fn run_shard_worker(plan_path: &Path, shard: usize, epoch: u32) -> Result<Sh
         )));
     }
     chaos_kill_point(&plan, shard, ChaosPhase::Spawn, epoch);
-    let out_dir = plan.out_dir_path();
     let shard_dir = plan.shard_dir(shard);
     std::fs::create_dir_all(&shard_dir).map_err(|e| SoupError::io_at(&shard_dir, e))?;
 
-    let mmap = Arc::new(MmapDataset::open(plan.dataset_path())?);
-    let owned = plan.range(shard);
-
-    // Halo server up before READY — peers may fetch as soon as GO lands.
-    let sock = halo_socket_path(&out_dir, shard);
-    let _ = std::fs::remove_file(&sock);
-    let listener = UnixListener::bind(&sock).map_err(|e| SoupError::io_at(&sock, e))?;
-    let _halo_server = serve_halo(listener, Arc::clone(&mmap), owned.clone());
-
+    let mmap = MmapDataset::open(plan.dataset_path())?;
+    plan.check_nodes(mmap.num_nodes())?;
     let mut control = WorkerControl::connect(&plan, shard, epoch)?;
-    control.wait_go()?;
     chaos_kill_point(&plan, shard, ChaosPhase::Fetch, epoch);
-
-    let no_shm = plan.no_shm || std::env::var_os(NO_SHM_ENV).is_some_and(|v| v != "0");
-    let view = build_local_view(&mmap, &plan, shard, no_shm, epoch)?;
-    control.send_fetched(shard, epoch)?;
-    control.wait_proceed()?;
+    let view = build_local_view(&mmap, &plan, shard);
+    let cfg = make_model_config(&plan, mmap.feature_dim(), mmap.num_classes())?;
+    // Everything training reads is in `view` now: unmap before it starts.
+    drop(mmap);
 
     let seed = shard_seed(plan.seed, shard);
-    let cfg = make_model_config(&plan, mmap.feature_dim(), mmap.num_classes())?;
     let tc = TrainConfig {
         epochs: plan.epochs,
         lr: plan.lr,
@@ -354,7 +279,7 @@ pub fn run_shard_worker(plan_path: &Path, shard: usize, epoch: u32) -> Result<Sh
         ingredients: run.ingredients.len(),
         resumed: run.resumed.len(),
         halo_nodes: view.halo.len(),
-        used_shm: view.used_shm,
+        used_shm: true,
     };
     let json = serde_json::to_string(&result)
         .map_err(|e| SoupError::usage(format!("shard result serialise: {e}")))?;
@@ -429,7 +354,7 @@ mod tests {
             chaos: None,
         };
         let mmap = MmapDataset::open(&sharded).unwrap();
-        let view = build_local_view(&mmap, &plan, 0, false, 0).unwrap();
+        let view = build_local_view(&mmap, &plan, 0);
         let owned = plan.range(0);
         let m = owned.len();
         assert_eq!(view.dataset.num_nodes(), m + view.halo.len());

@@ -1,9 +1,9 @@
 //! The shard supervisor: self-healing coordinator for multi-process runs.
 //!
-//! PR-9's coordinator drove the READY → GO → FETCHED → PROCEED → RESULT
-//! protocol sequentially over blocking sockets with hour-long timeouts —
-//! one dead worker stalled the run and one crash forfeited it. This
-//! module replaces that with a supervised poll loop:
+//! Each worker speaks READY → HEARTBEAT* → RESULT over its control
+//! connection ([`crate::control`]) and exits on ACK. Workers never wait
+//! for each other, so the coordinator only watches them, in one
+//! supervised poll loop:
 //!
 //! - **Detection.** Every tick the supervisor `try_wait`s each child
 //!   (crash → detected within milliseconds) and checks its heartbeat
@@ -18,17 +18,11 @@
 //!   shard journal, so the recovered run is bit-identical to an
 //!   uninterrupted one. Frames carrying a stale epoch (leftovers from a
 //!   pre-crash incarnation) are rejected and counted.
-//! - **Degradation.** A shard that exhausts its budget is marked lost and
-//!   excluded from the barriers; the surviving shards complete and the
-//!   run reports exact accuracy over surviving owned-test nodes with
-//!   explicit `missing` provenance ([`ShardRunReport::is_degraded`]).
-//!   Only when *every* shard is lost does the run error.
-//!
-//! Barrier semantics are *sticky*: GO is first broadcast when all live
-//! shards are simultaneously READY (same for PROCEED/FETCHED); after
-//! that, a respawned worker re-entering the protocol receives the barrier
-//! release immediately instead of waiting for peers that are already
-//! training.
+//! - **Degradation.** A shard that exhausts its budget is marked lost;
+//!   the surviving shards complete and the run reports exact accuracy
+//!   over surviving owned-test nodes with explicit `missing` provenance
+//!   ([`ShardRunReport::is_degraded`]). Only when *every* shard is lost
+//!   does the run error.
 //!
 //! Observability: `supervisor.restarts`, `supervisor.reaps`,
 //! `supervisor.crashes`, `supervisor.hangs`, `supervisor.stale_frames`,
@@ -44,9 +38,8 @@ use std::time::{Duration, Instant};
 use soup_error::SoupError;
 use soup_store::frame::{write_frame, FrameBuf};
 
-use crate::halo::{
-    control_socket_path, decode_control, MAX_FRAME, OP_ACK, OP_FETCHED, OP_GO, OP_HEARTBEAT,
-    OP_PROCEED, OP_READY, OP_RESULT,
+use crate::control::{
+    control_socket_path, decode_control, MAX_FRAME, OP_ACK, OP_HEARTBEAT, OP_READY, OP_RESULT,
 };
 use crate::shard::{ShardPlan, ShardResult, ShardRunReport, WorkerLaunch};
 
@@ -61,10 +54,8 @@ const TICK: Duration = Duration::from_millis(10);
 enum SlotState {
     /// Child spawned, READY not yet seen for the current epoch.
     Spawning,
-    /// READY seen: halo server is up.
+    /// READY seen: the worker is building its view, training or souping.
     Ready,
-    /// FETCHED seen: halo resident; training once PROCEED lands.
-    Fetched,
     /// RESULT accepted and ACKed.
     Done,
     /// Restart budget exhausted; excluded from the run.
@@ -80,9 +71,7 @@ struct Slot {
     child: Option<Child>,
     conn: Option<Conn>,
     state: SlotState,
-    go_sent: bool,
-    proceed_sent: bool,
-    /// Last proof of life: spawn, READY, FETCHED, RESULT or heartbeat.
+    /// Last proof of life: spawn, READY, RESULT or heartbeat.
     last_seen: Instant,
     done_at: Option<Instant>,
     result: Option<ShardResult>,
@@ -131,8 +120,6 @@ struct Supervisor<'a> {
     /// Accepted connections that have not yet sent READY, with their
     /// accept time.
     pending: Vec<(Conn, Instant)>,
-    go_barrier: bool,
-    proceed_barrier: bool,
     restarts: u32,
 }
 
@@ -155,9 +142,6 @@ impl<'a> Supervisor<'a> {
         let plan_path = plan.save()?;
         let control = control_socket_path(&out_dir);
         let _ = std::fs::remove_file(&control);
-        for shard in 0..plan.k {
-            let _ = std::fs::remove_file(crate::halo::halo_socket_path(&out_dir, shard));
-        }
         let listener = UnixListener::bind(&control).map_err(|e| SoupError::io_at(&control, e))?;
         listener.set_nonblocking(true).map_err(SoupError::from)?;
 
@@ -168,8 +152,6 @@ impl<'a> Supervisor<'a> {
             listener,
             slots: Vec::with_capacity(plan.k),
             pending: Vec::new(),
-            go_barrier: false,
-            proceed_barrier: false,
             restarts: 0,
         };
         for shard in 0..plan.k {
@@ -181,8 +163,6 @@ impl<'a> Supervisor<'a> {
                 child: Some(child),
                 conn: None,
                 state: SlotState::Spawning,
-                go_sent: false,
-                proceed_sent: false,
                 last_seen: Instant::now(),
                 done_at: None,
                 result: None,
@@ -251,8 +231,6 @@ impl<'a> Supervisor<'a> {
         let slot = &mut self.slots[i];
         slot.child = Some(child);
         slot.state = SlotState::Spawning;
-        slot.go_sent = false;
-        slot.proceed_sent = false;
         slot.last_seen = Instant::now();
         Ok(())
     }
@@ -386,61 +364,6 @@ impl<'a> Supervisor<'a> {
         lost
     }
 
-    /// Barrier logic. First release requires every *live* slot to stand
-    /// at the barrier simultaneously; afterwards the release is sticky so
-    /// respawned workers pass straight through. A slot whose barrier send
-    /// fails is reported lost, not fatal to the run.
-    fn drive_barriers(&mut self) -> Vec<(usize, String)> {
-        let deadline = self.timeout();
-        let mut lost = Vec::new();
-        if !self.go_barrier
-            && self.slots.iter().any(Slot::live)
-            && self
-                .slots
-                .iter()
-                .filter(|s| s.live())
-                .all(|s| s.state != SlotState::Spawning)
-        {
-            self.go_barrier = true;
-        }
-        if self.go_barrier {
-            for (i, slot) in self.slots.iter_mut().enumerate() {
-                if slot.state == SlotState::Ready && !slot.go_sent {
-                    if let Some(conn) = slot.conn.as_mut() {
-                        match send_control(&mut conn.stream, OP_GO, deadline) {
-                            Ok(()) => slot.go_sent = true,
-                            Err(e) => lost.push((i, format!("GO not delivered: {e}"))),
-                        }
-                    }
-                }
-            }
-        }
-        if !self.proceed_barrier
-            && self.go_barrier
-            && self.slots.iter().any(Slot::live)
-            && self
-                .slots
-                .iter()
-                .filter(|s| s.live())
-                .all(|s| matches!(s.state, SlotState::Fetched | SlotState::Done))
-        {
-            self.proceed_barrier = true;
-        }
-        if self.proceed_barrier {
-            for (i, slot) in self.slots.iter_mut().enumerate() {
-                if slot.state == SlotState::Fetched && !slot.proceed_sent {
-                    if let Some(conn) = slot.conn.as_mut() {
-                        match send_control(&mut conn.stream, OP_PROCEED, deadline) {
-                            Ok(()) => slot.proceed_sent = true,
-                            Err(e) => lost.push((i, format!("PROCEED not delivered: {e}"))),
-                        }
-                    }
-                }
-            }
-        }
-        lost
-    }
-
     fn run(&mut self) -> Result<()> {
         loop {
             self.accept_new();
@@ -453,11 +376,6 @@ impl<'a> Supervisor<'a> {
             for (i, reason, hang) in self.check_children() {
                 if self.slots[i].live() && self.slots[i].state != SlotState::Done {
                     self.lose_slot(i, &reason, hang)?;
-                }
-            }
-            for (i, reason) in self.drive_barriers() {
-                if self.slots[i].live() && self.slots[i].state != SlotState::Done {
-                    self.lose_slot(i, &reason, false)?;
                 }
             }
             if self
@@ -511,7 +429,6 @@ fn drain_conn(slot: &mut Slot, deadline: Duration) -> std::result::Result<(), St
                 soup_obs::registry::gauge(&format!("distrib.worker.{}.heartbeat_s", slot.shard))
                     .set(unix_now_s());
             }
-            OP_FETCHED if slot.state == SlotState::Ready => slot.state = SlotState::Fetched,
             OP_RESULT => {
                 let result =
                     parse_result(rest, slot.shard).map_err(|e| format!("RESULT rejected: {e}"))?;
@@ -667,9 +584,9 @@ mod tests {
         let (mut a, mut b) = UnixStream::pair().unwrap();
         b.set_nonblocking(true).unwrap();
         let mut wire = Vec::new();
-        crate::halo::send(
+        crate::control::send(
             &mut wire,
-            &[&[OP_READY], &crate::halo::shard_epoch_payload(1, 0)],
+            &[&[OP_READY], &crate::control::shard_epoch_payload(1, 0)],
         )
         .unwrap();
         // First half now, second half later.
@@ -692,10 +609,10 @@ mod tests {
         let (mut a, mut b) = UnixStream::pair().unwrap();
         a.set_nonblocking(true).unwrap();
         b.set_nonblocking(true).unwrap();
-        send_control(&mut a, OP_GO, Duration::from_secs(1)).unwrap();
+        send_control(&mut a, OP_ACK, Duration::from_secs(1)).unwrap();
         let mut buf = FrameBuf::new(MAX_FRAME);
         buf.fill(&mut b).unwrap();
-        assert_eq!(buf.pop().unwrap(), Some(&[OP_GO][..]));
+        assert_eq!(buf.pop().unwrap(), Some(&[OP_ACK][..]));
     }
 
     #[test]

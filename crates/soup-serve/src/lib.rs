@@ -29,7 +29,7 @@
 //!
 //! The wire format ([`proto`]) is deliberately tiny: an opcode table over
 //! the workspace's one length-prefixed frame codec, `soup_store::frame`
-//! (shared with the shard control plane and halo transport), no external
+//! (shared with the shard control plane), no external
 //! protocol dependencies. [`client`] is the matching blocking client and
 //! [`load`] a deterministic Zipf-skewed closed-loop generator used by
 //! `bench_serve` and CI.

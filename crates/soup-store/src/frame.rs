@@ -1,10 +1,10 @@
 //! Length-prefixed frames: the one wire codec under every socket protocol.
 //!
 //! A frame is a `u32` little-endian payload length, then the payload. The
-//! serve protocol (`soup-serve::proto`), the shard control plane and the
-//! halo transport (`soup-distrib::halo`) keep only an opcode table and a
-//! cap on top of this module: [`FrameBuf`] is the only code that parses a
-//! length prefix, and [`write_frame`] the only writer.
+//! serve protocol (`soup-serve::proto`) and the shard control plane
+//! (`soup-distrib::control`) keep only an opcode table and a cap on top
+//! of this module: [`FrameBuf`] is the only code that parses a length
+//! prefix, and [`write_frame`] the only writer.
 //!
 //! Errors: a length over the cap is [`SoupError::Corrupt`] (the stream
 //! cannot be resynchronised); end of stream inside a frame, prefix

@@ -13,7 +13,7 @@
 //! | Deterministic torn-write / bit-flip injection | [`fault`] |
 //! | Verified envelope store with self-healing writes | [`store`] |
 //! | Per-run `manifest.json` progress journal | [`journal`] |
-//! | `u32`-LE length-prefixed socket frames (serve, halo, control) | [`frame`] |
+//! | `u32`-LE length-prefixed socket frames (serve, shard control) | [`frame`] |
 //!
 //! Damage of any kind surfaces as [`soup_error::SoupError::Corrupt`] —
 //! never a panic, never a silently accepted partial read.

@@ -37,8 +37,8 @@
 //! (`generate --mmap`): `partition` reports k-way quality (edge-cut, halo
 //! fraction, balance) or rewrites the dataset shard-ordered, and `shard`
 //! runs multi-process Phase-1 + souping — one OS process per shard, halo
-//! features over Unix sockets (shared-map fast path), ≈R/K peak memory per
-//! worker. The workers it forks are the hidden `shard-worker` subcommand.
+//! features copied from the shared map, ≈R/K peak memory per worker. The
+//! workers it forks are the hidden `shard-worker` subcommand.
 
 use enhanced_soups::cli::{CommandSpec, FlagDef, Flags};
 use enhanced_soups::distrib::{
@@ -114,7 +114,7 @@ const SHARD: CommandSpec = CommandSpec {
         FlagDef::str(
             "out-dir",
             "DIR",
-            "run directory: plan, sockets, per-shard checkpoints",
+            "run directory: plan, control socket, per-shard checkpoints",
         )
         .required(),
         FlagDef::str("arch", "NAME", "gcn | sage | gat | gin").default("gcn"),
@@ -132,10 +132,6 @@ const SHARD: CommandSpec = CommandSpec {
         FlagDef::switch(
             "resume",
             "reuse the run directory's plan and valid per-shard checkpoints",
-        ),
-        FlagDef::switch(
-            "no-shm",
-            "force the socket halo path (skip the shared-map fast path)",
         ),
         FlagDef::f64(
             "worker-timeout",
@@ -1220,7 +1216,7 @@ fn cmd_partition(flags: &Flags) -> Result<()> {
         200.0 * quality.edge_cut as f64 / nnz.max(1) as f64
     );
     println!(
-        "  halo fraction: {:.4} (remote feature rows fetched per node)",
+        "  halo fraction: {:.4} (out-of-shard feature rows per node)",
         quality.halo_fraction
     );
     println!(
@@ -1270,9 +1266,13 @@ fn cmd_shard(flags: &Flags) -> Result<()> {
 
     // A resumed run must keep its original plan (seeds, ranges, shard
     // count) — only the resume bit flips, supervision knobs may be
-    // re-tuned, and chaos never carries over into a recovery run.
+    // re-tuned, and chaos never carries over into a recovery run. Paths
+    // are rebased onto `--out-dir`, so a moved run directory resumes in
+    // place instead of writing into (or failing on) its old location.
     let plan = if resume && plan_path.exists() && sharded.exists() {
         let mut plan = ShardPlan::load(&plan_path)?;
+        plan.out_dir = out_dir.display().to_string();
+        plan.dataset = sharded.display().to_string();
         if plan.k != k && flags.provided("k") {
             return Err(SoupError::usage(format!(
                 "--resume: run directory was sharded with k={}, not k={k}",
@@ -1322,7 +1322,7 @@ fn cmd_shard(flags: &Flags) -> Result<()> {
             pls_k: flags.req_usize("pls-k"),
             pls_r: flags.req_usize("pls-r"),
             out_dir: out_dir.display().to_string(),
-            no_shm: flags.switch("no-shm"),
+            no_shm: false,
             resume,
             worker_timeout_ms,
             restart_budget,
@@ -1363,7 +1363,7 @@ fn cmd_shard(flags: &Flags) -> Result<()> {
     for r in &report.per_shard {
         soup_obs::info!(
             "  shard {} — val {:.2}% test {:.2}% ({}/{} test nodes), \
-             {} ingredients ({} resumed), halo {} rows via {}, peak rss {}",
+             {} ingredients ({} resumed), halo {} rows, peak rss {}",
             r.shard,
             r.val_accuracy * 100.0,
             r.test_accuracy * 100.0,
@@ -1372,7 +1372,6 @@ fn cmd_shard(flags: &Flags) -> Result<()> {
             r.ingredients,
             r.resumed,
             r.halo_nodes,
-            if r.used_shm { "shared map" } else { "sockets" },
             enhanced_soups::obs::report::fmt_bytes(r.peak_rss_bytes),
         );
     }

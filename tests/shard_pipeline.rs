@@ -1,11 +1,11 @@
 //! Multi-process sharded pipeline, end to end through the `soupctl`
 //! binary: generate an out-of-core dataset, partition it, run K worker
 //! processes through Phase-1 + souping, and audit the artifacts — plus
-//! the two determinism guarantees the shard layer makes: runs are
-//! bit-identical across repetitions at a fixed seed, and the shared-map
-//! halo fast path produces exactly what the socket path produces.
+//! the shard layer's determinism and recovery guarantees: runs are
+//! bit-identical across repetitions at a fixed seed, and across a worker
+//! killed at any phase and respawned.
 
-use enhanced_soups::distrib::ShardResult;
+use enhanced_soups::distrib::{ShardPlan, ShardResult};
 use enhanced_soups::gnn::load_checkpoint;
 use enhanced_soups::graph::mmap::{save_mmap_dataset, MmapDataset};
 use enhanced_soups::graph::DatasetKind;
@@ -52,17 +52,12 @@ fn generate_mmap(dir: &Path) -> PathBuf {
 }
 
 /// One small K=2 sharded run; returns its stdout.
-fn shard_run(ds: &Path, out_dir: &Path, extra_env: &[(&str, &str)]) -> String {
-    shard_run_with(ds, out_dir, &[], extra_env)
+fn shard_run(ds: &Path, out_dir: &Path) -> String {
+    shard_run_with(ds, out_dir, &[])
 }
 
 /// Same run with extra `soupctl shard` flags appended (chaos knobs etc.).
-fn shard_run_with(
-    ds: &Path,
-    out_dir: &Path,
-    extra_args: &[&str],
-    extra_env: &[(&str, &str)],
-) -> String {
+fn shard_run_with(ds: &Path, out_dir: &Path, extra_args: &[&str]) -> String {
     let mut cmd = soupctl();
     cmd.args([
         "shard",
@@ -90,9 +85,6 @@ fn shard_run_with(
         "7",
     ]);
     cmd.args(extra_args);
-    for (k, v) in extra_env {
-        cmd.env(k, v);
-    }
     run_ok(&mut cmd)
 }
 
@@ -173,7 +165,7 @@ fn sharded_pipeline_round_trips_through_soupctl() {
 
     // Train → soup across two worker processes.
     let run_dir = dir.join("run");
-    let stdout = shard_run(&ds, &run_dir, &[]);
+    let stdout = shard_run(&ds, &run_dir);
     assert!(stdout.contains("sharded pls (k=2)"), "{stdout}");
 
     // Both shards reported, with coherent test-count bookkeeping.
@@ -198,21 +190,44 @@ fn sharded_pipeline_round_trips_through_soupctl() {
         assert!(audit.contains("all clean"), "{audit}");
     }
 
-    // Resume satisfies every ingredient from checkpoints and agrees on
-    // the souped accuracy.
-    let mut cmd = soupctl();
-    cmd.args([
-        "shard",
-        "--data",
-        ds.to_str().unwrap(),
-        "--out-dir",
-        run_dir.to_str().unwrap(),
-        "--resume",
-    ]);
-    run_ok(&mut cmd);
-    let resumed = shard_result(&run_dir, 0);
-    assert_eq!(resumed.resumed, 2, "resume retrained instead of reusing");
-    assert_eq!(resumed.test_accuracy, results[0].test_accuracy);
+    // Resume in the run directory's new home after it moved: every
+    // ingredient comes from the journal, the souped accuracy agrees, and
+    // nothing is written at the old path.
+    let moved = dir.join("moved");
+    std::fs::rename(&run_dir, &moved).unwrap();
+    let resume = |extra: &[&str]| {
+        let mut cmd = soupctl();
+        cmd.args(["shard", "--data", ds.to_str().unwrap(), "--out-dir"])
+            .arg(&moved)
+            .arg("--resume")
+            .args(extra);
+        cmd.output().expect("spawn soupctl")
+    };
+    let out = resume(&[]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "moved resume failed:\n{stderr}");
+    for (shard, before) in results.iter().enumerate() {
+        let resumed = shard_result(&moved, shard);
+        assert_eq!(resumed.resumed, 2, "shard {shard} retrained on resume");
+        assert_eq!(resumed.test_accuracy, before.test_accuracy);
+    }
+    assert!(!run_dir.exists(), "resume wrote into the old run directory");
+
+    // The socket halo transport is gone: its flag is a usage error, not a
+    // panic.
+    let out = resume(&["--no-shm"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+
+    // A plan whose ranges overrun the dataset is refused before any worker
+    // is forked, not crashed into and reported as degraded.
+    let mut plan = ShardPlan::load(moved.join("plan.json")).unwrap();
+    plan.ranges[1].1 += 1;
+    plan.save().unwrap();
+    let out = resume(&[]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("corrupt data: shard plan"), "{stderr}");
+    assert!(!stderr.contains("respawning"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -221,8 +236,8 @@ fn sharded_runs_are_bit_identical_at_fixed_seed() {
     let dir = tmpdir("determinism");
     let ds = generate_mmap(&dir);
     let (run_a, run_b) = (dir.join("a"), dir.join("b"));
-    shard_run(&ds, &run_a, &[]);
-    shard_run(&ds, &run_b, &[]);
+    shard_run(&ds, &run_a);
+    shard_run(&ds, &run_b);
     for shard in 0..2 {
         let a = checkpoint_bits(&run_a.join(format!("shard-{shard}")));
         let b = checkpoint_bits(&run_b.join(format!("shard-{shard}")));
@@ -230,30 +245,11 @@ fn sharded_runs_are_bit_identical_at_fixed_seed() {
         let (ra, rb) = (shard_result(&run_a, shard), shard_result(&run_b, shard));
         assert_eq!(ra.correct, rb.correct);
         assert_eq!(ra.val_accuracy.to_bits(), rb.val_accuracy.to_bits());
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn shared_map_and_socket_halo_paths_agree_bitwise() {
-    let dir = tmpdir("transport");
-    let ds = generate_mmap(&dir);
-    let (run_shm, run_uds) = (dir.join("shm"), dir.join("uds"));
-    shard_run(&ds, &run_shm, &[]);
-    shard_run(&ds, &run_uds, &[("SOUP_SHARD_NO_SHM", "1")]);
-    for shard in 0..2 {
-        let (rs, ru) = (shard_result(&run_shm, shard), shard_result(&run_uds, shard));
-        assert!(
-            rs.used_shm,
-            "shard {shard} should default to the shared map"
-        );
-        assert!(!ru.used_shm, "SOUP_SHARD_NO_SHM ignored on shard {shard}");
-        assert_eq!(rs.halo_nodes, ru.halo_nodes);
-        // Same halo bytes in, same training out — transport is invisible.
-        let a = checkpoint_bits(&run_shm.join(format!("shard-{shard}")));
-        let b = checkpoint_bits(&run_uds.join(format!("shard-{shard}")));
-        assert_eq!(a, b, "halo transport changed shard {shard}'s training");
-        assert_eq!(rs.correct, ru.correct);
+        // The shared map is the only halo source, and it copies the same
+        // out-of-shard rows every run.
+        assert!(ra.used_shm && rb.used_shm, "shard {shard}");
+        assert!(ra.halo_nodes > 0, "shard {shard} has no halo");
+        assert_eq!(ra.halo_nodes, rb.halo_nodes);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -266,7 +262,7 @@ fn chaos_killed_runs_recover_bit_identically_at_every_phase() {
     let dir = tmpdir("chaos-sweep");
     let ds = generate_mmap(&dir);
     let clean = dir.join("clean");
-    shard_run(&ds, &clean, &[]);
+    shard_run(&ds, &clean);
     let clean_bits: Vec<_> = (0..2)
         .map(|s| checkpoint_bits(&clean.join(format!("shard-{s}"))))
         .collect();
@@ -297,7 +293,7 @@ fn chaos_killed_runs_recover_bit_identically_at_every_phase() {
     for (i, (what, args)) in runs.iter().enumerate() {
         let run = dir.join(format!("chaos-{i}"));
         let args: Vec<&str> = args.iter().map(String::as_str).collect();
-        let stdout = shard_run_with(&ds, &run, &args, &[]);
+        let stdout = shard_run_with(&ds, &run, &args);
         assert!(
             !stdout.contains("DEGRADED"),
             "{what} degraded the run:\n{stdout}"
@@ -350,7 +346,6 @@ fn budget_exhaustion_degrades_with_explicit_provenance() {
             "--worker-timeout",
             "5",
         ],
-        &[],
     );
     assert!(stdout.contains("DEGRADED"), "{stdout}");
     assert!(
@@ -423,15 +418,20 @@ fn zombie_children_of(ppid: u32) -> Vec<u32> {
 /// a long-lived caller (serve, notebooks) exhausts the PID table.
 #[test]
 fn aborted_runs_leave_no_zombie_children() {
-    use enhanced_soups::distrib::{run_sharded, ShardPlan, WorkerLaunch};
+    use enhanced_soups::distrib::{run_sharded, WorkerLaunch};
     use std::time::{Duration, Instant};
 
+    // `run_sharded` checks the plan against the dataset's header before it
+    // forks, so the plan names a real dataset that its ranges tile.
     let dir = tmpdir("zombies");
-    let plan = ShardPlan {
+    let ds = dir.join("ds.gmm");
+    save_mmap_dataset(&DatasetKind::Flickr.generate_scaled(5, 0.02), &ds).unwrap();
+    let n = MmapDataset::open(&ds).unwrap().num_nodes() as u64;
+    let mut plan = ShardPlan {
         version: 1,
-        dataset: dir.join("unused.gmm").display().to_string(),
+        dataset: ds.display().to_string(),
         k: 2,
-        ranges: vec![(0, 5), (5, 10)],
+        ranges: vec![(0, n / 2), (n / 2, n)],
         seed: 1,
         rounds: 1,
         arch: "gcn".into(),
@@ -451,6 +451,21 @@ fn aborted_runs_leave_no_zombie_children() {
         restart_budget: 0,
         chaos: None,
     };
+    // Plans refused before anything is bound or forked: the socket halo
+    // opt-out, and ranges that end short of or past the dataset. A spawn
+    // of the missing executable would fail as `io` instead.
+    let nowhere = WorkerLaunch::new(dir.join("no-such-worker"), &[]);
+    plan.no_shm = true;
+    assert_eq!(run_sharded(&plan, &nowhere).unwrap_err().kind(), "usage");
+    plan.no_shm = false;
+    for end in [n - 1, n + 1] {
+        plan.ranges[1].1 = end;
+        let err = run_sharded(&plan, &nowhere).unwrap_err();
+        assert_eq!(err.kind(), "corrupt", "end {end}: {err}");
+    }
+    plan.ranges[1].1 = n;
+    assert!(!dir.join("control.sock").exists() && !dir.join("plan.json").exists());
+
     // Workers that never speak the control protocol: the supervisor must
     // declare them hung, kill them, and abort the run as fully degraded.
     // `exec` so the kill hits the sleep itself — a sh child would survive

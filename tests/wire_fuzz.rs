@@ -1,5 +1,6 @@
 //! One fuzz harness for every wire decoder: serve requests/responses and
-//! predictions bodies, shard control frames, halo FETCH/ROWS.
+//! predictions bodies, shard control frames — and the shard `plan.json`
+//! every worker loads.
 //!
 //! Each valid frame is truncated at every offset and has every bit flipped.
 //! Every result is framed two ways — the blocking reader over a byte slice,
@@ -8,8 +9,8 @@
 //! decoder of its protocol. Nothing may panic, and every error must be
 //! typed.
 
-use enhanced_soups::distrib::halo::{self, OP_ACK, OP_FETCHED, OP_GO, OP_HEARTBEAT, OP_PROCEED};
-use enhanced_soups::distrib::halo::{OP_READY, OP_RESULT};
+use enhanced_soups::distrib::control::{self, OP_ACK, OP_HEARTBEAT, OP_READY, OP_RESULT};
+use enhanced_soups::distrib::{ChaosPhase, ChaosPlan, ShardPlan};
 use enhanced_soups::serve::proto::{self, Request, Response};
 use enhanced_soups::store::frame::{write_frame, FrameBuf, Next};
 use enhanced_soups::SoupError;
@@ -133,14 +134,9 @@ fn serve_decoders(p: &[u8]) {
     assert_typed(proto::decode_predictions(p), "predictions");
 }
 
-fn halo_decoders(p: &[u8]) {
-    assert_typed(halo::split_op(p), "opcode");
-    assert_typed(halo::decode_control(p), "control");
-    assert_typed(halo::decode_fetch(p), "fetch");
-    assert_typed(halo::decode_rows(p), "rows");
-    if let Ok((_, count, dim, values)) = halo::decode_rows(p) {
-        assert_eq!(values.len(), count * dim);
-    }
+fn control_decoders(p: &[u8]) {
+    assert_typed(control::split_op(p), "opcode");
+    assert_typed(control::decode_control(p), "control");
 }
 
 #[test]
@@ -181,26 +177,111 @@ fn every_serve_frame_survives_truncation_and_bit_flips() {
     assert!(cases > 1_000, "only {cases} cases");
 }
 
+/// A RESULT body as a worker sends it: one `ShardResult` as JSON.
+const RESULT_JSON: &[u8] = br#"{"shard":3,"correct":11,"test_total":20,"val_accuracy":0.55,"test_accuracy":0.55,"wall_ms":812,"peak_rss_bytes":104857600,"ingredients":2,"resumed":0,"halo_nodes":37,"used_shm":true}"#;
+
 #[test]
-fn every_control_and_halo_frame_survives_truncation_and_bit_flips() {
-    let prefix = halo::shard_epoch_payload(3, 1);
-    let mut payloads: Vec<Vec<u8>> = [OP_READY, OP_FETCHED, OP_HEARTBEAT]
+fn every_control_frame_survives_truncation_and_bit_flips() {
+    let prefix = control::shard_epoch_payload(3, 1);
+    let mut payloads: Vec<Vec<u8>> = [OP_READY, OP_HEARTBEAT]
         .iter()
         .map(|&op| [&[op][..], &prefix].concat())
         .collect();
-    payloads.push([&[OP_RESULT][..], &prefix, br#"{"shard":3}"#].concat());
-    payloads.extend([OP_GO, OP_PROCEED, OP_ACK].map(|op| vec![op]));
-    payloads.push(halo::encode_fetch(1, &[0, 5, 1 << 20]));
-    let rows: [&[f32]; 2] = [&[1.5, -0.0, f32::NAN], &[f32::MIN, 2.0, 3.0]];
-    payloads.push(halo::encode_rows(1, 3, &rows));
-    let (op, shard, epoch, rest) = halo::decode_control(&payloads[3]).unwrap();
-    assert_eq!(
-        (op, shard, epoch, rest),
-        (OP_RESULT, 3, 1, &br#"{"shard":3}"#[..])
-    );
+    payloads.push([&[OP_RESULT][..], &prefix, RESULT_JSON].concat());
+    payloads.push(vec![OP_ACK]);
+    let (op, shard, epoch, rest) = control::decode_control(&payloads[2]).unwrap();
+    assert_eq!((op, shard, epoch), (OP_RESULT, 3, 1));
+    assert_eq!(rest, RESULT_JSON);
     let cases: usize = payloads
         .iter()
-        .map(|p| fuzz(p, halo::MAX_FRAME, &halo_decoders))
+        .map(|p| fuzz(p, control::MAX_FRAME, &control_decoders))
         .sum();
     assert!(cases > 1_000, "only {cases} cases");
+}
+
+/// `plan.json` is the one file every worker trusts. Each truncation and
+/// each single-bit flip of a valid plan, and each way ranges can fail to
+/// tile the graph, must load as a typed `corrupt` error or as a plan
+/// whose ranges still tile from node 0 — never as a panic.
+#[test]
+fn every_plan_json_survives_truncation_and_bit_flips() {
+    let dir = std::env::temp_dir().join(format!("soup-planfuzz-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut plan = ShardPlan {
+        version: 1,
+        dataset: "sharded.gmm".into(),
+        k: 2,
+        ranges: vec![(0, 86), (86, 176)],
+        seed: 7,
+        rounds: 2,
+        arch: "gcn".into(),
+        hidden: 8,
+        layers: 2,
+        dropout: 0.5,
+        epochs: 4,
+        lr: 0.01,
+        strategy: "pls".into(),
+        soup_epochs: 3,
+        pls_k: 4,
+        pls_r: 2,
+        out_dir: dir.display().to_string(),
+        no_shm: false,
+        resume: false,
+        worker_timeout_ms: 10_000,
+        restart_budget: 2,
+        chaos: Some(ChaosPlan {
+            seed: 7,
+            kills: vec![(0, ChaosPhase::Train)],
+            frame_rate: 0.5,
+            frame_delay_ms: 5,
+            ..Default::default()
+        }),
+    };
+    let path = plan.save().unwrap();
+    let valid = std::fs::read(&path).unwrap();
+    assert_eq!(ShardPlan::load(&path).unwrap().ranges, plan.ranges);
+
+    let mut cases: Vec<Vec<u8>> = (0..valid.len()).map(|cut| valid[..cut].to_vec()).collect();
+    for bit in 0..valid.len() * 8 {
+        let mut flipped = valid.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        cases.push(flipped);
+    }
+    let (mut ok, mut rejected) = (0, 0);
+    for case in &cases {
+        std::fs::write(&path, case).unwrap();
+        match ShardPlan::load(&path) {
+            Ok(p) => {
+                ok += 1;
+                assert_eq!(p.ranges.len(), p.k);
+                assert_eq!(p.ranges.first().map_or(0, |r| r.0), 0);
+                assert!(p.ranges.windows(2).all(|w| w[0].1 == w[1].0));
+                assert!(p.ranges.iter().all(|&(s, e)| s <= e));
+            }
+            Err(e) => {
+                rejected += 1;
+                assert_eq!(e.kind(), "corrupt", "untyped plan error {e}");
+            }
+        }
+    }
+    // Ranges that do not tile the graph: a gap, an overlap, a reversed
+    // range, and a first range that does not start at node 0.
+    let untiled = [
+        vec![(0, 80), (86, 176)],
+        vec![(0, 90), (86, 176)],
+        vec![(0, 86), (176, 86)],
+        vec![(1, 86), (86, 176)],
+    ];
+    for ranges in &untiled {
+        plan.ranges = ranges.clone();
+        std::fs::write(&path, serde_json::to_string(&plan).unwrap()).unwrap();
+        let err = ShardPlan::load(&path).unwrap_err();
+        assert!(err.to_string().contains("do not tile"), "{ranges:?}: {err}");
+    }
+    assert!(
+        ok > 0 && rejected > 1_000,
+        "{ok} loaded, {rejected} rejected"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
