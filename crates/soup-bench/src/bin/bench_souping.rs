@@ -1,7 +1,6 @@
 //! Phase-2 evaluation-engine head-to-head: each souping strategy with the
-//! full engine (propagation cache, fused blends, subgraph memoisation)
-//! versus the same strategy with every optimisation switched off, on the
-//! medium Reddit synthetic.
+//! full engine (propagation cache, fused blends) versus the same strategy
+//! with every optimisation switched off, on the medium Reddit synthetic.
 //!
 //! Both arms run the same code with the engine flags toggled, the same seed
 //! and the same ingredient pool, so accuracies must match **bitwise** — the
@@ -23,9 +22,7 @@ use soup_graph::splits::Splits;
 use soup_graph::{Dataset, SbmConfig};
 use soup_partition::{partition_val_balanced, PartitionConfig, Partitioning};
 
-/// PLS partition pool for the bench: binom(5, 2) = 10 distinct subsets fits
-/// the default LRU, so memoisation engages and the steady-state hit rate
-/// approaches 100% once every subset has been drawn.
+/// PLS partition pool for the bench: R/K = 0.4, binom(5, 2) = 10 subsets.
 const PLS_K: usize = 5;
 const PLS_R: usize = 2;
 
@@ -75,8 +72,6 @@ struct StrategyComparison {
 struct EngineCounters {
     prop_builds: u64,
     prop_hits: u64,
-    subgraph_cache_hits: u64,
-    subgraph_cache_misses: u64,
     blends_fused: u64,
     blend_allocs_avoided: u64,
 }
@@ -194,17 +189,14 @@ fn pls_comparison(
             .expect("bench souping never stops early")
     };
     let baseline = best_outcome(reps, || {
-        soup(
-            PartitionLearnedSouping::new(
-                LearnedHyper {
-                    prop_cache: false,
-                    ..hyper
-                },
-                PLS_K,
-                PLS_R,
-            )
-            .with_subgraph_cache(0),
-        )
+        soup(PartitionLearnedSouping::new(
+            LearnedHyper {
+                prop_cache: false,
+                ..hyper
+            },
+            PLS_K,
+            PLS_R,
+        ))
     });
     let engine = best_outcome(reps, || {
         soup(PartitionLearnedSouping::new(hyper, PLS_K, PLS_R))
@@ -275,8 +267,6 @@ fn main() {
         counters: EngineCounters {
             prop_builds: counter("soup.cache.prop_builds"),
             prop_hits: counter("soup.cache.prop_hits"),
-            subgraph_cache_hits: counter("soup.pls.subgraph_cache_hits"),
-            subgraph_cache_misses: counter("soup.pls.subgraph_cache_misses"),
             blends_fused: counter("tensor.soup.blends_fused"),
             blend_allocs_avoided: counter("tensor.soup.blend_allocs_avoided"),
         },
@@ -312,10 +302,8 @@ fn main() {
         }
     }
     println!(
-        "  counters: prop hits {}, subgraph hits {}/{} (miss), fused blends {}, allocs avoided {}",
+        "  counters: prop hits {}, fused blends {}, allocs avoided {}",
         report.counters.prop_hits,
-        report.counters.subgraph_cache_hits,
-        report.counters.subgraph_cache_misses,
         report.counters.blends_fused,
         report.counters.blend_allocs_avoided,
     );

@@ -11,7 +11,7 @@
 //! report but always exits 0 (the first-landing mode while CI baselines
 //! settle).
 
-use soup_bench::regress::{diff_files, DEFAULT_TOLERANCE};
+use soup_bench::regress::{check_tolerance, diff_files, DEFAULT_TOLERANCE};
 use std::path::Path;
 use std::process::exit;
 
@@ -24,8 +24,12 @@ fn main() {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--tolerance" => {
-                tolerance = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+                let Some(value) = it.next().and_then(|v| v.parse().ok()) else {
                     eprintln!("error: --tolerance needs a fractional value (e.g. 0.25)");
+                    exit(2);
+                };
+                tolerance = check_tolerance(value).unwrap_or_else(|e| {
+                    eprintln!("error: {e}");
                     exit(2);
                 });
             }

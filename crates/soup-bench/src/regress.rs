@@ -28,6 +28,19 @@ use std::path::Path;
 /// runs from the same machine.
 pub const DEFAULT_TOLERANCE: f64 = 0.25;
 
+/// Check a `--tolerance` value: a band must be finite and non-negative.
+/// Under NaN or infinity every comparison in [`diff_values`] is false, so
+/// any slowdown would pass; a negative band would flag every leaf.
+pub fn check_tolerance(tolerance: f64) -> Result<f64, SoupError> {
+    if tolerance.is_finite() && tolerance >= 0.0 {
+        Ok(tolerance)
+    } else {
+        Err(SoupError::usage(format!(
+            "--tolerance must be a finite fraction >= 0 (got {tolerance})"
+        )))
+    }
+}
+
 /// Which way a metric improves, inferred from its leaf name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Direction {
@@ -273,6 +286,15 @@ mod tests {
                 "speedup": {speedup}}}, "pool": {{"hits": {hits}}}}}"#
         ))
         .unwrap()
+    }
+
+    #[test]
+    fn tolerance_must_be_finite_and_non_negative() {
+        for bad in [f64::NAN, f64::INFINITY, -0.1] {
+            let err = check_tolerance(bad).unwrap_err();
+            assert!(matches!(err, SoupError::Usage(_)), "{bad}: {err:?}");
+        }
+        assert_eq!(check_tolerance(0.0).unwrap(), 0.0);
     }
 
     #[test]

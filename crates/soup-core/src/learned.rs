@@ -68,9 +68,10 @@ pub struct LearnedHyper {
     /// smooth optimisation cannot do on its own, §V-A).
     pub prune_threshold: Option<f32>,
     /// Cache the weight-independent first-hop aggregation (`op·X`) across
-    /// epochs via a [`PropCache`] — every LS epoch (and PLS epoch, per
-    /// cached subgraph) saves one SpMM, with bit-identical results. GAT is
-    /// unaffected (its first hop is weight-dependent).
+    /// epochs via a [`PropCache`] — every LS epoch saves one SpMM, with
+    /// bit-identical results. A PLS epoch builds its own cache for its one
+    /// forward, which saves nothing net. GAT is unaffected (its first hop is
+    /// weight-dependent).
     pub prop_cache: bool,
     /// Numeric-watchdog retry budget: on a NaN/Inf epoch loss the loop
     /// restores the pre-epoch α/optimizer/RNG snapshot, halves the
@@ -227,8 +228,8 @@ pub(crate) fn mean_ratios(alphas: &AlphaState) -> Vec<f32> {
 
 /// One epoch's inputs — everything [`learned_step`] needs: a graph prepared
 /// for eval-mode forwards and the nodes the loss is taken over. LS prepares
-/// the full validation graph once; PLS prepares (and memoises) one per
-/// partition draw.
+/// the full validation graph once; PLS prepares one per partition draw and
+/// frees it before the next.
 #[derive(Debug)]
 pub(crate) struct EpochData<'a> {
     /// Propagation operator prepared on the (sub)graph.
@@ -308,8 +309,12 @@ pub(crate) trait EpochSource {
         None
     }
 
-    /// SpMMs the source's caches avoided, net of their build cost.
-    fn spmm_saved(&self) -> usize;
+    /// SpMMs the source's caches avoided, net of their build cost. None by
+    /// default: a PLS epoch's `PropCache` is built for, and consumed by, one
+    /// forward, so it skips exactly the SpMM its build spent.
+    fn spmm_saved(&self) -> usize {
+        0
+    }
 }
 
 /// Everything the α-loop mutates. Cloned for the watchdog snapshot and

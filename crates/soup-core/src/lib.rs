@@ -28,7 +28,6 @@ pub mod pls;
 pub mod pool;
 pub mod resume;
 pub mod strategy;
-mod subcache;
 pub mod uniform;
 
 /// The workspace-wide typed error enum, re-exported so downstream users can

@@ -21,10 +21,9 @@
 use crate::ingredient::validate_ingredients;
 use crate::learned::{fit_and_monitor_masks, learn_soup, EpochData, EpochSource, LearnedHyper};
 use crate::strategy::{measure_soup_try, SoupCtx, SoupOutcome, SoupStrategy};
-use crate::subcache::{SubgraphCache, SubgraphEntry};
 use soup_gnn::cache::PropCache;
 use soup_gnn::model::PropOps;
-use soup_gnn::{Arch, ModelConfig};
+use soup_gnn::ModelConfig;
 use soup_graph::subgraph::InducedSubgraph;
 use soup_graph::Dataset;
 use soup_obs::{to_value, Value};
@@ -61,13 +60,6 @@ pub struct PartitionLearnedSouping {
     pub budget: usize,
     /// Partitioner preparing the pool.
     pub partitioner: PartitionerKind,
-    /// Capacity of the LRU subgraph cache memoising prepared epochs by
-    /// partition subset (0 disables). Memoisation only engages when every
-    /// distinct subset fits — `binom(K, R) <= capacity` — because with a
-    /// larger subset space the hit rate is ~`capacity / binom(K, R)` ~ 0
-    /// and retained entries would inflate the peak memory PLS exists to
-    /// reduce (sizing analysis in DESIGN.md §9).
-    pub subgraph_cache: usize,
 }
 
 impl Default for PartitionLearnedSouping {
@@ -78,7 +70,6 @@ impl Default for PartitionLearnedSouping {
             num_partitions: 32,
             budget: 8,
             partitioner: PartitionerKind::MultilevelValBalanced,
-            subgraph_cache: 32,
         }
     }
 }
@@ -101,23 +92,6 @@ impl PartitionLearnedSouping {
     pub fn with_partitioner(mut self, partitioner: PartitionerKind) -> Self {
         self.partitioner = partitioner;
         self
-    }
-
-    /// Set the LRU subgraph-cache capacity (0 disables memoisation).
-    pub fn with_subgraph_cache(mut self, capacity: usize) -> Self {
-        self.subgraph_cache = capacity;
-        self
-    }
-
-    /// The capacity the mixing loop actually hands the LRU: the
-    /// configured one when the whole subset space fits (guaranteed recurring
-    /// draws), 0 otherwise — see the [`Self::subgraph_cache`] field docs.
-    pub fn effective_subgraph_cache(&self) -> usize {
-        if self.num_possible_subgraphs() <= self.subgraph_cache as f64 {
-            self.subgraph_cache
-        } else {
-            0
-        }
     }
 
     fn run_partitioner(&self, dataset: &Dataset, seed: u64) -> Partitioning {
@@ -208,7 +182,8 @@ pub(crate) struct PartitionSource<'a> {
     assignment: &'a [u32],
     /// Per node: is it one of the validation nodes α is fitted on?
     fit_is_val: Vec<bool>,
-    subcache: SubgraphCache,
+    /// The current epoch's prepared data — the only one resident.
+    data: Option<EpochData<'static>>,
     /// The last draw, and the node count of its subgraph (telemetry).
     selected: Vec<u32>,
     sub_nodes: usize,
@@ -230,7 +205,7 @@ impl<'a> PartitionSource<'a> {
             cfg: ctx.cfg,
             assignment,
             fit_is_val,
-            subcache: SubgraphCache::new(pls.effective_subgraph_cache()),
+            data: None,
             selected: Vec::new(),
             sub_nodes: 0,
         }
@@ -246,35 +221,34 @@ impl EpochSource for PartitionSource<'_> {
     }
 
     fn next_epoch(&mut self, rng: &mut SplitMix64) -> Option<&EpochData<'_>> {
-        // The draw happens before any cache lookup, so the rng stream —
-        // and hence the α trajectory — is byte-for-byte the same with and
-        // without memoisation.
         self.selected = rng
             .sample_indices(self.pls.num_partitions, self.pls.budget)
             .into_iter()
             .map(|p| p as u32)
             .collect();
-        let entry =
-            self.subcache
-                .get_or_insert_with(soup_graph::subset_key(&self.selected), || {
-                    build_epoch(
-                        self.dataset,
-                        self.cfg,
-                        self.assignment,
-                        &self.selected,
-                        &self.fit_is_val,
-                        self.pls.hyper.prop_cache,
-                    )
-                });
-        self.sub_nodes = entry.sub.local_to_global.len();
-        if entry.data.mask.is_empty() {
+        // Free the previous epoch before building this one, so only one
+        // partition-union subgraph is ever resident (Fig. 4b). Every epoch
+        // builds, so every epoch is a miss; the benchmark reads the
+        // `subgraph_cache_{hits,misses}` counters by name.
+        self.data = None;
+        soup_obs::counter!("soup.pls.subgraph_cache_misses").inc();
+        let (data, sub_nodes) = build_epoch(
+            self.dataset,
+            self.cfg,
+            self.assignment,
+            &self.selected,
+            &self.fit_is_val,
+            self.pls.hyper.prop_cache,
+        );
+        self.sub_nodes = sub_nodes;
+        if data.mask.is_empty() {
             // Degenerate draw: the selected partitions hold no fit nodes
             // (possible at tiny scales or under aggressive holdout). Drop
             // the empty epoch rather than stepping on a lossless subgraph.
             soup_obs::counter!("soup.pls.empty_partition_draws").inc();
             return None;
         }
-        Some(&entry.data)
+        Some(self.data.insert(data))
     }
 
     fn trace_fields(&self) -> Vec<(String, Value)> {
@@ -283,20 +257,11 @@ impl EpochSource for PartitionSource<'_> {
             ("selected".to_string(), to_value(&self.selected)),
         ]
     }
-
-    fn spmm_saved(&self) -> usize {
-        // Each subgraph-cache hit skipped rebuilding the entry's
-        // PropCache — one SpMM — when the propagation cache is on (GAT
-        // entries hold no aggregation, so hits save build work only).
-        if self.cfg.arch != Arch::Gat && self.pls.hyper.prop_cache {
-            self.subcache.hits
-        } else {
-            0
-        }
-    }
 }
 
-/// Prepare everything one PLS epoch needs from a partition draw.
+/// Prepare everything one PLS epoch needs from a partition draw. Returns it
+/// with the node count of the induced subgraph, which is dropped as soon as
+/// its operator, features and labels are gathered.
 fn build_epoch(
     dataset: &Dataset,
     cfg: &ModelConfig,
@@ -304,7 +269,7 @@ fn build_epoch(
     selected: &[u32],
     fit_is_val: &[bool],
     prop_cache: bool,
-) -> SubgraphEntry {
+) -> (EpochData<'static>, usize) {
     let sub = InducedSubgraph::from_partitions(&dataset.graph, assignment, selected);
     // Validation nodes of the subgraph (local ids).
     let mask: Vec<usize> = sub
@@ -317,6 +282,8 @@ fn build_epoch(
     let ops = PropOps::prepare(cfg.arch, &sub.graph);
     let features = sub.gather_features(&dataset.features);
     let labels = sub.gather_labels(&dataset.labels).into();
+    let sub_nodes = sub.num_nodes();
+    drop(sub);
     let prop = prop_cache.then(|| PropCache::new(&ops, &features));
     let data = EpochData {
         ops,
@@ -325,7 +292,7 @@ fn build_epoch(
         labels,
         mask,
     };
-    SubgraphEntry { sub, data }
+    (data, sub_nodes)
 }
 
 #[cfg(test)]
@@ -480,52 +447,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_engages_only_when_subset_space_fits() {
-        // binom(5, 2) = 10 <= 32: memoisation on.
-        let small = PartitionLearnedSouping::new(LearnedHyper::default(), 5, 2);
-        assert_eq!(small.effective_subgraph_cache(), 32);
-        // binom(32, 8) > 10M: memoisation would never hit — off.
-        assert_eq!(
-            PartitionLearnedSouping::default().effective_subgraph_cache(),
-            0
-        );
-        assert_eq!(small.with_subgraph_cache(0).effective_subgraph_cache(), 0);
-    }
-
-    #[test]
-    fn subgraph_cache_reproduces_uncached_run() {
-        // K=5, R=2 -> binom(5,2)=10 distinct subsets; 40 epochs guarantee
-        // the LRU (default capacity 32 > 10) serves most draws from cache.
-        let (d, cfg, ingredients) = trained_ingredients(3, 26, 0.2);
-        let hyper = LearnedHyper {
-            epochs: 40,
-            ..Default::default()
-        };
-        let cached = PartitionLearnedSouping::new(hyper, 5, 2).soup(&ingredients, &d, &cfg, 11);
-        let uncached = PartitionLearnedSouping::new(
-            LearnedHyper {
-                prop_cache: false,
-                ..hyper
-            },
-            5,
-            2,
-        )
-        .with_subgraph_cache(0)
-        .soup(&ingredients, &d, &cfg, 11);
-        // The rng draw precedes the cache lookup, so memoisation leaves the
-        // epoch sequence — and hence the soup — byte-for-byte unchanged.
-        assert_eq!(cached.val_accuracy, uncached.val_accuracy);
-        for (a, b) in cached.params.flat().zip(uncached.params.flat()) {
-            assert_eq!(a, b);
-        }
-        assert!(
-            cached.stats.spmm_saved > 0,
-            "40 epochs over 10 subsets must hit the subgraph cache"
-        );
-        assert_eq!(uncached.stats.spmm_saved, 0);
-    }
-
-    #[test]
     fn one_partition_pls_is_ls_bitwise() {
         // Alg. 4 = Alg. 3 + partitionSelection: with K = R = 1 the draw is
         // always the whole graph, so the shared loop must walk the same α
@@ -544,20 +465,16 @@ mod tests {
             .unwrap()
             .unwrap();
         let assignment = vec![0u32; d.num_nodes()];
-        for capacity in [32, 0] {
-            let one = PartitionLearnedSouping::new(h, 1, 1).with_subgraph_cache(capacity);
-            let mut source = PartitionSource::new(&one, &ctx, &assignment);
-            let pls = alpha_loop(&h, &ctx, rng.clone(), &mut source)
-                .unwrap()
-                .unwrap();
-            assert_eq!(ls.alphas.raw, pls.alphas.raw, "α diverged");
-            let (a, b) = (
-                materialize_soup(&ingredients, &ls.alphas),
-                materialize_soup(&ingredients, &pls.alphas),
-            );
-            assert!(a.flat().zip(b.flat()).all(|(x, y)| x == y), "soup diverged");
-            assert_eq!((ls.epochs_run, ls.forwards), (pls.epochs_run, pls.forwards));
-        }
+        let one = PartitionLearnedSouping::new(h, 1, 1);
+        let mut source = PartitionSource::new(&one, &ctx, &assignment);
+        let pls = alpha_loop(&h, &ctx, rng, &mut source).unwrap().unwrap();
+        assert_eq!(ls.alphas.raw, pls.alphas.raw, "α diverged");
+        let (a, b) = (
+            materialize_soup(&ingredients, &ls.alphas),
+            materialize_soup(&ingredients, &pls.alphas),
+        );
+        assert!(a.flat().zip(b.flat()).all(|(x, y)| x == y), "soup diverged");
+        assert_eq!((ls.epochs_run, ls.forwards), (pls.epochs_run, pls.forwards));
     }
 
     #[test]

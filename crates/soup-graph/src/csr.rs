@@ -48,30 +48,15 @@ impl CsrGraph {
         }
         directed.sort_unstable();
         directed.dedup();
-        Self::from_sorted_directed(n, &directed)
-    }
-
-    /// Build from already-deduplicated, sorted directed pairs that are
-    /// symmetric (every `(a,b)` has its `(b,a)`).
-    pub(crate) fn from_sorted_directed(n: usize, directed: &[(u32, u32)]) -> Self {
         let mut indptr = vec![0usize; n + 1];
-        for &(a, _) in directed {
+        for &(a, _) in &directed {
             indptr[a as usize + 1] += 1;
         }
         for i in 0..n {
             indptr[i + 1] += indptr[i];
         }
-        let indices: Vec<u32> = directed.iter().map(|&(_, b)| b).collect();
-        let bytes = indptr.len() * std::mem::size_of::<usize>()
-            + indices.len() * std::mem::size_of::<u32>();
-        Self {
-            inner: Arc::new(Inner {
-                n,
-                indptr,
-                indices,
-                _mem: MemGuard::new(bytes),
-            }),
-        }
+        let indices = directed.iter().map(|&(_, b)| b).collect();
+        Self::from_parts_unchecked(n, indptr, indices)
     }
 
     /// Build directly from CSR arrays, validating every invariant first —
@@ -82,16 +67,22 @@ impl CsrGraph {
         indices: Vec<u32>,
     ) -> Result<Self, SoupError> {
         validate_parts(n, &indptr, &indices)?;
+        Ok(Self::from_parts_unchecked(n, indptr, indices))
+    }
+
+    /// Wrap CSR arrays the caller already knows to be symmetric, with
+    /// sorted, deduplicated rows and no self-loops.
+    pub(crate) fn from_parts_unchecked(n: usize, indptr: Vec<usize>, indices: Vec<u32>) -> Self {
         let bytes = indptr.len() * std::mem::size_of::<usize>()
             + indices.len() * std::mem::size_of::<u32>();
-        Ok(Self {
+        Self {
             inner: Arc::new(Inner {
                 n,
                 indptr,
                 indices,
                 _mem: MemGuard::new(bytes),
             }),
-        })
+        }
     }
 
     /// Check the CSR structural invariants: `indptr` length, monotonicity,

@@ -66,5 +66,5 @@ pub use datasets::{Dataset, DatasetKind};
 pub use mmap::{save_mmap_dataset, write_mmap_dataset, Mmap, MmapDataset, MmapMeta, MmapWriter};
 pub use sampling::{NeighborSampler, SampledSubgraph};
 pub use splits::Splits;
-pub use subgraph::{subset_key, InducedSubgraph};
+pub use subgraph::InducedSubgraph;
 pub use synth::SbmConfig;

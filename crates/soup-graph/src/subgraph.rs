@@ -6,6 +6,11 @@
 //! *induced* subgraph on the union of the selected partitions: any edge
 //! whose both endpoints fall in selected partitions survives, including
 //! edges that cross between two different selected partitions.
+//!
+//! PLS builds one such subgraph per epoch, gathers its features and labels,
+//! and drops it; nothing keeps it past that epoch. Construction is therefore
+//! on the per-epoch path, and filters the source graph's CSR rows directly
+//! instead of re-sorting an edge list.
 
 use crate::csr::CsrGraph;
 use crate::splits::Splits;
@@ -25,6 +30,12 @@ pub struct InducedSubgraph {
 impl InducedSubgraph {
     /// Induce on an arbitrary node set (order defines local ids; duplicates
     /// are rejected).
+    ///
+    /// Builds the CSR rows directly: each retained node's neighbour row is
+    /// filtered through `global_to_local` and remapped. Because the source
+    /// graph is symmetric, deduplicated and loop-free, so is every induced
+    /// row set; remapping keeps rows sorted whenever `nodes` ascends, so
+    /// rows are only re-sorted for an arbitrary order.
     pub fn new(graph: &CsrGraph, nodes: &[usize]) -> Self {
         let n = graph.num_nodes();
         let mut global_to_local: Vec<Option<usize>> = vec![None; n];
@@ -33,19 +44,21 @@ impl InducedSubgraph {
             assert!(global_to_local[old].is_none(), "duplicate node {old}");
             global_to_local[old] = Some(new);
         }
-        let mut edges: Vec<(u32, u32)> = Vec::new();
-        for (new, &old) in nodes.iter().enumerate() {
-            for &u in graph.neighbors(old) {
-                if let Some(nu) = global_to_local[u as usize] {
-                    if new < nu {
-                        edges.push((new as u32, nu as u32));
-                    }
-                }
+        let ascending = nodes.windows(2).all(|w| w[0] < w[1]);
+        let mut indptr = Vec::with_capacity(nodes.len() + 1);
+        indptr.push(0);
+        let mut indices = Vec::with_capacity(nodes.iter().map(|&v| graph.degree(v)).sum());
+        for &old in nodes {
+            let start = indices.len();
+            let row = graph.neighbors(old).iter();
+            indices.extend(row.filter_map(|&u| global_to_local[u as usize].map(|l| l as u32)));
+            if !ascending {
+                indices[start..].sort_unstable();
             }
+            indptr.push(indices.len());
         }
-        let sub = CsrGraph::from_edges(nodes.len(), &edges);
         Self {
-            graph: sub,
+            graph: CsrGraph::from_parts_unchecked(nodes.len(), indptr, indices),
             local_to_global: nodes.to_vec(),
             global_to_local,
         }
@@ -53,16 +66,16 @@ impl InducedSubgraph {
 
     /// Induce on the union of the partitions listed in `selected`, given a
     /// node→partition assignment. Cut edges between selected partitions are
-    /// preserved (Eq. 5).
+    /// preserved (Eq. 5). Nodes are retained in global-id order, whatever
+    /// the order of `selected`.
     pub fn from_partitions(graph: &CsrGraph, assignment: &[u32], selected: &[u32]) -> Self {
         assert_eq!(
             assignment.len(),
             graph.num_nodes(),
             "assignment length mismatch"
         );
-        let sel: std::collections::HashSet<u32> = selected.iter().copied().collect();
         let nodes: Vec<usize> = (0..graph.num_nodes())
-            .filter(|&v| sel.contains(&assignment[v]))
+            .filter(|&v| selected.contains(&assignment[v]))
             .collect();
         Self::new(graph, &nodes)
     }
@@ -86,19 +99,6 @@ impl InducedSubgraph {
     pub fn localise_splits(&self, splits: &Splits) -> Splits {
         splits.localise(&self.global_to_local)
     }
-}
-
-/// Canonical cache key for a partition subset: sorted, deduplicated.
-///
-/// [`InducedSubgraph::from_partitions`] retains nodes in *global-id* order
-/// regardless of the order (or multiplicity) of `selected`, so two draws of
-/// the same subset under different permutations produce identical
-/// subgraphs — a memoisation cache keyed by `subset_key` can reuse them.
-pub fn subset_key(selected: &[u32]) -> Vec<u32> {
-    let mut key = selected.to_vec();
-    key.sort_unstable();
-    key.dedup();
-    key
 }
 
 #[cfg(test)]
@@ -194,16 +194,10 @@ mod tests {
     }
 
     #[test]
-    fn subset_key_is_canonical() {
-        assert_eq!(subset_key(&[3, 1, 2]), vec![1, 2, 3]);
-        assert_eq!(subset_key(&[2, 1, 2]), vec![1, 2]);
-        assert_eq!(subset_key(&[3, 1, 2]), subset_key(&[2, 3, 1]));
-    }
-
-    #[test]
     fn from_partitions_is_order_independent() {
-        // The invariant subset_key-based caches rely on: any permutation of
-        // the same subset yields a bit-identical subgraph and index maps.
+        // Any permutation of the same subset yields a bit-identical
+        // subgraph and index maps, so a PLS epoch depends only on which
+        // partitions were drawn.
         let g = path5();
         let assignment = vec![0u32, 0, 1, 1, 2];
         let a = InducedSubgraph::from_partitions(&g, &assignment, &[0, 1]);
@@ -223,6 +217,75 @@ mod tests {
         assert_eq!(sub.graph.num_edges(), g.num_edges());
         for v in 0..5 {
             assert_eq!(sub.global_to_local[v], Some(v));
+        }
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+        use soup_tensor::SplitMix64;
+
+        /// Reference build: collect each retained edge once, then let
+        /// `from_edges` symmetrise, sort and deduplicate.
+        fn reference(graph: &CsrGraph, nodes: &[usize]) -> CsrGraph {
+            let mut local = vec![None; graph.num_nodes()];
+            for (new, &old) in nodes.iter().enumerate() {
+                local[old] = Some(new);
+            }
+            let mut edges = Vec::new();
+            for (new, &old) in nodes.iter().enumerate() {
+                for &u in graph.neighbors(old) {
+                    if let Some(nu) = local[u as usize] {
+                        if new < nu {
+                            edges.push((new as u32, nu as u32));
+                        }
+                    }
+                }
+            }
+            CsrGraph::from_edges(nodes.len(), &edges)
+        }
+
+        fn random_graph(rng: &mut SplitMix64, n: usize, m: usize) -> CsrGraph {
+            let edges: Vec<(u32, u32)> = (0..m)
+                .map(|_| (rng.next_below(n) as u32, rng.next_below(n) as u32))
+                .collect();
+            CsrGraph::from_edges(n, &edges)
+        }
+
+        fn assert_matches_reference(graph: &CsrGraph, sub: &InducedSubgraph) {
+            let want = reference(graph, &sub.local_to_global);
+            assert_eq!(sub.graph.num_nodes(), want.num_nodes());
+            assert_eq!(sub.graph.indptr(), want.indptr());
+            assert_eq!(sub.graph.indices(), want.indices());
+        }
+
+        proptest! {
+            #[test]
+            fn direct_rows_match_edge_list_build(
+                seed in 0u64..1000, n in 1usize..40, m in 0usize..120, k in 0usize..40
+            ) {
+                let mut rng = SplitMix64::new(seed);
+                let g = random_graph(&mut rng, n, m);
+                let mut nodes = rng.sample_indices(n, k.min(n));
+                nodes.sort_unstable();
+                assert_matches_reference(&g, &InducedSubgraph::new(&g, &nodes));
+                rng.shuffle(&mut nodes);
+                assert_matches_reference(&g, &InducedSubgraph::new(&g, &nodes));
+            }
+
+            #[test]
+            fn partition_unions_match_edge_list_build(
+                seed in 0u64..1000, n in 1usize..40, m in 0usize..120, k in 1usize..6
+            ) {
+                let mut rng = SplitMix64::new(seed);
+                let g = random_graph(&mut rng, n, m);
+                let assignment: Vec<u32> = (0..n).map(|_| rng.next_below(k) as u32).collect();
+                let r = 1 + rng.next_below(k);
+                let selected: Vec<u32> =
+                    rng.sample_indices(k, r).into_iter().map(|p| p as u32).collect();
+                let sub = InducedSubgraph::from_partitions(&g, &assignment, &selected);
+                assert_matches_reference(&g, &sub);
+            }
         }
     }
 }

@@ -9,6 +9,12 @@
 
 use enhanced_soups::prelude::*;
 use enhanced_soups::soup::LearnedHyper;
+use std::sync::Mutex;
+
+/// `peak_mem_bytes` comes from the one process-global memory meter, and the
+/// timing claims compare wall clocks, so a test running beside another reads
+/// the other's allocations and CPU time. Every test here holds this lock.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 fn pool(seed: u64, scale: f64, n: usize) -> (Dataset, ModelConfig, Vec<Ingredient>) {
     let dataset = DatasetKind::Reddit.generate_scaled(seed, scale);
@@ -23,6 +29,7 @@ fn pool(seed: u64, scale: f64, n: usize) -> (Dataset, ModelConfig, Vec<Ingredien
 
 #[test]
 fn ls_is_faster_than_gis_at_paper_like_settings() {
+    let _serial = SERIAL.lock().unwrap();
     // Matched settings: GIS at granularity 20 over 6 ingredients performs
     // ~100 full-graph forwards; LS at 25 epochs performs 25 fwd+bwd.
     let (dataset, cfg, ingredients) = pool(1, 0.2, 6);
@@ -42,31 +49,37 @@ fn ls_is_faster_than_gis_at_paper_like_settings() {
 
 #[test]
 fn pls_uses_less_memory_than_ls_roughly_tracking_ratio() {
+    let _serial = SERIAL.lock().unwrap();
     let (dataset, cfg, ingredients) = pool(2, 0.3, 4);
     let hyper = LearnedHyper {
         epochs: 12,
         ..Default::default()
     };
     let ls = LearnedSouping::new(hyper).soup(&ingredients, &dataset, &cfg, 5);
-    let pls = PartitionLearnedSouping::new(hyper, 16, 4).soup(&ingredients, &dataset, &cfg, 5);
-    assert!(
-        pls.stats.peak_mem_bytes < ls.stats.peak_mem_bytes,
-        "PLS {} >= LS {}",
-        pls.stats.peak_mem_bytes,
-        ls.stats.peak_mem_bytes
-    );
-    // The activation share should be well under half of LS's peak for
-    // R/K = 0.25 (model parameters are a shared constant floor).
-    assert!(
-        (pls.stats.peak_mem_bytes as f64) < 0.8 * ls.stats.peak_mem_bytes as f64,
-        "PLS memory {} not well below LS {}",
-        pls.stats.peak_mem_bytes,
-        ls.stats.peak_mem_bytes
-    );
+    // (16, 4) is a paper-like ratio; (4, 2) is the benchmark's setting,
+    // whose binom(4, 2) = 6 subsets each recur within 12 epochs.
+    for (k, r) in [(16, 4), (4, 2)] {
+        let pls = PartitionLearnedSouping::new(hyper, k, r).soup(&ingredients, &dataset, &cfg, 5);
+        assert!(
+            pls.stats.peak_mem_bytes < ls.stats.peak_mem_bytes,
+            "K={k} R={r}: PLS {} >= LS {}",
+            pls.stats.peak_mem_bytes,
+            ls.stats.peak_mem_bytes
+        );
+        // The activation share should be well under LS's peak for R/K <= 0.5
+        // (model parameters are a shared constant floor).
+        assert!(
+            (pls.stats.peak_mem_bytes as f64) < 0.8 * ls.stats.peak_mem_bytes as f64,
+            "K={k} R={r}: PLS memory {} not well below LS {}",
+            pls.stats.peak_mem_bytes,
+            ls.stats.peak_mem_bytes
+        );
+    }
 }
 
 #[test]
 fn us_is_fastest_strategy() {
+    let _serial = SERIAL.lock().unwrap();
     let (dataset, cfg, ingredients) = pool(3, 0.15, 4);
     let hyper = LearnedHyper {
         epochs: 15,
@@ -81,6 +94,7 @@ fn us_is_fastest_strategy() {
 
 #[test]
 fn forward_pass_counts_follow_complexity_model() {
+    let _serial = SERIAL.lock().unwrap();
     use enhanced_soups::soup::complexity::{gis_cost, ls_cost, PassCost};
     let (dataset, cfg, ingredients) = pool(4, 0.15, 5);
     let g = 8;
@@ -101,6 +115,7 @@ fn forward_pass_counts_follow_complexity_model() {
 
 #[test]
 fn informed_strategies_beat_us_on_diverse_pools() {
+    let _serial = SERIAL.lock().unwrap();
     // Make ingredients intentionally diverse by training some much longer
     // than others — the regime where US suffers (§V-A).
     let dataset = DatasetKind::OgbnArxiv.generate_scaled(5, 0.25);

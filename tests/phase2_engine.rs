@@ -1,6 +1,6 @@
 //! Integration tests for the Phase-2 evaluation engine: propagation-cache
-//! bit-identity across architectures, PLS subgraph memoisation equivalence
-//! through the public facade, and the Phase-1→Phase-2 pool-trim ledger.
+//! bit-identity across architectures, PLS cached ≡ uncached through the
+//! public facade, and the Phase-1→Phase-2 pool-trim ledger.
 
 use enhanced_soups::gnn::{
     evaluate_accuracy, evaluate_accuracy_cached, forward, init_params, predict, predict_cached,
@@ -11,14 +11,10 @@ use enhanced_soups::soup::LearnedHyper;
 use enhanced_soups::tensor::{pool, Tape, Var, DEVICE_MEMORY};
 use std::sync::Mutex;
 
-/// The workspace pool, the device-memory meter and the obs counters are all
-/// process-global; serialise the tests in this binary so the ledger and
-/// counter-delta assertions can't race each other's allocations.
+/// The workspace pool and the device-memory meter are process-global;
+/// serialise the tests in this binary so the ledger assertions can't race
+/// each other's allocations.
 static SERIAL: Mutex<()> = Mutex::new(());
-
-fn counter(name: &str) -> u64 {
-    enhanced_soups::obs::registry::counter(name).get()
-}
 
 /// Eval-mode logits through the one public forward, as raw bit patterns.
 fn logit_bits(
@@ -91,9 +87,10 @@ fn cached_evaluation_is_bit_identical_across_architectures() {
     }
 }
 
-/// PLS with the memoisation engine on (subgraph LRU + per-entry PropCache)
-/// must produce the same soup, bitwise, as the engine-off run under the
-/// same seed — and must actually hit the cache while doing it.
+/// PLS with the propagation cache on (one `PropCache` per epoch subgraph)
+/// must produce the same soup, bitwise, as the cache-off run under the same
+/// seed. Each epoch's cache is built for its one forward, so neither arm
+/// saves an SpMM net.
 #[test]
 fn pls_subgraph_memoisation_matches_uncached_run() {
     let _serial = SERIAL.lock().unwrap();
@@ -109,16 +106,9 @@ fn pls_subgraph_memoisation_matches_uncached_run() {
         epochs: 40,
         ..Default::default()
     };
-    // K = 5, R = 2 -> binom(5, 2) = 10 distinct subsets: small enough for
-    // the adaptive policy to engage the default LRU capacity.
-    let hits_before = counter("soup.pls.subgraph_cache_hits");
+    // K = 5, R = 2 -> binom(5, 2) = 10 distinct subsets, so 40 epochs
+    // redraw every subset several times.
     let cached = PartitionLearnedSouping::new(hyper, 5, 2).soup(&ingredients, &dataset, &cfg, 23);
-    let hits_after = counter("soup.pls.subgraph_cache_hits");
-    assert!(
-        hits_after > hits_before,
-        "subgraph cache never hit ({hits_before} -> {hits_after})"
-    );
-
     let uncached = PartitionLearnedSouping::new(
         LearnedHyper {
             prop_cache: false,
@@ -127,7 +117,6 @@ fn pls_subgraph_memoisation_matches_uncached_run() {
         5,
         2,
     )
-    .with_subgraph_cache(0)
     .soup(&ingredients, &dataset, &cfg, 23);
 
     assert_eq!(cached.val_accuracy, uncached.val_accuracy);
@@ -137,9 +126,12 @@ fn pls_subgraph_memoisation_matches_uncached_run() {
             .flat()
             .zip(uncached.params.flat())
             .all(|(a, b)| a == b),
-        "memoised PLS soup is not bitwise identical"
+        "cached PLS soup is not bitwise identical"
     );
-    assert!(cached.stats.spmm_saved > 0, "engine run saved no SpMMs");
+    assert_eq!(
+        cached.stats.spmm_saved, 0,
+        "a per-epoch cache saves nothing net"
+    );
     assert_eq!(uncached.stats.spmm_saved, 0, "baseline must not save SpMMs");
 }
 
