@@ -1,7 +1,7 @@
 //! Noise-aware bench-regression gate over `BENCH_*.json` sidecars.
 //!
 //! The quick-bench CI steps emit machine-readable sidecars
-//! (`BENCH_kernels.json`, `BENCH_souping.json`) whose numeric leaves mix
+//! (`BENCH_kernels.json`, `BENCH_shard.json`) whose numeric leaves mix
 //! three kinds of quantity: timings (`*_ms` — lower is better), rates and
 //! quality scores (`*speedup*`, `*gflops*`, `*accuracy*` — higher is
 //! better), and structural metadata (shapes, counters — direction-free).

@@ -31,8 +31,7 @@
 //! the workspace's one length-prefixed frame codec, `soup_store::frame`
 //! (shared with the shard control plane), no external
 //! protocol dependencies. [`client`] is the matching blocking client and
-//! [`load`] a deterministic Zipf-skewed closed-loop generator used by
-//! `bench_serve` and CI.
+//! [`load`] a deterministic Zipf sampler for skewed request streams.
 
 pub mod batcher;
 pub mod client;
@@ -42,6 +41,6 @@ pub mod server;
 
 pub use batcher::PredictReply;
 pub use client::{Client, PredictResult};
-pub use load::{run_closed_loop, LoadConfig, LoadReport, ZipfSampler};
+pub use load::ZipfSampler;
 pub use proto::{Opcode, Request, Response, Status, MAX_FRAME};
 pub use server::{ServeConfig, ServeModel, Server};

@@ -1,65 +1,10 @@
-//! Closed-loop load generation with Zipf-skewed node popularity.
+//! Zipf-skewed node popularity for load generators.
 //!
-//! Each simulated client holds one connection and issues its next request
-//! the moment the previous answer (or rejection) lands — a *closed loop*,
-//! so offered load scales with concurrency and measured latency feeds back
-//! into the request rate, the standard way to probe a server's
-//! latency/throughput frontier. Node ids are drawn Zipf(s): a few hot
-//! nodes dominate, matching real query skew rather than uniform sampling.
-//!
-//! Fully deterministic given the seed (client `i` uses the derived stream
-//! `seed + i`), so bench runs are reproducible.
+//! Real query streams are skewed: a few hot nodes dominate. [`ZipfSampler`]
+//! draws node ids Zipf(s) instead of uniformly, deterministically given
+//! the caller's [`SplitMix64`] stream, so load runs are reproducible.
 
-use crate::client::{Client, PredictResult};
 use soup_tensor::SplitMix64;
-use std::net::SocketAddr;
-use std::time::Instant;
-
-/// Load-run knobs.
-#[derive(Debug, Clone)]
-pub struct LoadConfig {
-    /// Concurrent closed-loop clients.
-    pub clients: usize,
-    /// Requests each client issues (served + rejected both count).
-    pub requests_per_client: usize,
-    /// Node ids per PREDICT request.
-    pub nodes_per_request: usize,
-    /// Zipf skew exponent (1.0 ≈ classic web-object popularity).
-    pub zipf_s: f64,
-    /// Base RNG seed; client `i` draws from `seed + i`.
-    pub seed: u64,
-}
-
-impl Default for LoadConfig {
-    fn default() -> Self {
-        LoadConfig {
-            clients: 4,
-            requests_per_client: 200,
-            nodes_per_request: 4,
-            zipf_s: 1.0,
-            seed: 42,
-        }
-    }
-}
-
-/// Aggregated result of one closed-loop run.
-#[derive(Debug, Clone)]
-pub struct LoadReport {
-    /// Requests that were served.
-    pub served: u64,
-    /// Requests rejected with OVERLOADED.
-    pub overloaded: u64,
-    /// Wall time of the whole run in seconds.
-    pub elapsed_s: f64,
-    /// Served requests per second.
-    pub rps: f64,
-    /// Median served-request latency (request write → response read).
-    pub p50_us: u64,
-    /// Tail served-request latency.
-    pub p99_us: u64,
-    /// Mean served-request latency.
-    pub mean_us: f64,
-}
 
 /// Zipf(s) sampler over `0..n` via inverse-CDF lookup. The CDF is built
 /// once (O(n)); each draw is a binary search.
@@ -87,79 +32,6 @@ impl ZipfSampler {
         let u = rng.next_f64();
         self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
     }
-}
-
-/// Run the closed loop against `addr`, drawing node ids from `0..num_nodes`.
-///
-/// Returns per-run aggregates; per-request latencies are measured at the
-/// client (full round trip including queueing) and only *served* requests
-/// enter the latency distribution — rejections are counted separately.
-pub fn run_closed_loop(
-    addr: SocketAddr,
-    num_nodes: usize,
-    config: &LoadConfig,
-) -> soup_error::Result<LoadReport> {
-    let zipf = std::sync::Arc::new(ZipfSampler::new(num_nodes, config.zipf_s));
-    let start = Instant::now();
-    let handles: Vec<_> = (0..config.clients)
-        .map(|i| {
-            let zipf = zipf.clone();
-            let config = config.clone();
-            std::thread::spawn(move || -> soup_error::Result<(Vec<u64>, u64)> {
-                let mut client = Client::connect(addr)?;
-                let mut rng = SplitMix64::new(config.seed + i as u64);
-                let mut latencies = Vec::with_capacity(config.requests_per_client);
-                let mut overloaded = 0u64;
-                let mut nodes = vec![0u32; config.nodes_per_request];
-                for _ in 0..config.requests_per_client {
-                    for slot in &mut nodes {
-                        *slot = zipf.sample(&mut rng) as u32;
-                    }
-                    let t0 = Instant::now();
-                    match client.predict(&nodes)? {
-                        PredictResult::Classes { .. } => {
-                            latencies.push(t0.elapsed().as_micros() as u64);
-                        }
-                        PredictResult::Overloaded => overloaded += 1,
-                    }
-                }
-                Ok((latencies, overloaded))
-            })
-        })
-        .collect();
-
-    let mut latencies = Vec::new();
-    let mut overloaded = 0u64;
-    for handle in handles {
-        let (lats, rej) = handle
-            .join()
-            .map_err(|_| soup_error::SoupError::parse("load client panicked"))??;
-        latencies.extend(lats);
-        overloaded += rej;
-    }
-    let elapsed_s = start.elapsed().as_secs_f64();
-    latencies.sort_unstable();
-    let served = latencies.len() as u64;
-    let quantile = |q: f64| -> u64 {
-        if latencies.is_empty() {
-            return 0;
-        }
-        let idx = ((latencies.len() - 1) as f64 * q).round() as usize;
-        latencies[idx]
-    };
-    Ok(LoadReport {
-        served,
-        overloaded,
-        elapsed_s,
-        rps: served as f64 / elapsed_s.max(1e-9),
-        p50_us: quantile(0.5),
-        p99_us: quantile(0.99),
-        mean_us: if latencies.is_empty() {
-            0.0
-        } else {
-            latencies.iter().sum::<u64>() as f64 / latencies.len() as f64
-        },
-    })
 }
 
 #[cfg(test)]

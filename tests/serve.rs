@@ -1,6 +1,7 @@
 //! Serving-layer integration: protocol robustness against a live server,
 //! batched-vs-unbatched bitwise identity, the max-delay bound, admission
-//! backpressure, and the hot-swap-under-load guarantee.
+//! backpressure, Zipf-skewed requests against the offline reference, and
+//! the hot-swap-under-load guarantee.
 
 use enhanced_soups::gnn::model::init_params;
 use enhanced_soups::gnn::{
@@ -164,6 +165,30 @@ fn out_of_range_node_is_an_error_not_a_panic() {
         client.predict(&[0]).unwrap(),
         PredictResult::Classes { .. }
     ));
+    server.stop();
+}
+
+#[test]
+fn zipf_skewed_requests_match_the_offline_reference() {
+    // The end-to-end benchmark imports this sampler from the `soup_serve`
+    // crate root; moving or deleting it must fail here, not only there.
+    use enhanced_soups::serve::ZipfSampler;
+
+    let (server, dataset, _cfg, fixture) = start_server(ServeConfig::default());
+    let zipf = ZipfSampler::new(dataset.num_nodes(), 1.0);
+    let mut rng = SplitMix64::new(42);
+    let mut client = Client::connect(server.addr()).unwrap();
+    for _ in 0..50 {
+        let nodes: Vec<u32> = (0..4).map(|_| zipf.sample(&mut rng) as u32).collect();
+        let PredictResult::Classes { classes, .. } = client.predict(&nodes).unwrap() else {
+            panic!("default queue should not overflow");
+        };
+        let expected: Vec<u32> = nodes
+            .iter()
+            .map(|&id| fixture.reference[id as usize] as u32)
+            .collect();
+        assert_eq!(classes, expected, "answer diverged for {nodes:?}");
+    }
     server.stop();
 }
 
