@@ -20,9 +20,9 @@ impl Tape {
         let xv = self.value(x);
         let keep = 1.0 - p;
         let inv = 1.0 / keep;
-        let mask: Vec<f32> = (0..xv.len())
-            .map(|_| if rng.next_f32() < keep { inv } else { 0.0 })
-            .collect();
+        let mut mask = crate::pool::take_scratch(xv.len());
+        mask.iter_mut()
+            .for_each(|m| *m = if rng.next_f32() < keep { inv } else { 0.0 });
         let mask = Tensor::from_vec(xv.rows(), xv.cols(), mask);
         let out = xv.mul(&mask);
         self.push_op(

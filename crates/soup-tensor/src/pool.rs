@@ -13,74 +13,83 @@
 //!   Training workloads use a small, fixed set of shapes, so exact keys give
 //!   perfect reuse with *zero over-allocation* — important because tensor
 //!   memory accounting feeds the paper's Fig. 4b comparisons.
+//! - **Minted bound.** Each bucket counts the buffers it *minted*: takes
+//!   that missed and allocated fresh. [`put`] keeps a buffer only while its
+//!   bucket holds fewer idle buffers than it minted; anything else — a
+//!   vector the pool never handed out, an odd capacity, a surplus return —
+//!   goes back to the allocator. So idle buffers of a size never exceed the
+//!   most buffers of that size ever live at once, whatever callers hand
+//!   back, and no knob sets the pool's size. The hot constructors
+//!   (`Buf::zeros`/`full`/`Clone`, `Tensor::randn`/`rand_uniform`, the
+//!   dropout mask, kernel outputs and workspaces) therefore take their
+//!   buffers from the pool: a vector built outside it is usually refused on
+//!   return, so it would cost a fresh allocation every time.
 //! - **Separate accounting.** Bytes sitting idle in the pool are tracked in
 //!   [`MemoryMeter`](crate::memory::MemoryMeter) via the `pooled` counter,
 //!   *not* in `current` (live bytes): a pooled buffer is memory the process
 //!   holds but no tensor owns. [`trim`] releases everything back to the
-//!   allocator, after which `DEVICE_MEMORY.pooled()` reads zero.
+//!   allocator and forgets the minted counts, after which
+//!   `DEVICE_MEMORY.pooled()` reads zero.
 //! - **Observability.** `tensor.pool.hits` / `misses` / `returns` /
-//!   `bypass` counters and the `tensor.pool.idle_bytes` gauge expose pool
-//!   behaviour; a steady-state epoch shows hits only.
-//!
-//! The pool can be disabled for honest no-pool baselines with `SOUP_POOL=0`
-//! (read once, at first use).
+//!   `refused` / `bypass` counters and the `tensor.pool.idle_bytes` gauge
+//!   expose pool behaviour; a steady-state epoch shows hits only.
 
 use crate::memory::{MemGuard, DEVICE_MEMORY};
 use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Buffers smaller than this (in elements) bypass the pool: the allocator
 /// handles tiny blocks faster than a lock + hash probe.
 const MIN_POOL_LEN: usize = 64;
 
-/// Free buffers retained per exact capacity; beyond this, returns fall
-/// through to the allocator. Bounded by peak live usage anyway (a buffer
-/// must have been live to be returned), this is a secondary backstop
-/// against pathological shape churn.
-const MAX_PER_BUCKET: usize = 256;
-
-fn pool_enabled() -> bool {
-    static CACHED: OnceLock<bool> = OnceLock::new();
-    *CACHED.get_or_init(|| std::env::var("SOUP_POOL").map_or(true, |v| v != "0"))
+/// The idle buffers of one exact capacity, and how many buffers of that
+/// capacity the pool has minted since the last [`trim`].
+#[derive(Debug, Default)]
+struct Bucket {
+    free: Vec<Vec<f32>>,
+    minted: usize,
 }
 
-fn buckets() -> &'static Mutex<HashMap<usize, Vec<Vec<f32>>>> {
-    static POOL: OnceLock<Mutex<HashMap<usize, Vec<Vec<f32>>>>> = OnceLock::new();
+fn buckets() -> MutexGuard<'static, HashMap<usize, Bucket>> {
+    static POOL: OnceLock<Mutex<HashMap<usize, Bucket>>> = OnceLock::new();
     POOL.get_or_init(|| Mutex::new(HashMap::new()))
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
 }
 
 fn bytes_of_cap(cap: usize) -> usize {
     cap * std::mem::size_of::<f32>()
 }
 
-/// Pop a pooled buffer with capacity exactly `len`, adjusting the idle
-/// accounting. Contents are stale.
-fn pop(len: usize) -> Option<Vec<f32>> {
-    let mut map = buckets().lock().unwrap_or_else(|e| e.into_inner());
-    let bucket = map.get_mut(&len)?;
-    let v = bucket.pop()?;
+/// Pop an idle buffer with capacity exactly `len` (contents stale), or
+/// return `None` after counting the fresh buffer the caller will mint.
+fn draw(len: usize) -> Option<Vec<f32>> {
+    if len < MIN_POOL_LEN {
+        soup_obs::counter!("tensor.pool.bypass").inc();
+        return None;
+    }
+    let mut map = buckets();
+    let bucket = map.entry(len).or_default();
+    let Some(v) = bucket.free.pop() else {
+        bucket.minted += 1;
+        soup_obs::counter!("tensor.pool.misses").inc();
+        return None;
+    };
     DEVICE_MEMORY.pool_sub(bytes_of_cap(v.capacity()));
+    soup_obs::counter!("tensor.pool.hits").inc();
     soup_obs::gauge!("tensor.pool.idle_bytes").set(DEVICE_MEMORY.pooled() as f64);
     Some(v)
 }
 
 /// Take a zero-filled buffer of `len` elements (for accumulation outputs).
 pub fn take_zeroed(len: usize) -> Vec<f32> {
-    if len < MIN_POOL_LEN || !pool_enabled() {
-        soup_obs::counter!("tensor.pool.bypass").inc();
-        return vec![0.0; len];
-    }
-    match pop(len) {
+    match draw(len) {
         Some(mut v) => {
-            soup_obs::counter!("tensor.pool.hits").inc();
             v.clear();
             v.resize(len, 0.0);
             v
         }
-        None => {
-            soup_obs::counter!("tensor.pool.misses").inc();
-            vec![0.0; len]
-        }
+        None => vec![0.0; len],
     }
 }
 
@@ -88,43 +97,27 @@ pub fn take_zeroed(len: usize) -> Vec<f32> {
 /// initialised). For workspaces that overwrite every slot before reading —
 /// packing buffers, `map`/`zip` outputs — this skips the zero fill.
 pub fn take_scratch(len: usize) -> Vec<f32> {
-    if len < MIN_POOL_LEN || !pool_enabled() {
-        soup_obs::counter!("tensor.pool.bypass").inc();
-        return vec![0.0; len];
-    }
-    match pop(len) {
+    match draw(len) {
         Some(mut v) => {
-            soup_obs::counter!("tensor.pool.hits").inc();
             // Capacity equals `len` (the bucket key), so this only adjusts
             // the length; stale contents are deliberately kept.
             v.resize(len, 0.0);
             v.truncate(len);
             v
         }
-        None => {
-            soup_obs::counter!("tensor.pool.misses").inc();
-            vec![0.0; len]
-        }
+        None => vec![0.0; len],
     }
 }
 
 /// Take a buffer initialised as a copy of `src` (one pass, no zero fill).
 pub fn take_copy(src: &[f32]) -> Vec<f32> {
-    if src.len() < MIN_POOL_LEN || !pool_enabled() {
-        soup_obs::counter!("tensor.pool.bypass").inc();
-        return src.to_vec();
-    }
-    match pop(src.len()) {
+    match draw(src.len()) {
         Some(mut v) => {
-            soup_obs::counter!("tensor.pool.hits").inc();
             v.clear();
             v.extend_from_slice(src);
             v
         }
-        None => {
-            soup_obs::counter!("tensor.pool.misses").inc();
-            src.to_vec()
-        }
+        None => src.to_vec(),
     }
 }
 
@@ -153,34 +146,38 @@ pub fn take_copy_strided(src: &crate::view::MatRef<'_>) -> Vec<f32> {
     out
 }
 
-/// Return a buffer to the pool (or drop it if pooling is off, the buffer is
-/// tiny, or its bucket is full). Called by `Buf::drop` and workspace drops.
+/// Return a buffer to the pool. It is kept only if its capacity's bucket
+/// holds fewer idle buffers than it minted; otherwise (a tiny buffer, a
+/// foreign or odd-capacity vector, a surplus return) it goes back to the
+/// allocator. Called by `Buf::drop` and workspace drops.
 pub fn put(v: Vec<f32>) {
     let cap = v.capacity();
-    if cap < MIN_POOL_LEN || !pool_enabled() {
+    if cap < MIN_POOL_LEN {
         return;
     }
-    let mut map = buckets().lock().unwrap_or_else(|e| e.into_inner());
-    let bucket = map.entry(cap).or_default();
-    if bucket.len() >= MAX_PER_BUCKET {
-        return; // lock drops, v deallocates normally
+    let mut map = buckets();
+    match map.get_mut(&cap) {
+        Some(bucket) if bucket.free.len() < bucket.minted => {
+            bucket.free.push(v);
+            DEVICE_MEMORY.pool_add(bytes_of_cap(cap));
+            soup_obs::counter!("tensor.pool.returns").inc();
+            soup_obs::gauge!("tensor.pool.idle_bytes").set(DEVICE_MEMORY.pooled() as f64);
+        }
+        // The guard drops before `v`, so the deallocation runs unlocked.
+        _ => soup_obs::counter!("tensor.pool.refused").inc(),
     }
-    bucket.push(v);
-    DEVICE_MEMORY.pool_add(bytes_of_cap(cap));
-    soup_obs::counter!("tensor.pool.returns").inc();
-    soup_obs::gauge!("tensor.pool.idle_bytes").set(DEVICE_MEMORY.pooled() as f64);
 }
 
-/// Release every idle buffer back to the allocator, returning the number of
-/// bytes freed. The bench harness calls this between experiments so that
-/// memory comparisons (Fig. 4b) never attribute one experiment's pooled
-/// buffers to another, and `DEVICE_MEMORY` pooled accounting re-balances to
-/// zero.
+/// Release every idle buffer back to the allocator and forget the minted
+/// counts, returning the number of bytes freed. The bench harness calls
+/// this between experiments so that memory comparisons (Fig. 4b) never
+/// attribute one experiment's pooled buffers to another, and
+/// `DEVICE_MEMORY` pooled accounting re-balances to zero.
 pub fn trim() -> usize {
-    let drained: Vec<Vec<f32>> = {
-        let mut map = buckets().lock().unwrap_or_else(|e| e.into_inner());
-        map.drain().flat_map(|(_, bucket)| bucket).collect()
-    };
+    let drained: Vec<Vec<f32>> = buckets()
+        .drain()
+        .flat_map(|(_, bucket)| bucket.free)
+        .collect();
     let bytes: usize = drained.iter().map(|v| bytes_of_cap(v.capacity())).sum();
     DEVICE_MEMORY.pool_sub(bytes);
     soup_obs::counter!("tensor.pool.trimmed_bytes").add(bytes as u64);
@@ -305,6 +302,27 @@ mod tests {
         ws.iter_mut().enumerate().for_each(|(i, x)| *x = i as f32);
         assert_eq!(ws[17], 17.0);
         assert_eq!(ws.len(), 1 << 13);
+    }
+
+    fn bucket_state(cap: usize) -> Option<(usize, usize)> {
+        buckets().get(&cap).map(|b| (b.free.len(), b.minted))
+    }
+
+    #[test]
+    fn foreign_vec_of_unminted_capacity_is_refused() {
+        let cap = 9_973; // no other test takes this capacity
+        put(vec![1.0; cap]);
+        assert_eq!(bucket_state(cap), None, "put must not create a bucket");
+    }
+
+    #[test]
+    fn bucket_never_holds_more_than_it_minted() {
+        let cap = 9_967; // no other test takes this capacity
+        let minted = take_scratch(cap);
+        assert_eq!(bucket_state(cap), Some((0, 1)));
+        put(minted);
+        put(vec![0.0; cap]);
+        assert_eq!(bucket_state(cap), Some((1, 1)), "second put is refused");
     }
 
     // Precise DEVICE_MEMORY / trim balance assertions live in the

@@ -6,9 +6,12 @@
 //! `Clone` (used by copy-on-write updates) registers the copy.
 //!
 //! Buffers are recycled through the workspace pool ([`crate::pool`]):
-//! `zeros` and `Clone` draw from it, and `Drop` returns the vector to it
-//! instead of deallocating, so shape-periodic workloads (training epochs)
-//! stop hitting the allocator once warm. Live bytes stay in
+//! `zeros`, `full` and `Clone` draw from it, and `Drop` offers the vector
+//! back to it instead of deallocating, so shape-periodic workloads
+//! (training epochs) stop hitting the allocator once warm. The pool keeps a
+//! returned vector only while its bucket holds fewer idle buffers than the
+//! pool minted of that size, so a [`Buf::from_vec`] of a vector the pool
+//! never handed out is usually freed on drop. Live bytes stay in
 //! `DEVICE_MEMORY.current`; idle pooled bytes are accounted separately.
 
 use crate::memory::DEVICE_MEMORY;
@@ -31,9 +34,11 @@ impl Buf {
         Self::from_vec(crate::pool::take_zeroed(len))
     }
 
-    /// Allocate a buffer filled with `value`.
+    /// Allocate a buffer filled with `value` (pool-recycled).
     pub fn full(len: usize, value: f32) -> Self {
-        Self::from_vec(vec![value; len])
+        let mut data = crate::pool::take_scratch(len);
+        data.fill(value);
+        Self::from_vec(data)
     }
 
     pub fn len(&self) -> usize {

@@ -86,13 +86,15 @@ impl Tensor {
 
     /// I.i.d. standard-normal entries scaled by `sigma`.
     pub fn randn(rows: usize, cols: usize, sigma: f32, rng: &mut SplitMix64) -> Self {
-        let data = (0..rows * cols).map(|_| rng.normal() * sigma).collect();
+        let mut data = pool::take_scratch(rows * cols);
+        data.iter_mut().for_each(|x| *x = rng.normal() * sigma);
         Self::from_vec(rows, cols, data)
     }
 
     /// I.i.d. uniform entries in `[lo, hi)`.
     pub fn rand_uniform(rows: usize, cols: usize, lo: f32, hi: f32, rng: &mut SplitMix64) -> Self {
-        let data = (0..rows * cols).map(|_| rng.uniform(lo, hi)).collect();
+        let mut data = pool::take_scratch(rows * cols);
+        data.iter_mut().for_each(|x| *x = rng.uniform(lo, hi));
         Self::from_vec(rows, cols, data)
     }
 
