@@ -8,7 +8,8 @@
 //! is what makes the process embarrassingly parallel.
 //!
 //! The paper's workers are 8 A100 GPUs; here they are OS threads whose
-//! kernels are internally rayon-parallel. Determinism is preserved because
+//! kernels are written against rayon's API and run on one thread under the
+//! sequential `vendor/rayon` shim. Determinism is preserved because
 //! each ingredient's training randomness is keyed by its ordinal, not by
 //! the worker that happens to claim it.
 //!

@@ -64,11 +64,19 @@ impl Client {
     }
 
     /// Classify `nodes`; distinguishes served answers from admission
-    /// rejections.
+    /// rejections. A reply with a class count other than `nodes.len()` is
+    /// a `corrupt` error.
     pub fn predict(&mut self, nodes: &[u32]) -> soup_error::Result<PredictResult> {
         match self.call(&Request::Predict(nodes.to_vec()))? {
             Response::Ok(body) => {
                 let (version, classes) = proto::decode_predictions(&body)?;
+                if classes.len() != nodes.len() {
+                    return Err(SoupError::corrupt(format!(
+                        "predict reply has {} classes for {} node ids",
+                        classes.len(),
+                        nodes.len()
+                    )));
+                }
                 Ok(PredictResult::Classes { version, classes })
             }
             Response::Overloaded => Ok(PredictResult::Overloaded),
@@ -112,5 +120,32 @@ impl Client {
             Response::Error(msg) => Err(SoupError::parse(format!("server: {msg}"))),
             Response::Overloaded => Err(SoupError::parse("shutdown was rejected")),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn a_short_predict_reply_is_an_error() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // A server that answers every PREDICT with two classes.
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut buf = FrameBuf::new(MAX_FRAME);
+            let Next::Frame(_) = buf.read_frame(&mut stream, None).unwrap() else {
+                panic!("client sent no request");
+            };
+            let reply = Response::Ok(proto::encode_predictions(1, &[0, 1]));
+            let payload = proto::encode_response(&reply);
+            write_frame(&mut stream, MAX_FRAME, &[&payload], None).unwrap();
+        });
+        let mut client = Client::connect(addr).unwrap();
+        let err = client.predict(&[0, 1, 2]).unwrap_err();
+        assert!(matches!(err, SoupError::Corrupt(_)), "{err}");
+        server.join().unwrap();
     }
 }

@@ -10,20 +10,18 @@
 //!   promotion acks. The full-graph forward runs once per promoted version
 //!   (startup, `SWAP`, `RESOUP`) and `PREDICT` is a gather from its result;
 //!   answers are bit-identical to offline evaluation because they *are*
-//!   its output.
-//! - **Micro-batching** ([`batcher`]) — queued requests coalesce under a
-//!   max-batch / max-delay policy and share one read of the live version.
-//!   With no forward on the read path this amortises nothing; it stays
-//!   while `ServeConfig` and `serve.batches` are a frozen surface.
-//! - **Admission control** ([`server`]) — a bounded queue; overflow gets
-//!   an explicit `OVERLOADED` response instead of unbounded queueing.
+//!   its output. The connection thread answers a `PREDICT` itself, with
+//!   one read of the live version.
+//! - **Admission control** ([`server`]) — at most `queue_depth` PREDICTs
+//!   are answered at once; one more gets an explicit `OVERLOADED` response
+//!   instead of unbounded queueing.
 //! - **Hot model swap** — `SWAP` (promote a checkpoint file) and `RESOUP`
 //!   (re-soup a pool through the [`soup_core::SoupStrategy`] registry and
 //!   promote the winner) build the next `Arc<ServeModel>` — parameters
 //!   and prediction table — off the lock and swap it in
 //!   without pausing traffic; requests sent after the promote ack are
 //!   guaranteed the new model.
-//! - **Observability** — `serve.*` counters, latency / batch-size /
+//! - **Observability** — `serve.*` counters, latency / request-size /
 //!   table-build histograms, and a queue-depth gauge in the soup-obs
 //!   registry, surfaced by the `STATS` opcode.
 //!
@@ -33,13 +31,11 @@
 //! protocol dependencies. [`client`] is the matching blocking client and
 //! [`load`] a deterministic Zipf sampler for skewed request streams.
 
-pub mod batcher;
 pub mod client;
 pub mod load;
 pub mod proto;
 pub mod server;
 
-pub use batcher::PredictReply;
 pub use client::{Client, PredictResult};
 pub use load::ZipfSampler;
 pub use proto::{Opcode, Request, Response, Status, MAX_FRAME};

@@ -4,11 +4,11 @@
 //! `workers` OS threads share one `TcpListener`; each accepted connection
 //! is handled inline by its accepting thread (clients are expected to hold
 //! a connection and pipeline requests over it, so a thread-per-live-
-//! connection pool is the right shape at this scale). PREDICT requests are
-//! admitted into a bounded `sync_channel` feeding the [`crate::batcher`];
-//! a full queue answers `OVERLOADED` immediately instead of queueing
-//! unboundedly — latency under overload stays flat and the client decides
-//! whether to retry.
+//! connection pool is the right shape at this scale). A PREDICT is
+//! answered on that thread too: admission counts it against
+//! `queue_depth`, and once that many are already being answered a new one
+//! gets `OVERLOADED` at once instead of waiting — latency under overload
+//! stays flat and the client decides whether to retry.
 //!
 //! The live model is an `Arc<ServeModel>` behind a `parking_lot::RwLock`.
 //! On the transductive benchmarks every answer is a pure function of
@@ -17,11 +17,13 @@
 //! argmax class of every node through the one full-graph forward that
 //! version will ever run — *outside* the lock, takes the write lock only
 //! for the pointer swap, and acks the client after the guard drops.
-//! PREDICT is a gather from that table. In-flight batches keep their old `Arc` (it stays alive until the
-//! last reference drops), so traffic is never paused, no request is
-//! dropped by a swap, and no reply pairs one version with another's table.
+//! PREDICT clones the live `Arc` once, after its request is decoded, and
+//! gathers version and classes from it. A request sent after a promote
+//! ack therefore reads the new model; one in flight keeps its old `Arc`
+//! (alive until the last reference drops), so traffic is never paused, no
+//! request is dropped by a swap, and no reply pairs one version with
+//! another's table.
 
-use crate::batcher::{self, PredictJob, PredictReply};
 use crate::proto::{self, Request, Response};
 use parking_lot::{Mutex, RwLock};
 use serde::Serialize;
@@ -35,7 +37,6 @@ use soup_store::frame::{is_stall, write_frame, FrameBuf, Next};
 use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -45,11 +46,7 @@ use std::time::{Duration, Instant};
 pub struct ServeConfig {
     /// TCP port to bind (0 = ephemeral, the bound port is reported back).
     pub port: u16,
-    /// Close a batch once this many node ids have accumulated.
-    pub max_batch: usize,
-    /// Close a batch this long after its first request arrived.
-    pub max_delay: Duration,
-    /// Admission-queue capacity in requests; a full queue answers
+    /// PREDICTs answered at once; beyond this a new one is answered
     /// `OVERLOADED`.
     pub queue_depth: usize,
     /// Accept-loop worker threads (= max concurrently served connections).
@@ -64,8 +61,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             port: 0,
-            max_batch: 64,
-            max_delay: Duration::from_micros(500),
             queue_depth: 128,
             workers: 4,
             idle_timeout: Duration::from_secs(60),
@@ -83,7 +78,7 @@ pub struct ServeModel {
     /// Predicted class of every node under this version: the output of the
     /// offline `predict_cached`, computed once when the version is built.
     /// PREDICT gathers from it.
-    pub(crate) table: Vec<u32>,
+    table: Vec<u32>,
 }
 
 impl ServeModel {
@@ -102,24 +97,24 @@ impl ServeModel {
     }
 }
 
-/// State shared by every worker, the batcher, and promotions.
-pub(crate) struct ServeShared {
-    pub config: ServeConfig,
-    pub cfg: ModelConfig,
-    pub ops: PropOps,
-    pub cache: PropCache,
-    pub dataset: Dataset,
-    pub model: RwLock<Arc<ServeModel>>,
-    pub queue: SyncSender<PredictJob>,
-    pub queue_len: AtomicUsize,
-    pub shutdown: AtomicBool,
-    pub swaps: AtomicU64,
+/// State shared by every worker and promotions.
+struct ServeShared {
+    config: ServeConfig,
+    cfg: ModelConfig,
+    ops: PropOps,
+    cache: PropCache,
+    dataset: Dataset,
+    model: RwLock<Arc<ServeModel>>,
+    /// PREDICTs admitted and not yet answered.
+    queue_len: AtomicUsize,
+    shutdown: AtomicBool,
+    swaps: AtomicU64,
     /// Socket handles of live connections, keyed by an accept sequence
     /// number. Workers block in `read_frame` on persistent connections, so
     /// shutdown must actively `Shutdown::Both` these to unpark them — the
     /// self-connect nudge only reaches workers parked in `accept()`.
-    pub conns: Mutex<HashMap<u64, TcpStream>>,
-    pub conn_seq: AtomicU64,
+    conns: Mutex<HashMap<u64, TcpStream>>,
+    conn_seq: AtomicU64,
 }
 
 impl ServeShared {
@@ -127,7 +122,7 @@ impl ServeShared {
     /// version. The shape check comes first so a checkpoint of another
     /// architecture is an ERROR, not a panic inside the table's forward.
     /// The write lock is held only for the pointer swap.
-    pub(crate) fn promote(&self, params: ParamSet) -> soup_error::Result<u64> {
+    fn promote(&self, params: ParamSet) -> soup_error::Result<u64> {
         if !params.same_shape(&self.model.read().params) {
             return Err(SoupError::shape(
                 "promoted parameters do not match the serving architecture",
@@ -166,11 +161,10 @@ pub struct Server {
     shared: Arc<ServeShared>,
     addr: SocketAddr,
     workers: Vec<JoinHandle<()>>,
-    batcher: Option<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Bind, spawn the batcher and the accept workers, and return.
+    /// Bind, spawn the accept workers, and return.
     ///
     /// `params` must fit `cfg` ([`check_params`]): a soup of another
     /// architecture or width is a `shape` error before anything binds or
@@ -190,7 +184,6 @@ impl Server {
         let ops = PropOps::prepare(cfg.arch, &dataset.graph);
         let cache = PropCache::new(&ops, &dataset.features);
         let model = ServeModel::build(&cfg, &ops, &cache, params);
-        let (tx, rx) = sync_channel::<PredictJob>(config.queue_depth);
         let shared = Arc::new(ServeShared {
             config,
             cfg,
@@ -198,7 +191,6 @@ impl Server {
             cache,
             dataset,
             model: RwLock::new(Arc::new(model)),
-            queue: tx,
             queue_len: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             swaps: AtomicU64::new(0),
@@ -206,12 +198,6 @@ impl Server {
             conn_seq: AtomicU64::new(0),
         });
 
-        let batcher = {
-            let shared = shared.clone();
-            std::thread::Builder::new()
-                .name("soup-serve-batcher".into())
-                .spawn(move || batcher::run(shared, rx))?
-        };
         let listener = Arc::new(listener);
         let workers = (0..shared.config.workers.max(1))
             .map(|i| {
@@ -229,7 +215,6 @@ impl Server {
             shared,
             addr,
             workers,
-            batcher: Some(batcher),
         })
     }
 
@@ -246,12 +231,9 @@ impl Server {
     /// Block until the serve loop exits (a SHUTDOWN request arrived or
     /// [`Server::stop`] was called from another thread's clone of the
     /// address).
-    pub fn join(mut self) {
-        for w in self.workers.drain(..) {
+    pub fn join(self) {
+        for w in self.workers {
             let _ = w.join();
-        }
-        if let Some(b) = self.batcher.take() {
-            let _ = b.join();
         }
     }
 
@@ -385,43 +367,37 @@ fn dispatch(shared: &Arc<ServeShared>, req: Request) -> (Response, bool) {
     }
 }
 
-fn predict(shared: &Arc<ServeShared>, nodes: Vec<u32>) -> Response {
+fn predict(shared: &ServeShared, nodes: Vec<u32>) -> Response {
     let num_nodes = shared.dataset.num_nodes();
     if let Some(&bad) = nodes.iter().find(|&&n| n as usize >= num_nodes) {
         return Response::Error(format!(
             "node id {bad} out of range (graph has {num_nodes})"
         ));
     }
-    let (reply_tx, reply_rx) = sync_channel::<PredictReply>(1);
-    let job = PredictJob {
-        nodes,
-        reply: reply_tx,
-        enqueued: Instant::now(),
-    };
-    // Count the job *before* the send so the batcher's decrement (which
-    // can race ahead of this thread) never underflows the gauge; roll the
-    // increment back on rejection.
-    shared.queue_len.fetch_add(1, Ordering::AcqRel);
-    match shared.queue.try_send(job) {
-        Ok(()) => {}
-        Err(TrySendError::Full(_)) => {
-            shared.queue_len.fetch_sub(1, Ordering::AcqRel);
-            soup_obs::counter!("serve.rejected").inc();
-            return Response::Overloaded;
-        }
-        Err(TrySendError::Disconnected(_)) => {
-            shared.queue_len.fetch_sub(1, Ordering::AcqRel);
-            return Response::Error("server is shutting down".into());
-        }
+    // Admission: count this PREDICT before the check, so concurrent
+    // handlers see each other, and roll the increment back on rejection.
+    let admitted = Instant::now();
+    if shared.queue_len.fetch_add(1, Ordering::AcqRel) >= shared.config.queue_depth {
+        shared.queue_len.fetch_sub(1, Ordering::AcqRel);
+        soup_obs::counter!("serve.rejected").inc();
+        return Response::Overloaded;
     }
-    match reply_rx.recv() {
-        Ok(reply) => Response::Ok(proto::encode_predictions(reply.version, &reply.classes)),
-        Err(_) => Response::Error("batcher exited before answering".into()),
-    }
+    // One read of the live model: version and classes come from the same
+    // `Arc`, and the read happens-after any promote acked before the
+    // request was sent.
+    let model = shared.model.read().clone();
+    let classes: Vec<u32> = nodes.iter().map(|&n| model.table[n as usize]).collect();
+    let body = proto::encode_predictions(model.version, &classes);
+    let depth = shared.queue_len.fetch_sub(1, Ordering::AcqRel) - 1;
+    soup_obs::gauge!("serve.queue_depth").set(depth as f64);
+    soup_obs::histogram!("serve.batch_size").record(nodes.len() as u64);
+    soup_obs::counter!("serve.batches").inc();
+    soup_obs::histogram!("serve.latency_us").record(admitted.elapsed().as_micros() as u64);
+    Response::Ok(body)
 }
 
 fn stats(shared: &Arc<ServeShared>) -> soup_error::Result<String> {
-    // One digest, so p50 ≤ p99 holds even while the batcher records.
+    // One digest, so p50 ≤ p99 holds even while handlers record.
     let latency = soup_obs::histogram!("serve.latency_us").summary();
     let body = StatsBody {
         version: shared.model.read().version,

@@ -18,8 +18,9 @@
 //!   absorbed into the packing gathers.
 //! - **Define-by-run autograd** ([`tape::Tape`]): each training step records
 //!   operations on a fresh tape and calls [`tape::Tape::backward`]. Kernels
-//!   are parallelised internally with rayon; tape construction itself is
-//!   single-threaded, mirroring one CUDA stream per worker.
+//!   are written against rayon's API and run on one thread under the
+//!   sequential `vendor/rayon` shim; tape construction is single-threaded
+//!   too, mirroring one CUDA stream per worker.
 //! - **Graph kernels** used by GCN / GraphSAGE / GAT: CSR sparse-dense
 //!   matmul ([`ops::sparse`]), GAT edge-softmax aggregation
 //!   ([`ops::attention`]).

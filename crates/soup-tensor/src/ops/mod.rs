@@ -1,8 +1,9 @@
 //! Differentiable operations, implemented as methods on [`crate::Tape`].
 //!
 //! Each module contributes an `impl Tape` block: the forward kernel runs
-//! eagerly (rayon-parallel where it pays off) and a backward closure is
-//! recorded when some ancestor requires gradients.
+//! eagerly (written against rayon's API; one thread under the sequential
+//! `vendor/rayon` shim) and a backward closure is recorded when some
+//! ancestor requires gradients.
 //!
 //! Modules:
 //! - [`elementwise`] — add/sub/mul/scale/bias broadcast

@@ -5,9 +5,10 @@
 //! ([`Tensor::make_mut`]) so optimizer updates are in-place when the buffer
 //! is uniquely owned (the common case) and copy otherwise.
 //!
-//! Kernels that dominate runtime are parallelised with rayon:
-//! `par_chunks_mut` over the output keeps the parallelism data-race-free by
-//! construction. The GEMM family (`matmul` / `matmul_nt` / `matmul_tn`) is
+//! Kernels that dominate runtime are written against rayon's API:
+//! `par_chunks_mut` over the output keeps them data-race-free by
+//! construction. They run on one thread under the sequential
+//! `vendor/rayon` shim. The GEMM family (`matmul` / `matmul_nt` / `matmul_tn`) is
 //! a set of thin drivers over the shared cache-blocked kernel in
 //! [`crate::gemm`]; output buffers are recycled through [`crate::pool`].
 

@@ -30,8 +30,8 @@
 //! and only missing or corrupt ingredients retrain. Phase 2 is resumable
 //! too: `soup --strategy ls --resume` continues the α-optimisation
 //! bit-identically from the last durable epoch checkpoint. `serve` exposes
-//! the souped model over a micro-batching TCP loop with admission control
-//! and hot model swap; `query` is the matching client.
+//! the souped model over a TCP loop with admission control and hot model
+//! swap; `query` is the matching client.
 //!
 //! The sharded path works on out-of-core `soup-graphmmap/1` datasets
 //! (`generate --mmap`): `partition` reports k-way quality (edge-cut, halo
@@ -298,15 +298,9 @@ const SERVE: CommandSpec = CommandSpec {
         .default("us"),
         FlagDef::u64("seed", "startup souping seed").default("7"),
         FlagDef::u64("port", "TCP port (0 = ephemeral, printed at startup)").default("7450"),
-        FlagDef::u64("max-batch", "close a batch at this many queued node ids").default("64"),
-        FlagDef::u64(
-            "max-delay-us",
-            "close a batch this long after its first request",
-        )
-        .default("500"),
         FlagDef::u64(
             "queue-depth",
-            "admission queue capacity (full => OVERLOADED)",
+            "PREDICTs answered at once (one more => OVERLOADED)",
         )
         .default("128"),
         FlagDef::u64("workers", "accept-loop threads = max live connections").default("4"),
@@ -767,8 +761,8 @@ fn cmd_eval(flags: &Flags) -> Result<()> {
 }
 
 /// `serve`: load the pool's architecture, pick the model (saved `--params`
-/// or a startup soup), and run the micro-batching TCP loop until a
-/// SHUTDOWN request arrives.
+/// or a startup soup), and run the TCP loop until a SHUTDOWN request
+/// arrives.
 fn cmd_serve(flags: &Flags) -> Result<()> {
     let dataset = load_dataset(flags.req_str("data"))?;
     let dir = PathBuf::from(flags.req_str("ckpt-dir"));
@@ -797,16 +791,12 @@ fn cmd_serve(flags: &Flags) -> Result<()> {
     }
     let config = ServeConfig {
         port: port as u16,
-        max_batch: flags.req_usize("max-batch"),
-        max_delay: Duration::from_micros(flags.req_u64("max-delay-us")),
         queue_depth: flags.req_usize("queue-depth"),
         workers: flags.req_usize("workers"),
         idle_timeout: Duration::from_millis(flags.req_u64("idle-timeout-ms").max(1)),
     };
-    if config.max_batch == 0 || config.queue_depth == 0 {
-        return Err(SoupError::usage(
-            "--max-batch and --queue-depth must be positive",
-        ));
+    if config.queue_depth == 0 {
+        return Err(SoupError::usage("--queue-depth must be positive"));
     }
     let server = Server::start(dataset, cfg, params, config)?;
     // Machine-readable so scripts (and CI) can discover an ephemeral port.

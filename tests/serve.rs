@@ -1,7 +1,7 @@
 //! Serving-layer integration: protocol robustness against a live server,
-//! batched-vs-unbatched bitwise identity, the max-delay bound, admission
-//! backpressure, Zipf-skewed requests against the offline reference, and
-//! the hot-swap-under-load guarantee.
+//! concurrent-vs-offline bitwise identity, admission backpressure,
+//! Zipf-skewed requests against the offline reference, and the
+//! hot-swap-under-load guarantee.
 
 use enhanced_soups::gnn::model::init_params;
 use enhanced_soups::gnn::{
@@ -41,16 +41,12 @@ struct ParamsFixture {
 
 #[test]
 fn served_answers_are_bitwise_identical_to_unbatched_forwards() {
-    let (server, dataset, _cfg, fixture) = start_server(ServeConfig {
-        max_batch: 32,
-        max_delay: Duration::from_millis(5),
-        ..ServeConfig::default()
-    });
+    let (server, dataset, _cfg, fixture) = start_server(ServeConfig::default());
     let addr = server.addr();
     let n = dataset.num_nodes() as u32;
 
-    // Hammer from several threads so real batches form, then check every
-    // answer against the single-request offline forward.
+    // Hammer from several threads so handlers answer concurrently, then
+    // check every answer against the offline forward.
     let handles: Vec<_> = (0..4)
         .map(|t| {
             let reference = fixture.reference.clone();
@@ -66,7 +62,7 @@ fn served_answers_are_bitwise_identical_to_unbatched_forwards() {
                                 .iter()
                                 .map(|&id| reference[id as usize] as u32)
                                 .collect();
-                            assert_eq!(classes, expected, "batched answer diverged for {nodes:?}");
+                            assert_eq!(classes, expected, "served answer diverged for {nodes:?}");
                         }
                         PredictResult::Overloaded => panic!("default queue should not overflow"),
                     }
@@ -78,28 +74,6 @@ fn served_answers_are_bitwise_identical_to_unbatched_forwards() {
         h.join().unwrap();
     }
 
-    server.stop();
-}
-
-#[test]
-fn max_delay_bounds_a_lone_request() {
-    // max_batch is far larger than one request supplies, so only the
-    // delay budget can close the batch; a lone request must still come
-    // back promptly.
-    let (server, _dataset, _cfg, _fixture) = start_server(ServeConfig {
-        max_batch: 1_000_000,
-        max_delay: Duration::from_millis(20),
-        ..ServeConfig::default()
-    });
-    let mut client = Client::connect(server.addr()).unwrap();
-    let t0 = Instant::now();
-    let result = client.predict(&[0, 1, 2]).unwrap();
-    let elapsed = t0.elapsed();
-    assert!(matches!(result, PredictResult::Classes { .. }));
-    assert!(
-        elapsed < Duration::from_secs(2),
-        "lone request took {elapsed:?} — max-delay did not close the batch"
-    );
     server.stop();
 }
 
@@ -194,23 +168,30 @@ fn zipf_skewed_requests_match_the_offline_reference() {
 
 #[test]
 fn overload_answers_overloaded_and_recovers() {
-    // One-deep queue, long delay: concurrent requests must overflow it.
-    let (server, _dataset, _cfg, _fixture) = start_server(ServeConfig {
+    use enhanced_soups::serve::proto::MAX_PREDICT;
+
+    // One PREDICT at a time: concurrent requests must overflow it. Each is
+    // the largest one a frame admits, so admitted answers overlap.
+    let (server, dataset, _cfg, _fixture) = start_server(ServeConfig {
         queue_depth: 1,
-        max_batch: 1,
-        max_delay: Duration::from_millis(100),
         workers: 8,
         ..ServeConfig::default()
     });
     let addr = server.addr();
+    let nodes: Arc<Vec<u32>> = Arc::new(
+        (0..MAX_PREDICT)
+            .map(|i| (i % dataset.num_nodes()) as u32)
+            .collect(),
+    );
     let overloaded = Arc::new(std::sync::atomic::AtomicU64::new(0));
     let handles: Vec<_> = (0..8)
         .map(|_| {
             let overloaded = overloaded.clone();
+            let nodes = nodes.clone();
             std::thread::spawn(move || {
                 let mut client = Client::connect(addr).unwrap();
                 for _ in 0..20 {
-                    if client.predict(&[1, 2]).unwrap() == PredictResult::Overloaded {
+                    if client.predict(&nodes).unwrap() == PredictResult::Overloaded {
                         overloaded.fetch_add(1, Ordering::Relaxed);
                     }
                 }
@@ -222,7 +203,7 @@ fn overload_answers_overloaded_and_recovers() {
     }
     assert!(
         overloaded.load(Ordering::Relaxed) > 0,
-        "a one-deep queue under 8 concurrent clients never overflowed"
+        "a one-deep admission limit under 8 concurrent clients never overflowed"
     );
     // Recovery: once the burst is gone a fresh request is served.
     let mut client = Client::connect(addr).unwrap();
@@ -239,9 +220,7 @@ fn overload_answers_overloaded_and_recovers() {
 
 #[test]
 fn hot_swap_under_load_loses_nothing_and_never_serves_stale() {
-    let (server, dataset, cfg, _fixture) = start_server(ServeConfig {
-        max_batch: 16,
-        max_delay: Duration::from_millis(2),
+    let (server, dataset, cfg, fixture) = start_server(ServeConfig {
         queue_depth: 256,
         // 4 loader connections are persistent; the admin connection needs
         // its own worker or the swap request never gets accepted.
@@ -250,38 +229,55 @@ fn hot_swap_under_load_loses_nothing_and_never_serves_stale() {
     });
     let addr = server.addr();
 
-    // The checkpoint that will be promoted mid-flight.
+    // The checkpoint that will be promoted mid-flight, and the offline
+    // forward of each version: v1 serves the fixture's params, v2 the
+    // checkpoint's.
     let dir = std::env::temp_dir().join(format!("soup-serve-swap-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let ck_path = dir.join("promoted.ck");
     let mut rng = SplitMix64::new(999);
     let new_params = init_params(&cfg, &mut rng);
+    let ops = PropOps::prepare(cfg.arch, &dataset.graph);
+    let cache = PropCache::new(&ops, &dataset.features);
+    let promoted = predict_cached(&cfg, &ops, &cache, &new_params);
     save_checkpoint(&Checkpoint::new(0, 999, 0.9, new_params), &ck_path).unwrap();
+    let references = Arc::new([fixture.reference, promoted]);
 
     let swapped = Arc::new(AtomicBool::new(false));
     let stop = Arc::new(AtomicBool::new(false));
     let n = dataset.num_nodes();
 
     // Sustained load: every request must be served (no drops, no errors),
-    // and any request *started after the promote ack* must be answered by
-    // the new version.
+    // every reply's classes must be its reported version's, and any request
+    // *started after the promote ack* must be answered by the new version.
     let loaders: Vec<_> = (0..4)
         .map(|t| {
             let swapped = swapped.clone();
             let stop = stop.clone();
+            let references = references.clone();
             std::thread::spawn(move || -> (u64, u64) {
                 let mut client = Client::connect(addr).unwrap();
                 let mut rng = SplitMix64::new(313 + t);
                 let (mut served, mut after_ack_old) = (0u64, 0u64);
                 while !stop.load(Ordering::Acquire) {
                     let sent_after_ack = swapped.load(Ordering::Acquire);
-                    let nodes = [rng.next_below(n) as u32];
+                    let nodes: Vec<u32> = (0..3).map(|_| rng.next_below(n) as u32).collect();
                     match client.predict(&nodes).unwrap() {
-                        PredictResult::Classes { version, .. } => {
+                        PredictResult::Classes { version, classes } => {
                             served += 1;
                             if sent_after_ack && version < 2 {
                                 after_ack_old += 1;
                             }
+                            assert!((1..=2).contains(&version), "unknown version {version}");
+                            let reference = &references[version as usize - 1];
+                            let expected: Vec<u32> = nodes
+                                .iter()
+                                .map(|&id| reference[id as usize] as u32)
+                                .collect();
+                            assert_eq!(
+                                classes, expected,
+                                "version {version} answered with another version's classes"
+                            );
                         }
                         PredictResult::Overloaded => {
                             // Deep queue: treat as a failure, nothing may drop.
@@ -317,13 +313,8 @@ fn hot_swap_under_load_loses_nothing_and_never_serves_stale() {
         "load generators never got a request through"
     );
 
-    // The promoted model is actually the checkpoint's: compare against the
-    // offline forward of the new params.
-    let ops = PropOps::prepare(cfg.arch, &dataset.graph);
-    let cache = PropCache::new(&ops, &dataset.features);
-    let mut rng = SplitMix64::new(999);
-    let promoted = init_params(&cfg, &mut rng);
-    let reference = predict_cached(&cfg, &ops, &cache, &promoted);
+    // The promoted model is actually the checkpoint's.
+    let reference = &references[1];
     match admin.predict(&[0, 1, 2, 3]).unwrap() {
         PredictResult::Classes { version, classes } => {
             assert_eq!(version, 2);
