@@ -1,9 +1,10 @@
 //! §III-A / Eq. (1)-(2) validation: measured Phase-1 wall-clock vs the
 //! analytic schedule model across worker counts.
 //!
-//! Workers run in exclusive-device mode (one single-threaded kernel pool
-//! each), modelling the paper's one-GPU-per-worker setup — otherwise the
-//! kernels' shared-pool parallelism hides worker-level scaling.
+//! Each worker's kernels run on an equal share of the cores (`cores / W`
+//! threads, at least one), modelling the paper's one-GPU-per-worker setup
+//! — otherwise the kernels' shared-pool parallelism hides worker-level
+//! scaling.
 //!
 //! Usage: `cargo run --release -p soup-bench --bin ablation_workers [preset]`
 
@@ -23,16 +24,11 @@ fn main() {
     };
     let n = preset.ingredients.max(8);
     println!(
-        "ABLATION workers: Eq. (1)/(2) schedule model vs measured (flickr/GCN, N={n} ingredients, exclusive devices)"
+        "ABLATION workers: Eq. (1)/(2) schedule model vs measured (flickr/GCN, N={n} ingredients, cores / W kernel threads per worker)"
     );
 
     // Calibrate T_single with a single-worker run.
-    let opts = |w: usize| {
-        TrainOpts::default()
-            .with_workers(w)
-            .with_seed(7)
-            .with_exclusive_devices(true)
-    };
+    let opts = |w: usize| TrainOpts::default().with_workers(w).with_seed(7);
     let single = train_ingredients_opts(&dataset, &cfg, &tc, 1, &opts(1))
         .expect("calibration run trains without a checkpoint dir");
     let t_single = single.wall_time.as_secs_f64();

@@ -13,7 +13,6 @@ use crate::ingredient::{sort_by_val_acc, validate_ingredients};
 use crate::strategy::{
     measure_soup_try, reject_persist, MixReport, SoupCtx, SoupOutcome, SoupStrategy,
 };
-use rayon::prelude::*;
 use soup_gnn::cache::PropCache;
 use soup_gnn::model::PropOps;
 use soup_gnn::{evaluate_accuracy, evaluate_accuracy_cached, ParamSet};
@@ -113,27 +112,29 @@ impl SoupStrategy for GisSouping {
                 let ingredient = &ingredients[idx].params;
                 // Exhaustive linear search over interpolation ratios
                 // (alpha = 0 leaves the soup unchanged, so accuracy can
-                // never regress). Candidates are independent, so their
-                // evaluations can fan out; each worker reuses a scratch
-                // ParamSet via the fused blend instead of allocating a
-                // fresh interpolation per ratio.
+                // never regress). Candidates run one after another through
+                // one scratch ParamSet, refilled by the fused blend, so at
+                // most one candidate forward is live; the kernels inside
+                // each forward use the fork-join pool.
                 forwards += grid.len();
-                let evaluate_candidate = |scratch: &mut ParamSet, alpha: f32| -> f64 {
-                    soup_obs::counter!("soup.gis.candidate_evals").inc();
-                    ParamSet::blend_into(scratch, &[1.0 - alpha, alpha], &[&soup, ingredient]);
-                    eval(scratch)
-                };
+                let mut scratch = soup.clone();
                 let accs: Vec<f64> = grid
-                    .par_iter()
-                    .map_init(
-                        || soup.clone(),
-                        |scratch, &alpha| evaluate_candidate(scratch, alpha),
-                    )
+                    .iter()
+                    .map(|&alpha| {
+                        soup_obs::counter!("soup.gis.candidate_evals").inc();
+                        ParamSet::blend_into(
+                            &mut scratch,
+                            &[1.0 - alpha, alpha],
+                            &[&soup, ingredient],
+                        );
+                        eval(&scratch)
+                    })
                     .collect();
+                // Freed before the accepted blend below allocates, so the
+                // peak holds one candidate soup, not two.
+                drop(scratch);
                 // First-improvement semantics: reduce over the grid in its
-                // original order (`>=` keeps the latest tied ratio), so the
-                // selected (α, accuracy) does not depend on which worker
-                // finished first.
+                // original order (`>=` keeps the latest tied ratio).
                 let mut best: (f32, f64) = (0.0, soup_acc);
                 for (&alpha, &acc) in grid.iter().zip(&accs) {
                     if acc >= best.1 {

@@ -7,11 +7,14 @@
 //! independently — no gradient synchronisation, no message passing, which
 //! is what makes the process embarrassingly parallel.
 //!
-//! The paper's workers are 8 A100 GPUs; here they are OS threads whose
-//! kernels are written against rayon's API and run on one thread under the
-//! sequential `vendor/rayon` shim. Determinism is preserved because
-//! each ingredient's training randomness is keyed by its ordinal, not by
-//! the worker that happens to claim it.
+//! The paper's workers are 8 A100 GPUs; here they are OS threads. Each
+//! worker's kernels run on an equal share of its caller's kernel-thread
+//! budget (`soup_tensor::parallel`): `max(1, budget / W)` threads, so W
+//! workers on W cores keep one kernel thread each, and a shard worker
+//! process runs under `max(1, cores / K)`. Determinism is preserved
+//! because each ingredient's training randomness is keyed by its ordinal,
+//! not by the worker that happens to claim it, and kernel results do not
+//! depend on the thread count.
 //!
 //! [`schedule`] provides the analytic makespan model of Eq. (1)/(2) plus a
 //! greedy list-scheduling simulator for the load-imbalance discussion, and

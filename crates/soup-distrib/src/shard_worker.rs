@@ -31,7 +31,7 @@ use soup_error::SoupError;
 use soup_gnn::{ModelConfig, TrainConfig};
 use soup_graph::mmap::MmapDataset;
 use soup_graph::{CsrGraph, Dataset, Splits};
-use soup_tensor::{SplitMix64, Tensor};
+use soup_tensor::{parallel, SplitMix64, Tensor};
 
 use crate::chaos::{ChaosPhase, CHAOS_KILL_EXIT};
 use crate::shard::{ShardPlan, ShardResult, WorkerControl};
@@ -179,6 +179,22 @@ fn spawn_train_kill_watcher(plan: &ShardPlan, shard: usize, epoch: u32) {
 pub fn run_shard_worker(plan_path: &Path, shard: usize, epoch: u32) -> Result<ShardResult> {
     let start = Instant::now();
     let plan = ShardPlan::load(plan_path)?;
+    // K workers share the machine's cores: each runs its kernels on an
+    // equal share of them.
+    let kernel_threads = (parallel::cores() / plan.k.max(1)).max(1);
+    parallel::with_threads(kernel_threads, || {
+        run_loaded_worker(plan, shard, epoch, start)
+    })
+}
+
+/// [`run_shard_worker`] once the plan is loaded, under the worker's
+/// kernel-thread budget.
+fn run_loaded_worker(
+    plan: ShardPlan,
+    shard: usize,
+    epoch: u32,
+    start: Instant,
+) -> Result<ShardResult> {
     if shard >= plan.k {
         return Err(SoupError::usage(format!(
             "shard {shard} out of range for k={}",

@@ -21,7 +21,7 @@ use soup_gnn::{
 };
 use soup_graph::Dataset;
 use soup_store::{update_journal, StorageFaultPlan, Store};
-use soup_tensor::SplitMix64;
+use soup_tensor::{parallel, SplitMix64};
 use std::path::PathBuf;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -158,9 +158,6 @@ pub struct TrainOpts {
     pub workers: usize,
     /// Root seed; ingredient `i` trains with `derive(i + 1)` of it.
     pub seed: u64,
-    /// Give each worker a private single-threaded rayon pool, modelling
-    /// one-GPU-per-worker (see crate docs).
-    pub exclusive_devices: bool,
     /// Re-tries allowed per ingredient after a failed attempt (0 = fail
     /// permanently on the first error).
     pub retry_budget: u32,
@@ -182,7 +179,6 @@ impl Default for TrainOpts {
         Self {
             workers: 4,
             seed: 42,
-            exclusive_devices: false,
             retry_budget: 2,
             checkpoint_dir: None,
             resume: false,
@@ -200,11 +196,6 @@ impl TrainOpts {
 
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    pub fn with_exclusive_devices(mut self, exclusive: bool) -> Self {
-        self.exclusive_devices = exclusive;
         self
     }
 
@@ -320,7 +311,6 @@ pub fn train_ingredients_opts(
         "ingredients" => n as u64,
         "workers" => opts.workers as u64,
         "retry_budget" => opts.retry_budget as u64,
-        "exclusive_devices" => opts.exclusive_devices,
         "resume" => opts.resume,
         "fault_injection" => opts.fault_plan.is_some());
     let start = Instant::now();
@@ -384,6 +374,9 @@ pub fn train_ingredients_opts(
         }
     }
 
+    // Each worker's kernels get an equal share of the caller's thread
+    // budget, so W workers on W cores keep one kernel thread each.
+    let kernel_threads = (parallel::current_threads() / opts.workers).max(1);
     std::thread::scope(|scope| {
         // Straggler monitor: periodically re-queue attempts running past
         // the deadline so idle workers can race them.
@@ -410,14 +403,6 @@ pub fn train_ingredients_opts(
             let store = &store;
             let journal_lock = &journal_lock;
             scope.spawn(move || {
-                // Exclusive-device mode: a private 1-thread pool confines
-                // this worker's kernel parallelism to itself.
-                let device_pool = opts.exclusive_devices.then(|| {
-                    rayon::ThreadPoolBuilder::new()
-                        .num_threads(1)
-                        .build()
-                        .expect("building worker device pool")
-                });
                 let _worker_span = soup_obs::span!("worker");
                 let mut trained = Vec::new();
                 let busy_start = Instant::now();
@@ -467,12 +452,9 @@ pub fn train_ingredients_opts(
                             Some(FaultKind::Delay) => std::thread::sleep(Duration::from_millis(25)),
                             _ => {}
                         }
-                        let mut tm = match &device_pool {
-                            Some(pool) => {
-                                pool.install(|| train_single(dataset, cfg, tc, init, train_seed))
-                            }
-                            None => train_single(dataset, cfg, tc, init, train_seed),
-                        };
+                        let mut tm = parallel::with_threads(kernel_threads, || {
+                            train_single(dataset, cfg, tc, init, train_seed)
+                        });
                         if let Some(FaultKind::Corrupt) = fault {
                             tm.params.layers[0].tensors[0].make_mut()[0] = f32::NAN;
                         }

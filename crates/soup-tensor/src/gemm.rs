@@ -12,13 +12,15 @@
 //!   microkernel-ready panels ([`KC`] elements deep) held in pooled
 //!   workspaces, so the innermost loops read contiguous, transpose-free
 //!   memory regardless of the operand's strides;
-//! - **MC row-blocking** with rayon parallelism over row blocks ([`MC`]
-//!   rows each) rather than single rows: the packed B slab is shared
-//!   read-only across all row blocks of a KC slab, which is where packing
-//!   pays for itself (each B panel is reused `m / MC` times). B-panel
-//!   packing itself also goes parallel on large slabs
-//!   ([`gemm_views`]), so the pack phase no longer serialises the rayon
-//!   workers that are about to consume the slab.
+//! - **MC row-blocking**, parallel over row blocks ([`MC`] rows each) on
+//!   the fork-join pool ([`crate::parallel`]) rather than over single
+//!   rows: the packed B slab is shared read-only across all row blocks of
+//!   a KC slab, which is where packing pays for itself (each B panel is
+//!   reused `m / MC` times). B-panel packing itself also goes parallel on
+//!   large slabs ([`gemm_views`]), so the pack phase does not serialise
+//!   the threads that are about to consume the slab. Each row block packs
+//!   its own A block, so a block's output never depends on which thread
+//!   ran it.
 //!
 //! Operands arrive as borrowed strided views ([`MatRef`]): the packing
 //! gathers read straight through `(row_stride, col_stride)`, so logical
@@ -26,10 +28,9 @@
 //! zero copies. The legacy [`Layout`]-based [`gemm`] entry point wraps
 //! [`gemm_views`] for callers holding plain slices.
 
-use crate::parallel::par_threshold;
+use crate::parallel::{self, PAR_THRESHOLD};
 use crate::pool::Workspace;
 use crate::view::MatRef;
-use rayon::prelude::*;
 
 /// Microkernel rows: independent accumulator chains, enough to hide FMA
 /// latency without spilling the accumulator tile out of registers.
@@ -107,21 +108,23 @@ pub fn gemm_views(a: MatRef<'_>, b: MatRef<'_>, out: &mut [f32]) {
     soup_obs::counter!("tensor.matmul.panel_reuse")
         .add((n_panels * slabs * row_blocks.saturating_sub(1)) as u64);
     let mut bpack = Workspace::scratch(n_panels * NR * KC.min(k));
-    let parallel = m * n >= par_threshold() && row_blocks > 1;
+    let parallel = m * n >= PAR_THRESHOLD && row_blocks > 1;
     for pc in (0..k).step_by(KC) {
         let kc = KC.min(k - pc);
-        // Pack the B slab panel-parallel when the slab itself is big
-        // enough to amortise the fork: each NR-column panel is a disjoint
-        // chunk of the workspace, so the packed bytes are identical to the
-        // serial gather.
-        let pack_parallel = parallel && n_panels > 1 && kc * n >= par_threshold();
+        // Pack the B slab in parallel when the slab itself is big enough
+        // to amortise the fork: each chunk is a run of whole NR-column
+        // panels, disjoint in the workspace, so the packed bytes are
+        // identical to the serial gather.
+        let pack_parallel = parallel && n_panels > 1 && kc * n >= PAR_THRESHOLD;
         if pack_parallel {
             soup_obs::counter!("tensor.matmul.parallel_packs").inc();
-            bpack
-                .par_chunks_mut(kc * NR)
-                .take(n_panels)
-                .enumerate()
-                .for_each(|(jp, panel)| pack_b_panel(panel, b, jp, pc, kc));
+            let per_chunk = PAR_THRESHOLD.div_ceil(kc * NR);
+            let panels = &mut bpack[..n_panels * kc * NR];
+            parallel::for_each(panels.chunks_mut(per_chunk * kc * NR), |c, run| {
+                for (i, panel) in run.chunks_exact_mut(kc * NR).enumerate() {
+                    pack_b_panel(panel, b, c * per_chunk + i, pc, kc);
+                }
+            });
         } else {
             bpack
                 .chunks_exact_mut(kc * NR)
@@ -130,7 +133,7 @@ pub fn gemm_views(a: MatRef<'_>, b: MatRef<'_>, out: &mut [f32]) {
                 .for_each(|(jp, panel)| pack_b_panel(panel, b, jp, pc, kc));
         }
         let bpack = &*bpack;
-        let row_block = |(blk, out_block): (usize, &mut [f32])| {
+        let row_block = |blk: usize, out_block: &mut [f32]| {
             let ic = blk * MC;
             let mc = MC.min(m - ic);
             let mut apack = Workspace::scratch(mc.div_ceil(MR) * MR * kc);
@@ -155,9 +158,11 @@ pub fn gemm_views(a: MatRef<'_>, b: MatRef<'_>, out: &mut [f32]) {
             }
         };
         if parallel {
-            out.par_chunks_mut(MC * n).enumerate().for_each(row_block);
+            parallel::for_each(out.chunks_mut(MC * n), row_block);
         } else {
-            out.chunks_mut(MC * n).enumerate().for_each(row_block);
+            for (blk, out_block) in out.chunks_mut(MC * n).enumerate() {
+                row_block(blk, out_block);
+            }
         }
     }
 }

@@ -17,10 +17,12 @@
 //!   kernel behind `matmul`/`matmul_nt`/`matmul_tn`, with transposition
 //!   absorbed into the packing gathers.
 //! - **Define-by-run autograd** ([`tape::Tape`]): each training step records
-//!   operations on a fresh tape and calls [`tape::Tape::backward`]. Kernels
-//!   are written against rayon's API and run on one thread under the
-//!   sequential `vendor/rayon` shim; tape construction is single-threaded
-//!   too, mirroring one CUDA stream per worker.
+//!   operations on a fresh tape and calls [`tape::Tape::backward`]. Tape
+//!   construction is single-threaded, mirroring one CUDA stream per
+//!   worker; the kernels inside each op split their output into static
+//!   chunks on a small fork-join pool ([`parallel`]), so every result is
+//!   bitwise independent of the thread count. [`parallel::with_threads`]
+//!   caps the kernel threads of a scope (default: every core).
 //! - **Graph kernels** used by GCN / GraphSAGE / GAT: CSR sparse-dense
 //!   matmul ([`ops::sparse`]), GAT edge-softmax aggregation
 //!   ([`ops::attention`]).
@@ -49,7 +51,6 @@ pub mod tensor;
 pub mod view;
 
 pub use memory::{MemoryScope, DEVICE_MEMORY};
-pub use parallel::par_threshold;
 pub use rng::SplitMix64;
 pub use shape::Shape;
 pub use tape::{Grads, Tape, Var};

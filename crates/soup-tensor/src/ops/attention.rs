@@ -15,13 +15,27 @@
 //! runs two passes — destination-parallel for the softmax/score gradients
 //! (`∂L/∂ar`, per-edge `∂L/∂s`), then source-parallel over the transposed
 //! edge index for the scatter gradients (`∂L/∂x`, `∂L/∂al`) — so neither
-//! pass ever writes one output row from two threads.
+//! pass ever writes one output row from two threads. Each pass cuts its
+//! rows into edge-balanced chunks on the fork-join pool
+//! ([`crate::parallel`]); a row is computed the same way in any chunk, so
+//! the result is bitwise independent of the thread count.
 
 use crate::memory::MemGuard;
+use crate::parallel::{self, split_at_cuts, BALANCED_CHUNKS, PAR_THRESHOLD};
 use crate::tape::{Tape, Var};
 use crate::tensor::Tensor;
-use rayon::prelude::*;
 use std::sync::Arc;
+
+/// Row ranges for one pass over a prefix array (`in_ptr` or `out_ptr`):
+/// edge-balanced chunks when the pass is big enough to fork, else one.
+fn pass_bounds(ptr: &[usize], work: usize) -> Vec<usize> {
+    let chunks = if work >= PAR_THRESHOLD {
+        BALANCED_CHUNKS
+    } else {
+        1
+    };
+    parallel::balanced_bounds(ptr, chunks)
+}
 
 /// Edge connectivity prepared for attention: edges grouped by destination
 /// (`in_*`, defining edge ids) plus the transposed grouping by source
@@ -165,68 +179,52 @@ impl Tape {
             let xs = xv.data();
             let als = alv.data();
             let ars = arv.data();
-            // Partition the three output buffers by destination node. To
-            // write disjoint slices from rayon we iterate with indexed
-            // parallelism over per-dst chunks computed from in_ptr.
-            // Simplest safe formulation: par_iter over dst ids writing via
-            // raw chunk math into per-dst regions — we use split output
-            // vectors keyed by dst ranges.
-            struct DstChunks<'a> {
-                s: &'a mut [f32],
-                alpha: &'a mut [f32],
-            }
-            // Build mutable per-dst views: edges of dst v occupy
-            // [in_ptr[v]*heads, in_ptr[v+1]*heads).
-            let mut s_views: Vec<DstChunks> = Vec::with_capacity(n);
-            {
-                let mut s_rest: &mut [f32] = &mut s_buf;
-                let mut a_rest: &mut [f32] = &mut alpha_buf;
-                for v in 0..n {
-                    let len = (inner.in_ptr[v + 1] - inner.in_ptr[v]) * heads;
-                    let (s_head, s_tail) = s_rest.split_at_mut(len);
-                    let (a_head, a_tail) = a_rest.split_at_mut(len);
-                    s_rest = s_tail;
-                    a_rest = a_tail;
-                    s_views.push(DstChunks {
-                        s: s_head,
-                        alpha: a_head,
-                    });
-                }
-            }
-            out.par_chunks_mut(heads * dim)
-                .zip(s_views.par_iter_mut())
-                .enumerate()
-                .for_each(|(v, (orow, views))| {
+            // Destination-parallel: each chunk owns a range of destination
+            // rows of `out` and their in-edge runs of `s` and `alpha`.
+            let bounds = pass_bounds(&inner.in_ptr, m * heads * dim);
+            let edge_cut = |&v: &usize| inner.in_ptr[v] * heads;
+            let chunks = split_at_cuts(&mut out, bounds.iter().map(|&v| v * heads * dim))
+                .into_iter()
+                .zip(split_at_cuts(&mut s_buf, bounds.iter().map(edge_cut)))
+                .zip(split_at_cuts(&mut alpha_buf, bounds.iter().map(edge_cut)));
+            parallel::for_each(chunks, |c, ((orows, s_run), alpha_run)| {
+                let v0 = bounds[c];
+                let e_base = inner.in_ptr[v0];
+                for v in v0..bounds[c + 1] {
                     let e0 = inner.in_ptr[v];
                     let deg = inner.in_ptr[v + 1] - e0;
                     if deg == 0 {
-                        return;
+                        continue;
                     }
+                    let orow = &mut orows[(v - v0) * heads * dim..(v - v0 + 1) * heads * dim];
+                    let edges = (e0 - e_base) * heads..(e0 - e_base + deg) * heads;
+                    let s_v = &mut s_run[edges.clone()];
+                    let alpha_v = &mut alpha_run[edges];
                     for h in 0..heads {
                         // Scores.
                         let mut maxz = f32::NEG_INFINITY;
                         for k in 0..deg {
                             let u = inner.in_src[e0 + k] as usize;
                             let s = als[u * heads + h] + ars[v * heads + h];
-                            views.s[k * heads + h] = s;
+                            s_v[k * heads + h] = s;
                             let z = if s > 0.0 { s } else { slope * s };
                             maxz = maxz.max(z);
                         }
                         // Softmax over LeakyReLU(scores).
                         let mut total = 0.0f32;
                         for k in 0..deg {
-                            let s = views.s[k * heads + h];
+                            let s = s_v[k * heads + h];
                             let z = if s > 0.0 { s } else { slope * s };
                             let e = (z - maxz).exp();
-                            views.alpha[k * heads + h] = e;
+                            alpha_v[k * heads + h] = e;
                             total += e;
                         }
                         let inv = 1.0 / total;
                         // Weighted aggregation.
                         let od = &mut orow[h * dim..(h + 1) * dim];
                         for k in 0..deg {
-                            let a = views.alpha[k * heads + h] * inv;
-                            views.alpha[k * heads + h] = a;
+                            let a = alpha_v[k * heads + h] * inv;
+                            alpha_v[k * heads + h] = a;
                             let u = inner.in_src[e0 + k] as usize;
                             let xrow =
                                 &xs[u * heads * dim + h * dim..u * heads * dim + (h + 1) * dim];
@@ -235,7 +233,8 @@ impl Tape {
                             }
                         }
                     }
-                });
+                }
+            });
         }
 
         let s_t = Tensor::from_vec(
@@ -267,63 +266,78 @@ impl Tape {
                 let dim = xv.cols() / heads;
 
                 // Pass 1: dst-parallel. Compute grad_s per edge and grad_ar.
-                let mut grad_s = crate::pool::take_zeroed(m * heads);
+                // `grad_s` is scratch that dies with this closure: a plain
+                // allocation, since the pool would keep one idle per edge
+                // count (every PLS subgraph has its own).
+                let mut grad_s = vec![0.0f32; m * heads];
                 let mut grad_ar = crate::pool::take_zeroed(n * heads);
-                {
-                    let mut gs_views: Vec<&mut [f32]> = Vec::with_capacity(n);
-                    let mut rest: &mut [f32] = &mut grad_s;
-                    for v in 0..n {
-                        let len = (inner.in_ptr[v + 1] - inner.in_ptr[v]) * heads;
-                        let (head, tail) = rest.split_at_mut(len);
-                        rest = tail;
-                        gs_views.push(head);
+                let bounds = pass_bounds(&inner.in_ptr, m * heads * dim);
+                let edge_cut = |&v: &usize| inner.in_ptr[v] * heads;
+                let chunks = split_at_cuts(&mut grad_ar, bounds.iter().map(|&v| v * heads))
+                    .into_iter()
+                    .zip(split_at_cuts(&mut grad_s, bounds.iter().map(edge_cut)));
+                parallel::for_each(chunks, |c, (gar_rows, gs_run)| {
+                    let (v0, v1) = (bounds[c], bounds[c + 1]);
+                    let e_base = inner.in_ptr[v0];
+                    // One ∂L/∂α scratch per chunk, reused by every
+                    // (destination, head): each slot is written before it
+                    // is read.
+                    let max_deg = (v0..v1)
+                        .map(|v| inner.in_ptr[v + 1] - inner.in_ptr[v])
+                        .max()
+                        .unwrap_or(0);
+                    let mut galpha = vec![0.0f32; max_deg];
+                    for v in v0..v1 {
+                        let e0 = inner.in_ptr[v];
+                        let deg = inner.in_ptr[v + 1] - e0;
+                        if deg == 0 {
+                            continue;
+                        }
+                        let gar_row = &mut gar_rows[(v - v0) * heads..(v - v0 + 1) * heads];
+                        let gsv = &mut gs_run[(e0 - e_base) * heads..(e0 - e_base + deg) * heads];
+                        for h in 0..heads {
+                            let gv =
+                                &gs[v * heads * dim + h * dim..v * heads * dim + (h + 1) * dim];
+                            // grad wrt alpha, then softmax + leakyrelu backward.
+                            let mut dot_sum = 0.0f32;
+                            for k in 0..deg {
+                                let u = inner.in_src[e0 + k] as usize;
+                                let xrow =
+                                    &xs[u * heads * dim + h * dim..u * heads * dim + (h + 1) * dim];
+                                let ga: f32 = gv.iter().zip(xrow).map(|(&a, &b)| a * b).sum();
+                                galpha[k] = ga;
+                                dot_sum += ga * avs[(e0 + k) * heads + h];
+                            }
+                            let mut gar_acc = 0.0f32;
+                            for k in 0..deg {
+                                let a = avs[(e0 + k) * heads + h];
+                                let gz = a * (galpha[k] - dot_sum);
+                                let s = ss[(e0 + k) * heads + h];
+                                let gsc = if s > 0.0 { gz } else { slope * gz };
+                                gsv[k * heads + h] = gsc;
+                                gar_acc += gsc;
+                            }
+                            gar_row[h] = gar_acc;
+                        }
                     }
-                    grad_ar
-                        .par_chunks_mut(heads)
-                        .zip(gs_views.par_iter_mut())
-                        .enumerate()
-                        .for_each(|(v, (gar_row, gsv))| {
-                            let e0 = inner.in_ptr[v];
-                            let deg = inner.in_ptr[v + 1] - e0;
-                            if deg == 0 {
-                                return;
-                            }
-                            for h in 0..heads {
-                                let gv =
-                                    &gs[v * heads * dim + h * dim..v * heads * dim + (h + 1) * dim];
-                                // grad wrt alpha, then softmax + leakyrelu backward.
-                                let mut dot_sum = 0.0f32;
-                                let mut galpha = crate::pool::take_zeroed(deg);
-                                for k in 0..deg {
-                                    let u = inner.in_src[e0 + k] as usize;
-                                    let xrow = &xs[u * heads * dim + h * dim
-                                        ..u * heads * dim + (h + 1) * dim];
-                                    let ga: f32 = gv.iter().zip(xrow).map(|(&a, &b)| a * b).sum();
-                                    galpha[k] = ga;
-                                    dot_sum += ga * avs[(e0 + k) * heads + h];
-                                }
-                                let mut gar_acc = 0.0f32;
-                                for k in 0..deg {
-                                    let a = avs[(e0 + k) * heads + h];
-                                    let gz = a * (galpha[k] - dot_sum);
-                                    let s = ss[(e0 + k) * heads + h];
-                                    let gsc = if s > 0.0 { gz } else { slope * gz };
-                                    gsv[k * heads + h] = gsc;
-                                    gar_acc += gsc;
-                                }
-                                gar_row[h] = gar_acc;
-                            }
-                        });
-                }
+                });
 
                 // Pass 2: src-parallel over the transposed index.
                 let mut grad_x = crate::pool::take_zeroed(n * heads * dim);
                 let mut grad_al = crate::pool::take_zeroed(n * heads);
-                grad_x
-                    .par_chunks_mut(heads * dim)
-                    .zip(grad_al.par_chunks_mut(heads))
-                    .enumerate()
-                    .for_each(|(u, (gx_row, gal_row))| {
+                let bounds = pass_bounds(&inner.out_ptr, m * heads * dim);
+                let chunks = split_at_cuts(&mut grad_x, bounds.iter().map(|&u| u * heads * dim))
+                    .into_iter()
+                    .zip(split_at_cuts(
+                        &mut grad_al,
+                        bounds.iter().map(|&u| u * heads),
+                    ));
+                parallel::for_each(chunks, |c, (gx_rows, gal_rows)| {
+                    let u0 = bounds[c];
+                    for u in u0..bounds[c + 1] {
+                        let gx_row =
+                            &mut gx_rows[(u - u0) * heads * dim..(u - u0 + 1) * heads * dim];
+                        let gal_row = &mut gal_rows[(u - u0) * heads..(u - u0 + 1) * heads];
                         for p in inner.out_ptr[u]..inner.out_ptr[u + 1] {
                             let v = inner.out_dst[p] as usize;
                             let e = inner.out_eid[p] as usize;
@@ -338,7 +352,8 @@ impl Tape {
                                 gal_row[h] += grad_s[e * heads + h];
                             }
                         }
-                    });
+                    }
+                });
 
                 vec![
                     Some(Tensor::from_vec(n, heads * dim, grad_x)),

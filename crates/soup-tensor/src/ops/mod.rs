@@ -1,9 +1,9 @@
 //! Differentiable operations, implemented as methods on [`crate::Tape`].
 //!
 //! Each module contributes an `impl Tape` block: the forward kernel runs
-//! eagerly (written against rayon's API; one thread under the sequential
-//! `vendor/rayon` shim) and a backward closure is recorded when some
-//! ancestor requires gradients.
+//! eagerly (its static chunks on the fork-join pool, [`crate::parallel`])
+//! and a backward closure is recorded when some ancestor requires
+//! gradients.
 //!
 //! Modules:
 //! - [`elementwise`] — add/sub/mul/scale/bias broadcast

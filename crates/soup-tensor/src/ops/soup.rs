@@ -8,6 +8,7 @@
 //! frozen), so backward only produces an α-gradient — a length-N vector per
 //! layer — making LS's backward dramatically cheaper than retraining.
 
+use crate::parallel::PAR_THRESHOLD;
 use crate::tape::{Tape, Var};
 use crate::tensor::Tensor;
 use crate::view::{MatMut, MatRef};
@@ -70,8 +71,9 @@ fn blend_range(dst: &mut [f32], coeffs: &[f32], srcs: &[&[f32]]) {
     blend_range_generic(dst, coeffs, srcs);
 }
 
-/// Fused `Σ_i coeffs[i] · srcs[i]` into a raw slice, rayon-chunked above
-/// the parallel threshold. All slices must share `dst`'s length.
+/// Fused `Σ_i coeffs[i] · srcs[i]` into a raw slice, split into chunks on
+/// the fork-join pool above the parallel threshold. All slices must share
+/// `dst`'s length.
 pub fn blend_slices(dst: &mut [f32], coeffs: &[f32], srcs: &[&[f32]]) {
     assert!(!srcs.is_empty(), "blend needs at least one source");
     assert_eq!(
@@ -91,11 +93,9 @@ pub fn blend_slices(dst: &mut [f32], coeffs: &[f32], srcs: &[&[f32]]) {
         );
     }
     let n = dst.len();
-    if n * srcs.len() >= crate::parallel::par_threshold() {
-        use rayon::prelude::*;
-        const CHUNK: usize = 16 * 1024;
-        dst.par_chunks_mut(CHUNK).enumerate().for_each(|(k, d)| {
-            let off = k * CHUNK;
+    if n * srcs.len() >= PAR_THRESHOLD {
+        crate::parallel::for_each(dst.chunks_mut(PAR_THRESHOLD), |k, d| {
+            let off = k * PAR_THRESHOLD;
             let subs: Vec<&[f32]> = srcs.iter().map(|s| &s[off..off + d.len()]).collect();
             blend_range(d, coeffs, &subs);
         });

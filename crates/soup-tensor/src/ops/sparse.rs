@@ -19,20 +19,19 @@
 //! output-row reload of the naive saxpy formulation.
 
 use crate::memory::MemGuard;
-use crate::parallel::par_threshold;
+use crate::parallel::{self, PAR_THRESHOLD};
 use crate::pool;
 use crate::tape::{Tape, Var};
 use crate::tensor::Tensor;
-use rayon::prelude::*;
 use std::sync::{Arc, OnceLock};
 
 /// Row ranges of approximately equal nnz, built once per CSR and reused by
 /// every SpMM dispatch over that matrix (every epoch, every souping
 /// candidate evaluation). Power-law graphs (Reddit, ogbn-products) have hub
 /// vertices whose rows hold orders of magnitude more entries than the
-/// median; chunking rows by *count* would hand one rayon task the hub and
-/// stall the join, so chunks are cut at nnz quantiles instead, found by
-/// binary search over `indptr`.
+/// median, so chunks are cut at nnz quantiles
+/// ([`parallel::balanced_bounds`]) rather than by row count. The cut
+/// depends on the matrix alone, never on the thread count.
 #[derive(Debug)]
 struct ChunkPlan {
     /// Row boundaries: chunk `i` covers rows `bounds[i]..bounds[i+1]`.
@@ -45,24 +44,8 @@ struct ChunkPlan {
 
 impl ChunkPlan {
     fn build(indptr: &[usize]) -> Self {
-        let rows = indptr.len() - 1;
         let nnz = *indptr.last().unwrap();
-        // Over-decompose relative to the worker count so the scheduler can
-        // even out residual imbalance; never more chunks than rows.
-        let target_chunks = (rayon::current_num_threads() * 4).clamp(1, rows.max(1));
-        let mut bounds = Vec::with_capacity(target_chunks + 1);
-        bounds.push(0usize);
-        for c in 1..target_chunks {
-            let target = nnz * c / target_chunks;
-            // First row whose prefix nnz reaches the quantile.
-            let row = indptr.partition_point(|&p| p < target).min(rows);
-            if row > *bounds.last().unwrap() && row < rows {
-                bounds.push(row);
-            }
-        }
-        if rows > 0 {
-            bounds.push(rows);
-        }
+        let bounds = parallel::balanced_bounds(indptr, parallel::BALANCED_CHUNKS);
         let max_chunk_nnz = bounds
             .windows(2)
             .map(|w| indptr[w[1]] - indptr[w[0]])
@@ -419,8 +402,8 @@ fn spmm_rows(csr: &Csr, r0: usize, r1: usize, c: usize, xs: &[f32], out: &mut [f
 }
 
 /// SpMM over the cached nnz-balanced chunk plan: the output is split into
-/// per-chunk row ranges (disjoint by construction) and chunks are
-/// dispatched as rayon tasks, so a hub vertex occupies one task instead of
+/// per-chunk row ranges (disjoint by construction) and the chunks run on
+/// the fork-join pool, so a hub vertex occupies one chunk instead of
 /// stalling a whole row-count chunk.
 fn spmm_kernel(csr: &Csr, rows: usize, x: &Tensor) -> Tensor {
     let c = x.cols();
@@ -429,20 +412,12 @@ fn spmm_kernel(csr: &Csr, rows: usize, x: &Tensor) -> Tensor {
     let xs = x.data();
     // Scratch, not zeroed: `spmm_rows` fully initialises every output row.
     let mut out = pool::take_scratch(rows * c);
-    let parallel = rayon::current_num_threads() > 1 && (nnz + rows) * c >= par_threshold();
-    if parallel && csr.plan().chunks() > 1 {
-        let plan = csr.plan();
-        // Carve the output into disjoint per-chunk slices.
-        let mut slices: Vec<(usize, usize, &mut [f32])> = Vec::with_capacity(plan.chunks());
-        let mut rest = out.as_mut_slice();
-        for w in plan.bounds.windows(2) {
-            let (head, tail) = rest.split_at_mut((w[1] - w[0]) * c);
-            slices.push((w[0], w[1], head));
-            rest = tail;
-        }
-        slices
-            .into_par_iter()
-            .for_each(|(r0, r1, slice)| spmm_rows(csr, r0, r1, c, xs, slice));
+    if (nnz + rows) * c >= PAR_THRESHOLD && csr.plan().chunks() > 1 {
+        let bounds = &csr.plan().bounds;
+        let slices = parallel::split_at_cuts(&mut out, bounds.iter().map(|&r| r * c));
+        parallel::for_each(slices, |i, slice| {
+            spmm_rows(csr, bounds[i], bounds[i + 1], c, xs, slice);
+        });
     } else {
         spmm_rows(csr, 0, rows, c, xs, &mut out);
     }
@@ -460,7 +435,7 @@ pub fn spmm_rowpar_reference(a: &SparseMat, x: &Tensor) -> Tensor {
     record_spmm_metrics(csr.indices.len(), rows, c);
     let xs = x.data();
     let mut out = pool::take_zeroed(rows * c);
-    let row_work = |(r, orow): (usize, &mut [f32])| {
+    let row_work = |r: usize, orow: &mut [f32]| {
         for e in csr.indptr[r]..csr.indptr[r + 1] {
             let col = csr.indices[e] as usize;
             let v = csr.values[e];
@@ -470,11 +445,7 @@ pub fn spmm_rowpar_reference(a: &SparseMat, x: &Tensor) -> Tensor {
             }
         }
     };
-    if rows * c >= par_threshold() {
-        out.par_chunks_mut(c).enumerate().for_each(row_work);
-    } else {
-        out.chunks_mut(c).enumerate().for_each(row_work);
-    }
+    parallel::for_each_row(&mut out, c, row_work);
     Tensor::from_vec(rows, c, out)
 }
 

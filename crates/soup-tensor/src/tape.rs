@@ -15,8 +15,9 @@
 //!   whole, which also releases all intermediate activations (and their
 //!   device-memory accounting) at once.
 //! - Tape construction is single-threaded (`RefCell`), mirroring one CUDA
-//!   stream; the *kernels inside* each op are written against rayon's API
-//!   and run on one thread under the sequential `vendor/rayon` shim.
+//!   stream; the *kernels inside* each op run their static chunks on the
+//!   fork-join pool ([`crate::parallel`]), bitwise independent of the
+//!   thread count.
 //! - Gradient pruning: a node only stores a backward closure if some
 //!   ancestor requires gradients. In LS, ingredient weights are constants
 //!   and only the interpolation parameters are differentiable, so backward

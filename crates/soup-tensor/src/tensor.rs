@@ -5,21 +5,20 @@
 //! ([`Tensor::make_mut`]) so optimizer updates are in-place when the buffer
 //! is uniquely owned (the common case) and copy otherwise.
 //!
-//! Kernels that dominate runtime are written against rayon's API:
-//! `par_chunks_mut` over the output keeps them data-race-free by
-//! construction. They run on one thread under the sequential
-//! `vendor/rayon` shim. The GEMM family (`matmul` / `matmul_nt` / `matmul_tn`) is
+//! Kernels that dominate runtime split their output into disjoint chunks
+//! and run them on the fork-join pool ([`crate::parallel`]); the split
+//! depends on the shape alone, so results are bitwise independent of the
+//! thread count. The GEMM family (`matmul` / `matmul_nt` / `matmul_tn`) is
 //! a set of thin drivers over the shared cache-blocked kernel in
 //! [`crate::gemm`]; output buffers are recycled through [`crate::pool`].
 
 use crate::gemm;
-use crate::parallel::par_threshold;
+use crate::parallel::{self, PAR_THRESHOLD};
 use crate::pool;
 use crate::rng::SplitMix64;
 use crate::shape::Shape;
 use crate::storage::Buf;
 use crate::view::{MatMut, MatRef};
-use rayon::prelude::*;
 use serde::de::Error as _;
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use std::fmt;
@@ -174,15 +173,14 @@ impl Tensor {
     /// New tensor with `f` applied to every element.
     pub fn map(&self, f: impl Fn(f32) -> f32 + Sync) -> Self {
         let mut out = pool::take_scratch(self.len());
-        if self.len() >= par_threshold() {
-            out.par_iter_mut()
-                .zip(self.data().par_iter())
-                .for_each(|(o, &x)| *o = f(x));
-        } else {
-            for (o, &x) in out.iter_mut().zip(self.data()) {
+        let chunks = out
+            .chunks_mut(PAR_THRESHOLD)
+            .zip(self.data().chunks(PAR_THRESHOLD));
+        parallel::for_each(chunks, |_, (out, xs)| {
+            for (o, &x) in out.iter_mut().zip(xs) {
                 *o = f(x);
             }
-        }
+        });
         Self::from_vec(self.rows(), self.cols(), out)
     }
 
@@ -194,15 +192,15 @@ impl Tensor {
             self.shape, other.shape
         );
         let mut out = pool::take_scratch(self.len());
-        if self.len() >= par_threshold() {
-            out.par_iter_mut()
-                .zip(self.data().par_iter().zip(other.data().par_iter()))
-                .for_each(|(o, (&a, &b))| *o = f(a, b));
-        } else {
-            for ((o, &a), &b) in out.iter_mut().zip(self.data()).zip(other.data()) {
+        let chunks = out
+            .chunks_mut(PAR_THRESHOLD)
+            .zip(self.data().chunks(PAR_THRESHOLD))
+            .zip(other.data().chunks(PAR_THRESHOLD));
+        parallel::for_each(chunks, |_, ((out, xs), ys)| {
+            for ((o, &a), &b) in out.iter_mut().zip(xs).zip(ys) {
                 *o = f(a, b);
             }
-        }
+        });
         Self::from_vec(self.rows(), self.cols(), out)
     }
 
@@ -238,13 +236,10 @@ impl Tensor {
 
     // ------------------------------------------------------------ reductions
 
-    /// Sum of all elements.
+    /// Sum of all elements, in index order (sequential on purpose: a split
+    /// sum would round differently at every thread count).
     pub fn sum(&self) -> f32 {
-        if self.len() >= par_threshold() {
-            self.data().par_iter().sum()
-        } else {
-            self.data().iter().sum()
-        }
+        self.data().iter().sum()
     }
 
     /// Mean of all elements (0 for empty tensors).
@@ -256,13 +251,9 @@ impl Tensor {
         }
     }
 
-    /// Squared Frobenius norm.
+    /// Squared Frobenius norm, summed in index order like [`Self::sum`].
     pub fn norm_sq(&self) -> f32 {
-        if self.len() >= par_threshold() {
-            self.data().par_iter().map(|&x| x * x).sum()
-        } else {
-            self.data().iter().map(|&x| x * x).sum()
-        }
+        self.data().iter().map(|&x| x * x).sum()
     }
 
     /// Frobenius norm.
@@ -365,7 +356,7 @@ impl Tensor {
         let a = self.data();
         let b = other.data();
         let mut out = pool::take_zeroed(m * n);
-        let work = |(r, out_row): (usize, &mut [f32])| {
+        let work = |r: usize, out_row: &mut [f32]| {
             let a_row = &a[r * k..(r + 1) * k];
             // k-outer loop keeps the inner loop a contiguous saxpy over the
             // output row: good auto-vectorisation, B read row-wise.
@@ -376,11 +367,7 @@ impl Tensor {
                 }
             }
         };
-        if m * n >= par_threshold() {
-            out.par_chunks_mut(n).enumerate().for_each(work);
-        } else {
-            out.chunks_mut(n).enumerate().for_each(work);
-        }
+        parallel::for_each_row(&mut out, n, work);
         Self::from_vec(m, n, out)
     }
 
@@ -394,18 +381,14 @@ impl Tensor {
         let a = self.data();
         let b = other.data();
         let mut out = pool::take_scratch(m * n);
-        let work = |(r, out_row): (usize, &mut [f32])| {
+        let work = |r: usize, out_row: &mut [f32]| {
             let a_row = &a[r * k..(r + 1) * k];
             for (c, o) in out_row.iter_mut().enumerate() {
                 let b_row = &b[c * k..(c + 1) * k];
                 *o = a_row.iter().zip(b_row).map(|(&x, &y)| x * y).sum();
             }
         };
-        if m * n >= par_threshold() {
-            out.par_chunks_mut(n).enumerate().for_each(work);
-        } else {
-            out.chunks_mut(n).enumerate().for_each(work);
-        }
+        parallel::for_each_row(&mut out, n, work);
         Self::from_vec(m, n, out)
     }
 
@@ -419,7 +402,7 @@ impl Tensor {
         let a = self.data();
         let b = other.data();
         let mut out = pool::take_zeroed(k * n);
-        let work = |(kk, out_row): (usize, &mut [f32])| {
+        let work = |kk: usize, out_row: &mut [f32]| {
             for r in 0..m {
                 let av = a[r * k + kk];
                 let b_row = &b[r * n..(r + 1) * n];
@@ -428,11 +411,7 @@ impl Tensor {
                 }
             }
         };
-        if k * n >= par_threshold() {
-            out.par_chunks_mut(n).enumerate().for_each(work);
-        } else {
-            out.chunks_mut(n).enumerate().for_each(work);
-        }
+        parallel::for_each_row(&mut out, n, work);
         Self::from_vec(k, n, out)
     }
 

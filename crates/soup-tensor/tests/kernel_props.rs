@@ -179,7 +179,7 @@ proptest! {
     }
 
     /// Fused soup blend vs chained interpolation for every soup size GIS
-    /// probes (R ∈ {2..8}), crossing the rayon parallel-chunk threshold.
+    /// probes (R ∈ {2..8}), crossing the parallel-chunk threshold.
     #[test]
     fn blend_into_matches_chained_interpolation(
         rows in 1usize..80,
