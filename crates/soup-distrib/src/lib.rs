@@ -17,13 +17,10 @@
 //! depend on the thread count.
 //!
 //! [`schedule`] provides the analytic makespan model of Eq. (1)/(2) plus a
-//! greedy list-scheduling simulator for the load-imbalance discussion, and
-//! [`gather`] models the reduce-style collection of trained ingredients
-//! onto the souping device.
+//! greedy list-scheduling simulator for the load-imbalance discussion.
 
 pub mod chaos;
 pub mod control;
-pub mod gather;
 pub mod queue;
 pub mod schedule;
 pub mod shard;
@@ -32,7 +29,6 @@ pub mod supervisor;
 pub mod trainer;
 
 pub use chaos::{parse_kill_list, parse_shard_list, ChaosPhase, ChaosPlan, FrameFault};
-pub use gather::{gather_ingredients, GatherReport};
 pub use queue::{Claim, FailAction, TaskQueue};
 pub use schedule::{predicted_min_time, predicted_total_time, simulate_schedule, ScheduleResult};
 pub use shard::{

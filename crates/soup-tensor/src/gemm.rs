@@ -11,29 +11,27 @@
 //! - **KC-depth panel packing**: both operands are repacked into
 //!   microkernel-ready panels ([`KC`] elements deep) held in pooled
 //!   workspaces, so the innermost loops read contiguous, transpose-free
-//!   memory regardless of the operand's strides;
+//!   memory whichever way the operand is stored;
 //! - **MC row-blocking**, parallel over row blocks ([`MC`] rows each) on
 //!   the fork-join pool ([`crate::parallel`]) rather than over single
 //!   rows: the packed B slab is shared read-only across all row blocks of
 //!   a KC slab, which is where packing pays for itself (each B panel is
 //!   reused `m / MC` times). B-panel packing itself also goes parallel on
-//!   large slabs ([`gemm_views`]), so the pack phase does not serialise
-//!   the threads that are about to consume the slab. Each row block packs
-//!   its own A block, so a block's output never depends on which thread
-//!   ran it.
+//!   large slabs, so the pack phase does not serialise the threads that
+//!   are about to consume the slab. Each row block packs its own A block,
+//!   so a block's output never depends on which thread ran it.
 //!
-//! Operands arrive as borrowed strided views ([`MatRef`]): the packing
-//! gathers read straight through `(row_stride, col_stride)`, so logical
-//! transposes (`A·Bᵀ`, `Aᵀ·B`) and row/column slices feed the kernel with
-//! zero copies. The legacy [`Layout`]-based [`gemm`] entry point wraps
-//! [`gemm_views`] for callers holding plain slices.
+//! An operand (`Operand`) is a row-major buffer read either as stored or
+//! as its transpose; the packers absorb the transpose, so `A·Bᵀ` and
+//! `Aᵀ·B` never materialise one and the microkernel sees the same panel
+//! bytes for either geometry.
 
 use crate::parallel::{self, PAR_THRESHOLD};
 use crate::pool::Workspace;
-use crate::view::MatRef;
 
-/// Microkernel rows: independent accumulator chains, enough to hide FMA
-/// latency without spilling the accumulator tile out of registers.
+/// Microkernel rows: independent accumulator chains, enough to hide
+/// multiply-add latency without spilling the accumulator tile out of
+/// registers.
 pub const MR: usize = 4;
 /// Microkernel columns: one or two SIMD vectors wide on SSE/AVX baselines.
 pub const NR: usize = 8;
@@ -48,55 +46,62 @@ pub const MC: usize = 64;
 /// worth it and drivers use the naive kernels directly.
 pub const SMALL_GEMM_MACS: usize = 32 * 1024;
 
-/// Storage orientation of an operand relative to its logical shape: a
-/// logical `(r, c)` matrix is stored either row-major (`r*cols + c`) or as
-/// its transpose (`c*rows + r`). Kept as a thin compatibility wrapper over
-/// the strided-view entry point ([`gemm_views`]), which subsumes both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Layout {
-    RowMajor,
-    Transposed,
+/// A logical `rows × cols` GEMM operand over a row-major buffer: element
+/// `(r, c)` lives at `data[r * row_stride + c * col_stride]`. The two
+/// constructors are the only geometries: the buffer as stored, or its
+/// transpose.
+#[derive(Clone, Copy)]
+pub(crate) struct Operand<'a> {
+    data: &'a [f32],
+    rows: usize,
+    cols: usize,
+    row_stride: usize,
+    col_stride: usize,
 }
 
-/// `out += A(m×k) · B(k×n)`, with `out` row-major `m×n` (caller zeroes it
-/// for a plain product). `la`/`lb` give the storage orientation of the
-/// logical operands. Thin wrapper building strided views for
-/// [`gemm_views`].
-#[allow(clippy::too_many_arguments)] // BLAS-style signature: dims + operands
-pub fn gemm(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    la: Layout,
-    b: &[f32],
-    lb: Layout,
-    out: &mut [f32],
-) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    if m == 0 || n == 0 || k == 0 {
-        return;
+impl<'a> Operand<'a> {
+    /// A row-major `rows × cols` buffer, read as stored.
+    pub(crate) fn row_major(data: &'a [f32], rows: usize, cols: usize) -> Self {
+        assert_eq!(
+            data.len(),
+            rows * cols,
+            "operand {rows}x{cols} over {}",
+            data.len()
+        );
+        Self {
+            data,
+            rows,
+            cols,
+            row_stride: cols,
+            col_stride: 1,
+        }
     }
-    let av = match la {
-        Layout::RowMajor => MatRef::from_row_major(a, m, k),
-        Layout::Transposed => MatRef::from_row_major(a, k, m).transposed(),
-    };
-    let bv = match lb {
-        Layout::RowMajor => MatRef::from_row_major(b, k, n),
-        Layout::Transposed => MatRef::from_row_major(b, n, k).transposed(),
-    };
-    gemm_views(av, bv, out);
+
+    /// A row-major `rows × cols` buffer, read as its `cols × rows`
+    /// transpose.
+    pub(crate) fn transposed(data: &'a [f32], rows: usize, cols: usize) -> Self {
+        Self {
+            rows: cols,
+            cols: rows,
+            row_stride: 1,
+            col_stride: cols,
+            ..Self::row_major(data, rows, cols)
+        }
+    }
+
+    #[inline(always)]
+    fn index(&self, r: usize, c: usize) -> usize {
+        r * self.row_stride + c * self.col_stride
+    }
 }
 
-/// `out += A · B` where both operands are strided views; `out` is
-/// row-major `a.rows() × b.cols()`. Strides are absorbed by the packing
-/// gathers, so the microkernel (and therefore the result, bitwise) is
-/// identical for every storage orientation of the inputs.
-pub fn gemm_views(a: MatRef<'_>, b: MatRef<'_>, out: &mut [f32]) {
-    let (m, k) = (a.rows(), a.cols());
-    let n = b.cols();
-    debug_assert_eq!(k, b.rows(), "gemm_views inner dims");
+/// `out += A · B`, with `out` row-major `a.rows × b.cols` (callers zero it
+/// for a plain product). The packers absorb each operand's geometry, so
+/// the microkernel (and therefore the result, bitwise) is the same for
+/// either storage orientation of the inputs.
+pub(crate) fn gemm(a: Operand<'_>, b: Operand<'_>, out: &mut [f32]) {
+    let (m, k, n) = (a.rows, a.cols, b.cols);
+    debug_assert_eq!(k, b.rows, "gemm inner dims");
     debug_assert_eq!(out.len(), m * n);
     if m == 0 || n == 0 || k == 0 {
         return;
@@ -189,9 +194,12 @@ fn microkernel_generic(ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
     microkernel_body(ap, bp, acc);
 }
 
-/// [`microkernel_body`] compiled with AVX2 + FMA codegen: each accumulator
-/// row becomes one 8-lane YMM register and the multiply-add fuses, roughly
-/// doubling throughput over the baseline-ISA build. Selected at runtime by
+/// [`microkernel_body`] compiled with AVX2 + FMA enabled: each accumulator
+/// row becomes one 8-lane YMM register. The body still compiles to a
+/// separate multiply and add per step, because Rust never contracts
+/// `a * b + c` into a fused multiply-add; real FMAs would round
+/// differently, so they wait for a declared numeric break (ROADMAP.md,
+/// "GEMM at its roofline"). Selected at runtime by
 /// [`crate::parallel::cpu_has_avx2_fma`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
@@ -213,17 +221,16 @@ fn microkernel(ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
 /// Pack the `mc`-row, `kc`-deep block of A starting at `(ic, pc)` into
 /// MR-row panels: `apack[ip*kc*MR + kk*MR + i] = A(ic+ip*MR+i, pc+kk)`,
 /// zero-padding rows past `mc` so the microkernel always sees full panels.
-/// Reads through the view's strides: unit *row* stride (a transposed
-/// row-major operand) packs with contiguous `copy_from_slice` runs, every
-/// other geometry takes the generic strided gather.
-fn pack_a(apack: &mut [f32], a: MatRef<'_>, ic: usize, mc: usize, pc: usize, kc: usize) {
-    debug_assert!(ic + mc <= a.rows());
-    debug_assert!(pc + kc <= a.cols());
-    let src = a.raw();
+/// A transposed operand (unit row stride) packs with contiguous
+/// `copy_from_slice` runs; a row-major one gathers element-wise.
+fn pack_a(apack: &mut [f32], a: Operand<'_>, ic: usize, mc: usize, pc: usize, kc: usize) {
+    debug_assert!(ic + mc <= a.rows);
+    debug_assert!(pc + kc <= a.cols);
+    let src = a.data;
     for (ip, panel) in apack.chunks_exact_mut(kc * MR).enumerate() {
         let row0 = ic + ip * MR;
         let mr = MR.min(mc.saturating_sub(ip * MR));
-        if a.row_stride() == 1 {
+        if a.row_stride == 1 {
             // Each depth step is a contiguous run of MR logical rows.
             for kk in 0..kc {
                 let src_base = a.index(row0, pc + kk);
@@ -248,22 +255,22 @@ fn pack_a(apack: &mut [f32], a: MatRef<'_>, ic: usize, mc: usize, pc: usize, kc:
 
 /// Pack one NR-column, `kc`-deep panel of B starting at depth `pc`:
 /// `panel[kk*NR + j] = B(pc+kk, jp*NR+j)`, zero-padding columns past
-/// `b.cols()`. Unit *column* stride copies row-runs contiguously, unit
-/// *row* stride copies depth-runs column by column, anything else gathers
-/// element-wise — all three produce identical panel bytes.
-fn pack_b_panel(panel: &mut [f32], b: MatRef<'_>, jp: usize, pc: usize, kc: usize) {
-    let n = b.cols();
+/// `b.cols`. A row-major operand (unit column stride) copies row-runs
+/// contiguously, a transposed one (unit row stride) copies depth-runs
+/// column by column; both produce identical panel bytes.
+fn pack_b_panel(panel: &mut [f32], b: Operand<'_>, jp: usize, pc: usize, kc: usize) {
     let col0 = jp * NR;
-    let nr = NR.min(n - col0);
-    let src = b.raw();
-    if b.col_stride() == 1 {
+    let nr = NR.min(b.cols - col0);
+    let src = b.data;
+    if b.col_stride == 1 {
         for kk in 0..kc {
             let src_base = b.index(pc + kk, col0);
             let dst = &mut panel[kk * NR..kk * NR + NR];
             dst[..nr].copy_from_slice(&src[src_base..src_base + nr]);
             dst[nr..].fill(0.0);
         }
-    } else if b.row_stride() == 1 {
+    } else {
+        debug_assert_eq!(b.row_stride, 1);
         for j in 0..NR {
             if j < nr {
                 let src_base = b.index(pc, col0 + j);
@@ -276,17 +283,6 @@ fn pack_b_panel(panel: &mut [f32], b: MatRef<'_>, jp: usize, pc: usize, kc: usiz
                 }
             }
         }
-    } else {
-        for kk in 0..kc {
-            let dst = &mut panel[kk * NR..kk * NR + NR];
-            for (j, d) in dst.iter_mut().enumerate() {
-                *d = if j < nr {
-                    src[b.index(pc + kk, col0 + j)]
-                } else {
-                    0.0
-                };
-            }
-        }
     }
 }
 
@@ -294,30 +290,31 @@ fn pack_b_panel(panel: &mut [f32], b: MatRef<'_>, jp: usize, pc: usize, kc: usiz
 mod tests {
     use super::*;
 
+    /// Storage of a test operand: row-major as logically shaped, or the
+    /// row-major buffer of its transpose.
+    #[derive(Debug, Clone, Copy)]
+    enum Store {
+        RowMajor,
+        Transposed,
+    }
+
+    /// The operand for a logical `rows × cols` matrix stored as `s`.
+    fn operand(data: &[f32], rows: usize, cols: usize, s: Store) -> Operand<'_> {
+        match s {
+            Store::RowMajor => Operand::row_major(data, rows, cols),
+            Store::Transposed => Operand::transposed(data, cols, rows),
+        }
+    }
+
     /// Scalar triple-loop reference, independent of any packing logic.
-    fn reference(
-        m: usize,
-        n: usize,
-        k: usize,
-        a: &[f32],
-        la: Layout,
-        b: &[f32],
-        lb: Layout,
-    ) -> Vec<f32> {
-        let at = |i: usize, t: usize| match la {
-            Layout::RowMajor => a[i * k + t],
-            Layout::Transposed => a[t * m + i],
-        };
-        let bt = |t: usize, j: usize| match lb {
-            Layout::RowMajor => b[t * n + j],
-            Layout::Transposed => b[j * k + t],
-        };
+    fn reference(a: Operand<'_>, b: Operand<'_>) -> Vec<f32> {
+        let (m, k, n) = (a.rows, a.cols, b.cols);
         let mut out = vec![0.0f32; m * n];
         for i in 0..m {
             for j in 0..n {
                 let mut s = 0.0f32;
                 for t in 0..k {
-                    s += at(i, t) * bt(t, j);
+                    s += a.data[a.index(i, t)] * b.data[b.index(t, j)];
                 }
                 out[i * n + j] = s;
             }
@@ -325,13 +322,14 @@ mod tests {
         out
     }
 
-    fn check(m: usize, n: usize, k: usize, la: Layout, lb: Layout) {
+    fn check(m: usize, n: usize, k: usize, la: Store, lb: Store) {
         let mut rng = crate::rng::SplitMix64::new((m * 31 + n * 7 + k) as u64);
         let a: Vec<f32> = (0..m * k).map(|_| rng.normal()).collect();
         let b: Vec<f32> = (0..k * n).map(|_| rng.normal()).collect();
+        let (a, b) = (operand(&a, m, k, la), operand(&b, k, n, lb));
         let mut out = vec![0.0f32; m * n];
-        gemm(m, n, k, &a, la, &b, lb, &mut out);
-        let expect = reference(m, n, k, &a, la, &b, lb);
+        gemm(a, b, &mut out);
+        let expect = reference(a, b);
         for (idx, (&got, &want)) in out.iter().zip(&expect).enumerate() {
             assert!(
                 (got - want).abs() <= 1e-3 * (1.0 + want.abs()),
@@ -343,9 +341,9 @@ mod tests {
     #[test]
     fn blocked_gemm_matches_reference_all_layouts() {
         for &(la, lb) in &[
-            (Layout::RowMajor, Layout::RowMajor),
-            (Layout::RowMajor, Layout::Transposed),
-            (Layout::Transposed, Layout::RowMajor),
+            (Store::RowMajor, Store::RowMajor),
+            (Store::RowMajor, Store::Transposed),
+            (Store::Transposed, Store::RowMajor),
         ] {
             // Exercise exact-multiple and every remainder class of MR/NR/KC.
             check(MR * 3, NR * 2, KC, la, lb);
@@ -359,19 +357,10 @@ mod tests {
 
     #[test]
     fn gemm_accumulates_into_out() {
-        let a = vec![1.0f32; 4];
-        let b = vec![1.0f32; 4];
+        let ones = vec![1.0f32; 4];
         let mut out = vec![10.0f32; 4];
-        gemm(
-            2,
-            2,
-            2,
-            &a,
-            Layout::RowMajor,
-            &b,
-            Layout::RowMajor,
-            &mut out,
-        );
+        let a = Operand::row_major(&ones, 2, 2);
+        gemm(a, a, &mut out);
         assert_eq!(out, vec![12.0; 4]);
     }
 
@@ -379,60 +368,51 @@ mod tests {
     fn empty_dims_are_noops() {
         let mut out = vec![0.0f32; 0];
         gemm(
-            0,
-            0,
-            0,
-            &[],
-            Layout::RowMajor,
-            &[],
-            Layout::RowMajor,
+            Operand::row_major(&[], 0, 0),
+            Operand::row_major(&[], 0, 0),
             &mut out,
         );
         let mut out = vec![7.0f32; 6];
-        gemm(
-            2,
-            3,
-            0,
-            &[],
-            Layout::RowMajor,
-            &[],
-            Layout::RowMajor,
-            &mut out,
-        );
+        let (a, b) = (Operand::row_major(&[], 2, 0), Operand::row_major(&[], 0, 3));
+        gemm(a, b, &mut out);
         assert_eq!(out, vec![7.0; 6], "k=0 leaves out untouched");
     }
 
     #[test]
-    fn strided_views_match_layout_wrapper_bitwise() {
-        // A sliced, transposed view must produce exactly the bytes the
-        // Layout-based entry produces for the equivalent dense operands.
+    #[should_panic(expected = "operand 3x4 over 10")]
+    fn operand_checks_its_buffer_length() {
+        let _ = Operand::transposed(&[0.0; 10], 3, 4);
+    }
+
+    /// Row-major copy of `src (rows × cols)` transposed to `cols × rows`.
+    fn materialise_transpose(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+        (0..cols * rows)
+            .map(|i| src[(i % rows) * cols + i / rows])
+            .collect()
+    }
+
+    #[test]
+    fn transposed_operands_match_materialised_transpose_bitwise() {
+        // Each transposed pack branch must produce exactly the bytes its
+        // row-major counterpart produces for the materialised transpose.
         let (m, n, k) = (70, 40, KC + 9);
         let mut rng = crate::rng::SplitMix64::new(99);
-        let big: Vec<f32> = (0..(m + 3) * (k + 5)).map(|_| rng.normal()).collect();
-        let a = MatRef::from_row_major(&big, m + 3, k + 5)
-            .slice_rows(2, 2 + m)
-            .slice_cols(5, 5 + k);
-        let b: Vec<f32> = (0..n * k).map(|_| rng.normal()).collect();
-        let bv = MatRef::from_row_major(&b, n, k).t();
-
-        let mut out_view = vec![0.0f32; m * n];
-        gemm_views(a, bv, &mut out_view);
-
-        let a_dense: Vec<f32> = (0..m)
-            .flat_map(|r| (0..k).map(move |c| (r, c)))
-            .map(|(r, c)| a.get(r, c))
-            .collect();
-        let mut out_ref = vec![0.0f32; m * n];
-        gemm(
-            m,
-            n,
-            k,
-            &a_dense,
-            Layout::RowMajor,
-            &b,
-            Layout::Transposed,
-            &mut out_ref,
+        let a: Vec<f32> = (0..m * k).map(|_| rng.normal()).collect();
+        let b: Vec<f32> = (0..k * n).map(|_| rng.normal()).collect();
+        let (a_t, b_t) = (
+            materialise_transpose(&a, m, k),
+            materialise_transpose(&b, k, n),
         );
-        assert_eq!(out_view, out_ref);
+        let (a_rm, b_rm) = (Operand::row_major(&a, m, k), Operand::row_major(&b, k, n));
+        let mut want = vec![0.0f32; m * n];
+        gemm(a_rm, b_rm, &mut want);
+
+        let mut got_ta = vec![0.0f32; m * n];
+        gemm(Operand::transposed(&a_t, k, m), b_rm, &mut got_ta);
+        assert_eq!(got_ta, want, "transposed A");
+
+        let mut got_tb = vec![0.0f32; m * n];
+        gemm(a_rm, Operand::transposed(&b_t, n, k), &mut got_tb);
+        assert_eq!(got_tb, want, "transposed B");
     }
 }

@@ -14,8 +14,9 @@
 //!   recycle through a workspace pool ([`pool`]) so steady-state training
 //!   epochs allocate nothing fresh on the hot path.
 //! - **Cache-blocked GEMM** ([`gemm`]): one register-blocked, panel-packed
-//!   kernel behind `matmul`/`matmul_nt`/`matmul_tn`, with transposition
-//!   absorbed into the packing gathers.
+//!   kernel behind `matmul`/`matmul_nt`/`matmul_tn`. Its operands are
+//!   tensor buffers read as stored or as their transpose, and the packing
+//!   gathers absorb the transpose; the crate exports no view type.
 //! - **Define-by-run autograd** ([`tape::Tape`]): each training step records
 //!   operations on a fresh tape and calls [`tape::Tape::backward`]. Tape
 //!   construction is single-threaded, mirroring one CUDA stream per
@@ -48,14 +49,12 @@ pub mod shape;
 pub mod storage;
 pub mod tape;
 pub mod tensor;
-pub mod view;
 
 pub use memory::{MemoryScope, DEVICE_MEMORY};
 pub use rng::SplitMix64;
 pub use shape::Shape;
 pub use tape::{Grads, Tape, Var};
 pub use tensor::Tensor;
-pub use view::{MatMut, MatRef};
 
 /// Crate-wide numeric tolerance used by tests and debug assertions.
 pub const EPS: f32 = 1e-6;

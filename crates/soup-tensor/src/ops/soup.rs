@@ -11,15 +11,16 @@
 use crate::parallel::PAR_THRESHOLD;
 use crate::tape::{Tape, Var};
 use crate::tensor::Tensor;
-use crate::view::{MatMut, MatRef};
 
 /// Per-element fused R-way combine: `dst[j] = Σ_i coeffs[i] · srcs[i][j]`.
 ///
 /// One pass over `dst` with every source resident, instead of R axpy
 /// sweeps — the accumulation order over `i` matches the axpy chain
 /// (`0 + c₀x₀ + c₁x₁ + …`), so the baseline-ISA compilation is bit-identical
-/// to chained `axpy` while the AVX2+FMA compilation fuses each step into a
-/// multiply-add.
+/// to chained `axpy`. The AVX2+FMA compilation vectorises the same steps
+/// and still emits a separate multiply and add per step: Rust never
+/// contracts `a * b + c` into a fused multiply-add (real FMAs are a
+/// declared numeric break, see ROADMAP.md, "GEMM at its roofline").
 #[inline(always)]
 fn blend_body(dst: &mut [f32], coeffs: &[f32], srcs: &[&[f32]]) {
     match srcs {
@@ -105,40 +106,6 @@ pub fn blend_slices(dst: &mut [f32], coeffs: &[f32], srcs: &[&[f32]]) {
     soup_obs::counter!("tensor.soup.blends_fused").inc();
 }
 
-/// View-fed fused blend `dst = Σ_i coeffs[i] · srcs[i]`.
-///
-/// Aliasing: `dst` is a unique borrow ([`MatMut`]) and the sources are
-/// shared borrows — the borrow checker guarantees `dst` overlaps no
-/// source, which is the precondition `blend_range`'s read-then-write
-/// pattern needs. Dense row-major geometry (the steady state: every
-/// `ParamSet` tensor) runs the fused SIMD kernel; strided views fall back
-/// to a per-element gather with the same left-to-right accumulation
-/// order, so the result is bitwise-identical either way.
-pub fn blend_views(dst: &mut MatMut<'_>, coeffs: &[f32], srcs: &[MatRef<'_>]) {
-    assert!(!srcs.is_empty(), "blend needs at least one source");
-    assert_eq!(coeffs.len(), srcs.len(), "coefficient/source count");
-    for (i, s) in srcs.iter().enumerate() {
-        assert_eq!(s.rows(), dst.rows(), "source {i} row mismatch");
-        assert_eq!(s.cols(), dst.cols(), "source {i} col mismatch");
-    }
-    let contiguous: Option<Vec<&[f32]>> = srcs.iter().map(|s| s.as_slice()).collect();
-    match (dst.as_slice_mut(), contiguous) {
-        (Some(d), Some(flat)) => blend_slices(d, coeffs, &flat),
-        _ => {
-            for r in 0..dst.rows() {
-                for c in 0..dst.cols() {
-                    let mut acc = coeffs[0] * srcs[0].get(r, c);
-                    for (&a, s) in coeffs[1..].iter().zip(&srcs[1..]) {
-                        acc += a * s.get(r, c);
-                    }
-                    dst.set(r, c, acc);
-                }
-            }
-            soup_obs::counter!("tensor.soup.blends_fused").inc();
-        }
-    }
-}
-
 /// Pool-backed fused blend `Σ_i coeffs[i] · parts[i]` into a fresh tensor.
 pub fn blend(coeffs: &[f32], parts: &[&Tensor]) -> Tensor {
     assert!(!parts.is_empty(), "blend needs at least one ingredient");
@@ -152,9 +119,8 @@ pub fn blend(coeffs: &[f32], parts: &[&Tensor]) -> Tensor {
         );
     }
     let mut out = crate::pool::take_scratch(shape.rows * shape.cols);
-    let mut dst = MatMut::from_row_major(&mut out, shape.rows, shape.cols);
-    let srcs: Vec<MatRef<'_>> = parts.iter().map(|p| p.view()).collect();
-    blend_views(&mut dst, coeffs, &srcs);
+    let srcs: Vec<&[f32]> = parts.iter().map(|p| p.data()).collect();
+    blend_slices(&mut out, coeffs, &srcs);
     Tensor::from_vec(shape.rows, shape.cols, out)
 }
 
@@ -175,11 +141,8 @@ pub fn blend_into(dst: &mut Tensor, coeffs: &[f32], parts: &[&Tensor]) {
     }
     // `make_mut` copies-on-write when shared, so after this the destination
     // buffer cannot alias any source buffer.
-    let (rows, cols) = (dst.rows(), dst.cols());
-    let out = dst.make_mut();
-    let mut dview = MatMut::from_row_major(out, rows, cols);
-    let srcs: Vec<MatRef<'_>> = parts.iter().map(|p| p.view()).collect();
-    blend_views(&mut dview, coeffs, &srcs);
+    let srcs: Vec<&[f32]> = parts.iter().map(|p| p.data()).collect();
+    blend_slices(dst.make_mut(), coeffs, &srcs);
 }
 
 impl Tape {
@@ -233,25 +196,6 @@ mod tests {
     use super::*;
     use crate::rng::SplitMix64;
     use crate::tape::gradcheck;
-
-    #[test]
-    fn blend_views_strided_matches_contiguous() {
-        let mut rng = SplitMix64::new(9);
-        let a = Tensor::randn(8, 6, 1.0, &mut rng);
-        let b = Tensor::randn(8, 6, 1.0, &mut rng);
-        let coeffs = [0.75, 0.25];
-
-        // Contiguous reference: blend the transposed-owned tensors.
-        let at = a.transpose();
-        let bt = b.transpose();
-        let expected = blend(&coeffs, &[&at, &bt]);
-
-        // Strided path: blend through O(1) transposed views.
-        let mut out = vec![0.0f32; 6 * 8];
-        let mut dst = MatMut::from_row_major(&mut out, 6, 8);
-        blend_views(&mut dst, &coeffs, &[a.t(), b.t()]);
-        assert_eq!(out.as_slice(), expected.data());
-    }
 
     #[test]
     fn forward_is_linear_combination() {

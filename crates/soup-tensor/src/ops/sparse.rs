@@ -381,9 +381,12 @@ fn spmm_rows_generic(csr: &Csr, r0: usize, r1: usize, c: usize, xs: &[f32], out:
     spmm_rows_body(csr, r0, r1, c, xs, out);
 }
 
-/// [`spmm_rows_body`] compiled with AVX2 + FMA codegen (runtime-selected
+/// [`spmm_rows_body`] compiled with AVX2 + FMA enabled (runtime-selected
 /// via [`crate::parallel::cpu_has_avx2_fma`]): the 8-wide edge combine
-/// becomes fused multiply-adds over 8-lane vectors.
+/// runs on 8-lane vectors, still as a separate multiply and add per edge,
+/// because Rust never contracts `a * b + c` into a fused multiply-add
+/// (real FMAs are a declared numeric break, see ROADMAP.md, "GEMM at its
+/// roofline").
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 fn spmm_rows_avx2(csr: &Csr, r0: usize, r1: usize, c: usize, xs: &[f32], out: &mut [f32]) {

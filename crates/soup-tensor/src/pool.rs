@@ -121,31 +121,6 @@ pub fn take_copy(src: &[f32]) -> Vec<f32> {
     }
 }
 
-/// Take a buffer initialised as a row-major copy of a strided view
-/// ([`crate::view::MatRef`]) — the pooled materialisation behind
-/// `MatRef::to_tensor`. A contiguous view degenerates to [`take_copy`];
-/// strided geometry gathers row by row into the recycled buffer, so even
-/// transposed/sliced views materialise without a fresh allocation at
-/// steady state.
-pub fn take_copy_strided(src: &crate::view::MatRef<'_>) -> Vec<f32> {
-    if let Some(s) = src.as_slice() {
-        return take_copy(s);
-    }
-    let (rows, cols) = (src.rows(), src.cols());
-    let mut out = take_scratch(rows * cols);
-    for (r, dst) in out.chunks_exact_mut(cols.max(1)).enumerate().take(rows) {
-        match src.row(r) {
-            Some(srow) => dst.copy_from_slice(srow),
-            None => {
-                for (c, d) in dst.iter_mut().enumerate() {
-                    *d = src.get(r, c);
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Return a buffer to the pool. It is kept only if its capacity's bucket
 /// holds fewer idle buffers than it minted; otherwise (a tiny buffer, a
 /// foreign or odd-capacity vector, a surplus return) it goes back to the

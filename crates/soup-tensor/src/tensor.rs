@@ -12,13 +12,12 @@
 //! a set of thin drivers over the shared cache-blocked kernel in
 //! [`crate::gemm`]; output buffers are recycled through [`crate::pool`].
 
-use crate::gemm;
+use crate::gemm::{self, Operand};
 use crate::parallel::{self, PAR_THRESHOLD};
 use crate::pool;
 use crate::rng::SplitMix64;
 use crate::shape::Shape;
 use crate::storage::Buf;
-use crate::view::{MatMut, MatRef};
 use serde::de::Error as _;
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use std::fmt;
@@ -27,7 +26,7 @@ use std::sync::Arc;
 /// One bump per GEMM-family call (`matmul`/`matmul_nt`/`matmul_tn`), with
 /// dims given as (output rows, inner, output cols).
 #[inline]
-pub(crate) fn record_matmul_metrics(m: usize, k: usize, n: usize) {
+fn record_matmul_metrics(m: usize, k: usize, n: usize) {
     soup_obs::counter!("tensor.matmul.calls").inc();
     soup_obs::counter!("tensor.matmul.flops").add(2 * (m * k * n) as u64);
     soup_obs::counter!("tensor.matmul.bytes")
@@ -295,7 +294,7 @@ impl Tensor {
             return self.matmul_naive(other);
         }
         let mut out = pool::take_zeroed(m * n);
-        gemm::gemm_views(self.view(), other.view(), &mut out);
+        gemm::gemm(self.operand(), other.operand(), &mut out);
         Self::from_vec(m, n, out)
     }
 
@@ -318,7 +317,8 @@ impl Tensor {
             return self.matmul_nt_naive(other);
         }
         let mut out = pool::take_zeroed(m * n);
-        gemm::gemm_views(self.view(), other.view().t(), &mut out);
+        let bt = Operand::transposed(other.data(), n, k);
+        gemm::gemm(self.operand(), bt, &mut out);
         Self::from_vec(m, n, out)
     }
 
@@ -341,7 +341,8 @@ impl Tensor {
             return self.matmul_tn_naive(other);
         }
         let mut out = pool::take_zeroed(k * n);
-        gemm::gemm_views(self.view().t(), other.view(), &mut out);
+        let at = Operand::transposed(self.data(), m, k);
+        gemm::gemm(at, other.operand(), &mut out);
         Self::from_vec(k, n, out)
     }
 
@@ -415,43 +416,14 @@ impl Tensor {
         Self::from_vec(k, n, out)
     }
 
-    // ------------------------------------------------------------- views
-
-    /// Borrow this tensor as a strided view — the zero-copy entry point
-    /// for transpose/slice chains and the view-fed GEMM
-    /// ([`crate::view::MatRef::matmul`]).
-    pub fn view(&self) -> MatRef<'_> {
-        MatRef::from_row_major(self.data(), self.rows(), self.cols())
+    /// This tensor as a row-major GEMM operand.
+    fn operand(&self) -> Operand<'_> {
+        Operand::row_major(self.data(), self.rows(), self.cols())
     }
 
-    /// Alias for [`Self::view`], matching faer's `as_ref` idiom.
-    pub fn as_ref(&self) -> MatRef<'_> {
-        self.view()
-    }
-
-    /// O(1) transposed view of this tensor — the zero-copy replacement
-    /// for [`Self::transpose`] wherever the consumer accepts a view.
-    pub fn t(&self) -> MatRef<'_> {
-        self.view().t()
-    }
-
-    /// O(1) view of rows `[start, end)` — the zero-copy replacement for
-    /// contiguous-range [`Self::gather_rows`] calls.
-    pub fn slice_rows(&self, start: usize, end: usize) -> MatRef<'_> {
-        self.view().slice_rows(start, end)
-    }
-
-    /// Mutable strided view. Goes through copy-on-write
-    /// ([`Self::make_mut`]), so a shared buffer is copied once up front
-    /// and writes then land in place.
-    pub fn view_mut(&mut self) -> MatMut<'_> {
-        let (rows, cols) = (self.rows(), self.cols());
-        MatMut::from_row_major(self.make_mut(), rows, cols)
-    }
-
-    /// Transpose (materialised). Hot paths should prefer the O(1)
-    /// [`Self::t`] view; this remains for callers that need an owned
-    /// result.
+    /// Transpose (materialised). The GEMM drivers never call it:
+    /// [`Self::matmul_nt`] and [`Self::matmul_tn`] read the transpose
+    /// through the packing gather instead.
     pub fn transpose(&self) -> Self {
         let (m, n) = (self.rows(), self.cols());
         let src = self.data();

@@ -9,7 +9,7 @@
 //! cannot cancel out.
 
 use proptest::prelude::*;
-use soup_tensor::gemm::{KC, MR, NR};
+use soup_tensor::gemm::{KC, MR, NR, SMALL_GEMM_MACS};
 use soup_tensor::ops::sparse::SparseMat;
 use soup_tensor::{SplitMix64, Tensor};
 
@@ -70,6 +70,22 @@ fn check_matmuls(m: usize, n: usize, k: usize, seed: u64) {
     }
     let tat = Tensor::from_vec(k, m, at);
     assert_close(tat.matmul_tn(&tb).data(), &want, "matmul_tn");
+
+    // On the blocked path the transposed operands are absorbed by the
+    // packers, which must produce the panel bytes of the materialised
+    // transpose: nt and tn equal `transpose()` then `matmul`, bitwise.
+    if m * n * k >= SMALL_GEMM_MACS {
+        assert_eq!(
+            ta.matmul_nt(&tbt),
+            ta.matmul(&tbt.transpose()),
+            "matmul_nt bits"
+        );
+        assert_eq!(
+            tat.matmul_tn(&tb),
+            tat.transpose().matmul(&tb),
+            "matmul_tn bits"
+        );
+    }
 }
 
 /// Per-edge saxpy SpMM reference, independent of chunk plans and the
@@ -152,12 +168,13 @@ proptest! {
 
     /// Random shapes spanning the tile-remainder classes: each dimension
     /// independently lands on/off MR/NR/KC multiples and crosses the
-    /// small-product naive cutoff.
+    /// small-product naive cutoff. `k` reaches past one KC slab, where the
+    /// blocked and naive kernels stop summing in the same order.
     #[test]
     fn matmul_matches_reference_on_random_shapes(
         m in 1usize..70,
         n in 1usize..70,
-        k in 1usize..120,
+        k in 1usize..2 * KC,
         seed in 0u64..1_000_000,
     ) {
         check_matmuls(m, n, k, seed);

@@ -3,13 +3,12 @@
 //! Shows the dynamic task queue spreading N ingredients over W workers
 //! (§III-A), validates the measured makespan against the Eq. (1)/(2)
 //! schedule model, demonstrates fault-injected retries producing
-//! bit-identical ingredients, and performs the reduce-style gather onto
-//! the souping device before mixing.
+//! bit-identical ingredients, and soups the pool on one device.
 //!
 //! Run: `cargo run --release --example distributed_souping`
 
 use enhanced_soups::distrib::{
-    gather_ingredients, predicted_total_time, simulate_schedule, train_ingredients_detailed,
+    predicted_total_time, simulate_schedule, train_ingredients_detailed,
 };
 use enhanced_soups::prelude::*;
 use enhanced_soups::soup::LearnedHyper;
@@ -75,24 +74,12 @@ fn main() {
         faulty.failed.len()
     );
 
-    // Reduce-style gather: pretend each worker holds its own ingredients.
-    let mut per_worker: Vec<Vec<_>> = vec![Vec::new(); workers];
-    for (i, ing) in run.ingredients.into_iter().enumerate() {
-        per_worker[i % workers].push(ing);
-    }
-    let (ingredients, gather) = gather_ingredients(per_worker);
-    println!(
-        "\ngather: {} ingredients, {} transferred to the souping device",
-        gather.num_ingredients,
-        enhanced_soups::tensor::memory::format_bytes(gather.bytes_transferred)
-    );
-
-    // Phase 2: soup.
+    // Phase 2: soup the id-ordered ingredients on one device.
     let outcome = LearnedSouping::new(LearnedHyper {
         epochs: 30,
         ..Default::default()
     })
-    .soup(&ingredients, &dataset, &cfg, 9);
+    .soup(&run.ingredients, &dataset, &cfg, 9);
     println!(
         "\nPhase 2 (LS): val acc {:.2}% in {:.3}s",
         outcome.val_accuracy * 100.0,
