@@ -5,8 +5,8 @@
 //! Besides the two Criterion groups, direct A/B timing loops print the
 //! measured relative overhead so `cargo bench --bench obs_overhead` leaves
 //! one-line verdicts in the log: counters alone, and the full soup-obs v2
-//! surface (100 ms metrics sampler + per-span CPU/alloc attribution)
-//! versus everything disabled. Both are expected to stay within 2% — see
+//! surface (trace sink with the 100 ms metrics sampler writing into it +
+//! per-span CPU/alloc attribution) versus everything disabled. Both are expected to stay within 2% — see
 //! `benches/README.md`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -73,8 +73,14 @@ fn bench_spmm_instrumentation(c: &mut Criterion) {
     );
 }
 
-/// The acceptance guard for the full v2 observability surface: sampler at
-/// the default 100 ms tick, span attribution on, pool probes installed —
+/// Open a trace sink at `path` with the sampler at the default 100 ms tick.
+fn start_traced(path: &std::path::Path) {
+    soup_obs::trace::init(path).expect("temp trace file");
+    soup_obs::series::start(Duration::from_millis(100)).expect("sampler starts");
+}
+
+/// The acceptance guard for the full v2 observability surface: a trace sink
+/// with the sampler at the default 100 ms tick, span attribution on —
 /// versus everything off. The workload wraps each batch in a span so the
 /// attribution path (thread-CPU clock reads + alloc delta bookkeeping at
 /// span drop) is actually exercised, matching what `soupctl train` pays.
@@ -89,13 +95,11 @@ fn bench_full_observability_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("full_obs");
     soup_obs::attrib::set_enabled(true);
     group.bench_function("sampler_and_attribution", |b| {
-        let dir = std::env::temp_dir().join("obs_overhead_criterion.metrics.jsonl");
-        let sampler = soup_obs::series::start(&dir, Duration::from_millis(100)).ok();
+        let path = std::env::temp_dir().join("obs_overhead_criterion.trace.jsonl");
+        start_traced(&path);
         b.iter(|| workload("bench.full_obs"));
-        if let Some(s) = sampler {
-            s.stop();
-        }
-        std::fs::remove_file(&dir).ok();
+        soup_obs::trace::finish();
+        std::fs::remove_file(&path).ok();
     });
     soup_obs::set_enabled(false);
     soup_obs::attrib::set_enabled(false);
@@ -111,19 +115,17 @@ fn bench_full_observability_overhead(c: &mut Criterion) {
     let rounds = 10usize;
     let mut on_ns = 0u128;
     let mut off_ns = 0u128;
-    let series_path = std::env::temp_dir().join("obs_overhead_ab.metrics.jsonl");
+    let trace_path = std::env::temp_dir().join("obs_overhead_ab.trace.jsonl");
     for _ in 0..rounds {
         soup_obs::set_enabled(true);
         soup_obs::attrib::set_enabled(true);
-        let sampler = soup_obs::series::start(&series_path, Duration::from_millis(100)).ok();
+        start_traced(&trace_path);
         let t = Instant::now();
         for _ in 0..batch {
             workload("bench.full_obs.ab");
         }
         on_ns += t.elapsed().as_nanos();
-        if let Some(s) = sampler {
-            s.stop();
-        }
+        soup_obs::trace::finish();
         soup_obs::set_enabled(false);
         soup_obs::attrib::set_enabled(false);
         let t = Instant::now();
@@ -132,13 +134,13 @@ fn bench_full_observability_overhead(c: &mut Criterion) {
         }
         off_ns += t.elapsed().as_nanos();
     }
-    std::fs::remove_file(&series_path).ok();
+    std::fs::remove_file(&trace_path).ok();
     soup_obs::set_enabled(true);
     soup_obs::attrib::set_enabled(true);
     let overhead = on_ns as f64 / off_ns.max(1) as f64 - 1.0;
     let verdict = if overhead < 0.02 { "PASS" } else { "FAIL" };
     println!(
-        "full observability overhead (sampler@100ms + attribution vs disabled): \
+        "full observability overhead (trace + sampler@100ms + attribution vs disabled): \
          {:+.3}% [{verdict}: bound 2%] \
          (on {:.3} ms/iter, off {:.3} ms/iter)",
         overhead * 100.0,

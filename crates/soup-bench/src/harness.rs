@@ -93,13 +93,12 @@ impl ExperimentPreset {
 
     /// Parse from the CLI, defaulting to `standard`. The first positional
     /// argument selects the preset; `--trace-out FILE` opens a JSONL trace
-    /// sink, `--metrics-out FILE` starts the background `soup-metrics/1`
-    /// sampler (tick length via `--metrics-interval-ms`, default 100) and
-    /// `--metrics-summary` prints the span/counter report in
-    /// [`finish_observability`].
+    /// sink with the metrics sampler writing into it (tick length via
+    /// `--metrics-interval-ms`, default 100) and `--metrics-summary` prints
+    /// the span/counter report in [`finish_observability`].
     pub fn from_args() -> Self {
         let mut preset = None;
-        let mut metrics_out: Option<String> = None;
+        let mut trace_out: Option<String> = None;
         let mut metrics_interval_ms: u64 = 100;
         let mut args = std::env::args().skip(1);
         while let Some(arg) = args.next() {
@@ -112,17 +111,7 @@ impl ExperimentPreset {
                         eprintln!("--trace-out needs a file argument");
                         std::process::exit(2);
                     };
-                    if let Err(e) = soup_obs::trace::init(&path) {
-                        eprintln!("cannot open trace file {path}: {e}");
-                        std::process::exit(2);
-                    }
-                }
-                "--metrics-out" => {
-                    let Some(path) = args.next() else {
-                        eprintln!("--metrics-out needs a file argument");
-                        std::process::exit(2);
-                    };
-                    metrics_out = Some(path);
+                    trace_out = Some(path);
                 }
                 "--metrics-interval-ms" => {
                     let parsed = args.next().and_then(|v| v.parse().ok());
@@ -139,25 +128,22 @@ impl ExperimentPreset {
                     eprintln!(
                         "unknown argument '{other}', expected \
                          [quick|standard|full] [--trace-out FILE] \
-                         [--metrics-out FILE] [--metrics-interval-ms N] \
-                         [--metrics-summary]"
+                         [--metrics-interval-ms N] [--metrics-summary]"
                     );
                     std::process::exit(2);
                 }
             }
         }
-        if let Some(path) = metrics_out {
+        if let Some(path) = trace_out {
             // Pool/memory gauges ride the sampler through the probe hook.
             soup_tensor::memory::install_obs_probe();
-            match soup_obs::series::start(
-                &path,
-                std::time::Duration::from_millis(metrics_interval_ms),
-            ) {
-                Ok(handle) => *SAMPLER.lock().unwrap() = Some(handle),
-                Err(e) => {
-                    eprintln!("cannot open metrics file {path}: {e}");
-                    std::process::exit(2);
-                }
+            let interval = std::time::Duration::from_millis(metrics_interval_ms);
+            let traced = soup_obs::trace::init(&path)
+                .map_err(|e| soup_error::SoupError::io_at(&path, e))
+                .and_then(|()| soup_obs::series::start(interval));
+            if let Err(e) = traced {
+                eprintln!("{e}");
+                std::process::exit(2);
             }
         }
         preset.unwrap_or_else(Self::standard)
@@ -165,25 +151,15 @@ impl ExperimentPreset {
 }
 
 static METRICS_SUMMARY: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-/// The `--metrics-out` sampler, parked here between
-/// [`ExperimentPreset::from_args`] and [`finish_observability`].
-static SAMPLER: std::sync::Mutex<Option<soup_obs::series::SamplerHandle>> =
-    std::sync::Mutex::new(None);
 
 /// Finalize the observability options of [`ExperimentPreset::from_args`]:
-/// stop the `--metrics-out` sampler (flushing the final sample and
-/// footer), close the `--trace-out` sink (appending the final metrics
-/// record) and print the `--metrics-summary` report. Binaries call this
-/// last.
+/// close the `--trace-out` sink (after the sampler's final sample, append
+/// the final metrics record) and print the `--metrics-summary` report.
+/// Binaries call this last.
 pub fn finish_observability() {
     // Final pool release: after this, `DEVICE_MEMORY` pooled accounting
     // balances back to zero and only genuinely live tensors remain counted.
     soup_tensor::pool::trim();
-    if let Some(handle) = SAMPLER.lock().unwrap().take() {
-        if let Some(path) = handle.stop() {
-            soup_obs::info!("wrote metrics series {}", path.display());
-        }
-    }
     if let Some(path) = soup_obs::trace::finish() {
         soup_obs::info!("wrote trace {}", path.display());
     }

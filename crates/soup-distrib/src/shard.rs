@@ -221,7 +221,7 @@ pub struct ShardQuality {
 
 impl ShardQuality {
     /// Publish as gauges (`partition.edge_cut`, `partition.halo_fraction`,
-    /// `partition.balance`) so metric series and `soupctl obs` see them.
+    /// `partition.balance`) so trace samples and `soupctl obs` see them.
     pub fn export_gauges(&self) {
         soup_obs::gauge!("partition.edge_cut").set(self.edge_cut as f64);
         soup_obs::gauge!("partition.halo_fraction").set(self.halo_fraction);

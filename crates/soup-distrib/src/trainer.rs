@@ -410,7 +410,7 @@ pub fn train_ingredients_opts(
                 // Live heartbeat for the metrics sampler: when this worker
                 // last made progress, and which ingredient it holds (-1
                 // when idle). A stuck worker shows up as a frozen
-                // heartbeat_s in the `soup-metrics/1` series.
+                // heartbeat_s in the trace's `sample` records.
                 let heartbeat =
                     soup_obs::registry::gauge(&format!("distrib.worker.{worker_id}.heartbeat_s"));
                 let current_task =

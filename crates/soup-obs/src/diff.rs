@@ -28,15 +28,16 @@ pub struct SpanAgg {
     pub alloc_b: u64,
 }
 
-/// Aggregate a trace's span records by path.
+/// Aggregate a trace's span records by path. Sums saturate: the numbers
+/// come from a user-supplied file.
 pub fn span_totals(path: impl AsRef<Path>) -> Result<BTreeMap<String, SpanAgg>> {
     let mut totals: BTreeMap<String, SpanAgg> = BTreeMap::new();
     for span in crate::trace::read_spans(path)? {
         let agg = totals.entry(span.path).or_default();
-        agg.calls += 1;
-        agg.total_us += span.dur_us;
-        agg.cpu_us += span.cpu_us.unwrap_or(0);
-        agg.alloc_b += span.alloc_b.unwrap_or(0);
+        agg.calls = agg.calls.saturating_add(1);
+        agg.total_us = agg.total_us.saturating_add(span.dur_us);
+        agg.cpu_us = agg.cpu_us.saturating_add(span.cpu_us.unwrap_or(0));
+        agg.alloc_b = agg.alloc_b.saturating_add(span.alloc_b.unwrap_or(0));
     }
     Ok(totals)
 }

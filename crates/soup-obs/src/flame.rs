@@ -38,9 +38,11 @@ pub fn fold_trace(path: impl AsRef<Path>) -> Result<Vec<FoldedStack>> {
         return Err(SoupError::parse("trace contains no span records"));
     }
     // Total wall time per distinct path, across all instances and threads.
+    // Sums saturate: durations come from a user-supplied file.
     let mut totals: BTreeMap<String, u64> = BTreeMap::new();
     for span in &spans {
-        *totals.entry(span.path.clone()).or_insert(0) += span.dur_us;
+        let total = totals.entry(span.path.clone()).or_insert(0);
+        *total = total.saturating_add(span.dur_us);
     }
     // Self = total − direct children's totals. Saturating: truncation can
     // make children sum to slightly more than the parent.
@@ -50,8 +52,7 @@ pub fn fold_trace(path: impl AsRef<Path>) -> Result<Vec<FoldedStack>> {
         let children: u64 = totals
             .iter()
             .filter(|(p, _)| p.starts_with(&prefix) && !p[prefix.len()..].contains('/'))
-            .map(|(_, t)| *t)
-            .sum();
+            .fold(0u64, |sum, (_, t)| sum.saturating_add(*t));
         folded.push(FoldedStack {
             stack: path.replace('/', ";"),
             self_us: total.saturating_sub(children),
@@ -115,7 +116,7 @@ pub fn validate_folded(content: &str) -> Result<FoldedStats> {
             )));
         }
         stats.stacks += 1;
-        stats.total_us += count;
+        stats.total_us = stats.total_us.saturating_add(count);
     }
     if stats.stacks == 0 {
         return Err(SoupError::parse("folded-stack file is empty"));

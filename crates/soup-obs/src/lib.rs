@@ -11,7 +11,8 @@
 //!    Dropping a [`Span`] records its wall time into a per-path histogram and,
 //!    if tracing is active, appends a structured event to the trace file.
 //! 3. **Trace sink + reporter** ([`trace`], [`report`]) — one JSONL file per
-//!    run (schema `soup-trace/1`, one JSON object per line), and a
+//!    run (schema `soup-trace/1`, one JSON object per line), into which the
+//!    [`series`] sampler writes periodic registry `sample` records, and a
 //!    human-readable end-of-run summary table: span tree with call counts,
 //!    total/mean wall time and p50/p95/p99 latencies, plus all counters,
 //!    gauges, and histograms.

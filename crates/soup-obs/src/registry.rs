@@ -548,7 +548,7 @@ pub fn snapshot_value() -> Value {
 }
 
 /// Rebuild a [`MetricsSnapshot`] from its JSON form (a trace `metrics`
-/// record or a `soup-metrics/1` sample). Unknown keys are ignored; the
+/// record or a `sample` record). Unknown keys are ignored; the
 /// `span_cpu`/`span_alloc` sections are optional for `soup-trace/1`
 /// compatibility with traces written before attribution existed.
 pub fn snapshot_from_value(value: &Value) -> Option<MetricsSnapshot> {

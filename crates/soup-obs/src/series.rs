@@ -1,50 +1,37 @@
-//! Live time-series telemetry — the `soup-metrics/1` JSONL sampler.
+//! Live telemetry — periodic registry samples written into the trace.
 //!
 //! [`start`] spawns a background thread that snapshots the registry every
-//! `interval` and appends one JSON object per tick, so a long training or
-//! souping run can be watched live (`soupctl obs tail`) instead of only
-//! summarized at exit. The stream is schema-versioned and validated by
-//! [`validate_file`], mirroring the `soup-trace/1` discipline.
+//! `interval` and appends one `sample` record per tick to the open
+//! `soup-trace/1` sink, so a long training or souping run can be watched
+//! live (`soupctl obs tail`) instead of only summarized at exit. One run
+//! yields one file: the samples share the trace's header, clock and
+//! validator ([`crate::trace::validate_file`]), and [`crate::trace::finish`]
+//! stops the sampler — after one final sample — before it appends the
+//! closing `metrics` record.
 //!
-//! # Schema (`soup-metrics/1`)
+//! A `sample` record carries `seq` (counting up from 0), `ts_us`, `tid`,
+//! `rss_bytes` (from `/proc/self/status`, 0 where absent), `counters`,
+//! `gauges`, `histograms` and `spans`. Each entry in `counters` is
+//! `{"total": u64, "delta": u64}` — the running value and the change since
+//! the previous tick (`total` of the first sample doubles as its delta),
+//! so rates fall out without post-processing. `gauges` are instantaneous
+//! values; `histograms` and `spans` are full summary digests per tick.
 //!
-//! | `type`   | required fields                                                |
-//! |----------|----------------------------------------------------------------|
-//! | `header` | `schema` (= `"soup-metrics/1"`), `pid`, `unix_time_s`, `interval_ms` |
-//! | `sample` | `seq`, `ts_us`, `rss_bytes`, `counters`, `gauges`, `histograms`, `spans` |
-//! | `footer` | `samples`                                                      |
-//!
-//! `seq` increments from 0; `ts_us` is microseconds since process start
-//! (same clock as `soup-trace/1`, so the two files line up). Each entry in
-//! `counters` is `{"total": u64, "delta": u64}` — the running value and the
-//! change since the previous tick (`total` of the first sample doubles as
-//! its delta), so rates fall out without post-processing. `gauges` are
-//! instantaneous values; `histograms` and `spans` are full summary digests
-//! per tick. `rss_bytes` is read from `/proc/self/status` (0 where absent).
-//! The footer is written on a clean [`SamplerHandle::stop`]; a crashed run
-//! simply lacks it, which [`validate_file`] reports via
-//! [`Series::complete`] rather than an error.
-//!
-//! External crates publish into the stream through [`register_probe`]: the
+//! External crates publish into the samples through [`register_probe`]: the
 //! sampler runs every probe immediately before each snapshot, so e.g.
 //! `soup-tensor` can refresh `tensor.mem.live_bytes`/`pooled`/`peak` gauges
 //! without `soup-obs` depending on it.
 
 use std::collections::BTreeMap;
-use std::fs::File;
-use std::io::{BufWriter, Write};
-use std::path::{Path, PathBuf};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::time::{Duration, SystemTime};
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 use parking_lot::Mutex;
 use serde::{Number, Value};
 use soup_error::{Result, SoupError};
 
 use crate::registry::HistogramSummary;
-
-/// Version tag written into (and required from) every series header.
-pub const SCHEMA: &str = "soup-metrics/1";
 
 type Probe = Box<dyn Fn() + Send>;
 
@@ -70,130 +57,75 @@ pub fn run_probes() {
     }
 }
 
-/// Resident set size of this process in bytes, from `/proc/self/status`
-/// (`None` on platforms without procfs).
-pub fn rss_bytes() -> Option<u64> {
+/// A `kB` field of `/proc/self/status` in bytes (`None` on platforms
+/// without procfs).
+fn status_kib(key: &str) -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmRSS:") {
-            let kb: u64 = rest.trim().trim_end_matches("kB").trim().parse().ok()?;
-            return Some(kb * 1024);
-        }
-    }
-    None
+    let line = status
+        .lines()
+        .find_map(|l| l.strip_prefix(key)?.strip_prefix(':'))?;
+    let kb: u64 = line.trim().trim_end_matches("kB").trim().parse().ok()?;
+    Some(kb * 1024)
+}
+
+/// Resident set size of this process in bytes (`VmRSS`).
+pub fn rss_bytes() -> Option<u64> {
+    status_kib("VmRSS")
 }
 
 /// Peak resident set size of this process in bytes (`VmHWM`, the RSS
-/// high-water mark) from `/proc/self/status` — the number `bench_shard`
-/// records per process to demonstrate the sharded ≈ R/K memory curve.
-/// `None` on platforms without procfs.
+/// high-water mark) — the number `bench_shard` records per process to
+/// demonstrate the sharded ≈ R/K memory curve. `None` on platforms without
+/// procfs.
 pub fn peak_rss_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            let kb: u64 = rest.trim().trim_end_matches("kB").trim().parse().ok()?;
-            return Some(kb * 1024);
-        }
+    status_kib("VmHWM")
+}
+
+/// The running sampler: its stop channel and thread.
+static SAMPLER: Mutex<Option<(mpsc::Sender<()>, JoinHandle<()>)>> = Mutex::new(None);
+
+/// Start a background sampler appending a `sample` record to the open
+/// trace sink every `interval` (clamped to ≥ 1ms). The sampler writes one
+/// final sample when it stops, so even runs shorter than one interval get
+/// one. Errors if no trace sink is open or a sampler is already running.
+pub fn start(interval: Duration) -> Result<()> {
+    if !crate::trace::active() {
+        return Err(SoupError::usage(
+            "the metrics sampler needs an open trace sink",
+        ));
     }
-    None
-}
-
-/// Handle to a running sampler thread. Dropping it stops the thread and
-/// finalizes the file; prefer [`SamplerHandle::stop`] to also learn the
-/// output path.
-pub struct SamplerHandle {
-    stop_tx: mpsc::Sender<()>,
-    join: Option<std::thread::JoinHandle<PathBuf>>,
-}
-
-impl SamplerHandle {
-    /// Signal the sampler, wait for the final sample + footer to be
-    /// written, and return the series path.
-    pub fn stop(mut self) -> Option<PathBuf> {
-        let _ = self.stop_tx.send(());
-        self.join.take().and_then(|j| j.join().ok())
+    let mut sampler = SAMPLER.lock();
+    if sampler.is_some() {
+        return Err(SoupError::usage("a metrics sampler is already running"));
     }
-}
-
-impl Drop for SamplerHandle {
-    fn drop(&mut self) {
-        let _ = self.stop_tx.send(());
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
-    }
-}
-
-/// Start a background sampler writing `soup-metrics/1` JSONL to `path`
-/// every `interval` (clamped to ≥ 1ms). The sampler emits one final sample
-/// on stop, so even runs shorter than one interval produce a usable series.
-pub fn start(path: impl AsRef<Path>, interval: Duration) -> std::io::Result<SamplerHandle> {
-    let path = path.as_ref().to_path_buf();
     let interval = interval.max(Duration::from_millis(1));
-    crate::trace::process_start();
-    let file = File::create(&path)?;
-    let mut writer = BufWriter::new(file);
-    let unix_time_s = SystemTime::now()
-        .duration_since(SystemTime::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let header = Value::Object(vec![
-        ("type".into(), Value::String("header".into())),
-        ("schema".into(), Value::String(SCHEMA.into())),
-        (
-            "pid".into(),
-            Value::Number(Number::PosInt(std::process::id() as u64)),
-        ),
-        (
-            "unix_time_s".into(),
-            Value::Number(Number::PosInt(unix_time_s)),
-        ),
-        (
-            "interval_ms".into(),
-            Value::Number(Number::PosInt(interval.as_millis() as u64)),
-        ),
-    ]);
-    writeln!(
-        writer,
-        "{}",
-        serde_json::to_string(&header).expect("header serializes")
-    )?;
     let (stop_tx, stop_rx) = mpsc::channel::<()>();
     let join = std::thread::Builder::new()
-        .name("soup-metrics-sampler".into())
+        .name("soup-obs-sampler".into())
         .spawn(move || {
             let mut prev_counters: BTreeMap<String, u64> = BTreeMap::new();
-            let mut seq = 0u64;
-            loop {
+            for seq in 0.. {
                 let stopping = !matches!(
                     stop_rx.recv_timeout(interval),
                     Err(RecvTimeoutError::Timeout)
                 );
-                let line = sample_value(seq, &mut prev_counters);
-                if let Ok(line) = serde_json::to_string(&line) {
-                    // Telemetry is best-effort; a full disk must not kill
-                    // the run being observed.
-                    let _ = writeln!(writer, "{line}");
-                }
-                seq += 1;
+                crate::trace::write_record(sample_value(seq, &mut prev_counters));
                 if stopping {
                     break;
                 }
             }
-            let footer = Value::Object(vec![
-                ("type".into(), Value::String("footer".into())),
-                ("samples".into(), Value::Number(Number::PosInt(seq))),
-            ]);
-            if let Ok(line) = serde_json::to_string(&footer) {
-                let _ = writeln!(writer, "{line}");
-            }
-            let _ = writer.flush();
-            path
         })?;
-    Ok(SamplerHandle {
-        stop_tx,
-        join: Some(join),
-    })
+    *sampler = Some((stop_tx, join));
+    Ok(())
+}
+
+/// Stop the running sampler, if any, once it has written its final sample.
+pub(crate) fn stop() {
+    let sampler = SAMPLER.lock().take();
+    if let Some((stop_tx, join)) = sampler {
+        let _ = stop_tx.send(());
+        let _ = join.join();
+    }
 }
 
 /// Build one `sample` record: run probes, snapshot the registry, compute
@@ -207,7 +139,7 @@ fn sample_value(seq: u64, prev_counters: &mut BTreeMap<String, u64>) -> Value {
         .iter()
         .map(|(name, total)| {
             // saturating: a registry reset mid-run (bench cells) makes the
-            // total drop; the delta restarts from the new total.
+            // total drop; the delta is then 0 rather than an underflow.
             let delta = total.saturating_sub(prev_counters.get(name).copied().unwrap_or(0));
             prev_counters.insert(name.clone(), *total);
             (
@@ -237,6 +169,10 @@ fn sample_value(seq: u64, prev_counters: &mut BTreeMap<String, u64>) -> Value {
         ("seq".into(), Value::Number(Number::PosInt(seq))),
         ("ts_us".into(), Value::Number(Number::PosInt(ts_us))),
         (
+            "tid".into(),
+            Value::Number(Number::PosInt(crate::trace::thread_ordinal())),
+        ),
+        (
             "rss_bytes".into(),
             Value::Number(Number::PosInt(rss_bytes().unwrap_or(0))),
         ),
@@ -247,7 +183,7 @@ fn sample_value(seq: u64, prev_counters: &mut BTreeMap<String, u64>) -> Value {
     ])
 }
 
-/// One parsed `sample` record.
+/// One parsed `sample` record (see [`crate::trace::TraceStats::samples`]).
 #[derive(Debug, Clone)]
 pub struct Sample {
     pub seq: u64,
@@ -273,188 +209,26 @@ impl Sample {
     }
 }
 
-/// A parsed, validated `soup-metrics/1` series.
-#[derive(Debug, Clone)]
-pub struct Series {
-    pub interval_ms: u64,
-    pub samples: Vec<Sample>,
-    /// Whether the footer was present (clean shutdown) — `false` for a
-    /// series cut short by a crash or kill.
-    pub complete: bool,
-}
-
-fn require_u64(obj: &Value, key: &str, line_no: usize) -> Result<u64> {
-    obj.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| SoupError::parse(format!("line {line_no}: missing or non-integer `{key}`")))
-}
-
-/// Parse and validate a `soup-metrics/1` file.
-///
-/// Checks the header schema tag, that `seq` increments from 0 and `ts_us`
-/// never goes backwards, that every counter entry's `delta` is consistent
-/// with the change in its `total` (modulo registry resets, which restart
-/// the delta), and that the footer — when present — is the final record
-/// with a matching sample count.
-pub fn validate_file(path: impl AsRef<Path>) -> Result<Series> {
-    let path = path.as_ref();
-    let content = std::fs::read_to_string(path).map_err(|e| SoupError::io_at(path, e))?;
-    let mut series = Series {
-        interval_ms: 0,
-        samples: Vec::new(),
-        complete: false,
-    };
-    let mut prev_counters: BTreeMap<String, u64> = BTreeMap::new();
-    let mut prev_ts = 0u64;
-    for (idx, line) in content.lines().enumerate() {
-        let line_no = idx + 1;
-        if series.complete {
-            return Err(SoupError::parse(format!(
-                "line {line_no}: record after `footer`"
-            )));
-        }
-        let record: Value = serde_json::from_str(line)
-            .map_err(|e| SoupError::parse(format!("line {line_no}: invalid JSON: {e}")))?;
-        let kind = record
-            .get("type")
-            .and_then(Value::as_str)
-            .ok_or_else(|| SoupError::parse(format!("line {line_no}: missing `type`")))?;
-        if idx == 0 {
-            if kind != "header" {
-                return Err(SoupError::parse(format!(
-                    "line 1: first record must be `header`, found `{kind}`"
-                )));
-            }
-            let schema = record
-                .get("schema")
-                .and_then(Value::as_str)
-                .unwrap_or_default();
-            if schema != SCHEMA {
-                return Err(SoupError::parse(format!(
-                    "line 1: schema `{schema}` != expected `{SCHEMA}`"
-                )));
-            }
-            require_u64(&record, "pid", line_no)?;
-            require_u64(&record, "unix_time_s", line_no)?;
-            series.interval_ms = require_u64(&record, "interval_ms", line_no)?;
-            continue;
-        }
-        match kind {
-            "header" => {
-                return Err(SoupError::parse(format!(
-                    "line {line_no}: duplicate `header`"
-                )));
-            }
-            "sample" => {
-                let seq = require_u64(&record, "seq", line_no)?;
-                if seq != series.samples.len() as u64 {
-                    return Err(SoupError::parse(format!(
-                        "line {line_no}: seq {seq} != expected {}",
-                        series.samples.len()
-                    )));
-                }
-                let ts_us = require_u64(&record, "ts_us", line_no)?;
-                if ts_us < prev_ts {
-                    return Err(SoupError::parse(format!(
-                        "line {line_no}: non-monotonic ts_us {ts_us} < {prev_ts}"
-                    )));
-                }
-                prev_ts = ts_us;
-                let rss = require_u64(&record, "rss_bytes", line_no)?;
-                let Some(Value::Object(counter_fields)) = record.get("counters") else {
-                    return Err(SoupError::parse(format!(
-                        "line {line_no}: missing `counters` object"
-                    )));
-                };
-                let mut counters = Vec::with_capacity(counter_fields.len());
-                for (name, entry) in counter_fields {
-                    let total = require_u64(entry, "total", line_no)?;
-                    let delta = require_u64(entry, "delta", line_no)?;
-                    let expected =
-                        total.saturating_sub(prev_counters.get(name).copied().unwrap_or(0));
-                    if delta != expected {
-                        return Err(SoupError::parse(format!(
-                            "line {line_no}: counter `{name}` delta {delta} != total change {expected}"
-                        )));
-                    }
-                    prev_counters.insert(name.clone(), total);
-                    counters.push((name.clone(), total, delta));
-                }
-                let gauges = match record.get("gauges") {
-                    Some(Value::Object(fields)) => fields
-                        .iter()
-                        .map(|(k, v)| {
-                            v.as_f64().map(|v| (k.clone(), v)).ok_or_else(|| {
-                                SoupError::parse(format!(
-                                    "line {line_no}: gauge `{k}` is not a number"
-                                ))
-                            })
-                        })
-                        .collect::<Result<Vec<_>>>()?,
-                    _ => {
-                        return Err(SoupError::parse(format!(
-                            "line {line_no}: missing `gauges` object"
-                        )));
-                    }
-                };
-                let digests = |key: &str| -> Result<Vec<(String, HistogramSummary)>> {
-                    match record.get(key) {
-                        Some(Value::Object(fields)) => fields
-                            .iter()
-                            .map(|(k, v)| {
-                                HistogramSummary::from_value(v)
-                                    .map(|h| (k.clone(), h))
-                                    .ok_or_else(|| {
-                                        SoupError::parse(format!(
-                                            "line {line_no}: malformed digest `{key}.{k}`"
-                                        ))
-                                    })
-                            })
-                            .collect(),
-                        _ => Err(SoupError::parse(format!(
-                            "line {line_no}: missing `{key}` object"
-                        ))),
-                    }
-                };
-                series.samples.push(Sample {
-                    seq,
-                    ts_us,
-                    rss_bytes: rss,
-                    counters,
-                    gauges,
-                    histograms: digests("histograms")?,
-                    spans: digests("spans")?,
-                });
-            }
-            "footer" => {
-                let samples = require_u64(&record, "samples", line_no)?;
-                if samples != series.samples.len() as u64 {
-                    return Err(SoupError::parse(format!(
-                        "line {line_no}: footer samples {samples} != seen {}",
-                        series.samples.len()
-                    )));
-                }
-                series.complete = true;
-            }
-            other => {
-                return Err(SoupError::parse(format!(
-                    "line {line_no}: unknown record type `{other}`"
-                )));
-            }
-        }
-    }
-    if content.lines().next().is_none() {
-        return Err(SoupError::parse("metrics file is empty"));
-    }
-    Ok(series)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn temp(name: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("soup_series_{name}_{}.jsonl", std::process::id()))
+    /// Run `body` with a trace sink open and a sampler ticking every
+    /// `interval`, then finish the trace and return its validated stats.
+    fn sampled_trace(
+        name: &str,
+        interval: Duration,
+        body: impl FnOnce(),
+    ) -> crate::trace::TraceStats {
+        let path =
+            std::env::temp_dir().join(format!("soup_series_{name}_{}.jsonl", std::process::id()));
+        crate::trace::init(&path).unwrap();
+        start(interval).unwrap();
+        body();
+        assert_eq!(crate::trace::finish(), Some(path.clone()));
+        let stats = crate::trace::validate_file(&path).expect("trace validates");
+        std::fs::remove_file(&path).ok();
+        stats
     }
 
     #[test]
@@ -470,26 +244,21 @@ mod tests {
     fn sampler_emits_valid_series_with_counter_deltas() {
         let _serial = crate::test_serial();
         crate::registry::set_enabled(true);
-        let path = temp("roundtrip");
         let counter = crate::registry::counter("test.series.ticks");
         let before = counter.get();
-        let handle = start(&path, Duration::from_millis(2)).unwrap();
-        for _ in 0..10 {
-            counter.inc();
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let finished = handle.stop().expect("sampler returns path");
-        assert_eq!(finished, path);
-
-        let series = validate_file(&path).expect("series validates");
-        assert!(series.complete, "footer missing");
-        assert_eq!(series.interval_ms, 2);
-        assert!(!series.samples.is_empty());
-        let last = series.samples.last().unwrap();
+        let stats = sampled_trace("roundtrip", Duration::from_millis(2), || {
+            for _ in 0..10 {
+                counter.inc();
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        });
+        assert!(stats.has_metrics, "finish must still close with `metrics`");
+        assert!(!stats.samples.is_empty());
+        let last = stats.samples.last().unwrap();
         assert_eq!(last.counter_total("test.series.ticks"), Some(before + 10));
-        // Deltas across the series sum to the final total (first delta
+        // Deltas across the samples sum to the final total (first delta
         // includes the pre-existing value).
-        let delta_sum: u64 = series
+        let delta_sum: u64 = stats
             .samples
             .iter()
             .filter_map(|s| {
@@ -500,7 +269,6 @@ mod tests {
             })
             .sum();
         assert_eq!(delta_sum, before + 10);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -508,86 +276,23 @@ mod tests {
         let _serial = crate::test_serial();
         crate::registry::set_enabled(true);
         register_probe(|| crate::registry::gauge("test.series.probe").set(42.5));
-        let path = temp("probe");
-        let handle = start(&path, Duration::from_millis(50)).unwrap();
-        // Stop immediately: the final forced sample still runs probes.
-        handle.stop();
-        let series = validate_file(&path).unwrap();
-        assert!(series
+        // Finish immediately: the final forced sample still runs probes.
+        let stats = sampled_trace("probe", Duration::from_millis(50), || {});
+        assert!(stats
             .samples
             .iter()
             .any(|s| s.gauge("test.series.probe") == Some(42.5)));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn validate_rejects_corrupt_series() {
-        let path = temp("corrupt");
-        let header = format!(
-            "{{\"type\":\"header\",\"schema\":\"{SCHEMA}\",\"pid\":1,\"unix_time_s\":1,\"interval_ms\":100}}"
-        );
-        let sample = |seq: u64, total: u64, delta: u64| {
-            format!(
-                "{{\"type\":\"sample\",\"seq\":{seq},\"ts_us\":{},\"rss_bytes\":0,\
-                 \"counters\":{{\"c\":{{\"total\":{total},\"delta\":{delta}}}}},\
-                 \"gauges\":{{}},\"histograms\":{{}},\"spans\":{{}}}}",
-                seq * 1000
-            )
-        };
-
-        // Wrong schema tag.
-        std::fs::write(
-            &path,
-            "{\"type\":\"header\",\"schema\":\"soup-metrics/99\",\"pid\":1,\"unix_time_s\":1,\"interval_ms\":1}\n",
-        )
-        .unwrap();
-        assert!(validate_file(&path)
-            .unwrap_err()
-            .to_string()
-            .contains("schema"));
-
-        // Sequence gap.
-        std::fs::write(
-            &path,
-            format!("{header}\n{}\n{}\n", sample(0, 1, 1), sample(2, 2, 1)),
-        )
-        .unwrap();
-        assert!(validate_file(&path)
-            .unwrap_err()
-            .to_string()
-            .contains("seq"));
-
-        // Delta inconsistent with totals.
-        std::fs::write(
-            &path,
-            format!("{header}\n{}\n{}\n", sample(0, 5, 5), sample(1, 8, 1)),
-        )
-        .unwrap();
-        assert!(validate_file(&path)
-            .unwrap_err()
-            .to_string()
-            .contains("delta"));
-
-        // Footer count mismatch.
-        std::fs::write(
-            &path,
-            format!(
-                "{header}\n{}\n{{\"type\":\"footer\",\"samples\":7}}\n",
-                sample(0, 1, 1)
-            ),
-        )
-        .unwrap();
-        assert!(validate_file(&path)
-            .unwrap_err()
-            .to_string()
-            .contains("footer"));
-
-        // Missing footer is not an error, just incomplete.
-        std::fs::write(&path, format!("{header}\n{}\n", sample(0, 1, 1))).unwrap();
-        let series = validate_file(&path).unwrap();
-        assert!(!series.complete);
-        assert_eq!(series.samples.len(), 1);
-
-        std::fs::remove_file(&path).ok();
+    fn start_needs_a_sink_and_at_most_one_sampler() {
+        let _serial = crate::test_serial();
+        assert!(!crate::trace::active());
+        let err = start(Duration::from_millis(5)).unwrap_err();
+        assert!(err.to_string().contains("trace sink"), "{err}");
+        sampled_trace("twice", Duration::from_millis(5), || {
+            let err = start(Duration::from_millis(5)).unwrap_err();
+            assert!(err.to_string().contains("already running"), "{err}");
+        });
     }
 }

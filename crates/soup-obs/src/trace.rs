@@ -10,11 +10,13 @@
 //! | `span`    | `path`, `ts_us`, `dur_us`, `tid` (+ optional `cpu_us`, `alloc_b`) |
 //! | `event`   | `name`, `ts_us`, `tid`, `fields` (object)                |
 //! | `log`     | `level` (`debug`/`info`/`warn`), `msg`, `ts_us`, `tid`   |
+//! | `sample`  | `seq`, `ts_us`, `tid`, `rss_bytes`, `counters`, `gauges`, `histograms`, `spans` |
 //! | `metrics` | `ts_us`, `counters`, `gauges`, `histograms`, `spans`     |
 //!
-//! The first line is always the `header`; a `metrics` record (the full
-//! registry snapshot) is appended by [`finish`]. Timestamps (`ts_us`) are
-//! microseconds since process start; `tid` is a small per-process thread
+//! The first line is always the `header`; `sample` records are the
+//! periodic registry snapshots of [`crate::series`], and a `metrics` record
+//! (the full registry snapshot) is appended last by [`finish`]. Timestamps
+//! (`ts_us`) are microseconds since process start; `tid` is a small per-process thread
 //! ordinal (the main thread is usually 0). Span records are written when the
 //! span *closes*, so they are not sorted by start time. When
 //! [`crate::attrib`] is enabled, span records additionally carry `cpu_us`
@@ -24,9 +26,11 @@
 //! [`validate_file`] checks all of the above and is wired into CI via
 //! `soupctl trace-validate`. Beyond per-record shape it enforces the
 //! file-level invariants a real single-writer trace always satisfies:
-//! per-thread `ts_us` sequences are monotonic (event/log timestamps and
-//! span *end* times never go backwards within one `tid`), and span
-//! intervals nest — a span may not close after an ancestor has closed, and
+//! nothing follows the `metrics` record, sample `seq` counts up from 0 and
+//! each counter's `delta` matches the change in its `total`, per-thread
+//! `ts_us` sequences are monotonic (event/log/sample timestamps and span
+//! *end* times never go backwards within one `tid`), and span intervals
+//! nest — a span may not close after an ancestor has closed, and
 //! a parent's interval must contain every descendant's. Both catch the
 //! truncation/merge corruption shapes a crashed or concatenated trace
 //! produces.
@@ -41,6 +45,9 @@ use std::time::{Duration, Instant, SystemTime};
 use parking_lot::Mutex;
 use serde::{Number, Value};
 use soup_error::{Result, SoupError};
+
+use crate::registry::HistogramSummary;
+use crate::series::Sample;
 
 /// Version tag written into (and required from) every trace header.
 pub const SCHEMA: &str = "soup-trace/1";
@@ -81,10 +88,12 @@ pub fn active() -> bool {
 }
 
 /// Open a trace sink at `path` (truncating any existing file) and write the
-/// schema header. Replaces any previously active sink without finalizing it.
+/// schema header. Replaces any previously active sink without finalizing it;
+/// a running sampler is stopped first, so its samples stay in the old file.
 pub fn init(path: impl AsRef<Path>) -> std::io::Result<()> {
     let path = path.as_ref();
     process_start();
+    crate::series::stop();
     let file = File::create(path)?;
     let mut writer = BufWriter::new(file);
     let unix_time_s = SystemTime::now()
@@ -113,7 +122,7 @@ pub fn init(path: impl AsRef<Path>) -> std::io::Result<()> {
     Ok(())
 }
 
-fn write_record(record: Value) {
+pub(crate) fn write_record(record: Value) {
     let Ok(line) = serde_json::to_string(&record) else {
         return;
     };
@@ -199,24 +208,28 @@ pub(crate) fn emit_log(level: &str, msg: &str) {
     ]));
 }
 
-/// Append the final `metrics` record (full registry snapshot), flush, and
-/// close the sink. Returns the trace path if a sink was active.
+/// Stop a running sampler (after its final sample), append the final
+/// `metrics` record (full registry snapshot), flush, and close the sink.
+/// The record is written and the sink closed under one lock, so nothing
+/// can follow it. Returns the trace path if a sink was active.
 pub fn finish() -> Option<PathBuf> {
     if !active() {
         return None;
     }
+    crate::series::stop();
     let mut snapshot = crate::registry::snapshot_value();
     if let Value::Object(fields) = &mut snapshot {
         fields.insert(0, ("ts_us".into(), Value::Number(Number::PosInt(now_us()))));
         fields.insert(0, ("type".into(), Value::String("metrics".into())));
     }
-    write_record(snapshot);
+    let line = serde_json::to_string(&snapshot);
     ACTIVE.store(false, Relaxed);
-    let sink = SINK.lock().take();
-    sink.map(|mut sink| {
-        let _ = sink.writer.flush();
-        sink.path
-    })
+    let mut sink = SINK.lock().take()?;
+    if let Ok(line) = line {
+        let _ = writeln!(sink.writer, "{line}");
+    }
+    let _ = sink.writer.flush();
+    Some(sink.path)
 }
 
 /// One parsed `span` record from a trace file, as consumed by the
@@ -288,6 +301,8 @@ pub struct TraceStats {
     pub events: usize,
     pub logs: usize,
     pub has_metrics: bool,
+    /// The `sample` records, in file order.
+    pub samples: Vec<Sample>,
     /// Distinct span paths seen, sorted.
     pub span_paths: Vec<String>,
     /// Distinct event names seen, sorted.
@@ -306,9 +321,9 @@ fn require_str<'a>(obj: &'a Value, key: &str, line_no: usize) -> Result<&'a str>
         .ok_or_else(|| SoupError::parse(format!("line {line_no}: missing or non-string `{key}`")))
 }
 
-fn require_object(obj: &Value, key: &str, line_no: usize) -> Result<()> {
+fn require_object<'a>(obj: &'a Value, key: &str, line_no: usize) -> Result<&'a [(String, Value)]> {
     match obj.get(key) {
-        Some(Value::Object(_)) => Ok(()),
+        Some(Value::Object(fields)) => Ok(fields),
         Some(other) => Err(SoupError::parse(format!(
             "line {line_no}: `{key}` must be an object, found {}",
             other.kind_name()
@@ -323,7 +338,8 @@ fn require_object(obj: &Value, key: &str, line_no: usize) -> Result<()> {
 ///
 /// Checks that every line parses as a JSON object of a known record type
 /// with the documented required fields, that the first line is a `header`
-/// with the right schema tag, and that at most one `metrics` record exists.
+/// with the right schema tag, and that nothing follows a `metrics` record,
+/// plus the file-level invariants in the module doc.
 pub fn validate_file(path: impl AsRef<Path>) -> Result<TraceStats> {
     let path = path.as_ref();
     let content = std::fs::read_to_string(path).map_err(|e| SoupError::io_at(path, e))?;
@@ -335,6 +351,20 @@ pub fn validate_file(path: impl AsRef<Path>) -> Result<TraceStats> {
     // thread computes its timestamp before taking the sink lock), so any
     // backwards step within a tid is corruption.
     let mut last_flat_ts: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
+    // The `ts_us` of an event, log or sample record, checked against the
+    // previous one on its `tid`.
+    let mut flat_ts = |record: &Value, line_no: usize| -> Result<u64> {
+        let ts = require_u64(record, "ts_us", line_no)?;
+        let tid = require_u64(record, "tid", line_no)?;
+        let prev = last_flat_ts.entry(tid).or_insert(0);
+        if ts < *prev {
+            return Err(SoupError::parse(format!(
+                "line {line_no}: non-monotonic ts_us {ts} < {prev} (tid {tid})"
+            )));
+        }
+        *prev = ts;
+        Ok(ts)
+    };
     let mut last_span_end: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
     // Per-tid closed-span stack for nesting checks: spans are appended when
     // they *close*, innermost first, so a later record whose path extends a
@@ -347,8 +377,15 @@ pub fn validate_file(path: impl AsRef<Path>) -> Result<TraceStats> {
     }
     let mut pending: std::collections::BTreeMap<u64, Vec<ClosedSpan>> =
         std::collections::BTreeMap::new();
+    let mut prev_counters: std::collections::BTreeMap<String, u64> =
+        std::collections::BTreeMap::new();
     for (idx, line) in content.lines().enumerate() {
         let line_no = idx + 1;
+        if stats.has_metrics {
+            return Err(SoupError::parse(format!(
+                "line {line_no}: record after `metrics`"
+            )));
+        }
         if line.trim().is_empty() {
             return Err(SoupError::parse(format!("line {line_no}: empty line")));
         }
@@ -401,7 +438,7 @@ pub fn validate_file(path: impl AsRef<Path>) -> Result<TraceStats> {
                 // anything beyond that is corruption, not rounding.
                 const TRUNC_SLACK_US: u64 = 2;
                 let prev_end = last_span_end.entry(tid).or_insert(0);
-                if end + TRUNC_SLACK_US < *prev_end {
+                if end.saturating_add(TRUNC_SLACK_US) < *prev_end {
                     return Err(SoupError::parse(format!(
                         "line {line_no}: non-monotonic span end {end}us < {prev_end}us (tid {tid})"
                     )));
@@ -451,16 +488,8 @@ pub fn validate_file(path: impl AsRef<Path>) -> Result<TraceStats> {
             }
             "event" => {
                 let name = require_str(&record, "name", line_no)?;
-                let ts = require_u64(&record, "ts_us", line_no)?;
-                let tid = require_u64(&record, "tid", line_no)?;
+                flat_ts(&record, line_no)?;
                 require_object(&record, "fields", line_no)?;
-                let prev = last_flat_ts.entry(tid).or_insert(0);
-                if ts < *prev {
-                    return Err(SoupError::parse(format!(
-                        "line {line_no}: non-monotonic ts_us {ts} < {prev} (tid {tid})"
-                    )));
-                }
-                *prev = ts;
                 event_names.insert(name.to_string());
                 stats.events += 1;
             }
@@ -472,23 +501,64 @@ pub fn validate_file(path: impl AsRef<Path>) -> Result<TraceStats> {
                     )));
                 }
                 require_str(&record, "msg", line_no)?;
-                let ts = require_u64(&record, "ts_us", line_no)?;
-                let tid = require_u64(&record, "tid", line_no)?;
-                let prev = last_flat_ts.entry(tid).or_insert(0);
-                if ts < *prev {
-                    return Err(SoupError::parse(format!(
-                        "line {line_no}: non-monotonic ts_us {ts} < {prev} (tid {tid})"
-                    )));
-                }
-                *prev = ts;
+                flat_ts(&record, line_no)?;
                 stats.logs += 1;
             }
-            "metrics" => {
-                if stats.has_metrics {
+            "sample" => {
+                let seq = require_u64(&record, "seq", line_no)?;
+                if seq != stats.samples.len() as u64 {
                     return Err(SoupError::parse(format!(
-                        "line {line_no}: duplicate `metrics` record"
+                        "line {line_no}: seq {seq} != expected {}",
+                        stats.samples.len()
                     )));
                 }
+                let ts_us = flat_ts(&record, line_no)?;
+                let rss_bytes = require_u64(&record, "rss_bytes", line_no)?;
+                let mut counters = Vec::new();
+                for (name, entry) in require_object(&record, "counters", line_no)? {
+                    let total = require_u64(entry, "total", line_no)?;
+                    let delta = require_u64(entry, "delta", line_no)?;
+                    let expected =
+                        total.saturating_sub(prev_counters.get(name).copied().unwrap_or(0));
+                    if delta != expected {
+                        return Err(SoupError::parse(format!(
+                            "line {line_no}: counter `{name}` delta {delta} != total change {expected}"
+                        )));
+                    }
+                    prev_counters.insert(name.clone(), total);
+                    counters.push((name.clone(), total, delta));
+                }
+                let gauges = require_object(&record, "gauges", line_no)?
+                    .iter()
+                    .map(|(k, v)| match v.as_f64() {
+                        Some(v) => Ok((k.clone(), v)),
+                        None => Err(SoupError::parse(format!(
+                            "line {line_no}: gauge `{k}` is not a number"
+                        ))),
+                    })
+                    .collect::<Result<_>>()?;
+                let digests = |key: &str| -> Result<Vec<(String, HistogramSummary)>> {
+                    require_object(&record, key, line_no)?
+                        .iter()
+                        .map(|(k, v)| match HistogramSummary::from_value(v) {
+                            Some(h) => Ok((k.clone(), h)),
+                            None => Err(SoupError::parse(format!(
+                                "line {line_no}: malformed digest `{key}.{k}`"
+                            ))),
+                        })
+                        .collect()
+                };
+                stats.samples.push(Sample {
+                    seq,
+                    ts_us,
+                    rss_bytes,
+                    counters,
+                    gauges,
+                    histograms: digests("histograms")?,
+                    spans: digests("spans")?,
+                });
+            }
+            "metrics" => {
                 require_u64(&record, "ts_us", line_no)?;
                 require_object(&record, "counters", line_no)?;
                 require_object(&record, "gauges", line_no)?;
@@ -671,6 +741,54 @@ mod tests {
              {\"type\":\"span\",\"path\":\"w\",\"ts_us\":0,\"dur_us\":120,\"tid\":0}\n",
         );
         validate_file(&path).expect("repeated subtree instances are balanced");
+        std::fs::remove_file(&path).ok();
+    }
+
+    fn sample(seq: u64, total: u64, delta: u64) -> String {
+        format!(
+            "{{\"type\":\"sample\",\"seq\":{seq},\"ts_us\":{},\"tid\":3,\"rss_bytes\":0,\
+             \"counters\":{{\"c\":{{\"total\":{total},\"delta\":{delta}}}}},\
+             \"gauges\":{{}},\"histograms\":{{}},\"spans\":{{}}}}\n",
+            seq * 1000
+        )
+    }
+
+    const METRICS: &str = "{\"type\":\"metrics\",\"ts_us\":9000,\"counters\":{},\
+                           \"gauges\":{},\"histograms\":{},\"spans\":{}}\n";
+
+    #[test]
+    fn validate_checks_samples() {
+        let path = write_case(
+            "samples_ok",
+            &format!("{}{}{METRICS}", sample(0, 5, 5), sample(1, 8, 3)),
+        );
+        let stats = validate_file(&path).expect("valid samples");
+        assert_eq!(stats.samples.len(), 2);
+        assert_eq!(stats.samples[1].counter_total("c"), Some(8));
+        std::fs::remove_file(&path).ok();
+
+        // Sequence gap.
+        let path = write_case(
+            "seq_gap",
+            &format!("{}{}", sample(0, 1, 1), sample(2, 2, 1)),
+        );
+        let err = validate_file(&path).unwrap_err().to_string();
+        assert!(err.contains("seq"), "{err}");
+        std::fs::remove_file(&path).ok();
+
+        // Delta inconsistent with totals.
+        let path = write_case(
+            "bad_delta",
+            &format!("{}{}", sample(0, 5, 5), sample(1, 8, 1)),
+        );
+        let err = validate_file(&path).unwrap_err().to_string();
+        assert!(err.contains("delta"), "{err}");
+        std::fs::remove_file(&path).ok();
+
+        // Nothing may follow the closing `metrics` record.
+        let path = write_case("after_metrics", &format!("{METRICS}{}", sample(0, 1, 1)));
+        let err = validate_file(&path).unwrap_err().to_string();
+        assert!(err.contains("record after `metrics`"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 }

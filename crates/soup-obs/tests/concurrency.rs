@@ -96,17 +96,17 @@ fn gauges_settle_on_a_written_value() {
 fn snapshots_stay_consistent_while_writers_and_sampler_race() {
     // Satellite: registry `snapshot()` must return internally consistent
     // digests while writer threads hammer the instruments *and* the
-    // `soup-metrics/1` sampler thread snapshots on its own cadence.
+    // metrics sampler thread snapshots into the trace on its own cadence.
     let counter = soup_obs::registry::counter("test.concurrency.snap.counter");
     counter.reset();
     let hist = soup_obs::registry::histogram("test.concurrency.snap.hist");
     hist.reset();
-    let series_path = std::env::temp_dir().join(format!(
-        "soup_concurrency_series_{}.jsonl",
+    let trace_path = std::env::temp_dir().join(format!(
+        "soup_concurrency_trace_{}.jsonl",
         std::process::id()
     ));
-    let sampler =
-        soup_obs::series::start(&series_path, std::time::Duration::from_millis(2)).unwrap();
+    soup_obs::trace::init(&trace_path).unwrap();
+    soup_obs::series::start(std::time::Duration::from_millis(2)).unwrap();
 
     let stop = Arc::new(AtomicBool::new(false));
     let writers: Vec<_> = (0..THREADS)
@@ -154,15 +154,15 @@ fn snapshots_stay_consistent_while_writers_and_sampler_race() {
     }
     stop.store(true, Ordering::Relaxed);
     let total_ops: u64 = writers.into_iter().map(|h| h.join().unwrap()).sum();
-    sampler.stop();
+    soup_obs::trace::finish().expect("sink was open");
 
     // Nothing was lost despite the three-way race…
     assert_eq!(counter.get(), total_ops);
     assert_eq!(hist.summary().count, total_ops);
     // …and the sampler's own view was a valid, monotonic series.
-    let series = soup_obs::series::validate_file(&series_path).expect("series validates");
-    assert!(series.complete);
-    let totals: Vec<u64> = series
+    let stats = soup_obs::trace::validate_file(&trace_path).expect("trace validates");
+    assert!(stats.has_metrics);
+    let totals: Vec<u64> = stats
         .samples
         .iter()
         .filter_map(|s| s.counter_total("test.concurrency.snap.counter"))
@@ -171,7 +171,7 @@ fn snapshots_stay_consistent_while_writers_and_sampler_race() {
         totals.windows(2).all(|w| w[0] <= w[1]),
         "sampler saw counter regress"
     );
-    std::fs::remove_file(&series_path).ok();
+    std::fs::remove_file(&trace_path).ok();
 }
 
 #[test]

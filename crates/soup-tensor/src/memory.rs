@@ -177,10 +177,10 @@ impl Drop for MemGuard {
     }
 }
 
-/// Register a `soup-metrics/1` sampler probe publishing [`DEVICE_MEMORY`]
+/// Register a metrics-sampler probe publishing [`DEVICE_MEMORY`]
 /// as `tensor.mem.live_bytes` / `tensor.mem.peak_bytes` /
 /// `tensor.mem.pooled_bytes` gauges. The probe runs on the sampler thread
-/// before every tick, so live series carry pool occupancy without
+/// before every tick, so the trace's samples carry pool occupancy without
 /// `soup-obs` depending on this crate. Idempotent — safe to call from
 /// every entry point that might start a sampler.
 pub fn install_obs_probe() {

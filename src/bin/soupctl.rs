@@ -371,7 +371,7 @@ const TRACE_VALIDATE: CommandSpec = CommandSpec {
 
 const OBS: CommandSpec = CommandSpec {
     name: "obs",
-    summary: "offline tooling over --trace-out / --metrics-out artifacts",
+    summary: "offline tooling over --trace-out traces",
     positional: "<report|tail|diff|flame> FILE...",
     flags: &[
         FlagDef::u64("last", "samples to show (tail)").default("5"),
@@ -430,26 +430,21 @@ fn main() {
         }
     };
     // Observability flags apply to every command: --trace-out streams a
-    // JSONL trace of the run, --metrics-out a live soup-metrics/1 time
-    // series, --metrics-summary prints the span/counter report at exit.
+    // JSONL trace of the run with a registry sample every
+    // --metrics-interval-ms, --metrics-summary prints the span/counter
+    // report at exit.
     if let Some(path) = flags.str("trace-out") {
-        if let Err(e) = enhanced_soups::obs::trace::init(path) {
-            eprintln!("error: cannot open trace file {path}: {e}");
+        // Pool/memory gauges ride the sampler via the probe hook.
+        enhanced_soups::tensor::memory::install_obs_probe();
+        let interval = Duration::from_millis(flags.req_u64("metrics-interval-ms"));
+        let traced = enhanced_soups::obs::trace::init(path)
+            .map_err(|e| SoupError::io_at(path, e))
+            .and_then(|()| enhanced_soups::obs::series::start(interval));
+        if let Err(e) = traced {
+            eprintln!("error: {e}");
             exit(1);
         }
     }
-    let sampler = flags.str("metrics-out").map(|path| {
-        let interval = flags.req_u64("metrics-interval-ms");
-        // Pool/memory gauges ride the sampler via the probe hook.
-        enhanced_soups::tensor::memory::install_obs_probe();
-        match enhanced_soups::obs::series::start(path, Duration::from_millis(interval)) {
-            Ok(handle) => handle,
-            Err(e) => {
-                eprintln!("error: cannot open metrics file {path}: {e}");
-                exit(1);
-            }
-        }
-    });
     let result = match spec.name {
         "generate" => cmd_generate(&flags),
         "train" => cmd_train(&flags),
@@ -466,11 +461,6 @@ fn main() {
         "shard-worker" => cmd_shard_worker(&flags),
         _ => unreachable!("command table covers every spec"),
     };
-    if let Some(handle) = sampler {
-        if let Some(path) = handle.stop() {
-            soup_obs::info!("wrote metrics series {}", path.display());
-        }
-    }
     if let Some(path) = enhanced_soups::obs::trace::finish() {
         soup_obs::info!("wrote trace {}", path.display());
     }
@@ -1037,7 +1027,7 @@ fn cmd_trace_validate(flags: &Flags) -> Result<()> {
     let stats = enhanced_soups::obs::trace::validate_file(file)?;
     println!(
         "{file}: valid {} trace — {} lines, {} spans ({} distinct), {} events ({} distinct), \
-         {} logs, metrics record: {}",
+         {} logs, {} samples, metrics record: {}",
         enhanced_soups::obs::trace::SCHEMA,
         stats.lines,
         stats.spans,
@@ -1045,17 +1035,18 @@ fn cmd_trace_validate(flags: &Flags) -> Result<()> {
         stats.events,
         stats.event_names.len(),
         stats.logs,
+        stats.samples.len(),
         if stats.has_metrics { "yes" } else { "no" },
     );
     Ok(())
 }
 
-/// Offline observability tooling over `--trace-out` / `--metrics-out`
-/// artifacts: `report` re-renders the end-of-run summary from a trace,
-/// `tail` inspects a live time series, `diff` compares two runs with a
-/// noise band, and `flame` exports an inferno-compatible folded-stack
-/// file. The rendered output is the command's product, so it goes to
-/// stdout unconditionally (not through `SOUP_LOG`).
+/// Offline observability tooling over `--trace-out` traces: `report`
+/// re-renders the end-of-run summary, `tail` inspects the trace's
+/// `sample` records, `diff` compares two runs with a noise band, and
+/// `flame` exports an inferno-compatible folded-stack file. The rendered
+/// output is the command's product, so it goes to stdout unconditionally
+/// (not through `SOUP_LOG`).
 fn cmd_obs(flags: &Flags) -> Result<()> {
     let usage = "usage: soupctl obs <report|tail|diff|flame> FILE...";
     let Some((sub, files)) = flags.positional.split_first() else {
@@ -1085,22 +1076,21 @@ fn cmd_obs(flags: &Flags) -> Result<()> {
         }
         "tail" => {
             let file = files.first().ok_or_else(|| {
-                SoupError::usage("usage: soupctl obs tail <metrics.jsonl> [--last N]")
+                SoupError::usage("usage: soupctl obs tail <trace.jsonl> [--last N]")
             })?;
             let last = flags.req_usize("last");
-            let series = enhanced_soups::obs::series::validate_file(file)?;
+            let stats = enhanced_soups::obs::trace::validate_file(file)?;
             println!(
-                "{file}: {} samples at {}ms{}",
-                series.samples.len(),
-                series.interval_ms,
-                if series.complete {
+                "{file}: {} samples{}",
+                stats.samples.len(),
+                if stats.has_metrics {
                     ""
                 } else {
-                    " (no footer: run still live or crashed)"
+                    " (no metrics record: run still live or crashed)"
                 }
             );
-            let skip = series.samples.len().saturating_sub(last);
-            for sample in &series.samples[skip..] {
+            let skip = stats.samples.len().saturating_sub(last);
+            for sample in &stats.samples[skip..] {
                 // The busiest counters this tick tell you what the run is
                 // actually doing right now.
                 let mut deltas: Vec<(&str, u64)> = sample
@@ -1123,7 +1113,7 @@ fn cmd_obs(flags: &Flags) -> Result<()> {
                     top.join(" ")
                 );
             }
-            if let Some(sample) = series.samples.last() {
+            if let Some(sample) = stats.samples.last() {
                 for (name, value) in &sample.gauges {
                     println!("  {name:<52} {value:>14.4}");
                 }
@@ -1173,7 +1163,7 @@ fn cmd_obs(flags: &Flags) -> Result<()> {
 /// and dies by — edge-cut, halo fraction, balance — plus per-shard halo
 /// counts. With `--out`, also rewrite the dataset shard-ordered (the
 /// prepare step `shard` otherwise performs itself). The metrics are
-/// exported as gauges so `--metrics-out` series and `soupctl obs` see them.
+/// exported as gauges so a `--trace-out` trace and `soupctl obs` see them.
 fn cmd_partition(flags: &Flags) -> Result<()> {
     let data = flags.req_str("data");
     let k = flags.req_usize("k");

@@ -106,14 +106,9 @@ pub const GLOBAL_FLAGS: &[FlagDef] = &[
     FlagDef::str(
         "trace-out",
         "FILE",
-        "stream a structured JSONL trace of the run",
+        "stream a JSONL trace of the run, registry samples included",
     ),
-    FlagDef::str(
-        "metrics-out",
-        "FILE",
-        "stream a live soup-metrics/1 time series (JSONL)",
-    ),
-    FlagDef::u64("metrics-interval-ms", "sampler tick interval").default("100"),
+    FlagDef::u64("metrics-interval-ms", "tick of the trace's samples").default("100"),
     FlagDef::switch(
         "metrics-summary",
         "print the span/counter report when the command finishes",

@@ -1,9 +1,9 @@
 //! Golden-file test of the observability layer: drive the full pipeline
 //! (Phase-1 distributed training, then LS and PLS souping) with a trace sink
-//! open and a `soup-metrics/1` sampler running, then check the emitted JSONL
-//! against the documented schemas — record types, required fields, span
-//! paths, event names, per-span resource attribution, the time series, the
-//! folded-stack flamegraph export and the span diff.
+//! open and the metrics sampler writing into it, then check the emitted
+//! JSONL against the documented schema — record types, required fields,
+//! span paths, event names, per-span resource attribution, the `sample`
+//! records, the folded-stack flamegraph export and the span diff.
 
 use enhanced_soups::obs;
 use enhanced_soups::prelude::*;
@@ -14,11 +14,10 @@ fn end_to_end_trace_matches_documented_schema() {
     let dir = std::env::temp_dir().join(format!("soup_obs_golden_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let trace_path = dir.join("run.trace.jsonl");
-    let series_path = dir.join("run.metrics.jsonl");
 
     obs::trace::init(&trace_path).unwrap();
     enhanced_soups::tensor::memory::install_obs_probe();
-    let sampler = obs::series::start(&series_path, std::time::Duration::from_millis(5)).unwrap();
+    obs::series::start(std::time::Duration::from_millis(5)).unwrap();
     let dataset = DatasetKind::Flickr.generate_scaled(11, 0.15);
     let cfg = ModelConfig::gcn(dataset.num_features(), dataset.num_classes()).with_hidden(8);
     let tc = TrainConfig {
@@ -46,8 +45,6 @@ fn end_to_end_trace_matches_documented_schema() {
     let outcome = pls.soup(&ingredients, &dataset, &cfg, 3);
     assert!((0.0..=1.0).contains(&outcome.val_accuracy));
     obs::info!("golden run complete");
-    let sampled = sampler.stop().expect("sampler was running");
-    assert_eq!(sampled, series_path);
     let written = obs::trace::finish().expect("sink was active");
     assert_eq!(written, trace_path);
 
@@ -163,12 +160,20 @@ fn end_to_end_trace_matches_documented_schema() {
         "train spans allocated tensors, attribution must be non-zero"
     );
 
-    // The live time series is schema-valid, complete, and saw the kernels:
-    // summed matmul counter deltas equal the final counter total.
-    let series = obs::series::validate_file(&series_path).expect("metrics series valid");
-    assert!(series.complete, "sampler stop must write the footer");
-    assert!(!series.samples.is_empty());
-    let delta_sum: u64 = series
+    // The samples are schema-valid, all precede the closing `metrics`
+    // record, and saw the kernels: summed matmul counter deltas equal the
+    // final counter total.
+    let content = std::fs::read_to_string(&trace_path).unwrap();
+    assert!(
+        content
+            .lines()
+            .last()
+            .unwrap()
+            .contains(r#""type":"metrics""#),
+        "`metrics` must be the last record"
+    );
+    assert!(!stats.samples.is_empty());
+    let delta_sum: u64 = stats
         .samples
         .iter()
         .flat_map(|s| &s.counters)
@@ -176,11 +181,11 @@ fn end_to_end_trace_matches_documented_schema() {
         .map(|(_, _, delta)| delta)
         .sum();
     assert_eq!(delta_sum, counter("tensor.matmul.calls"));
-    let last = series.samples.last().unwrap();
+    let last = stats.samples.last().unwrap();
     assert!(last.rss_bytes > 0, "RSS gauge missing");
     assert!(
         last.gauge("tensor.mem.peak_bytes").is_some_and(|v| v > 0.0),
-        "pool probe gauges missing from the series"
+        "pool probe gauges missing from the samples"
     );
 
     // The trace folds into a validator-clean flamegraph whose stacks cover

@@ -1,16 +1,19 @@
 //! One fuzz harness for every wire decoder: serve requests/responses and
-//! predictions bodies, shard control frames — and the shard `plan.json`
-//! every worker loads.
+//! predictions bodies, shard control frames, the shard `plan.json` every
+//! worker loads — and the `soup-trace/1` reader behind `soupctl
+//! trace-validate` and `soupctl obs`.
 //!
 //! Each valid frame is truncated at every offset and has every bit flipped.
 //! Every result is framed two ways — the blocking reader over a byte slice,
 //! and a `FrameBuf` filled one byte per poll — which must agree frame for
 //! frame and end the same way; then every payload goes through every
 //! decoder of its protocol. Nothing may panic, and every error must be
-//! typed.
+//! typed. `plan.json` and the trace are files, not frames: each mutation is
+//! written to disk and loaded the way the program loads it.
 
 use enhanced_soups::distrib::control::{self, OP_ACK, OP_HEARTBEAT, OP_READY, OP_RESULT};
 use enhanced_soups::distrib::{ChaosPhase, ChaosPlan, ShardPlan};
+use enhanced_soups::obs::{diff, flame, trace};
 use enhanced_soups::serve::proto::{self, Request, Response};
 use enhanced_soups::store::frame::{write_frame, FrameBuf, Next};
 use enhanced_soups::SoupError;
@@ -282,6 +285,111 @@ fn every_plan_json_survives_truncation_and_bit_flips() {
     assert!(
         ok > 0 && rejected > 1_000,
         "{ok} loaded, {rejected} rejected"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+const TRACE_HEADER: &str =
+    "{\"type\":\"header\",\"schema\":\"soup-trace/1\",\"pid\":1,\"unix_time_s\":1}\n";
+const DIGEST: &str = r#"{"count":1,"sum":5,"min":5,"max":5,"mean":5.0,"p50":5,"p95":5,"p99":5}"#;
+
+/// A trace is external input to `soupctl trace-validate` and `soupctl obs`.
+/// Each truncation and each single-bit flip of a valid trace holding one
+/// record of every type must read as a typed `parse` error (or an `io`
+/// error for bytes that are not UTF-8) or as a valid trace — never panic.
+#[test]
+fn every_trace_survives_truncation_and_bit_flips() {
+    let dir = std::env::temp_dir().join(format!("soup-tracefuzz-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("run.trace.jsonl");
+    let valid = format!(
+        "{TRACE_HEADER}\
+         {{\"type\":\"span\",\"path\":\"run/step\",\"ts_us\":10,\"dur_us\":5,\"tid\":0,\"cpu_us\":4,\"alloc_b\":64}}\n\
+         {{\"type\":\"event\",\"name\":\"train.epoch\",\"ts_us\":20,\"tid\":0,\"fields\":{{\"epoch\":1,\"loss\":0.5}}}}\n\
+         {{\"type\":\"log\",\"level\":\"info\",\"msg\":\"hi\",\"ts_us\":21,\"tid\":0}}\n\
+         {{\"type\":\"sample\",\"seq\":0,\"ts_us\":30,\"tid\":1,\"rss_bytes\":4096,\
+         \"counters\":{{\"c\":{{\"total\":3,\"delta\":3}}}},\"gauges\":{{\"g\":1.5}},\
+         \"histograms\":{{\"h\":{DIGEST}}},\"spans\":{{\"run\":{DIGEST}}}}}\n\
+         {{\"type\":\"metrics\",\"ts_us\":40,\"counters\":{{\"c\":3}},\"gauges\":{{\"g\":1.5}},\
+         \"histograms\":{{\"h\":{DIGEST}}},\"spans\":{{\"run\":{DIGEST}}}}}\n"
+    )
+    .into_bytes();
+    std::fs::write(&path, &valid).unwrap();
+    let stats = trace::validate_file(&path).unwrap();
+    assert_eq!((stats.spans, stats.events, stats.logs), (1, 1, 1));
+    assert_eq!(stats.samples.len(), 1);
+    assert!(stats.has_metrics);
+    assert_eq!(trace::read_spans(&path).unwrap().len(), 1);
+
+    let mut cases: Vec<Vec<u8>> = (0..valid.len()).map(|cut| valid[..cut].to_vec()).collect();
+    for bit in 0..valid.len() * 8 {
+        let mut flipped = valid.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        cases.push(flipped);
+    }
+    let typed = |e: SoupError, what: &str| match &e {
+        SoupError::Io { source, .. } => assert_eq!(
+            source.kind(),
+            std::io::ErrorKind::InvalidData,
+            "{what}: untyped io error {e}"
+        ),
+        _ => assert_eq!(e.kind(), "parse", "{what}: untyped error {e}"),
+    };
+    let (mut ok, mut rejected) = (0, 0);
+    for case in &cases {
+        std::fs::write(&path, case).unwrap();
+        match trace::validate_file(&path) {
+            Ok(_) => ok += 1,
+            Err(e) => {
+                rejected += 1;
+                typed(e, "validate_file");
+            }
+        }
+        if let Err(e) = trace::read_spans(&path) {
+            typed(e, "read_spans");
+        }
+    }
+    assert!(
+        ok > 0 && rejected > 1_000,
+        "{ok} validated, {rejected} rejected"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Numbers read from a trace are external input: `u64::MAX` durations, CPU
+/// times and byte counts must saturate in every reader, not overflow.
+#[test]
+fn trace_readers_saturate_u64_max_values() {
+    let dir = std::env::temp_dir().join(format!("soup-tracemax-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("max.trace.jsonl");
+    let max = u64::MAX;
+    // One tid per span keeps the per-thread ordering and nesting checks
+    // out of the way: every sum below adds two u64::MAX values.
+    let span = |path: &str, tid: u64| {
+        format!(
+            "{{\"type\":\"span\",\"path\":\"{path}\",\"ts_us\":0,\"dur_us\":{max},\
+             \"tid\":{tid},\"cpu_us\":{max},\"alloc_b\":{max}}}\n"
+        )
+    };
+    let content = [span("a/b", 0), span("a/c", 1), span("a", 2), span("a", 3)].concat();
+    std::fs::write(&path, format!("{TRACE_HEADER}{content}")).unwrap();
+
+    assert_eq!(trace::validate_file(&path).unwrap().spans, 4);
+    let folded = flame::fold_trace(&path).unwrap();
+    let self_us: Vec<(&str, u64)> = folded
+        .iter()
+        .map(|f| (f.stack.as_str(), f.self_us))
+        .collect();
+    assert_eq!(self_us, [("a", 0), ("a;b", max), ("a;c", max)]);
+    let folded_stats = flame::validate_folded(&flame::render_folded(&folded)).unwrap();
+    assert_eq!(folded_stats.total_us, max);
+    let a = &diff::span_totals(&path).unwrap()["a"];
+    assert_eq!(
+        (a.calls, a.total_us, a.cpu_us, a.alloc_b),
+        (2, max, max, max)
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
