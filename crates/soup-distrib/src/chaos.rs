@@ -4,7 +4,7 @@
 //! retry logic by striking worker *threads* on a seeded schedule. The
 //! [`ChaosPlan`] here does the same for the multi-process layer: it kills
 //! whole shard-worker OS processes at chosen pipeline phases, mangles
-//! control frames, and corrupts a shard's journal right before a respawn
+//! control frames, and corrupts a shard's checkpoint right before a respawn
 //! — everything the supervisor must survive, scheduled deterministically
 //! so tests can assert the recovered run is bit-identical to a clean one.
 //!
@@ -23,7 +23,7 @@ use soup_tensor::SplitMix64;
 /// Pipeline phase of a shard-worker, in execution order. Kill targets
 /// name the phase whose *start* the kill strikes (for [`Train`] the kill
 /// instead lands after the first durable ingredient checkpoint, so the
-/// respawn exercises a partial-journal resume).
+/// respawn exercises a partial-checkpoint resume).
 ///
 /// [`Train`]: ChaosPhase::Train
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -115,7 +115,7 @@ pub struct ChaosPlan {
     /// Delay applied when the frame fault comes up [`FrameFault::Delay`].
     pub frame_delay_ms: u64,
     /// Shards whose newest ingredient checkpoint is corrupted right
-    /// before their first respawn — proving journal validation rejects
+    /// before their first respawn — proving checkpoint validation rejects
     /// the bad artifact and retrains it rather than souping garbage.
     pub corrupt_journal: Vec<usize>,
 }
@@ -169,7 +169,7 @@ impl ChaosPlan {
 
     /// Should the supervisor corrupt `shard`'s newest checkpoint before
     /// respawning it into `epoch`? First respawn only — the healed
-    /// journal must then survive later incarnations untouched.
+    /// checkpoint must then survive later incarnations untouched.
     pub fn corrupt_at_respawn(&self, shard: usize, epoch: u32) -> bool {
         epoch == 1 && self.corrupt_journal.contains(&shard)
     }

@@ -20,8 +20,8 @@
 //!
 //! Each worker trains its ingredients and soups them entirely inside its
 //! shard (Phase-1 + PLS), checkpointing through the usual `soup-store`
-//! journal in `out_dir/shard-<i>/` — so `--resume` works per shard, and a
-//! killed run restarts only the unfinished shards' missing ingredients.
+//! envelopes in `out_dir/shard-<i>/` — so `--resume` works per shard, and
+//! a killed run restarts only the unfinished shards' missing ingredients.
 
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -88,14 +88,6 @@ pub struct ShardPlan {
     pub chaos: Option<crate::ChaosPlan>,
 }
 
-pub(crate) fn default_worker_timeout_ms() -> u64 {
-    30_000
-}
-
-pub(crate) fn default_restart_budget() -> u32 {
-    2
-}
-
 impl ShardPlan {
     pub fn out_dir_path(&self) -> PathBuf {
         PathBuf::from(&self.out_dir)
@@ -158,27 +150,7 @@ impl ShardPlan {
         };
         let bytes = std::fs::read(path).map_err(|e| SoupError::io_at(path, e))?;
         let text = std::str::from_utf8(&bytes).map_err(|e| bad(&e))?;
-        let mut value: serde_json::JsonValue = serde_json::from_str(text).map_err(|e| bad(&e))?;
-        // Plans written before the supervision fields existed deserialize
-        // with the defaults patched in, so `--resume` over an old run dir
-        // keeps working.
-        if let serde_json::JsonValue::Object(fields) = &mut value {
-            let mut fill = |key: &str, default: serde_json::JsonValue| {
-                if !fields.iter().any(|(k, _)| k == key) {
-                    fields.push((key.to_string(), default));
-                }
-            };
-            fill(
-                "worker_timeout_ms",
-                serde_json::to_value(&default_worker_timeout_ms()),
-            );
-            fill(
-                "restart_budget",
-                serde_json::to_value(&default_restart_budget()),
-            );
-            fill("chaos", serde_json::JsonValue::Null);
-        }
-        let plan: ShardPlan = serde_json::from_value(value).map_err(|e| bad(&e))?;
+        let plan: ShardPlan = serde_json::from_str(text).map_err(|e| bad(&e))?;
         if plan.version != 1 {
             return Err(SoupError::corrupt(format!(
                 "shard plan version {} unsupported",
@@ -731,50 +703,5 @@ mod tests {
         assert_eq!(back.seed, 42);
         assert_eq!(back.range(1), 10..25);
         assert_eq!(back.worker_timeout(), Duration::from_secs(5));
-    }
-
-    #[test]
-    fn plans_without_supervision_fields_get_defaults() {
-        // A PR-9 plan.json predates worker_timeout_ms/restart_budget/chaos;
-        // loading one must not fail and must land on the documented
-        // defaults (30 s deadline, 2 respawns, no chaos).
-        let dir = tmpdir("compat");
-        let plan = ShardPlan {
-            version: 1,
-            dataset: "ds.gmm".into(),
-            k: 1,
-            ranges: vec![(0, 10)],
-            seed: 1,
-            rounds: 1,
-            arch: "gcn".into(),
-            hidden: 8,
-            layers: 2,
-            dropout: 0.0,
-            epochs: 1,
-            lr: 0.01,
-            strategy: "us".into(),
-            soup_epochs: 1,
-            pls_k: 2,
-            pls_r: 1,
-            out_dir: dir.display().to_string(),
-            no_shm: false,
-            resume: false,
-            worker_timeout_ms: 1,
-            restart_budget: 9,
-            chaos: None,
-        };
-        let mut value = serde_json::to_value(&plan);
-        let serde_json::JsonValue::Object(fields) = &mut value else {
-            panic!("plan serialises to an object");
-        };
-        fields.retain(|(k, _)| {
-            !matches!(k.as_str(), "worker_timeout_ms" | "restart_budget" | "chaos")
-        });
-        let path = dir.join("plan.json");
-        std::fs::write(&path, serde_json::to_string(&value).unwrap()).unwrap();
-        let plan = ShardPlan::load(&path).unwrap();
-        assert_eq!(plan.worker_timeout_ms, 30_000);
-        assert_eq!(plan.restart_budget, 2);
-        assert!(plan.chaos.is_none());
     }
 }

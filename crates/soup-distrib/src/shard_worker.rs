@@ -14,8 +14,8 @@
 //!    rows are copied from their owners' pages of the same map; then the
 //!    map is dropped, so training holds no mapped pages beside the copy;
 //! 3. trains its `rounds` ingredients with the ordinary thread trainer
-//!    ([`crate::train_ingredients_opts`]) — checkpoints and the journal
-//!    land in `out_dir/shard-<i>/`, so `--resume` revalidates per shard;
+//!    ([`crate::train_ingredients_opts`]) — its checkpoints land in
+//!    `out_dir/shard-<i>/`, so `--resume` revalidates per shard;
 //! 4. soups shard-locally (PLS by default) and reports owned-test-node
 //!    counts, wall time and its own `VmHWM` peak RSS.
 //!
@@ -145,7 +145,7 @@ fn chaos_kill_point(plan: &ShardPlan, shard: usize, phase: ChaosPhase, epoch: u3
 /// that is indistinguishable from a Soup/Fetch kill for recovery
 /// purposes. Instead a watcher thread puts the process down once the
 /// first ingredient checkpoint is durable, so the respawn exercises a
-/// genuine *partial-journal* resume.
+/// genuine *partial-checkpoint* resume.
 fn spawn_train_kill_watcher(plan: &ShardPlan, shard: usize, epoch: u32) {
     let Some(chaos) = &plan.chaos else { return };
     if !chaos.kill_at(shard, ChaosPhase::Train, epoch) {
@@ -173,7 +173,7 @@ fn spawn_train_kill_watcher(plan: &ShardPlan, shard: usize, epoch: u32) {
 /// Run one shard worker to completion. This is the body of the hidden
 /// `soupctl shard-worker` subcommand. `epoch` is the session epoch the
 /// supervisor assigned to this incarnation: 0 on first spawn, higher
-/// after a respawn — in which case the worker resumes from its journal
+/// after a respawn — in which case the worker resumes from its checkpoints
 /// regardless of the plan's resume bit, which is what makes a recovered
 /// run bit-identical to an uninterrupted one.
 pub fn run_shard_worker(plan_path: &Path, shard: usize, epoch: u32) -> Result<ShardResult> {
@@ -229,7 +229,7 @@ fn run_loaded_worker(
         seed,
         checkpoint_dir: Some(shard_dir.clone()),
         // A respawned incarnation always resumes: its predecessor's
-        // journal is the whole point of recovery.
+        // checkpoints are the whole point of recovery.
         resume: plan.resume || epoch > 0,
         ..TrainOpts::default()
     };
@@ -238,7 +238,7 @@ fn run_loaded_worker(
     // On datasets small enough to out-train the watcher's poll interval,
     // the kill must still land before the worker can report: a scheduled
     // Train kill that hasn't fired yet fires here, at train end, with the
-    // full journal durable — the respawn still proves a journal resume.
+    // every checkpoint durable — the respawn still proves a resume.
     chaos_kill_point(&plan, shard, ChaosPhase::Train, epoch);
     chaos_kill_point(&plan, shard, ChaosPhase::Soup, epoch);
     if run.ingredients.is_empty() {
@@ -246,8 +246,7 @@ fn run_loaded_worker(
             "shard {shard}: no ingredient survived Phase-1"
         )));
     }
-    // Merge the full manifest over the trainer's journal (write_manifest
-    // preserves foreign fields) so the shard dir is a first-class pool:
+    // Write the manifest so the shard dir is a first-class pool:
     // `soupctl verify/soup/eval` all load it like any single-process run.
     let manifest = soup_core::Manifest {
         config: cfg.clone(),

@@ -15,7 +15,7 @@
 //!   child still alive, so early errors can't leak processes either.
 //! - **Respawn.** A lost shard is relaunched with a bounded restart
 //!   budget and a bumped **session epoch**; the worker resumes from its
-//!   shard journal, so the recovered run is bit-identical to an
+//!   shard checkpoints, so the recovered run is bit-identical to an
 //!   uninterrupted one. Frames carrying a stale epoch (leftovers from a
 //!   pre-crash incarnation) are rejected and counted.
 //! - **Degradation.** A shard that exhausts its budget is marked lost;
@@ -467,7 +467,7 @@ fn parse_result(json_bytes: &[u8], want_shard: usize) -> Result<ShardResult> {
 }
 
 /// Flip bytes in the middle of the newest `ingredient_*.ck` — the
-/// respawn-time journal-corruption chaos. The resumed worker's journal
+/// respawn-time checkpoint-corruption chaos. The resumed worker's checkpoint
 /// validation must reject the artifact and retrain it.
 fn corrupt_newest_checkpoint(shard_dir: &std::path::Path) {
     let Ok(entries) = std::fs::read_dir(shard_dir) else {

@@ -16,11 +16,11 @@ use soup_core::Ingredient;
 use soup_error::{Result, SoupError};
 use soup_gnn::model::init_params;
 use soup_gnn::{
-    checkpoint_name, encode_checkpoint, find_checkpoint, load_checkpoint, train_single,
+    checkpoint_name, checkpoint_path, encode_checkpoint, load_checkpoint, train_single,
     validate_checkpoint, Checkpoint, ModelConfig, TrainConfig,
 };
 use soup_graph::Dataset;
-use soup_store::{update_journal, StorageFaultPlan, Store};
+use soup_store::{StorageFaultPlan, Store};
 use soup_tensor::{parallel, SplitMix64};
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -327,15 +327,13 @@ pub fn train_ingredients_opts(
 
     // All checkpoint writes flow through the crash-safe store: envelope
     // sealing, atomic tmp+fsync+rename, optional fault injection with
-    // read-back healing, and the per-run manifest journal.
+    // read-back healing. The checkpoints themselves are the run's progress.
     let store: Option<Store> = match &opts.checkpoint_dir {
         Some(dir) => Some(
             Store::open(dir)?.with_faults(opts.fault_plan.as_ref().and_then(|p| p.storage_plan())),
         ),
         None => None,
     };
-    // The journal is read-modify-write; serialise updates across workers.
-    let journal_lock = Mutex::new(());
 
     // Resume: satisfy ordinals from validated checkpoints before any worker
     // starts, so the queue only hands out missing or invalid ones.
@@ -343,9 +341,10 @@ pub fn train_ingredients_opts(
     if opts.resume {
         if let Some(dir) = &opts.checkpoint_dir {
             for id in 0..n {
-                let Some(path) = find_checkpoint(dir, id) else {
+                let path = checkpoint_path(dir, id);
+                if !path.exists() {
                     continue;
-                };
+                }
                 let expected_seed = root.derive(id as u64 + 1).next_u64_peek();
                 let valid = load_checkpoint(&path).and_then(|ck| {
                     validate_checkpoint(&ck, id, Some(expected_seed), &init).map(|()| ck)
@@ -401,7 +400,6 @@ pub fn train_ingredients_opts(
             let init = &init;
             let root = &root;
             let store = &store;
-            let journal_lock = &journal_lock;
             scope.spawn(move || {
                 let _worker_span = soup_obs::span!("worker");
                 let mut trained = Vec::new();
@@ -494,18 +492,7 @@ pub fn train_ingredients_opts(
                                     });
                                     match written {
                                         Ok(()) => {
-                                            soup_obs::counter!("distrib.checkpoints_written").inc();
-                                            let _guard = journal_lock.lock();
-                                            if let Err(err) =
-                                                update_journal(store.root(), "phase1", |j| {
-                                                    j.record_completed(ordinal as u64);
-                                                })
-                                            {
-                                                soup_obs::warn!(
-                                                    "ingredient {ordinal}: journal update failed \
-                                                     ({err}); continuing"
-                                                );
-                                            }
+                                            soup_obs::counter!("distrib.checkpoints_written").inc()
                                         }
                                         Err(err) => soup_obs::warn!(
                                             "ingredient {ordinal}: checkpoint write failed \
@@ -921,10 +908,6 @@ mod tests {
             let b = std::fs::read(checkpoint_path(&faulty_dir, id)).unwrap();
             assert_eq!(a, b, "checkpoint {id} did not converge to fault-free bytes");
         }
-        // The journal recorded every completed ordinal.
-        let j = soup_store::load_journal(&faulty_dir).unwrap().unwrap();
-        assert_eq!(j.completed, vec![0, 1, 2, 3]);
-        assert_eq!(j.phase, "phase1");
         std::fs::remove_dir_all(&clean_dir).ok();
         std::fs::remove_dir_all(&faulty_dir).ok();
     }

@@ -68,7 +68,7 @@ pub enum SoupError {
     /// A shard-worker OS process was lost: it exited unexpectedly, hung past
     /// its heartbeat deadline, or its control socket died mid-protocol. The
     /// supervisor treats this as retryable — the worker can be respawned and
-    /// resume from its shard journal.
+    /// resume from its shard's checkpoints.
     WorkerLost { shard: usize, message: String },
     /// One or more shards exhausted their restart budget. Carries the shard
     /// ordinals that are missing from the run. Not retryable: the supervisor

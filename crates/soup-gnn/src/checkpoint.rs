@@ -21,20 +21,19 @@
 //! reference [`ParamSet`], usually the shared Phase-1 initialisation), and
 //! a NaN/Inf scan over every tensor.
 //!
-//! ## On-disk format and migration
+//! ## On-disk format
 //!
-//! New checkpoints are written as `ingredient_{id}.ck`: the v1 JSON
-//! document wrapped in a crash-safe, CRC32-checksummed `soup-ckpt/2`
-//! envelope ([`soup_store::envelope`]) and replaced atomically with
-//! [`soup_store::write_durable`]. [`load_checkpoint`] sniffs the magic
-//! bytes and transparently reads both the envelope and bare v1 JSON files
-//! (`ingredient_{id}.json`) from pre-migration runs; [`find_checkpoint`]
-//! resolves whichever of the two exists, preferring the envelope.
+//! Checkpoints are written as `ingredient_{id}.ck`: the JSON document
+//! wrapped in a crash-safe, CRC32-checksummed `soup-ckpt/2` envelope
+//! ([`soup_store::envelope`]) and replaced atomically with
+//! [`soup_store::write_durable`]. The same format carries a souped model
+//! (`soupctl soup --out`), so one reader serves `eval`, `serve` and a
+//! live SWAP.
 
 use crate::params::ParamSet;
 use serde::{Deserialize, Serialize};
 use soup_error::{Result, SoupError};
-use soup_store::{is_envelope, open_envelope, write_durable};
+use soup_store::{open_envelope, write_durable};
 use std::path::{Path, PathBuf};
 
 /// Version tag written into (and required from) every checkpoint payload.
@@ -76,22 +75,6 @@ pub fn checkpoint_name(id: usize) -> String {
     format!("ingredient_{id}.ck")
 }
 
-/// Filename of the pre-migration v1 JSON checkpoint for ingredient `id`.
-pub fn legacy_checkpoint_path(dir: impl AsRef<Path>, id: usize) -> PathBuf {
-    dir.as_ref().join(format!("ingredient_{id}.json"))
-}
-
-/// Resolve the on-disk checkpoint for ingredient `id`: the `soup-ckpt/2`
-/// envelope if present, else the legacy v1 JSON file, else `None`.
-pub fn find_checkpoint(dir: impl AsRef<Path>, id: usize) -> Option<PathBuf> {
-    let ck = checkpoint_path(&dir, id);
-    if ck.exists() {
-        return Some(ck);
-    }
-    let legacy = legacy_checkpoint_path(&dir, id);
-    legacy.exists().then_some(legacy)
-}
-
 /// Serialize a checkpoint to its JSON payload (the envelope content).
 pub fn encode_checkpoint(ck: &Checkpoint) -> Result<Vec<u8>> {
     serde_json::to_string(ck)
@@ -123,30 +106,14 @@ pub fn save_checkpoint(ck: &Checkpoint, path: impl AsRef<Path>) -> Result<()> {
     write_durable(path, &soup_store::seal_envelope(&payload))
 }
 
-/// Persist a checkpoint in the legacy v1 bare-JSON format — still written
-/// atomically and durably (tmp + fsync + rename), so even pre-migration
-/// consumers can never observe a torn file.
-pub fn save_checkpoint_v1(ck: &Checkpoint, path: impl AsRef<Path>) -> Result<()> {
-    let path = path.as_ref();
-    write_durable(path, &encode_checkpoint(ck)?)
-}
-
-/// Load a checkpoint from either on-disk format. The first bytes are
-/// sniffed: a `soup-ckpt/2` magic means envelope (length + CRC verified
-/// before parsing), anything else is treated as a legacy v1 JSON document
-/// — the transparent read-side migration path. Run [`validate_checkpoint`]
-/// afterwards for the shape/finiteness checks that need run context.
+/// Load a checkpoint: the envelope's length and CRC are verified before
+/// the payload is parsed. Run [`validate_checkpoint`] afterwards for the
+/// shape/finiteness checks that need run context.
 pub fn load_checkpoint(path: impl AsRef<Path>) -> Result<Checkpoint> {
     let path = path.as_ref();
     let bytes = std::fs::read(path).map_err(|e| SoupError::io_at(path, e))?;
     let context = path.display().to_string();
-    if is_envelope(&bytes) {
-        let payload = open_envelope(&bytes, &context)?;
-        decode_checkpoint(payload, &context)
-    } else {
-        soup_obs::counter!("checkpoint.v1_migrations").inc();
-        decode_checkpoint(&bytes, &context)
-    }
+    decode_checkpoint(open_envelope(&bytes, &context)?, &context)
 }
 
 /// Validate a checkpoint against its run: format version, ordinal, expected
@@ -228,49 +195,16 @@ mod tests {
 
     #[test]
     fn wrong_version_rejected() {
-        let path = tmpdir().join("ck_wrong_version.json");
+        let path = tmpdir().join("ck_wrong_version.ck");
         let ck = Checkpoint {
             version: FORMAT_VERSION + 1,
             ..Checkpoint::new(0, 1, 0.5, params(2))
         };
-        let json = serde_json::to_string(&ck).unwrap();
-        std::fs::write(&path, json).unwrap();
+        save_checkpoint(&ck, &path).unwrap();
         let err = load_checkpoint(&path).unwrap_err();
         assert_eq!(err.kind(), "checkpoint");
         assert!(err.to_string().contains("format version"));
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn v1_json_still_loads_via_migration() {
-        let p = params(7);
-        let ck = Checkpoint::new(5, 77, 0.42, p.clone());
-        let path = legacy_checkpoint_path(tmpdir(), 5);
-        save_checkpoint_v1(&ck, &path).unwrap();
-        // The legacy file is bare JSON, not an envelope.
-        let raw = std::fs::read(&path).unwrap();
-        assert_eq!(raw.first(), Some(&b'{'));
-        let back = load_checkpoint(&path).unwrap();
-        assert_eq!(back.id, 5);
-        assert_eq!(back.train_seed, 77);
-        validate_checkpoint(&back, 5, Some(77), &p).unwrap();
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn find_checkpoint_prefers_envelope_over_legacy() {
-        let dir = tmpdir().join("find");
-        std::fs::create_dir_all(&dir).unwrap();
-        assert_eq!(find_checkpoint(&dir, 0), None);
-        let ck = Checkpoint::new(0, 1, 0.5, params(8));
-        save_checkpoint_v1(&ck, legacy_checkpoint_path(&dir, 0)).unwrap();
-        assert_eq!(
-            find_checkpoint(&dir, 0),
-            Some(legacy_checkpoint_path(&dir, 0))
-        );
-        save_checkpoint(&ck, checkpoint_path(&dir, 0)).unwrap();
-        assert_eq!(find_checkpoint(&dir, 0), Some(checkpoint_path(&dir, 0)));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -301,8 +235,12 @@ mod tests {
 
     #[test]
     fn garbage_file_is_corrupt() {
-        let path = tmpdir().join("ck_garbage.json");
-        std::fs::write(&path, "{definitely not json").unwrap();
+        let path = tmpdir().join("ck_garbage.ck");
+        std::fs::write(&path, "{definitely not an envelope").unwrap();
+        let err = load_checkpoint(&path).unwrap_err();
+        assert_eq!(err.kind(), "corrupt");
+        // A sound envelope around a payload that is not a checkpoint.
+        std::fs::write(&path, soup_store::seal_envelope(b"{definitely not json")).unwrap();
         let err = load_checkpoint(&path).unwrap_err();
         assert_eq!(err.kind(), "corrupt");
         std::fs::remove_file(&path).ok();
@@ -310,7 +248,7 @@ mod tests {
 
     #[test]
     fn missing_file_is_io() {
-        let err = load_checkpoint("/nonexistent/ck.json").unwrap_err();
+        let err = load_checkpoint("/nonexistent/ck.ck").unwrap_err();
         assert_eq!(err.kind(), "io");
     }
 

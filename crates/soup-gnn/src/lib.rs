@@ -31,9 +31,8 @@ pub mod train;
 
 pub use cache::PropCache;
 pub use checkpoint::{
-    checkpoint_name, checkpoint_path, decode_checkpoint, encode_checkpoint, find_checkpoint,
-    legacy_checkpoint_path, load_checkpoint, save_checkpoint, save_checkpoint_v1,
-    validate_checkpoint, Checkpoint,
+    checkpoint_name, checkpoint_path, decode_checkpoint, encode_checkpoint, load_checkpoint,
+    save_checkpoint, validate_checkpoint, Checkpoint,
 };
 pub use config::{Arch, ModelConfig};
 pub use eval::{evaluate_accuracy, evaluate_accuracy_cached, predict, predict_cached};

@@ -167,24 +167,6 @@ impl ParamSet {
         }
     }
 
-    /// Persist to a JSON file (checkpointing trained ingredients so soup
-    /// experiments can be re-run without re-training Phase 1). The write is
-    /// atomic and durable (tmp + fsync + rename) so a crash never leaves a
-    /// torn file behind.
-    pub fn save_json(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        let json = serde_json::to_string(self)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        soup_store::write_durable(path.as_ref(), json.as_bytes())
-            .map_err(|e| std::io::Error::other(e.to_string()))
-    }
-
-    /// Load from a JSON file written by [`Self::save_json`].
-    pub fn load_json(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
-        let json = std::fs::read_to_string(path)?;
-        serde_json::from_str(&json)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-    }
-
     /// L2 distance between two same-shaped parameter sets (diagnostics:
     /// ingredient diversity).
     pub fn l2_distance(&self, other: &ParamSet) -> f32 {
@@ -354,36 +336,6 @@ mod tests {
     #[should_panic(expected = "zero parameter sets")]
     fn empty_average_panics() {
         ParamSet::average(&[]);
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let p = small_set(20);
-        let dir = std::env::temp_dir().join("soup_gnn_params_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("params.json");
-        p.save_json(&path).unwrap();
-        let back = ParamSet::load_json(&path).unwrap();
-        assert!(p.same_shape(&back));
-        for (a, b) in p.flat().zip(back.flat()) {
-            assert_eq!(a, b);
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn load_missing_file_errors() {
-        assert!(ParamSet::load_json("/nonexistent/params.json").is_err());
-    }
-
-    #[test]
-    fn load_corrupt_file_errors() {
-        let dir = std::env::temp_dir().join("soup_gnn_params_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("corrupt.json");
-        std::fs::write(&path, "{not json").unwrap();
-        assert!(ParamSet::load_json(&path).is_err());
-        std::fs::remove_file(&path).ok();
     }
 
     mod props {

@@ -16,7 +16,6 @@
 
 pub mod csr;
 pub mod datasets;
-pub mod io;
 pub mod metrics;
 pub mod mmap;
 pub mod sampling;

@@ -229,6 +229,8 @@ struct Layout {
 }
 
 impl Layout {
+    /// Section offsets for the declared counts; `None` when they overflow
+    /// the address space (a header can declare any count).
     fn compute(
         n: usize,
         nnz: usize,
@@ -237,16 +239,21 @@ impl Layout {
         train_len: usize,
         val_len: usize,
         test_len: usize,
-    ) -> Self {
+    ) -> Option<Self> {
+        // Offset of the section after one of `count` `size`-byte values
+        // that starts at `off`.
+        let next = |off: usize, count: usize, size: usize| {
+            off.checked_add(count.checked_mul(size)?.checked_next_multiple_of(8)?)
+        };
         let off_indptr = HEADER_LEN;
-        let off_indices = off_indptr + pad8((n + 1) * 8);
-        let off_features = off_indices + pad8(nnz * 4);
-        let off_labels = off_features + pad8(n * dim * 4);
-        let off_train = off_labels + pad8(n * 4);
-        let off_val = off_train + pad8(train_len * 4);
-        let off_test = off_val + pad8(val_len * 4);
-        let total_len = off_test + pad8(test_len * 4);
-        Self {
+        let off_indices = next(off_indptr, n.checked_add(1)?, 8)?;
+        let off_features = next(off_indices, nnz, 4)?;
+        let off_labels = next(off_features, n.checked_mul(dim)?, 4)?;
+        let off_train = next(off_labels, n, 4)?;
+        let off_val = next(off_train, train_len, 4)?;
+        let off_test = next(off_val, val_len, 4)?;
+        let total_len = next(off_test, test_len, 4)?;
+        Some(Self {
             n,
             nnz,
             dim,
@@ -262,7 +269,7 @@ impl Layout {
             off_val,
             off_test,
             total_len,
-        }
+        })
     }
 }
 
@@ -342,7 +349,13 @@ impl MmapDataset {
         let train_len = as_usize(u64_at(48), "train split length")?;
         let val_len = as_usize(u64_at(56), "val split length")?;
         let test_len = as_usize(u64_at(64), "test split length")?;
-        let layout = Layout::compute(n, nnz, dim, classes, train_len, val_len, test_len);
+        let layout = Layout::compute(n, nnz, dim, classes, train_len, val_len, test_len)
+            .ok_or_else(|| {
+                SoupError::corrupt(format!(
+                    "mmap dataset {}: section sizes overflow the address space",
+                    path.display()
+                ))
+            })?;
         if bytes.len() != layout.total_len {
             return Err(SoupError::corrupt(format!(
                 "mmap dataset {}: file is {} bytes, header implies {} (truncated or padded)",
@@ -685,7 +698,8 @@ pub fn write_mmap_dataset(
         meta.train_len,
         meta.val_len,
         meta.test_len,
-    );
+    )
+    .ok_or_else(|| SoupError::usage("mmap writer: dataset sizes overflow the address space"))?;
     soup_store::write_durable_streamed(path, |w| {
         let mut header = [0u8; HEADER_LEN];
         header[0..8].copy_from_slice(MAGIC);

@@ -7,7 +7,7 @@
 //! 0       12    magic  b"soup-ckpt/2\n"
 //! 12      8     payload length (u64 LE)
 //! 20      4     CRC32 (IEEE) of the payload (u32 LE)
-//! 24      n     payload (opaque bytes; in practice the v1 JSON document)
+//! 24      n     payload (opaque bytes; in practice a JSON document)
 //! ```
 //!
 //! [`open`] classifies *every* kind of damage — short header, wrong magic,
@@ -37,12 +37,6 @@ pub fn seal(payload: &[u8]) -> Vec<u8> {
     out.extend_from_slice(&crc32(payload).to_le_bytes());
     out.extend_from_slice(payload);
     out
-}
-
-/// True when `bytes` starts with the `soup-ckpt/2` magic — used to sniff
-/// envelope vs. legacy v1 JSON on the read path.
-pub fn is_envelope(bytes: &[u8]) -> bool {
-    bytes.len() >= MAGIC.len() && bytes[..MAGIC.len()] == MAGIC
 }
 
 /// Validate an envelope and return its payload slice.
@@ -86,7 +80,6 @@ mod tests {
     fn seal_open_round_trip() {
         for payload in [&b""[..], b"{}", b"x", &[0u8; 4096]] {
             let sealed = seal(payload);
-            assert!(is_envelope(&sealed));
             assert_eq!(open(&sealed, "t").unwrap(), payload);
         }
     }
@@ -97,12 +90,6 @@ mod tests {
         sealed.push(0);
         let err = open(&sealed, "t").unwrap_err();
         assert_eq!(err.kind(), "corrupt");
-    }
-
-    #[test]
-    fn legacy_json_is_not_an_envelope() {
-        assert!(!is_envelope(b"{\"version\":1}"));
-        assert_eq!(open(b"{\"version\":1}", "t").unwrap_err().kind(), "corrupt");
     }
 
     #[test]

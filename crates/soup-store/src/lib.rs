@@ -12,7 +12,6 @@
 //! | CRC32 (IEEE) | [`crc`] |
 //! | Deterministic torn-write / bit-flip injection | [`fault`] |
 //! | Verified envelope store with self-healing writes | [`store`] |
-//! | Per-run `manifest.json` progress journal | [`journal`] |
 //! | `u32`-LE length-prefixed socket frames (serve, shard control) | [`frame`] |
 //!
 //! Damage of any kind surfaces as [`soup_error::SoupError::Corrupt`] —
@@ -23,13 +22,9 @@ pub mod crc;
 pub mod envelope;
 pub mod fault;
 pub mod frame;
-pub mod journal;
 pub mod store;
 
 pub use atomic::{write_durable, write_durable_streamed};
-pub use envelope::{is_envelope, open as open_envelope, seal as seal_envelope, HEADER_LEN, MAGIC};
+pub use envelope::{open as open_envelope, seal as seal_envelope, HEADER_LEN, MAGIC};
 pub use fault::{StorageFault, StorageFaultPlan};
-pub use journal::{
-    load_journal, update_journal, Journal, Phase2Progress, JOURNAL_VERSION, MANIFEST,
-};
 pub use store::{read_payload, Store};

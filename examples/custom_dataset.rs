@@ -6,7 +6,8 @@
 //! Run: `cargo run --release --example custom_dataset`
 
 use enhanced_soups::gnn::train::SwaConfig;
-use enhanced_soups::graph::io::{load_dataset, save_dataset};
+use enhanced_soups::gnn::{checkpoint_path, load_checkpoint};
+use enhanced_soups::graph::mmap::{save_mmap_dataset, MmapDataset};
 use enhanced_soups::graph::stats::degree_stats;
 use enhanced_soups::graph::SbmConfig;
 use enhanced_soups::prelude::*;
@@ -40,9 +41,9 @@ fn main() -> Result<()> {
     // 2. Persist and reload (e.g. preprocessing once, experimenting later).
     let dir = std::env::temp_dir().join("enhanced_soups_example");
     std::fs::create_dir_all(&dir)?;
-    let ds_path = dir.join("custom.json");
-    save_dataset(&dataset, &ds_path)?;
-    let dataset = load_dataset(&ds_path)?;
+    let ds_path = dir.join("custom.gmm");
+    save_mmap_dataset(&dataset, &ds_path)?;
+    let dataset = MmapDataset::open(&ds_path)?.load()?;
     println!("round-tripped dataset through {}", ds_path.display());
 
     // 3. Train SWA ingredients (temporal averaging per ref [16]). The
@@ -69,10 +70,7 @@ fn main() -> Result<()> {
         .ingredients
         .iter()
         .map(|ing| {
-            let ck = enhanced_soups::gnn::load_checkpoint(
-                dir.join(format!("ingredient_{}.json", ing.id)),
-            )
-            .expect("checkpoint readable");
+            let ck = load_checkpoint(checkpoint_path(&dir, ing.id)).expect("checkpoint readable");
             Ingredient::new(ck.id, ck.params, ck.val_accuracy, ck.train_seed)
         })
         .collect();

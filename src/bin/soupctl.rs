@@ -1,17 +1,16 @@
 //! `soupctl` — command-line driver for the Enhanced-Soups pipeline.
 //!
 //! ```text
-//! soupctl generate  --dataset flickr --scale 0.5 --seed 42 --out ds.json
-//! soupctl train     --data ds.json --arch gcn --ingredients 8 --workers 4 \
+//! soupctl generate  --dataset flickr --scale 0.5 --seed 42 --out ds.gmm
+//! soupctl train     --data ds.gmm --arch gcn --ingredients 8 --workers 4 \
 //!                   --epochs 30 --seed 42 --out-dir ckpts/
-//! soupctl train     --data ds.json --arch gcn --out-dir ckpts/ --resume
-//! soupctl soup      --data ds.json --ckpt-dir ckpts/ --strategy ls \
-//!                   --epochs 50 --seed 7 --out soup.json
-//! soupctl eval      --data ds.json --ckpt-dir ckpts/ --params soup.json --split test
-//! soupctl serve     --data ds.json --ckpt-dir ckpts/ --params soup.json --port 7450
+//! soupctl train     --data ds.gmm --arch gcn --out-dir ckpts/ --resume
+//! soupctl soup      --data ds.gmm --ckpt-dir ckpts/ --strategy ls \
+//!                   --epochs 50 --seed 7 --out soup.ck
+//! soupctl eval      --data ds.gmm --ckpt-dir ckpts/ --params soup.ck --split test
+//! soupctl serve     --data ds.gmm --ckpt-dir ckpts/ --params soup.ck --port 7450
 //! soupctl query     --addr 127.0.0.1:7450 --nodes 0,17,42
-//! soupctl diversity --data ds.json --ckpt-dir ckpts/
-//! soupctl generate  --dataset products --scale 0.2 --mmap --out ds.gmm
+//! soupctl diversity --data ds.gmm --ckpt-dir ckpts/
 //! soupctl partition --data ds.gmm --k 4
 //! soupctl shard     --data ds.gmm --k 4 --out-dir run/ --strategy pls
 //! ```
@@ -21,24 +20,26 @@
 //! errors (exit 2), and per-command `--help` is generated from the same
 //! spec the parser runs.
 //!
-//! `train` persists every ingredient as a checksummed `soup-ckpt/2`
-//! checkpoint (written atomically through the crash-safe store) plus a
-//! `manifest.json` recording the model configuration, per-ingredient
-//! metadata and the run journal, which `soup`/`eval`/`serve`/`diversity`
-//! read back so the architecture never has to be re-specified. A killed
-//! run is picked up with `--resume`: existing checkpoints are validated
-//! and only missing or corrupt ingredients retrain. Phase 2 is resumable
-//! too: `soup --strategy ls --resume` continues the α-optimisation
-//! bit-identically from the last durable epoch checkpoint. `serve` exposes
-//! the souped model over a TCP loop with admission control and hot model
-//! swap; `query` is the matching client.
+//! Every command reads and writes one format per artifact: datasets are
+//! `soup-graphmmap/1` files, and ingredients and soups alike are
+//! checksummed `soup-ckpt/2` checkpoints. `train` writes each ingredient
+//! atomically through the crash-safe store, plus a `manifest.json`
+//! recording the model configuration and per-ingredient metadata, which
+//! `soup`/`eval`/`serve`/`diversity` read back so the architecture never
+//! has to be re-specified. A killed run is picked up with `--resume`:
+//! existing checkpoints are validated and only missing or corrupt
+//! ingredients retrain. Phase 2 is resumable too: `soup --strategy ls
+//! --resume` continues the α-optimisation bit-identically from the last
+//! durable epoch checkpoint. `serve` exposes the souped model over a TCP
+//! loop with admission control and hot model swap; `query` is the
+//! matching client.
 //!
-//! The sharded path works on out-of-core `soup-graphmmap/1` datasets
-//! (`generate --mmap`): `partition` reports k-way quality (edge-cut, halo
-//! fraction, balance) or rewrites the dataset shard-ordered, and `shard`
-//! runs multi-process Phase-1 + souping — one OS process per shard, halo
-//! features copied from the shared map, ≈R/K peak memory per worker. The
-//! workers it forks are the hidden `shard-worker` subcommand.
+//! The sharded path maps the same dataset file out of core: `partition`
+//! reports k-way quality (edge-cut, halo fraction, balance) or rewrites
+//! the dataset shard-ordered, and `shard` runs multi-process Phase-1 +
+//! souping — one OS process per shard, halo features copied from the
+//! shared map, ≈R/K peak memory per worker. The workers it forks are the
+//! hidden `shard-worker` subcommand.
 
 use enhanced_soups::cli::{CommandSpec, FlagDef, Flags};
 use enhanced_soups::distrib::{
@@ -47,10 +48,9 @@ use enhanced_soups::distrib::{
 };
 use enhanced_soups::gnn::model::PropOps;
 use enhanced_soups::gnn::{
-    check_params, checkpoint_name, evaluate_accuracy, load_checkpoint, ParamSet,
+    check_params, checkpoint_name, evaluate_accuracy, load_checkpoint, save_checkpoint, Checkpoint,
 };
 use enhanced_soups::gnn::{ModelConfig, TrainConfig};
-use enhanced_soups::graph::io::{load_dataset, save_dataset};
 use enhanced_soups::graph::mmap::{save_mmap_dataset, MmapDataset};
 use enhanced_soups::prelude::*;
 use enhanced_soups::serve::{Client, PredictResult, ServeConfig, Server};
@@ -63,6 +63,38 @@ use std::path::{Path, PathBuf};
 use std::process::exit;
 use std::time::Duration;
 
+/// `print!` that returns a failed write as an `io` error instead of
+/// panicking. Everything soupctl writes to stdout goes through here.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))?
+    };
+}
+
+/// `println!` through [`out!`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        out!("{}\n", format_args!($($arg)*))
+    };
+}
+
+/// Where a closed stdout is reported from, so `main` can tell it apart from
+/// a broken socket.
+const STDOUT: &str = "<stdout>";
+
+fn write_stdout(args: std::fmt::Arguments<'_>) -> Result<()> {
+    use std::io::Write;
+    std::io::stdout()
+        .lock()
+        .write_fmt(args)
+        .map_err(|e| SoupError::io_at(STDOUT, e))
+}
+
+fn stdout_closed(e: &SoupError) -> bool {
+    matches!(e, SoupError::Io { path: Some(p), source }
+        if p.as_os_str() == STDOUT && source.kind() == std::io::ErrorKind::BrokenPipe)
+}
+
 const GENERATE: CommandSpec = CommandSpec {
     name: "generate",
     summary: "synthesize a dataset shaped like one of the paper's benchmarks",
@@ -71,11 +103,7 @@ const GENERATE: CommandSpec = CommandSpec {
         FlagDef::str("dataset", "NAME", "flickr | arxiv | reddit | products").required(),
         FlagDef::f64("scale", "node-count multiplier").default("1.0"),
         FlagDef::u64("seed", "generator seed").default("42"),
-        FlagDef::str("out", "FILE", "output dataset file").required(),
-        FlagDef::switch(
-            "mmap",
-            "write the out-of-core soup-graphmmap/1 format (for partition/shard)",
-        ),
+        FlagDef::str("out", "FILE", "output soup-graphmmap/1 dataset file").required(),
     ],
 };
 
@@ -84,12 +112,7 @@ const PARTITION: CommandSpec = CommandSpec {
     summary: "k-way shard quality report; --out rewrites the dataset shard-ordered",
     positional: "",
     flags: &[
-        FlagDef::str(
-            "data",
-            "FILE",
-            "soup-graphmmap/1 dataset (`generate --mmap`)",
-        )
-        .required(),
+        FlagDef::str("data", "FILE", "dataset from `generate`").required(),
         FlagDef::u64("k", "shard count").default("4"),
         FlagDef::str(
             "out",
@@ -104,12 +127,7 @@ const SHARD: CommandSpec = CommandSpec {
     summary: "multi-process sharded phase 1 + souping (one worker per shard)",
     positional: "",
     flags: &[
-        FlagDef::str(
-            "data",
-            "FILE",
-            "soup-graphmmap/1 dataset (`generate --mmap`)",
-        )
-        .required(),
+        FlagDef::str("data", "FILE", "dataset from `generate`").required(),
         FlagDef::u64("k", "shard count = worker process count").default("2"),
         FlagDef::str(
             "out-dir",
@@ -245,7 +263,7 @@ const SOUP: CommandSpec = CommandSpec {
         FlagDef::u64("pls-k", "PLS partition count K").default("16"),
         FlagDef::u64("pls-r", "PLS partitions per epoch R").default("4"),
         FlagDef::u64("seed", "phase-2 seed").default("7"),
-        FlagDef::str("out", "FILE", "write the souped parameters as JSON"),
+        FlagDef::str("out", "FILE", "write the soup as a soup-ckpt/2 checkpoint"),
         FlagDef::switch(
             "resume",
             "continue from the last durable phase-2 checkpoint (ls/pls)",
@@ -273,7 +291,7 @@ const EVAL: CommandSpec = CommandSpec {
             "checkpoint directory (for the architecture)",
         )
         .required(),
-        FlagDef::str("params", "FILE", "parameters from `soup --out`").required(),
+        FlagDef::str("params", "FILE", "checkpoint from `soup --out` or `train`").required(),
         FlagDef::str("split", "NAME", "train | val | test").default("test"),
     ],
 };
@@ -288,7 +306,7 @@ const SERVE: CommandSpec = CommandSpec {
         FlagDef::str(
             "params",
             "FILE",
-            "souped parameters to serve (default: soup the pool at startup)",
+            "checkpoint to serve (default: soup the pool at startup)",
         ),
         FlagDef::str(
             "strategy",
@@ -464,10 +482,19 @@ fn main() {
     if let Some(path) = enhanced_soups::obs::trace::finish() {
         soup_obs::info!("wrote trace {}", path.display());
     }
-    if flags.switch("metrics-summary") {
-        enhanced_soups::obs::report::print_summary();
-    }
+    // The summary prints on failure too; the command's own error stays first.
+    let printed = if flags.switch("metrics-summary") {
+        write_stdout(format_args!("{}", enhanced_soups::obs::report::render()))
+    } else {
+        Ok(())
+    };
+    let result = result.and(printed);
     if let Err(e) = result {
+        // The reader hung up (`soupctl obs tail t.jsonl | head -4`): it has
+        // all the output it wanted, so the command ends quietly.
+        if stdout_closed(&e) {
+            return;
+        }
         eprintln!("error: {e}");
         exit(if e.kind() == "usage" { 2 } else { 1 });
     }
@@ -507,28 +534,25 @@ fn cmd_generate(flags: &Flags) -> Result<()> {
         .ok_or_else(|| SoupError::usage(format!("unknown dataset '{name}'")))?;
     let out = flags.req_str("out");
     let dataset = kind.generate_scaled(flags.req_u64("seed"), flags.req_f64("scale"));
-    if flags.switch("mmap") {
-        save_mmap_dataset(&dataset, out)?;
-    } else {
-        save_dataset(&dataset, out)?;
-    }
+    save_mmap_dataset(&dataset, out)?;
     soup_obs::info!(
-        "wrote {} ({} nodes, {} edges, {} classes{})",
+        "wrote {} ({} nodes, {} edges, {} classes)",
         out,
         dataset.num_nodes(),
         dataset.graph.num_edges(),
         dataset.num_classes(),
-        if flags.switch("mmap") {
-            ", soup-graphmmap/1"
-        } else {
-            ""
-        }
     );
     Ok(())
 }
 
+/// The dataset behind `--data`: every command reads the one
+/// `soup-graphmmap/1` file `generate` writes, validated before use.
+fn load_data(flags: &Flags) -> Result<Dataset> {
+    MmapDataset::open(flags.req_str("data"))?.load()
+}
+
 fn cmd_train(flags: &Flags) -> Result<()> {
-    let dataset = load_dataset(flags.req_str("data"))?;
+    let dataset = load_data(flags)?;
     let arch_name = flags.req_str("arch");
     let arch = enhanced_soups::gnn::Arch::from_name(arch_name)
         .ok_or_else(|| SoupError::usage(format!("unknown architecture '{arch_name}'")))?;
@@ -653,7 +677,7 @@ fn strategy_spec(flags: &Flags, name: &str) -> StrategySpec {
 }
 
 fn cmd_soup(flags: &Flags) -> Result<()> {
-    let dataset = load_dataset(flags.req_str("data"))?;
+    let dataset = load_data(flags)?;
     let dir = PathBuf::from(flags.req_str("ckpt-dir"));
     let (cfg, ingredients) = load_manifest(&dir)?;
     // Phase-1 -> Phase-2 boundary: buffers pooled while loading/validating
@@ -718,17 +742,18 @@ fn cmd_soup(flags: &Flags) -> Result<()> {
         outcome.stats.spmm_saved,
     );
     if let Some(out) = flags.str("out") {
-        outcome.params.save_json(out)?;
+        let ck = Checkpoint::new(0, seed, outcome.val_accuracy, outcome.params);
+        save_checkpoint(&ck, out)?;
         soup_obs::info!("wrote {out}");
     }
     Ok(())
 }
 
 fn cmd_eval(flags: &Flags) -> Result<()> {
-    let dataset = load_dataset(flags.req_str("data"))?;
+    let dataset = load_data(flags)?;
     let dir = PathBuf::from(flags.req_str("ckpt-dir"));
     let (cfg, _) = load_manifest(&dir)?;
-    let params = ParamSet::load_json(flags.req_str("params"))?;
+    let params = load_checkpoint(flags.req_str("params"))?.params;
     check_params(&cfg, &params)?;
     let split = flags.req_str("split");
     let mask = match split {
@@ -746,7 +771,7 @@ fn cmd_eval(flags: &Flags) -> Result<()> {
         &dataset.labels,
         mask,
     );
-    println!("{split} accuracy: {:.4} ({:.2}%)", acc, acc * 100.0);
+    outln!("{split} accuracy: {:.4} ({:.2}%)", acc, acc * 100.0);
     Ok(())
 }
 
@@ -754,11 +779,12 @@ fn cmd_eval(flags: &Flags) -> Result<()> {
 /// or a startup soup), and run the TCP loop until a SHUTDOWN request
 /// arrives.
 fn cmd_serve(flags: &Flags) -> Result<()> {
-    let dataset = load_dataset(flags.req_str("data"))?;
+    let dataset = load_data(flags)?;
     let dir = PathBuf::from(flags.req_str("ckpt-dir"));
     let (cfg, ingredients) = load_manifest(&dir)?;
     let params = match flags.str("params") {
-        Some(path) => ParamSet::load_json(path)?,
+        // `Server::start` runs `check_params` on whichever model it gets.
+        Some(path) => load_checkpoint(path)?.params,
         None => {
             let name = flags.req_str("strategy");
             let mut spec = StrategySpec::new(name);
@@ -790,7 +816,7 @@ fn cmd_serve(flags: &Flags) -> Result<()> {
     }
     let server = Server::start(dataset, cfg, params, config)?;
     // Machine-readable so scripts (and CI) can discover an ephemeral port.
-    println!("SERVING {}", server.addr());
+    outln!("SERVING {}", server.addr());
     server.join();
     soup_obs::info!("serve loop exited");
     Ok(())
@@ -806,7 +832,7 @@ fn cmd_query(flags: &Flags) -> Result<()> {
     let mut client = Client::connect(addr)?;
     let mut acted = false;
     if flags.switch("ping") {
-        println!("version {}", client.ping()?);
+        outln!("version {}", client.ping()?);
         acted = true;
     }
     if let Some(list) = flags.str("nodes") {
@@ -822,9 +848,9 @@ fn cmd_query(flags: &Flags) -> Result<()> {
         match client.predict(&nodes)? {
             PredictResult::Classes { version, classes } => {
                 for (node, class) in nodes.iter().zip(&classes) {
-                    println!("node {node} -> class {class}");
+                    outln!("node {node} -> class {class}");
                 }
-                println!("(model version {version})");
+                outln!("(model version {version})");
             }
             PredictResult::Overloaded => {
                 return Err(SoupError::usage("server overloaded — retry later"))
@@ -833,26 +859,26 @@ fn cmd_query(flags: &Flags) -> Result<()> {
         acted = true;
     }
     if let Some(path) = flags.str("swap") {
-        println!("promoted version {}", client.swap(path)?);
+        outln!("promoted version {}", client.swap(path)?);
         acted = true;
     }
     if let Some(strategy) = flags.str("resoup") {
         let dir = flags
             .str("ckpt-dir")
             .ok_or_else(|| SoupError::usage("--resoup needs --ckpt-dir"))?;
-        println!(
+        outln!(
             "resouped version {}",
             client.resoup(strategy, dir, flags.req_u64("seed"))?
         );
         acted = true;
     }
     if flags.switch("stats") {
-        println!("{}", client.stats()?);
+        outln!("{}", client.stats()?);
         acted = true;
     }
     if flags.switch("shutdown") {
         client.shutdown()?;
-        println!("server stopping");
+        outln!("server stopping");
         acted = true;
     }
     if !acted {
@@ -863,9 +889,9 @@ fn cmd_query(flags: &Flags) -> Result<()> {
     Ok(())
 }
 
-/// Offline integrity audit of an artifact directory: envelope checksums,
-/// format versions, manifest/journal consistency, NaN scans of every
-/// parameter payload, and the phase-2 optimizer states. Prints one line per
+/// Offline integrity audit of an artifact directory: the manifest,
+/// envelope checksums, format versions, NaN scans of every parameter
+/// payload, and the phase-2 optimizer states. Prints one line per
 /// artifact and fails (non-zero exit) if anything is corrupt.
 fn cmd_verify(flags: &Flags) -> Result<()> {
     let dir = flags
@@ -883,14 +909,15 @@ fn cmd_verify(flags: &Flags) -> Result<()> {
     }
     let mut problems: Vec<String> = Vec::new();
     let mut checked = 0usize;
-    let note = |ok: bool, what: String, problems: &mut Vec<String>| {
-        println!("  [{}] {what}", if ok { "ok" } else { "CORRUPT" });
+    let note = |ok: bool, what: String, problems: &mut Vec<String>| -> Result<()> {
+        outln!("  [{}] {what}", if ok { "ok" } else { "CORRUPT" });
         if !ok {
             problems.push(what);
         }
+        Ok(())
     };
 
-    // Manifest: must parse; its journal (if present) must decode.
+    // Manifest: must parse.
     let manifest_path = dir.join("manifest.json");
     let mut manifest: Option<Manifest> = None;
     if manifest_path.exists() {
@@ -906,23 +933,10 @@ fn cmd_verify(flags: &Flags) -> Result<()> {
                     true,
                     format!("manifest.json ({} entries)", m.ingredients.len()),
                     &mut problems,
-                );
+                )?;
                 manifest = Some(m);
             }
-            Err(e) => note(false, format!("manifest.json: {e}"), &mut problems),
-        }
-        match enhanced_soups::store::load_journal(&dir) {
-            Ok(Some(j)) => note(
-                true,
-                format!(
-                    "journal (phase {}, {} completed ordinals)",
-                    j.phase,
-                    j.completed.len()
-                ),
-                &mut problems,
-            ),
-            Ok(None) => {}
-            Err(e) => note(false, format!("journal: {e}"), &mut problems),
+            Err(e) => note(false, format!("manifest.json: {e}"), &mut problems)?,
         }
     }
 
@@ -963,8 +977,8 @@ fn cmd_verify(flags: &Flags) -> Result<()> {
                     ck.id, ck.val_accuracy
                 ),
                 &mut problems,
-            ),
-            Err(e) => note(false, format!("{file}: {e}"), &mut problems),
+            )?,
+            Err(e) => note(false, format!("{file}: {e}"), &mut problems)?,
         }
     }
 
@@ -989,11 +1003,11 @@ fn cmd_verify(flags: &Flags) -> Result<()> {
                         if finite { "" } else { ": non-finite α" }
                     ),
                     &mut problems,
-                );
+                )?;
             }
             Err(e) => {
                 checked += 1;
-                note(false, format!("phase2_{strategy}.ck: {e}"), &mut problems);
+                note(false, format!("phase2_{strategy}.ck: {e}"), &mut problems)?;
             }
         }
     }
@@ -1005,7 +1019,7 @@ fn cmd_verify(flags: &Flags) -> Result<()> {
         )));
     }
     if problems.is_empty() {
-        println!("{}: {checked} artifacts verified, all clean", dir.display());
+        outln!("{}: {checked} artifacts verified, all clean", dir.display());
         Ok(())
     } else {
         Err(SoupError::corrupt(format!(
@@ -1025,7 +1039,7 @@ fn cmd_trace_validate(flags: &Flags) -> Result<()> {
         .or_else(|| flags.str("file"))
         .ok_or_else(|| SoupError::usage("usage: soupctl trace-validate FILE"))?;
     let stats = enhanced_soups::obs::trace::validate_file(file)?;
-    println!(
+    outln!(
         "{file}: valid {} trace — {} lines, {} spans ({} distinct), {} events ({} distinct), \
          {} logs, {} samples, metrics record: {}",
         enhanced_soups::obs::trace::SCHEMA,
@@ -1068,7 +1082,7 @@ fn cmd_obs(flags: &Flags) -> Result<()> {
                 .ok_or_else(|| {
                     SoupError::parse(format!("{file}: no parseable `metrics` record"))
                 })?;
-            print!(
+            out!(
                 "{}",
                 enhanced_soups::obs::report::render_snapshot(&snapshot)
             );
@@ -1080,7 +1094,7 @@ fn cmd_obs(flags: &Flags) -> Result<()> {
             })?;
             let last = flags.req_usize("last");
             let stats = enhanced_soups::obs::trace::validate_file(file)?;
-            println!(
+            outln!(
                 "{file}: {} samples{}",
                 stats.samples.len(),
                 if stats.has_metrics {
@@ -1105,7 +1119,7 @@ fn cmd_obs(flags: &Flags) -> Result<()> {
                     .take(3)
                     .map(|(n, d)| format!("{n}+{d}"))
                     .collect();
-                println!(
+                outln!(
                     "  #{:<5} t={:>9.3}s rss={:>10} {}",
                     sample.seq,
                     sample.ts_us as f64 / 1e6,
@@ -1115,7 +1129,7 @@ fn cmd_obs(flags: &Flags) -> Result<()> {
             }
             if let Some(sample) = stats.samples.last() {
                 for (name, value) in &sample.gauges {
-                    println!("  {name:<52} {value:>14.4}");
+                    outln!("  {name:<52} {value:>14.4}");
                 }
             }
             Ok(())
@@ -1133,7 +1147,7 @@ fn cmd_obs(flags: &Flags) -> Result<()> {
                 .f64("noise")
                 .unwrap_or(enhanced_soups::obs::diff::DEFAULT_NOISE);
             let report = enhanced_soups::obs::diff::diff_traces(base, new, noise)?;
-            print!("{}", report.render());
+            out!("{}", report.render());
             if report.has_regressions() && flags.switch("fail-on-regress") {
                 return Err(SoupError::corrupt(format!(
                     "{} span(s) regressed beyond the ±{:.0}% noise band",
@@ -1149,7 +1163,7 @@ fn cmd_obs(flags: &Flags) -> Result<()> {
             })?;
             let out = flags.req_str("out");
             let stacks = enhanced_soups::obs::flame::write_folded(file, out)?;
-            println!("wrote {out} ({stacks} stacks)");
+            outln!("wrote {out} ({stacks} stacks)");
             Ok(())
         }
         other => Err(SoupError::usage(format!(
@@ -1189,21 +1203,21 @@ fn cmd_partition(flags: &Flags) -> Result<()> {
         None => analyze_sharding(&src, k).1,
     };
     quality.export_gauges();
-    println!("{data}: {nodes} nodes, {nnz} directed edges, k = {k}");
-    println!(
+    outln!("{data}: {nodes} nodes, {nnz} directed edges, k = {k}");
+    outln!(
         "  edge-cut:      {} ({:.2}% of undirected edges)",
         quality.edge_cut,
         200.0 * quality.edge_cut as f64 / nnz.max(1) as f64
     );
-    println!(
+    outln!(
         "  halo fraction: {:.4} (out-of-shard feature rows per node)",
         quality.halo_fraction
     );
-    println!(
+    outln!(
         "  balance:       {:.4} (largest shard / ideal n/k)",
         quality.balance
     );
-    println!("  halo counts:   {:?}", quality.halo_counts);
+    outln!("  halo counts:   {:?}", quality.halo_counts);
     Ok(())
 }
 
@@ -1355,7 +1369,7 @@ fn cmd_shard(flags: &Flags) -> Result<()> {
             enhanced_soups::obs::report::fmt_bytes(r.peak_rss_bytes),
         );
     }
-    println!(
+    outln!(
         "sharded {} (k={}{}): test {:.2}%  wall {:.3}s  max worker peak rss {}",
         plan.strategy,
         plan.k,
@@ -1389,28 +1403,26 @@ fn cmd_shard_worker(flags: &Flags) -> Result<()> {
 }
 
 fn cmd_diversity(flags: &Flags) -> Result<()> {
-    let dataset = load_dataset(flags.req_str("data"))?;
+    let dataset = load_data(flags)?;
     let dir = PathBuf::from(flags.req_str("ckpt-dir"));
     let (cfg, ingredients) = load_manifest(&dir)?;
     let report = diversity_report(&ingredients, &dataset, &cfg);
-    println!(
+    outln!(
         "ingredient pool diversity ({} ingredients):",
         ingredients.len()
     );
-    println!(
+    outln!(
         "  mean pairwise weight distance: {:.4}",
         report.mean_weight_distance
     );
-    println!(
+    outln!(
         "  mean prediction disagreement:  {:.2}%",
         report.mean_disagreement * 100.0
     );
-    println!(
+    outln!(
         "  val-accuracy std:              {:.3}%",
         report.val_acc_std * 100.0
     );
-    println!(
-        "  (§V-A: pools with tiny spread favour uninformed US; dispersed pools favour GIS/LS)"
-    );
+    outln!("  (§V-A: pools with tiny spread favour uninformed US; dispersed pools favour GIS/LS)");
     Ok(())
 }

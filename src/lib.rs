@@ -11,10 +11,10 @@
 //! - [`gnn`] — GCN / GraphSAGE / GAT models and training loops
 //! - [`soup`] — the souping algorithms: US, Greedy, GIS, **LS**, **PLS**
 //! - [`distrib`] — zero-communication distributed ingredient training
-//! - [`serve`] — online serving: micro-batched TCP queries over the soup,
-//!   admission control, hot model swap
+//! - [`serve`] — online serving: TCP queries answered from the soup's
+//!   prediction table, admission control, hot model swap
 //! - [`store`] — crash-safe artifact store: atomic durable writes,
-//!   checksummed envelopes, fault injection, the per-run journal
+//!   checksummed envelopes, fault injection
 //! - [`obs`] — metrics registry, timing spans, JSONL tracing, reporting
 //!
 //! ## Quickstart

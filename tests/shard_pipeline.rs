@@ -1,14 +1,16 @@
 //! Multi-process sharded pipeline, end to end through the `soupctl`
-//! binary: generate an out-of-core dataset, partition it, run K worker
-//! processes through Phase-1 + souping, and audit the artifacts — plus
+//! binary: generate a dataset, feed the same file to every command,
+//! partition it, run K worker processes through Phase-1 + souping, and
+//! audit the artifacts — plus
 //! the shard layer's determinism and recovery guarantees: runs are
 //! bit-identical across repetitions at a fixed seed, and across a worker
 //! killed at any phase and respawned.
 
 use enhanced_soups::distrib::{ShardPlan, ShardResult};
-use enhanced_soups::gnn::load_checkpoint;
+use enhanced_soups::gnn::{check_params, load_checkpoint};
 use enhanced_soups::graph::mmap::{save_mmap_dataset, MmapDataset};
 use enhanced_soups::graph::DatasetKind;
+use enhanced_soups::soup::load_manifest;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -34,7 +36,7 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
-fn generate_mmap(dir: &Path) -> PathBuf {
+fn generate_dataset(dir: &Path) -> PathBuf {
     let ds = dir.join("ds.gmm");
     run_ok(soupctl().args([
         "generate",
@@ -44,7 +46,6 @@ fn generate_mmap(dir: &Path) -> PathBuf {
         "0.08",
         "--seed",
         "33",
-        "--mmap",
         "--out",
         ds.to_str().unwrap(),
     ]));
@@ -155,7 +156,7 @@ fn mmap_dataset_round_trips_bitwise_against_in_memory() {
 #[test]
 fn sharded_pipeline_round_trips_through_soupctl() {
     let dir = tmpdir("e2e");
-    let ds = generate_mmap(&dir);
+    let ds = generate_dataset(&dir);
 
     // Partition quality report prints the metric triplet.
     let report = run_ok(soupctl().args(["partition", "--data", ds.to_str().unwrap(), "--k", "2"]));
@@ -191,7 +192,7 @@ fn sharded_pipeline_round_trips_through_soupctl() {
     }
 
     // Resume in the run directory's new home after it moved: every
-    // ingredient comes from the journal, the souped accuracy agrees, and
+    // ingredient comes from its checkpoint, the souped accuracy agrees, and
     // nothing is written at the old path.
     let moved = dir.join("moved");
     std::fs::rename(&run_dir, &moved).unwrap();
@@ -231,10 +232,89 @@ fn sharded_pipeline_round_trips_through_soupctl() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// One `generate`d file feeds every command, and one checkpoint format
+/// carries ingredients and soups alike: `eval` reads both, and the soup
+/// `soup --out` writes is what a SWAP loads.
+#[test]
+fn one_dataset_file_feeds_every_command() {
+    let dir = tmpdir("onefile");
+    let ds = generate_dataset(&dir);
+    let data = ds.to_str().unwrap();
+    let (ckpts, soup) = (dir.join("ckpts"), dir.join("s.ck"));
+    run_ok(
+        soupctl()
+            .args(["train", "--data", data, "--arch", "gcn", "--hidden", "8"])
+            .args(["--ingredients", "2", "--workers", "1", "--epochs", "3"])
+            .arg("--out-dir")
+            .arg(&ckpts),
+    );
+    run_ok(
+        soupctl()
+            .args(["soup", "--data", data, "--strategy", "us", "--ckpt-dir"])
+            .arg(&ckpts)
+            .arg("--out")
+            .arg(&soup),
+    );
+    for params in [soup.clone(), ckpts.join("ingredient_0.ck")] {
+        let acc = run_ok(
+            soupctl()
+                .args(["eval", "--data", data, "--ckpt-dir"])
+                .arg(&ckpts)
+                .arg("--params")
+                .arg(&params),
+        );
+        assert!(acc.starts_with("test accuracy:"), "{params:?}: {acc}");
+    }
+    let report = run_ok(soupctl().args(["partition", "--data", data, "--k", "2"]));
+    assert!(report.contains("edge-cut:"), "{report}");
+    // What SWAP runs on the file.
+    let (cfg, _) = load_manifest(&ckpts).unwrap();
+    check_params(&cfg, &load_checkpoint(&soup).unwrap().params).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A reader that hangs up early (`soupctl partition … | head -1`) ends the
+/// command quietly instead of panicking on the failed write.
+#[test]
+fn closed_stdout_ends_a_command_quietly() {
+    let dir = tmpdir("epipe");
+    let ds = dir.join("ds.gmm");
+    save_mmap_dataset(&DatasetKind::Flickr.generate_scaled(5, 0.05), &ds).unwrap();
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let out = soupctl()
+        .args(["partition", "--data", ds.to_str().unwrap(), "--k", "2"])
+        .stdout(writer)
+        .output()
+        .expect("spawn soupctl");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.status.success(), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn failed_command_still_prints_metrics_summary() {
+    let dir = tmpdir("summary");
+    let missing = dir.join("missing.gmm");
+    let out = soupctl()
+        .args(["eval", "--data", missing.to_str().unwrap()])
+        .args(["--ckpt-dir", dir.to_str().unwrap(), "--params", "x.ck"])
+        .arg("--metrics-summary")
+        .output()
+        .expect("spawn soupctl");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("error: io error"), "{stderr}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("== metrics summary =="));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn sharded_runs_are_bit_identical_at_fixed_seed() {
     let dir = tmpdir("determinism");
-    let ds = generate_mmap(&dir);
+    let ds = generate_dataset(&dir);
     let (run_a, run_b) = (dir.join("a"), dir.join("b"));
     shard_run(&ds, &run_a);
     shard_run(&ds, &run_b);
@@ -255,12 +335,12 @@ fn sharded_runs_are_bit_identical_at_fixed_seed() {
 }
 
 /// The headline recovery guarantee: a worker killed at *any* pipeline
-/// phase is respawned from its journal and the finished run is
+/// phase is respawned from its checkpoints and the finished run is
 /// bit-identical to a run nothing went wrong in.
 #[test]
 fn chaos_killed_runs_recover_bit_identically_at_every_phase() {
     let dir = tmpdir("chaos-sweep");
-    let ds = generate_mmap(&dir);
+    let ds = generate_dataset(&dir);
     let clean = dir.join("clean");
     shard_run(&ds, &clean);
     let clean_bits: Vec<_> = (0..2)
@@ -333,7 +413,7 @@ fn chaos_killed_runs_recover_bit_identically_at_every_phase() {
 #[test]
 fn budget_exhaustion_degrades_with_explicit_provenance() {
     let dir = tmpdir("degraded");
-    let ds = generate_mmap(&dir);
+    let ds = generate_dataset(&dir);
     let run = dir.join("run");
     let stdout = shard_run_with(
         &ds,

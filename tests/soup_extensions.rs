@@ -4,7 +4,9 @@
 
 use enhanced_soups::gnn::model::init_params;
 use enhanced_soups::gnn::train::SwaConfig;
-use enhanced_soups::gnn::train_single;
+use enhanced_soups::gnn::{
+    checkpoint_path, load_checkpoint, save_checkpoint, train_single, Checkpoint,
+};
 use enhanced_soups::prelude::*;
 use enhanced_soups::soup::ensemble::compare_soup_vs_ensemble;
 use enhanced_soups::soup::{diversity_report, LearnedHyper, PartitionerKind};
@@ -153,10 +155,11 @@ fn checkpointed_ingredients_soup_identically() {
     let reloaded: Vec<Ingredient> = ingredients
         .iter()
         .map(|ing| {
-            let path = dir.join(format!("i{}.json", ing.id));
-            ing.params.save_json(&path).unwrap();
-            let params = enhanced_soups::gnn::ParamSet::load_json(&path).unwrap();
-            Ingredient::new(ing.id, params, ing.val_accuracy, ing.train_seed)
+            let path = checkpoint_path(&dir, ing.id);
+            let ck = Checkpoint::new(ing.id, ing.train_seed, ing.val_accuracy, ing.params.clone());
+            save_checkpoint(&ck, &path).unwrap();
+            let ck = load_checkpoint(&path).unwrap();
+            Ingredient::new(ck.id, ck.params, ck.val_accuracy, ck.train_seed)
         })
         .collect();
     let a = GisSouping::new(6).soup(&ingredients, &dataset, &cfg, 5);

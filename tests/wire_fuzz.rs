@@ -1,21 +1,25 @@
 //! One fuzz harness for every wire decoder: serve requests/responses and
 //! predictions bodies, shard control frames, the shard `plan.json` every
-//! worker loads — and the `soup-trace/1` reader behind `soupctl
-//! trace-validate` and `soupctl obs`.
+//! worker loads, the `soup-graphmmap/1` dataset every `--data` flag reads
+//! — and the `soup-trace/1` reader behind `soupctl trace-validate` and
+//! `soupctl obs`.
 //!
 //! Each valid frame is truncated at every offset and has every bit flipped.
 //! Every result is framed two ways — the blocking reader over a byte slice,
 //! and a `FrameBuf` filled one byte per poll — which must agree frame for
 //! frame and end the same way; then every payload goes through every
 //! decoder of its protocol. Nothing may panic, and every error must be
-//! typed. `plan.json` and the trace are files, not frames: each mutation is
-//! written to disk and loaded the way the program loads it.
+//! typed. `plan.json`, the dataset and the trace are files, not frames:
+//! each mutation is written to disk and loaded the way the program loads
+//! it.
 
 use enhanced_soups::distrib::control::{self, OP_ACK, OP_HEARTBEAT, OP_READY, OP_RESULT};
 use enhanced_soups::distrib::{ChaosPhase, ChaosPlan, ShardPlan};
+use enhanced_soups::graph::{save_mmap_dataset, CsrGraph, Dataset, MmapDataset, Splits};
 use enhanced_soups::obs::{diff, flame, trace};
 use enhanced_soups::serve::proto::{self, Request, Response};
 use enhanced_soups::store::frame::{write_frame, FrameBuf, Next};
+use enhanced_soups::tensor::Tensor;
 use enhanced_soups::SoupError;
 use std::io::Read;
 
@@ -281,6 +285,73 @@ fn every_plan_json_survives_truncation_and_bit_flips() {
         std::fs::write(&path, serde_json::to_string(&plan).unwrap()).unwrap();
         let err = ShardPlan::load(&path).unwrap_err();
         assert!(err.to_string().contains("do not tile"), "{ranges:?}: {err}");
+    }
+    assert!(
+        ok > 0 && rejected > 1_000,
+        "{ok} loaded, {rejected} rejected"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `soup-graphmmap/1` dataset is what every `--data` flag reads. Each
+/// truncation and each single-bit flip of a valid file must open and load
+/// as a valid dataset or fail with a typed `corrupt` error — never panic.
+/// So must a header whose section counts overflow the address space
+/// behind a valid header checksum.
+#[test]
+fn every_mmap_dataset_survives_truncation_and_bit_flips() {
+    let dir = std::env::temp_dir().join(format!("soup-mmapfuzz-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("ds.gmm");
+    let n = 12;
+    let edges: Vec<(u32, u32)> = (0..n as u32).map(|v| (v, (v + 1) % n as u32)).collect();
+    let features = Tensor::from_vec(n, 3, (0..n * 3).map(|i| i as f32 * 0.25).collect());
+    let labels = (0..n as u32).map(|v| v % 3).collect();
+    let splits = Splits {
+        train: (0..6).collect(),
+        val: (6..9).collect(),
+        test: (9..n).collect(),
+    };
+    let graph = CsrGraph::from_edges(n, &edges);
+    let dataset = Dataset::from_parts(graph, features, labels, splits, 3);
+    save_mmap_dataset(&dataset, &path).unwrap();
+    let valid = std::fs::read(&path).unwrap();
+    let load = |p: &std::path::Path| MmapDataset::open(p).and_then(|m| m.load());
+    assert_eq!(load(&path).unwrap().labels, dataset.labels);
+
+    let mut cases: Vec<Vec<u8>> = (0..valid.len()).map(|cut| valid[..cut].to_vec()).collect();
+    for bit in 0..valid.len() * 8 {
+        let mut flipped = valid.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        cases.push(flipped);
+    }
+    // Counts that overflow once multiplied out, resealed with a valid crc.
+    for (field, value) in [
+        (16, u64::MAX),
+        (16, u64::MAX / 8),
+        (24, u64::MAX / 2),
+        (32, 1 << 62),
+    ] {
+        let mut crafted = valid.clone();
+        crafted[field..field + 8].copy_from_slice(&value.to_le_bytes());
+        let crc = enhanced_soups::store::crc::crc32(&crafted[16..112]);
+        crafted[12..16].copy_from_slice(&crc.to_le_bytes());
+        cases.push(crafted);
+    }
+    let (mut ok, mut rejected) = (0, 0);
+    for case in &cases {
+        std::fs::write(&path, case).unwrap();
+        match load(&path) {
+            Ok(d) => {
+                ok += 1;
+                assert_eq!(d.num_nodes(), n);
+            }
+            Err(e) => {
+                rejected += 1;
+                assert_eq!(e.kind(), "corrupt", "untyped dataset error {e}");
+            }
+        }
     }
     assert!(
         ok > 0 && rejected > 1_000,
