@@ -29,7 +29,7 @@ use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 use soup_error::SoupError;
-use soup_store::{StorageFaultPlan, Store};
+use soup_store::Store;
 use soup_tensor::{SplitMix64, Tensor};
 
 use crate::learned::{AlphaState, LoopState};
@@ -54,8 +54,6 @@ pub struct Phase2Persist {
     /// The souping call then returns `Ok(None)` — the CLI/test analogue of
     /// `kill -9` right after a durable checkpoint.
     pub stop_after: Option<usize>,
-    /// Storage faults injected into state writes (CI chaos).
-    pub faults: Option<StorageFaultPlan>,
 }
 
 impl Phase2Persist {
@@ -65,7 +63,6 @@ impl Phase2Persist {
             every: 1,
             resume: false,
             stop_after: None,
-            faults: None,
         }
     }
 
@@ -81,11 +78,6 @@ impl Phase2Persist {
 
     pub fn stop_after(mut self, stop_after: Option<usize>) -> Self {
         self.stop_after = stop_after;
-        self
-    }
-
-    pub fn faults(mut self, faults: Option<StorageFaultPlan>) -> Self {
-        self.faults = faults;
         self
     }
 
@@ -281,7 +273,7 @@ impl<'a> Phase2Session<'a> {
         let Some(p) = persist else {
             return Ok((Self { shape, sink: None }, None));
         };
-        let store = Store::open(&p.dir)?.with_faults(p.faults);
+        let store = Store::open(&p.dir)?;
         let name = Phase2Persist::state_name(shape.strategy);
         let resumed = if p.resume && store.exists(&name) {
             match store

@@ -19,7 +19,6 @@
 //! [`schedule`] provides the analytic makespan model of Eq. (1)/(2) plus a
 //! greedy list-scheduling simulator for the load-imbalance discussion.
 
-pub mod chaos;
 pub mod control;
 pub mod queue;
 pub mod schedule;
@@ -28,15 +27,14 @@ pub mod shard_worker;
 pub mod supervisor;
 pub mod trainer;
 
-pub use chaos::{parse_kill_list, parse_shard_list, ChaosPhase, ChaosPlan, FrameFault};
 pub use queue::{Claim, FailAction, TaskQueue};
 pub use schedule::{predicted_min_time, predicted_total_time, simulate_schedule, ScheduleResult};
 pub use shard::{
-    analyze_sharding, prepare_sharded_dataset, run_sharded, PrepareReport, ShardPlan, ShardQuality,
-    ShardResult, ShardRunReport, WorkerLaunch,
+    analyze_sharding, prepare_sharded_dataset, run_sharded, FaultArm, PrepareReport, ShardPlan,
+    ShardQuality, ShardResult, ShardRunReport, WorkerLaunch,
 };
 pub use shard_worker::{run_shard_worker, shard_seed};
 pub use trainer::{
-    train_ingredients, train_ingredients_detailed, train_ingredients_opts, FailedTask, FaultKind,
-    FaultPlan, TrainOpts, TrainRun, WorkerReport,
+    train_ingredients, train_ingredients_detailed, train_ingredients_opts, FailedTask, TrainOpts,
+    TrainRun, WorkerReport,
 };

@@ -34,6 +34,7 @@ use soup_error::SoupError;
 use soup_graph::mmap::{write_mmap_dataset, MmapDataset, MmapMeta};
 use soup_partition::quality::{edge_cut_on, halo_counts};
 use soup_partition::streaming::{ldg_partition_restream, DEFAULT_PASSES, DEFAULT_SLACK};
+use soup_store::fault;
 use soup_store::frame::{is_stall, FrameBuf, Next};
 
 use crate::control::{
@@ -84,8 +85,21 @@ pub struct ShardPlan {
     pub worker_timeout_ms: u64,
     /// Respawns each shard may consume before the run degrades without it.
     pub restart_budget: u32,
-    /// Deterministic fault injection, if any ([`crate::ChaosPlan`]).
-    pub chaos: Option<crate::ChaosPlan>,
+    /// One test-armed fault point, if any (see [`FaultArm`]).
+    pub chaos: Option<FaultArm>,
+}
+
+/// A fault point a shard worker arms in itself at start
+/// ([`soup_store::fault::arm`], crash points ending the process): the
+/// `hit`-th hit of `site` in worker `shard`. Only the first incarnation
+/// arms it unless `every_incarnation` is set, which defeats the restart
+/// budget on purpose. `soupctl shard --resume` clears it.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct FaultArm {
+    pub shard: usize,
+    pub site: String,
+    pub hit: u64,
+    pub every_incarnation: bool,
 }
 
 impl ShardPlan {
@@ -433,60 +447,33 @@ pub fn run_sharded(plan: &ShardPlan, launch: &WorkerLaunch) -> Result<ShardRunRe
 pub struct WorkerControl {
     stream: UnixStream,
     buf: FrameBuf,
-    writer: Arc<Mutex<ChaosWriter>>,
+    writer: Arc<Mutex<UnixStream>>,
     shard: usize,
     timeout: Duration,
     hb_stop: Arc<AtomicBool>,
     hb_thread: Option<std::thread::JoinHandle<()>>,
 }
 
-/// The worker's outbound control half. All frames funnel through here so
-/// the heartbeat thread and the protocol steps interleave whole frames,
-/// and so the chaos plan can strike outbound frames deterministically.
-struct ChaosWriter {
-    stream: UnixStream,
-    chaos: Option<crate::ChaosPlan>,
-    shard: usize,
-    epoch: u32,
-    seq: u64,
-}
-
-impl ChaosWriter {
-    fn send(&mut self, op: u8, payload: &[u8]) -> Result<()> {
-        let seq = self.seq;
-        self.seq += 1;
-        let fault = self
-            .chaos
-            .as_ref()
-            .and_then(|c| c.frame_fault(self.shard, op, seq, self.epoch));
-        match fault {
-            None => {}
-            Some(crate::FrameFault::Drop) => {
-                soup_obs::warn!(
-                    "chaos: dropping control frame op={op} (shard {})",
-                    self.shard
-                );
-                return Ok(());
-            }
-            Some(crate::FrameFault::Delay(ms)) => {
-                soup_obs::warn!("chaos: delaying control frame op={op} by {ms}ms");
-                std::thread::sleep(Duration::from_millis(ms));
-            }
-            Some(crate::FrameFault::Truncate) => {
-                soup_obs::warn!(
-                    "chaos: truncating control frame op={op} (shard {})",
-                    self.shard
-                );
-                let mut frame = Vec::new();
-                send(&mut frame, &[&[op], payload])?;
-                let _ = std::io::Write::write_all(&mut self.stream, &frame[..frame.len() / 2]);
-                // FIN mid-frame: the supervisor must reject the stream.
-                let _ = self.stream.shutdown(std::net::Shutdown::Write);
-                return Ok(());
-            }
+/// Send one control frame on the worker's outbound half; the heartbeat
+/// thread and the protocol steps share it behind a mutex, so frames
+/// interleave whole. Frames other than heartbeats pass the
+/// `control.drop` and `control.truncate` fault points (heartbeats are
+/// redundant by design, so spoiling one proves nothing).
+fn send_frame(stream: &mut UnixStream, op: u8, payload: &[u8]) -> Result<()> {
+    if op != OP_HEARTBEAT {
+        if fault::damage("control.drop") {
+            return Ok(());
         }
-        send(&mut self.stream, &[&[op], payload])
+        if fault::damage("control.truncate") {
+            let mut frame = Vec::new();
+            send(&mut frame, &[&[op], payload])?;
+            let _ = std::io::Write::write_all(stream, &frame[..frame.len() / 2]);
+            // FIN mid-frame: the supervisor must reject the stream.
+            let _ = stream.shutdown(std::net::Shutdown::Write);
+            return Ok(());
+        }
     }
+    send(stream, &[&[op], payload])
 }
 
 impl WorkerControl {
@@ -496,13 +483,7 @@ impl WorkerControl {
         let out_dir = plan.out_dir_path();
         let path = control_socket_path(&out_dir);
         let stream = crate::control::connect_retry(&path, Duration::from_secs(30))?;
-        let writer = Arc::new(Mutex::new(ChaosWriter {
-            stream: stream.try_clone()?,
-            chaos: plan.chaos.clone(),
-            shard,
-            epoch,
-            seq: 0,
-        }));
+        let writer = Arc::new(Mutex::new(stream.try_clone()?));
         let mut this = Self {
             stream,
             buf: FrameBuf::new(MAX_FRAME),
@@ -518,10 +499,11 @@ impl WorkerControl {
     }
 
     fn send(&self, op: u8, payload: &[u8]) -> Result<()> {
-        self.writer
+        let mut stream = self
+            .writer
             .lock()
-            .map_err(|_| SoupError::corrupt("control writer poisoned"))?
-            .send(op, payload)
+            .map_err(|_| SoupError::corrupt("control writer poisoned"))?;
+        send_frame(&mut stream, op, payload)
     }
 
     /// Heartbeat at `interval` until the handle drops. Sleeps in short
@@ -543,7 +525,7 @@ impl WorkerControl {
                     slept += slice;
                 }
                 let Ok(mut w) = writer.lock() else { break };
-                if w.send(OP_HEARTBEAT, &payload).is_err() {
+                if send_frame(&mut w, OP_HEARTBEAT, &payload).is_err() {
                     break; // coordinator gone; the main thread will notice
                 }
             }

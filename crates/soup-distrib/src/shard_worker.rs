@@ -31,9 +31,9 @@ use soup_error::SoupError;
 use soup_gnn::{ModelConfig, TrainConfig};
 use soup_graph::mmap::MmapDataset;
 use soup_graph::{CsrGraph, Dataset, Splits};
+use soup_store::fault;
 use soup_tensor::{parallel, SplitMix64, Tensor};
 
-use crate::chaos::{ChaosPhase, CHAOS_KILL_EXIT};
 use crate::shard::{ShardPlan, ShardResult, WorkerControl};
 use crate::trainer::TrainOpts;
 
@@ -127,49 +127,6 @@ pub fn shard_seed(root_seed: u64, shard: usize) -> u64 {
         .0
 }
 
-/// Honour a chaos kill scheduled for `phase`: the process dies on the
-/// spot with [`CHAOS_KILL_EXIT`], exactly as if it had crashed there.
-fn chaos_kill_point(plan: &ShardPlan, shard: usize, phase: ChaosPhase, epoch: u32) {
-    if let Some(chaos) = &plan.chaos {
-        if chaos.kill_at(shard, phase, epoch) {
-            soup_obs::warn!(
-                "chaos: killing shard {shard} at {} (epoch {epoch})",
-                phase.name()
-            );
-            std::process::exit(CHAOS_KILL_EXIT);
-        }
-    }
-}
-
-/// A Train-phase chaos kill cannot strike "at the start of training" —
-/// that is indistinguishable from a Soup/Fetch kill for recovery
-/// purposes. Instead a watcher thread puts the process down once the
-/// first ingredient checkpoint is durable, so the respawn exercises a
-/// genuine *partial-checkpoint* resume.
-fn spawn_train_kill_watcher(plan: &ShardPlan, shard: usize, epoch: u32) {
-    let Some(chaos) = &plan.chaos else { return };
-    if !chaos.kill_at(shard, ChaosPhase::Train, epoch) {
-        return;
-    }
-    let shard_dir = plan.shard_dir(shard);
-    std::thread::spawn(move || loop {
-        let durable = std::fs::read_dir(&shard_dir)
-            .map(|rd| {
-                rd.flatten().any(|e| {
-                    let n = e.file_name();
-                    let n = n.to_string_lossy();
-                    n.starts_with("ingredient_") && n.ends_with(".ck")
-                })
-            })
-            .unwrap_or(false);
-        if durable {
-            soup_obs::warn!("chaos: killing shard {shard} mid-train (epoch {epoch})");
-            std::process::exit(CHAOS_KILL_EXIT);
-        }
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    });
-}
-
 /// Run one shard worker to completion. This is the body of the hidden
 /// `soupctl shard-worker` subcommand. `epoch` is the session epoch the
 /// supervisor assigned to this incarnation: 0 on first spawn, higher
@@ -201,14 +158,21 @@ fn run_loaded_worker(
             plan.k
         )));
     }
-    chaos_kill_point(&plan, shard, ChaosPhase::Spawn, epoch);
+    // The plan's fault arm, if it names this incarnation; its crash points
+    // end the process as a real crash would.
+    if let Some(arm) = &plan.chaos {
+        if arm.shard == shard && (epoch == 0 || arm.every_incarnation) {
+            fault::arm(&arm.site, arm.hit, true);
+        }
+    }
+    fault::crash("worker.spawn")?;
     let shard_dir = plan.shard_dir(shard);
     std::fs::create_dir_all(&shard_dir).map_err(|e| SoupError::io_at(&shard_dir, e))?;
 
     let mmap = MmapDataset::open(plan.dataset_path())?;
     plan.check_nodes(mmap.num_nodes())?;
     let mut control = WorkerControl::connect(&plan, shard, epoch)?;
-    chaos_kill_point(&plan, shard, ChaosPhase::Fetch, epoch);
+    fault::crash("worker.fetch")?;
     let view = build_local_view(&mmap, &plan, shard);
     let cfg = make_model_config(&plan, mmap.feature_dim(), mmap.num_classes())?;
     // Everything training reads is in `view` now: unmap before it starts.
@@ -233,14 +197,8 @@ fn run_loaded_worker(
         resume: plan.resume || epoch > 0,
         ..TrainOpts::default()
     };
-    spawn_train_kill_watcher(&plan, shard, epoch);
     let run = crate::trainer::train_ingredients_opts(&view.dataset, &cfg, &tc, plan.rounds, &opts)?;
-    // On datasets small enough to out-train the watcher's poll interval,
-    // the kill must still land before the worker can report: a scheduled
-    // Train kill that hasn't fired yet fires here, at train end, with the
-    // every checkpoint durable — the respawn still proves a resume.
-    chaos_kill_point(&plan, shard, ChaosPhase::Train, epoch);
-    chaos_kill_point(&plan, shard, ChaosPhase::Soup, epoch);
+    fault::crash("worker.train")?;
     if run.ingredients.is_empty() {
         return Err(SoupError::corrupt(format!(
             "shard {shard}: no ingredient survived Phase-1"
@@ -262,6 +220,7 @@ fn run_loaded_worker(
             .collect(),
     };
     soup_core::write_manifest(&shard_dir.join("manifest.json"), &manifest)?;
+    fault::crash("worker.soup")?;
 
     let mut spec = soup_core::StrategySpec::new(plan.strategy.clone());
     spec.epochs = plan.soup_epochs;
@@ -281,7 +240,7 @@ fn run_loaded_worker(
         0.0
     };
     let correct = (test_accuracy * test_total as f64).round() as u64;
-    chaos_kill_point(&plan, shard, ChaosPhase::Report, epoch);
+    fault::crash("worker.report")?;
 
     let result = ShardResult {
         shard,

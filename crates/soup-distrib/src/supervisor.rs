@@ -222,11 +222,6 @@ impl<'a> Supervisor<'a> {
         soup_obs::warn!("shard {shard}: {reason}; respawning (session epoch {epoch})");
         soup_obs::counter!("supervisor.restarts").inc();
         self.restarts += 1;
-        if let Some(chaos) = &self.plan.chaos {
-            if chaos.corrupt_at_respawn(shard, epoch) {
-                corrupt_newest_checkpoint(&self.plan.shard_dir(shard));
-            }
-        }
         let child = self.spawn(shard, epoch)?;
         let slot = &mut self.slots[i];
         slot.child = Some(child);
@@ -466,39 +461,6 @@ fn parse_result(json_bytes: &[u8], want_shard: usize) -> Result<ShardResult> {
     Ok(result)
 }
 
-/// Flip bytes in the middle of the newest `ingredient_*.ck` — the
-/// respawn-time checkpoint-corruption chaos. The resumed worker's checkpoint
-/// validation must reject the artifact and retrain it.
-fn corrupt_newest_checkpoint(shard_dir: &std::path::Path) {
-    let Ok(entries) = std::fs::read_dir(shard_dir) else {
-        return;
-    };
-    let mut cks: Vec<PathBuf> = entries
-        .flatten()
-        .map(|e| e.path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("ingredient_") && n.ends_with(".ck"))
-        })
-        .collect();
-    cks.sort();
-    let Some(target) = cks.pop() else { return };
-    let Ok(mut bytes) = std::fs::read(&target) else {
-        return;
-    };
-    if bytes.len() < 64 {
-        return;
-    }
-    let mid = bytes.len() / 2;
-    let end = (mid + 16).min(bytes.len());
-    for b in &mut bytes[mid..end] {
-        *b ^= 0xff;
-    }
-    let _ = std::fs::write(&target, &bytes);
-    soup_obs::warn!("chaos: corrupted {} before respawn", target.display());
-}
-
 /// Shape of the durable `out_dir/run.json` provenance record.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 struct RunProvenance {
@@ -613,24 +575,5 @@ mod tests {
         let mut buf = FrameBuf::new(MAX_FRAME);
         buf.fill(&mut b).unwrap();
         assert_eq!(buf.pop().unwrap(), Some(&[OP_ACK][..]));
-    }
-
-    #[test]
-    fn corrupt_newest_checkpoint_flips_bytes_in_place() {
-        let dir = std::env::temp_dir().join(format!("soup-supcorrupt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let ck = dir.join("ingredient_0001.ck");
-        let original = vec![0xabu8; 256];
-        std::fs::write(&ck, &original).unwrap();
-        corrupt_newest_checkpoint(&dir);
-        let mutated = std::fs::read(&ck).unwrap();
-        assert_ne!(mutated, original, "checkpoint should have been mangled");
-        assert_eq!(mutated.len(), original.len());
-        // A directory with no checkpoints is a quiet no-op.
-        let empty = dir.join("sub");
-        std::fs::create_dir_all(&empty).unwrap();
-        corrupt_newest_checkpoint(&empty);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

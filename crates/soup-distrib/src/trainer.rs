@@ -3,12 +3,13 @@
 //! The paper's Phase 1 (Fig. 1) assumes flawless workers; this module does
 //! not. Each worker's training runs inside a panic boundary, failed or
 //! corrupted attempts are re-queued with a bounded retry budget, finished
-//! ingredients can be checkpointed to disk and resumed, and a deterministic
-//! fault-injection harness ([`FaultPlan`]) exists to prove the whole
-//! machinery preserves the paper's central determinism property: ingredient
-//! `i`'s training seed is keyed by its *ordinal* (never by worker identity
-//! or attempt number), so a run that survives faults produces ingredients
-//! bit-identical to a fault-free run.
+//! ingredients can be checkpointed to disk and resumed, and the
+//! `train.{panic,nan,stall}` fault points ([`soup_store::fault`]) let tests
+//! strike any attempt to prove the whole machinery preserves the paper's
+//! central determinism property: ingredient `i`'s training seed is keyed by
+//! its *ordinal* (never by worker identity or attempt number), so a run
+//! that survives faults produces ingredients bit-identical to a fault-free
+//! run.
 
 use crate::queue::{FailAction, TaskQueue};
 use parking_lot::Mutex;
@@ -20,7 +21,7 @@ use soup_gnn::{
     validate_checkpoint, Checkpoint, ModelConfig, TrainConfig,
 };
 use soup_graph::Dataset;
-use soup_store::{StorageFaultPlan, Store};
+use soup_store::{fault, Store};
 use soup_tensor::{parallel, SplitMix64};
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -29,79 +30,6 @@ use std::time::{Duration, Instant};
 // ---------------------------------------------------------------------------
 // Fault injection
 // ---------------------------------------------------------------------------
-
-/// What a fault does to the attempt it strikes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// The worker panics mid-training (caught by the panic boundary).
-    Panic,
-    /// Training "succeeds" but the parameters come back poisoned with NaN
-    /// (caught by the acceptance scan).
-    Corrupt,
-    /// The attempt stalls for a few tens of milliseconds (exercises the
-    /// straggler deadline without failing anything).
-    Delay,
-}
-
-/// Deterministic, seeded fault schedule keyed by ingredient ordinal.
-///
-/// Faults strike only the *first* attempt of an ordinal — the transient-
-/// fault model — so any positive retry budget recovers every injected
-/// fault, and recovery is bit-identical because the training seed does not
-/// depend on the attempt number. Two plans with the same `(rate, seed)`
-/// inject exactly the same faults regardless of worker count or timing.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultPlan {
-    /// Probability in `[0, 1]` that a given ordinal's first attempt faults.
-    pub rate: f64,
-    /// Seed of the fault schedule (independent of the training seed).
-    pub seed: u64,
-    /// Probability in `[0, 1]` that an artifact's first write through the
-    /// store is struck by a storage fault (torn write or bit flip, chosen
-    /// deterministically per artifact id — see
-    /// [`soup_store::StorageFaultPlan`]). The store's read-back
-    /// verification detects and heals every strike, so recovery always
-    /// converges to the fault-free bytes.
-    pub storage_rate: f64,
-}
-
-impl FaultPlan {
-    pub fn new(rate: f64, seed: u64) -> Self {
-        Self {
-            rate,
-            seed,
-            storage_rate: 0.0,
-        }
-    }
-
-    /// Enable storage faults at `rate` (same schedule seed).
-    pub fn with_storage_rate(mut self, rate: f64) -> Self {
-        self.storage_rate = rate;
-        self
-    }
-
-    /// The storage-fault schedule of this plan, if enabled.
-    pub fn storage_plan(&self) -> Option<StorageFaultPlan> {
-        (self.storage_rate > 0.0).then(|| StorageFaultPlan::new(self.storage_rate, self.seed))
-    }
-
-    /// The fault (if any) striking `ordinal`'s attempt number `attempt`.
-    pub fn fault_for(&self, ordinal: usize, attempt: u32) -> Option<FaultKind> {
-        if attempt != 0 || self.rate <= 0.0 {
-            return None;
-        }
-        let mut rng = SplitMix64::new(self.seed ^ 0xfa_17).derive(ordinal as u64 + 1);
-        let draw = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-        if draw >= self.rate {
-            return None;
-        }
-        Some(match rng.next_u64() % 10 {
-            0..=4 => FaultKind::Panic,
-            5..=7 => FaultKind::Corrupt,
-            _ => FaultKind::Delay,
-        })
-    }
-}
 
 /// Panic payload marker for injected faults, so the quiet panic hook can
 /// distinguish them from genuine worker panics (which still print).
@@ -167,8 +95,6 @@ pub struct TrainOpts {
     /// With `checkpoint_dir` set: validate existing checkpoints and train
     /// only the missing or invalid ingredients.
     pub resume: bool,
-    /// Deterministic fault-injection schedule (testing/chaos only).
-    pub fault_plan: Option<FaultPlan>,
     /// Re-queue attempts running longer than this, letting an idle worker
     /// race the straggler. `None` disables straggler detection.
     pub straggler_deadline: Option<Duration>,
@@ -182,7 +108,6 @@ impl Default for TrainOpts {
             retry_budget: 2,
             checkpoint_dir: None,
             resume: false,
-            fault_plan: None,
             straggler_deadline: None,
         }
     }
@@ -211,11 +136,6 @@ impl TrainOpts {
 
     pub fn with_resume(mut self, resume: bool) -> Self {
         self.resume = resume;
-        self
-    }
-
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
         self
     }
 
@@ -303,16 +223,12 @@ pub fn train_ingredients_opts(
 ) -> Result<TrainRun> {
     assert!(n > 0, "need at least one ingredient");
     assert!(opts.workers > 0, "need at least one worker");
-    if opts.fault_plan.is_some() {
-        install_quiet_panic_hook();
-    }
     let _phase_span = soup_obs::span!("distrib.phase1");
     soup_obs::trace_event!("distrib.start",
         "ingredients" => n as u64,
         "workers" => opts.workers as u64,
         "retry_budget" => opts.retry_budget as u64,
-        "resume" => opts.resume,
-        "fault_injection" => opts.fault_plan.is_some());
+        "resume" => opts.resume);
     let start = Instant::now();
 
     // Shared initialisation, performed once before distribution.
@@ -326,14 +242,9 @@ pub fn train_ingredients_opts(
     let root = SplitMix64::new(opts.seed);
 
     // All checkpoint writes flow through the crash-safe store: envelope
-    // sealing, atomic tmp+fsync+rename, optional fault injection with
-    // read-back healing. The checkpoints themselves are the run's progress.
-    let store: Option<Store> = match &opts.checkpoint_dir {
-        Some(dir) => Some(
-            Store::open(dir)?.with_faults(opts.fault_plan.as_ref().and_then(|p| p.storage_plan())),
-        ),
-        None => None,
-    };
+    // sealing, atomic tmp+fsync+rename, read-back healing. The checkpoints
+    // themselves are the run's progress.
+    let store: Option<Store> = opts.checkpoint_dir.as_ref().map(Store::open).transpose()?;
 
     // Resume: satisfy ordinals from validated checkpoints before any worker
     // starts, so the queue only hands out missing or invalid ones.
@@ -438,22 +349,23 @@ pub fn train_ingredients_opts(
                     // Seed keyed by ordinal only: retries and resumes
                     // reproduce the exact same ingredient.
                     let train_seed = root.derive(ordinal as u64 + 1).next_u64_peek();
-                    let fault = opts
-                        .fault_plan
-                        .and_then(|p| p.fault_for(ordinal, task.attempt));
 
                     // Panic boundary: a panicking attempt (injected or
                     // genuine) fails this task, never the worker.
                     let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        match fault {
-                            Some(FaultKind::Panic) => std::panic::panic_any(InjectedFault),
-                            Some(FaultKind::Delay) => std::thread::sleep(Duration::from_millis(25)),
-                            _ => {}
+                        if fault::damage("train.panic") {
+                            install_quiet_panic_hook();
+                            std::panic::panic_any(InjectedFault);
+                        }
+                        // A stall long enough for a straggler deadline.
+                        if fault::damage("train.stall") {
+                            std::thread::sleep(Duration::from_millis(25));
                         }
                         let mut tm = parallel::with_threads(kernel_threads, || {
                             train_single(dataset, cfg, tc, init, train_seed)
                         });
-                        if let Some(FaultKind::Corrupt) = fault {
+                        // Poisoned output: the acceptance scan must catch it.
+                        if fault::damage("train.nan") {
                             tm.params.layers[0].tensors[0].make_mut()[0] = f32::NAN;
                         }
                         tm
@@ -740,77 +652,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_is_deterministic_and_first_attempt_only() {
-        let plan = FaultPlan::new(0.5, 7);
-        for ordinal in 0..64 {
-            assert_eq!(plan.fault_for(ordinal, 0), plan.fault_for(ordinal, 0));
-            assert_eq!(plan.fault_for(ordinal, 1), None);
-            assert_eq!(plan.fault_for(ordinal, 3), None);
-        }
-        let hit = (0..64).filter(|&o| plan.fault_for(o, 0).is_some()).count();
-        assert!(
-            (10..=54).contains(&hit),
-            "rate 0.5 over 64 ordinals hit {hit} faults"
-        );
-        assert_eq!(FaultPlan::new(0.0, 7).fault_for(3, 0), None);
-    }
-
-    #[test]
-    fn faults_recover_bit_identical() {
-        let (d, cfg, tc) = setup();
-        let clean = train_ingredients(&d, &cfg, &tc, 5, 2, 11);
-        let opts = TrainOpts::default()
-            .with_workers(2)
-            .with_seed(11)
-            .with_retry_budget(2)
-            .with_fault_plan(FaultPlan::new(1.0, 99));
-        let faulty = train_ingredients_opts(&d, &cfg, &tc, 5, &opts).unwrap();
-        assert!(
-            faulty.failed.is_empty(),
-            "budget 2 must recover every first-attempt fault"
-        );
-        assert!(
-            faulty.retries > 0,
-            "rate 1.0 must inject at least one fault"
-        );
-        assert_eq!(faulty.ingredients.len(), clean.len());
-        for (a, b) in clean.iter().zip(&faulty.ingredients) {
-            assert_eq!(a.id, b.id);
-            assert_eq!(a.val_accuracy, b.val_accuracy, "ingredient {}", a.id);
-            for (x, y) in a.params.flat().zip(b.params.flat()) {
-                assert_eq!(x, y, "ingredient {} diverged under faults", a.id);
-            }
-        }
-    }
-
-    #[test]
-    fn exhausted_budget_degrades_into_failed_list() {
-        let (d, cfg, tc) = setup();
-        let opts = TrainOpts::default()
-            .with_workers(2)
-            .with_seed(12)
-            .with_retry_budget(0)
-            .with_fault_plan(FaultPlan::new(1.0, 5));
-        let run = train_ingredients_opts(&d, &cfg, &tc, 6, &opts).unwrap();
-        // Every ordinal faults on its only attempt; Panic and Corrupt kinds
-        // fail permanently, Delay ones still succeed.
-        assert_eq!(run.ingredients.len() + run.failed.len(), 6);
-        assert!(!run.failed.is_empty(), "seeded plan must hit a hard fault");
-        for f in &run.failed {
-            assert_eq!(f.attempts, 1);
-            assert_eq!(f.error.kind(), "exhausted");
-        }
-        // Survivors are still the canonical ingredients.
-        let clean = train_ingredients(&d, &cfg, &tc, 6, 2, 12);
-        for ing in &run.ingredients {
-            let reference = &clean[ing.id];
-            for (x, y) in ing.params.flat().zip(reference.params.flat()) {
-                assert_eq!(x, y, "survivor {} diverged", ing.id);
-            }
-        }
-    }
-
-    #[test]
     fn checkpoint_roundtrip_and_resume_trains_only_missing() {
         let (d, cfg, tc) = setup();
         let dir = tmpdir("resume");
@@ -873,63 +714,5 @@ mod tests {
         );
         assert_eq!(run.ingredients.len(), 2);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn storage_faults_heal_to_fault_free_checkpoints() {
-        let (d, cfg, tc) = setup();
-        let clean_dir = tmpdir("store_clean");
-        let faulty_dir = tmpdir("store_faulty");
-        let base = TrainOpts::default().with_workers(2).with_seed(51);
-        train_ingredients_opts(
-            &d,
-            &cfg,
-            &tc,
-            4,
-            &base.clone().with_checkpoint_dir(&clean_dir),
-        )
-        .unwrap();
-        // Storage-only faults: every artifact's first write is struck, the
-        // store detects the damage on read-back and rewrites clean bytes.
-        let run = train_ingredients_opts(
-            &d,
-            &cfg,
-            &tc,
-            4,
-            &base
-                .clone()
-                .with_checkpoint_dir(&faulty_dir)
-                .with_fault_plan(FaultPlan::new(0.0, 77).with_storage_rate(1.0)),
-        )
-        .unwrap();
-        assert!(run.failed.is_empty());
-        for id in 0..4 {
-            let a = std::fs::read(checkpoint_path(&clean_dir, id)).unwrap();
-            let b = std::fs::read(checkpoint_path(&faulty_dir, id)).unwrap();
-            assert_eq!(a, b, "checkpoint {id} did not converge to fault-free bytes");
-        }
-        std::fs::remove_dir_all(&clean_dir).ok();
-        std::fs::remove_dir_all(&faulty_dir).ok();
-    }
-
-    #[test]
-    fn straggler_deadline_run_completes() {
-        // Delay faults + a tight straggler deadline: requeues happen, the
-        // duplicate-completion race resolves, results stay canonical.
-        let (d, cfg, tc) = setup();
-        let opts = TrainOpts::default()
-            .with_workers(3)
-            .with_seed(41)
-            .with_fault_plan(FaultPlan::new(1.0, 2))
-            .with_straggler_deadline(Duration::from_millis(10));
-        let run = train_ingredients_opts(&d, &cfg, &tc, 4, &opts).unwrap();
-        assert!(run.failed.is_empty());
-        assert_eq!(run.ingredients.len(), 4);
-        let clean = train_ingredients(&d, &cfg, &tc, 4, 1, 41);
-        for (a, b) in clean.iter().zip(&run.ingredients) {
-            for (x, y) in a.params.flat().zip(b.params.flat()) {
-                assert_eq!(x, y, "ingredient {} diverged under stragglers", a.id);
-            }
-        }
     }
 }

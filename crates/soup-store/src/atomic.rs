@@ -19,6 +19,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use soup_error::SoupError;
 
+use crate::fault;
+
 type Result<T> = std::result::Result<T, SoupError>;
 
 /// Per-process counter so concurrent writers to the same destination get
@@ -28,7 +30,31 @@ static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 /// Durably replace `path` with `bytes` (tmp → write → fsync → rename →
 /// fsync dir). See the module docs for the crash-consistency argument.
 pub fn write_durable(path: impl AsRef<Path>, bytes: &[u8]) -> Result<()> {
-    let path = path.as_ref();
+    publish(path.as_ref(), |f| f.write_all(bytes))
+}
+
+/// [`write_durable`] for content too large to hold in memory: the caller
+/// streams bytes into a buffered temp-file writer and the same four-step
+/// dance publishes the result. The writer callback gets a `BufWriter`
+/// sized for large sequential output (mmap dataset files are written
+/// through this path); flush + fsync + rename + dir-fsync happen after it
+/// returns. An `Err` from the callback aborts the write and removes the
+/// temp file, leaving any previous destination content untouched.
+pub fn write_durable_streamed(
+    path: impl AsRef<Path>,
+    write: impl FnOnce(&mut std::io::BufWriter<&mut File>) -> std::io::Result<()>,
+) -> Result<()> {
+    publish(path.as_ref(), |f| {
+        let mut w = std::io::BufWriter::with_capacity(1 << 20, f);
+        write(&mut w)?;
+        w.flush()
+    })
+}
+
+/// The four steps, each behind its crash point (`durable.write`,
+/// `durable.fsync`, `durable.rename`, `durable.dir_fsync`); `fill` writes
+/// the content into the temp file.
+fn publish(path: &Path, fill: impl FnOnce(&mut File) -> std::io::Result<()>) -> Result<()> {
     let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
     let name = path
         .file_name()
@@ -49,17 +75,18 @@ pub fn write_durable(path: impl AsRef<Path>, bytes: &[u8]) -> Result<()> {
             .create(true)
             .truncate(true)
             .open(&tmp)?;
-        f.write_all(bytes)?;
+        fault::crash("durable.write")?;
+        fill(&mut f)?;
         // Data must be on stable storage before the rename publishes it.
-        f.sync_all()?;
-        Ok(())
+        fault::crash("durable.fsync")?;
+        f.sync_all()
     })();
     if let Err(e) = write_steps {
         let _ = std::fs::remove_file(&tmp);
         return Err(SoupError::io_at(&tmp, e));
     }
 
-    if let Err(e) = std::fs::rename(&tmp, path) {
+    if let Err(e) = fault::crash("durable.rename").and_then(|()| std::fs::rename(&tmp, path)) {
         let _ = std::fs::remove_file(&tmp);
         return Err(SoupError::io_at(path, e));
     }
@@ -69,72 +96,9 @@ pub fn write_durable(path: impl AsRef<Path>, bytes: &[u8]) -> Result<()> {
     // is still atomic, just not guaranteed durable across power loss.
     #[cfg(unix)]
     if let Some(d) = dir {
-        let dirf = File::open(d).map_err(|e| SoupError::io_at(d, e))?;
-        dirf.sync_all().map_err(|e| SoupError::io_at(d, e))?;
-    }
-    #[cfg(not(unix))]
-    let _ = dir;
-
-    soup_obs::counter!("store.durable_writes").inc();
-    Ok(())
-}
-
-/// [`write_durable`] for content too large to hold in memory: the caller
-/// streams bytes into a buffered temp-file writer and the same four-step
-/// dance publishes the result. The writer callback gets a `BufWriter`
-/// sized for large sequential output (mmap dataset files are written
-/// through this path); flush + fsync + rename + dir-fsync happen after it
-/// returns. An `Err` from the callback aborts the write and removes the
-/// temp file, leaving any previous destination content untouched.
-pub fn write_durable_streamed(
-    path: impl AsRef<Path>,
-    write: impl FnOnce(&mut std::io::BufWriter<&mut File>) -> std::io::Result<()>,
-) -> Result<()> {
-    let path = path.as_ref();
-    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-    let name = path.file_name().and_then(|n| n.to_str()).ok_or_else(|| {
-        SoupError::usage(format!(
-            "write_durable_streamed: bad path {}",
-            path.display()
-        ))
-    })?;
-    let tmp = {
-        let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
-        let tmp_name = format!(".{name}.tmp.{}.{seq}", std::process::id());
-        match dir {
-            Some(d) => d.join(tmp_name),
-            None => tmp_name.into(),
-        }
-    };
-
-    let write_steps = (|| -> std::io::Result<()> {
-        let mut f = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tmp)?;
-        {
-            let mut w = std::io::BufWriter::with_capacity(1 << 20, &mut f);
-            write(&mut w)?;
-            w.flush()?;
-        }
-        f.sync_all()?;
-        Ok(())
-    })();
-    if let Err(e) = write_steps {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(SoupError::io_at(&tmp, e));
-    }
-
-    if let Err(e) = std::fs::rename(&tmp, path) {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(SoupError::io_at(path, e));
-    }
-
-    #[cfg(unix)]
-    if let Some(d) = dir {
-        let dirf = File::open(d).map_err(|e| SoupError::io_at(d, e))?;
-        dirf.sync_all().map_err(|e| SoupError::io_at(d, e))?;
+        fault::crash("durable.dir_fsync")
+            .and_then(|()| File::open(d)?.sync_all())
+            .map_err(|e| SoupError::io_at(d, e))?;
     }
     #[cfg(not(unix))]
     let _ = dir;

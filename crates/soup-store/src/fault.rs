@@ -1,148 +1,144 @@
-//! Deterministic storage-fault injection: the Phase-1 `FaultPlan` idea
-//! (seeded, reproducible, first-attempt-only) extended to the storage
-//! layer. A plan decides — purely from `(seed, artifact id)` — whether a
-//! write is struck and how: a **torn write** (truncation at a seeded
-//! offset, modelling a crash mid-`write`) or a **bit flip** (modelling
-//! media corruption). The same seed always strikes the same artifacts at
-//! the same positions, so faulty runs are exactly replayable.
+//! Test-armed fault points.
+//!
+//! Every place where the system must survive a crash or damage calls one
+//! of two entry points with a literal site name: [`crash`] (a step that can
+//! die) or [`damage`] (a step whose output can be spoiled). Both do nothing
+//! unless a test has armed `(site, n)`; then the site's `n`-th hit acts:
+//!
+//! - a crash point returns an injected `io` error, or, when the arm says
+//!   so (a forked shard worker), ends the process with [`EXIT_CODE`];
+//! - a damage point returns `true`, and its caller applies that site's
+//!   damage.
+//!
+//! [`census`] counts hits per site without arming anything, so a test can
+//! run a clean pipeline once, learn how many points each site has, and
+//! then arm every one of them in turn (`tests/crash_points.rs`). The arm is
+//! global to the process; disarmed, a site costs one relaxed atomic load.
+//!
+//! Sites: `durable.{write,fsync,rename,dir_fsync}` ([`crate::atomic`]),
+//! `store.{tear,flip}` ([`crate::store`]), `train.{panic,nan,stall}` (the
+//! Phase-1 trainer), `worker.{spawn,fetch,train,soup,report}` and
+//! `control.{drop,truncate}` (the shard worker).
 
-/// A reproducible storage-fault schedule.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StorageFaultPlan {
-    /// Probability in `[0, 1]` that a given artifact's first write is struck.
-    pub rate: f64,
-    /// Seed decorrelating this plan from others at the same rate.
-    pub seed: u64,
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, PoisonError};
+
+/// Exit code of a crash point armed to end its process, distinct from
+/// panics (101) and ordinary failures (1) so a supervisor's log says what
+/// happened.
+pub const EXIT_CODE: i32 = 86;
+
+/// Whether a census or an arm is live. Read before anything else, so a
+/// disarmed site never touches the lock.
+static LIVE: AtomicBool = AtomicBool::new(false);
+
+static STATE: Mutex<State> = Mutex::new(State {
+    arm: None,
+    hits: BTreeMap::new(),
+});
+
+struct State {
+    /// `(site, hit, exit)`: the armed point and how a crash there acts.
+    arm: Option<(String, u64, bool)>,
+    hits: BTreeMap<&'static str, u64>,
 }
 
-/// The concrete damage a plan assigns to one artifact write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StorageFault {
-    /// Keep only the first `keep` bytes (torn write / crash mid-write).
-    Truncate { keep: usize },
-    /// Flip bit `bit` of byte `byte` (silent media corruption).
-    BitFlip { byte: usize, bit: u8 },
+fn start(arm: Option<(String, u64, bool)>) {
+    let mut st = STATE.lock().unwrap_or_else(PoisonError::into_inner);
+    st.arm = arm;
+    st.hits.clear();
+    LIVE.store(true, Ordering::Relaxed);
 }
 
-/// One round of the SplitMix64 output mixer — enough statistical quality
-/// for fault scheduling without pulling in the tensor crate's RNG.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// Arm the `hit`-th hit (1-based) of `site`, and count every site's hits
+/// from zero. With `exit`, an armed crash point ends the process with
+/// [`EXIT_CODE`] instead of returning an error.
+pub fn arm(site: &str, hit: u64, exit: bool) {
+    start(Some((site.to_string(), hit, exit)));
 }
 
-/// FNV-1a hash of the artifact id, so textual ids key the schedule.
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for b in s.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+/// Count every site's hits from zero, with nothing armed.
+pub fn census() {
+    start(None);
+}
+
+/// Stop counting and disarm; returns the hits per site since the last
+/// [`arm`] or [`census`].
+pub fn disarm() -> BTreeMap<&'static str, u64> {
+    let mut st = STATE.lock().unwrap_or_else(PoisonError::into_inner);
+    LIVE.store(false, Ordering::Relaxed);
+    st.arm = None;
+    std::mem::take(&mut st.hits)
+}
+
+/// Count a hit of `site`; `Some(exit)` when it is the armed one.
+fn fire(site: &'static str) -> Option<bool> {
+    if !LIVE.load(Ordering::Relaxed) {
+        return None;
     }
-    h
-}
-
-impl StorageFaultPlan {
-    /// Build a plan; `rate` is clamped to `[0, 1]`.
-    pub fn new(rate: f64, seed: u64) -> Self {
-        Self {
-            rate: rate.clamp(0.0, 1.0),
-            seed,
-        }
-    }
-
-    /// The fault (if any) assigned to writing `len` sealed bytes under
-    /// `artifact_id`. Deterministic in `(self, artifact_id, len)`.
-    pub fn fault_for(&self, artifact_id: &str, len: usize) -> Option<StorageFault> {
-        if self.rate <= 0.0 || len == 0 {
-            return None;
-        }
-        let key = mix(self.seed ^ fnv1a(artifact_id));
-        // 53-bit uniform draw decides whether this artifact is struck.
-        let u = (mix(key) >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        if u >= self.rate {
-            return None;
-        }
-        let kind = mix(key ^ 0xA5A5);
-        let pos = mix(key ^ 0x5A5A);
-        if kind & 1 == 0 {
-            // Truncate somewhere strictly inside the buffer (keep < len),
-            // including keep = 0: the crash happened before any byte landed.
-            Some(StorageFault::Truncate {
-                keep: (pos % len as u64) as usize,
-            })
-        } else {
-            Some(StorageFault::BitFlip {
-                byte: (pos % len as u64) as usize,
-                bit: (mix(pos) % 8) as u8,
-            })
-        }
+    let mut st = STATE.lock().unwrap_or_else(PoisonError::into_inner);
+    let n = st.hits.entry(site).or_insert(0);
+    *n += 1;
+    let n = *n;
+    match &st.arm {
+        Some((armed, hit, exit)) if armed == site && *hit == n => Some(*exit),
+        _ => None,
     }
 }
 
-/// Apply `fault` to an in-flight write buffer.
-pub fn apply(fault: StorageFault, bytes: &mut Vec<u8>) {
-    match fault {
-        StorageFault::Truncate { keep } => bytes.truncate(keep),
-        StorageFault::BitFlip { byte, bit } => {
-            if let Some(b) = bytes.get_mut(byte) {
-                *b ^= 1 << bit;
-            }
+/// A crash point: `Err` (or process exit) when armed, `Ok` otherwise.
+pub fn crash(site: &'static str) -> std::io::Result<()> {
+    match fire(site) {
+        None => Ok(()),
+        Some(true) => {
+            soup_obs::warn!("fault: crash at {site}; exiting {EXIT_CODE}");
+            std::process::exit(EXIT_CODE)
         }
+        Some(false) => Err(std::io::Error::other(format!("injected crash at {site}"))),
     }
+}
+
+/// A damage point: `true` when armed, and the caller spoils its output.
+pub fn damage(site: &'static str) -> bool {
+    let armed = fire(site).is_some();
+    if armed {
+        soup_obs::warn!("fault: damage at {site}");
+    }
+    armed
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// One test: the arm is process-global, so parallel tests would race.
     #[test]
-    fn deterministic_per_artifact() {
-        let plan = StorageFaultPlan::new(0.8, 7);
-        for id in ["ingredient_0.ck", "ingredient_1.ck", "phase2_ls.ck"] {
-            assert_eq!(plan.fault_for(id, 1000), plan.fault_for(id, 1000));
+    fn only_the_armed_hit_fires_and_census_counts() {
+        assert!(crash("test.a").is_ok(), "disarmed sites never fire");
+        census();
+        for _ in 0..3 {
+            assert!(crash("test.a").is_ok());
         }
-    }
+        assert!(!damage("test.b"));
+        let hits = disarm();
+        assert_eq!((hits["test.a"], hits["test.b"]), (3, 1));
 
-    #[test]
-    fn rate_zero_never_fires_rate_one_always_fires() {
-        let off = StorageFaultPlan::new(0.0, 1);
-        let on = StorageFaultPlan::new(1.0, 1);
-        for i in 0..64 {
-            let id = format!("artifact_{i}");
-            assert_eq!(off.fault_for(&id, 256), None);
-            assert!(on.fault_for(&id, 256).is_some());
-        }
-    }
+        arm("test.a", 2, false);
+        assert!(crash("test.a").is_ok());
+        let err = crash("test.a").unwrap_err();
+        assert!(err.to_string().contains("test.a"), "{err}");
+        assert!(crash("test.a").is_ok(), "an arm fires once");
+        assert!(!damage("test.b"));
+        assert_eq!(disarm()["test.a"], 3);
 
-    #[test]
-    fn both_fault_kinds_occur_and_stay_in_bounds() {
-        let plan = StorageFaultPlan::new(1.0, 42);
-        let (mut truncs, mut flips) = (0, 0);
-        for i in 0..256 {
-            match plan.fault_for(&format!("a{i}"), 100).unwrap() {
-                StorageFault::Truncate { keep } => {
-                    assert!(keep < 100);
-                    truncs += 1;
-                }
-                StorageFault::BitFlip { byte, bit } => {
-                    assert!(byte < 100 && bit < 8);
-                    flips += 1;
-                }
-            }
-        }
-        assert!(truncs > 50 && flips > 50, "truncs={truncs} flips={flips}");
-    }
-
-    #[test]
-    fn apply_damages_buffer() {
-        let mut b = vec![0u8; 10];
-        apply(StorageFault::Truncate { keep: 3 }, &mut b);
-        assert_eq!(b.len(), 3);
-        apply(StorageFault::BitFlip { byte: 1, bit: 7 }, &mut b);
-        assert_eq!(b[1], 0x80);
-        // Out-of-range flip after truncation is a no-op, not a panic.
-        apply(StorageFault::BitFlip { byte: 99, bit: 0 }, &mut b);
+        arm("test.b", 1, true);
+        assert!(damage("test.b"), "exit applies to crash points only");
+        disarm();
+        assert!(!damage("test.b"));
+        assert!(
+            !disarm().contains_key("test.b"),
+            "disarmed sites are not counted"
+        );
     }
 }

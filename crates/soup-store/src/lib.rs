@@ -10,7 +10,7 @@
 //! | Atomic durable replace (tmp → fsync → rename → fsync dir) | [`atomic`] |
 //! | `soup-ckpt/2` checksummed envelope | [`envelope`] |
 //! | CRC32 (IEEE) | [`crc`] |
-//! | Deterministic torn-write / bit-flip injection | [`fault`] |
+//! | Test-armed crash and damage points | [`fault`] |
 //! | Verified envelope store with self-healing writes | [`store`] |
 //! | `u32`-LE length-prefixed socket frames (serve, shard control) | [`frame`] |
 //!
@@ -26,5 +26,4 @@ pub mod store;
 
 pub use atomic::{write_durable, write_durable_streamed};
 pub use envelope::{open as open_envelope, seal as seal_envelope, HEADER_LEN, MAGIC};
-pub use fault::{StorageFault, StorageFaultPlan};
 pub use store::{read_payload, Store};

@@ -1,22 +1,18 @@
 //! The artifact [`Store`]: a directory of `soup-ckpt/2` envelopes written
-//! durably, verified by read-back, and (in test/CI harnesses) struck by a
-//! deterministic [`StorageFaultPlan`].
+//! durably and verified by read-back.
 //!
-//! Every write follows *seal → (inject fault) → write durable → read back
-//! and verify → heal*. Because the clean payload is still in memory when a
-//! torn or flipped write is detected, recovery is a clean durable rewrite
-//! — which is exactly why every storage-fault run converges to the
-//! fault-free artifacts (asserted by `tests/durability.rs`).
+//! Every write follows *seal → write durable → read back and verify →
+//! heal*. Because the clean payload is still in memory when a torn or
+//! flipped write is detected, recovery is a clean durable rewrite. The
+//! `store.tear` and `store.flip` fault points damage the first write so
+//! tests can show that the heal converges to the undamaged bytes.
 
-use std::collections::HashSet;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 use soup_error::SoupError;
 
 use crate::atomic::write_durable;
-use crate::envelope;
-use crate::fault::{self, StorageFaultPlan};
+use crate::{envelope, fault};
 
 type Result<T> = std::result::Result<T, SoupError>;
 
@@ -24,10 +20,6 @@ type Result<T> = std::result::Result<T, SoupError>;
 #[derive(Debug)]
 pub struct Store {
     root: PathBuf,
-    faults: Option<StorageFaultPlan>,
-    /// Artifacts already struck by this process — faults fire on the first
-    /// write only, mirroring Phase-1's first-attempt-only `FaultPlan`.
-    struck: Mutex<HashSet<String>>,
 }
 
 impl Store {
@@ -35,17 +27,7 @@ impl Store {
     pub fn open(root: impl Into<PathBuf>) -> Result<Self> {
         let root = root.into();
         std::fs::create_dir_all(&root).map_err(|e| SoupError::io_at(&root, e))?;
-        Ok(Self {
-            root,
-            faults: None,
-            struck: Mutex::new(HashSet::new()),
-        })
-    }
-
-    /// Attach a deterministic storage-fault schedule (None disables).
-    pub fn with_faults(mut self, faults: Option<StorageFaultPlan>) -> Self {
-        self.faults = faults;
-        self
+        Ok(Self { root })
     }
 
     /// The artifact directory.
@@ -60,26 +42,27 @@ impl Store {
 
     /// Durably write `payload` as a sealed envelope under `name`.
     ///
-    /// If a storage fault strikes the write (per the attached plan), the
-    /// damaged bytes land on disk first; the read-back verification then
-    /// detects the corruption and heals it with a clean durable rewrite.
+    /// A write that reads back damaged (torn or flipped on its way to
+    /// disk) is detected by the read-back verification and healed with a
+    /// clean durable rewrite.
     pub fn write_envelope(&self, name: &str, payload: &[u8]) -> Result<()> {
         let sealed = envelope::seal(payload);
         let path = self.path(name);
         soup_obs::counter!("store.writes").inc();
 
-        let mut on_disk = sealed.clone();
-        if let Some(plan) = &self.faults {
-            let first_write = self.struck.lock().unwrap().insert(name.to_string());
-            if first_write {
-                if let Some(f) = plan.fault_for(name, on_disk.len()) {
-                    fault::apply(f, &mut on_disk);
-                    soup_obs::counter!("store.faults_injected").inc();
-                    soup_obs::debug!("store: injected {f:?} into {name}");
-                }
+        let (tear, flip) = (fault::damage("store.tear"), fault::damage("store.flip"));
+        let damaged = (tear || flip).then(|| {
+            let mut bytes = sealed.clone();
+            let mid = bytes.len() / 2;
+            if flip {
+                bytes[mid] ^= 0x10;
             }
-        }
-        write_durable(&path, &on_disk)?;
+            if tear {
+                bytes.truncate(mid);
+            }
+            bytes
+        });
+        write_durable(&path, damaged.as_deref().unwrap_or(&sealed))?;
 
         // Read-back verification: the write only counts once the bytes on
         // disk open cleanly. A detected tear/flip is healed immediately —
@@ -135,30 +118,6 @@ mod tests {
         assert_eq!(s.read_envelope("a.ck").unwrap(), b"{\"x\":1}");
         assert!(s.exists("a.ck"));
         assert!(!s.exists("b.ck"));
-    }
-
-    #[test]
-    fn faulty_write_heals_to_clean_bytes() {
-        // rate 1.0: every first write is struck; read-back must heal all.
-        let s = store("heal").with_faults(Some(StorageFaultPlan::new(1.0, 13)));
-        for i in 0..16 {
-            let name = format!("ingredient_{i}.ck");
-            let payload = format!("{{\"id\":{i}}}").into_bytes();
-            s.write_envelope(&name, &payload).unwrap();
-            assert_eq!(
-                s.read_envelope(&name).unwrap(),
-                payload,
-                "{name} not healed"
-            );
-        }
-    }
-
-    #[test]
-    fn second_write_is_not_struck() {
-        let s = store("once").with_faults(Some(StorageFaultPlan::new(1.0, 99)));
-        s.write_envelope("x.ck", b"v1").unwrap();
-        s.write_envelope("x.ck", b"v2").unwrap();
-        assert_eq!(s.read_envelope("x.ck").unwrap(), b"v2");
     }
 
     #[test]

@@ -45,9 +45,8 @@ impl Tensor {
 
     /// Build from a row-major vector. Panics if sizes disagree.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
-        assert_eq!(
-            data.len(),
-            rows * cols,
+        assert!(
+            rows.checked_mul(cols) == Some(data.len()),
             "data length {} != {rows}x{cols}",
             data.len()
         );
@@ -495,7 +494,9 @@ impl Serialize for Tensor {
 impl<'de> Deserialize<'de> for Tensor {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         let (rows, cols, data): (usize, usize, Vec<f32>) = Deserialize::deserialize(deserializer)?;
-        if data.len() != rows * cols {
+        // Checked: the shape comes from a file, and a product that wraps
+        // would pass an empty payload off as a 2^64-element tensor.
+        if rows.checked_mul(cols) != Some(data.len()) {
             return Err(D::Error::custom(format!(
                 "tensor payload {} != {rows}x{cols}",
                 data.len()

@@ -43,8 +43,8 @@
 
 use enhanced_soups::cli::{CommandSpec, FlagDef, Flags};
 use enhanced_soups::distrib::{
-    analyze_sharding, parse_kill_list, parse_shard_list, prepare_sharded_dataset, run_shard_worker,
-    run_sharded, ShardPlan, WorkerLaunch,
+    analyze_sharding, prepare_sharded_dataset, run_shard_worker, run_sharded, ShardPlan,
+    WorkerLaunch,
 };
 use enhanced_soups::gnn::model::PropOps;
 use enhanced_soups::gnn::{
@@ -162,33 +162,6 @@ const SHARD: CommandSpec = CommandSpec {
             "respawns per shard before the run degrades without it",
         )
         .default("2"),
-        FlagDef::u64("chaos-seed", "seed of the chaos fault schedule").default("0"),
-        FlagDef::str(
-            "chaos-kill",
-            "LIST",
-            "kill shard:phase once (first incarnation), e.g. 0:train,2:spawn",
-        ),
-        FlagDef::str(
-            "chaos-kill-every",
-            "LIST",
-            "kill shard:phase at every incarnation (defeats the restart budget)",
-        ),
-        FlagDef::f64(
-            "chaos-kill-rate",
-            "probability a (shard, phase) is struck by a seeded kill",
-        )
-        .default("0"),
-        FlagDef::f64(
-            "chaos-frame-rate",
-            "probability an epoch-0 control frame is dropped/delayed/truncated",
-        )
-        .default("0"),
-        FlagDef::u64("chaos-frame-delay-ms", "delay used by frame-delay faults").default("5"),
-        FlagDef::str(
-            "chaos-corrupt-journal",
-            "LIST",
-            "shards whose newest checkpoint is corrupted before their first respawn",
-        ),
     ],
 };
 
@@ -236,17 +209,6 @@ const TRAIN: CommandSpec = CommandSpec {
             "requeue attempts running longer than this",
         )
         .default("0"),
-        FlagDef::f64(
-            "fault-rate",
-            "inject faults into this fraction of first attempts",
-        )
-        .default("0.0"),
-        FlagDef::f64(
-            "storage-fault-rate",
-            "strike this fraction of artifact writes (store heals them)",
-        )
-        .default("0.0"),
-        FlagDef::u64("fault-seed", "fault-schedule seed (default: --seed)"),
     ],
 };
 
@@ -270,12 +232,6 @@ const SOUP: CommandSpec = CommandSpec {
         ),
         FlagDef::u64("ckpt-every", "persist optimizer state every N epochs").default("1"),
         FlagDef::u64("stop-after-epoch", "simulated kill right after epoch N").default("0"),
-        FlagDef::f64(
-            "storage-fault-rate",
-            "inject faults into phase-2 state writes",
-        )
-        .default("0.0"),
-        FlagDef::u64("fault-seed", "storage-fault seed (default: --seed)"),
     ],
 };
 
@@ -545,6 +501,14 @@ fn cmd_generate(flags: &Flags) -> Result<()> {
     Ok(())
 }
 
+/// `--name`'s count, which must be at least one.
+fn positive(flags: &Flags, name: &str) -> Result<usize> {
+    match flags.req_usize(name) {
+        0 => Err(SoupError::usage(format!("--{name} must be positive"))),
+        n => Ok(n),
+    }
+}
+
 /// The dataset behind `--data`: every command reads the one
 /// `soup-graphmmap/1` file `generate` writes, validated before use.
 fn load_data(flags: &Flags) -> Result<Dataset> {
@@ -552,6 +516,8 @@ fn load_data(flags: &Flags) -> Result<Dataset> {
 }
 
 fn cmd_train(flags: &Flags) -> Result<()> {
+    let n = positive(flags, "ingredients")?;
+    let workers = positive(flags, "workers")?;
     let dataset = load_data(flags)?;
     let arch_name = flags.req_str("arch");
     let arch = enhanced_soups::gnn::Arch::from_name(arch_name)
@@ -571,12 +537,7 @@ fn cmd_train(flags: &Flags) -> Result<()> {
         }
     }
     .with_hidden(flags.req_usize("hidden"));
-    let n = flags.req_usize("ingredients");
-    let workers = flags.req_usize("workers");
     let seed = flags.req_u64("seed");
-    let fault_rate = flags.req_f64("fault-rate");
-    let storage_fault_rate = flags.req_f64("storage-fault-rate");
-    let fault_seed = flags.u64("fault-seed").unwrap_or(seed);
     let straggler_ms = flags.req_u64("straggler-deadline-ms");
     let resume = flags.switch("resume");
     let out_dir = PathBuf::from(flags.req_str("out-dir"));
@@ -592,15 +553,6 @@ fn cmd_train(flags: &Flags) -> Result<()> {
         .with_retry_budget(flags.req_u64("retry-budget") as u32)
         .with_checkpoint_dir(&out_dir)
         .with_resume(resume);
-    if fault_rate > 0.0 || storage_fault_rate > 0.0 {
-        opts = opts.with_fault_plan(
-            FaultPlan::new(fault_rate, fault_seed).with_storage_rate(storage_fault_rate),
-        );
-        soup_obs::info!(
-            "fault injection: rate {fault_rate}, storage rate {storage_fault_rate}, \
-             seed {fault_seed}"
-        );
-    }
     if straggler_ms > 0 {
         opts = opts.with_straggler_deadline(Duration::from_millis(straggler_ms));
     }
@@ -697,15 +649,11 @@ fn cmd_soup(flags: &Flags) -> Result<()> {
     // the checkpoint directory.
     let resume = flags.switch("resume");
     let stop_after = flags.req_usize("stop-after-epoch");
-    let storage_fault_rate = flags.req_f64("storage-fault-rate");
     let persist = (resume || stop_after > 0 || flags.provided("ckpt-every")).then(|| {
         Phase2Persist::new(&dir)
             .every(flags.req_usize("ckpt-every"))
             .resume(resume)
             .stop_after((stop_after > 0).then_some(stop_after))
-            .faults((storage_fault_rate > 0.0).then(|| {
-                StorageFaultPlan::new(storage_fault_rate, flags.u64("fault-seed").unwrap_or(seed))
-            }))
     });
     if persist.is_some() && !matches!(strategy_name, "ls" | "pls") {
         return Err(SoupError::usage(
@@ -1180,10 +1128,7 @@ fn cmd_obs(flags: &Flags) -> Result<()> {
 /// exported as gauges so a `--trace-out` trace and `soupctl obs` see them.
 fn cmd_partition(flags: &Flags) -> Result<()> {
     let data = flags.req_str("data");
-    let k = flags.req_usize("k");
-    if k == 0 {
-        return Err(SoupError::usage("--k must be positive"));
-    }
+    let k = positive(flags, "k")?;
     let src = MmapDataset::open(data)?;
     src.validate()?;
     if k > src.num_nodes() {
@@ -1229,10 +1174,8 @@ fn cmd_partition(flags: &Flags) -> Result<()> {
 /// measures.
 fn cmd_shard(flags: &Flags) -> Result<()> {
     let data = flags.req_str("data");
-    let k = flags.req_usize("k");
-    if k == 0 {
-        return Err(SoupError::usage("--k must be positive"));
-    }
+    let k = positive(flags, "k")?;
+    positive(flags, "ingredients")?;
     let arch = flags.req_str("arch");
     if enhanced_soups::gnn::Arch::from_name(arch).is_none() {
         return Err(SoupError::usage(format!("unknown architecture '{arch}'")));
@@ -1245,22 +1188,9 @@ fn cmd_shard(flags: &Flags) -> Result<()> {
 
     let worker_timeout_ms = (flags.req_f64("worker-timeout").max(0.1) * 1000.0) as u64;
     let restart_budget = flags.req_u64("restart-budget") as u32;
-    let chaos = {
-        let plan = enhanced_soups::distrib::ChaosPlan {
-            seed: flags.req_u64("chaos-seed"),
-            kills: parse_kill_list(flags.str("chaos-kill").unwrap_or(""))?,
-            kill_rate: flags.req_f64("chaos-kill-rate"),
-            persistent_kills: parse_kill_list(flags.str("chaos-kill-every").unwrap_or(""))?,
-            frame_rate: flags.req_f64("chaos-frame-rate"),
-            frame_delay_ms: flags.req_u64("chaos-frame-delay-ms"),
-            corrupt_journal: parse_shard_list(flags.str("chaos-corrupt-journal").unwrap_or(""))?,
-        };
-        plan.is_active().then_some(plan)
-    };
-
     // A resumed run must keep its original plan (seeds, ranges, shard
     // count) — only the resume bit flips, supervision knobs may be
-    // re-tuned, and chaos never carries over into a recovery run. Paths
+    // re-tuned, and a fault arm never carries over into a recovery run. Paths
     // are rebased onto `--out-dir`, so a moved run directory resumes in
     // place instead of writing into (or failing on) its old location.
     let plan = if resume && plan_path.exists() && sharded.exists() {
@@ -1280,7 +1210,7 @@ fn cmd_shard(flags: &Flags) -> Result<()> {
         if flags.provided("restart-budget") {
             plan.restart_budget = restart_budget;
         }
-        plan.chaos = chaos;
+        plan.chaos = None;
         soup_obs::info!(
             "resuming sharded run in {} (k={})",
             out_dir.display(),
@@ -1320,7 +1250,7 @@ fn cmd_shard(flags: &Flags) -> Result<()> {
             resume,
             worker_timeout_ms,
             restart_budget,
-            chaos,
+            chaos: None,
         }
     };
     // Catch a bad strategy name here, not as a cryptic worker exit.

@@ -14,7 +14,7 @@
 //! - [`serve`] — online serving: TCP queries answered from the soup's
 //!   prediction table, admission control, hot model swap
 //! - [`store`] — crash-safe artifact store: atomic durable writes,
-//!   checksummed envelopes, fault injection
+//!   checksummed envelopes, test-armed fault points
 //! - [`obs`] — metrics registry, timing spans, JSONL tracing, reporting
 //!
 //! ## Quickstart
@@ -57,13 +57,11 @@ pub mod prelude {
         GisSouping, GreedySouping, Ingredient, LearnedSouping, PartitionLearnedSouping,
         Phase2Persist, SoupOutcome, SoupStrategy, UniformSouping,
     };
-    pub use soup_distrib::{
-        train_ingredients, train_ingredients_opts, FaultPlan, TrainOpts, TrainRun,
-    };
+    pub use soup_distrib::{train_ingredients, train_ingredients_opts, TrainOpts, TrainRun};
     pub use soup_error::{Result, SoupError};
     pub use soup_gnn::{Arch, ModelConfig, TrainConfig};
     pub use soup_graph::{CsrGraph, Dataset, DatasetKind};
     pub use soup_partition::PartitionConfig;
-    pub use soup_store::{StorageFaultPlan, Store};
+    pub use soup_store::Store;
     pub use soup_tensor::{SplitMix64, Tensor};
 }

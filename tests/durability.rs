@@ -1,5 +1,5 @@
 //! Crash-safe Phase-2: kill-at-every-epoch resume, storage-fault healing,
-//! and checkpoint-cadence invariants.
+//! a damaged state file, and checkpoint-cadence invariants.
 //!
 //! The headline invariant (ISSUE 5's acceptance bar): an LS or PLS run
 //! killed after *any* durable epoch and resumed with `--resume` must
@@ -13,7 +13,17 @@ use enhanced_soups::prelude::*;
 use enhanced_soups::soup::{
     LearnedHyper, LearnedSouping, PartitionLearnedSouping, SoupCtx, SoupOutcome,
 };
+use enhanced_soups::store::fault;
 use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// The fault arm is global to the process: every test holds this lock, so
+/// an arm never strikes another test's writes.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// All runs in this suite share one seed; what varies is the persistence
 /// handle. Routes through the unified `SoupStrategy::try_soup` entry point.
@@ -66,6 +76,7 @@ fn hyper() -> LearnedHyper {
 /// uninterrupted run bit for bit.
 #[test]
 fn ls_kill_at_every_epoch_resumes_bit_identically() {
+    let _serial = serial();
     let (dataset, cfg, ingredients) = setup();
     let ls = LearnedSouping::new(hyper());
     let baseline = try_soup(&ls, &ingredients, &dataset, &cfg, None)
@@ -102,6 +113,7 @@ fn ls_kill_at_every_epoch_resumes_bit_identically() {
 /// part of the persisted RNG state, so resumption replays identical draws.
 #[test]
 fn pls_kill_at_every_epoch_resumes_bit_identically() {
+    let _serial = serial();
     let (dataset, cfg, ingredients) = setup();
     let pls = PartitionLearnedSouping::new(hyper(), 4, 2);
     let baseline = try_soup(&pls, &ingredients, &dataset, &cfg, None)
@@ -132,6 +144,7 @@ fn pls_kill_at_every_epoch_resumes_bit_identically() {
 /// also lands on the uninterrupted result — resume composes.
 #[test]
 fn ls_double_kill_composes() {
+    let _serial = serial();
     let (dataset, cfg, ingredients) = setup();
     let ls = LearnedSouping::new(hyper());
     let baseline = try_soup(&ls, &ingredients, &dataset, &cfg, None)
@@ -159,32 +172,57 @@ fn ls_double_kill_composes() {
 }
 
 /// Storage faults on the Phase-2 state file heal through the store's
-/// read-back verification: a resumed run still matches the fault-free one.
+/// read-back verification: with each state write of a stopped run torn or
+/// flipped in turn, the state on disk is the fault-free run's, and the
+/// resume reaches the fault-free result.
 #[test]
 fn ls_resume_survives_storage_faults() {
+    let _serial = serial();
     let (dataset, cfg, ingredients) = setup();
     let ls = LearnedSouping::new(hyper());
     let baseline = try_soup(&ls, &ingredients, &dataset, &cfg, None)
         .unwrap()
         .unwrap();
-    let dir = tmpdir("ls_faults");
+    let stopping = |dir: &PathBuf| Phase2Persist::new(dir).every(1).stop_after(Some(2));
 
-    let stopping = Phase2Persist::new(&dir)
-        .every(1)
-        .stop_after(Some(2))
-        .faults(Some(StorageFaultPlan::new(1.0, 99)));
-    assert!(try_soup(&ls, &ingredients, &dataset, &cfg, Some(&stopping))
-        .unwrap()
-        .is_none());
-    let resuming = Phase2Persist::new(&dir).every(1).resume(true);
-    let resumed = try_soup(&ls, &ingredients, &dataset, &cfg, Some(&resuming))
-        .unwrap()
-        .unwrap();
+    // Count the state writes a stopped run makes, then strike each one.
+    let dir = tmpdir("ls_faults_census");
+    fault::census();
+    let stopped = try_soup(&ls, &ingredients, &dataset, &cfg, Some(&stopping(&dir)));
+    let writes = fault::disarm().get("store.tear").copied().unwrap_or(0);
+    assert!(stopped.unwrap().is_none());
     assert!(
-        bit_identical(&baseline, &resumed),
-        "torn writes on the state file must heal, not corrupt the resume"
+        writes >= 2,
+        "stop_after(2) with every(1) wrote {writes} states"
     );
+    let clean_state = std::fs::read(Phase2Persist::state_path(&dir, "ls")).unwrap();
     std::fs::remove_dir_all(&dir).ok();
+
+    for site in ["store.tear", "store.flip"] {
+        for hit in 1..=writes {
+            let dir = tmpdir(&format!("ls_faults_{site}_{hit}"));
+            fault::arm(site, hit, false);
+            let stopped = try_soup(&ls, &ingredients, &dataset, &cfg, Some(&stopping(&dir)));
+            let hits = fault::disarm();
+            assert!(
+                hits.get(site) >= Some(&hit),
+                "{site} #{hit} was never reached"
+            );
+            assert!(stopped.unwrap().is_none(), "{site} #{hit}");
+            let state = std::fs::read(Phase2Persist::state_path(&dir, "ls")).unwrap();
+            assert!(state == clean_state, "{site} #{hit}: not healed in-run");
+
+            let resuming = Phase2Persist::new(&dir).every(1).resume(true);
+            let resumed = try_soup(&ls, &ingredients, &dataset, &cfg, Some(&resuming))
+                .unwrap()
+                .unwrap();
+            assert!(
+                bit_identical(&baseline, &resumed),
+                "{site} #{hit}: damaged writes on the state file must heal, not corrupt the resume"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
 }
 
 /// A corrupt state file (damaged on disk after the run stopped) falls back
@@ -192,6 +230,7 @@ fn ls_resume_survives_storage_faults() {
 /// still the fault-free answer.
 #[test]
 fn corrupt_state_file_falls_back_to_fresh_run() {
+    let _serial = serial();
     let (dataset, cfg, ingredients) = setup();
     let ls = LearnedSouping::new(hyper());
     let baseline = try_soup(&ls, &ingredients, &dataset, &cfg, None)

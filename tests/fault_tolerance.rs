@@ -8,7 +8,17 @@
 
 use enhanced_soups::prelude::*;
 use enhanced_soups::soup::LearnedHyper;
+use enhanced_soups::store::fault;
 use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// The fault arm is global to the process: every test holds this lock, so
+/// an arm never strikes another test's attempts.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn setup(seed: u64) -> (Dataset, ModelConfig, TrainConfig) {
     let dataset = DatasetKind::Flickr.generate_scaled(seed, 0.15);
@@ -33,30 +43,42 @@ fn bit_identical(a: &Ingredient, b: &Ingredient) -> bool {
         && a.params.flat().zip(b.params.flat()).all(|(x, y)| x == y)
 }
 
-/// Injecting faults into 30% of first attempts must not change a single
-/// bit of any ingredient once the retries settle.
+/// A fault struck into any one of the first six attempts, a panic or a
+/// poisoned (NaN) result, must not change a single bit of any ingredient
+/// once the retries settle.
 #[test]
 fn fault_rate_survivors_are_bit_identical() {
+    let _serial = serial();
     let (dataset, cfg, tc) = setup(3);
     let clean = train_ingredients(&dataset, &cfg, &tc, 6, 3, 21);
     let opts = TrainOpts::default()
         .with_workers(3)
         .with_seed(21)
-        .with_retry_budget(2)
-        .with_fault_plan(FaultPlan::new(0.3, 77));
-    let faulty = train_ingredients_opts(&dataset, &cfg, &tc, 6, &opts).unwrap();
-    assert!(
-        faulty.failed.is_empty(),
-        "first-attempt faults with budget 2 must all recover: {:?}",
-        faulty.failed
-    );
-    assert!(
-        faulty.retries > 0,
-        "rate 0.3 over 6 ordinals should inject at least one fault (seed 77)"
-    );
-    assert_eq!(faulty.ingredients.len(), clean.len());
-    for (a, b) in clean.iter().zip(&faulty.ingredients) {
-        assert!(bit_identical(a, b), "ingredient {} diverged", a.id);
+        .with_retry_budget(2);
+    for site in ["train.panic", "train.nan"] {
+        for hit in 1..=6 {
+            fault::arm(site, hit, false);
+            let faulty = train_ingredients_opts(&dataset, &cfg, &tc, 6, &opts).unwrap();
+            let hits = fault::disarm();
+            assert!(
+                hits.get(site) >= Some(&hit),
+                "{site} #{hit} was never reached"
+            );
+            assert!(
+                faulty.failed.is_empty(),
+                "{site} #{hit}: a struck attempt with budget 2 must recover: {:?}",
+                faulty.failed
+            );
+            assert!(faulty.retries > 0, "{site} #{hit}: nothing was retried");
+            assert_eq!(faulty.ingredients.len(), clean.len());
+            for (a, b) in clean.iter().zip(&faulty.ingredients) {
+                assert!(
+                    bit_identical(a, b),
+                    "{site} #{hit}: ingredient {} diverged",
+                    a.id
+                );
+            }
+        }
     }
 }
 
@@ -65,6 +87,7 @@ fn fault_rate_survivors_are_bit_identical() {
 /// ends bit-identical to an uninterrupted run.
 #[test]
 fn kill_then_resume_round_trip() {
+    let _serial = serial();
     let (dataset, cfg, tc) = setup(4);
     let dir = tmpdir("resume");
     let opts = TrainOpts::default()
@@ -106,6 +129,7 @@ fn kill_then_resume_round_trip() {
 /// resume rather than silently poisoning the run.
 #[test]
 fn resume_ignores_foreign_seed_checkpoints() {
+    let _serial = serial();
     let (dataset, cfg, tc) = setup(5);
     let dir = tmpdir("foreign");
     let opts = |seed: u64| {
@@ -136,6 +160,7 @@ fn resume_ignores_foreign_seed_checkpoints() {
 /// missing.
 #[test]
 fn degraded_soup_over_partial_pool() {
+    let _serial = serial();
     let (dataset, cfg, tc) = setup(6);
     let full: Vec<Ingredient> = train_ingredients(&dataset, &cfg, &tc, 5, 3, 9);
     // Ordinals 1 and 3 failed permanently; the pool degrades to R' = 3.

@@ -1,25 +1,31 @@
 //! One fuzz harness for every wire decoder: serve requests/responses and
 //! predictions bodies, shard control frames, the shard `plan.json` every
-//! worker loads, the `soup-graphmmap/1` dataset every `--data` flag reads
-//! — and the `soup-trace/1` reader behind `soupctl trace-validate` and
-//! `soupctl obs`.
+//! worker loads, the `soup-graphmmap/1` dataset every `--data` flag reads,
+//! the `soup-ckpt/2` checkpoint that `eval --params`, `serve --params` and
+//! `query --swap` read — and the `soup-trace/1` reader behind `soupctl
+//! trace-validate` and `soupctl obs`.
 //!
 //! Each valid frame is truncated at every offset and has every bit flipped.
 //! Every result is framed two ways — the blocking reader over a byte slice,
 //! and a `FrameBuf` filled one byte per poll — which must agree frame for
 //! frame and end the same way; then every payload goes through every
 //! decoder of its protocol. Nothing may panic, and every error must be
-//! typed. `plan.json`, the dataset and the trace are files, not frames:
+//! typed. `plan.json`, the dataset, the checkpoint and the trace are
+//! files, not frames:
 //! each mutation is written to disk and loaded the way the program loads
 //! it.
 
 use enhanced_soups::distrib::control::{self, OP_ACK, OP_HEARTBEAT, OP_READY, OP_RESULT};
-use enhanced_soups::distrib::{ChaosPhase, ChaosPlan, ShardPlan};
+use enhanced_soups::distrib::{FaultArm, ShardPlan};
+use enhanced_soups::gnn::model::init_params;
+use enhanced_soups::gnn::{
+    check_params, load_checkpoint, save_checkpoint, Checkpoint, ModelConfig,
+};
 use enhanced_soups::graph::{save_mmap_dataset, CsrGraph, Dataset, MmapDataset, Splits};
 use enhanced_soups::obs::{diff, flame, trace};
 use enhanced_soups::serve::proto::{self, Request, Response};
 use enhanced_soups::store::frame::{write_frame, FrameBuf, Next};
-use enhanced_soups::tensor::Tensor;
+use enhanced_soups::tensor::{SplitMix64, Tensor};
 use enhanced_soups::SoupError;
 use std::io::Read;
 
@@ -237,12 +243,11 @@ fn every_plan_json_survives_truncation_and_bit_flips() {
         resume: false,
         worker_timeout_ms: 10_000,
         restart_budget: 2,
-        chaos: Some(ChaosPlan {
-            seed: 7,
-            kills: vec![(0, ChaosPhase::Train)],
-            frame_rate: 0.5,
-            frame_delay_ms: 5,
-            ..Default::default()
+        chaos: Some(FaultArm {
+            shard: 0,
+            site: "durable.rename".into(),
+            hit: 1,
+            every_incarnation: false,
         }),
     };
     let path = plan.save().unwrap();
@@ -353,6 +358,76 @@ fn every_mmap_dataset_survives_truncation_and_bit_flips() {
             }
         }
     }
+    assert!(
+        ok > 0 && rejected > 1_000,
+        "{ok} loaded, {rejected} rejected"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `soup-ckpt/2` checkpoint is what `eval --params`, `serve --params`
+/// and `query --swap` read from a user's file. Each truncation and each
+/// single-bit flip of a valid file, each bit flip of its payload behind a
+/// resealed (valid) checksum, and a tensor shape whose element count
+/// overflows must load as a typed error or as a checkpoint whose
+/// parameters `check_params` judges — accepted (a flipped digit of a
+/// weight is still a valid checkpoint) or rejected as a typed `shape`
+/// error. Nothing may panic.
+#[test]
+fn every_checkpoint_survives_truncation_and_bit_flips() {
+    let dir = std::env::temp_dir().join(format!("soup-ckptfuzz-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("tiny.ck");
+    let cfg = ModelConfig::gcn(2, 2).with_hidden(1);
+    let params = init_params(&cfg, &mut SplitMix64::new(3));
+    save_checkpoint(&Checkpoint::new(0, 9, 0.5, params), &path).unwrap();
+    let valid = std::fs::read(&path).unwrap();
+    let payload = enhanced_soups::store::open_envelope(&valid, "tiny.ck")
+        .unwrap()
+        .to_vec();
+    check_params(&cfg, &load_checkpoint(&path).unwrap().params).unwrap();
+
+    let flips = |bytes: &[u8]| -> Vec<Vec<u8>> {
+        (0..bytes.len() * 8)
+            .map(|bit| {
+                let mut flipped = bytes.to_vec();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                flipped
+            })
+            .collect()
+    };
+    let seal = enhanced_soups::store::seal_envelope;
+    let mut cases: Vec<Vec<u8>> = (0..valid.len()).map(|cut| valid[..cut].to_vec()).collect();
+    cases.extend(flips(&valid));
+    cases.extend(flips(&payload).iter().map(|p| seal(p)));
+    let text = String::from_utf8(payload.clone()).unwrap();
+    let first = text.find("\"tensors\":[[").unwrap() + "\"tensors\":[".len();
+    let end = first + text[first..].find("]]").unwrap() + 2;
+    let huge = format!(
+        "{}[4294967296,4294967296,[]]{}",
+        &text[..first],
+        &text[end..]
+    );
+    cases.push(seal(huge.as_bytes()));
+
+    let (mut ok, mut rejected) = (0, 0);
+    for case in &cases {
+        std::fs::write(&path, case).unwrap();
+        match load_checkpoint(&path).and_then(|ck| check_params(&cfg, &ck.params)) {
+            Ok(()) => ok += 1,
+            Err(e) => {
+                rejected += 1;
+                assert!(
+                    matches!(e.kind(), "corrupt" | "checkpoint" | "shape"),
+                    "untyped checkpoint error {e}"
+                );
+            }
+        }
+    }
+    std::fs::write(&path, cases.last().unwrap()).unwrap();
+    let err = load_checkpoint(&path).unwrap_err();
+    assert_eq!(err.kind(), "corrupt", "overflowing shape: {err}");
     assert!(
         ok > 0 && rejected > 1_000,
         "{ok} loaded, {rejected} rejected"
