@@ -3,16 +3,20 @@
 //!
 //! Phase 1 persists every ingredient as a checksummed `soup-ckpt/2`
 //! envelope plus a `manifest.json` recording the model configuration and
-//! per-ingredient metadata. Loading the pool back is deliberately lenient:
-//! unreadable or corrupt checkpoints are skipped with a warning — souping
-//! degrades to the surviving pool — and only an entirely unusable
-//! directory is an error.
+//! per-ingredient metadata. Loading the pool back is deliberately lenient
+//! about checkpoints: unreadable or corrupt ones, and ones whose
+//! parameters do not fit the manifest's configuration, are skipped with a
+//! warning — souping degrades to the surviving pool — and only an
+//! entirely unusable directory is an error. The manifest itself is
+//! strict: one that does not parse, or that names a file outside its
+//! directory, is an error.
 
 use crate::ingredient::Ingredient;
 use serde::{Deserialize, Serialize};
 use soup_error::SoupError;
-use soup_gnn::{load_checkpoint, ModelConfig};
+use soup_gnn::{check_params, load_checkpoint, ModelConfig};
 use soup_store::write_durable;
+use std::ffi::OsStr;
 use std::path::Path;
 
 /// Checkpoint-directory manifest written by `soupctl train`.
@@ -44,14 +48,28 @@ pub fn write_manifest(path: &Path, manifest: &Manifest) -> crate::Result<()> {
     write_durable(path, json.as_bytes())
 }
 
-/// Load the manifest and every usable ingredient checkpoint. Unreadable or
-/// corrupt checkpoints are skipped with a warning and only an entirely
-/// unusable directory is an error.
+/// Load the manifest and every usable ingredient checkpoint: one that
+/// loads, holds the ingredient its entry names, is finite and fits the
+/// manifest's configuration ([`check_params`]). Others are skipped with a
+/// warning and only an entirely unusable directory is an error; so is a
+/// manifest whose entry names anything but a file in `dir`.
 pub fn load_manifest(dir: &Path) -> crate::Result<(ModelConfig, Vec<Ingredient>)> {
     let path = dir.join("manifest.json");
-    let json = std::fs::read_to_string(&path).map_err(|e| SoupError::io_at(&path, e))?;
-    let manifest: Manifest = serde_json::from_str(&json)
-        .map_err(|e| SoupError::parse(format!("manifest {}: {e}", path.display())))?;
+    let bytes = std::fs::read(&path).map_err(|e| SoupError::io_at(&path, e))?;
+    let bad =
+        |e: &dyn std::fmt::Display| SoupError::parse(format!("manifest {}: {e}", path.display()));
+    let json = std::str::from_utf8(&bytes).map_err(|e| bad(&e))?;
+    let manifest: Manifest = serde_json::from_str(json).map_err(|e| bad(&e))?;
+    for entry in &manifest.ingredients {
+        if Path::new(&entry.file).file_name() != Some(OsStr::new(&entry.file)) {
+            return Err(SoupError::corrupt(format!(
+                "manifest {}: ingredient {} names {:?}, not a file in its directory",
+                path.display(),
+                entry.id,
+                entry.file
+            )));
+        }
+    }
     let mut ingredients: Vec<Ingredient> = Vec::new();
     let mut skipped = Vec::new();
     for entry in &manifest.ingredients {
@@ -69,11 +87,7 @@ pub fn load_manifest(dir: &Path) -> crate::Result<(ModelConfig, Vec<Ingredient>)
             {
                 return Err(SoupError::corrupt("non-finite parameters"));
             }
-            if let Some(first) = ingredients.first() {
-                if !ck.params.same_shape(&first.params) {
-                    return Err(SoupError::shape("architecture mismatch within pool"));
-                }
-            }
+            check_params(&manifest.config, &ck.params)?;
             Ok(ck)
         });
         match usable {
@@ -155,6 +169,26 @@ mod tests {
         let (_, ingredients) = load_manifest(&dir).unwrap();
         assert_eq!(ingredients.len(), 2);
         assert!(ingredients.iter().all(|i| i.id != 1));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn checkpoints_must_fit_the_manifest_and_stay_in_its_directory() {
+        let dir = std::env::temp_dir().join(format!("soup-pool-fit-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        write_pool(&dir, 2);
+        let path = dir.join("manifest.json");
+        let mut manifest: Manifest =
+            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        manifest.config.hidden = 9;
+        write_manifest(&path, &manifest).unwrap();
+        let err = load_manifest(&dir).unwrap_err();
+        assert_eq!(err.kind(), "checkpoint", "{err}");
+        manifest.config.hidden = 8;
+        manifest.ingredients[1].file = "../ingredient_1.ck".into();
+        write_manifest(&path, &manifest).unwrap();
+        let err = load_manifest(&dir).unwrap_err();
+        assert_eq!(err.kind(), "corrupt", "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -19,7 +19,6 @@
 //! [`schedule`] provides the analytic makespan model of Eq. (1)/(2) plus a
 //! greedy list-scheduling simulator for the load-imbalance discussion.
 
-pub mod control;
 pub mod queue;
 pub mod schedule;
 pub mod shard;

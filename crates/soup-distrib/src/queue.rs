@@ -5,11 +5,11 @@
 //! training the next available ingredient from a shared task queue." The
 //! original queue was a single atomic cursor, which is exactly right while
 //! every worker is flawless — but a production Phase 1 is not: workers
-//! panic, checkpoints corrupt, stragglers stall. Graph Ladling's zero-
-//! communication property means ingredients are *independent*, so a failed
-//! or stalled ingredient can simply be re-queued and retrained (bit-
-//! identically — its training seed is keyed by ordinal, not by worker or
-//! attempt) without touching any other task.
+//! panic and produce corrupt output. Graph Ladling's zero-communication
+//! property means ingredients are *independent*, so a failed ingredient
+//! can simply be re-queued and retrained (bit-identically — its training
+//! seed is keyed by ordinal, not by worker or attempt) without touching
+//! any other task.
 //!
 //! Per-task lifecycle:
 //!
@@ -22,17 +22,16 @@
 //!                        └───────────────────▶ Failed
 //! ```
 //!
-//! Requeue ordering is FIFO: failed and straggler-requeued tasks go to the
-//! *back* of the ready queue, so fresh work is never starved by a task that
-//! keeps failing. [`TaskQueue::requeue_stragglers`] additionally re-queues
-//! tasks whose current attempt has been running past a deadline — a second
-//! worker then races the straggler, and [`TaskQueue::complete`] keeps
-//! whichever finishes first (duplicates are harmless because results are
-//! deterministic per ordinal).
+//! Requeue ordering is FIFO: failed tasks go to the *back* of the ready
+//! queue, so fresh work is never starved by a task that keeps failing.
+//!
+//! A stalled attempt is not requeued: a thread cannot be killed, so racing
+//! it would only train the same ordinal twice on the same cores. Stalls
+//! are the process supervisor's job ([`crate::supervisor`]), which can
+//! kill what it gives up on.
 
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::time::{Duration, Instant};
 
 /// A claimed task: the ordinal to train plus which attempt this is
 /// (0 = first try).
@@ -55,7 +54,7 @@ pub enum FailAction {
 #[derive(Debug, Clone, Copy)]
 enum TaskState {
     Pending { attempts: u32 },
-    Running { attempts: u32, started: Instant },
+    Running { attempts: u32 },
     Done,
     Failed { attempts: u32 },
 }
@@ -107,27 +106,20 @@ impl TaskQueue {
     /// its own next loop iteration, so exiting on `None` is safe.
     pub fn claim(&self) -> Option<Claim> {
         let mut s = self.state.lock();
-        loop {
-            let ordinal = s.ready.pop_front()?;
-            // A straggler requeue can race its original completion; skip
-            // entries whose task has since finished.
-            if let TaskState::Pending { attempts } = s.tasks[ordinal] {
-                s.tasks[ordinal] = TaskState::Running {
-                    attempts,
-                    started: Instant::now(),
-                };
-                s.claims += 1;
-                return Some(Claim {
-                    ordinal,
-                    attempt: attempts,
-                });
-            }
-        }
+        let ordinal = s.ready.pop_front()?;
+        let TaskState::Pending { attempts } = s.tasks[ordinal] else {
+            unreachable!("task {ordinal} is ready but not pending");
+        };
+        s.tasks[ordinal] = TaskState::Running { attempts };
+        s.claims += 1;
+        Some(Claim {
+            ordinal,
+            attempt: attempts,
+        })
     }
 
-    /// Mark a task done. Returns `false` if another worker already
-    /// completed it (straggler race) — the caller must then discard its
-    /// duplicate result.
+    /// Mark a task done. Returns `false` if it was already done — the
+    /// caller must then discard its duplicate result.
     pub fn complete(&self, ordinal: usize) -> bool {
         let mut s = self.state.lock();
         match s.tasks[ordinal] {
@@ -147,7 +139,7 @@ impl TaskQueue {
         let attempts = match s.tasks[ordinal] {
             TaskState::Running { attempts, .. } | TaskState::Pending { attempts } => attempts + 1,
             TaskState::Failed { attempts } => attempts,
-            // Completed elsewhere (straggler race): the failure is moot.
+            // Already completed: the failure is moot.
             TaskState::Done => {
                 return FailAction::Requeued { next_attempt: 0 };
             }
@@ -177,28 +169,6 @@ impl TaskQueue {
         }
     }
 
-    /// Re-queue every running task whose current attempt started more than
-    /// `deadline` ago. The straggler itself keeps running; whoever
-    /// completes first wins. Straggler requeues do not consume retry
-    /// budget (the attempt has not *failed*). Returns how many tasks were
-    /// re-queued.
-    pub fn requeue_stragglers(&self, deadline: Duration) -> usize {
-        let now = Instant::now();
-        let mut s = self.state.lock();
-        let mut requeued = 0;
-        for ordinal in 0..self.total {
-            if let TaskState::Running { attempts, started } = s.tasks[ordinal] {
-                if now.duration_since(started) > deadline && !s.ready.contains(&ordinal) {
-                    s.tasks[ordinal] = TaskState::Pending { attempts };
-                    s.ready.push_back(ordinal);
-                    s.requeues += 1;
-                    requeued += 1;
-                }
-            }
-        }
-        requeued
-    }
-
     /// Number of successful `claim` calls so far (requeued attempts count
     /// again).
     pub fn claimed(&self) -> usize {
@@ -223,7 +193,7 @@ impl TaskQueue {
         self.state.lock().failed
     }
 
-    /// Total requeues performed (retries + straggler requeues).
+    /// Total requeues performed (failure retries).
     pub fn requeues(&self) -> u64 {
         self.state.lock().requeues
     }
@@ -319,35 +289,6 @@ mod tests {
         let got: Vec<usize> = std::iter::from_fn(|| q.claim().map(|c| c.ordinal)).collect();
         assert_eq!(got, vec![0, 2]);
         assert_eq!(q.completed(), 1);
-    }
-
-    #[test]
-    fn straggler_requeue_and_race() {
-        let q = TaskQueue::with_retry_budget(1, 0);
-        let c = q.claim().unwrap();
-        std::thread::sleep(Duration::from_millis(5));
-        assert_eq!(q.requeue_stragglers(Duration::from_millis(1)), 1);
-        // Not requeued twice while already in the ready queue.
-        assert_eq!(q.requeue_stragglers(Duration::from_millis(1)), 0);
-        // A second worker claims the straggler's task...
-        let dup = q.claim().unwrap();
-        assert_eq!(dup.ordinal, c.ordinal);
-        // ...and completes first; the straggler's late completion loses.
-        assert!(q.complete(dup.ordinal));
-        assert!(!q.complete(c.ordinal));
-        assert_eq!(q.completed(), 1);
-        assert!(q.is_drained());
-    }
-
-    #[test]
-    fn straggler_requeue_does_not_consume_retry_budget() {
-        let q = TaskQueue::with_retry_budget(1, 0);
-        let _c = q.claim().unwrap();
-        std::thread::sleep(Duration::from_millis(3));
-        assert_eq!(q.requeue_stragglers(Duration::from_millis(1)), 1);
-        let again = q.claim().unwrap();
-        // Same attempt number: the first attempt never failed.
-        assert_eq!(again.attempt, 0);
     }
 
     #[test]

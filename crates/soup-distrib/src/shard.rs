@@ -13,20 +13,18 @@
 //! 2. [`run_sharded`] forks one worker process per shard (any executable
 //!    that calls [`crate::shard_worker::run_shard_worker`] — `soupctl
 //!    shard-worker` or `bench_shard` re-executing itself), supervises
-//!    each over one Unix control connection (READY → HEARTBEAT* → RESULT
-//!    → ACK, [`crate::control`]), and aggregates their shard-local test
-//!    counts into one global accuracy. Workers never talk to each other:
-//!    each copies its halo rows from the shared map.
+//!    each one's exit and heartbeats ([`crate::supervisor`]), and
+//!    aggregates the shard-local test counts of their durable
+//!    `shard-<i>/result.json` files into one global accuracy. Workers
+//!    never talk to each other: each copies its halo rows from the shared
+//!    map.
 //!
 //! Each worker trains its ingredients and soups them entirely inside its
 //! shard (Phase-1 + PLS), checkpointing through the usual `soup-store`
 //! envelopes in `out_dir/shard-<i>/` — so `--resume` works per shard, and
 //! a killed run restarts only the unfinished shards' missing ingredients.
 
-use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
@@ -34,13 +32,6 @@ use soup_error::SoupError;
 use soup_graph::mmap::{write_mmap_dataset, MmapDataset, MmapMeta};
 use soup_partition::quality::{edge_cut_on, halo_counts};
 use soup_partition::streaming::{ldg_partition_restream, DEFAULT_PASSES, DEFAULT_SLACK};
-use soup_store::fault;
-use soup_store::frame::{is_stall, FrameBuf, Next};
-
-use crate::control::{
-    control_socket_path, expect_op, send, shard_epoch_payload, MAX_FRAME, OP_ACK, OP_HEARTBEAT,
-    OP_READY, OP_RESULT,
-};
 
 type Result<T> = std::result::Result<T, SoupError>;
 
@@ -73,7 +64,7 @@ pub struct ShardPlan {
     pub soup_epochs: usize,
     pub pls_k: usize,
     pub pls_r: usize,
-    /// Run directory: control socket, `plan.json`, `shard-<i>/` state.
+    /// Run directory: `plan.json`, `run.json`, `shard-<i>/` state.
     pub out_dir: String,
     /// Must be `false`: halo rows always come from the shared map, and
     /// [`run_sharded`] refuses a plan that sets it.
@@ -117,6 +108,11 @@ impl ShardPlan {
 
     pub fn plan_path(&self) -> PathBuf {
         self.out_dir_path().join("plan.json")
+    }
+
+    /// Where shard `shard`'s worker writes its [`ShardResult`].
+    pub fn result_path(&self, shard: usize) -> PathBuf {
+        self.shard_dir(shard).join("result.json")
     }
 
     /// Owned range of `shard` as usizes.
@@ -348,8 +344,8 @@ pub fn prepare_sharded_dataset(
     })
 }
 
-/// What one shard worker reports back over the control socket (and writes
-/// durably to `shard-<i>/result.json`).
+/// What one shard worker reports: written durably to
+/// `shard-<i>/result.json` just before it exits 0.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ShardResult {
     pub shard: usize,
@@ -369,6 +365,31 @@ pub struct ShardResult {
     pub halo_nodes: usize,
     /// Always `true`: the shared map is the only halo source.
     pub used_shm: bool,
+}
+
+impl ShardResult {
+    /// Read the result a worker left at `path`, which must be shard
+    /// `shard`'s. Damage of any kind (bytes that are not UTF-8 JSON of a
+    /// `ShardResult`, another shard's result, more correct predictions
+    /// than test nodes) is a `corrupt` error.
+    pub fn load(path: &Path, shard: usize) -> Result<Self> {
+        let bad = |e: &dyn std::fmt::Display| {
+            SoupError::corrupt(format!("shard result {}: {e}", path.display()))
+        };
+        let bytes = std::fs::read(path).map_err(|e| SoupError::io_at(path, e))?;
+        let text = std::str::from_utf8(&bytes).map_err(|e| bad(&e))?;
+        let result: ShardResult = serde_json::from_str(text).map_err(|e| bad(&e))?;
+        if result.shard != shard {
+            return Err(bad(&format!("holds shard {}, not {shard}", result.shard)));
+        }
+        if result.correct > result.test_total {
+            return Err(bad(&format!(
+                "{} correct of {} test nodes",
+                result.correct, result.test_total
+            )));
+        }
+        Ok(result)
+    }
 }
 
 /// Aggregated outcome of a sharded run.
@@ -417,13 +438,12 @@ impl WorkerLaunch {
     }
 }
 
-/// Fork one worker per shard and drive the control protocol under
-/// supervision: crash/hang detection via `try_wait` + heartbeat
-/// deadlines, kill-and-reap, bounded respawn with session epochs, and
-/// graceful degradation when a shard's budget runs out. The full fault
-/// model lives in [`crate::supervisor`].
+/// Fork one worker per shard and supervise them: crash/hang detection via
+/// `try_wait` + heartbeat deadlines, kill-and-reap, bounded respawn with
+/// session epochs, and graceful degradation when a shard's budget runs
+/// out. The full fault model lives in [`crate::supervisor`].
 ///
-/// The plan is checked before anything is bound or forked: `no_shm` is a
+/// The plan is checked before anything is forked: `no_shm` is a
 /// `usage` error, and ranges that do not tile the dataset's nodes are
 /// `corrupt`. For that the coordinator reads only the dataset's header,
 /// so its resident set stays at process baseline, which keeps the
@@ -436,136 +456,6 @@ pub fn run_sharded(plan: &ShardPlan, launch: &WorkerLaunch) -> Result<ShardRunRe
     }
     plan.check_nodes(MmapDataset::open(plan.dataset_path())?.num_nodes())?;
     crate::supervisor::run_supervised(plan, launch)
-}
-
-/// Worker-side control handle: connect, heartbeat, report the result.
-///
-/// A background thread heartbeats at a quarter of the deadline through
-/// the shared writer for as long as the handle lives, keeping the
-/// supervisor convinced through long training phases. The worker's one
-/// read, the ACK, is bounded by the deadline too.
-pub struct WorkerControl {
-    stream: UnixStream,
-    buf: FrameBuf,
-    writer: Arc<Mutex<UnixStream>>,
-    shard: usize,
-    timeout: Duration,
-    hb_stop: Arc<AtomicBool>,
-    hb_thread: Option<std::thread::JoinHandle<()>>,
-}
-
-/// Send one control frame on the worker's outbound half; the heartbeat
-/// thread and the protocol steps share it behind a mutex, so frames
-/// interleave whole. Frames other than heartbeats pass the
-/// `control.drop` and `control.truncate` fault points (heartbeats are
-/// redundant by design, so spoiling one proves nothing).
-fn send_frame(stream: &mut UnixStream, op: u8, payload: &[u8]) -> Result<()> {
-    if op != OP_HEARTBEAT {
-        if fault::damage("control.drop") {
-            return Ok(());
-        }
-        if fault::damage("control.truncate") {
-            let mut frame = Vec::new();
-            send(&mut frame, &[&[op], payload])?;
-            let _ = std::io::Write::write_all(stream, &frame[..frame.len() / 2]);
-            // FIN mid-frame: the supervisor must reject the stream.
-            let _ = stream.shutdown(std::net::Shutdown::Write);
-            return Ok(());
-        }
-    }
-    send(stream, &[&[op], payload])
-}
-
-impl WorkerControl {
-    /// Connect to the coordinator (retrying while it binds), announce
-    /// this shard+epoch as READY, and start heartbeating.
-    pub fn connect(plan: &ShardPlan, shard: usize, epoch: u32) -> Result<Self> {
-        let out_dir = plan.out_dir_path();
-        let path = control_socket_path(&out_dir);
-        let stream = crate::control::connect_retry(&path, Duration::from_secs(30))?;
-        let writer = Arc::new(Mutex::new(stream.try_clone()?));
-        let mut this = Self {
-            stream,
-            buf: FrameBuf::new(MAX_FRAME),
-            writer,
-            shard,
-            timeout: plan.worker_timeout(),
-            hb_stop: Arc::new(AtomicBool::new(false)),
-            hb_thread: None,
-        };
-        this.send(OP_READY, &shard_epoch_payload(shard as u32, epoch))?;
-        this.start_heartbeats(plan.worker_timeout() / 4, shard as u32, epoch);
-        Ok(this)
-    }
-
-    fn send(&self, op: u8, payload: &[u8]) -> Result<()> {
-        let mut stream = self
-            .writer
-            .lock()
-            .map_err(|_| SoupError::corrupt("control writer poisoned"))?;
-        send_frame(&mut stream, op, payload)
-    }
-
-    /// Heartbeat at `interval` until the handle drops. Sleeps in short
-    /// slices so shutdown never waits a full interval.
-    fn start_heartbeats(&mut self, interval: Duration, shard: u32, epoch: u32) {
-        let interval = interval.clamp(Duration::from_millis(25), Duration::from_secs(5));
-        let writer = Arc::clone(&self.writer);
-        let stop = Arc::clone(&self.hb_stop);
-        self.hb_thread = Some(std::thread::spawn(move || {
-            let payload = shard_epoch_payload(shard, epoch);
-            let slice = Duration::from_millis(10);
-            'outer: loop {
-                let mut slept = Duration::ZERO;
-                while slept < interval {
-                    if stop.load(Ordering::Relaxed) {
-                        break 'outer;
-                    }
-                    std::thread::sleep(slice);
-                    slept += slice;
-                }
-                let Ok(mut w) = writer.lock() else { break };
-                if send_frame(&mut w, OP_HEARTBEAT, &payload).is_err() {
-                    break; // coordinator gone; the main thread will notice
-                }
-            }
-        }));
-    }
-
-    /// Send the final RESULT and wait for the coordinator's ACK. A worker
-    /// whose RESULT was lost gets no ACK: it fails with a typed
-    /// [`SoupError::WorkerLost`] after one deadline and exits, and the
-    /// supervisor respawns it like any crash.
-    pub fn send_result(&mut self, result: &ShardResult, epoch: u32) -> Result<()> {
-        let json = serde_json::to_string(result)
-            .map_err(|e| SoupError::usage(format!("shard result serialise: {e}")))?;
-        let prefix = shard_epoch_payload(result.shard as u32, epoch);
-        self.send(OP_RESULT, &[&prefix[..], json.as_bytes()].concat())?;
-        match self.buf.read_frame(&mut self.stream, Some(self.timeout)) {
-            Ok(Next::Frame(payload)) => expect_op(payload, OP_ACK).map(|_| ()),
-            Ok(Next::Closed) => Err(SoupError::corrupt(
-                "control protocol: coordinator closed before ACK",
-            )),
-            Err(e) if !is_stall(&e) => Err(e),
-            // Silent before or inside a frame for a whole deadline.
-            _ => Err(SoupError::worker_lost(
-                self.shard,
-                format!(
-                    "no ACK from the coordinator within {:.1}s",
-                    self.timeout.as_secs_f64()
-                ),
-            )),
-        }
-    }
-}
-
-impl Drop for WorkerControl {
-    fn drop(&mut self) {
-        self.hb_stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.hb_thread.take() {
-            let _ = t.join();
-        }
-    }
 }
 
 #[cfg(test)]

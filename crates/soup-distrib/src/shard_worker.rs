@@ -1,11 +1,11 @@
 //! The shard worker process: one shard's Phase-1 + PLS, end to end.
 //!
 //! Launched by [`crate::shard::run_sharded`] as `<exe> [prefix...] --plan
-//! <plan.json> --shard <i>` (hidden `soupctl shard-worker` subcommand, or
-//! `bench_shard` re-executing itself). The worker:
+//! <plan.json> --shard <i> --epoch <e>` (hidden `soupctl shard-worker`
+//! subcommand, or `bench_shard` re-executing itself). The worker:
 //!
-//! 1. maps the shard-ordered dataset `MAP_SHARED` and announces itself
-//!    READY on the control socket ([`crate::control`]);
+//! 1. heartbeats on its stdin, which the supervisor made one end of a
+//!    socket pair, and maps the shard-ordered dataset `MAP_SHARED`;
 //! 2. builds the local training graph: owned nodes plus their 1-hop
 //!    out-of-shard neighbors (halo). Halo nodes contribute *features
 //!    only* — halo↔halo edges are dropped because reading a halo node's
@@ -16,16 +16,24 @@
 //! 3. trains its `rounds` ingredients with the ordinary thread trainer
 //!    ([`crate::train_ingredients_opts`]) — its checkpoints land in
 //!    `out_dir/shard-<i>/`, so `--resume` revalidates per shard;
-//! 4. soups shard-locally (PLS by default) and reports owned-test-node
-//!    counts, wall time and its own `VmHWM` peak RSS.
+//! 4. soups shard-locally (PLS by default), writes owned-test-node counts,
+//!    wall time and its own `VmHWM` peak RSS durably to
+//!    `shard-<i>/result.json`, and returns — the process exit is its report.
 //!
-//! Workers share nothing but the read-only map, so none waits for another.
+//! Workers share nothing but the read-only map, so none waits for another,
+//! and none needs a coordinator: run by hand, with a stdin that is not a
+//! socket, a worker sends no heartbeats and still runs to completion.
 //! Determinism: shard `i` derives its seed from the plan seed and `i`
 //! alone, and the trainer keys every ingredient by ordinal — so reruns
 //! are bit-identical (asserted by `tests/shard_pipeline.rs`).
 
+use std::io::Write;
+use std::os::fd::{AsFd, OwnedFd};
+use std::os::unix::fs::FileTypeExt;
+use std::os::unix::net::UnixStream;
 use std::path::Path;
-use std::time::Instant;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::{Duration, Instant};
 
 use soup_error::SoupError;
 use soup_gnn::{ModelConfig, TrainConfig};
@@ -34,7 +42,7 @@ use soup_graph::{CsrGraph, Dataset, Splits};
 use soup_store::fault;
 use soup_tensor::{parallel, SplitMix64, Tensor};
 
-use crate::shard::{ShardPlan, ShardResult, WorkerControl};
+use crate::shard::{ShardPlan, ShardResult};
 use crate::trainer::TrainOpts;
 
 type Result<T> = std::result::Result<T, SoupError>;
@@ -127,6 +135,16 @@ pub fn shard_seed(root_seed: u64, shard: usize) -> u64 {
         .0
 }
 
+/// Stdin, when it is a socket: the supervisor made it one end of a socket
+/// pair and drains the other for heartbeats. `None` for a worker run by
+/// hand.
+fn heartbeat_socket() -> Option<UnixStream> {
+    let fd = std::io::stdin().as_fd().try_clone_to_owned().ok()?;
+    let stdin = std::fs::File::from(fd);
+    let is_socket = stdin.metadata().is_ok_and(|m| m.file_type().is_socket());
+    is_socket.then(|| UnixStream::from(OwnedFd::from(stdin)))
+}
+
 /// Run one shard worker to completion. This is the body of the hidden
 /// `soupctl shard-worker` subcommand. `epoch` is the session epoch the
 /// supervisor assigned to this incarnation: 0 on first spawn, higher
@@ -136,11 +154,27 @@ pub fn shard_seed(root_seed: u64, shard: usize) -> u64 {
 pub fn run_shard_worker(plan_path: &Path, shard: usize, epoch: u32) -> Result<ShardResult> {
     let start = Instant::now();
     let plan = ShardPlan::load(plan_path)?;
+    let interval =
+        (plan.worker_timeout() / 4).clamp(Duration::from_millis(25), Duration::from_secs(5));
     // K workers share the machine's cores: each runs its kernels on an
     // equal share of them.
     let kernel_threads = (parallel::cores() / plan.k.max(1)).max(1);
-    parallel::with_threads(kernel_threads, || {
-        run_loaded_worker(plan, shard, epoch, start)
+    let (stop, stopped) = mpsc::channel::<()>();
+    std::thread::scope(|scope| {
+        if let Some(mut socket) = heartbeat_socket() {
+            // One byte per interval until the work is done (`stop`
+            // dropped) or the supervisor's end is gone.
+            scope.spawn(move || {
+                while stopped.recv_timeout(interval) == Err(RecvTimeoutError::Timeout)
+                    && socket.write_all(&[0]).is_ok()
+                {}
+            });
+        }
+        let result = parallel::with_threads(kernel_threads, || {
+            run_loaded_worker(plan, shard, epoch, start)
+        });
+        drop(stop);
+        result
     })
 }
 
@@ -171,7 +205,6 @@ fn run_loaded_worker(
 
     let mmap = MmapDataset::open(plan.dataset_path())?;
     plan.check_nodes(mmap.num_nodes())?;
-    let mut control = WorkerControl::connect(&plan, shard, epoch)?;
     fault::crash("worker.fetch")?;
     let view = build_local_view(&mmap, &plan, shard);
     let cfg = make_model_config(&plan, mmap.feature_dim(), mmap.num_classes())?;
@@ -257,8 +290,7 @@ fn run_loaded_worker(
     };
     let json = serde_json::to_string(&result)
         .map_err(|e| SoupError::usage(format!("shard result serialise: {e}")))?;
-    soup_store::write_durable(shard_dir.join("result.json"), json.as_bytes())?;
-    control.send_result(&result, epoch)?;
+    soup_store::write_durable(plan.result_path(shard), json.as_bytes())?;
     Ok(result)
 }
 

@@ -1,23 +1,27 @@
 //! The shard supervisor: self-healing coordinator for multi-process runs.
 //!
-//! Each worker speaks READY → HEARTBEAT* → RESULT over its control
-//! connection ([`crate::control`]) and exits on ACK. Workers never wait
-//! for each other, so the coordinator only watches them, in one
+//! A worker reports by exiting. It is done when it exits 0 and its durable
+//! `shard-<i>/result.json` decodes to a [`ShardResult`] for its own shard;
+//! any other exit, or a missing or undecodable file, is a crash. Workers
+//! never wait for each other, so the coordinator only watches them, in one
 //! supervised poll loop:
 //!
 //! - **Detection.** Every tick the supervisor `try_wait`s each child
 //!   (crash → detected within milliseconds) and checks its heartbeat
-//!   deadline (hang → detected within one `worker_timeout`; workers send
-//!   [`OP_HEARTBEAT`] at a quarter of that interval). Either way a dead
+//!   deadline (hang → detected within one `worker_timeout`). Each child's
+//!   stdin is one end of a socket pair whose other end the supervisor
+//!   drains every tick; the worker writes a byte to it at a quarter of
+//!   the deadline, and any byte counts as a heartbeat. Either way a dead
 //!   worker is noticed in well under 2× the deadline.
 //! - **Reaping.** A lost child is killed *and waited* — failed runs never
 //!   accumulate zombies. The supervisor's `Drop` does the same for every
 //!   child still alive, so early errors can't leak processes either.
 //! - **Respawn.** A lost shard is relaunched with a bounded restart
-//!   budget and a bumped **session epoch**; the worker resumes from its
-//!   shard checkpoints, so the recovered run is bit-identical to an
-//!   uninterrupted one. Frames carrying a stale epoch (leftovers from a
-//!   pre-crash incarnation) are rejected and counted.
+//!   budget and a bumped **session epoch** (`--epoch`); a worker with
+//!   epoch > 0 resumes from its shard checkpoints, so the recovered run is
+//!   bit-identical to an uninterrupted one. `result.json` is deleted
+//!   before every spawn, so a file from an earlier incarnation or run is
+//!   never taken for this one's result.
 //! - **Degradation.** A shard that exhausts its budget is marked lost;
 //!   the surviving shards complete and the run reports exact accuracy
 //!   over surviving owned-test nodes with explicit `missing` provenance
@@ -25,22 +29,20 @@
 //!   does the run error.
 //!
 //! Observability: `supervisor.restarts`, `supervisor.reaps`,
-//! `supervisor.crashes`, `supervisor.hangs`, `supervisor.stale_frames`,
-//! `supervisor.frame_retries` counters, a `supervisor.degraded_shards`
-//! gauge, and the per-worker `distrib.worker.<shard>.heartbeat_s` gauges
-//! republished from worker heartbeats.
+//! `supervisor.crashes`, `supervisor.hangs` counters, a
+//! `supervisor.degraded_shards` gauge, and the per-worker
+//! `distrib.worker.<shard>.heartbeat_s` gauges set when a heartbeat
+//! arrives.
 
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::io::{ErrorKind, Read};
+use std::os::fd::OwnedFd;
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
-use std::process::Child;
+use std::process::{Child, Stdio};
 use std::time::{Duration, Instant};
 
 use soup_error::SoupError;
-use soup_store::frame::{write_frame, FrameBuf};
 
-use crate::control::{
-    control_socket_path, decode_control, MAX_FRAME, OP_ACK, OP_HEARTBEAT, OP_READY, OP_RESULT,
-};
 use crate::shard::{ShardPlan, ShardResult, ShardRunReport, WorkerLaunch};
 
 type Result<T> = std::result::Result<T, SoupError>;
@@ -49,55 +51,46 @@ type Result<T> = std::result::Result<T, SoupError>;
 /// of an idle tick is one `try_wait` + one nonblocking read per worker.
 const TICK: Duration = Duration::from_millis(10);
 
-/// Where one worker stands in the control protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SlotState {
-    /// Child spawned, READY not yet seen for the current epoch.
-    Spawning,
-    /// READY seen: the worker is building its view, training or souping.
-    Ready,
-    /// RESULT accepted and ACKed.
-    Done,
-    /// Restart budget exhausted; excluded from the run.
-    Lost,
-}
-
-/// One shard's supervision record.
+/// One shard's supervision record. A slot is running until it holds a
+/// result or is lost.
 struct Slot {
     shard: usize,
     /// Session epoch == incarnation counter; bumped on every respawn.
     epoch: u32,
     restarts_left: u32,
     child: Option<Child>,
-    conn: Option<Conn>,
-    state: SlotState,
-    /// Last proof of life: spawn, READY, RESULT or heartbeat.
+    /// The supervisor's end of the child's stdin socket pair.
+    heartbeats: Option<UnixStream>,
+    /// Last proof of life: spawn or heartbeat.
     last_seen: Instant,
-    done_at: Option<Instant>,
     result: Option<ShardResult>,
-    lost_reason: Option<String>,
+    /// Restart budget exhausted; excluded from the run.
+    lost: bool,
 }
 
 impl Slot {
-    fn live(&self) -> bool {
-        !matches!(self.state, SlotState::Lost)
+    fn running(&self) -> bool {
+        !self.lost && self.result.is_none()
     }
-}
 
-/// A control connection: attached to exactly one (shard, epoch) once its
-/// READY frame identified it.
-struct Conn {
-    stream: UnixStream,
-    buf: FrameBuf,
-}
-
-/// Write a (small) control frame to a nonblocking stream. Control frames
-/// are a few bytes, so a worker that cannot absorb one within `timeout`
-/// is as good as dead.
-fn send_control(stream: &mut UnixStream, op: u8, timeout: Duration) -> Result<()> {
-    let retries = soup_obs::counter!("supervisor.frame_retries");
-    let until = Instant::now() + timeout;
-    write_frame(stream, MAX_FRAME, &[&[op]], Some((until, retries)))
+    /// Read every heartbeat byte waiting on the socket. Returns whether
+    /// any arrived; a closed or failed socket just stops delivering them.
+    fn drain_heartbeats(&mut self) -> bool {
+        let Some(stream) = self.heartbeats.as_mut() else {
+            return false;
+        };
+        let mut buf = [0u8; 64];
+        let mut beat = false;
+        loop {
+            match stream.read(&mut buf) {
+                Ok(0) => break,
+                Ok(_) => beat = true,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => break,
+            }
+        }
+        beat
+    }
 }
 
 fn unix_now_s() -> f64 {
@@ -115,11 +108,7 @@ struct Supervisor<'a> {
     plan: &'a ShardPlan,
     launch: &'a WorkerLaunch,
     plan_path: PathBuf,
-    listener: UnixListener,
     slots: Vec<Slot>,
-    /// Accepted connections that have not yet sent READY, with their
-    /// accept time.
-    pending: Vec<(Conn, Instant)>,
     restarts: u32,
 }
 
@@ -140,40 +129,40 @@ impl<'a> Supervisor<'a> {
         let out_dir = plan.out_dir_path();
         std::fs::create_dir_all(&out_dir).map_err(|e| SoupError::io_at(&out_dir, e))?;
         let plan_path = plan.save()?;
-        let control = control_socket_path(&out_dir);
-        let _ = std::fs::remove_file(&control);
-        let listener = UnixListener::bind(&control).map_err(|e| SoupError::io_at(&control, e))?;
-        listener.set_nonblocking(true).map_err(SoupError::from)?;
-
         let mut this = Self {
             plan,
             launch,
             plan_path,
-            listener,
             slots: Vec::with_capacity(plan.k),
-            pending: Vec::new(),
             restarts: 0,
         };
         for shard in 0..plan.k {
-            let child = this.spawn(shard, 0)?;
+            let (child, heartbeats) = this.spawn(shard, 0)?;
             this.slots.push(Slot {
                 shard,
                 epoch: 0,
                 restarts_left: plan.restart_budget,
                 child: Some(child),
-                conn: None,
-                state: SlotState::Spawning,
+                heartbeats: Some(heartbeats),
                 last_seen: Instant::now(),
-                done_at: None,
                 result: None,
-                lost_reason: None,
+                lost: false,
             });
         }
         Ok(this)
     }
 
-    fn spawn(&self, shard: usize, epoch: u32) -> Result<Child> {
-        std::process::Command::new(&self.launch.exe)
+    /// Launch incarnation `epoch` of `shard`'s worker with one end of a
+    /// fresh socket pair as its stdin; returns the child and the other end.
+    fn spawn(&self, shard: usize, epoch: u32) -> Result<(Child, UnixStream)> {
+        let stale = self.plan.result_path(shard);
+        match std::fs::remove_file(&stale) {
+            Err(e) if e.kind() != ErrorKind::NotFound => return Err(SoupError::io_at(&stale, e)),
+            _ => {}
+        }
+        let (ours, theirs) = UnixStream::pair()?;
+        ours.set_nonblocking(true)?;
+        let child = std::process::Command::new(&self.launch.exe)
             .args(&self.launch.args)
             .arg("--plan")
             .arg(&self.plan_path)
@@ -181,12 +170,10 @@ impl<'a> Supervisor<'a> {
             .arg(shard.to_string())
             .arg("--epoch")
             .arg(epoch.to_string())
+            .stdin(Stdio::from(OwnedFd::from(theirs)))
             .spawn()
-            .map_err(|e| SoupError::io_at(&self.launch.exe, e))
-    }
-
-    fn timeout(&self) -> Duration {
-        self.plan.worker_timeout()
+            .map_err(|e| SoupError::io_at(&self.launch.exe, e))?;
+        Ok((child, ours))
     }
 
     /// Kill + reap slot `i`'s worker and either respawn it into the next
@@ -203,15 +190,14 @@ impl<'a> Supervisor<'a> {
             let _ = child.kill();
             let _ = child.wait(); // reap: no zombies, ever
         }
-        slot.conn = None;
+        slot.heartbeats = None;
         if slot.restarts_left == 0 {
             soup_obs::warn!(
                 "shard {}: {reason}; restart budget exhausted — degrading",
                 slot.shard
             );
-            slot.state = SlotState::Lost;
-            slot.lost_reason = Some(reason.to_string());
-            let degraded = self.slots.iter().filter(|s| !s.live()).count();
+            slot.lost = true;
+            let degraded = self.slots.iter().filter(|s| s.lost).count();
             soup_obs::counter!("supervisor.shards_degraded").inc();
             soup_obs::gauge!("supervisor.degraded_shards").set(degraded as f64);
             return Ok(());
@@ -222,243 +208,70 @@ impl<'a> Supervisor<'a> {
         soup_obs::warn!("shard {shard}: {reason}; respawning (session epoch {epoch})");
         soup_obs::counter!("supervisor.restarts").inc();
         self.restarts += 1;
-        let child = self.spawn(shard, epoch)?;
+        let (child, heartbeats) = self.spawn(shard, epoch)?;
         let slot = &mut self.slots[i];
         slot.child = Some(child);
-        slot.state = SlotState::Spawning;
+        slot.heartbeats = Some(heartbeats);
         slot.last_seen = Instant::now();
         Ok(())
     }
 
-    /// Accept any connections waiting on the listener.
-    fn accept_new(&mut self) {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let buf = FrameBuf::new(MAX_FRAME);
-                    self.pending.push((Conn { stream, buf }, Instant::now()));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-                Err(_) => return,
-            }
+    /// Drain slot `i`'s heartbeats and `try_wait` its child. `Err` says
+    /// why the slot must be declared lost, and whether it hung.
+    fn check(&mut self, i: usize) -> std::result::Result<(), (String, bool)> {
+        let timeout = self.plan.worker_timeout();
+        let result_path = self.plan.result_path(self.slots[i].shard);
+        let slot = &mut self.slots[i];
+        if slot.drain_heartbeats() {
+            slot.last_seen = Instant::now();
+            soup_obs::registry::gauge(&format!("distrib.worker.{}.heartbeat_s", slot.shard))
+                .set(unix_now_s());
         }
-    }
-
-    /// Drive pending connections to their READY frame and attach them to
-    /// their slot. Anything that identifies badly — stale epoch, unknown
-    /// shard, a non-READY first frame — is dropped and counted, never
-    /// trusted.
-    fn pump_pending(&mut self) {
-        let timeout = self.timeout();
-        let mut keep = Vec::new();
-        for (mut c, since) in std::mem::take(&mut self.pending) {
-            if !matches!(c.buf.fill(&mut c.stream), Ok(true)) {
-                continue; // dropped before READY
-            }
-            match c.buf.pop().map(|f| f.map(decode_control)) {
-                Ok(None) => {
-                    if since.elapsed() < timeout {
-                        keep.push((c, since));
-                    }
-                    // else: silently drop a mute connection
-                }
-                Ok(Some(Ok((OP_READY, shard, epoch, _)))) => self.attach(c, shard as usize, epoch),
-                Ok(Some(_)) | Err(_) => {
-                    // First frame must be READY; anything else is a stray
-                    // stream from a dead incarnation or a corrupt peer.
-                    soup_obs::counter!("supervisor.stale_frames").inc();
-                }
-            }
-        }
-        self.pending.extend(keep);
-    }
-
-    /// Bind an identified connection to its slot, carrying over any bytes
-    /// (heartbeats) already buffered behind the READY frame.
-    fn attach(&mut self, conn: Conn, shard: usize, epoch: u32) {
-        let Some(slot) = self.slots.get_mut(shard) else {
-            soup_obs::counter!("supervisor.stale_frames").inc();
-            return;
+        let Some(child) = slot.child.as_mut() else {
+            return Ok(());
         };
-        if epoch != slot.epoch || !slot.live() || slot.state != SlotState::Spawning {
-            // READY from a pre-crash incarnation that was still in the
-            // listener backlog when its successor spawned.
-            soup_obs::counter!("supervisor.stale_frames").inc();
-            return;
-        }
-        slot.state = SlotState::Ready;
-        slot.last_seen = Instant::now();
-        slot.conn = Some(conn);
-    }
-
-    /// Drain frames from every attached connection. Returns the slots
-    /// that must be declared lost (collected first — `lose_slot` needs
-    /// `&mut self`).
-    fn pump_slots(&mut self) -> Vec<(usize, String)> {
-        let deadline = self.timeout();
-        let mut lost: Vec<(usize, String)> = Vec::new();
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            if let Err(reason) = drain_conn(slot, deadline) {
-                slot.conn = None;
-                lost.push((i, reason));
+        match child.try_wait() {
+            Ok(Some(status)) if status.success() => {
+                let result = ShardResult::load(&result_path, slot.shard)
+                    .map_err(|e| (format!("worker exited 0 without a result: {e}"), false))?;
+                slot.result = Some(result);
+                slot.child = None; // clean exit, reaped
+                slot.heartbeats = None;
+                Ok(())
             }
-        }
-        lost
-    }
-
-    /// `try_wait` every child: exits are either expected (Done) or a
-    /// crash; hung workers are caught by the heartbeat deadline instead.
-    fn check_children(&mut self) -> Vec<(usize, String, bool)> {
-        let timeout = self.timeout();
-        let mut lost = Vec::new();
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            let Some(child) = slot.child.as_mut() else {
-                continue;
-            };
-            match child.try_wait() {
-                Ok(Some(status)) => {
-                    if slot.state == SlotState::Done {
-                        slot.child = None; // clean exit, reaped
-                    } else if slot.live() {
-                        lost.push((i, format!("worker exited with {status}"), false));
-                    }
+            Ok(Some(status)) => Err((format!("worker exited with {status}"), false)),
+            Ok(None) => {
+                let stale = slot.last_seen.elapsed();
+                if stale > timeout {
+                    return Err((
+                        format!(
+                            "heartbeat deadline missed ({:.1}s > {:.1}s)",
+                            stale.as_secs_f64(),
+                            timeout.as_secs_f64()
+                        ),
+                        true,
+                    ));
                 }
-                Ok(None) => {
-                    let stale = slot.last_seen.elapsed();
-                    if slot.state == SlotState::Done {
-                        // ACKed but lingering: give it one deadline, then
-                        // put it down — the result is already in hand.
-                        if slot.done_at.is_some_and(|t| t.elapsed() > timeout) {
-                            let mut c = slot.child.take().unwrap();
-                            let _ = c.kill();
-                            let _ = c.wait();
-                            soup_obs::counter!("supervisor.reaps").inc();
-                            soup_obs::warn!(
-                                "shard {}: worker lingered after ACK; reaped",
-                                slot.shard
-                            );
-                        }
-                    } else if slot.live() && stale > timeout {
-                        lost.push((
-                            i,
-                            format!(
-                                "heartbeat deadline missed ({:.1}s > {:.1}s)",
-                                stale.as_secs_f64(),
-                                timeout.as_secs_f64()
-                            ),
-                            true,
-                        ));
-                    }
-                }
-                Err(e) => lost.push((i, format!("try_wait failed: {e}"), false)),
+                Ok(())
             }
+            Err(e) => Err((format!("try_wait failed: {e}"), false)),
         }
-        lost
     }
 
     fn run(&mut self) -> Result<()> {
-        loop {
-            self.accept_new();
-            self.pump_pending();
-            for (i, reason) in self.pump_slots() {
-                if self.slots[i].live() && self.slots[i].state != SlotState::Done {
-                    self.lose_slot(i, &reason, false)?;
+        while self.slots.iter().any(Slot::running) {
+            for i in 0..self.slots.len() {
+                if !self.slots[i].running() {
+                    continue;
                 }
-            }
-            for (i, reason, hang) in self.check_children() {
-                if self.slots[i].live() && self.slots[i].state != SlotState::Done {
+                if let Err((reason, hang)) = self.check(i) {
                     self.lose_slot(i, &reason, hang)?;
                 }
             }
-            if self
-                .slots
-                .iter()
-                .all(|s| matches!(s.state, SlotState::Done | SlotState::Lost))
-            {
-                break;
-            }
             std::thread::sleep(TICK);
-        }
-        // Drain: Done workers exit on their own after ACK; anything still
-        // alive past one deadline is killed (and reaped) by check_children
-        // or, ultimately, by Drop.
-        let drain_deadline = Instant::now() + self.timeout();
-        while self.slots.iter().any(|s| s.child.is_some()) && Instant::now() < drain_deadline {
-            let _ = self.check_children();
-            std::thread::sleep(TICK);
-        }
-        for slot in &mut self.slots {
-            if let Some(mut child) = slot.child.take() {
-                let _ = child.kill();
-                let _ = child.wait();
-                soup_obs::counter!("supervisor.reaps").inc();
-            }
         }
         Ok(())
     }
-}
-
-/// Read and act on every frame waiting on `slot`'s connection, if it has
-/// one. `Err` says why the slot must be declared lost.
-fn drain_conn(slot: &mut Slot, deadline: Duration) -> std::result::Result<(), String> {
-    let Some(conn) = slot.conn.as_mut() else {
-        return Ok(());
-    };
-    let open = conn
-        .buf
-        .fill(&mut conn.stream)
-        .map_err(|e| format!("control read: {e}"))?;
-    while let Some(frame) = conn.buf.pop().map_err(|e| format!("control stream: {e}"))? {
-        let (op, shard, epoch, rest) =
-            decode_control(frame).map_err(|e| format!("unparsable control frame: {e}"))?;
-        if shard as usize != slot.shard || epoch != slot.epoch {
-            soup_obs::counter!("supervisor.stale_frames").inc();
-            continue;
-        }
-        slot.last_seen = Instant::now();
-        match op {
-            OP_HEARTBEAT => {
-                soup_obs::registry::gauge(&format!("distrib.worker.{}.heartbeat_s", slot.shard))
-                    .set(unix_now_s());
-            }
-            OP_RESULT => {
-                let result =
-                    parse_result(rest, slot.shard).map_err(|e| format!("RESULT rejected: {e}"))?;
-                if let Err(e) = send_control(&mut conn.stream, OP_ACK, deadline) {
-                    let shard = slot.shard;
-                    soup_obs::warn!("shard {shard}: ACK not delivered ({e}); result kept");
-                }
-                slot.result = Some(result);
-                slot.state = SlotState::Done;
-                slot.done_at = Some(Instant::now());
-                slot.conn = None;
-                return Ok(());
-            }
-            other => return Err(format!("unexpected control opcode {other}")),
-        }
-    }
-    if open {
-        Ok(())
-    } else {
-        Err("control connection closed".to_string())
-    }
-}
-
-fn parse_result(json_bytes: &[u8], want_shard: usize) -> Result<ShardResult> {
-    let json = std::str::from_utf8(json_bytes)
-        .map_err(|_| SoupError::corrupt("shard RESULT payload is not UTF-8"))?;
-    let result: ShardResult = serde_json::from_str(json)
-        .map_err(|e| SoupError::corrupt(format!("shard RESULT decode: {e}")))?;
-    if result.shard != want_shard {
-        return Err(SoupError::corrupt(format!(
-            "shard RESULT for {} arrived on shard {want_shard}'s connection",
-            result.shard
-        )));
-    }
-    Ok(result)
 }
 
 /// Shape of the durable `out_dir/run.json` provenance record.
@@ -472,10 +285,10 @@ struct RunProvenance {
     surviving_shards: Vec<usize>,
 }
 
-/// Supervised replacement for the PR-9 coordinator: fork one worker per
-/// shard, drive the control protocol with crash/hang detection, bounded
-/// respawn and graceful degradation, and aggregate the surviving shards'
-/// results. See the module docs for the full fault model.
+/// Fork one worker per shard and supervise them with crash/hang
+/// detection, bounded respawn and graceful degradation, then aggregate
+/// the surviving shards' results. See the module docs for the full fault
+/// model.
 pub fn run_supervised(plan: &ShardPlan, launch: &WorkerLaunch) -> Result<ShardRunReport> {
     let _span = soup_obs::span!("distrib.shard_run");
     let start = Instant::now();
@@ -486,13 +299,12 @@ pub fn run_supervised(plan: &ShardPlan, launch: &WorkerLaunch) -> Result<ShardRu
 
     let mut per_shard: Vec<ShardResult> = Vec::new();
     let mut missing: Vec<usize> = Vec::new();
-    for slot in &sup.slots {
-        match &slot.result {
-            Some(r) => per_shard.push(r.clone()),
+    for slot in &mut sup.slots {
+        match slot.result.take() {
+            Some(r) => per_shard.push(r),
             None => missing.push(slot.shard),
         }
     }
-    per_shard.sort_by_key(|r| r.shard);
     let restarts = sup.restarts;
     drop(sup);
 
@@ -540,40 +352,28 @@ pub fn run_supervised(plan: &ShardPlan, launch: &WorkerLaunch) -> Result<ShardRu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write;
 
     #[test]
-    fn fill_handles_fragmented_frames_over_a_socketpair() {
-        let (mut a, mut b) = UnixStream::pair().unwrap();
-        b.set_nonblocking(true).unwrap();
-        let mut wire = Vec::new();
-        crate::control::send(
-            &mut wire,
-            &[&[OP_READY], &crate::control::shard_epoch_payload(1, 0)],
-        )
-        .unwrap();
-        // First half now, second half later.
-        use std::io::Write;
-        a.write_all(&wire[..wire.len() / 2]).unwrap();
-        let mut buf = FrameBuf::new(MAX_FRAME);
-        assert!(buf.fill(&mut b).unwrap());
-        assert!(buf.pop().unwrap().is_none(), "half a frame is no frame");
-        a.write_all(&wire[wire.len() / 2..]).unwrap();
-        assert!(buf.fill(&mut b).unwrap());
-        let payload = buf.pop().unwrap().unwrap();
-        assert_eq!(decode_control(payload).unwrap(), (OP_READY, 1, 0, &[][..]));
-        // Peer hangs up: fill reports the close.
-        drop(a);
-        assert!(!buf.fill(&mut b).unwrap());
-    }
-
-    #[test]
-    fn control_writes_reach_a_nonblocking_peer_whole() {
-        let (mut a, mut b) = UnixStream::pair().unwrap();
-        a.set_nonblocking(true).unwrap();
-        b.set_nonblocking(true).unwrap();
-        send_control(&mut a, OP_ACK, Duration::from_secs(1)).unwrap();
-        let mut buf = FrameBuf::new(MAX_FRAME);
-        buf.fill(&mut b).unwrap();
-        assert_eq!(buf.pop().unwrap(), Some(&[OP_ACK][..]));
+    fn any_byte_on_the_socket_is_a_heartbeat() {
+        let (ours, mut theirs) = UnixStream::pair().unwrap();
+        ours.set_nonblocking(true).unwrap();
+        let mut slot = Slot {
+            shard: 0,
+            epoch: 0,
+            restarts_left: 0,
+            child: None,
+            heartbeats: Some(ours),
+            last_seen: Instant::now(),
+            result: None,
+            lost: false,
+        };
+        assert!(!slot.drain_heartbeats(), "silence is no heartbeat");
+        theirs.write_all(&[0; 100]).unwrap();
+        assert!(slot.drain_heartbeats());
+        assert!(!slot.drain_heartbeats(), "a beat counts once");
+        drop(theirs);
+        assert!(!slot.drain_heartbeats(), "a closed socket beats no more");
+        assert!(slot.running());
     }
 }

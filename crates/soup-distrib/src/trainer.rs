@@ -4,7 +4,7 @@
 //! not. Each worker's training runs inside a panic boundary, failed or
 //! corrupted attempts are re-queued with a bounded retry budget, finished
 //! ingredients can be checkpointed to disk and resumed, and the
-//! `train.{panic,nan,stall}` fault points ([`soup_store::fault`]) let tests
+//! `train.{panic,nan}` fault points ([`soup_store::fault`]) let tests
 //! strike any attempt to prove the whole machinery preserves the paper's
 //! central determinism property: ingredient `i`'s training seed is keyed by
 //! its *ordinal* (never by worker identity or attempt number), so a run
@@ -95,9 +95,6 @@ pub struct TrainOpts {
     /// With `checkpoint_dir` set: validate existing checkpoints and train
     /// only the missing or invalid ingredients.
     pub resume: bool,
-    /// Re-queue attempts running longer than this, letting an idle worker
-    /// race the straggler. `None` disables straggler detection.
-    pub straggler_deadline: Option<Duration>,
 }
 
 impl Default for TrainOpts {
@@ -108,7 +105,6 @@ impl Default for TrainOpts {
             retry_budget: 2,
             checkpoint_dir: None,
             resume: false,
-            straggler_deadline: None,
         }
     }
 }
@@ -136,11 +132,6 @@ impl TrainOpts {
 
     pub fn with_resume(mut self, resume: bool) -> Self {
         self.resume = resume;
-        self
-    }
-
-    pub fn with_straggler_deadline(mut self, deadline: Duration) -> Self {
-        self.straggler_deadline = Some(deadline);
         self
     }
 }
@@ -181,7 +172,7 @@ pub struct TrainRun {
     pub resumed: Vec<usize>,
     /// Ordinals that exhausted their retry budget.
     pub failed: Vec<FailedTask>,
-    /// Total requeues performed (failure retries + straggler requeues).
+    /// Total requeues performed (failure retries).
     pub retries: u64,
 }
 
@@ -288,21 +279,6 @@ pub fn train_ingredients_opts(
     // budget, so W workers on W cores keep one kernel thread each.
     let kernel_threads = (parallel::current_threads() / opts.workers).max(1);
     std::thread::scope(|scope| {
-        // Straggler monitor: periodically re-queue attempts running past
-        // the deadline so idle workers can race them.
-        if let Some(deadline) = opts.straggler_deadline {
-            let queue = &queue;
-            scope.spawn(move || {
-                let poll = (deadline / 4).max(Duration::from_millis(2));
-                while !queue.is_drained() {
-                    std::thread::sleep(poll);
-                    let requeued = queue.requeue_stragglers(deadline);
-                    if requeued > 0 {
-                        soup_obs::counter!("distrib.requeues").add(requeued as u64);
-                    }
-                }
-            });
-        }
         for worker_id in 0..opts.workers {
             let queue = &queue;
             let slots = &slots;
@@ -356,10 +332,6 @@ pub fn train_ingredients_opts(
                         if fault::damage("train.panic") {
                             install_quiet_panic_hook();
                             std::panic::panic_any(InjectedFault);
-                        }
-                        // A stall long enough for a straggler deadline.
-                        if fault::damage("train.stall") {
-                            std::thread::sleep(Duration::from_millis(25));
                         }
                         let mut tm = parallel::with_threads(kernel_threads, || {
                             train_single(dataset, cfg, tc, init, train_seed)

@@ -20,8 +20,7 @@
 //! | [`SoupError::Exhausted`] | a task failed more times than its retry budget |
 //! | [`SoupError::Numeric`] | numeric validation (gradcheck disagreement, divergence) |
 //! | [`SoupError::Usage`] | CLI / builder misuse (missing or unparsable options) |
-//! | [`SoupError::WorkerLost`] | a shard-worker OS process crashed or missed its heartbeat deadline |
-//! | [`SoupError::ShardDegraded`] | shard(s) exhausted their restart budget; run carries on without them |
+//! | [`SoupError::ShardDegraded`] | every shard exhausted its restart budget (a partially degraded run finishes `Ok`) |
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -65,11 +64,6 @@ pub enum SoupError {
     Numeric(String),
     /// API or CLI misuse: missing required flag, invalid option combination.
     Usage(String),
-    /// A shard-worker OS process was lost: it exited unexpectedly, hung past
-    /// its heartbeat deadline, or its control socket died mid-protocol. The
-    /// supervisor treats this as retryable — the worker can be respawned and
-    /// resume from its shard's checkpoints.
-    WorkerLost { shard: usize, message: String },
     /// One or more shards exhausted their restart budget. Carries the shard
     /// ordinals that are missing from the run. Not retryable: the supervisor
     /// only raises it once every respawn avenue is spent (a partially
@@ -110,14 +104,6 @@ impl SoupError {
         Self::Usage(msg.into())
     }
 
-    /// A [`SoupError::WorkerLost`] for shard `shard`.
-    pub fn worker_lost(shard: usize, message: impl Into<String>) -> Self {
-        Self::WorkerLost {
-            shard,
-            message: message.into(),
-        }
-    }
-
     /// A [`SoupError::ShardDegraded`] naming the missing shards.
     pub fn shard_degraded(shards: Vec<usize>, message: impl Into<String>) -> Self {
         Self::ShardDegraded {
@@ -133,7 +119,6 @@ impl SoupError {
         match self {
             SoupError::Io { .. }
             | SoupError::WorkerPanic { .. }
-            | SoupError::WorkerLost { .. }
             | SoupError::Corrupt(_)
             | SoupError::Checkpoint(_) => true,
             SoupError::Parse(_)
@@ -157,7 +142,6 @@ impl SoupError {
             SoupError::Exhausted { .. } => "exhausted",
             SoupError::Numeric(_) => "numeric",
             SoupError::Usage(_) => "usage",
-            SoupError::WorkerLost { .. } => "worker_lost",
             SoupError::ShardDegraded { .. } => "shard_degraded",
         }
     }
@@ -187,9 +171,6 @@ impl fmt::Display for SoupError {
             ),
             SoupError::Numeric(m) => write!(f, "numeric error: {m}"),
             SoupError::Usage(m) => write!(f, "{m}"),
-            SoupError::WorkerLost { shard, message } => {
-                write!(f, "shard {shard} worker lost: {message}")
-            }
             SoupError::ShardDegraded { shards, message } => {
                 write!(f, "shards {shards:?} degraded: {message}")
             }
@@ -271,7 +252,6 @@ mod tests {
         assert_eq!(SoupError::parse("x").kind(), "parse");
         assert_eq!(SoupError::checkpoint("x").kind(), "checkpoint");
         assert_eq!(SoupError::numeric("x").kind(), "numeric");
-        assert_eq!(SoupError::worker_lost(1, "x").kind(), "worker_lost");
         assert_eq!(
             SoupError::shard_degraded(vec![0], "x").kind(),
             "shard_degraded"
@@ -280,12 +260,7 @@ mod tests {
 
     #[test]
     fn supervision_kinds_classify_and_display() {
-        // A lost worker is worth a respawn; a degraded run is final.
-        let lost = SoupError::worker_lost(2, "heartbeat deadline (30s) missed");
-        assert!(lost.is_retryable());
-        let s = lost.to_string();
-        assert!(s.contains("shard 2") && s.contains("heartbeat"), "{s}");
-
+        // A degraded run is final.
         let degraded = SoupError::shard_degraded(vec![0, 3], "restart budget exhausted");
         assert!(!degraded.is_retryable());
         let s = degraded.to_string();

@@ -39,7 +39,7 @@ impl Client {
 
     fn call(&mut self, req: &Request) -> soup_error::Result<Response> {
         let request = proto::encode_request(req);
-        write_frame(&mut self.stream, MAX_FRAME, &[&request], None)?;
+        write_frame(&mut self.stream, MAX_FRAME, &[&request])?;
         match self.buf.read_frame(&mut self.stream, None)? {
             Next::Frame(payload) => proto::decode_response(payload),
             _ => Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into()),
@@ -141,7 +141,7 @@ mod tests {
             };
             let reply = Response::Ok(proto::encode_predictions(1, &[0, 1]));
             let payload = proto::encode_response(&reply);
-            write_frame(&mut stream, MAX_FRAME, &[&payload], None).unwrap();
+            write_frame(&mut stream, MAX_FRAME, &[&payload]).unwrap();
         });
         let mut client = Client::connect(addr).unwrap();
         let err = client.predict(&[0, 1, 2]).unwrap_err();

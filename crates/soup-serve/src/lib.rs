@@ -26,8 +26,8 @@
 //!   registry, surfaced by the `STATS` opcode.
 //!
 //! The wire format ([`proto`]) is deliberately tiny: an opcode table over
-//! the workspace's one length-prefixed frame codec, `soup_store::frame`
-//! (shared with the shard control plane), no external
+//! the workspace's one length-prefixed frame codec, `soup_store::frame`,
+//! no external
 //! protocol dependencies. [`client`] is the matching blocking client and
 //! [`load`] a deterministic Zipf sampler for skewed request streams.
 

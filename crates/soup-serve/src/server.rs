@@ -326,7 +326,7 @@ fn handle_conn(shared: &Arc<ServeShared>, mut stream: TcpStream) -> soup_error::
             }
         };
         let payload = proto::encode_response(&resp);
-        write_frame(&mut stream, proto::MAX_FRAME, &[&payload], None)?;
+        write_frame(&mut stream, proto::MAX_FRAME, &[&payload])?;
         if stop_after {
             request_stop(shared, stream.local_addr()?);
             return Ok(());

@@ -11,6 +11,9 @@
 //! 2. `fsync` the temp file (data hits the platter before the name does),
 //! 3. `rename` over the destination (atomic replace on POSIX),
 //! 4. `fsync` the parent directory (the rename itself is durable).
+//!
+//! A process that dies between steps 1 and 3 leaves its temp file behind;
+//! [`remove_orphaned_temps`] deletes those of writers that are gone.
 
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -26,6 +29,44 @@ type Result<T> = std::result::Result<T, SoupError>;
 /// Per-process counter so concurrent writers to the same destination get
 /// distinct temp names (the pid alone is not enough inside one process).
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// The temp name `publish` writes `name` through: `.NAME.tmp.PID.SEQ`.
+fn temp_name(name: &str, seq: u64) -> String {
+    format!(".{name}.tmp.{}.{seq}", std::process::id())
+}
+
+/// The writer PID of a `publish` temp file name, `None` for any other name.
+fn temp_writer(name: &str) -> Option<u32> {
+    let (_, tail) = name.strip_prefix('.')?.rsplit_once(".tmp.")?;
+    let (pid, seq) = tail.split_once('.')?;
+    seq.parse::<u64>().ok()?;
+    pid.parse().ok()
+}
+
+/// Remove the temp files in `dir` whose writer died mid-`publish`: those
+/// whose PID is no live process in this process's `/proc` (a writer in
+/// another PID namespace sharing `dir` would look dead). A live writer's,
+/// this process's included, are kept, and so is everything where `/proc`
+/// is not mounted, since liveness cannot be told there. Best effort: a file that
+/// cannot be listed or removed is left as it is.
+pub(crate) fn remove_orphaned_temps(dir: &Path) {
+    let proc = Path::new("/proc");
+    if !proc.join("self").exists() {
+        return;
+    }
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        let Some(pid) = name.to_str().and_then(temp_writer) else {
+            continue;
+        };
+        if !proc.join(pid.to_string()).exists() && std::fs::remove_file(entry.path()).is_ok() {
+            soup_obs::warn!("store: removed {name:?}, left by dead writer {pid}");
+        }
+    }
+}
 
 /// Durably replace `path` with `bytes` (tmp → write → fsync → rename →
 /// fsync dir). See the module docs for the crash-consistency argument.
@@ -61,8 +102,7 @@ fn publish(path: &Path, fill: impl FnOnce(&mut File) -> std::io::Result<()>) -> 
         .and_then(|n| n.to_str())
         .ok_or_else(|| SoupError::usage(format!("write_durable: bad path {}", path.display())))?;
     let tmp = {
-        let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
-        let tmp_name = format!(".{name}.tmp.{}.{seq}", std::process::id());
+        let tmp_name = temp_name(name, TMP_SEQ.fetch_add(1, Ordering::Relaxed));
         match dir {
             Some(d) => d.join(tmp_name),
             None => tmp_name.into(),
@@ -171,6 +211,31 @@ mod tests {
         .unwrap_err();
         assert_eq!(err.kind(), "io");
         assert_eq!(std::fs::read(&p).unwrap(), b"original");
+    }
+
+    #[test]
+    fn only_temp_files_of_dead_writers_are_removed() {
+        let dir = tmpdir("orphans");
+        // Above any kernel's pid_max, so never a live process.
+        let dead = format!(".x.ck.tmp.{}.0", 4_000_000_000u32);
+        let names = [
+            dead.as_str(),
+            &temp_name("x.ck", 7),
+            "x.ck",
+            ".x.ck.tmp.no.0",
+        ];
+        for name in names {
+            std::fs::write(dir.join(name), b"partial").unwrap();
+        }
+        assert_eq!(temp_writer(&dead), Some(4_000_000_000));
+        assert_eq!(temp_writer("x.ck"), None);
+        remove_orphaned_temps(&dir);
+        let left = |name: &str| dir.join(name).exists();
+        assert!(!left(&dead), "a dead writer's temp file survived");
+        assert!(
+            names[1..].iter().all(|n| left(n)),
+            "a live or foreign file went"
+        );
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //! global to the process; disarmed, a site costs one relaxed atomic load.
 //!
 //! Sites: `durable.{write,fsync,rename,dir_fsync}` ([`crate::atomic`]),
-//! `store.{tear,flip}` ([`crate::store`]), `train.{panic,nan,stall}` (the
-//! Phase-1 trainer), `worker.{spawn,fetch,train,soup,report}` and
-//! `control.{drop,truncate}` (the shard worker).
+//! `store.{tear,flip}` ([`crate::store`]), `train.{panic,nan}` (the
+//! Phase-1 trainer) and `worker.{spawn,fetch,train,soup,report}` (the
+//! shard worker).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -1,10 +1,9 @@
-//! Length-prefixed frames: the one wire codec under every socket protocol.
+//! Length-prefixed frames: the wire codec under the serve protocol.
 //!
 //! A frame is a `u32` little-endian payload length, then the payload. The
-//! serve protocol (`soup-serve::proto`) and the shard control plane
-//! (`soup-distrib::control`) keep only an opcode table and a cap on top
-//! of this module: [`FrameBuf`] is the only code that parses a length
-//! prefix, and [`write_frame`] the only writer.
+//! serve protocol (`soup-serve::proto`) keeps only an opcode table and a
+//! cap on top of this module: [`FrameBuf`] is the only code that parses a
+//! length prefix, and [`write_frame`] the only writer.
 //!
 //! Errors: a length over the cap is [`SoupError::Corrupt`] (the stream
 //! cannot be resynchronised); end of stream inside a frame, prefix
@@ -12,7 +11,6 @@
 //! misses its deadline is a `TimedOut` I/O error.
 
 use soup_error::SoupError;
-use soup_obs::registry::Counter;
 use std::io::{ErrorKind, Read, Write};
 use std::time::{Duration, Instant};
 
@@ -30,12 +28,6 @@ pub trait TimedRead: Read {
 impl TimedRead for std::net::TcpStream {
     fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
         std::net::TcpStream::set_read_timeout(self, timeout)
-    }
-}
-
-impl TimedRead for std::os::unix::net::UnixStream {
-    fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        std::os::unix::net::UnixStream::set_read_timeout(self, timeout)
     }
 }
 
@@ -57,8 +49,7 @@ pub enum Next<'a> {
     Closed,
 }
 
-/// Frame accumulator for one connection: every reader, blocking or not,
-/// fills one. The length prefix is checked against `cap` before storage
+/// Frame accumulator for one connection. The length prefix is checked against `cap` before storage
 /// grows for the payload. Bytes `start..end` of `buf` are received but not
 /// yet handed out; a popped payload is borrowed until the next call.
 #[derive(Default)]
@@ -78,28 +69,8 @@ impl FrameBuf {
         }
     }
 
-    /// Pop the next complete frame's payload, `Ok(None)` if more bytes are
-    /// needed. A length over the cap poisons the stream: every later call
-    /// reports it again.
-    pub fn pop(&mut self) -> Result<Option<&[u8]>> {
-        Ok(self.ready()?.map(|len| self.take(len)))
-    }
-
-    /// Read everything a nonblocking stream has ready. `Ok(false)` once the
-    /// peer has closed; buffered frames can still be popped.
-    pub fn fill(&mut self, r: &mut impl Read) -> Result<bool> {
-        loop {
-            match r.read(self.spare(READ_AHEAD)) {
-                Ok(0) => return Ok(false),
-                Ok(n) => self.end += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(true),
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-    }
-
-    /// Block for the next frame. With an `idle` budget, a stream that
+    /// Block for the next frame. A length over the cap poisons the stream:
+    /// every later call reports it again. With an `idle` budget, a stream that
     /// stays silent that long before a frame starts yields [`Next::Idle`],
     /// and a frame that has started must complete within one more budget
     /// or the read fails with `TimedOut` — a drip-feeding peer holds the
@@ -199,17 +170,9 @@ impl FrameBuf {
 /// Write one frame whose payload is the concatenation of `parts` (so an
 /// opcode byte needs no copy of its body) through one write loop. A
 /// payload over `cap` is rejected as [`SoupError::Corrupt`] before a byte
-/// is written.
-///
-/// `retry` is for nonblocking sockets: keep retrying `WouldBlock` until
-/// the instant, counting each retry. Without it `WouldBlock` means the
-/// socket's own write timeout expired, and fails as `TimedOut`.
-pub fn write_frame(
-    w: &mut impl Write,
-    cap: usize,
-    parts: &[&[u8]],
-    retry: Option<(Instant, &Counter)>,
-) -> Result<()> {
+/// is written; `WouldBlock` means the socket's own write timeout expired,
+/// and fails as `TimedOut`.
+pub fn write_frame(w: &mut impl Write, cap: usize, parts: &[&[u8]]) -> Result<()> {
     let len: usize = parts.iter().map(|p| p.len()).sum();
     let prefix = match u32::try_from(len) {
         Ok(prefix) if len <= cap => prefix,
@@ -233,13 +196,9 @@ pub fn write_frame(
             }
             Ok(n) => off += n,
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) if e.kind() == ErrorKind::WouldBlock => match retry {
-                Some((until, retries)) if Instant::now() < until => {
-                    retries.inc();
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                _ => return Err(io_error(ErrorKind::TimedOut, "write stalled")),
-            },
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                return Err(io_error(ErrorKind::TimedOut, "write stalled"))
+            }
             Err(e) => return Err(e.into()),
         }
     }
@@ -259,11 +218,18 @@ fn io_error(kind: ErrorKind, msg: &str) -> SoupError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::os::unix::net::UnixStream;
+    use std::net::{TcpListener, TcpStream};
+
+    /// Both ends of a loopback connection (the serve protocol's transport).
+    fn pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let a = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        (a, listener.accept().unwrap().0)
+    }
 
     fn frame(payload: &[u8]) -> Vec<u8> {
         let mut wire = Vec::new();
-        write_frame(&mut wire, 64, &[payload], None).unwrap();
+        write_frame(&mut wire, 64, &[payload]).unwrap();
         wire
     }
 
@@ -271,7 +237,7 @@ mod tests {
     fn frames_round_trip_through_the_blocking_reader() {
         let mut wire = frame(b"abc");
         wire.extend(frame(b""));
-        write_frame(&mut wire, 64, &[&[7], b"xy"], None).unwrap();
+        write_frame(&mut wire, 64, &[&[7], b"xy"]).unwrap();
         let (mut r, mut buf) = (&wire[..], FrameBuf::new(64));
         assert_eq!(buf.read_frame(&mut r, None).unwrap(), Next::Frame(b"abc"));
         assert_eq!(buf.read_frame(&mut r, None).unwrap(), Next::Frame(b""));
@@ -290,8 +256,9 @@ mod tests {
         assert_eq!(err.kind(), "corrupt");
         assert!(buf.buf.len() < 1 << 20, "grew {} bytes", buf.buf.len());
         // The stream is poisoned for good.
-        assert_eq!(buf.pop().unwrap_err().kind(), "corrupt");
-        let err = write_frame(&mut Vec::new(), 2, &[b"ab", b"c"], None).unwrap_err();
+        let err = buf.read_frame(&mut &[][..], None).unwrap_err();
+        assert_eq!(err.kind(), "corrupt");
+        let err = write_frame(&mut Vec::new(), 2, &[b"ab", b"c"]).unwrap_err();
         assert_eq!(err.kind(), "corrupt");
     }
 
@@ -314,7 +281,7 @@ mod tests {
     #[test]
     fn idle_stall_and_close_are_told_apart() {
         let idle = Duration::from_millis(50);
-        let (mut a, mut b) = UnixStream::pair().unwrap();
+        let (mut a, mut b) = pair();
         let mut buf = FrameBuf::new(64);
         assert_eq!(buf.read_frame(&mut b, Some(idle)).unwrap(), Next::Idle);
         // Half a frame, then silence: cut after about one more budget.
@@ -325,7 +292,7 @@ mod tests {
             matches!(&err, SoupError::Io { source, .. } if source.kind() == ErrorKind::TimedOut)
         );
         assert!(t0.elapsed() < Duration::from_secs(2), "{:?}", t0.elapsed());
-        let (mut a, mut b) = UnixStream::pair().unwrap();
+        let (mut a, mut b) = pair();
         std::io::Write::write_all(&mut a, &frame(b"ok")).unwrap();
         drop(a);
         let mut buf = FrameBuf::new(64);
@@ -334,28 +301,5 @@ mod tests {
             Next::Frame(b"ok")
         );
         assert_eq!(buf.read_frame(&mut b, Some(idle)).unwrap(), Next::Closed);
-    }
-
-    #[test]
-    fn nonblocking_writes_retry_until_the_peer_drains() {
-        let (mut a, mut b) = UnixStream::pair().unwrap();
-        a.set_nonblocking(true).unwrap();
-        let retries = std::sync::Arc::new(Counter::default());
-        let seen = std::sync::Arc::clone(&retries);
-        // Drain only once the writer has met a full socket buffer.
-        let reader = std::thread::spawn(move || {
-            while seen.get() == 0 {
-                std::thread::yield_now();
-            }
-            let mut buf = FrameBuf::new(1 << 20);
-            match buf.read_frame(&mut b, None).unwrap() {
-                Next::Frame(p) => p.len() == 1 << 20 && p.iter().all(|&x| x == 5),
-                other => panic!("{other:?}"),
-            }
-        });
-        let until = Instant::now() + Duration::from_secs(10);
-        let big = vec![5u8; 1 << 20];
-        write_frame(&mut a, 1 << 20, &[&big], Some((until, &retries))).unwrap();
-        assert!(reader.join().unwrap(), "the frame arrived damaged");
     }
 }

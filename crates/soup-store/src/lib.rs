@@ -12,7 +12,7 @@
 //! | CRC32 (IEEE) | [`crc`] |
 //! | Test-armed crash and damage points | [`fault`] |
 //! | Verified envelope store with self-healing writes | [`store`] |
-//! | `u32`-LE length-prefixed socket frames (serve, shard control) | [`frame`] |
+//! | `u32`-LE length-prefixed socket frames (serve) | [`frame`] |
 //!
 //! Damage of any kind surfaces as [`soup_error::SoupError::Corrupt`] —
 //! never a panic, never a silently accepted partial read.

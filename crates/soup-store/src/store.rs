@@ -11,7 +11,7 @@ use std::path::{Path, PathBuf};
 
 use soup_error::SoupError;
 
-use crate::atomic::write_durable;
+use crate::atomic::{remove_orphaned_temps, write_durable};
 use crate::{envelope, fault};
 
 type Result<T> = std::result::Result<T, SoupError>;
@@ -23,10 +23,12 @@ pub struct Store {
 }
 
 impl Store {
-    /// Open (creating if needed) the artifact directory at `root`.
+    /// Open (creating if needed) the artifact directory at `root`, and
+    /// remove the temp files that writers which died mid-write left there.
     pub fn open(root: impl Into<PathBuf>) -> Result<Self> {
         let root = root.into();
         std::fs::create_dir_all(&root).map_err(|e| SoupError::io_at(&root, e))?;
+        remove_orphaned_temps(&root);
         Ok(Self { root })
     }
 

@@ -132,7 +132,7 @@ const SHARD: CommandSpec = CommandSpec {
         FlagDef::str(
             "out-dir",
             "DIR",
-            "run directory: plan, control socket, per-shard checkpoints",
+            "run directory: plan, per-shard checkpoints and results",
         )
         .required(),
         FlagDef::str("arch", "NAME", "gcn | sage | gat | gin").default("gcn"),
@@ -204,11 +204,6 @@ const TRAIN: CommandSpec = CommandSpec {
             "retries per ingredient before permanent failure",
         )
         .default("2"),
-        FlagDef::u64(
-            "straggler-deadline-ms",
-            "requeue attempts running longer than this",
-        )
-        .default("0"),
     ],
 };
 
@@ -538,7 +533,6 @@ fn cmd_train(flags: &Flags) -> Result<()> {
     }
     .with_hidden(flags.req_usize("hidden"));
     let seed = flags.req_u64("seed");
-    let straggler_ms = flags.req_u64("straggler-deadline-ms");
     let resume = flags.switch("resume");
     let out_dir = PathBuf::from(flags.req_str("out-dir"));
 
@@ -547,15 +541,12 @@ fn cmd_train(flags: &Flags) -> Result<()> {
         early_stop_patience: None,
         ..TrainConfig::quick()
     };
-    let mut opts = TrainOpts::default()
+    let opts = TrainOpts::default()
         .with_workers(workers)
         .with_seed(seed)
         .with_retry_budget(flags.req_u64("retry-budget") as u32)
         .with_checkpoint_dir(&out_dir)
         .with_resume(resume);
-    if straggler_ms > 0 {
-        opts = opts.with_straggler_deadline(Duration::from_millis(straggler_ms));
-    }
     soup_obs::info!(
         "training {n} {} ingredients on {workers} workers{} ...",
         cfg.arch.name(),

@@ -22,7 +22,8 @@
 //! of these binaries holds its binary's [`serial`] lock for its whole run.
 
 use enhanced_soups::distrib::{
-    prepare_sharded_dataset, run_sharded, FaultArm, ShardPlan, ShardRunReport, WorkerLaunch,
+    prepare_sharded_dataset, run_sharded, FaultArm, ShardPlan, ShardResult, ShardRunReport,
+    WorkerLaunch,
 };
 use enhanced_soups::gnn::load_checkpoint;
 use enhanced_soups::graph::mmap::save_mmap_dataset;
@@ -32,7 +33,6 @@ use enhanced_soups::store::fault;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -47,8 +47,7 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Every regular file of `dir`, by name (the sockets a run leaves are not
-/// state).
+/// Every regular file of `dir`, by name.
 fn files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
     std::fs::read_dir(dir)
         .unwrap()
@@ -61,8 +60,7 @@ fn files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
         .collect()
 }
 
-/// Copy the regular files of `src`, recursively (a run's control socket
-/// is not state and is skipped).
+/// Copy the regular files of `src`, recursively.
 fn copy_run(src: &Path, dst: &Path) {
     std::fs::create_dir_all(dst).unwrap();
     for e in std::fs::read_dir(src).unwrap().flatten() {
@@ -99,6 +97,21 @@ impl Damage {
 
 fn is_checkpoint(name: &str) -> bool {
     (name.starts_with("ingredient_") || name.starts_with("phase2_")) && name.ends_with(".ck")
+}
+
+/// A durable write's temp files (`.NAME.tmp.PID.SEQ`) left in `dir` or the
+/// directories below it: once a run has recovered there must be none, even
+/// where a writer died between creating one and its rename.
+fn temp_files(dir: &Path) -> Vec<PathBuf> {
+    let mut found = Vec::new();
+    for e in std::fs::read_dir(dir).unwrap().flatten() {
+        if e.file_type().unwrap().is_dir() {
+            found.extend(temp_files(&e.path()));
+        } else if e.file_name().to_string_lossy().contains(".tmp.") {
+            found.push(e.path());
+        }
+    }
+    found
 }
 
 // ---------------------------------------------------------------------------
@@ -205,6 +218,7 @@ fn assert_resumes_to(p: &Pipeline, dir: &Path, clean: &Clean, what: &str) -> Out
     let mut on_disk = files(dir);
     on_disk.retain(|name, _| is_checkpoint(name));
     assert!(on_disk == clean.checkpoints, "{what}: checkpoints diverged");
+    assert_eq!(temp_files(dir), Vec::<PathBuf>::new(), "{what}");
     out
 }
 
@@ -240,9 +254,7 @@ fn in_process_pipeline_recovers_at_every_point() {
                     "{what}: {:?}",
                     armed.run.failed
                 );
-                if site != "train.stall" {
-                    assert!(armed.run.retries > 0, "{what}: nothing was retried");
-                }
+                assert!(armed.run.retries > 0, "{what}: nothing was retried");
             }
             if site.starts_with("store.") {
                 // Healed in the same run by the read-back verification.
@@ -316,27 +328,6 @@ fn exhausted_budget_degrades_into_failed_list() {
             );
         }
     }
-}
-
-/// A stalled attempt past a tight straggler deadline is raced by an idle
-/// worker; the duplicate completion resolves to the canonical ingredients.
-#[test]
-fn straggler_deadline_run_completes() {
-    let _serial = serial();
-    let p = Pipeline::new();
-    let clean = p.train(&TrainOpts::default().with_workers(1).with_seed(41), 4);
-    let opts = TrainOpts::default()
-        .with_workers(3)
-        .with_seed(41)
-        .with_straggler_deadline(Duration::from_millis(10));
-    fault::arm("train.stall", 1, false);
-    let run = p.train(&opts, 4);
-    assert!(fault::disarm()["train.stall"] >= 1);
-    assert!(run.failed.is_empty());
-    assert_eq!(
-        ingredient_bits(&run.ingredients),
-        ingredient_bits(&clean.ingredients)
-    );
 }
 
 /// A torn or flipped first write reads back damaged and is rewritten
@@ -469,10 +460,10 @@ fn arm(shard: usize, site: &str, hit: u64) -> Option<FaultArm> {
     })
 }
 
-/// A worker struck at any point — each protocol step on each shard, each
-/// durable step of shard 0's first checkpoint, and each damaged control
-/// frame — is respawned from its checkpoints, and the finished run is
-/// bit-identical to a clean one.
+/// A worker struck at any point — each step on each shard, and each
+/// durable step of shard 0's first checkpoint and of its `result.json` —
+/// is respawned from its checkpoints, the finished run is bit-identical to
+/// a clean one, and no durable write's temp file is left behind.
 #[test]
 fn sharded_run_recovers_at_every_point() {
     let _serial = serial();
@@ -481,6 +472,19 @@ fn sharded_run_recovers_at_every_point() {
     assert!(!clean.is_degraded() && clean.restarts == 0);
     let clean_bits = shard_bits(&clean_dir, &clean);
     assert_eq!(clean_bits.len(), 2);
+
+    // Shard 0 writes its checkpoints, its manifest, then result.json, each
+    // through one durable write: the last write is hit `rounds + 2`. One
+    // hit further is never reached, so that run must need no respawn.
+    let result_write = env.plan.rounds as u64 + 2;
+    let (past, report) = env.run("past-result", |plan| {
+        plan.chaos = arm(0, "durable.rename", result_write + 1);
+    });
+    assert_eq!(
+        report.restarts, 0,
+        "result.json is not shard 0's last write"
+    );
+    let _ = std::fs::remove_dir_all(&past);
 
     let mut cases: Vec<(String, Option<FaultArm>)> = Vec::new();
     for shard in 0..2 {
@@ -491,26 +495,13 @@ fn sharded_run_recovers_at_every_point() {
     }
     for step in ["write", "fsync", "rename", "dir_fsync"] {
         let site = format!("durable.{step}");
-        cases.push((
-            format!("{site} of shard 0's first checkpoint"),
-            arm(0, &site, 1),
-        ));
-    }
-    // A worker's first non-heartbeat frame is READY and its second RESULT.
-    for (frame, hit) in [("READY", 1), ("RESULT", 2)] {
-        for site in ["control.drop", "control.truncate"] {
-            cases.push((format!("{site} of shard 0's {frame}"), arm(0, site, hit)));
+        for (file, hit) in [("first checkpoint", 1), ("result.json", result_write)] {
+            cases.push((format!("{site} of shard 0's {file}"), arm(0, &site, hit)));
         }
     }
+    let points = cases.len();
     for (i, (what, chaos)) in cases.into_iter().enumerate() {
-        let control = what.starts_with("control.");
-        let (dir, report) = env.run(&format!("case-{i}"), |plan| {
-            plan.chaos = chaos;
-            // A lost frame costs one deadline; keep it short.
-            if control {
-                plan.worker_timeout_ms = 2_000;
-            }
-        });
+        let (dir, report) = env.run(&format!("case-{i}"), |plan| plan.chaos = chaos);
         assert!(!report.is_degraded(), "{what} degraded the run");
         assert!(report.restarts >= 1, "{what} recorded no respawn");
         let prov = provenance(&dir);
@@ -522,8 +513,10 @@ fn sharded_run_recovers_at_every_point() {
             shard_bits(&dir, &report) == clean_bits,
             "{what}: recovered run diverged from the clean run"
         );
+        assert_eq!(temp_files(&dir), Vec::<PathBuf>::new(), "{what}");
         let _ = std::fs::remove_dir_all(&dir);
     }
+    println!("sharded: {points} points");
     let _ = std::fs::remove_dir_all(&env.root);
 }
 
@@ -559,12 +552,8 @@ fn damaged_shard_artifacts_are_recomputed() {
         );
         let err = ShardPlan::load(dir.join("plan.json")).unwrap_err();
         assert_eq!(err.kind(), "corrupt", "{damage:?}: {err}");
-        let result = std::fs::read_to_string(shard0.join("result.json")).unwrap_or_default();
-        let decoded = serde_json::from_str::<enhanced_soups::distrib::ShardResult>(&result);
-        assert!(
-            decoded.is_err(),
-            "{damage:?}: a damaged result.json decoded"
-        );
+        let err = ShardResult::load(&shard0.join("result.json"), 0).unwrap_err();
+        assert_eq!(err.kind(), "corrupt", "{damage:?}: {err}");
         let verify = std::process::Command::new(env!("CARGO_BIN_EXE_soupctl"))
             .arg("verify")
             .arg(&shard0)

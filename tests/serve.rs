@@ -87,7 +87,7 @@ fn garbage_frames_get_clean_errors_and_the_connection_survives() {
     let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
     let mut buf = FrameBuf::new(MAX_FRAME);
     let mut call = |payload: &[u8]| {
-        write_frame(&mut stream, MAX_FRAME, &[payload], None).unwrap();
+        write_frame(&mut stream, MAX_FRAME, &[payload]).unwrap();
         match buf.read_frame(&mut stream, None).unwrap() {
             Next::Frame(reply) => proto::decode_response(reply).unwrap(),
             other => panic!("no reply: {other:?}"),

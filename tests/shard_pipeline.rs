@@ -6,13 +6,13 @@
 //! repetitions at a fixed seed. Recovery from a worker killed at any point
 //! is `tests/crash_points.rs`'s job.
 
-use enhanced_soups::distrib::{ShardPlan, ShardResult};
+use enhanced_soups::distrib::{run_sharded, ShardPlan, ShardResult, WorkerLaunch};
 use enhanced_soups::gnn::{check_params, load_checkpoint};
 use enhanced_soups::graph::mmap::{save_mmap_dataset, MmapDataset};
 use enhanced_soups::graph::DatasetKind;
 use enhanced_soups::soup::load_manifest;
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn soupctl() -> Command {
     Command::new(env!("CARGO_BIN_EXE_soupctl"))
@@ -85,8 +85,7 @@ fn shard_run(ds: &Path, out_dir: &Path) -> String {
 
 fn shard_result(out_dir: &Path, shard: usize) -> ShardResult {
     let path = out_dir.join(format!("shard-{shard}/result.json"));
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
-    serde_json::from_str(&text).expect("result.json decodes as ShardResult")
+    ShardResult::load(&path, shard).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Every ingredient checkpoint's parameters, as raw f32 bit patterns, in
@@ -366,6 +365,122 @@ fn sharded_runs_are_bit_identical_at_fixed_seed() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A worker needs no coordinator: run by hand with stdin from `/dev/null`
+/// it sends no heartbeats, runs to completion, and leaves the
+/// `result.json` and checkpoints of the supervised run, bit for bit.
+#[test]
+fn a_worker_run_by_hand_needs_no_coordinator() {
+    let dir = tmpdir("byhand");
+    let ds = generate_dataset(&dir);
+    let run_dir = dir.join("run");
+    shard_run(&ds, &run_dir);
+    assert!(!run_dir.join("control.sock").exists());
+    let supervised = shard_result(&run_dir, 0);
+    let checkpoints = checkpoint_bits(&run_dir.join("shard-0"));
+    std::fs::remove_file(run_dir.join("shard-0/result.json")).unwrap();
+
+    let out = soupctl()
+        .args(["shard-worker", "--plan"])
+        .arg(run_dir.join("plan.json"))
+        .args(["--shard", "0"])
+        .stdin(Stdio::null())
+        .output()
+        .expect("spawn soupctl");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "worker by hand: {stderr}");
+    let by_hand = shard_result(&run_dir, 0);
+    assert_eq!(by_hand.resumed, 0, "epoch 0 of a fresh plan retrains");
+    let bits = |r: &ShardResult| {
+        let accuracies = (r.val_accuracy.to_bits(), r.test_accuracy.to_bits());
+        (
+            r.correct,
+            r.test_total,
+            accuracies,
+            r.ingredients,
+            r.halo_nodes,
+        )
+    };
+    assert_eq!(bits(&by_hand), bits(&supervised));
+    assert_eq!(checkpoint_bits(&run_dir.join("shard-0")), checkpoints);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A K=2 plan over a small dataset that its ranges tile, with workers
+/// that run the one-epoch `us` pipeline.
+fn tiny_plan(dir: &Path) -> ShardPlan {
+    let ds = dir.join("ds.gmm");
+    save_mmap_dataset(&DatasetKind::Flickr.generate_scaled(5, 0.02), &ds).unwrap();
+    let n = MmapDataset::open(&ds).unwrap().num_nodes() as u64;
+    ShardPlan {
+        version: 1,
+        dataset: ds.display().to_string(),
+        k: 2,
+        ranges: vec![(0, n / 2), (n / 2, n)],
+        seed: 1,
+        rounds: 1,
+        arch: "gcn".into(),
+        hidden: 8,
+        layers: 2,
+        dropout: 0.0,
+        epochs: 1,
+        lr: 0.01,
+        strategy: "us".into(),
+        soup_epochs: 1,
+        pls_k: 2,
+        pls_r: 1,
+        out_dir: dir.display().to_string(),
+        no_shm: false,
+        resume: false,
+        worker_timeout_ms: 400,
+        restart_budget: 0,
+        chaos: None,
+    }
+}
+
+/// A worker that exits 0 without writing a result is lost, though its
+/// shard directory holds a valid `result.json` from an earlier run: the
+/// supervisor deletes that file before every spawn.
+#[test]
+fn a_stale_result_is_not_taken_for_a_fresh_one() {
+    let dir = tmpdir("stale");
+    let mut plan = tiny_plan(&dir);
+    plan.restart_budget = 1;
+    for shard in 0..2 {
+        let stale = format!(
+            r#"{{"shard":{shard},"correct":1,"test_total":2,"val_accuracy":0.5,"test_accuracy":0.5,"wall_ms":1,"peak_rss_bytes":1,"ingredients":1,"resumed":0,"halo_nodes":1,"used_shm":true}}"#
+        );
+        let path = plan.result_path(shard);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, stale).unwrap();
+        ShardResult::load(&path, shard).unwrap();
+    }
+    let launch = WorkerLaunch::new("/bin/true".into(), &[]);
+    let err = run_sharded(&plan, &launch).unwrap_err();
+    assert_eq!(err.kind(), "shard_degraded", "{err}");
+    assert!((0..2).all(|shard| !plan.result_path(shard).exists()));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Heartbeats keep a working worker alive: with a 100 ms deadline and no
+/// respawn to spare, workers that train for many deadlines still finish,
+/// because each writes a byte to its stdin every 25 ms.
+#[test]
+fn heartbeats_outlast_a_short_deadline() {
+    let dir = tmpdir("heartbeats");
+    let mut plan = tiny_plan(&dir);
+    plan.worker_timeout_ms = 100;
+    plan.epochs = 3_000;
+    let launch = WorkerLaunch::new(env!("CARGO_BIN_EXE_soupctl").into(), &["shard-worker"]);
+    let report = run_sharded(&plan, &launch).unwrap_or_else(|e| panic!("{e}"));
+    assert!(!report.is_degraded() && report.restarts == 0);
+    let slowest = report.per_shard.iter().map(|r| r.wall_ms).max().unwrap();
+    assert!(
+        slowest > 200,
+        "workers ran {slowest} ms: too short to need a heartbeat"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Zombie children of `ppid`: `/proc/<pid>/stat` state `Z` entries.
 fn zombie_children_of(ppid: u32) -> Vec<u32> {
     let mut out = Vec::new();
@@ -395,40 +510,14 @@ fn zombie_children_of(ppid: u32) -> Vec<u32> {
 /// a long-lived caller (serve, notebooks) exhausts the PID table.
 #[test]
 fn aborted_runs_leave_no_zombie_children() {
-    use enhanced_soups::distrib::{run_sharded, WorkerLaunch};
     use std::time::{Duration, Instant};
 
     // `run_sharded` checks the plan against the dataset's header before it
     // forks, so the plan names a real dataset that its ranges tile.
     let dir = tmpdir("zombies");
-    let ds = dir.join("ds.gmm");
-    save_mmap_dataset(&DatasetKind::Flickr.generate_scaled(5, 0.02), &ds).unwrap();
-    let n = MmapDataset::open(&ds).unwrap().num_nodes() as u64;
-    let mut plan = ShardPlan {
-        version: 1,
-        dataset: ds.display().to_string(),
-        k: 2,
-        ranges: vec![(0, n / 2), (n / 2, n)],
-        seed: 1,
-        rounds: 1,
-        arch: "gcn".into(),
-        hidden: 8,
-        layers: 2,
-        dropout: 0.0,
-        epochs: 1,
-        lr: 0.01,
-        strategy: "us".into(),
-        soup_epochs: 1,
-        pls_k: 2,
-        pls_r: 1,
-        out_dir: dir.display().to_string(),
-        no_shm: false,
-        resume: false,
-        worker_timeout_ms: 400,
-        restart_budget: 0,
-        chaos: None,
-    };
-    // Plans refused before anything is bound or forked: the socket halo
+    let mut plan = tiny_plan(&dir);
+    let n = plan.ranges[1].1;
+    // Plans refused before anything is written or forked: the socket halo
     // opt-out, and ranges that end short of or past the dataset. A spawn
     // of the missing executable would fail as `io` instead.
     let nowhere = WorkerLaunch::new(dir.join("no-such-worker"), &[]);
@@ -441,10 +530,10 @@ fn aborted_runs_leave_no_zombie_children() {
         assert_eq!(err.kind(), "corrupt", "end {end}: {err}");
     }
     plan.ranges[1].1 = n;
-    assert!(!dir.join("control.sock").exists() && !dir.join("plan.json").exists());
+    assert!(!dir.join("plan.json").exists());
 
-    // Workers that never speak the control protocol: the supervisor must
-    // declare them hung, kill them, and abort the run as fully degraded.
+    // Workers that never heartbeat: the supervisor must declare them hung,
+    // kill them, and abort the run as fully degraded.
     // `exec` so the kill hits the sleep itself — a sh child would survive
     // as an orphan holding this binary's stdio open.
     let launch = WorkerLaunch::new("/bin/sh".into(), &["-c", "exec sleep 1000", "sh"]);

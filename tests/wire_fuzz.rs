@@ -1,33 +1,35 @@
 //! One fuzz harness for every wire decoder: serve requests/responses and
-//! predictions bodies, shard control frames, the shard `plan.json` every
-//! worker loads, the `soup-graphmmap/1` dataset every `--data` flag reads,
-//! the `soup-ckpt/2` checkpoint that `eval --params`, `serve --params` and
-//! `query --swap` read — and the `soup-trace/1` reader behind `soupctl
-//! trace-validate` and `soupctl obs`.
+//! predictions bodies, the shard `plan.json` every worker loads and the
+//! `result.json` every worker leaves for the supervisor, the
+//! `soup-graphmmap/1` dataset every `--data` flag reads, the `soup-ckpt/2`
+//! checkpoint that `eval --params`, `serve --params` and `query --swap`
+//! read, the `manifest.json` of every pool — and the `soup-trace/1` reader
+//! behind `soupctl trace-validate` and `soupctl obs`.
 //!
 //! Each valid frame is truncated at every offset and has every bit flipped.
 //! Every result is framed two ways — the blocking reader over a byte slice,
-//! and a `FrameBuf` filled one byte per poll — which must agree frame for
-//! frame and end the same way; then every payload goes through every
-//! decoder of its protocol. Nothing may panic, and every error must be
-//! typed. `plan.json`, the dataset, the checkpoint and the trace are
-//! files, not frames:
+//! and the same reader over a stream that hands out one byte per read —
+//! which must agree frame for frame and end the same way; then every
+//! payload goes through every decoder of its protocol. Nothing may panic,
+//! and every error must be typed. The other inputs are files, not frames:
 //! each mutation is written to disk and loaded the way the program loads
 //! it.
 
-use enhanced_soups::distrib::control::{self, OP_ACK, OP_HEARTBEAT, OP_READY, OP_RESULT};
-use enhanced_soups::distrib::{FaultArm, ShardPlan};
+use enhanced_soups::distrib::{FaultArm, ShardPlan, ShardResult};
 use enhanced_soups::gnn::model::init_params;
 use enhanced_soups::gnn::{
-    check_params, load_checkpoint, save_checkpoint, Checkpoint, ModelConfig,
+    check_params, checkpoint_name, load_checkpoint, save_checkpoint, Checkpoint, ModelConfig,
 };
 use enhanced_soups::graph::{save_mmap_dataset, CsrGraph, Dataset, MmapDataset, Splits};
 use enhanced_soups::obs::{diff, flame, trace};
 use enhanced_soups::serve::proto::{self, Request, Response};
-use enhanced_soups::store::frame::{write_frame, FrameBuf, Next};
+use enhanced_soups::soup::{load_manifest, write_manifest, Manifest, ManifestEntry};
+use enhanced_soups::store::frame::{write_frame, FrameBuf, Next, TimedRead};
 use enhanced_soups::tensor::{SplitMix64, Tensor};
 use enhanced_soups::SoupError;
 use std::io::Read;
+use std::path::Path;
+use std::time::Duration;
 
 /// How a byte stream ended: cleanly at a boundary, or with an error.
 #[derive(Debug, PartialEq)]
@@ -56,52 +58,35 @@ fn blocking(wire: &[u8], cap: usize) -> (Vec<Vec<u8>>, End) {
     }
 }
 
-/// A nonblocking stream with one byte ready per poll.
-struct Drip<'a> {
-    bytes: &'a [u8],
-    ready: bool,
-}
+/// A stream that hands out one byte per read.
+struct Drip<'a>(&'a [u8]);
 
 impl Read for Drip<'_> {
     fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
-        if !std::mem::replace(&mut self.ready, false) {
-            return Err(std::io::ErrorKind::WouldBlock.into());
-        }
-        let Some((&b, rest)) = self.bytes.split_first() else {
+        let Some((&b, rest)) = self.0.split_first() else {
             return Ok(0);
         };
-        (out[0], self.bytes) = (b, rest);
+        (out[0], self.0) = (b, rest);
         Ok(1)
     }
 }
 
-/// Frames through a `FrameBuf` filled from a nonblocking stream one byte
-/// at a time; the end of input is classified by the blocking reader over
-/// an exhausted stream.
-fn bytewise(wire: &[u8], cap: usize) -> (Vec<Vec<u8>>, End) {
-    let (mut buf, mut frames) = (FrameBuf::new(cap), Vec::new());
-    let mut drip = Drip {
-        bytes: wire,
-        ready: false,
-    };
-    loop {
-        drip.ready = true;
-        let open = buf.fill(&mut drip).unwrap();
-        loop {
-            match buf.pop() {
-                Ok(Some(p)) => frames.push(p.to_vec()),
-                Ok(None) => break,
-                Err(e) => return (frames, End::Error(error_kind(&e))),
-            }
-        }
-        if !open {
-            break;
-        }
+impl TimedRead for Drip<'_> {
+    fn set_read_timeout(&self, _: Option<Duration>) -> std::io::Result<()> {
+        Ok(())
     }
-    match buf.read_frame(&mut &[][..], None) {
-        Ok(Next::Closed) => (frames, End::Closed),
-        Ok(other) => panic!("exhausted stream yielded {other:?}"),
-        Err(e) => (frames, End::Error(error_kind(&e))),
+}
+
+/// Frames through the blocking reader over a stream one byte at a time.
+fn bytewise(wire: &[u8], cap: usize) -> (Vec<Vec<u8>>, End) {
+    let (mut r, mut buf, mut frames) = (Drip(wire), FrameBuf::new(cap), Vec::new());
+    loop {
+        match buf.read_frame(&mut r, None) {
+            Ok(Next::Frame(p)) => frames.push(p.to_vec()),
+            Ok(Next::Closed) => return (frames, End::Closed),
+            Ok(Next::Idle) => panic!("a drip never idles"),
+            Err(e) => return (frames, End::Error(error_kind(&e))),
+        }
     }
 }
 
@@ -118,7 +103,7 @@ fn assert_typed<T>(result: enhanced_soups::Result<T>, what: &str) {
 /// every payload it yields survives `decode`.
 fn fuzz(payload: &[u8], cap: usize, decode: &dyn Fn(&[u8])) -> usize {
     let mut wire = Vec::new();
-    write_frame(&mut wire, cap, &[payload], None).unwrap();
+    write_frame(&mut wire, cap, &[payload]).unwrap();
     assert_eq!(blocking(&wire, cap), (vec![payload.to_vec()], End::Closed));
     let mut cases: Vec<Vec<u8>> = (0..wire.len()).map(|cut| wire[..cut].to_vec()).collect();
     for bit in 0..wire.len() * 8 {
@@ -145,11 +130,6 @@ fn serve_decoders(p: &[u8]) {
     assert_typed(proto::decode_request(p), "request");
     assert_typed(proto::decode_response(p), "response");
     assert_typed(proto::decode_predictions(p), "predictions");
-}
-
-fn control_decoders(p: &[u8]) {
-    assert_typed(control::split_op(p), "opcode");
-    assert_typed(control::decode_control(p), "control");
 }
 
 #[test]
@@ -190,26 +170,115 @@ fn every_serve_frame_survives_truncation_and_bit_flips() {
     assert!(cases > 1_000, "only {cases} cases");
 }
 
-/// A RESULT body as a worker sends it: one `ShardResult` as JSON.
+/// Every truncation and every single-bit flip of `valid`, each written to
+/// `path` in turn and handed to `load`.
+fn each_mutation(path: &Path, valid: &[u8], mut load: impl FnMut(&Path)) {
+    let truncations = (0..valid.len()).map(|cut| valid[..cut].to_vec());
+    let flips = (0..valid.len() * 8).map(|bit| {
+        let mut flipped = valid.to_vec();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        flipped
+    });
+    for case in truncations.chain(flips) {
+        std::fs::write(path, case).unwrap();
+        load(path);
+    }
+}
+
+/// A `result.json` as a worker leaves it: one `ShardResult` as JSON.
 const RESULT_JSON: &[u8] = br#"{"shard":3,"correct":11,"test_total":20,"val_accuracy":0.55,"test_accuracy":0.55,"wall_ms":812,"peak_rss_bytes":104857600,"ingredients":2,"resumed":0,"halo_nodes":37,"used_shm":true}"#;
 
+/// `result.json` is how a worker reports: the supervisor takes a worker
+/// that exits 0 as done only if the file decodes to shard 3's result.
+/// Each truncation and each single-bit flip must read as a typed
+/// `corrupt` error or as shard 3's result with no more correct than test
+/// nodes — never a panic.
 #[test]
-fn every_control_frame_survives_truncation_and_bit_flips() {
-    let prefix = control::shard_epoch_payload(3, 1);
-    let mut payloads: Vec<Vec<u8>> = [OP_READY, OP_HEARTBEAT]
-        .iter()
-        .map(|&op| [&[op][..], &prefix].concat())
-        .collect();
-    payloads.push([&[OP_RESULT][..], &prefix, RESULT_JSON].concat());
-    payloads.push(vec![OP_ACK]);
-    let (op, shard, epoch, rest) = control::decode_control(&payloads[2]).unwrap();
-    assert_eq!((op, shard, epoch), (OP_RESULT, 3, 1));
-    assert_eq!(rest, RESULT_JSON);
-    let cases: usize = payloads
-        .iter()
-        .map(|p| fuzz(p, control::MAX_FRAME, &control_decoders))
-        .sum();
-    assert!(cases > 1_000, "only {cases} cases");
+fn every_shard_result_survives_truncation_and_bit_flips() {
+    let dir = std::env::temp_dir().join(format!("soup-resultfuzz-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("result.json");
+    std::fs::write(&path, RESULT_JSON).unwrap();
+    assert_eq!(ShardResult::load(&path, 3).unwrap().correct, 11);
+    let err = ShardResult::load(&path, 2).unwrap_err();
+    assert_eq!(err.kind(), "corrupt", "another shard's result: {err}");
+
+    let (mut ok, mut rejected) = (0, 0);
+    each_mutation(&path, RESULT_JSON, |path| {
+        match ShardResult::load(path, 3) {
+            Ok(r) => {
+                ok += 1;
+                assert_eq!(r.shard, 3);
+                assert!(r.correct <= r.test_total, "{r:?}");
+            }
+            Err(e) => {
+                rejected += 1;
+                assert_eq!(e.kind(), "corrupt", "untyped result error {e}");
+            }
+        }
+    });
+    assert!(
+        ok > 0 && rejected > 1_000,
+        "{ok} loaded, {rejected} rejected"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `manifest.json` is what every pool reader (`soup`, `eval`, `serve`,
+/// `verify`, a resoup) loads first. Each truncation and each single-bit
+/// flip of a valid manifest must load as a typed error or as a
+/// configuration and ingredients that `check_params` accepts — never a
+/// panic, and never parameters that do not fit the configuration.
+#[test]
+fn every_manifest_survives_truncation_and_bit_flips() {
+    let dir = std::env::temp_dir().join(format!("soup-manifestfuzz-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let cfg = ModelConfig::gcn(2, 2).with_hidden(1);
+    let mut manifest = Manifest {
+        config: cfg.clone(),
+        ingredients: Vec::new(),
+    };
+    for id in 0..2 {
+        let params = init_params(&cfg, &mut SplitMix64::new(id as u64));
+        let file = checkpoint_name(id);
+        save_checkpoint(&Checkpoint::new(id, 9, 0.5, params), dir.join(&file)).unwrap();
+        manifest.ingredients.push(ManifestEntry {
+            id,
+            val_accuracy: 0.5,
+            train_seed: 9,
+            file,
+        });
+    }
+    let path = dir.join("manifest.json");
+    write_manifest(&path, &manifest).unwrap();
+    let valid = std::fs::read(&path).unwrap();
+    assert_eq!(load_manifest(&dir).unwrap().1.len(), 2);
+
+    let (mut ok, mut rejected) = (0, 0);
+    each_mutation(&path, &valid, |_| match load_manifest(&dir) {
+        Ok((cfg, ingredients)) => {
+            ok += 1;
+            assert!(!ingredients.is_empty());
+            for ing in &ingredients {
+                check_params(&cfg, &ing.params)
+                    .unwrap_or_else(|e| panic!("ingredient {} does not fit: {e}", ing.id));
+            }
+        }
+        Err(e) => {
+            rejected += 1;
+            assert!(
+                matches!(e.kind(), "parse" | "corrupt" | "checkpoint"),
+                "untyped manifest error {e}"
+            );
+        }
+    });
+    assert!(
+        ok > 0 && rejected > 1_000,
+        "{ok} loaded, {rejected} rejected"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `plan.json` is the one file every worker trusts. Each truncation and
@@ -254,29 +323,20 @@ fn every_plan_json_survives_truncation_and_bit_flips() {
     let valid = std::fs::read(&path).unwrap();
     assert_eq!(ShardPlan::load(&path).unwrap().ranges, plan.ranges);
 
-    let mut cases: Vec<Vec<u8>> = (0..valid.len()).map(|cut| valid[..cut].to_vec()).collect();
-    for bit in 0..valid.len() * 8 {
-        let mut flipped = valid.clone();
-        flipped[bit / 8] ^= 1 << (bit % 8);
-        cases.push(flipped);
-    }
     let (mut ok, mut rejected) = (0, 0);
-    for case in &cases {
-        std::fs::write(&path, case).unwrap();
-        match ShardPlan::load(&path) {
-            Ok(p) => {
-                ok += 1;
-                assert_eq!(p.ranges.len(), p.k);
-                assert_eq!(p.ranges.first().map_or(0, |r| r.0), 0);
-                assert!(p.ranges.windows(2).all(|w| w[0].1 == w[1].0));
-                assert!(p.ranges.iter().all(|&(s, e)| s <= e));
-            }
-            Err(e) => {
-                rejected += 1;
-                assert_eq!(e.kind(), "corrupt", "untyped plan error {e}");
-            }
+    each_mutation(&path, &valid, |path| match ShardPlan::load(path) {
+        Ok(p) => {
+            ok += 1;
+            assert_eq!(p.ranges.len(), p.k);
+            assert_eq!(p.ranges.first().map_or(0, |r| r.0), 0);
+            assert!(p.ranges.windows(2).all(|w| w[0].1 == w[1].0));
+            assert!(p.ranges.iter().all(|&(s, e)| s <= e));
         }
-    }
+        Err(e) => {
+            rejected += 1;
+            assert_eq!(e.kind(), "corrupt", "untyped plan error {e}");
+        }
+    });
     // Ranges that do not tile the graph: a gap, an overlap, a reversed
     // range, and a first range that does not start at node 0.
     let untiled = [
