@@ -1,7 +1,7 @@
-//! Ablation bench (A5): measured forward/backward pass costs feeding the
-//! §III-E complexity model, across the four dataset scales. The analytic
-//! model's predictions (gis_cost / ls_cost / pls_cost) are computed in the
-//! experiment binaries from exactly these measured pass costs.
+//! Ablation bench (A5): measured full-graph forward and forward+backward
+//! pass costs on flickr and reddit, the `F_v` and `B_v` terms of the §III-E
+//! complexity model. Nothing combines them with `soup_core::complexity`
+//! yet; the model is checked only by `tests/paper_claims.rs`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use soup_gnn::model::{forward, init_params, PropOps};

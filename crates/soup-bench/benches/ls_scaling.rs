@@ -6,9 +6,9 @@
 //! flat.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use soup_bench::harness::{model_config, train_pool, ExperimentPreset};
+use soup_bench::harness::{train_pool, ExperimentPreset};
 use soup_core::{GisSouping, LearnedHyper, LearnedSouping, SoupStrategy};
-use soup_gnn::Arch;
+use soup_gnn::{Arch, ModelConfig};
 use soup_graph::DatasetKind;
 
 fn bench_scaling(c: &mut Criterion) {
@@ -16,7 +16,7 @@ fn bench_scaling(c: &mut Criterion) {
     preset.train_epochs = 6;
     preset.ingredients = 16;
     let dataset = DatasetKind::Flickr.generate_scaled(42, preset.dataset_scale);
-    let cfg = model_config(Arch::Gcn, &dataset);
+    let cfg = ModelConfig::for_arch(Arch::Gcn, dataset.num_features(), dataset.num_classes());
     let pool = train_pool(&dataset, &cfg, &preset, 42);
 
     let hyper = LearnedHyper {

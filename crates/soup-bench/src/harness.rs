@@ -1,16 +1,15 @@
-//! Shared experiment machinery: presets, grid cells, result aggregation
-//! and table formatting.
+//! Shared experiment machinery: presets, ingredient pools, grid cells and
+//! the [`Table`] every artifact is written through.
 
 use soup_core::strategy::test_accuracy;
-use soup_core::{
-    GisSouping, Ingredient, LearnedHyper, LearnedSouping, PartitionLearnedSouping, SoupOutcome,
-    SoupStrategy, UniformSouping,
-};
+use soup_core::{Ingredient, LearnedHyper, SoupStrategy, StrategySpec};
 use soup_distrib::train_ingredients;
-use soup_gnn::model::PropOps;
-use soup_gnn::{evaluate_accuracy, Arch, ModelConfig, TrainConfig};
+use soup_gnn::model::{init_params, PropOps};
+use soup_gnn::{evaluate_accuracy, train_single, Arch, ModelConfig, TrainConfig};
 use soup_graph::metrics::mean_std;
 use soup_graph::{Dataset, DatasetKind};
+use soup_tensor::SplitMix64;
+use std::path::{Path, PathBuf};
 
 /// Scale preset for an experiment run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,10 +51,10 @@ impl ExperimentPreset {
         }
     }
 
-    /// The default for the experiment binaries. The `ingredients ×
-    /// gis_granularity` to `learned_epochs` ratio mirrors the paper's
-    /// regime (50 ingredients, §IV-C): GIS pays `N·(g-1)` full-graph
-    /// forwards versus LS's `e` forward+backward passes.
+    /// The default preset. The `ingredients × gis_granularity` to
+    /// `learned_epochs` ratio mirrors the paper's regime (50 ingredients,
+    /// §IV-C): GIS pays `N·(g-1)` full-graph forwards versus LS's `e`
+    /// forward+backward passes.
     pub fn standard() -> Self {
         Self {
             name: "standard",
@@ -91,13 +90,15 @@ impl ExperimentPreset {
         }
     }
 
-    /// Parse from the CLI, defaulting to `standard`. The first positional
-    /// argument selects the preset; `--trace-out FILE` opens a JSONL trace
-    /// sink with the metrics sampler writing into it (tick length via
-    /// `--metrics-interval-ms`, default 100) and `--metrics-summary` prints
-    /// the span/counter report in [`finish_observability`].
-    pub fn from_args() -> Self {
+    /// Parse the CLI, defaulting to `standard`. A positional argument is a
+    /// preset name or one of `sections`, which are returned in the order
+    /// given; `--trace-out FILE` opens a JSONL trace sink with the metrics
+    /// sampler writing into it (tick length via `--metrics-interval-ms`,
+    /// default 100) and `--metrics-summary` prints the span/counter report
+    /// in [`finish_observability`].
+    pub fn from_args(sections: &[&'static str]) -> (Self, Vec<&'static str>) {
         let mut preset = None;
+        let mut chosen = Vec::new();
         let mut trace_out: Option<String> = None;
         let mut metrics_interval_ms: u64 = 100;
         let mut args = std::env::args().skip(1);
@@ -124,14 +125,18 @@ impl ExperimentPreset {
                 "--metrics-summary" => {
                     METRICS_SUMMARY.store(true, std::sync::atomic::Ordering::Relaxed);
                 }
-                other => {
-                    eprintln!(
-                        "unknown argument '{other}', expected \
-                         [quick|standard|full] [--trace-out FILE] \
-                         [--metrics-interval-ms N] [--metrics-summary]"
-                    );
-                    std::process::exit(2);
-                }
+                other => match sections.iter().find(|s| **s == other) {
+                    Some(section) => chosen.push(*section),
+                    None => {
+                        eprintln!(
+                            "unknown argument '{other}', expected \
+                             [quick|standard|full] [{}] [--trace-out FILE] \
+                             [--metrics-interval-ms N] [--metrics-summary]",
+                            sections.join("|")
+                        );
+                        std::process::exit(2);
+                    }
+                },
             }
         }
         if let Some(path) = trace_out {
@@ -146,7 +151,29 @@ impl ExperimentPreset {
                 std::process::exit(2);
             }
         }
-        preset.unwrap_or_else(Self::standard)
+        (preset.unwrap_or_else(Self::standard), chosen)
+    }
+
+    /// LS/PLS hyperparameters at this preset's epoch count.
+    pub fn learned(&self) -> LearnedHyper {
+        LearnedHyper {
+            epochs: self.learned_epochs,
+            ..Default::default()
+        }
+    }
+
+    /// The strategy `name` (`us|greedy|gis|ls|pls`) at this preset's
+    /// hyperparameters.
+    pub fn strategy(&self, name: &str) -> Box<dyn SoupStrategy> {
+        StrategySpec {
+            name: name.to_string(),
+            epochs: self.learned_epochs,
+            granularity: self.gis_granularity,
+            pls_k: self.pls_k,
+            pls_r: self.pls_r,
+        }
+        .build()
+        .expect("every preset builds every strategy")
     }
 }
 
@@ -168,99 +195,69 @@ pub fn finish_observability() {
     }
 }
 
-/// A souping strategy selector for grid runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StrategyKind {
-    Uniform,
-    Gis,
-    Learned,
-    PartitionLearned,
+/// One artifact. Each cell is formatted once, then printed as a markdown
+/// table and written as CSV.
+#[derive(Debug)]
+pub struct Table {
+    pub name: &'static str,
+    /// Column names, comma-separated as in the CSV.
+    pub header: &'static str,
+    pub rows: Vec<Vec<String>>,
 }
 
-impl StrategyKind {
-    pub const TABLE: [StrategyKind; 4] = [
-        Self::Uniform,
-        Self::Gis,
-        Self::Learned,
-        Self::PartitionLearned,
-    ];
+/// A table row from displayable cells.
+#[macro_export]
+macro_rules! row {
+    ($($cell:expr),* $(,)?) => { vec![$($cell.to_string()),*] };
+}
 
-    pub fn name(&self) -> &'static str {
-        match self {
-            Self::Uniform => "US",
-            Self::Gis => "GIS",
-            Self::Learned => "LS",
-            Self::PartitionLearned => "PLS",
+impl Table {
+    pub fn new(name: &'static str, header: &'static str) -> Self {
+        Self {
+            name,
+            header,
+            rows: Vec::new(),
         }
     }
 
-    /// Instantiate with preset hyperparameters.
-    pub fn build(&self, preset: &ExperimentPreset) -> Box<dyn SoupStrategy> {
-        let hyper = LearnedHyper {
-            epochs: preset.learned_epochs,
-            ..Default::default()
-        };
-        match self {
-            Self::Uniform => Box::new(UniformSouping),
-            Self::Gis => Box::new(GisSouping::new(preset.gis_granularity)),
-            Self::Learned => Box::new(LearnedSouping::new(hyper)),
-            Self::PartitionLearned => Box::new(PartitionLearnedSouping::new(
-                hyper,
-                preset.pls_k,
-                preset.pls_r,
-            )),
+    pub fn push(&mut self, row: Vec<String>) {
+        self.rows.push(row);
+    }
+
+    pub fn markdown(&self) -> String {
+        let line = |cells: &[&str]| format!("| {} |\n", cells.join(" | "));
+        let header: Vec<&str> = self.header.split(',').collect();
+        let mut out = line(&header) + &"|---".repeat(header.len()) + "|\n";
+        for r in &self.rows {
+            out += &line(&r.iter().map(String::as_str).collect::<Vec<_>>());
         }
+        out
+    }
+
+    /// Write `dir/<name>.csv` and its sidecar `dir/<name>.metrics.json`,
+    /// a snapshot of every counter, gauge, histogram and span recorded so
+    /// far.
+    pub fn write(&self, dir: &Path) -> std::io::Result<PathBuf> {
+        std::fs::create_dir_all(dir)?;
+        let path = dir.join(format!("{}.csv", self.name));
+        let mut contents = self.header.to_string() + "\n";
+        for r in &self.rows {
+            contents += &(r.join(",") + "\n");
+        }
+        std::fs::write(&path, contents)?;
+        let metrics = serde_json::to_string(&soup_obs::registry::snapshot_value())
+            .unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"));
+        std::fs::write(dir.join(format!("{}.metrics.json", self.name)), metrics)?;
+        Ok(path)
     }
 }
 
-/// One (arch, dataset) grid cell.
-#[derive(Debug, Clone)]
-pub struct CellConfig {
-    pub arch: Arch,
-    pub dataset: DatasetKind,
-    pub seed: u64,
-}
-
-/// Aggregated results of one strategy in a cell.
-#[derive(Debug, Clone)]
-pub struct StrategyResult {
-    pub strategy: StrategyKind,
-    pub test_acc_mean: f64,
-    pub test_acc_std: f64,
-    pub time_mean_s: f64,
-    pub time_std_s: f64,
-    pub peak_mem_mean: f64,
-    pub epochs_mean: f64,
-    pub forward_passes_mean: f64,
-}
-
-/// Full cell result: the ingredient pool statistics plus per-strategy rows.
-#[derive(Debug, Clone)]
-pub struct CellResult {
-    pub arch: Arch,
-    pub dataset: DatasetKind,
-    pub ingredient_test_mean: f64,
-    pub ingredient_test_std: f64,
-    pub ingredient_tests: Vec<f64>,
-    pub strategies: Vec<StrategyResult>,
-}
-
-/// Build the model config a cell uses (hidden sizes follow the paper's
-/// "relatively small" models, §IV-B).
-pub fn model_config(arch: Arch, dataset: &Dataset) -> ModelConfig {
-    match arch {
-        Arch::Gcn => {
-            ModelConfig::gcn(dataset.num_features(), dataset.num_classes()).with_hidden(64)
-        }
-        Arch::Sage => {
-            ModelConfig::sage(dataset.num_features(), dataset.num_classes()).with_hidden(64)
-        }
-        Arch::Gat => ModelConfig::gat(dataset.num_features(), dataset.num_classes())
-            .with_hidden(16)
-            .with_heads(4),
-        Arch::Gin => {
-            ModelConfig::gin(dataset.num_features(), dataset.num_classes()).with_hidden(64)
-        }
+/// Ingredient training without early stopping.
+pub fn train_config(epochs: usize) -> TrainConfig {
+    TrainConfig {
+        epochs,
+        early_stop_patience: None,
+        ..TrainConfig::quick()
     }
 }
 
@@ -271,30 +268,66 @@ pub fn train_pool(
     preset: &ExperimentPreset,
     seed: u64,
 ) -> Vec<Ingredient> {
-    let tc = TrainConfig {
-        epochs: preset.train_epochs,
-        early_stop_patience: None,
-        ..TrainConfig::quick()
-    };
+    let tc = train_config(preset.train_epochs);
     train_ingredients(dataset, cfg, &tc, preset.ingredients, preset.workers, seed)
+}
+
+/// A pool of `n` ingredients of deliberately mixed quality: all start from
+/// one initialisation, ingredient `i` trains `epochs(i)` epochs with seed
+/// `seed + i`.
+pub fn mixed_pool(
+    dataset: &Dataset,
+    cfg: &ModelConfig,
+    n: usize,
+    seed: u64,
+    epochs: impl Fn(usize) -> usize,
+) -> Vec<Ingredient> {
+    let init = init_params(cfg, &mut SplitMix64::new(42));
+    (0..n)
+        .map(|i| {
+            let seed = seed + i as u64;
+            let tm = train_single(dataset, cfg, &train_config(epochs(i)), &init, seed);
+            Ingredient::new(i, tm.params, tm.val_accuracy, seed)
+        })
+        .collect()
+}
+
+/// One strategy's results in a cell, aggregated over `preset.soups` soups.
+#[derive(Debug, Clone)]
+pub struct StrategyResult {
+    pub name: &'static str,
+    pub test_acc_mean: f64,
+    pub test_acc_std: f64,
+    pub time_mean_s: f64,
+    pub peak_mem_mean: f64,
+}
+
+/// One (arch, dataset) cell: its pool's mean test accuracy, then US, GIS, LS
+/// and PLS in that order, and one Greedy soup of the same pool.
+#[derive(Debug, Clone)]
+pub struct CellResult {
+    pub arch: Arch,
+    pub dataset: DatasetKind,
+    pub ingredient_test_mean: f64,
+    pub ingredient_test_std: f64,
+    pub strategies: [StrategyResult; 4],
+    pub greedy_test_acc: f64,
 }
 
 /// Run one grid cell: train ingredients once, soup `preset.soups` times per
 /// strategy, aggregate.
-pub fn run_cell(cell: &CellConfig, preset: &ExperimentPreset) -> CellResult {
+pub fn run_cell(arch: Arch, kind: DatasetKind, seed: u64, preset: &ExperimentPreset) -> CellResult {
     let _cell_span = soup_obs::span!("cell");
     soup_obs::info!(
         "cell {}/{}: training {} ingredients on {} workers",
-        cell.arch.name(),
-        cell.dataset.name(),
+        arch.name(),
+        kind.name(),
         preset.ingredients,
         preset.workers
     );
-    let dataset = cell
-        .dataset
-        .generate_scaled(cell.seed, preset.dataset_scale);
-    let cfg = model_config(cell.arch, &dataset);
-    let ingredients = train_pool(&dataset, &cfg, preset, cell.seed);
+    let dataset = kind.generate_scaled(seed, preset.dataset_scale);
+    let cfg = ModelConfig::for_arch(arch, dataset.num_features(), dataset.num_classes());
+    let ingredients = train_pool(&dataset, &cfg, preset, seed);
 
     // Ingredient test accuracies (the "Ingredients" column of Table II).
     let ops = PropOps::prepare(cfg.arch, &dataset.graph);
@@ -313,105 +346,46 @@ pub fn run_cell(cell: &CellConfig, preset: &ExperimentPreset) -> CellResult {
         .collect();
     let (ing_mean, ing_std) = mean_std(&ingredient_tests);
 
-    let strategies = StrategyKind::TABLE
-        .iter()
-        .map(|kind| {
-            // Release pooled workspace buffers before each strategy so its
-            // peak-memory measurement (Fig. 4b) starts from a clean
-            // allocator state and never inherits another experiment's idle
-            // buffers.
-            let trimmed = soup_tensor::pool::trim();
-            soup_obs::counter!("bench.pool.trimmed_bytes").add(trimmed as u64);
-            let strategy = kind.build(preset);
-            let mut accs = Vec::new();
-            let mut times = Vec::new();
-            let mut mems = Vec::new();
-            let mut epochs = Vec::new();
-            let mut forwards = Vec::new();
-            for rep in 0..preset.soups {
-                let outcome: SoupOutcome = strategy.soup(
-                    &ingredients,
-                    &dataset,
-                    &cfg,
-                    cell.seed ^ ((rep as u64 + 1) * 0x9e37),
-                );
-                accs.push(test_accuracy(&outcome, &dataset, &cfg));
-                times.push(outcome.stats.wall_time.as_secs_f64());
-                mems.push(outcome.stats.peak_mem_bytes as f64);
-                epochs.push(outcome.stats.epochs as f64);
-                forwards.push(outcome.stats.forward_passes as f64);
-            }
-            let (acc_mean, acc_std) = mean_std(&accs);
-            let (time_mean, time_std) = mean_std(&times);
-            let (mem_mean, _) = mean_std(&mems);
-            let (ep_mean, _) = mean_std(&epochs);
-            let (fw_mean, _) = mean_std(&forwards);
-            StrategyResult {
-                strategy: *kind,
-                test_acc_mean: acc_mean,
-                test_acc_std: acc_std,
-                time_mean_s: time_mean,
-                time_std_s: time_std,
-                peak_mem_mean: mem_mean,
-                epochs_mean: ep_mean,
-                forward_passes_mean: fw_mean,
-            }
-        })
-        .collect();
+    let strategies = ["us", "gis", "ls", "pls"].map(|name| {
+        // Release pooled workspace buffers before each strategy so its
+        // peak-memory measurement (Fig. 4b) starts from a clean allocator
+        // state and never inherits another experiment's idle buffers.
+        let trimmed = soup_tensor::pool::trim();
+        soup_obs::counter!("bench.pool.trimmed_bytes").add(trimmed as u64);
+        let strategy = preset.strategy(name);
+        let (mut accs, mut times, mut mems) = (Vec::new(), Vec::new(), Vec::new());
+        for rep in 0..preset.soups {
+            let outcome = strategy.soup(
+                &ingredients,
+                &dataset,
+                &cfg,
+                seed ^ ((rep as u64 + 1) * 0x9e37),
+            );
+            accs.push(test_accuracy(&outcome, &dataset, &cfg));
+            times.push(outcome.stats.wall_time.as_secs_f64());
+            mems.push(outcome.stats.peak_mem_bytes as f64);
+        }
+        let (test_acc_mean, test_acc_std) = mean_std(&accs);
+        StrategyResult {
+            name: strategy.name(),
+            test_acc_mean,
+            test_acc_std,
+            time_mean_s: mean_std(&times).0,
+            peak_mem_mean: mean_std(&mems).0,
+        }
+    });
+    let greedy = preset
+        .strategy("greedy")
+        .soup(&ingredients, &dataset, &cfg, 1);
 
     CellResult {
-        arch: cell.arch,
-        dataset: cell.dataset,
+        arch,
+        dataset: kind,
         ingredient_test_mean: ing_mean,
         ingredient_test_std: ing_std,
-        ingredient_tests,
         strategies,
+        greedy_test_acc: test_accuracy(&greedy, &dataset, &cfg),
     }
-}
-
-/// The full 3×4 grid of the paper's evaluation.
-pub fn full_grid(seed: u64) -> Vec<CellConfig> {
-    let mut cells = Vec::new();
-    for arch in Arch::ALL {
-        for dataset in DatasetKind::ALL {
-            cells.push(CellConfig {
-                arch,
-                dataset,
-                seed,
-            });
-        }
-    }
-    cells
-}
-
-/// `mean ± std` with percent scaling (Table II style).
-pub fn format_pm(mean: f64, std: f64) -> String {
-    format!("{:5.2} ± {:.2}", mean * 100.0, std * 100.0)
-}
-
-/// `mean ± std` in seconds (Table III style).
-pub fn format_pm_secs(mean: f64, std: f64) -> String {
-    format!("{mean:7.3} ± {std:.3}")
-}
-
-/// Write rows as CSV under `results/`, with a metrics sidecar
-/// (`results/{name}.metrics.json`) snapshotting every counter, gauge,
-/// histogram and span accumulated while the artefact was produced.
-pub fn write_csv(name: &str, header: &str, rows: &[String]) -> std::io::Result<std::path::PathBuf> {
-    let dir = std::path::Path::new("results");
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{name}.csv"));
-    let mut contents = String::from(header);
-    contents.push('\n');
-    for r in rows {
-        contents.push_str(r);
-        contents.push('\n');
-    }
-    std::fs::write(&path, contents)?;
-    let metrics = serde_json::to_string(&soup_obs::registry::snapshot_value())
-        .unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"));
-    std::fs::write(dir.join(format!("{name}.metrics.json")), metrics)?;
-    Ok(path)
 }
 
 #[cfg(test)]
@@ -431,51 +405,22 @@ mod tests {
     }
 
     #[test]
-    fn strategy_kinds_cover_table() {
-        let names: Vec<&str> = StrategyKind::TABLE.iter().map(|s| s.name()).collect();
-        assert_eq!(names, vec!["US", "GIS", "LS", "PLS"]);
-    }
-
-    #[test]
-    fn grid_is_three_by_four() {
-        let grid = full_grid(1);
-        assert_eq!(grid.len(), 12);
-    }
-
-    #[test]
-    fn formatting() {
-        assert_eq!(format_pm(0.513, 0.0061), "51.30 ± 0.61");
-        assert!(format_pm_secs(1.5, 0.25).contains("1.500"));
-    }
-
-    #[test]
-    fn every_strategy_kind_builds() {
-        let preset = ExperimentPreset::quick();
-        for kind in StrategyKind::TABLE {
-            let s = kind.build(&preset);
-            assert_eq!(s.name(), kind.name());
-        }
-    }
-
-    #[test]
-    fn model_configs_match_dataset_dims() {
-        use soup_gnn::Arch;
-        let d = DatasetKind::Flickr.generate_scaled(1, 0.1);
-        for arch in [Arch::Gcn, Arch::Sage, Arch::Gat, Arch::Gin] {
-            let cfg = model_config(arch, &d);
-            assert_eq!(cfg.in_dim, d.num_features(), "{arch:?}");
-            assert_eq!(cfg.out_dim, d.num_classes(), "{arch:?}");
-            assert_eq!(cfg.arch, arch);
-        }
-    }
-
-    #[test]
-    fn csv_writer_roundtrip() {
-        let rows = vec!["a,1".to_string(), "b,2".to_string()];
-        let path = write_csv("harness_test_tmp", "name,value", &rows).unwrap();
-        let contents = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(contents, "name,value\na,1\nb,2\n");
-        std::fs::remove_file(&path).ok();
+    fn table_writes_csv_and_markdown_from_the_same_cells() {
+        let mut t = Table::new("harness_test_tmp", "name,value");
+        t.push(row!["a", 1]);
+        t.push(row!["b", format!("{:.2}", 2.0)]);
+        assert_eq!(
+            t.markdown(),
+            "| name | value |\n|---|---|\n| a | 1 |\n| b | 2.00 |\n"
+        );
+        let dir = std::env::temp_dir().join(format!("soup-bench-table-{}", std::process::id()));
+        let path = t.write(&dir).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            "name,value\na,1\nb,2.00\n"
+        );
+        assert!(dir.join("harness_test_tmp.metrics.json").exists());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -487,23 +432,19 @@ mod tests {
         preset.soups = 1;
         preset.train_epochs = 8;
         preset.learned_epochs = 8;
-        let cell = CellConfig {
-            arch: Arch::Gcn,
-            dataset: DatasetKind::Flickr,
-            seed: 5,
-        };
-        let result = run_cell(&cell, &preset);
-        assert_eq!(result.strategies.len(), 4);
-        assert_eq!(result.ingredient_tests.len(), 3);
+        let result = run_cell(Arch::Gcn, DatasetKind::Flickr, 5, &preset);
+        let names = result.strategies.each_ref().map(|s| s.name);
+        assert_eq!(names, ["US", "GIS", "LS", "PLS"]);
         for s in &result.strategies {
             assert!(
                 (0.0..=1.0).contains(&s.test_acc_mean),
-                "{:?} acc {}",
-                s.strategy,
+                "{} acc {}",
+                s.name,
                 s.test_acc_mean
             );
             assert!(s.time_mean_s >= 0.0);
         }
+        assert!((0.0..=1.0).contains(&result.greedy_test_acc));
         // US must be the cheapest in time among the four.
         let us = &result.strategies[0];
         for other in &result.strategies[1..] {

@@ -22,6 +22,9 @@
 //!                        └───────────────────▶ Failed
 //! ```
 //!
+//! Only a task's claimer resolves it: `complete` and `fail` consume the
+//! [`Claim`], so a second completion of one attempt does not compile.
+//!
 //! Requeue ordering is FIFO: failed tasks go to the *back* of the ready
 //! queue, so fresh work is never starved by a task that keeps failing.
 //!
@@ -34,8 +37,10 @@ use parking_lot::Mutex;
 use std::collections::VecDeque;
 
 /// A claimed task: the ordinal to train plus which attempt this is
-/// (0 = first try).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// (0 = first try). Neither `Copy` nor `Clone`: [`TaskQueue::complete`]
+/// and [`TaskQueue::fail`] consume it, so only its claimer can resolve a
+/// task, and only once.
+#[derive(Debug, PartialEq, Eq)]
 pub struct Claim {
     pub ordinal: usize,
     pub attempt: u32,
@@ -54,9 +59,9 @@ pub enum FailAction {
 #[derive(Debug, Clone, Copy)]
 enum TaskState {
     Pending { attempts: u32 },
-    Running { attempts: u32 },
+    Running,
     Done,
-    Failed { attempts: u32 },
+    Failed,
 }
 
 #[derive(Debug)]
@@ -110,7 +115,7 @@ impl TaskQueue {
         let TaskState::Pending { attempts } = s.tasks[ordinal] else {
             unreachable!("task {ordinal} is ready but not pending");
         };
-        s.tasks[ordinal] = TaskState::Running { attempts };
+        s.tasks[ordinal] = TaskState::Running;
         s.claims += 1;
         Some(Claim {
             ordinal,
@@ -118,32 +123,19 @@ impl TaskQueue {
         })
     }
 
-    /// Mark a task done. Returns `false` if it was already done — the
-    /// caller must then discard its duplicate result.
-    pub fn complete(&self, ordinal: usize) -> bool {
+    /// Mark a claimed task done.
+    pub fn complete(&self, claim: Claim) {
         let mut s = self.state.lock();
-        match s.tasks[ordinal] {
-            TaskState::Done => false,
-            _ => {
-                s.tasks[ordinal] = TaskState::Done;
-                s.done += 1;
-                true
-            }
-        }
+        s.tasks[claim.ordinal] = TaskState::Done;
+        s.done += 1;
     }
 
     /// Report a failed attempt. Requeues the task (FIFO, at the back) while
     /// the retry budget lasts, else marks it permanently failed.
-    pub fn fail(&self, ordinal: usize) -> FailAction {
+    pub fn fail(&self, claim: Claim) -> FailAction {
         let mut s = self.state.lock();
-        let attempts = match s.tasks[ordinal] {
-            TaskState::Running { attempts, .. } | TaskState::Pending { attempts } => attempts + 1,
-            TaskState::Failed { attempts } => attempts,
-            // Already completed: the failure is moot.
-            TaskState::Done => {
-                return FailAction::Requeued { next_attempt: 0 };
-            }
-        };
+        let ordinal = claim.ordinal;
+        let attempts = claim.attempt + 1;
         if attempts <= self.retry_budget {
             s.tasks[ordinal] = TaskState::Pending { attempts };
             s.ready.push_back(ordinal);
@@ -152,7 +144,7 @@ impl TaskQueue {
                 next_attempt: attempts,
             }
         } else {
-            s.tasks[ordinal] = TaskState::Failed { attempts };
+            s.tasks[ordinal] = TaskState::Failed;
             s.failed += 1;
             FailAction::Exhausted { attempts }
         }
@@ -235,19 +227,10 @@ mod tests {
         let a = q.claim().unwrap();
         let b = q.claim().unwrap();
         assert!(!q.is_drained());
-        assert!(q.complete(a.ordinal));
-        assert!(q.complete(b.ordinal));
+        q.complete(a);
+        q.complete(b);
         assert!(q.is_drained());
         assert_eq!(q.completed(), 2);
-    }
-
-    #[test]
-    fn duplicate_complete_rejected() {
-        let q = TaskQueue::new(1);
-        let c = q.claim().unwrap();
-        assert!(q.complete(c.ordinal));
-        assert!(!q.complete(c.ordinal), "second completion must lose");
-        assert_eq!(q.completed(), 1);
     }
 
     #[test]
@@ -256,15 +239,15 @@ mod tests {
         // Attempt 0.
         let c = q.claim().unwrap();
         assert_eq!(c.attempt, 0);
-        assert_eq!(q.fail(c.ordinal), FailAction::Requeued { next_attempt: 1 });
+        assert_eq!(q.fail(c), FailAction::Requeued { next_attempt: 1 });
         // Attempt 1.
         let c = q.claim().unwrap();
         assert_eq!(c.attempt, 1);
-        assert_eq!(q.fail(c.ordinal), FailAction::Requeued { next_attempt: 2 });
+        assert_eq!(q.fail(c), FailAction::Requeued { next_attempt: 2 });
         // Attempt 2 — the last allowed.
         let c = q.claim().unwrap();
         assert_eq!(c.attempt, 2);
-        assert_eq!(q.fail(c.ordinal), FailAction::Exhausted { attempts: 3 });
+        assert_eq!(q.fail(c), FailAction::Exhausted { attempts: 3 });
         assert_eq!(q.claim(), None);
         assert_eq!(q.failed_count(), 1);
         assert!(q.is_drained());
@@ -274,7 +257,7 @@ mod tests {
     fn requeue_goes_to_the_back() {
         let q = TaskQueue::with_retry_budget(3, 1);
         let first = q.claim().unwrap(); // task 0
-        q.fail(first.ordinal);
+        q.fail(first);
         // Fresh tasks 1 and 2 come before the requeued 0.
         assert_eq!(q.claim().unwrap().ordinal, 1);
         assert_eq!(q.claim().unwrap().ordinal, 2);
@@ -300,8 +283,8 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut mine = Vec::new();
                     while let Some(c) = q.claim() {
-                        q.complete(c.ordinal);
                         mine.push(c.ordinal);
+                        q.complete(c);
                     }
                     mine
                 })
@@ -330,9 +313,9 @@ mod tests {
                     while let Some(c) = q.claim() {
                         // Fail every first attempt of every third ordinal.
                         if c.attempt == 0 && c.ordinal % 3 == 0 {
-                            q.fail(c.ordinal);
+                            q.fail(c);
                         } else {
-                            q.complete(c.ordinal);
+                            q.complete(c);
                         }
                         let _ = w;
                     }

@@ -4,7 +4,7 @@
 //! Eq. (2): `T_min = max_i T_single_i` when `N ≤ W`. The simulator runs
 //! greedy list scheduling — exactly what the dynamic task queue implements
 //! — so measured makespans can be validated against the analytic model
-//! (the `ablation_workers` experiment).
+//! (the `workers` section of the `experiments` binary).
 
 /// Predicted Phase-1 makespan for `n` equal-cost ingredients on `w`
 /// workers (Eq. 1, with the exact ceil instead of the paper's continuous

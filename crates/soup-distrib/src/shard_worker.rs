@@ -297,13 +297,11 @@ fn run_loaded_worker(
 fn make_model_config(plan: &ShardPlan, in_dim: usize, out_dim: usize) -> Result<ModelConfig> {
     let arch = soup_gnn::Arch::from_name(&plan.arch)
         .ok_or_else(|| SoupError::usage(format!("unknown arch '{}'", plan.arch)))?;
-    let base = ModelConfig::gcn(in_dim, out_dim);
     Ok(ModelConfig {
-        arch,
         hidden: plan.hidden,
         layers: plan.layers,
         dropout: plan.dropout,
-        ..base
+        ..ModelConfig::for_arch(arch, in_dim, out_dim)
     })
 }
 

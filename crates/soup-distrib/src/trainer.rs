@@ -343,10 +343,10 @@ pub fn train_ingredients_opts(
                         tm
                     }));
 
-                    let error = match attempt {
+                    let accepted = match attempt {
                         Err(payload) => {
                             soup_obs::counter!("distrib.worker_panics").inc();
-                            Some(SoupError::WorkerPanic {
+                            Err(SoupError::WorkerPanic {
                                 ordinal,
                                 message: panic_message(payload.as_ref()),
                             })
@@ -359,7 +359,7 @@ pub fn train_ingredients_opts(
                                 .flat()
                                 .all(|t| t.data().iter().all(|v| v.is_finite()));
                             if !finite {
-                                Some(SoupError::corrupt(format!(
+                                Err(SoupError::corrupt(format!(
                                     "ingredient {ordinal}: training produced non-finite \
                                      parameters"
                                 )))
@@ -384,28 +384,30 @@ pub fn train_ingredients_opts(
                                         ),
                                     }
                                 }
-                                if queue.complete(ordinal) {
-                                    slots.lock()[ordinal] = Some(Ingredient::new(
-                                        ordinal,
-                                        tm.params,
-                                        tm.val_accuracy,
-                                        train_seed,
-                                    ));
-                                    trained.push(ordinal);
-                                    soup_obs::counter!("distrib.tasks_completed").inc();
-                                }
-                                None
+                                Ok(tm)
                             }
                         }
                     };
-                    if let Some(err) = error {
-                        match queue.fail(ordinal) {
+                    let attempt_no = task.attempt;
+                    match accepted {
+                        Ok(tm) => {
+                            queue.complete(task);
+                            slots.lock()[ordinal] = Some(Ingredient::new(
+                                ordinal,
+                                tm.params,
+                                tm.val_accuracy,
+                                train_seed,
+                            ));
+                            trained.push(ordinal);
+                            soup_obs::counter!("distrib.tasks_completed").inc();
+                        }
+                        Err(err) => match queue.fail(task) {
                             FailAction::Requeued { next_attempt } => {
                                 soup_obs::counter!("distrib.retries").inc();
                                 soup_obs::warn!(
                                     "ingredient {ordinal} attempt {} failed ({err}); \
                                      requeued as attempt {next_attempt}",
-                                    task.attempt
+                                    attempt_no
                                 );
                             }
                             FailAction::Exhausted { attempts } => {
@@ -424,7 +426,7 @@ pub fn train_ingredients_opts(
                                     },
                                 });
                             }
-                        }
+                        },
                     }
                     task_time += task_start.elapsed();
                     heartbeat.set(unix_now_s());

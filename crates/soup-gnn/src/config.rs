@@ -97,6 +97,17 @@ impl ModelConfig {
         }
     }
 
+    /// The default config of `arch`: the one constructor every caller that
+    /// picks an architecture by name goes through.
+    pub fn for_arch(arch: Arch, in_dim: usize, out_dim: usize) -> Self {
+        match arch {
+            Arch::Gcn => Self::gcn(in_dim, out_dim),
+            Arch::Sage => Self::sage(in_dim, out_dim),
+            Arch::Gat => Self::gat(in_dim, out_dim),
+            Arch::Gin => Self::gin(in_dim, out_dim),
+        }
+    }
+
     pub fn with_hidden(mut self, hidden: usize) -> Self {
         self.hidden = hidden;
         self
@@ -162,6 +173,19 @@ mod tests {
         }
         assert_eq!(Arch::from_name("graphsage"), Some(Arch::Sage));
         assert_eq!(Arch::from_name("mlp"), None);
+    }
+
+    #[test]
+    fn for_arch_keeps_each_architectures_defaults() {
+        for arch in [Arch::Gcn, Arch::Sage, Arch::Gat, Arch::Gin] {
+            let cfg = ModelConfig::for_arch(arch, 12, 3);
+            assert_eq!((cfg.arch, cfg.in_dim, cfg.out_dim), (arch, 12, 3));
+        }
+        assert_eq!(
+            ModelConfig::for_arch(Arch::Gat, 12, 3),
+            ModelConfig::gat(12, 3)
+        );
+        assert_eq!(ModelConfig::for_arch(Arch::Gat, 12, 3).heads, 4);
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! The paper prescribes METIS-style partitioning (§III-C); these baselines
 //! answer "does that matter?": a structure-blind random partitioner (high
 //! edge cut — epoch subgraphs lose most structure) and a cheap BFS
-//! block partitioner (locality without refinement). The `ablation_partitioner`
-//! experiment compares PLS accuracy across all three.
+//! block partitioner (locality without refinement). The `partitioner`
+//! section of the `experiments` binary compares PLS accuracy across all
+//! three.
 
 use crate::kway::Partitioning;
 use soup_graph::CsrGraph;

@@ -517,21 +517,8 @@ fn cmd_train(flags: &Flags) -> Result<()> {
     let arch_name = flags.req_str("arch");
     let arch = enhanced_soups::gnn::Arch::from_name(arch_name)
         .ok_or_else(|| SoupError::usage(format!("unknown architecture '{arch_name}'")))?;
-    let cfg = match arch {
-        enhanced_soups::gnn::Arch::Gcn => {
-            ModelConfig::gcn(dataset.num_features(), dataset.num_classes())
-        }
-        enhanced_soups::gnn::Arch::Sage => {
-            ModelConfig::sage(dataset.num_features(), dataset.num_classes())
-        }
-        enhanced_soups::gnn::Arch::Gat => {
-            ModelConfig::gat(dataset.num_features(), dataset.num_classes())
-        }
-        enhanced_soups::gnn::Arch::Gin => {
-            ModelConfig::gin(dataset.num_features(), dataset.num_classes())
-        }
-    }
-    .with_hidden(flags.req_usize("hidden"));
+    let cfg = ModelConfig::for_arch(arch, dataset.num_features(), dataset.num_classes())
+        .with_hidden(flags.req_usize("hidden"));
     let seed = flags.req_u64("seed");
     let resume = flags.switch("resume");
     let out_dir = PathBuf::from(flags.req_str("out-dir"));

@@ -259,6 +259,45 @@ fn one_dataset_file_feeds_every_command() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `shard --arch gat` trains the same model as `train --arch gat`: both
+/// take the architecture's default config, four heads included.
+#[test]
+fn shard_and_train_build_the_same_model_per_arch() {
+    let dir = tmpdir("gatheads");
+    let ds = generate_dataset(&dir);
+    let data = ds.to_str().unwrap();
+    let (ckpts, run) = (dir.join("ckpts"), dir.join("run"));
+    let tiny = [
+        "--arch",
+        "gat",
+        "--hidden",
+        "4",
+        "--ingredients",
+        "1",
+        "--epochs",
+        "1",
+    ];
+    run_ok(
+        soupctl()
+            .args(["train", "--data", data, "--workers", "1"])
+            .args(tiny)
+            .arg("--out-dir")
+            .arg(&ckpts),
+    );
+    run_ok(
+        soupctl()
+            .args(["shard", "--data", data, "--k", "2", "--strategy", "us"])
+            .args(tiny)
+            .arg("--out-dir")
+            .arg(&run),
+    );
+    let (trained, _) = load_manifest(&ckpts).unwrap();
+    let (sharded, _) = load_manifest(&run.join("shard-0")).unwrap();
+    assert_eq!(trained.heads, 4);
+    assert_eq!(sharded.heads, trained.heads);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A reader that hangs up early (`soupctl partition … | head -1`) ends the
 /// command quietly instead of panicking on the failed write.
 #[test]
