@@ -129,10 +129,10 @@ fn rk(p: &ExperimentPreset) -> Vec<Table> {
     let pool = train_pool(&d, &cfg, p, SEED);
     let header = "r,k,ratio,combinations,test_acc,time_s,peak_mem_bytes";
     let mut t = Table::new("ablation_rk", header);
-    // (R, K) pairs.
+    // R and K of each sweep point.
+    let rs = [1, 2, 4, 1, 4, 8, 16, 2, 8];
     let ks = [8, 8, 8, 16, 16, 16, 16, 32, 32];
-    let sweep = [1, 2, 4, 1, 4, 8, 16, 2, 8].into_iter().zip(ks);
-    for (r, k) in sweep.filter(|&(_, k)| d.num_nodes() >= k) {
+    for (r, k) in rs.into_iter().zip(ks).filter(|&(_, k)| d.num_nodes() >= k) {
         let pls = PartitionLearnedSouping::new(p.learned(), k, r);
         let o = pls.soup(&pool, &d, &cfg, 7);
         let shape = row![r, k, f4(pls.partition_ratio())];
@@ -202,10 +202,10 @@ fn workers(p: &ExperimentPreset) -> Vec<Table> {
     let mut t = Table::new("ablation_workers", header);
     for w in [1usize, 2, 4, 8] {
         let measured = run(n, w);
-        let sim = simulate_schedule(&vec![t_single; n], w);
         let eq1 = f4(predicted_total_time(n, w, t_single));
-        let sim = [sim.makespan, sim.imbalance()].map(f4);
-        t.push([row![w, f4(measured), eq1], sim.to_vec()].concat());
+        let sim = simulate_schedule(&vec![t_single; n], w);
+        let simulated = [sim.makespan, sim.imbalance()].map(f4);
+        t.push([row![w, f4(measured), eq1], simulated.to_vec()].concat());
     }
     vec![t]
 }

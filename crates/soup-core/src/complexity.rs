@@ -6,9 +6,8 @@
 //! - PLS: `O(e · (R + F_v' + B_v'))` — partition selection is `O(R)` and
 //!   the passes run on a subgraph holding ~`R/K` of the nodes.
 //!
-//! The model is used by the `complexity_model` bench to check that
-//! *measured* souping costs scale the way the paper predicts, and by the
-//! experiment harness to annotate speedup tables.
+//! Outside this module only `tests/paper_claims.rs` uses the model; no
+//! bench or experiment compares measured souping costs against it yet.
 
 /// Cost of one full-graph validation forward pass, in arbitrary units
 /// (e.g. measured seconds, or nnz-proportional work units).

@@ -37,13 +37,24 @@ use parking_lot::Mutex;
 use std::collections::VecDeque;
 
 /// A claimed task: the ordinal to train plus which attempt this is
-/// (0 = first try). Neither `Copy` nor `Clone`: [`TaskQueue::complete`]
-/// and [`TaskQueue::fail`] consume it, so only its claimer can resolve a
+/// (0 = first try). Only [`TaskQueue::claim`] makes one, and it is
+/// neither `Copy` nor `Clone`: [`TaskQueue::complete`] and
+/// [`TaskQueue::fail`] consume it, so only its claimer can resolve a
 /// task, and only once.
 #[derive(Debug, PartialEq, Eq)]
 pub struct Claim {
-    pub ordinal: usize,
-    pub attempt: u32,
+    ordinal: usize,
+    attempt: u32,
+}
+
+impl Claim {
+    pub fn ordinal(&self) -> usize {
+        self.ordinal
+    }
+
+    pub fn attempt(&self) -> u32 {
+        self.attempt
+    }
 }
 
 /// What [`TaskQueue::fail`] decided to do with a failed task.

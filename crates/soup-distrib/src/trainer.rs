@@ -314,12 +314,12 @@ pub fn train_ingredients_opts(
                     soup_obs::histogram!("distrib.queue.claim_wait_ns")
                         .record(claim_start.elapsed().as_nanos() as u64);
                     let task_start = Instant::now();
-                    let ordinal = task.ordinal;
+                    let ordinal = task.ordinal();
                     heartbeat.set(unix_now_s());
                     current_task.set(ordinal as f64);
                     soup_obs::debug!(
                         "worker {worker_id} claimed ingredient {ordinal} (attempt {})",
-                        task.attempt
+                        task.attempt()
                     );
                     let _task_span = soup_obs::span!("ingredient");
                     // Seed keyed by ordinal only: retries and resumes
@@ -388,7 +388,7 @@ pub fn train_ingredients_opts(
                             }
                         }
                     };
-                    let attempt_no = task.attempt;
+                    let attempt_no = task.attempt();
                     match accepted {
                         Ok(tm) => {
                             queue.complete(task);
