@@ -2,12 +2,15 @@
 //! `matmul_tn`.
 //!
 //! Structure follows the classic BLIS/faer decomposition (faer-rs is the
-//! reference exemplar for this workspace):
+//! reference exemplar for this workspace; the tile shape is Goto and van de
+//! Geijn's, "Anatomy of High-Performance Matrix Multiplication"):
 //!
-//! - an **MR×NR register-blocked microkernel** ([`MR`] = 4 rows × [`NR`] =
-//!   8 columns of `f32` accumulators) whose inner loop is written so LLVM
-//!   keeps the accumulator tile in vector registers and auto-vectorises the
-//!   column dimension;
+//! - an **MR×NR register-blocked microkernel** ([`MR`] = 6 rows × [`NR`] =
+//!   16 columns of `f32` accumulators, twelve 8-lane vectors) whose inner
+//!   loop is written so LLVM keeps the accumulator tile in vector registers
+//!   and auto-vectorises the column dimension. It writes its tile straight
+//!   into the output: the first KC slab stores, later slabs add, so the
+//!   output needs no zeroing beforehand;
 //! - **KC-depth panel packing**: both operands are repacked into
 //!   microkernel-ready panels ([`KC`] elements deep) held in pooled
 //!   workspaces, so the innermost loops read contiguous, transpose-free
@@ -29,18 +32,18 @@
 use crate::parallel::{self, PAR_THRESHOLD};
 use crate::pool::Workspace;
 
-/// Microkernel rows: independent accumulator chains, enough to hide
-/// multiply-add latency without spilling the accumulator tile out of
-/// registers.
-pub const MR: usize = 4;
-/// Microkernel columns: one or two SIMD vectors wide on SSE/AVX baselines.
-pub const NR: usize = 8;
-/// Panel depth: a KC×NR B panel (8 KiB) stays resident in L1 while a row
+/// Microkernel rows: each depth step broadcasts MR values of A.
+pub const MR: usize = 6;
+/// Microkernel columns: two 8-lane YMM vectors per row, so the MR×NR tile
+/// is twelve accumulators, leaving two registers for the B row and one for
+/// the broadcast.
+pub const NR: usize = 16;
+/// Panel depth: a KC×NR B panel (16 KiB) stays resident in L1 while a row
 /// block streams over it.
 pub const KC: usize = 256;
-/// Rows per parallel block; an MC×KC A block (64 KiB) fits in L2 alongside
-/// the B slab being streamed.
-pub const MC: usize = 64;
+/// Rows per parallel block, a multiple of [`MR`]; an MC×KC A block (72 KiB)
+/// fits in L2 alongside the B slab being streamed.
+pub const MC: usize = 72;
 
 /// Below this many multiply-adds the blocked path's packing overhead is not
 /// worth it and drivers use the naive kernels directly.
@@ -95,15 +98,19 @@ impl<'a> Operand<'a> {
     }
 }
 
-/// `out += A · B`, with `out` row-major `a.rows × b.cols` (callers zero it
-/// for a plain product). The packers absorb each operand's geometry, so
-/// the microkernel (and therefore the result, bitwise) is the same for
-/// either storage orientation of the inputs.
+/// `out = A · B`, with `out` row-major `a.rows × b.cols`; its prior
+/// contents are never read, so callers pass scratch. The packers absorb
+/// each operand's geometry, so the microkernel (and therefore the result,
+/// bitwise) is the same for either storage orientation of the inputs.
 pub(crate) fn gemm(a: Operand<'_>, b: Operand<'_>, out: &mut [f32]) {
     let (m, k, n) = (a.rows, a.cols, b.cols);
     debug_assert_eq!(k, b.rows, "gemm inner dims");
     debug_assert_eq!(out.len(), m * n);
-    if m == 0 || n == 0 || k == 0 {
+    if m == 0 || n == 0 {
+        return;
+    }
+    if k == 0 {
+        out.fill(0.0);
         return;
     }
     let n_panels = n.div_ceil(NR);
@@ -138,6 +145,8 @@ pub(crate) fn gemm(a: Operand<'_>, b: Operand<'_>, out: &mut [f32]) {
                 .for_each(|(jp, panel)| pack_b_panel(panel, b, jp, pc, kc));
         }
         let bpack = &*bpack;
+        // The first slab stores its tiles, later slabs add theirs.
+        let first = pc == 0;
         let row_block = |blk: usize, out_block: &mut [f32]| {
             let ic = blk * MC;
             let mc = MC.min(m - ic);
@@ -145,20 +154,17 @@ pub(crate) fn gemm(a: Operand<'_>, b: Operand<'_>, out: &mut [f32]) {
             pack_a(&mut apack, a, ic, mc, pc, kc);
             for jp in 0..n_panels {
                 let jc = jp * NR;
-                let nr = NR.min(n - jc);
                 let bp = &bpack[jp * kc * NR..(jp + 1) * kc * NR];
                 for ip in 0..mc.div_ceil(MR) {
                     let ir = ip * MR;
-                    let mr = MR.min(mc - ir);
+                    let dst = TileDst {
+                        ld: n,
+                        rows: MR.min(mc - ir),
+                        cols: NR.min(n - jc),
+                        first,
+                    };
                     let ap = &apack[ip * kc * MR..(ip + 1) * kc * MR];
-                    let mut acc = [[0.0f32; NR]; MR];
-                    microkernel(ap, bp, &mut acc);
-                    for (i, acc_row) in acc.iter().enumerate().take(mr) {
-                        let orow = &mut out_block[(ir + i) * n + jc..(ir + i) * n + jc + nr];
-                        for (o, &v) in orow.iter_mut().zip(acc_row) {
-                            *o += v;
-                        }
-                    }
+                    microkernel(ap, bp, &mut out_block[ir * n + jc..], dst);
                 }
             }
         };
@@ -172,84 +178,129 @@ pub(crate) fn gemm(a: Operand<'_>, b: Operand<'_>, out: &mut [f32]) {
     }
 }
 
-/// The register-blocked inner kernel: `acc[MR][NR] += Ap · Bp` over a
-/// packed depth of `ap.len() / MR` (== `bp.len() / NR`). Panels are padded
-/// with zeros to full MR/NR width by the packers, so no edge handling
-/// happens here — the loop body is branch-free and LLVM vectorises the
-/// `NR`-wide accumulate.
+/// Where a microkernel writes its tile: the top-left `rows × cols` of it,
+/// into an output whose rows are `ld` apart. The first depth slab stores
+/// the tile and later slabs add to what is there. A tile starts at +0.0
+/// and so never holds −0.0, which makes the store bitwise equal to adding
+/// the tile to a zeroed output.
+#[derive(Clone, Copy)]
+struct TileDst {
+    ld: usize,
+    rows: usize,
+    cols: usize,
+    first: bool,
+}
+
+/// The register-blocked inner kernel: `Ap · Bp` over a packed depth of
+/// `ap.len() / MR` (== `bp.len() / NR`), accumulated from +0.0 in an
+/// `MR × NR` tile and then written to `out` as `dst` says. Panels are
+/// padded with zeros to full MR/NR width by the packers, so the depth
+/// loop has no edge handling: each step broadcasts `MR` values of A
+/// against one `NR`-wide row of B.
 #[inline(always)]
-fn microkernel_body(ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
-    for (a_col, b_row) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
-        for (i, acc_row) in acc.iter_mut().enumerate() {
-            let ai = a_col[i];
-            for (j, acc_v) in acc_row.iter_mut().enumerate() {
-                *acc_v += ai * b_row[j];
+fn microkernel_body(ap: &[f32], bp: &[f32], out: &mut [f32], dst: TileDst) {
+    let mut acc = [[0.0f32; NR]; MR];
+    for (a_col, b_row) in ap.as_chunks::<MR>().0.iter().zip(bp.as_chunks::<NR>().0) {
+        for (acc_row, &ai) in acc.iter_mut().zip(a_col) {
+            for (acc_v, &bj) in acc_row.iter_mut().zip(b_row) {
+                *acc_v += ai * bj;
             }
+        }
+    }
+    for (i, acc_row) in acc.iter().enumerate().take(dst.rows) {
+        let orow = &mut out[i * dst.ld..];
+        if dst.cols == NR {
+            // Full width: a fixed-length row the vector registers cover.
+            let orow: &mut [f32; NR] = (&mut orow[..NR]).try_into().unwrap();
+            write_row(orow, acc_row, dst.first);
+        } else {
+            write_row(&mut orow[..dst.cols], acc_row, dst.first);
+        }
+    }
+}
+
+#[inline(always)]
+fn write_row(orow: &mut [f32], acc_row: &[f32; NR], first: bool) {
+    if first {
+        orow.copy_from_slice(&acc_row[..orow.len()]);
+    } else {
+        for (o, &v) in orow.iter_mut().zip(acc_row) {
+            *o += v;
         }
     }
 }
 
 /// Baseline-ISA compilation of [`microkernel_body`].
-fn microkernel_generic(ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
-    microkernel_body(ap, bp, acc);
+fn microkernel_generic(ap: &[f32], bp: &[f32], out: &mut [f32], dst: TileDst) {
+    microkernel_body(ap, bp, out, dst);
 }
 
-/// [`microkernel_body`] compiled with AVX2 + FMA enabled: each accumulator
-/// row becomes one 8-lane YMM register. The body still compiles to a
-/// separate multiply and add per step, because Rust never contracts
-/// `a * b + c` into a fused multiply-add; real FMAs would round
-/// differently, so they wait for a declared numeric break (ROADMAP.md,
-/// "GEMM at its roofline"). Selected at runtime by
-/// [`crate::parallel::cpu_has_avx2_fma`].
+/// [`microkernel_body`] compiled with AVX2 + FMA enabled: each
+/// accumulator row becomes two 8-lane YMM registers, twelve in all, and a
+/// depth step is 2 loads of B, 6 broadcasts of A and 12 multiply-adds.
+/// The body still compiles to a separate multiply and add per step,
+/// because Rust never contracts `a * b + c` into a fused multiply-add.
+/// Selected at runtime by [`crate::parallel::cpu_has_avx2_fma`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-fn microkernel_avx2(ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
-    microkernel_body(ap, bp, acc);
+fn microkernel_avx2(ap: &[f32], bp: &[f32], out: &mut [f32], dst: TileDst) {
+    microkernel_body(ap, bp, out, dst);
 }
 
 #[inline(always)]
-fn microkernel(ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
+fn microkernel(ap: &[f32], bp: &[f32], out: &mut [f32], dst: TileDst) {
     #[cfg(target_arch = "x86_64")]
     if crate::parallel::cpu_has_avx2_fma() {
         // SAFETY: the required target features were verified at runtime.
-        unsafe { microkernel_avx2(ap, bp, acc) };
+        unsafe { microkernel_avx2(ap, bp, out, dst) };
         return;
     }
-    microkernel_generic(ap, bp, acc);
+    microkernel_generic(ap, bp, out, dst);
 }
 
 /// Pack the `mc`-row, `kc`-deep block of A starting at `(ic, pc)` into
 /// MR-row panels: `apack[ip*kc*MR + kk*MR + i] = A(ic+ip*MR+i, pc+kk)`,
 /// zero-padding rows past `mc` so the microkernel always sees full panels.
-/// A transposed operand (unit row stride) packs with contiguous
-/// `copy_from_slice` runs; a row-major one gathers element-wise.
+/// Full panels take a fixed-width path: for a transposed operand (unit row
+/// stride) each depth step is one contiguous run of the block's rows,
+/// copied MR at a time into every panel; for a row-major one each panel
+/// interleaves its MR row slices. A partial last panel gathers element by
+/// element.
 fn pack_a(apack: &mut [f32], a: Operand<'_>, ic: usize, mc: usize, pc: usize, kc: usize) {
     debug_assert!(ic + mc <= a.rows);
     debug_assert!(pc + kc <= a.cols);
     let src = a.data;
-    for (ip, panel) in apack.chunks_exact_mut(kc * MR).enumerate() {
-        let row0 = ic + ip * MR;
-        let mr = MR.min(mc.saturating_sub(ip * MR));
-        if a.row_stride == 1 {
-            // Each depth step is a contiguous run of MR logical rows.
-            for kk in 0..kc {
-                let src_base = a.index(row0, pc + kk);
-                let dst = &mut panel[kk * MR..kk * MR + MR];
-                dst[..mr].copy_from_slice(&src[src_base..src_base + mr]);
-                dst[mr..].fill(0.0);
-            }
-        } else {
-            for kk in 0..kc {
-                let dst = &mut panel[kk * MR..kk * MR + MR];
-                for (i, d) in dst.iter_mut().enumerate() {
-                    *d = if i < mr {
-                        src[a.index(row0 + i, pc + kk)]
-                    } else {
-                        0.0
-                    };
-                }
+    let full = mc / MR;
+    let (full_panels, rest) = apack.split_at_mut(full * kc * MR);
+    if a.row_stride == 1 {
+        for kk in 0..kc {
+            let run = &src[a.index(ic, pc + kk)..][..full * MR];
+            let runs = run.as_chunks::<MR>().0;
+            for (panel, rows) in full_panels.chunks_exact_mut(kc * MR).zip(runs) {
+                panel.as_chunks_mut::<MR>().0[kk] = *rows;
             }
         }
+    } else {
+        for (ip, panel) in full_panels.chunks_exact_mut(kc * MR).enumerate() {
+            let rows: [&[f32]; MR] = std::array::from_fn(|i| {
+                let base = a.index(ic + ip * MR + i, pc);
+                &src[base..base + kc]
+            });
+            let steps = &mut panel.as_chunks_mut::<MR>().0[..kc];
+            for (kk, step) in steps.iter_mut().enumerate() {
+                *step = std::array::from_fn(|i| rows[i][kk]);
+            }
+        }
+    }
+    let (row0, mr) = (ic + full * MR, mc - full * MR);
+    for (kk, step) in rest.as_chunks_mut::<MR>().0.iter_mut().enumerate() {
+        *step = std::array::from_fn(|i| {
+            if i < mr {
+                src[a.index(row0 + i, pc + kk)]
+            } else {
+                0.0
+            }
+        });
     }
 }
 
@@ -263,11 +314,15 @@ fn pack_b_panel(panel: &mut [f32], b: Operand<'_>, jp: usize, pc: usize, kc: usi
     let nr = NR.min(b.cols - col0);
     let src = b.data;
     if b.col_stride == 1 {
-        for kk in 0..kc {
-            let src_base = b.index(pc + kk, col0);
-            let dst = &mut panel[kk * NR..kk * NR + NR];
-            dst[..nr].copy_from_slice(&src[src_base..src_base + nr]);
-            dst[nr..].fill(0.0);
+        let steps = panel.as_chunks_mut::<NR>().0.iter_mut().take(kc);
+        for (kk, dst) in steps.enumerate() {
+            let src_row = &src[b.index(pc + kk, col0)..];
+            if nr == NR {
+                *dst = src_row[..NR].try_into().unwrap();
+            } else {
+                dst[..nr].copy_from_slice(&src_row[..nr]);
+                dst[nr..].fill(0.0);
+            }
         }
     } else {
         debug_assert_eq!(b.row_stride, 1);
@@ -356,16 +411,22 @@ mod tests {
     }
 
     #[test]
-    fn gemm_accumulates_into_out() {
-        let ones = vec![1.0f32; 4];
-        let mut out = vec![10.0f32; 4];
-        let a = Operand::row_major(&ones, 2, 2);
-        gemm(a, a, &mut out);
-        assert_eq!(out, vec![12.0; 4]);
+    fn gemm_overwrites_out() {
+        // Two slabs deep, so the first slab's store and the second's add
+        // both run over a dirty output.
+        let (m, n, k) = (MR + 1, NR + 1, KC + 3);
+        let ones = vec![1.0f32; m.max(n) * k];
+        let mut out = vec![f32::NAN; m * n];
+        let (a, b) = (
+            Operand::row_major(&ones[..m * k], m, k),
+            Operand::row_major(&ones[..k * n], k, n),
+        );
+        gemm(a, b, &mut out);
+        assert_eq!(out, vec![k as f32; m * n]);
     }
 
     #[test]
-    fn empty_dims_are_noops() {
+    fn empty_dims_write_zeros() {
         let mut out = vec![0.0f32; 0];
         gemm(
             Operand::row_major(&[], 0, 0),
@@ -375,7 +436,7 @@ mod tests {
         let mut out = vec![7.0f32; 6];
         let (a, b) = (Operand::row_major(&[], 2, 0), Operand::row_major(&[], 0, 3));
         gemm(a, b, &mut out);
-        assert_eq!(out, vec![7.0; 6], "k=0 leaves out untouched");
+        assert_eq!(out, vec![0.0; 6], "k=0 gives zeros");
     }
 
     #[test]

@@ -292,7 +292,7 @@ impl Tensor {
         if m * n * k < gemm::SMALL_GEMM_MACS {
             return self.matmul_naive(other);
         }
-        let mut out = pool::take_zeroed(m * n);
+        let mut out = pool::take_scratch(m * n);
         gemm::gemm(self.operand(), other.operand(), &mut out);
         Self::from_vec(m, n, out)
     }
@@ -315,7 +315,7 @@ impl Tensor {
         if m * n * k < gemm::SMALL_GEMM_MACS {
             return self.matmul_nt_naive(other);
         }
-        let mut out = pool::take_zeroed(m * n);
+        let mut out = pool::take_scratch(m * n);
         let bt = Operand::transposed(other.data(), n, k);
         gemm::gemm(self.operand(), bt, &mut out);
         Self::from_vec(m, n, out)
@@ -339,7 +339,7 @@ impl Tensor {
         if k * n * m < gemm::SMALL_GEMM_MACS {
             return self.matmul_tn_naive(other);
         }
-        let mut out = pool::take_zeroed(k * n);
+        let mut out = pool::take_scratch(k * n);
         let at = Operand::transposed(self.data(), m, k);
         gemm::gemm(at, other.operand(), &mut out);
         Self::from_vec(k, n, out)
