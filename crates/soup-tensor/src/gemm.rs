@@ -196,14 +196,14 @@ struct TileDst {
 /// `MR × NR` tile and then written to `out` as `dst` says. Panels are
 /// padded with zeros to full MR/NR width by the packers, so the depth
 /// loop has no edge handling: each step broadcasts `MR` values of A
-/// against one `NR`-wide row of B.
+/// against one `NR`-wide row of B, one fused multiply-add per accumulator.
 #[inline(always)]
 fn microkernel_body(ap: &[f32], bp: &[f32], out: &mut [f32], dst: TileDst) {
     let mut acc = [[0.0f32; NR]; MR];
     for (a_col, b_row) in ap.as_chunks::<MR>().0.iter().zip(bp.as_chunks::<NR>().0) {
         for (acc_row, &ai) in acc.iter_mut().zip(a_col) {
             for (acc_v, &bj) in acc_row.iter_mut().zip(b_row) {
-                *acc_v += ai * bj;
+                *acc_v = ai.mul_add(bj, *acc_v);
             }
         }
     }
@@ -237,10 +237,10 @@ fn microkernel_generic(ap: &[f32], bp: &[f32], out: &mut [f32], dst: TileDst) {
 
 /// [`microkernel_body`] compiled with AVX2 + FMA enabled: each
 /// accumulator row becomes two 8-lane YMM registers, twelve in all, and a
-/// depth step is 2 loads of B, 6 broadcasts of A and 12 multiply-adds.
-/// The body still compiles to a separate multiply and add per step,
-/// because Rust never contracts `a * b + c` into a fused multiply-add.
-/// Selected at runtime by [`crate::parallel::cpu_has_avx2_fma`].
+/// depth step is 2 loads of B, 6 broadcasts of A and 12 `vfmadd231ps`,
+/// with no spills. `f32::mul_add` rounds once, so this copy and the
+/// baseline one (which calls libm's `fmaf`) agree bit for bit. Selected
+/// at runtime by [`crate::parallel::cpu_has_avx2_fma`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 fn microkernel_avx2(ap: &[f32], bp: &[f32], out: &mut [f32], dst: TileDst) {
