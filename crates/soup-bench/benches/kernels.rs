@@ -5,10 +5,11 @@
 //! Beyond the criterion groups, `main` runs two head-to-head comparisons —
 //! cache-blocked vs naive GEMM, and nnz-balanced vs row-parallel SpMM on a
 //! Zipf-degree graph — and writes machine-readable ops/sec results to
-//! `BENCH_kernels.json` (workspace root). With `SOUP_TRACE_OUT=<path>`
-//! the run also emits a JSONL trace that `soupctl trace-validate` checks
-//! in CI. See `benches/README.md` for how these map onto the paper's
-//! figures.
+//! `BENCH_kernels.json` (workspace root), headed by the provenance of the
+//! run (commit, CPU model, `nproc`, rustc, `RUSTFLAGS`). With
+//! `SOUP_TRACE_OUT=<path>` the run also emits a JSONL trace that
+//! `soupctl trace-validate` checks in CI. See `benches/README.md` for how
+//! these map onto the paper's figures.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use serde::Serialize;
@@ -212,8 +213,56 @@ struct PoolStats {
     final_trim_bytes: usize,
 }
 
+/// Where the numbers were taken: enough to rebuild and rerun the bench.
+#[derive(Serialize)]
+struct Provenance {
+    /// `git describe --always --dirty` of the workspace.
+    commit: String,
+    cpu: String,
+    nproc: usize,
+    rustc: String,
+    /// `RUSTFLAGS` in the environment of the run, empty when unset.
+    rustflags: String,
+}
+
+fn provenance() -> Provenance {
+    let stdout = |cmd: &str, args: &[&str]| {
+        std::process::Command::new(cmd)
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+            .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string())
+    };
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let cpu = cpuinfo
+        .lines()
+        .find_map(|l| l.strip_prefix("model name"))
+        .map_or("unknown", |v| v.trim_start_matches(['\t', ' ', ':']));
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into());
+    Provenance {
+        commit: stdout(
+            "git",
+            &[
+                "-C",
+                env!("CARGO_MANIFEST_DIR"),
+                "describe",
+                "--always",
+                "--dirty",
+                "--abbrev=40",
+            ],
+        ),
+        cpu: cpu.to_string(),
+        nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        rustc: stdout(&rustc, &["-V"]),
+        rustflags: std::env::var("RUSTFLAGS").unwrap_or_default(),
+    }
+}
+
 #[derive(Serialize)]
 struct KernelReport {
+    provenance: Provenance,
     gemm_512: GemmComparison,
     spmm_zipf: SpmmComparison,
     pool: PoolStats,
@@ -274,6 +323,7 @@ fn comparison_report(quick: bool) -> KernelReport {
     let trimmed = pool::trim();
 
     KernelReport {
+        provenance: provenance(),
         gemm_512,
         spmm_zipf,
         pool: PoolStats {

@@ -185,8 +185,10 @@ fn lr(p: &ExperimentPreset) -> Vec<Table> {
 }
 
 /// §III-A, Eq. (1)/(2): measured Phase-1 wall time on flickr/GCN against
-/// the schedule model, calibrated by a one-ingredient run. Each worker's
-/// kernels get `cores / W` threads, the one-GPU-per-worker analogue.
+/// the schedule model. The model is calibrated by one-worker runs of one
+/// and two ingredients ([`fit_fixed_cost`]), so a run's fixed start-up
+/// cost is not charged to every ingredient. Each worker's kernels get
+/// `cores / W` threads, the one-GPU-per-worker analogue.
 fn workers(p: &ExperimentPreset) -> Vec<Table> {
     let (d, cfg) = gcn(DatasetKind::Flickr, p);
     let tc = train_config(p.train_epochs);
@@ -197,17 +199,27 @@ fn workers(p: &ExperimentPreset) -> Vec<Table> {
         let run = run.expect("trains without a checkpoint dir");
         run.wall_time.as_secs_f64()
     };
-    let t_single = run(1, 1);
-    let header = "workers,measured_s,eq1_s,simulated_s,imbalance";
+    let (fixed, per) = fit_fixed_cost(run(1, 1), run(2, 1));
+    let header = "workers,measured_s,eq1_s,eq1_err,simulated_s,imbalance";
     let mut t = Table::new("ablation_workers", header);
     for w in [1usize, 2, 4, 8] {
         let measured = run(n, w);
-        let eq1 = f4(predicted_total_time(n, w, t_single));
-        let sim = simulate_schedule(&vec![t_single; n], w);
-        let simulated = [sim.makespan, sim.imbalance()].map(f4);
-        t.push([row![w, f4(measured), eq1], simulated.to_vec()].concat());
+        let eq1 = fixed + predicted_total_time(n, w, per);
+        let sim = simulate_schedule(&vec![per; n], w);
+        let model = row![f4(eq1), f4(eq1 / measured - 1.0)];
+        let simulated = row![f4(fixed + sim.makespan), f4(sim.imbalance())];
+        t.push([row![w, f4(measured)], model, simulated].concat());
     }
     vec![t]
+}
+
+/// Split Phase-1 wall time `t(n) = fixed + n · per` into its fixed
+/// start-up cost and its per-ingredient cost, from one-worker runs of one
+/// ingredient (`t1`) and two (`t2`). Noise can put `t2 − t1` outside
+/// `[0, t1]`; it is clamped there, so neither part is negative.
+fn fit_fixed_cost(t1: f64, t2: f64) -> (f64, f64) {
+    let per = (t2 - t1).clamp(0.0, t1);
+    (t1 - per, per)
 }
 
 /// §V-A/§VIII: on a flickr/GCN pool of half strong, half barely trained
@@ -346,6 +358,20 @@ mod tests {
     use super::*;
 
     #[test]
+    fn fixed_cost_fit_recovers_synthetic_times() {
+        let t = |n: f64| 0.3 + n * 0.05;
+        let (fixed, per) = fit_fixed_cost(t(1.0), t(2.0));
+        assert!((fixed - 0.3).abs() < 1e-12 && (per - 0.05).abs() < 1e-12);
+        // Eq. (1) with the fit predicts 12 ingredients on one worker exactly.
+        let eq1 = fixed + predicted_total_time(12, 1, per);
+        assert!((eq1 - t(12.0)).abs() < 1e-12, "{eq1}");
+        // Noise that makes two ingredients look cheaper than one, or more
+        // than twice as dear, is clamped to a non-negative split.
+        assert_eq!(fit_fixed_cost(1.0, 0.9), (1.0, 0.0));
+        assert_eq!(fit_fixed_cost(1.0, 2.5), (0.0, 1.0));
+    }
+
+    #[test]
     fn every_section_writes_its_tables() {
         let micro = ExperimentPreset {
             name: "micro",
@@ -369,7 +395,7 @@ mod tests {
             ("ablation_rk", "r,k,ratio,combinations,test_acc,time_s,peak_mem_bytes", 9),
             ("ablation_granularity", "granularity,forwards,test_acc,time_s", 6),
             ("ablation_lr", "base_lr,test_acc,val_acc", 7),
-            ("ablation_workers", "workers,measured_s,eq1_s,simulated_s,imbalance", 4),
+            ("ablation_workers", "workers,measured_s,eq1_s,eq1_err,simulated_s,imbalance", 4),
             ("ablation_dropout", "variant,val_acc,test_acc,epochs", 5),
             ("ablation_diversity", "regime,weight_dist,disagreement,acc_std,us,gis,ls,winner", 3),
             ("ablation_partitioner_cut", "partitioner,edge_cut,val_min,val_max", 3),

@@ -439,6 +439,39 @@ mod tests {
         assert_eq!(out, vec![0.0; 6], "k=0 gives zeros");
     }
 
+    /// The AVX2 + FMA copy of the microkernel and the baseline one agree
+    /// bit for bit, on full and edge tiles, storing and adding.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_microkernel_matches_the_baseline_bitwise() {
+        if !crate::parallel::cpu_has_avx2_fma() {
+            eprintln!("no AVX2 + FMA on this CPU: only the baseline copy exists to run");
+            return;
+        }
+        let kc = KC - 3;
+        let mut rng = crate::rng::SplitMix64::new(7);
+        let ap: Vec<f32> = (0..kc * MR).map(|_| rng.normal()).collect();
+        let bp: Vec<f32> = (0..kc * NR).map(|_| rng.normal()).collect();
+        let ld = NR + 5;
+        for (rows, cols) in [(MR, NR), (MR - 1, NR - 3)] {
+            for first in [true, false] {
+                let dst = TileDst {
+                    ld,
+                    rows,
+                    cols,
+                    first,
+                };
+                let dirty: Vec<f32> = (0..MR * ld).map(|_| rng.normal()).collect();
+                let (mut generic, mut avx2) = (dirty.clone(), dirty);
+                microkernel_generic(&ap, &bp, &mut generic, dst);
+                // SAFETY: the required target features were verified above.
+                unsafe { microkernel_avx2(&ap, &bp, &mut avx2, dst) };
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&generic), bits(&avx2), "{rows}x{cols} first={first}");
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "operand 3x4 over 10")]
     fn operand_checks_its_buffer_length() {

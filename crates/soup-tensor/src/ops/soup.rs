@@ -19,8 +19,8 @@ use crate::tensor::Tensor;
 /// (`0 + c₀x₀ + c₁x₁ + …`), so the baseline-ISA compilation is bit-identical
 /// to chained `axpy`. The AVX2+FMA compilation vectorises the same steps
 /// and still emits a separate multiply and add per step: Rust never
-/// contracts `a * b + c` into a fused multiply-add (real FMAs are a
-/// declared numeric break, see ROADMAP.md, "GEMM at its roofline").
+/// contracts `a * b + c` into a fused multiply-add, so both compilations
+/// give the same bits.
 #[inline(always)]
 fn blend_body(dst: &mut [f32], coeffs: &[f32], srcs: &[&[f32]]) {
     match srcs {
@@ -196,6 +196,32 @@ mod tests {
     use super::*;
     use crate::rng::SplitMix64;
     use crate::tape::gradcheck;
+
+    /// The AVX2 + FMA copy of the blend and the baseline one agree bit for
+    /// bit, for one, two and more sources.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_blend_matches_the_baseline_bitwise() {
+        if !crate::parallel::cpu_has_avx2_fma() {
+            eprintln!("no AVX2 + FMA on this CPU: only the baseline copy exists to run");
+            return;
+        }
+        let mut rng = SplitMix64::new(13);
+        let len = 8 * 5 + 3;
+        let parts: Vec<Vec<f32>> = (0..4)
+            .map(|_| (0..len).map(|_| rng.normal()).collect())
+            .collect();
+        let coeffs: Vec<f32> = (0..4).map(|_| rng.normal()).collect();
+        for r in 1..=4 {
+            let srcs: Vec<&[f32]> = parts[..r].iter().map(Vec::as_slice).collect();
+            let (mut generic, mut avx2) = (vec![f32::NAN; len], vec![f32::NAN; len]);
+            blend_range_generic(&mut generic, &coeffs[..r], &srcs);
+            // SAFETY: the required target features were verified above.
+            unsafe { blend_range_avx2(&mut avx2, &coeffs[..r], &srcs) };
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&generic), bits(&avx2), "{r} sources");
+        }
+    }
 
     #[test]
     fn forward_is_linear_combination() {

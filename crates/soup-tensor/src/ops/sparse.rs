@@ -384,9 +384,8 @@ fn spmm_rows_generic(csr: &Csr, r0: usize, r1: usize, c: usize, xs: &[f32], out:
 /// [`spmm_rows_body`] compiled with AVX2 + FMA enabled (runtime-selected
 /// via [`crate::parallel::cpu_has_avx2_fma`]): the 8-wide edge combine
 /// runs on 8-lane vectors, still as a separate multiply and add per edge,
-/// because Rust never contracts `a * b + c` into a fused multiply-add
-/// (real FMAs are a declared numeric break, see ROADMAP.md, "GEMM at its
-/// roofline").
+/// because Rust never contracts `a * b + c` into a fused multiply-add, so
+/// both compilations give the same bits.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 fn spmm_rows_avx2(csr: &Csr, r0: usize, r1: usize, c: usize, xs: &[f32], out: &mut [f32]) {
@@ -493,6 +492,35 @@ mod tests {
     /// Symmetric matrix [0 1; 1 0] scaled.
     fn sym() -> SparseMat {
         SparseMat::new(2, 2, vec![0, 1, 2], vec![1, 0], vec![0.5, 0.5], true)
+    }
+
+    /// The AVX2 + FMA copy of the SpMM row kernel and the baseline one
+    /// agree bit for bit: every column tile width, empty rows included.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_spmm_rows_match_the_baseline_bitwise() {
+        if !crate::parallel::cpu_has_avx2_fma() {
+            eprintln!("no AVX2 + FMA on this CPU: only the baseline copy exists to run");
+            return;
+        }
+        let (rows, cols, c) = (50, 40, 64 + 32 + 16 + 8 + 4 + 3);
+        let mut rng = SplitMix64::new(11);
+        let (mut indptr, mut indices, mut values) = (vec![0], Vec::new(), Vec::new());
+        for r in 0..rows {
+            for _ in 0..(r * 7) % 9 {
+                indices.push(rng.next_below(cols) as u32);
+                values.push(rng.normal());
+            }
+            indptr.push(indices.len());
+        }
+        let a = SparseMat::new(rows, cols, indptr, indices, values, false);
+        let xs: Vec<f32> = (0..cols * c).map(|_| rng.normal()).collect();
+        let (mut generic, mut avx2) = (vec![f32::NAN; rows * c], vec![f32::NAN; rows * c]);
+        spmm_rows_generic(&a.inner.fwd, 0, rows, c, &xs, &mut generic);
+        // SAFETY: the required target features were verified above.
+        unsafe { spmm_rows_avx2(&a.inner.fwd, 0, rows, c, &xs, &mut avx2) };
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&generic), bits(&avx2));
     }
 
     #[test]

@@ -33,21 +33,16 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Whether this x86-64 CPU supports AVX2 and FMA, probed once. The hot
-/// kernels (GEMM microkernel, SpMM edge loop) carry `#[target_feature]`
-/// variants selected through this check, so portable baseline builds still
-/// use wide vectors on machines that have them. Override with
-/// `SOUP_NO_SIMD=1` to force the baseline-ISA kernels (useful for A/B
-/// measurements).
+/// kernels (GEMM microkernel, SpMM edge loop, blend) carry
+/// `#[target_feature]` copies selected through this check, so portable
+/// baseline builds still use wide vectors and fused multiply-adds on
+/// machines that have them. Each kernel's two copies give identical bits
+/// (their unit tests compare them), so the choice changes speed only.
 #[cfg(target_arch = "x86_64")]
 #[inline]
 pub fn cpu_has_avx2_fma() -> bool {
     static CACHED: OnceLock<bool> = OnceLock::new();
-    *CACHED.get_or_init(|| {
-        if std::env::var("SOUP_NO_SIMD").is_ok_and(|v| v == "1") {
-            return false;
-        }
-        is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
-    })
+    *CACHED.get_or_init(|| is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"))
 }
 
 /// Non-x86-64 targets have no runtime-dispatched kernel variants.
