@@ -186,8 +186,8 @@ fn lr(p: &ExperimentPreset) -> Vec<Table> {
 
 /// §III-A, Eq. (1)/(2): measured Phase-1 wall time on flickr/GCN against
 /// the schedule model. The model is calibrated by one-worker runs of one
-/// and two ingredients ([`fit_fixed_cost`]), so a run's fixed start-up
-/// cost is not charged to every ingredient. Each worker's kernels get
+/// and two ingredients ([`fit_fixed_cost`]) after one warm-up run, so a
+/// run's fixed start-up cost is not charged to every ingredient. Each worker's kernels get
 /// `cores / W` threads, the one-GPU-per-worker analogue.
 fn workers(p: &ExperimentPreset) -> Vec<Table> {
     let (d, cfg) = gcn(DatasetKind::Flickr, p);
@@ -199,6 +199,7 @@ fn workers(p: &ExperimentPreset) -> Vec<Table> {
         let run = run.expect("trains without a checkpoint dir");
         run.wall_time.as_secs_f64()
     };
+    run(1, 1); // warm-up: the first run of a process also fills the pool
     let (fixed, per) = fit_fixed_cost(run(1, 1), run(2, 1));
     let header = "workers,measured_s,eq1_s,eq1_err,simulated_s,imbalance";
     let mut t = Table::new("ablation_workers", header);
