@@ -513,12 +513,14 @@ mod tests {
             }
             indptr.push(indices.len());
         }
-        let a = SparseMat::new(rows, cols, indptr, indices, values, false);
+        // A bare `Csr`, not a `SparseMat`: it registers no device memory,
+        // so it cannot disturb tests that read the process-wide meter.
+        let csr = Csr::new(indptr, indices, values);
         let xs: Vec<f32> = (0..cols * c).map(|_| rng.normal()).collect();
         let (mut generic, mut avx2) = (vec![f32::NAN; rows * c], vec![f32::NAN; rows * c]);
-        spmm_rows_generic(&a.inner.fwd, 0, rows, c, &xs, &mut generic);
+        spmm_rows_generic(&csr, 0, rows, c, &xs, &mut generic);
         // SAFETY: the required target features were verified above.
-        unsafe { spmm_rows_avx2(&a.inner.fwd, 0, rows, c, &xs, &mut avx2) };
+        unsafe { spmm_rows_avx2(&csr, 0, rows, c, &xs, &mut avx2) };
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&generic), bits(&avx2));
     }
