@@ -187,8 +187,9 @@ fn lr(p: &ExperimentPreset) -> Vec<Table> {
 /// §III-A, Eq. (1)/(2): measured Phase-1 wall time on flickr/GCN against
 /// the schedule model. The model is calibrated by one-worker runs of one
 /// and two ingredients ([`fit_fixed_cost`]) after one warm-up run, so a
-/// run's fixed start-up cost is not charged to every ingredient. Each worker's kernels get
-/// `cores / W` threads, the one-GPU-per-worker analogue.
+/// run's fixed start-up cost is not charged to every ingredient. Each
+/// worker's kernels get `cores / W` threads, the one-GPU-per-worker
+/// analogue.
 fn workers(p: &ExperimentPreset) -> Vec<Table> {
     let (d, cfg) = gcn(DatasetKind::Flickr, p);
     let tc = train_config(p.train_epochs);
