@@ -11,14 +11,28 @@
 //! ```
 //!
 //! [`Tape::gat_aggregate`] fuses this into one traced op with a hand-derived
-//! backward. The forward runs parallel over destination nodes; the backward
-//! runs two passes — destination-parallel for the softmax/score gradients
-//! (`∂L/∂ar`, per-edge `∂L/∂s`), then source-parallel over the transposed
-//! edge index for the scatter gradients (`∂L/∂x`, `∂L/∂al`) — so neither
-//! pass ever writes one output row from two threads. Each pass cuts its
-//! rows into edge-balanced chunks on the fork-join pool
-//! ([`crate::parallel`]); a row is computed the same way in any chunk, so
-//! the result is bitwise independent of the thread count.
+//! backward. It keeps one `(m, heads)` tensor for the backward, the weights
+//! `α`; the backward recomputes a raw score as `al + ar`, the forward's own
+//! add. Each pass runs parallel over rows, so no row is written by two
+//! threads:
+//!
+//! - **Forward**, per destination `v`, every head at once: the max of the
+//!   LeakyReLU scores, then `exp(z − max)` into `α` with per-head totals,
+//!   then `α *= 1/total`. Per head, `out_v = Σ α·x_u` is summed in a tile
+//!   and stored once.
+//! - **Backward pass 1**, per destination, per head: `∂L/∂α` by dot
+//!   products, then the softmax and LeakyReLU backward into a per-edge
+//!   `∂L/∂s` and `∂L/∂ar_v`.
+//! - **Backward pass 2**, per source over the transposed edge index, per
+//!   head: `∂L/∂x_u = Σ α·g_v` in a tile, and `∂L/∂al_u = Σ ∂L/∂s`.
+//!
+//! Every sum runs in edge order for each (row, head), starting from zero,
+//! so the bits do not depend on which walk or tile holds a partial sum
+//! (`tests/gat_kernel.rs` pins them). Head widths 8 and 16 compile to a
+//! tile in registers. The forward is bound by its `m·heads` calls to
+//! `expf`. Each pass cuts its rows into edge-balanced chunks on the
+//! fork-join pool ([`crate::parallel`]); a row is computed the same way in
+//! any chunk, so the result is bitwise independent of the thread count.
 
 use crate::memory::MemGuard;
 use crate::parallel::{self, split_at_cuts, BALANCED_CHUNKS, PAR_THRESHOLD};
@@ -132,6 +146,79 @@ impl EdgeIndex {
     }
 }
 
+/// Widest head slice a register tile holds; a wider head runs in slices.
+const TILE: usize = 64;
+
+/// `out[..dim] = Σ_t w_t · src[at_t..at_t + dim]`, summed in `t` order in
+/// a tile and stored once. The common head widths fold to constants in the
+/// one body below, so their tile lives in registers.
+fn weighted_sum(
+    out: &mut [f32],
+    src: &[f32],
+    terms: impl Iterator<Item = (f32, usize)> + Clone,
+    dim: usize,
+) {
+    match dim {
+        8 => tile_sum(out, src, terms, 8),
+        16 => tile_sum(out, src, terms, 16),
+        d => tile_sum(out, src, terms, d),
+    }
+}
+
+/// The body of [`weighted_sum`], inlined into each arm of its `match`.
+#[inline(always)]
+fn tile_sum(
+    out: &mut [f32],
+    src: &[f32],
+    terms: impl Iterator<Item = (f32, usize)> + Clone,
+    dim: usize,
+) {
+    for j0 in (0..dim).step_by(TILE) {
+        let width = (dim - j0).min(TILE);
+        let mut tile = [0.0f32; TILE];
+        let tile = &mut tile[..width];
+        for (w, at) in terms.clone() {
+            for (t, &x) in tile.iter_mut().zip(&src[at + j0..at + j0 + width]) {
+                *t += w * x;
+            }
+        }
+        out[j0..j0 + width].copy_from_slice(tile);
+    }
+}
+
+/// The softmax weights of one destination's in-edges `srcs`, every head at
+/// once, into `alpha` (edge-major, `heads` per edge). `ar` is the
+/// destination's row of `ar`; `stat` is `2·heads` scratch.
+fn softmax(srcs: &[u32], als: &[f32], ar: &[f32], slope: f32, alpha: &mut [f32], stat: &mut [f32]) {
+    let heads = ar.len();
+    let (maxz, total) = stat.split_at_mut(heads);
+    let leaky = |s: f32| if s > 0.0 { s } else { slope * s };
+    maxz.fill(f32::NEG_INFINITY);
+    for &u in srcs {
+        let al = &als[u as usize * heads..][..heads];
+        for h in 0..heads {
+            maxz[h] = maxz[h].max(leaky(al[h] + ar[h]));
+        }
+    }
+    total.fill(0.0);
+    for (&u, a) in srcs.iter().zip(alpha.chunks_exact_mut(heads)) {
+        let al = &als[u as usize * heads..][..heads];
+        for h in 0..heads {
+            let e = (leaky(al[h] + ar[h]) - maxz[h]).exp();
+            a[h] = e;
+            total[h] += e;
+        }
+    }
+    for t in total.iter_mut() {
+        *t = 1.0 / *t;
+    }
+    for a in alpha.chunks_exact_mut(heads) {
+        for h in 0..heads {
+            a[h] *= total[h];
+        }
+    }
+}
+
 impl Tape {
     /// Fused GAT aggregation. `x` is `(n, heads*dim)` with head-blocked
     /// columns; `al`/`ar` are `(n, heads)` pre-computed attention terms
@@ -163,16 +250,19 @@ impl Tape {
             xv.cols()
         );
         let dim = xv.cols() / heads;
+        let hd = heads * dim;
         soup_obs::counter!("tensor.attention.calls").inc();
         soup_obs::counter!("tensor.attention.edges").add((m * heads) as u64);
+        // The per-edge weights stored for the backward, the output rows and
+        // the `al`/`ar` terms.
         soup_obs::counter!("tensor.attention.bytes")
-            .add(((m * heads * 2 + n * heads * (dim + 2)) * 4) as u64);
+            .add(((m * heads + n * heads * (dim + 2)) * 4) as u64);
 
-        // Forward: per-dst softmax + weighted sum. Stored for backward:
-        // raw scores s and attention weights alpha, both (m, heads).
-        let mut s_buf = crate::pool::take_zeroed(m * heads);
-        let mut alpha_buf = crate::pool::take_zeroed(m * heads);
-        let mut out = crate::pool::take_zeroed(n * heads * dim);
+        // Forward: per-destination softmax and weighted sums. Stored for
+        // the backward: the attention weights alpha, (m, heads). Every slot
+        // of both buffers is written, so neither is zero-filled.
+        let mut alpha_buf = crate::pool::take_scratch(m * heads);
+        let mut out = crate::pool::take_scratch(n * hd);
 
         let inner = idx.inner.clone();
         {
@@ -180,74 +270,46 @@ impl Tape {
             let als = alv.data();
             let ars = arv.data();
             // Destination-parallel: each chunk owns a range of destination
-            // rows of `out` and their in-edge runs of `s` and `alpha`.
-            let bounds = pass_bounds(&inner.in_ptr, m * heads * dim);
-            let edge_cut = |&v: &usize| inner.in_ptr[v] * heads;
-            let chunks = split_at_cuts(&mut out, bounds.iter().map(|&v| v * heads * dim))
+            // rows of `out` and their in-edge runs of `alpha`.
+            let bounds = pass_bounds(&inner.in_ptr, m * hd);
+            let chunks = split_at_cuts(&mut out, bounds.iter().map(|&v| v * hd))
                 .into_iter()
-                .zip(split_at_cuts(&mut s_buf, bounds.iter().map(edge_cut)))
-                .zip(split_at_cuts(&mut alpha_buf, bounds.iter().map(edge_cut)));
-            parallel::for_each(chunks, |c, ((orows, s_run), alpha_run)| {
+                .zip(split_at_cuts(
+                    &mut alpha_buf,
+                    bounds.iter().map(|&v| inner.in_ptr[v] * heads),
+                ));
+            parallel::for_each(chunks, |c, (orows, alpha_run)| {
                 let v0 = bounds[c];
                 let e_base = inner.in_ptr[v0];
+                let mut stat = vec![0.0f32; 2 * heads];
                 for v in v0..bounds[c + 1] {
-                    let e0 = inner.in_ptr[v];
-                    let deg = inner.in_ptr[v + 1] - e0;
-                    if deg == 0 {
+                    let (e0, e1) = (inner.in_ptr[v], inner.in_ptr[v + 1]);
+                    let srcs = &inner.in_src[e0..e1];
+                    let orow = &mut orows[(v - v0) * hd..(v - v0 + 1) * hd];
+                    if srcs.is_empty() {
+                        orow.fill(0.0);
                         continue;
                     }
-                    let orow = &mut orows[(v - v0) * heads * dim..(v - v0 + 1) * heads * dim];
-                    let edges = (e0 - e_base) * heads..(e0 - e_base + deg) * heads;
-                    let s_v = &mut s_run[edges.clone()];
-                    let alpha_v = &mut alpha_run[edges];
+                    let alpha_v = &mut alpha_run[(e0 - e_base) * heads..(e1 - e_base) * heads];
+                    let ar = &ars[v * heads..(v + 1) * heads];
+                    softmax(srcs, als, ar, slope, alpha_v, &mut stat);
+                    let alpha_v = &*alpha_v;
                     for h in 0..heads {
-                        // Scores.
-                        let mut maxz = f32::NEG_INFINITY;
-                        for k in 0..deg {
-                            let u = inner.in_src[e0 + k] as usize;
-                            let s = als[u * heads + h] + ars[v * heads + h];
-                            s_v[k * heads + h] = s;
-                            let z = if s > 0.0 { s } else { slope * s };
-                            maxz = maxz.max(z);
-                        }
-                        // Softmax over LeakyReLU(scores).
-                        let mut total = 0.0f32;
-                        for k in 0..deg {
-                            let s = s_v[k * heads + h];
-                            let z = if s > 0.0 { s } else { slope * s };
-                            let e = (z - maxz).exp();
-                            alpha_v[k * heads + h] = e;
-                            total += e;
-                        }
-                        let inv = 1.0 / total;
-                        // Weighted aggregation.
-                        let od = &mut orow[h * dim..(h + 1) * dim];
-                        for k in 0..deg {
-                            let a = alpha_v[k * heads + h] * inv;
-                            alpha_v[k * heads + h] = a;
-                            let u = inner.in_src[e0 + k] as usize;
-                            let xrow =
-                                &xs[u * heads * dim + h * dim..u * heads * dim + (h + 1) * dim];
-                            for (o, &xval) in od.iter_mut().zip(xrow) {
-                                *o += a * xval;
-                            }
-                        }
+                        let terms = (srcs.iter().enumerate()).map(|(k, &u)| {
+                            (alpha_v[k * heads + h], (u as usize * heads + h) * dim)
+                        });
+                        weighted_sum(&mut orow[h * dim..], xs, terms, dim);
                     }
                 }
             });
         }
 
-        let s_t = Tensor::from_vec(
-            m.max(1),
-            heads,
-            if m == 0 { vec![0.0; heads] } else { s_buf },
-        );
         let alpha_t = Tensor::from_vec(
             m.max(1),
             heads,
             if m == 0 { vec![0.0; heads] } else { alpha_buf },
         );
-        let out_t = Tensor::from_vec(n, heads * dim, out);
+        let out_t = Tensor::from_vec(n, hd, out);
 
         let idx_b = idx.clone();
         self.push_op(
@@ -258,20 +320,19 @@ impl Tape {
                 let inner = &idx_b.inner;
                 let n = inner.n;
                 let m = inner.in_src.len();
-                let xv = &parents[0];
                 let gs = g.data();
-                let xs = xv.data();
-                let ss = s_t.data();
+                let xs = parents[0].data();
+                let als = parents[1].data();
+                let ars = parents[2].data();
                 let avs = alpha_t.data();
-                let dim = xv.cols() / heads;
 
                 // Pass 1: dst-parallel. Compute grad_s per edge and grad_ar.
                 // `grad_s` is scratch that dies with this closure: a plain
                 // allocation, since the pool would keep one idle per edge
                 // count (every PLS subgraph has its own).
                 let mut grad_s = vec![0.0f32; m * heads];
-                let mut grad_ar = crate::pool::take_zeroed(n * heads);
-                let bounds = pass_bounds(&inner.in_ptr, m * heads * dim);
+                let mut grad_ar = crate::pool::take_scratch(n * heads);
+                let bounds = pass_bounds(&inner.in_ptr, m * hd);
                 let edge_cut = |&v: &usize| inner.in_ptr[v] * heads;
                 let chunks = split_at_cuts(&mut grad_ar, bounds.iter().map(|&v| v * heads))
                     .into_iter()
@@ -288,45 +349,40 @@ impl Tape {
                         .unwrap_or(0);
                     let mut galpha = vec![0.0f32; max_deg];
                     for v in v0..v1 {
-                        let e0 = inner.in_ptr[v];
-                        let deg = inner.in_ptr[v + 1] - e0;
-                        if deg == 0 {
-                            continue;
-                        }
+                        let (e0, e1) = (inner.in_ptr[v], inner.in_ptr[v + 1]);
+                        let srcs = &inner.in_src[e0..e1];
                         let gar_row = &mut gar_rows[(v - v0) * heads..(v - v0 + 1) * heads];
-                        let gsv = &mut gs_run[(e0 - e_base) * heads..(e0 - e_base + deg) * heads];
-                        for h in 0..heads {
-                            let gv =
-                                &gs[v * heads * dim + h * dim..v * heads * dim + (h + 1) * dim];
-                            // grad wrt alpha, then softmax + leakyrelu backward.
+                        let gsv = &mut gs_run[(e0 - e_base) * heads..(e1 - e_base) * heads];
+                        let alpha_v = &avs[e0 * heads..e1 * heads];
+                        for (h, gar) in gar_row.iter_mut().enumerate() {
+                            // ∂L/∂α, then the softmax and LeakyReLU backward,
+                            // with the raw score recomputed as `al + ar`.
+                            let gv = &gs[v * hd + h * dim..][..dim];
                             let mut dot_sum = 0.0f32;
-                            for k in 0..deg {
-                                let u = inner.in_src[e0 + k] as usize;
-                                let xrow =
-                                    &xs[u * heads * dim + h * dim..u * heads * dim + (h + 1) * dim];
+                            for (k, &u) in srcs.iter().enumerate() {
+                                let xrow = &xs[(u as usize * heads + h) * dim..][..dim];
                                 let ga: f32 = gv.iter().zip(xrow).map(|(&a, &b)| a * b).sum();
                                 galpha[k] = ga;
-                                dot_sum += ga * avs[(e0 + k) * heads + h];
+                                dot_sum += ga * alpha_v[k * heads + h];
                             }
-                            let mut gar_acc = 0.0f32;
-                            for k in 0..deg {
-                                let a = avs[(e0 + k) * heads + h];
-                                let gz = a * (galpha[k] - dot_sum);
-                                let s = ss[(e0 + k) * heads + h];
+                            let ar = ars[v * heads + h];
+                            *gar = 0.0;
+                            for (k, &u) in srcs.iter().enumerate() {
+                                let gz = alpha_v[k * heads + h] * (galpha[k] - dot_sum);
+                                let s = als[u as usize * heads + h] + ar;
                                 let gsc = if s > 0.0 { gz } else { slope * gz };
                                 gsv[k * heads + h] = gsc;
-                                gar_acc += gsc;
+                                *gar += gsc;
                             }
-                            gar_row[h] = gar_acc;
                         }
                     }
                 });
 
                 // Pass 2: src-parallel over the transposed index.
-                let mut grad_x = crate::pool::take_zeroed(n * heads * dim);
-                let mut grad_al = crate::pool::take_zeroed(n * heads);
-                let bounds = pass_bounds(&inner.out_ptr, m * heads * dim);
-                let chunks = split_at_cuts(&mut grad_x, bounds.iter().map(|&u| u * heads * dim))
+                let mut grad_x = crate::pool::take_scratch(n * hd);
+                let mut grad_al = crate::pool::take_scratch(n * heads);
+                let bounds = pass_bounds(&inner.out_ptr, m * hd);
+                let chunks = split_at_cuts(&mut grad_x, bounds.iter().map(|&u| u * hd))
                     .into_iter()
                     .zip(split_at_cuts(
                         &mut grad_al,
@@ -335,28 +391,23 @@ impl Tape {
                 parallel::for_each(chunks, |c, (gx_rows, gal_rows)| {
                     let u0 = bounds[c];
                     for u in u0..bounds[c + 1] {
-                        let gx_row =
-                            &mut gx_rows[(u - u0) * heads * dim..(u - u0 + 1) * heads * dim];
+                        let run = inner.out_ptr[u]..inner.out_ptr[u + 1];
+                        let edges = inner.out_dst[run.clone()].iter().zip(&inner.out_eid[run]);
+                        let gx_row = &mut gx_rows[(u - u0) * hd..(u - u0 + 1) * hd];
                         let gal_row = &mut gal_rows[(u - u0) * heads..(u - u0 + 1) * heads];
-                        for p in inner.out_ptr[u]..inner.out_ptr[u + 1] {
-                            let v = inner.out_dst[p] as usize;
-                            let e = inner.out_eid[p] as usize;
-                            for h in 0..heads {
-                                let a = avs[e * heads + h];
-                                let gv =
-                                    &gs[v * heads * dim + h * dim..v * heads * dim + (h + 1) * dim];
-                                let gxd = &mut gx_row[h * dim..(h + 1) * dim];
-                                for (o, &gval) in gxd.iter_mut().zip(gv) {
-                                    *o += a * gval;
-                                }
-                                gal_row[h] += grad_s[e * heads + h];
-                            }
+                        for (h, gal) in gal_row.iter_mut().enumerate() {
+                            let terms = edges.clone().map(|(&v, &e)| {
+                                (avs[e as usize * heads + h], (v as usize * heads + h) * dim)
+                            });
+                            weighted_sum(&mut gx_row[h * dim..], gs, terms, dim);
+                            *gal = (edges.clone())
+                                .fold(0.0, |acc, (_, &e)| acc + grad_s[e as usize * heads + h]);
                         }
                     }
                 });
 
                 vec![
-                    Some(Tensor::from_vec(n, heads * dim, grad_x)),
+                    Some(Tensor::from_vec(n, hd, grad_x)),
                     Some(Tensor::from_vec(n, heads, grad_al)),
                     Some(Tensor::from_vec(n, heads, grad_ar)),
                 ]
