@@ -15,6 +15,7 @@ use criterion::{criterion_group, BenchmarkId, Criterion};
 use serde::Serialize;
 use soup_graph::{CsrGraph, SbmConfig};
 use soup_tensor::ops::sparse::{spmm_rowpar_reference, SparseMat};
+use soup_tensor::ops::EdgeIndex;
 use soup_tensor::tape::Tape;
 use soup_tensor::{pool, SplitMix64, Tensor};
 use std::time::Instant;
@@ -110,25 +111,58 @@ fn bench_spmm_zipf(c: &mut Criterion) {
     group.finish();
 }
 
+/// The edge index of the `pipeline_sparse_gat` benchmark workload's graph
+/// family: 3000 nodes of average degree 64, plus one self-loop per node.
+fn sparse_gat_index() -> EdgeIndex {
+    SbmConfig {
+        nodes: 3000,
+        classes: 8,
+        avg_degree: 64.0,
+        homophily: 0.8,
+        hub_fraction: 0.05,
+        hub_boost: 4.0,
+        feature_dim: 8,
+        ..Default::default()
+    }
+    .generate(1)
+    .graph
+    .edge_index()
+}
+
+/// The head shapes (heads × width) of that workload's two GAT layers.
+const GAT_LAYERS: [(usize, usize); 2] = [(4, 8), (1, 8)];
+
+/// The inputs `x`, `al`, `ar` of one GAT layer's aggregation.
+fn gat_inputs(n: usize, heads: usize, dim: usize) -> [Tensor; 3] {
+    let mut rng = SplitMix64::new(4);
+    [
+        Tensor::randn(n, heads * dim, 1.0, &mut rng),
+        Tensor::randn(n, heads, 1.0, &mut rng),
+        Tensor::randn(n, heads, 1.0, &mut rng),
+    ]
+}
+
+/// One training step of the aggregation, as a GAT layer runs it: the
+/// forward on trainable inputs, then the backward from an all-ones upstream
+/// gradient. Returns the seconds of each.
+fn gat_step(idx: &EdgeIndex, inputs: &[Tensor; 3], heads: usize) -> (f64, f64) {
+    let tape = Tape::new();
+    let [x, al, ar] = inputs.clone().map(|t| tape.param(t));
+    let start = Instant::now();
+    let y = tape.gat_aggregate(idx, x, al, ar, heads, 0.2);
+    let forward = start.elapsed().as_secs_f64();
+    std::hint::black_box(tape.backward(y));
+    (forward, start.elapsed().as_secs_f64() - forward)
+}
+
 fn bench_gat_aggregate(c: &mut Criterion) {
     let mut group = c.benchmark_group("gat_aggregate");
-    for &n in &[1000usize, 4000] {
-        let (graph, _) = test_graph(n);
-        let idx = graph.edge_index();
-        let mut rng = SplitMix64::new(4);
-        let heads = 4;
-        let dim = 16;
-        let x = Tensor::randn(n, heads * dim, 1.0, &mut rng);
-        let al = Tensor::randn(n, heads, 1.0, &mut rng);
-        let ar = Tensor::randn(n, heads, 1.0, &mut rng);
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bench, _| {
-            bench.iter(|| {
-                let tape = Tape::new();
-                let xv = tape.constant(x.clone());
-                let a = tape.constant(al.clone());
-                let b = tape.constant(ar.clone());
-                std::hint::black_box(tape.value(tape.gat_aggregate(&idx, xv, a, b, heads, 0.2)))
-            });
+    let idx = sparse_gat_index();
+    for (heads, dim) in GAT_LAYERS {
+        let inputs = gat_inputs(idx.num_nodes(), heads, dim);
+        let id = BenchmarkId::new("forward+backward", format!("{heads}x{dim}"));
+        group.bench_with_input(id, &heads, |bench, &heads| {
+            bench.iter(|| std::hint::black_box(gat_step(&idx, &inputs, heads)));
         });
     }
     group.finish();
@@ -206,6 +240,24 @@ struct SpmmComparison {
 }
 
 #[derive(Serialize)]
+struct GatLayer {
+    heads: usize,
+    dim: usize,
+    forward_ms: f64,
+    backward_ms: f64,
+}
+
+/// The GAT aggregation at the sparse-GAT workload's shapes, forward and
+/// backward timed apart (best of N each).
+#[derive(Serialize)]
+struct GatSparse {
+    nodes: usize,
+    edges: usize,
+    threads: usize,
+    layers: Vec<GatLayer>,
+}
+
+#[derive(Serialize)]
 struct PoolStats {
     hits: u64,
     misses: u64,
@@ -265,6 +317,7 @@ struct KernelReport {
     provenance: Provenance,
     gemm_512: GemmComparison,
     spmm_zipf: SpmmComparison,
+    gat_sparse: GatSparse,
     pool: PoolStats,
 }
 
@@ -320,12 +373,42 @@ fn comparison_report(quick: bool) -> KernelReport {
         speedup: rowpar_s / balanced_s,
     };
     drop((adj, x));
+    pool::trim();
+
+    // --- GAT aggregation at the sparse-GAT workload's two layer shapes.
+    let idx = sparse_gat_index();
+    let layers = GAT_LAYERS
+        .map(|(heads, dim)| {
+            let inputs = gat_inputs(idx.num_nodes(), heads, dim);
+            gat_step(&idx, &inputs, heads); // warm-up, as in `time_best`
+            let (mut forward, mut backward) = (f64::INFINITY, f64::INFINITY);
+            for _ in 0..reps {
+                let (f, b) = gat_step(&idx, &inputs, heads);
+                forward = forward.min(f);
+                backward = backward.min(b);
+            }
+            GatLayer {
+                heads,
+                dim,
+                forward_ms: forward * 1e3,
+                backward_ms: backward * 1e3,
+            }
+        })
+        .into();
+    let gat_sparse = GatSparse {
+        nodes: idx.num_nodes(),
+        edges: idx.num_edges(),
+        threads: soup_tensor::parallel::current_threads(),
+        layers,
+    };
+    drop(idx);
     let trimmed = pool::trim();
 
     KernelReport {
         provenance: provenance(),
         gemm_512,
         spmm_zipf,
+        gat_sparse,
         pool: PoolStats {
             hits: counter("tensor.pool.hits"),
             misses: counter("tensor.pool.misses"),
@@ -363,6 +446,12 @@ fn main() {
         "  spmm_zipf  speedup {:.2}x  ({:.2} -> {:.2} GFLOP/s)",
         report.spmm_zipf.speedup, report.spmm_zipf.rowpar_gflops, report.spmm_zipf.balanced_gflops,
     );
+    for l in &report.gat_sparse.layers {
+        println!(
+            "  gat_sparse {}x{}  forward {:.2} ms  backward {:.2} ms",
+            l.heads, l.dim, l.forward_ms, l.backward_ms,
+        );
+    }
 
     drop(_span);
     if trace.is_some() {
