@@ -11,28 +11,17 @@
 //! ```
 //!
 //! [`Tape::gat_aggregate`] fuses this into one traced op with a hand-derived
-//! backward. It keeps one `(m, heads)` tensor for the backward, the weights
-//! `α`; the backward recomputes a raw score as `al + ar`, the forward's own
-//! add. Each pass runs parallel over rows, so no row is written by two
-//! threads:
-//!
-//! - **Forward**, per destination `v`, every head at once: the max of the
-//!   LeakyReLU scores, then `exp(z − max)` into `α` with per-head totals,
-//!   then `α *= 1/total`. Per head, `out_v = Σ α·x_u` is summed in a tile
-//!   and stored once.
-//! - **Backward pass 1**, per destination, per head: `∂L/∂α` by dot
-//!   products, then the softmax and LeakyReLU backward into a per-edge
-//!   `∂L/∂s` and `∂L/∂ar_v`.
-//! - **Backward pass 2**, per source over the transposed edge index, per
-//!   head: `∂L/∂x_u = Σ α·g_v` in a tile, and `∂L/∂al_u = Σ ∂L/∂s`.
-//!
-//! Every sum runs in edge order for each (row, head), starting from zero,
-//! so the bits do not depend on which walk or tile holds a partial sum
-//! (`tests/gat_kernel.rs` pins them). Head widths 8 and 16 compile to a
-//! tile in registers. The forward is bound by its `m·heads` calls to
-//! `expf`. Each pass cuts its rows into edge-balanced chunks on the
-//! fork-join pool ([`crate::parallel`]); a row is computed the same way in
-//! any chunk, so the result is bitwise independent of the thread count.
+//! backward, and keeps only `α` for it. The forward walks each
+//! destination's in-edges for every head at once (max, `exp` with totals,
+//! scale), then per head sums `Σ α·x_u` in a tile and stores the row once.
+//! Backward pass 1, per destination and head, turns `∂L/∂α` into a per-edge
+//! `∂L/∂s` and `∂L/∂ar`, recomputing a raw score as `al + ar`. Pass 2, per
+//! source over the transposed index, sums `∂L/∂x` in a tile and `∂L/∂al`.
+//! Every sum runs in edge order per (row, head), so the bits do not depend
+//! on where a partial sum lives (`tests/gat_kernel.rs` pins them; DESIGN.md
+//! §8 has the details). Each pass cuts its rows into edge-balanced chunks
+//! on the fork-join pool ([`crate::parallel`]) and no row is written by two
+//! threads, so the result is bitwise independent of the thread count.
 
 use crate::memory::MemGuard;
 use crate::parallel::{self, split_at_cuts, BALANCED_CHUNKS, PAR_THRESHOLD};
@@ -149,15 +138,14 @@ impl EdgeIndex {
 /// Widest head slice a register tile holds; a wider head runs in slices.
 const TILE: usize = 64;
 
+/// The terms `(w_t, at_t)` of a weighted sum of `src` rows.
+trait Terms: Iterator<Item = (f32, usize)> + Clone {}
+impl<T: Iterator<Item = (f32, usize)> + Clone> Terms for T {}
+
 /// `out[..dim] = Σ_t w_t · src[at_t..at_t + dim]`, summed in `t` order in
 /// a tile and stored once. The common head widths fold to constants in the
 /// one body below, so their tile lives in registers.
-fn weighted_sum(
-    out: &mut [f32],
-    src: &[f32],
-    terms: impl Iterator<Item = (f32, usize)> + Clone,
-    dim: usize,
-) {
+fn weighted_sum(out: &mut [f32], src: &[f32], terms: impl Terms, dim: usize) {
     match dim {
         8 => tile_sum(out, src, terms, 8),
         16 => tile_sum(out, src, terms, 16),
@@ -167,12 +155,7 @@ fn weighted_sum(
 
 /// The body of [`weighted_sum`], inlined into each arm of its `match`.
 #[inline(always)]
-fn tile_sum(
-    out: &mut [f32],
-    src: &[f32],
-    terms: impl Iterator<Item = (f32, usize)> + Clone,
-    dim: usize,
-) {
+fn tile_sum(out: &mut [f32], src: &[f32], terms: impl Terms, dim: usize) {
     for j0 in (0..dim).step_by(TILE) {
         let width = (dim - j0).min(TILE);
         let mut tile = [0.0f32; TILE];
@@ -186,36 +169,111 @@ fn tile_sum(
     }
 }
 
-/// The softmax weights of one destination's in-edges `srcs`, every head at
-/// once, into `alpha` (edge-major, `heads` per edge). `ar` is the
-/// destination's row of `ar`; `stat` is `2·heads` scratch.
-fn softmax(srcs: &[u32], als: &[f32], ar: &[f32], slope: f32, alpha: &mut [f32], stat: &mut [f32]) {
-    let heads = ar.len();
-    let (maxz, total) = stat.split_at_mut(heads);
-    let leaky = |s: f32| if s > 0.0 { s } else { slope * s };
-    maxz.fill(f32::NEG_INFINITY);
-    for &u in srcs {
-        let al = &als[u as usize * heads..][..heads];
+/// What every row reads: `x`, `al`, the shape and the LeakyReLU slope. Row
+/// work takes plain slices: read through a closure's captures, it ran slower.
+#[derive(Clone, Copy)]
+struct Layer<'a> {
+    xs: &'a [f32],
+    als: &'a [f32],
+    heads: usize,
+    dim: usize,
+    slope: f32,
+}
+
+impl Layer<'_> {
+    /// The raw score `al_u + ar` of head `h`, the forward's and backward's.
+    fn score(&self, u: u32, ar: f32, h: usize) -> f32 {
+        self.als[u as usize * self.heads + h] + ar
+    }
+
+    /// Forward of one destination with in-edges `srcs`: the softmax
+    /// weights into `alpha` (edge-major, `heads` per edge), then per head
+    /// the weighted sum into `out`. `st` is `2·heads` scratch.
+    fn forward(self, srcs: &[u32], ar: &[f32], alpha: &mut [f32], st: &mut [f32], out: &mut [f32]) {
+        let (heads, dim) = (self.heads, self.dim);
+        let (maxz, total) = st.split_at_mut(heads);
+        maxz.fill(f32::NEG_INFINITY);
+        for (&u, a) in srcs.iter().zip(alpha.chunks_exact_mut(heads)) {
+            for h in 0..heads {
+                let s = self.score(u, ar[h], h);
+                a[h] = if s > 0.0 { s } else { self.slope * s };
+                maxz[h] = maxz[h].max(a[h]);
+            }
+        }
+        total.fill(0.0);
+        for a in alpha.chunks_exact_mut(heads) {
+            for h in 0..heads {
+                a[h] = (a[h] - maxz[h]).exp();
+                total[h] += a[h];
+            }
+        }
+        for t in total.iter_mut() {
+            *t = 1.0 / *t;
+        }
+        for a in alpha.chunks_exact_mut(heads) {
+            for h in 0..heads {
+                a[h] *= total[h];
+            }
+        }
         for h in 0..heads {
-            maxz[h] = maxz[h].max(leaky(al[h] + ar[h]));
+            let terms = (srcs.iter().enumerate())
+                .map(|(k, &u)| (alpha[k * heads + h], (u as usize * heads + h) * dim));
+            weighted_sum(&mut out[h * dim..], self.xs, terms, dim);
         }
     }
-    total.fill(0.0);
-    for (&u, a) in srcs.iter().zip(alpha.chunks_exact_mut(heads)) {
-        let al = &als[u as usize * heads..][..heads];
-        for h in 0..heads {
-            let e = (leaky(al[h] + ar[h]) - maxz[h]).exp();
-            a[h] = e;
-            total[h] += e;
+
+    /// Backward pass 1 of one destination's head `h`: `∂L/∂α` by dot
+    /// products of its output gradient `g` with the source rows, then the
+    /// per-edge `∂L/∂s` into `gs`. Returns `∂L/∂ar`; `galpha` is scratch.
+    fn score_grads(
+        self,
+        g: &[f32],
+        srcs: &[u32],
+        (ar, h): (f32, usize),
+        alpha: &[f32],
+        galpha: &mut [f32],
+        gs: &mut [f32],
+    ) -> f32 {
+        let (heads, dim) = (self.heads, self.dim);
+        let g = &g[..dim];
+        let mut dot_sum = 0.0f32;
+        for (k, &u) in srcs.iter().enumerate() {
+            let xrow = &self.xs[(u as usize * heads + h) * dim..][..dim];
+            let ga: f32 = g.iter().zip(xrow).map(|(&a, &b)| a * b).sum();
+            galpha[k] = ga;
+            dot_sum += ga * alpha[k * heads + h];
+        }
+        let mut gar = 0.0f32;
+        for (k, &u) in srcs.iter().enumerate() {
+            let gz = alpha[k * heads + h] * (galpha[k] - dot_sum);
+            let s = self.score(u, ar, h);
+            let gsc = if s > 0.0 { gz } else { self.slope * gz };
+            gs[k * heads + h] = gsc;
+            gar += gsc;
+        }
+        gar
+    }
+}
+
+/// Backward pass 2 of one source with out-edges `(dst, eid)`, per head:
+/// `∂L/∂x = Σ α·g_dst` into `gx` and `∂L/∂al = Σ ∂L/∂s` into `gal`, from
+/// the per-edge `alpha` and `grad_s` and the output gradient `g`.
+fn source_grads(
+    (dsts, eids): (&[u32], &[u32]),
+    (alpha, grad_s, g): (&[f32], &[f32], &[f32]),
+    (gx, gal): (&mut [f32], &mut [f32]),
+) {
+    let (heads, dim) = (gal.len(), gx.len() / gal.len());
+    let edges = (dsts.iter().zip(eids)).map(|(&v, &e)| (v as usize, e as usize));
+    gal.fill(0.0);
+    for (_, e) in edges.clone() {
+        for (gal, &gs) in gal.iter_mut().zip(&grad_s[e * heads..][..heads]) {
+            *gal += gs;
         }
     }
-    for t in total.iter_mut() {
-        *t = 1.0 / *t;
-    }
-    for a in alpha.chunks_exact_mut(heads) {
-        for h in 0..heads {
-            a[h] *= total[h];
-        }
+    for h in 0..heads {
+        let terms = (edges.clone()).map(|(v, e)| (alpha[e * heads + h], (v * heads + h) * dim));
+        weighted_sum(&mut gx[h * dim..], g, terms, dim);
     }
 }
 
@@ -258,51 +316,44 @@ impl Tape {
         soup_obs::counter!("tensor.attention.bytes")
             .add(((m * heads + n * heads * (dim + 2)) * 4) as u64);
 
-        // Forward: per-destination softmax and weighted sums. Stored for
-        // the backward: the attention weights alpha, (m, heads). Every slot
-        // of both buffers is written, so neither is zero-filled.
+        // Forward, destination-parallel: each chunk owns a range of rows of
+        // `out` and their in-edge runs of `alpha`, the (m, heads) weights
+        // kept for the backward. Every slot is written: no zero fill.
         let mut alpha_buf = crate::pool::take_scratch(m * heads);
         let mut out = crate::pool::take_scratch(n * hd);
 
         let inner = idx.inner.clone();
-        {
-            let xs = xv.data();
-            let als = alv.data();
-            let ars = arv.data();
-            // Destination-parallel: each chunk owns a range of destination
-            // rows of `out` and their in-edge runs of `alpha`.
-            let bounds = pass_bounds(&inner.in_ptr, m * hd);
-            let chunks = split_at_cuts(&mut out, bounds.iter().map(|&v| v * hd))
-                .into_iter()
-                .zip(split_at_cuts(
-                    &mut alpha_buf,
-                    bounds.iter().map(|&v| inner.in_ptr[v] * heads),
-                ));
-            parallel::for_each(chunks, |c, (orows, alpha_run)| {
-                let v0 = bounds[c];
-                let e_base = inner.in_ptr[v0];
-                let mut stat = vec![0.0f32; 2 * heads];
-                for v in v0..bounds[c + 1] {
-                    let (e0, e1) = (inner.in_ptr[v], inner.in_ptr[v + 1]);
-                    let srcs = &inner.in_src[e0..e1];
-                    let orow = &mut orows[(v - v0) * hd..(v - v0 + 1) * hd];
-                    if srcs.is_empty() {
-                        orow.fill(0.0);
-                        continue;
-                    }
-                    let alpha_v = &mut alpha_run[(e0 - e_base) * heads..(e1 - e_base) * heads];
-                    let ar = &ars[v * heads..(v + 1) * heads];
-                    softmax(srcs, als, ar, slope, alpha_v, &mut stat);
-                    let alpha_v = &*alpha_v;
-                    for h in 0..heads {
-                        let terms = (srcs.iter().enumerate()).map(|(k, &u)| {
-                            (alpha_v[k * heads + h], (u as usize * heads + h) * dim)
-                        });
-                        weighted_sum(&mut orow[h * dim..], xs, terms, dim);
-                    }
+        let layer = Layer {
+            xs: xv.data(),
+            als: alv.data(),
+            heads,
+            dim,
+            slope,
+        };
+        let ars = arv.data();
+        let bounds = pass_bounds(&inner.in_ptr, m * hd);
+        let chunks = split_at_cuts(&mut out, bounds.iter().map(|&v| v * hd))
+            .into_iter()
+            .zip(split_at_cuts(
+                &mut alpha_buf,
+                bounds.iter().map(|&v| inner.in_ptr[v] * heads),
+            ));
+        parallel::for_each(chunks, |c, (orows, alpha_run)| {
+            let v0 = bounds[c];
+            let e_base = inner.in_ptr[v0];
+            let mut stat = vec![0.0f32; 2 * heads];
+            for v in v0..bounds[c + 1] {
+                let (e0, e1) = (inner.in_ptr[v], inner.in_ptr[v + 1]);
+                let orow = &mut orows[(v - v0) * hd..(v - v0 + 1) * hd];
+                if e0 == e1 {
+                    orow.fill(0.0);
+                    continue;
                 }
-            });
-        }
+                let alpha = &mut alpha_run[(e0 - e_base) * heads..(e1 - e_base) * heads];
+                let ar = &ars[v * heads..(v + 1) * heads];
+                layer.forward(&inner.in_src[e0..e1], ar, alpha, &mut stat, orow);
+            }
+        });
 
         let alpha_t = Tensor::from_vec(
             m.max(1),
@@ -321,10 +372,15 @@ impl Tape {
                 let n = inner.n;
                 let m = inner.in_src.len();
                 let gs = g.data();
-                let xs = parents[0].data();
-                let als = parents[1].data();
                 let ars = parents[2].data();
                 let avs = alpha_t.data();
+                let layer = Layer {
+                    xs: parents[0].data(),
+                    als: parents[1].data(),
+                    heads,
+                    dim,
+                    slope,
+                };
 
                 // Pass 1: dst-parallel. Compute grad_s per edge and grad_ar.
                 // `grad_s` is scratch that dies with this closure: a plain
@@ -340,40 +396,20 @@ impl Tape {
                 parallel::for_each(chunks, |c, (gar_rows, gs_run)| {
                     let (v0, v1) = (bounds[c], bounds[c + 1]);
                     let e_base = inner.in_ptr[v0];
-                    // One ∂L/∂α scratch per chunk, reused by every
-                    // (destination, head): each slot is written before it
-                    // is read.
-                    let max_deg = (v0..v1)
-                        .map(|v| inner.in_ptr[v + 1] - inner.in_ptr[v])
-                        .max()
-                        .unwrap_or(0);
-                    let mut galpha = vec![0.0f32; max_deg];
+                    // ∂L/∂α scratch, grown to the chunk's largest in-degree:
+                    // every slot is written before it is read.
+                    let mut galpha = Vec::new();
                     for v in v0..v1 {
                         let (e0, e1) = (inner.in_ptr[v], inner.in_ptr[v + 1]);
+                        galpha.resize(galpha.len().max(e1 - e0), 0.0);
                         let srcs = &inner.in_src[e0..e1];
-                        let gar_row = &mut gar_rows[(v - v0) * heads..(v - v0 + 1) * heads];
+                        let alpha = &avs[e0 * heads..e1 * heads];
                         let gsv = &mut gs_run[(e0 - e_base) * heads..(e1 - e_base) * heads];
-                        let alpha_v = &avs[e0 * heads..e1 * heads];
-                        for (h, gar) in gar_row.iter_mut().enumerate() {
-                            // ∂L/∂α, then the softmax and LeakyReLU backward,
-                            // with the raw score recomputed as `al + ar`.
-                            let gv = &gs[v * hd + h * dim..][..dim];
-                            let mut dot_sum = 0.0f32;
-                            for (k, &u) in srcs.iter().enumerate() {
-                                let xrow = &xs[(u as usize * heads + h) * dim..][..dim];
-                                let ga: f32 = gv.iter().zip(xrow).map(|(&a, &b)| a * b).sum();
-                                galpha[k] = ga;
-                                dot_sum += ga * alpha_v[k * heads + h];
-                            }
-                            let ar = ars[v * heads + h];
-                            *gar = 0.0;
-                            for (k, &u) in srcs.iter().enumerate() {
-                                let gz = alpha_v[k * heads + h] * (galpha[k] - dot_sum);
-                                let s = als[u as usize * heads + h] + ar;
-                                let gsc = if s > 0.0 { gz } else { slope * gz };
-                                gsv[k * heads + h] = gsc;
-                                *gar += gsc;
-                            }
+                        let gar = &mut gar_rows[(v - v0) * heads..(v - v0 + 1) * heads];
+                        for (h, gar) in gar.iter_mut().enumerate() {
+                            let g = &gs[v * hd + h * dim..];
+                            let ar = (ars[v * heads + h], h);
+                            *gar = layer.score_grads(g, srcs, ar, alpha, &mut galpha, gsv);
                         }
                     }
                 });
@@ -392,17 +428,10 @@ impl Tape {
                     let u0 = bounds[c];
                     for u in u0..bounds[c + 1] {
                         let run = inner.out_ptr[u]..inner.out_ptr[u + 1];
-                        let edges = inner.out_dst[run.clone()].iter().zip(&inner.out_eid[run]);
-                        let gx_row = &mut gx_rows[(u - u0) * hd..(u - u0 + 1) * hd];
-                        let gal_row = &mut gal_rows[(u - u0) * heads..(u - u0 + 1) * heads];
-                        for (h, gal) in gal_row.iter_mut().enumerate() {
-                            let terms = edges.clone().map(|(&v, &e)| {
-                                (avs[e as usize * heads + h], (v as usize * heads + h) * dim)
-                            });
-                            weighted_sum(&mut gx_row[h * dim..], gs, terms, dim);
-                            *gal = (edges.clone())
-                                .fold(0.0, |acc, (_, &e)| acc + grad_s[e as usize * heads + h]);
-                        }
+                        let edges = (&inner.out_dst[run.clone()], &inner.out_eid[run]);
+                        let gx = &mut gx_rows[(u - u0) * hd..(u - u0 + 1) * hd];
+                        let gal = &mut gal_rows[(u - u0) * heads..(u - u0 + 1) * heads];
+                        source_grads(edges, (avs, &grad_s, gs), (gx, gal));
                     }
                 });
 
