@@ -215,7 +215,7 @@ fn child_full(path: &Path) {
     let outcome = strategy
         .try_soup(&ctx)
         .expect("souping")
-        .expect("souping ran to completion");
+        .expect("try_soup always returns Some");
     let test = soup_core::strategy::test_accuracy(&outcome, &dataset, &cfg);
     let out = FullOut {
         wall_ms: start.elapsed().as_millis() as u64,

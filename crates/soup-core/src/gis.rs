@@ -11,11 +11,11 @@
 
 use crate::ingredient::{sort_by_val_acc, validate_ingredients};
 use crate::strategy::{
-    measure_soup_try, reject_persist, MixReport, SoupCtx, SoupOutcome, SoupStrategy,
+    measure_soup, reject_persist, MixReport, SoupCtx, SoupOutcome, SoupStrategy,
 };
 use soup_gnn::cache::PropCache;
 use soup_gnn::model::PropOps;
-use soup_gnn::{evaluate_accuracy, evaluate_accuracy_cached, ParamSet};
+use soup_gnn::{evaluate_accuracy_cached, ParamSet};
 
 /// GIS configuration.
 #[derive(Debug, Clone, Copy)]
@@ -23,18 +23,11 @@ pub struct GisSouping {
     /// Number of interpolation ratios searched per ingredient
     /// (`linspace(0, 1, granularity)`, endpoints included).
     pub granularity: usize,
-    /// Reuse the weight-independent first-hop aggregation (`op·X`) across
-    /// all candidate evaluations via a [`PropCache`] — bit-identical
-    /// accuracies, one SpMM cheaper per forward (no-op for GAT).
-    pub cache: bool,
 }
 
 impl Default for GisSouping {
     fn default() -> Self {
-        Self {
-            granularity: 20,
-            cache: true,
-        }
+        Self { granularity: 20 }
     }
 }
 
@@ -44,16 +37,7 @@ impl GisSouping {
             granularity >= 2,
             "granularity must be >= 2 to include both endpoints"
         );
-        Self {
-            granularity,
-            ..Self::default()
-        }
-    }
-
-    /// Toggle the aggregation cache.
-    pub fn with_cache(mut self, cache: bool) -> Self {
-        self.cache = cache;
-        self
+        Self { granularity }
     }
 
     /// The searched interpolation ratios.
@@ -74,29 +58,16 @@ impl SoupStrategy for GisSouping {
         let (ingredients, dataset, cfg) = (ctx.ingredients, ctx.dataset, ctx.cfg);
         validate_ingredients(ingredients);
         assert!(self.granularity >= 2, "granularity must be >= 2");
-        measure_soup_try(ingredients, dataset, cfg, || {
+        measure_soup(ingredients, dataset, cfg, || {
             let _gis_span = soup_obs::span!("soup.gis");
             let ops = PropOps::prepare(cfg.arch, &dataset.graph);
-            let cache = self.cache.then(|| PropCache::new(&ops, &dataset.features));
+            // Every candidate evaluates on the same (graph, features), so the
+            // weight-independent first hop (`op·X`) is shared across all of
+            // them — bit-identical accuracies, one SpMM cheaper per forward
+            // (no-op for GAT).
+            let cache = PropCache::new(&ops, &dataset.features);
             let eval = |p: &ParamSet| -> f64 {
-                match &cache {
-                    Some(c) => evaluate_accuracy_cached(
-                        cfg,
-                        &ops,
-                        c,
-                        p,
-                        &dataset.labels,
-                        &dataset.splits.val,
-                    ),
-                    None => evaluate_accuracy(
-                        cfg,
-                        &ops,
-                        p,
-                        &dataset.features,
-                        &dataset.labels,
-                        &dataset.splits.val,
-                    ),
-                }
+                evaluate_accuracy_cached(cfg, &ops, &cache, p, &dataset.labels, &dataset.splits.val)
             };
             let order = sort_by_val_acc(ingredients);
             let mut soup = ingredients[order[0]].params.clone();
@@ -156,14 +127,14 @@ impl SoupStrategy for GisSouping {
             }
             // Net savings: every cache-consuming forward skipped one SpMM,
             // minus the one SpMM spent building the cache.
-            let spmm_saved = cache.as_ref().map_or(0, |c| c.hits().saturating_sub(1));
-            Ok(Some(MixReport {
+            Ok(MixReport {
                 params: soup,
                 forward_passes: forwards,
                 epochs: 0,
-                spmm_saved,
-            }))
+                spmm_saved: cache.hits().saturating_sub(1),
+            })
         })
+        .map(Some)
     }
 }
 
@@ -234,25 +205,6 @@ mod tests {
         // Every forward consumed the cached aggregation; net savings
         // subtract the single cache-building SpMM.
         assert_eq!(outcome.stats.spmm_saved, 2 * (g - 1));
-        let uncached = GisSouping::new(g)
-            .with_cache(false)
-            .soup(&ingredients, &d, &cfg, 0);
-        assert_eq!(uncached.stats.forward_passes, 1 + 2 * (g - 1));
-        assert_eq!(uncached.stats.spmm_saved, 0);
-    }
-
-    #[test]
-    fn cached_matches_uncached() {
-        let (d, cfg, ingredients) = trained_ingredients(3);
-        let fast = GisSouping::new(6).soup(&ingredients, &d, &cfg, 0);
-        let slow = GisSouping::new(6)
-            .with_cache(false)
-            .soup(&ingredients, &d, &cfg, 0);
-        // Same accept decisions -> bitwise identical soup and accuracy.
-        assert_eq!(fast.val_accuracy, slow.val_accuracy);
-        for (a, b) in fast.params.flat().zip(slow.params.flat()) {
-            assert_eq!(a, b);
-        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use crate::ingredient::{sort_by_val_acc, validate_ingredients};
 use crate::strategy::{
-    measure_soup_try, reject_persist, MixReport, SoupCtx, SoupOutcome, SoupStrategy,
+    measure_soup, reject_persist, MixReport, SoupCtx, SoupOutcome, SoupStrategy,
 };
 use soup_gnn::cache::PropCache;
 use soup_gnn::model::PropOps;
@@ -26,7 +26,7 @@ impl SoupStrategy for GreedySouping {
         reject_persist(ctx, self.name())?;
         let (ingredients, dataset, cfg) = (ctx.ingredients, ctx.dataset, ctx.cfg);
         validate_ingredients(ingredients);
-        measure_soup_try(ingredients, dataset, cfg, || {
+        measure_soup(ingredients, dataset, cfg, || {
             let ops = PropOps::prepare(cfg.arch, &dataset.graph);
             // Every acceptance test evaluates on the same (graph, features),
             // so the first-hop aggregation is shared across all of them.
@@ -49,13 +49,14 @@ impl SoupStrategy for GreedySouping {
                     best_acc = acc;
                 }
             }
-            Ok(Some(MixReport {
+            Ok(MixReport {
                 params: ParamSet::average(&members),
                 forward_passes: forwards,
                 epochs: 0,
                 spmm_saved: cache.hits().saturating_sub(1),
-            }))
+            })
         })
+        .map(Some)
     }
 }
 

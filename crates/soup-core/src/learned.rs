@@ -17,10 +17,13 @@
 //! graph, or a partition draw ([`crate::pls`]) — and the loop owns the
 //! rest. RNG order is the resume/retry contract: stream tag → Xavier α
 //! init → per epoch: watchdog snapshot, the source's draw, any cache lookup.
+//! The loop ends by finishing its schedule or by an error; with
+//! `ctx.persist` it writes a durable state at the cadence and at the end
+//! ([`crate::resume`]).
 
 use crate::ingredient::{validate_ingredients, Ingredient};
 use crate::resume::{Phase2Session, RunShape};
-use crate::strategy::{measure_soup_try, MixReport, SoupCtx, SoupOutcome, SoupStrategy};
+use crate::strategy::{measure_soup, MixReport, SoupCtx, SoupOutcome, SoupStrategy};
 use soup_error::SoupError;
 use soup_gnn::cache::PropCache;
 use soup_gnn::model::{forward, PropOps};
@@ -67,12 +70,6 @@ pub struct LearnedHyper {
     /// (raw α pushed to −∞ territory so softmax assigns ≈0, which the
     /// smooth optimisation cannot do on its own, §V-A).
     pub prune_threshold: Option<f32>,
-    /// Cache the weight-independent first-hop aggregation (`op·X`) across
-    /// epochs via a [`PropCache`] — every LS epoch saves one SpMM, with
-    /// bit-identical results. A PLS epoch builds its own cache for its one
-    /// forward, which saves nothing net. GAT is unaffected (its first hop is
-    /// weight-dependent).
-    pub prop_cache: bool,
     /// Numeric-watchdog retry budget: on a NaN/Inf epoch loss the loop
     /// restores the pre-epoch α/optimizer/RNG snapshot, halves the
     /// effective learning rate, and retries the epoch — at most this many
@@ -97,7 +94,6 @@ impl Default for LearnedHyper {
             early_stop_patience: None,
             val_batch: None,
             prune_threshold: None,
-            prop_cache: true,
             nan_retry_budget: 4,
             nan_inject: None,
         }
@@ -234,9 +230,10 @@ pub(crate) fn mean_ratios(alphas: &AlphaState) -> Vec<f32> {
 pub(crate) struct EpochData<'a> {
     /// Propagation operator prepared on the (sub)graph.
     pub ops: PropOps,
-    /// First-hop aggregation cache over `features` — `None` when the run
-    /// has `prop_cache` disabled, so the baseline never pays a build SpMM
-    /// it won't consume.
+    /// First-hop aggregation cache over `features`. LS and PLS always build
+    /// one: every LS epoch saves one SpMM, a PLS epoch's cache serves its
+    /// one forward. `None` only in the uncached reference of the bitwise
+    /// tests.
     pub prop: Option<PropCache>,
     /// Node features (gathered into local order for a subgraph).
     pub features: Tensor,
@@ -342,14 +339,13 @@ pub(crate) struct LoopState {
 /// cosine annealing on Xavier-initialised α's, one [`learned_step`] per
 /// epoch on whatever `source` hands back, with the numeric watchdog,
 /// half-way pruning, early stopping and durable checkpoints around it.
-/// `rng` is the souping seed's stream under the strategy's tag. `Ok(None)`
-/// reports a deliberate `Phase2Persist::stop_after` kill.
+/// `rng` is the souping seed's stream under the strategy's tag.
 pub(crate) fn alpha_loop<S: EpochSource>(
     h: &LearnedHyper,
     ctx: &SoupCtx<'_>,
     mut rng: SplitMix64,
     source: &mut S,
-) -> crate::Result<Option<LoopState>> {
+) -> crate::Result<LoopState> {
     let (ingredients, strategy) = (ctx.ingredients, S::STRATEGY);
     let (partitions, budget) = source.partition_budget();
     let shape = RunShape {
@@ -394,9 +390,7 @@ pub(crate) fn alpha_loop<S: EpochSource>(
         let Some(data) = source.next_epoch(&mut st.rng) else {
             attempts = 0;
             st.epoch += 1;
-            if session.after_epoch(&st)? {
-                return Ok(None);
-            }
+            session.after_epoch(&st)?;
             continue;
         };
         let lr = (sched.lr(st.epoch) * st.lr_scale).max(1e-6);
@@ -482,14 +476,12 @@ pub(crate) fn alpha_loop<S: EpochSource>(
                 }
             }
         }
-        if session.after_epoch(&st)? {
-            return Ok(None);
-        }
+        session.after_epoch(&st)?;
     }
     if let Some((_, best)) = st.best.take() {
         st.alphas = best;
     }
-    Ok(Some(st))
+    Ok(st)
 }
 
 /// Run [`alpha_loop`] and materialise the soup it learned.
@@ -498,13 +490,14 @@ pub(crate) fn learn_soup(
     ctx: &SoupCtx<'_>,
     rng: SplitMix64,
     source: &mut impl EpochSource,
-) -> crate::Result<Option<MixReport>> {
-    Ok(alpha_loop(h, ctx, rng, source)?.map(|st| MixReport {
+) -> crate::Result<MixReport> {
+    let st = alpha_loop(h, ctx, rng, source)?;
+    Ok(MixReport {
         params: materialize_soup(ctx.ingredients, &st.alphas),
         forward_passes: st.forwards,
         epochs: st.epochs_run,
         spmm_saved: source.spmm_saved(),
-    }))
+    })
 }
 
 /// LS's epoch source: the full validation graph, prepared once.
@@ -538,9 +531,7 @@ impl<'a> FullGraphSource<'a> {
         let dataset = ctx.dataset;
         let (fit_mask, monitor_mask) = fit_and_monitor_masks(h, ctx);
         let ops = PropOps::prepare(ctx.cfg.arch, &dataset.graph);
-        let prop = h
-            .prop_cache
-            .then(|| PropCache::new(&ops, &dataset.features));
+        let prop = Some(PropCache::new(&ops, &dataset.features));
         let val_batch = h.val_batch.filter(|&b| b < fit_mask.len());
         Self {
             cfg: ctx.cfg,
@@ -572,11 +563,10 @@ impl EpochSource for FullGraphSource<'_> {
     fn monitor(&self, ingredients: &[Ingredient], alphas: &AlphaState) -> Option<(usize, f64)> {
         let (patience, mask) = self.monitor.as_ref()?;
         let soup = materialize_soup(ingredients, alphas);
-        let (cfg, d) = (self.cfg, &self.data);
-        let acc = match &d.prop {
-            Some(c) => soup_gnn::evaluate_accuracy_cached(cfg, &d.ops, c, &soup, &d.labels, mask),
-            None => soup_gnn::evaluate_accuracy(cfg, &d.ops, &soup, &d.features, &d.labels, mask),
-        };
+        let d = &self.data;
+        let prop = d.prop.as_ref().expect("LS always builds its PropCache");
+        let acc =
+            soup_gnn::evaluate_accuracy_cached(self.cfg, &d.ops, prop, &soup, &d.labels, mask);
         Some((*patience, acc))
     }
 
@@ -607,23 +597,22 @@ impl SoupStrategy for LearnedSouping {
 
     /// Fallible, resumable LS entry point. With `ctx.persist` set the loop
     /// checkpoints its optimizer state through the crash-safe store and can
-    /// continue bit-identically from the last durable epoch
-    /// (`Ok(None)` reports a deliberate
-    /// [`crate::resume::Phase2Persist::stop_after`]
-    /// kill). Numeric-watchdog exhaustion surfaces as
-    /// [`SoupError::Numeric`] instead of panicking. A precomputed
-    /// `ctx.partitioning` is PLS preprocessing and ignored here.
+    /// continue bit-identically from the last durable epoch.
+    /// Numeric-watchdog exhaustion surfaces as [`SoupError::Numeric`]
+    /// instead of panicking. A precomputed `ctx.partitioning` is PLS
+    /// preprocessing and ignored here.
     fn try_soup(&self, ctx: &SoupCtx<'_>) -> crate::Result<Option<SoupOutcome>> {
         validate_ingredients(ctx.ingredients);
         assert!(self.hyper.epochs > 0, "LS needs at least one epoch");
         // A partial pool needs no special handling: the softmax over the
         // R' surviving ingredients renormalises the ratios by construction.
-        measure_soup_try(ctx.ingredients, ctx.dataset, ctx.cfg, || {
+        measure_soup(ctx.ingredients, ctx.dataset, ctx.cfg, || {
             let _ls_span = soup_obs::span!("soup.ls");
             let rng = SplitMix64::new(ctx.seed).derive(0x15);
             let mut source = FullGraphSource::new(&self.hyper, ctx);
             learn_soup(&self.hyper, ctx, rng, &mut source)
         })
+        .map(Some)
     }
 }
 

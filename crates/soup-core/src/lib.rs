@@ -47,7 +47,7 @@ pub use pls::{PartitionLearnedSouping, PartitionerKind};
 pub use pool::{load_manifest, write_manifest, Manifest, ManifestEntry};
 pub use resume::{load_state, Phase2Persist, Phase2State, PHASE2_STATE_VERSION};
 pub use strategy::{
-    measure_soup, measure_soup_try, missing_ordinals, MixReport, SoupCtx, SoupOutcome, SoupStats,
-    SoupStrategy, StrategySpec,
+    measure_soup, missing_ordinals, MixReport, SoupCtx, SoupOutcome, SoupStats, SoupStrategy,
+    StrategySpec,
 };
 pub use uniform::UniformSouping;

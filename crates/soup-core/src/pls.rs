@@ -16,11 +16,13 @@
 //!
 //! This module holds only what Alg. 4 adds to Alg. 3 — `K`/`R`, the
 //! partitioner choice and the partition-drawing epoch source; the
-//! α-optimisation loop itself is LS's, in [`crate::learned`].
+//! α-optimisation loop itself is LS's, in [`crate::learned`], and so are its
+//! durable state and resume. Each epoch's subgraph gets its own `PropCache`
+//! for its one forward.
 
 use crate::ingredient::validate_ingredients;
 use crate::learned::{fit_and_monitor_masks, learn_soup, EpochData, EpochSource, LearnedHyper};
-use crate::strategy::{measure_soup_try, SoupCtx, SoupOutcome, SoupStrategy};
+use crate::strategy::{measure_soup, SoupCtx, SoupOutcome, SoupStrategy};
 use soup_gnn::cache::PropCache;
 use soup_gnn::model::PropOps;
 use soup_gnn::ModelConfig;
@@ -135,8 +137,8 @@ impl SoupStrategy for PartitionLearnedSouping {
     }
 
     /// Fallible, resumable PLS entry point. With `ctx.persist` set, the
-    /// loop checkpoints through the crash-safe store and `Ok(None)` reports
-    /// a deliberate [`crate::resume::Phase2Persist::stop_after`] kill. When
+    /// loop checkpoints through the crash-safe store and can continue
+    /// bit-identically from the last durable epoch. When
     /// `ctx.partitioning` is provided the K-way preprocessing (Fig. 2
     /// step 1) is taken as given — partitioning is "a preprocessing step",
     /// so repeated soups from one dataset amortise it — and the measured
@@ -156,7 +158,7 @@ impl SoupStrategy for PartitionLearnedSouping {
                 "partitioning k != configured K"
             );
         }
-        measure_soup_try(ctx.ingredients, ctx.dataset, ctx.cfg, || {
+        measure_soup(ctx.ingredients, ctx.dataset, ctx.cfg, || {
             let computed;
             let partitioning = match ctx.partitioning {
                 Some(p) => p,
@@ -170,6 +172,7 @@ impl SoupStrategy for PartitionLearnedSouping {
             let mut source = PartitionSource::new(self, ctx, &partitioning.assignment);
             learn_soup(&self.hyper, ctx, rng, &mut source)
         })
+        .map(Some)
     }
 }
 
@@ -238,7 +241,6 @@ impl EpochSource for PartitionSource<'_> {
             self.assignment,
             &self.selected,
             &self.fit_is_val,
-            self.pls.hyper.prop_cache,
         );
         self.sub_nodes = sub_nodes;
         if data.mask.is_empty() {
@@ -268,7 +270,6 @@ fn build_epoch(
     assignment: &[u32],
     selected: &[u32],
     fit_is_val: &[bool],
-    prop_cache: bool,
 ) -> (EpochData<'static>, usize) {
     let sub = InducedSubgraph::from_partitions(&dataset.graph, assignment, selected);
     // Validation nodes of the subgraph (local ids).
@@ -284,10 +285,9 @@ fn build_epoch(
     let labels = sub.gather_labels(&dataset.labels).into();
     let sub_nodes = sub.num_nodes();
     drop(sub);
-    let prop = prop_cache.then(|| PropCache::new(&ops, &features));
     let data = EpochData {
+        prop: Some(PropCache::new(&ops, &features)),
         ops,
-        prop,
         features,
         labels,
         mask,
@@ -461,13 +461,11 @@ mod tests {
         };
         let ctx = SoupCtx::new(&ingredients, &d, &cfg, 5);
         let rng = SplitMix64::new(5).derive(0x15);
-        let ls = alpha_loop(&h, &ctx, rng.clone(), &mut FullGraphSource::new(&h, &ctx))
-            .unwrap()
-            .unwrap();
+        let ls = alpha_loop(&h, &ctx, rng.clone(), &mut FullGraphSource::new(&h, &ctx)).unwrap();
         let assignment = vec![0u32; d.num_nodes()];
         let one = PartitionLearnedSouping::new(h, 1, 1);
         let mut source = PartitionSource::new(&one, &ctx, &assignment);
-        let pls = alpha_loop(&h, &ctx, rng, &mut source).unwrap().unwrap();
+        let pls = alpha_loop(&h, &ctx, rng, &mut source).unwrap();
         assert_eq!(ls.alphas.raw, pls.alphas.raw, "α diverged");
         let (a, b) = (
             materialize_soup(&ingredients, &ls.alphas),

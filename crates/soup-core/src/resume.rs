@@ -1,19 +1,17 @@
 //! Resumable Phase-2 souping: durable optimizer-state checkpoints for the
 //! LS/PLS α-optimisation loops.
 //!
-//! A crash (or a deliberate [`Phase2Persist::stop_after`] kill) between
-//! epochs loses nothing: the loop periodically persists a [`Phase2State`]
-//! — current raw α tensors, SGD momentum buffers, best-so-far for early
-//! stopping, the epoch counter, the watchdog's LR scale, and the *full
-//! serialized RNG state* (Weyl counter + cached Box-Muller spare) — as a
-//! `soup-ckpt/2` envelope written through the crash-safe [`Store`].
-//! Because every stochastic input of an epoch (validation subsampling,
-//! PLS partition draws) flows from that RNG and every numeric input is
-//! serialized losslessly (the JSON layer prints floats shortest-roundtrip
-//! and parses them back bit-exactly), a resumed run replays the remaining
-//! epochs **bit-identically**: the kill-at-every-epoch suite in
-//! `tests/durability.rs` proves final α and accuracy equal the
-//! uninterrupted run from any durable epoch.
+//! A crash between epochs loses nothing: the loop periodically persists a
+//! [`Phase2State`] — current raw α tensors, SGD momentum buffers,
+//! best-so-far for early stopping, the epoch counter, the watchdog's LR
+//! scale, and the *full serialized RNG state* (Weyl counter + cached
+//! Box-Muller spare) — as a `soup-ckpt/2` envelope written through the
+//! crash-safe [`Store`]. Because every stochastic input of an epoch flows
+//! from that RNG and every numeric input is serialized losslessly, a run
+//! resumed from the last durable state replays the remaining epochs
+//! **bit-identically**: `tests/durability.rs` crashes the state write after
+//! every epoch in turn (the `durable.rename` fault point) and checks it.
+//! A run ends only by finishing or by returning an error.
 //!
 //! Resume invariants (checked by `Phase2State::validate_for`):
 //! - the state was written by the same strategy (`ls` vs `pls`), seed,
@@ -45,15 +43,10 @@ pub struct Phase2Persist {
     /// Artifact directory (shared with the Phase-1 checkpoints/manifest).
     pub dir: PathBuf,
     /// Checkpoint cadence: persist after every `every` completed epochs
-    /// (a final checkpoint is always written when the loop ends or stops).
+    /// (a final checkpoint is always written when the loop ends).
     pub every: usize,
     /// Load and continue from an existing state file when present.
     pub resume: bool,
-    /// Deterministic simulated kill: checkpoint and stop once this many
-    /// epochs (global index, counting skipped PLS draws) have completed.
-    /// The souping call then returns `Ok(None)` — the CLI/test analogue of
-    /// `kill -9` right after a durable checkpoint.
-    pub stop_after: Option<usize>,
 }
 
 impl Phase2Persist {
@@ -62,7 +55,6 @@ impl Phase2Persist {
             dir: dir.into(),
             every: 1,
             resume: false,
-            stop_after: None,
         }
     }
 
@@ -73,11 +65,6 @@ impl Phase2Persist {
 
     pub fn resume(mut self, resume: bool) -> Self {
         self.resume = resume;
-        self
-    }
-
-    pub fn stop_after(mut self, stop_after: Option<usize>) -> Self {
-        self.stop_after = stop_after;
         self
     }
 
@@ -306,22 +293,19 @@ impl<'a> Phase2Session<'a> {
     }
 
     /// Called after epoch `st.epoch - 1` finished its bookkeeping.
-    /// Persists the state at the configured cadence (and always at the
-    /// schedule end or a simulated kill), then reports whether the loop
-    /// must stop.
-    pub fn after_epoch(&self, st: &LoopState) -> Result<bool> {
+    /// Persists the state at the configured cadence and always at the
+    /// schedule end.
+    pub fn after_epoch(&self, st: &LoopState) -> Result<()> {
         let Some((store, p)) = &self.sink else {
-            return Ok(false);
+            return Ok(());
         };
-        let (strategy, total_epochs) = (self.shape.strategy, self.shape.total_epochs);
-        let stopping = p.stop_after == Some(st.epoch);
-        let finished = st.epoch >= total_epochs;
-        if stopping || finished || st.epoch.is_multiple_of(p.every.max(1)) {
+        let finished = st.epoch >= self.shape.total_epochs;
+        if finished || st.epoch.is_multiple_of(p.every.max(1)) {
             let payload = encode_state(&Phase2State::capture(&self.shape, st))?;
-            store.write_envelope(&Phase2Persist::state_name(strategy), &payload)?;
+            store.write_envelope(&Phase2Persist::state_name(self.shape.strategy), &payload)?;
             soup_obs::counter!("soup.phase2.checkpoints").inc();
         }
-        Ok(stopping && !finished)
+        Ok(())
     }
 }
 
@@ -497,32 +481,34 @@ mod tests {
     }
 
     #[test]
-    fn session_cadence_and_stop() {
+    fn session_writes_at_cadence_and_schedule_end() {
         let dir = std::env::temp_dir().join(format!("soup-p2-session-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let persist = Phase2Persist::new(&dir).every(3).stop_after(Some(5));
+        let persist = Phase2Persist::new(&dir).every(4);
+        let resumed_epoch = || {
+            let resuming = persist.clone().resume(true);
+            let (_, resumed) = Phase2Session::begin(Some(&resuming), shape()).unwrap();
+            resumed.map(|s| s.next_epoch)
+        };
         let (session, resumed) = Phase2Session::begin(Some(&persist), shape()).unwrap();
         assert!(resumed.is_none());
-        // Epochs 1,2: no checkpoint due. 3: cadence. 5: simulated kill.
-        assert!(!session.after_epoch(&loop_state(1)).unwrap());
+        // Epoch 1: no checkpoint due. 4: cadence. 5: none. 30: schedule end,
+        // though not a multiple of 4.
+        session.after_epoch(&loop_state(1)).unwrap();
         assert!(!Phase2Persist::state_path(&dir, "ls").exists());
-        assert!(!session.after_epoch(&loop_state(3)).unwrap());
-        assert!(Phase2Persist::state_path(&dir, "ls").exists());
-        assert!(
-            session.after_epoch(&loop_state(5)).unwrap(),
-            "stop_after must stop"
-        );
-        // The durable state is what a resuming session hands back.
-        let resuming = persist.clone().resume(true);
-        let (_, resumed) = Phase2Session::begin(Some(&resuming), shape()).unwrap();
-        assert_eq!(resumed.unwrap().next_epoch, 5);
+        session.after_epoch(&loop_state(4)).unwrap();
+        assert_eq!(resumed_epoch(), Some(4));
+        session.after_epoch(&loop_state(5)).unwrap();
+        assert_eq!(resumed_epoch(), Some(4));
+        session.after_epoch(&loop_state(30)).unwrap();
+        assert_eq!(resumed_epoch(), Some(30));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn inert_session_never_stops_or_writes() {
+    fn inert_session_never_writes() {
         let (session, resumed) = Phase2Session::begin(None, shape()).unwrap();
         assert!(resumed.is_none());
-        assert!(!session.after_epoch(&loop_state(10)).unwrap());
+        session.after_epoch(&loop_state(10)).unwrap();
     }
 }

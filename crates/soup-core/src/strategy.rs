@@ -7,6 +7,10 @@
 //! the measured region so that all strategies are compared on the cost of
 //! mixing alone (the paper does the same: US's memory is excluded from
 //! Fig. 4b because it needs no forward passes at all, §V-C).
+//!
+//! A run ends by finishing or by returning an error. LS and PLS may write
+//! durable Phase-2 state on the way ([`crate::resume`]); a process killed
+//! mid-run continues from it with `--resume`.
 
 use crate::ingredient::Ingredient;
 use crate::resume::Phase2Persist;
@@ -130,15 +134,8 @@ impl<'a> SoupCtx<'a> {
         }
     }
 
-    /// Attach Phase-2 durability (LS/PLS).
-    pub fn with_persist(mut self, persist: &'a Phase2Persist) -> Self {
-        self.persist = Some(persist);
-        self
-    }
-
-    /// Attach an optional persistence handle (convenience for callers that
-    /// already hold an `Option`).
-    pub fn with_persist_opt(mut self, persist: Option<&'a Phase2Persist>) -> Self {
+    /// Attach Phase-2 durability (LS/PLS); `None` leaves it off.
+    pub fn with_persist(mut self, persist: Option<&'a Phase2Persist>) -> Self {
         self.persist = persist;
         self
     }
@@ -159,11 +156,10 @@ pub trait SoupStrategy {
     /// Short display name ("US", "GIS", "LS", "PLS", ...).
     fn name(&self) -> &'static str;
 
-    /// Mix `ctx.ingredients` into a single model. Returns `Ok(None)` only
-    /// for a deliberate mid-run stop requested through
-    /// [`Phase2Persist::stop_after`] (the simulated-kill path); a completed
-    /// mix is `Ok(Some(outcome))` and real failures (storage, numeric
-    /// watchdog, unsupported context extras) surface as `Err`.
+    /// Mix `ctx.ingredients` into a single model. The value is always
+    /// `Ok(Some(outcome))` or an `Err` (storage, numeric watchdog,
+    /// unsupported context extras). The `Option` stays only because the
+    /// end-to-end benchmark matches on it; ROADMAP item 18 removes it.
     fn try_soup(&self, ctx: &SoupCtx<'_>) -> crate::Result<Option<SoupOutcome>>;
 
     /// Infallible non-persistent wrapper around [`Self::try_soup`]. `seed`
@@ -177,7 +173,7 @@ pub trait SoupStrategy {
     ) -> SoupOutcome {
         self.try_soup(&SoupCtx::new(ingredients, dataset, cfg, seed))
             .expect("souping without persistence cannot hit storage errors")
-            .expect("souping without persistence never stops early")
+            .expect("try_soup always returns Some")
     }
 }
 
@@ -268,7 +264,8 @@ impl StrategySpec {
 }
 
 /// Run `mix` under time/memory measurement, then evaluate the resulting
-/// parameters on the full validation split.
+/// parameters on the full validation split. A failed mix (numeric watchdog
+/// exhausted, storage error) is returned as is, with no accuracy.
 ///
 /// `ingredients` is the pool being mixed; the outcome records which
 /// ordinals (if any) are missing from it, so degraded soups — mixed from
@@ -277,24 +274,8 @@ pub fn measure_soup(
     ingredients: &[Ingredient],
     dataset: &Dataset,
     cfg: &ModelConfig,
-    mix: impl FnOnce() -> MixReport,
-) -> SoupOutcome {
-    measure_soup_try(ingredients, dataset, cfg, || Ok(Some(mix())))
-        .expect("infallible mixing closure")
-        .expect("non-stopping mixing closure")
-}
-
-/// Fallible, stoppable variant of [`measure_soup`] for resumable mixing
-/// loops: the closure may fail (numeric watchdog exhausted, storage error)
-/// or report a deliberate mid-run stop (`Ok(None)`, the simulated-kill
-/// path of [`crate::resume::Phase2Persist::stop_after`]). Accuracy is only
-/// evaluated for completed mixes.
-pub fn measure_soup_try(
-    ingredients: &[Ingredient],
-    dataset: &Dataset,
-    cfg: &ModelConfig,
-    mix: impl FnOnce() -> crate::Result<Option<MixReport>>,
-) -> crate::Result<Option<SoupOutcome>> {
+    mix: impl FnOnce() -> crate::Result<MixReport>,
+) -> crate::Result<SoupOutcome> {
     let missing = missing_ordinals(ingredients);
     if !missing.is_empty() {
         soup_obs::counter!("soup.degraded_runs").inc();
@@ -310,25 +291,14 @@ pub fn measure_soup_try(
         let _mix_span = soup_obs::span!("soup.mix");
         mix()
     };
+    let wall_time = start.elapsed();
+    let mem = scope.finish();
     let MixReport {
         params,
         forward_passes,
         epochs,
         spmm_saved,
-    } = match report {
-        Ok(Some(r)) => r,
-        Ok(None) => {
-            scope.finish();
-            soup_obs::counter!("soup.phase2.stopped_runs").inc();
-            return Ok(None);
-        }
-        Err(e) => {
-            scope.finish();
-            return Err(e);
-        }
-    };
-    let wall_time = start.elapsed();
-    let mem = scope.finish();
+    } = report?;
     soup_obs::counter!("soup.forward_passes").add(forward_passes as u64);
     soup_obs::counter!("soup.spmm_saved").add(spmm_saved as u64);
     soup_obs::gauge!("soup.last_peak_mem_bytes").set(mem.peak_delta_bytes as f64);
@@ -349,7 +319,7 @@ pub fn measure_soup_try(
         &dataset.labels,
         &dataset.splits.val,
     );
-    Ok(Some(SoupOutcome {
+    Ok(SoupOutcome {
         params,
         val_accuracy,
         stats: SoupStats {
@@ -360,7 +330,7 @@ pub fn measure_soup_try(
             spmm_saved,
         },
         missing,
-    }))
+    })
 }
 
 /// Evaluate a finished soup on the test split (the number Table II
@@ -394,13 +364,14 @@ mod tests {
             // Simulate a mixing phase that allocates something measurable.
             let tmp = soup_tensor::Tensor::zeros(256, 256);
             drop(tmp);
-            MixReport {
+            Ok(MixReport {
                 params: params.clone(),
                 forward_passes: 3,
                 epochs: 2,
                 spmm_saved: 1,
-            }
-        });
+            })
+        })
+        .unwrap();
         assert!(outcome.stats.peak_mem_bytes >= 256 * 256 * 4);
         assert_eq!(outcome.stats.forward_passes, 3);
         assert_eq!(outcome.stats.epochs, 2);
@@ -421,12 +392,15 @@ mod tests {
             .collect();
         assert_eq!(missing_ordinals(&pool), vec![2, 3]);
         assert_eq!(missing_ordinals(&[]), Vec::<usize>::new());
-        let outcome = measure_soup(&pool, &d, &cfg, || MixReport {
-            params: p.clone(),
-            forward_passes: 0,
-            epochs: 0,
-            spmm_saved: 0,
-        });
+        let outcome = measure_soup(&pool, &d, &cfg, || {
+            Ok(MixReport {
+                params: p.clone(),
+                forward_passes: 0,
+                epochs: 0,
+                spmm_saved: 0,
+            })
+        })
+        .unwrap();
         assert_eq!(outcome.missing, vec![2, 3]);
         assert!(outcome.is_degraded());
     }
@@ -437,12 +411,15 @@ mod tests {
         let cfg = ModelConfig::gcn(d.num_features(), d.num_classes()).with_hidden(8);
         let mut rng = SplitMix64::new(2);
         let params = init_params(&cfg, &mut rng);
-        let outcome = measure_soup(&[], &d, &cfg, || MixReport {
-            params,
-            forward_passes: 0,
-            epochs: 0,
-            spmm_saved: 0,
-        });
+        let outcome = measure_soup(&[], &d, &cfg, || {
+            Ok(MixReport {
+                params,
+                forward_passes: 0,
+                epochs: 0,
+                spmm_saved: 0,
+            })
+        })
+        .unwrap();
         let t = test_accuracy(&outcome, &d, &cfg);
         assert!((0.0..=1.0).contains(&t));
     }

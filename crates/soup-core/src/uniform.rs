@@ -7,7 +7,7 @@
 
 use crate::ingredient::validate_ingredients;
 use crate::strategy::{
-    measure_soup_try, reject_persist, MixReport, SoupCtx, SoupOutcome, SoupStrategy,
+    measure_soup, reject_persist, MixReport, SoupCtx, SoupOutcome, SoupStrategy,
 };
 use soup_gnn::ParamSet;
 
@@ -26,15 +26,16 @@ impl SoupStrategy for UniformSouping {
         validate_ingredients(ingredients);
         // Partial pools degrade gracefully: the average renormalises over
         // however many ingredients survived (1/R' each).
-        measure_soup_try(ingredients, ctx.dataset, ctx.cfg, || {
+        measure_soup(ingredients, ctx.dataset, ctx.cfg, || {
             let sets: Vec<&ParamSet> = ingredients.iter().map(|i| &i.params).collect();
-            Ok(Some(MixReport {
+            Ok(MixReport {
                 params: ParamSet::average(&sets),
                 forward_passes: 0,
                 epochs: 0,
                 spmm_saved: 0,
-            }))
+            })
         })
+        .map(Some)
     }
 }
 

@@ -264,7 +264,7 @@ fn run_loaded_worker(
     let ctx = soup_core::SoupCtx::new(&run.ingredients, &view.dataset, &cfg, soup_seed);
     let outcome = strategy
         .try_soup(&ctx)?
-        .ok_or_else(|| SoupError::corrupt(format!("shard {shard}: soup stopped mid-run")))?;
+        .expect("try_soup always returns Some");
 
     let test_total = view.dataset.splits.test.len() as u64;
     let test_accuracy = if test_total > 0 {

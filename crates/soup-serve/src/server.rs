@@ -438,7 +438,7 @@ fn resoup(
             &shared.cfg,
             seed,
         ))?
-        .expect("resoup runs without a stop-after budget");
+        .expect("try_soup always returns Some");
     soup_obs::info!(
         "resoup({}) reached val acc {:.4}, promoting",
         strategy.name(),

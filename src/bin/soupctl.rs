@@ -226,7 +226,6 @@ const SOUP: CommandSpec = CommandSpec {
             "continue from the last durable phase-2 checkpoint (ls/pls)",
         ),
         FlagDef::u64("ckpt-every", "persist optimizer state every N epochs").default("1"),
-        FlagDef::u64("stop-after-epoch", "simulated kill right after epoch N").default("0"),
     ],
 };
 
@@ -622,20 +621,17 @@ fn cmd_soup(flags: &Flags) -> Result<()> {
     }
     let seed = flags.req_u64("seed");
     let strategy_name = flags.req_str("strategy");
-    // Phase-2 durability (LS/PLS only): any of --resume / --ckpt-every /
-    // --stop-after-epoch turns on durable optimizer-state checkpoints in
-    // the checkpoint directory.
+    // Phase-2 durability (LS/PLS only): --resume or --ckpt-every turns on
+    // durable optimizer-state checkpoints in the checkpoint directory.
     let resume = flags.switch("resume");
-    let stop_after = flags.req_usize("stop-after-epoch");
-    let persist = (resume || stop_after > 0 || flags.provided("ckpt-every")).then(|| {
+    let persist = (resume || flags.provided("ckpt-every")).then(|| {
         Phase2Persist::new(&dir)
             .every(flags.req_usize("ckpt-every"))
             .resume(resume)
-            .stop_after((stop_after > 0).then_some(stop_after))
     });
     if persist.is_some() && !matches!(strategy_name, "ls" | "pls") {
         return Err(SoupError::usage(
-            "--resume/--ckpt-every/--stop-after-epoch apply to --strategy ls|pls only",
+            "--resume/--ckpt-every apply to --strategy ls|pls only",
         ));
     }
     // All five strategies route through the unified trait entry point; the
@@ -645,15 +641,10 @@ fn cmd_soup(flags: &Flags) -> Result<()> {
         "souping {} ingredients with {strategy_name} ...",
         ingredients.len()
     );
-    let ctx = SoupCtx::new(&ingredients, &dataset, &cfg, seed).with_persist_opt(persist.as_ref());
-    let mixed = strategy.try_soup(&ctx)?;
-    let Some(outcome) = mixed else {
-        soup_obs::info!(
-            "stopped after epoch {stop_after} with a durable phase-2 checkpoint; \
-             continue with --resume"
-        );
-        return Ok(());
-    };
+    let ctx = SoupCtx::new(&ingredients, &dataset, &cfg, seed).with_persist(persist.as_ref());
+    let outcome = strategy
+        .try_soup(&ctx)?
+        .expect("try_soup always returns Some");
     if outcome.is_degraded() {
         soup_obs::warn!("degraded soup — missing ordinals {:?}", outcome.missing);
     }
@@ -723,7 +714,7 @@ fn cmd_serve(flags: &Flags) -> Result<()> {
             let ctx = SoupCtx::new(&ingredients, &dataset, &cfg, flags.req_u64("seed"));
             strategy
                 .try_soup(&ctx)?
-                .expect("startup souping runs without a stop-after budget")
+                .expect("try_soup always returns Some")
                 .params
         }
     };

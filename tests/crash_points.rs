@@ -131,7 +131,7 @@ struct Pipeline {
 /// crash point aborted Phase 2).
 struct Outcome {
     run: TrainRun,
-    soup: Result<Option<SoupOutcome>>,
+    soup: Result<SoupOutcome>,
 }
 
 impl Pipeline {
@@ -164,7 +164,8 @@ impl Pipeline {
             ..Default::default()
         });
         let ctx = SoupCtx::new(&run.ingredients, &self.dataset, &self.cfg, SEED);
-        let soup = ls.try_soup(&ctx.with_persist(&persist));
+        let soup = ls.try_soup(&ctx.with_persist(Some(&persist)));
+        let soup = soup.map(|s| s.expect("try_soup always returns Some"));
         Outcome { run, soup }
     }
 }
@@ -196,7 +197,7 @@ fn clean_run(p: &Pipeline, dir: &Path) -> Clean {
     fault::census();
     let out = p.run(dir, false);
     let census = fault::disarm();
-    let soup = soup_bits(&out.soup.unwrap().expect("no stop was asked for"));
+    let soup = soup_bits(&out.soup.unwrap());
     let mut checkpoints = files(dir);
     checkpoints.retain(|name, _| is_checkpoint(name));
     assert_eq!(checkpoints.len(), R + 1, "{:?}", checkpoints.keys());
@@ -212,7 +213,6 @@ fn clean_run(p: &Pipeline, dir: &Path) -> Clean {
 fn assert_resumes_to(p: &Pipeline, dir: &Path, clean: &Clean, what: &str) -> Outcome {
     let out = p.run(dir, true);
     let soup = out.soup.as_ref().unwrap_or_else(|e| panic!("{what}: {e}"));
-    let soup = soup.as_ref().expect("no stop was asked for");
     assert!(out.run.failed.is_empty(), "{what}: {:?}", out.run.failed);
     assert!(soup_bits(soup) == clean.soup, "{what}: soup diverged");
     let mut on_disk = files(dir);

@@ -66,6 +66,9 @@ fn pls_uses_less_memory_than_ls_roughly_tracking_ratio() {
             pls.stats.peak_mem_bytes,
             ls.stats.peak_mem_bytes
         );
+        // Each epoch's PropCache is built for its one forward, so PLS saves
+        // no SpMM net, even where draws recur.
+        assert_eq!(pls.stats.spmm_saved, 0, "K={k} R={r}");
         // The activation share should be well under LS's peak for R/K <= 0.5
         // (model parameters are a shared constant floor).
         assert!(

@@ -1,13 +1,12 @@
 //! Integration tests for the Phase-2 evaluation engine: propagation-cache
-//! bit-identity across architectures, PLS cached ≡ uncached through the
-//! public facade, and the Phase-1→Phase-2 pool-trim ledger.
+//! bit-identity across architectures and the Phase-1→Phase-2 pool-trim
+//! ledger.
 
 use enhanced_soups::gnn::{
     evaluate_accuracy, evaluate_accuracy_cached, forward, init_params, predict, predict_cached,
     ParamVars, PropCache, PropOps,
 };
 use enhanced_soups::prelude::*;
-use enhanced_soups::soup::LearnedHyper;
 use enhanced_soups::tensor::{pool, Tape, Var, DEVICE_MEMORY};
 use std::sync::Mutex;
 
@@ -85,54 +84,6 @@ fn cached_evaluation_is_bit_identical_across_architectures() {
             assert!(cache.hits() > 0, "{arch:?} cache never consumed");
         }
     }
-}
-
-/// PLS with the propagation cache on (one `PropCache` per epoch subgraph)
-/// must produce the same soup, bitwise, as the cache-off run under the same
-/// seed. Each epoch's cache is built for its one forward, so neither arm
-/// saves an SpMM net.
-#[test]
-fn pls_subgraph_memoisation_matches_uncached_run() {
-    let _serial = SERIAL.lock().unwrap();
-    let dataset = DatasetKind::Flickr.generate_scaled(9, 0.15);
-    let cfg = ModelConfig::gcn(dataset.num_features(), dataset.num_classes()).with_hidden(8);
-    let tc = TrainConfig {
-        epochs: 6,
-        early_stop_patience: None,
-        ..TrainConfig::quick()
-    };
-    let ingredients = train_ingredients(&dataset, &cfg, &tc, 4, 2, 17);
-    let hyper = LearnedHyper {
-        epochs: 40,
-        ..Default::default()
-    };
-    // K = 5, R = 2 -> binom(5, 2) = 10 distinct subsets, so 40 epochs
-    // redraw every subset several times.
-    let cached = PartitionLearnedSouping::new(hyper, 5, 2).soup(&ingredients, &dataset, &cfg, 23);
-    let uncached = PartitionLearnedSouping::new(
-        LearnedHyper {
-            prop_cache: false,
-            ..hyper
-        },
-        5,
-        2,
-    )
-    .soup(&ingredients, &dataset, &cfg, 23);
-
-    assert_eq!(cached.val_accuracy, uncached.val_accuracy);
-    assert!(
-        cached
-            .params
-            .flat()
-            .zip(uncached.params.flat())
-            .all(|(a, b)| a == b),
-        "cached PLS soup is not bitwise identical"
-    );
-    assert_eq!(
-        cached.stats.spmm_saved, 0,
-        "a per-epoch cache saves nothing net"
-    );
-    assert_eq!(uncached.stats.spmm_saved, 0, "baseline must not save SpMMs");
 }
 
 /// `pool::trim()` at the Phase-1 -> Phase-2 boundary must hand every idle
